@@ -1,6 +1,13 @@
 # gnbody — build, test, and fuzz gates. Pure Go, no external tools.
 #
-#   make check   fast gate: vet + gofmt + build + full test suite
+#   make check   fast gate: vet + gofmt + build + full test suite, plus
+#                bench-build
+#   make bench-build  vet and test the benchmark/ module (a Go module of
+#                its own, so ./... does not reach it): a change that breaks
+#                the exported surface it compiles against fails here, not
+#                in the benchmark driver
+#   make loc     non-test Go lines outside benchmark/ — the number the
+#                ROADMAP line budget is counted in
 #   make race    full suite under the race detector (what CI runs)
 #   make fuzz    10s smoke per fuzz target (go fuzzing allows one -fuzz
 #                target per invocation, hence one run per target)
@@ -41,9 +48,9 @@ FUZZT   ?= 10s
 BENCHN  ?= 5
 BENCH_JSON ?= BENCH_9.json
 
-.PHONY: check vet fmtcheck build test race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke bench bench-smoke bench-comm ci
+.PHONY: check vet fmtcheck build test bench-build loc race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke bench bench-smoke bench-comm ci
 
-check: vet fmtcheck build test
+check: vet fmtcheck build test bench-build
 
 vet:
 	$(GO) vet ./...
@@ -59,6 +66,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+bench-build:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' | xargs cat | wc -l
 
 # The wall-clock experiments in internal/expt run ~10x slower under the
 # race detector; the default 10m per-package test timeout is not enough.

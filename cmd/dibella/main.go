@@ -1,5 +1,5 @@
 // Command dibella runs the full many-to-many long-read alignment pipeline
-// on a FASTA/FASTQ input: size-uniform read partitioning, distributed-style
+// on a FASTA/FASTQ input: size-uniform read partitioning, distributed
 // k-mer histogram with BELLA-model reliable-k-mer filtering, candidate
 // (task) discovery, task redistribution under the owner invariant, and the
 // exchange-and-align phase under either coordination strategy:
@@ -11,26 +11,27 @@
 // With -dist, ranks are separate OS processes connected by the TCP
 // transport instead: `dibella -dist -procs 4 ...` self-forks 4 local worker
 // processes that rendezvous on a free localhost port, run the identical
-// pipeline over the message-passing backend, gather hits to rank 0, and
-// write the same output. For multi-host launches start each worker by hand
-// with explicit coordinates: `-dist -rank R -peers P -addr host:port`
+// pipeline over the message-passing backend, gather the result to rank 0,
+// and write the same output. For multi-host launches start each worker by
+// hand with explicit coordinates: `-dist -rank R -peers P -addr host:port`
 // (rank 0's host listens on -addr).
 //
-// Output: one line per saved alignment — readA readB score — plus a
-// per-rank runtime breakdown on stderr. -stages runs the pipeline past
-// overlap detection into assembly (string graph, transitive reduction,
-// contigs) and writes that stage's artifact instead; see stages.go.
+// Every run is one staged collective region (see stages.go): -stages picks
+// how far the chain goes and therefore the artifact — overlap (the
+// default) writes one line per saved alignment, readA readB score; graph,
+// reduce and contigs continue into assembly. A per-stage, per-rank runtime
+// breakdown goes to stderr.
 //
 // Usage:
 //
 //	dibella -in reads.fa -mode async -procs 8 -k 17 -x 15 -minscore 100 \
 //	        [-coverage 30 -error 0.15 | -lofreq 2 -hifreq 40] [-mem BYTES] \
-//	        [-stages graph|reduce|contigs [-stage-metrics FILE]] \
+//	        [-stages overlap|graph|reduce|contigs] [-stage-metrics FILE] \
 //	        [-dist [-rank R -peers P -addr HOST:PORT]]
 package main
 
 import (
-	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -38,18 +39,12 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
-	"gnbody/internal/align"
-	"gnbody/internal/core"
 	"gnbody/internal/dist"
-	"gnbody/internal/kmer"
 	"gnbody/internal/launch"
-	"gnbody/internal/overlap"
 	"gnbody/internal/par"
-	"gnbody/internal/partition"
 	"gnbody/internal/pipeline"
 	"gnbody/internal/prof"
 	"gnbody/internal/rt"
@@ -60,12 +55,140 @@ import (
 	"gnbody/internal/workload"
 )
 
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole program: 0 on success, 1 on a failed run, 2 on a usage
+// error.
+func run(args []string, stdout, stderr io.Writer) int {
+	o, code := parseOptions(args, stderr)
+	if o == nil {
+		return code
+	}
+	if err := o.execute(args, stdout, stderr); err != nil {
+		fmt.Fprintf(stderr, "dibella: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+// options is the parsed and validated command line.
+type options struct {
+	in, mode, stages, outPath             string
+	stageMetrics, traceOut, metrics       string
+	cpuProf, memProf, addr, placementFlag string
+
+	procs, k, x, minScore, loFreq, hiFreq int
+	slack, minOv, fuzz, sample, nodeSize  int
+	rank, peers                           int
+	coverage, errRate                     float64
+	mem, cacheB                           int64
+	paf, steal, noBatch, packed, dist     bool
+	deadline                              time.Duration
+
+	placement []int // -placement resolved to a rank→slot permutation (nil = identity)
+}
+
+// parseOptions parses and validates args. On a usage error (or -h) it has
+// already written the message to stderr and returns nil plus the exit code.
+func parseOptions(args []string, stderr io.Writer) (*options, int) {
+	o := &options{}
+	fs := flag.NewFlagSet("dibella", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.in, "in", "", "input FASTA/FASTQ (required)")
+	fs.StringVar(&o.mode, "mode", "bsp", "coordination strategy: bsp or async")
+	fs.IntVar(&o.procs, "procs", 4, "number of ranks (goroutines)")
+	fs.IntVar(&o.k, "k", 17, "k-mer length")
+	fs.IntVar(&o.x, "x", 15, "X-drop parameter")
+	fs.IntVar(&o.minScore, "minscore", 100, "minimum alignment score to save")
+	fs.Float64Var(&o.coverage, "coverage", 0, "sequencing depth for the BELLA filter window")
+	fs.Float64Var(&o.errRate, "error", 0.15, "error rate for the BELLA filter window")
+	fs.IntVar(&o.loFreq, "lofreq", 0, "explicit k-mer frequency lower bound (overrides BELLA model)")
+	fs.IntVar(&o.hiFreq, "hifreq", 0, "explicit k-mer frequency upper bound (overrides BELLA model)")
+	fs.Int64Var(&o.mem, "mem", 0, "per-rank exchange memory budget in bytes (0 = unlimited)")
+	fs.Int64Var(&o.cacheB, "cache-budget", 0, "per-rank remote-read cache budget in bytes (0 disables, negative = unbounded)")
+	fs.IntVar(&o.nodeSize, "node-size", 0, "-dist: group this many consecutive ranks per node and aggregate collectives hierarchically (0/1 = flat)")
+	fs.StringVar(&o.placementFlag, "placement", "", "-dist: rank→slot placement permutation: identity (default), reverse, or an explicit comma-separated slot list — regroups which ranks share a -node-size node (results are identical under any placement)")
+	fs.StringVar(&o.outPath, "out", "", "output path (default stdout)")
+	fs.StringVar(&o.stages, "stages", "overlap", "run the pipeline through this stage: overlap (hit TSV), graph (string-graph edge TSV), reduce (transitively reduced edge TSV) or contigs (FASTA); each includes all earlier stages")
+	fs.IntVar(&o.slack, "slack", 50, "assembly stages: tolerated unaligned overhang at read ends when classifying overlaps")
+	fs.IntVar(&o.minOv, "minoverlap", 100, "assembly stages: discard alignments spanning fewer bases on either read")
+	fs.IntVar(&o.fuzz, "fuzz", 0, "assembly stages: transitive-reduction length tolerance in bases")
+	fs.StringVar(&o.stageMetrics, "stage-metrics", "", "write per-stage per-rank metrics, one row per stage and rank (CSV, or JSON if path ends in .json)")
+	fs.BoolVar(&o.paf, "paf", false, "emit PAF records (with cg:Z cigar tags) instead of TSV; needs -stages overlap and in-process ranks")
+	fs.BoolVar(&o.steal, "steal", false, "async mode with dynamic load balancing (work stealing); needs -mode async")
+	fs.BoolVar(&o.noBatch, "no-batch", false, "disable length-bucketed batch scheduling of alignment tasks (ablation; results are identical either way)")
+	fs.BoolVar(&o.packed, "packed", false, "2-bit-pack N-free reads on the wire (≈4x smaller exchanges)")
+	fs.StringVar(&o.traceOut, "trace", "", "write a Chrome trace_event JSON of the run (load in Perfetto)")
+	fs.StringVar(&o.metrics, "metrics", "", "write per-rank metrics totalled over the whole run, all stages and the result gather included (CSV, or JSON if path ends in .json)")
+	fs.IntVar(&o.sample, "sample", 1, "trace sampling: keep every Nth high-volume event")
+	fs.BoolVar(&o.dist, "dist", false, "run ranks as separate OS processes over the TCP transport (self-forks -procs workers unless -rank is set)")
+	fs.IntVar(&o.rank, "rank", -1, "this worker's rank in a -dist job (set by the self-fork launcher, or by hand for multi-host runs)")
+	fs.IntVar(&o.peers, "peers", 0, "total rank count of a -dist job (defaults to -procs)")
+	fs.StringVar(&o.addr, "addr", "", "rendezvous address host:port of rank 0 in a -dist job (auto-picked when self-forking)")
+	fs.DurationVar(&o.deadline, "progress-deadline", dist.DefaultProgressDeadline,
+		"-dist: fail a rank blocked in a collective with no inbound traffic for this long (0 disables)")
+	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a pprof CPU profile to this file (rank-suffixed in -dist mode)")
+	fs.StringVar(&o.memProf, "memprofile", "", "write a pprof heap profile to this file on exit (rank-suffixed in -dist mode)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, 0
+		}
+		return nil, 2 // the FlagSet has reported it
+	}
+	if o.in == "" {
+		fmt.Fprintln(stderr, "dibella: -in is required")
+		fs.Usage()
+		return nil, 2
+	}
+	if err := o.validate(); err != nil {
+		fmt.Fprintf(stderr, "dibella: %v\n", err)
+		return nil, 2
+	}
+	return o, 0
+}
+
+// validate rejects flag combinations that cannot run and resolves the
+// -dist rank count and -placement.
+func (o *options) validate() error {
+	switch {
+	case o.mode != "bsp" && o.mode != "async":
+		return fmt.Errorf("unknown -mode %q", o.mode)
+	case o.steal && o.mode != "async":
+		return fmt.Errorf("-steal is a variant of the async driver and needs -mode async")
+	case stageChainIndex(o.stages) < 0:
+		return fmt.Errorf("unknown -stages %q (want overlap, graph, reduce or contigs)", o.stages)
+	case o.paf && o.stages != "overlap":
+		return fmt.Errorf("-paf emits overlap records and needs -stages overlap")
+	case o.paf && o.dist:
+		return fmt.Errorf("-paf needs every rank's task table and is not supported with -dist")
+	case o.placementFlag != "" && !o.dist:
+		return fmt.Errorf("-placement needs -dist (in-process ranks have no node topology)")
+	}
+	if o.dist {
+		if o.peers <= 0 {
+			o.peers = o.procs
+		}
+		o.procs = o.peers
+		if o.rank >= o.peers {
+			return fmt.Errorf("-rank %d out of range for -peers %d", o.rank, o.peers)
+		}
+		if o.rank >= 0 && o.addr == "" {
+			return fmt.Errorf("a -dist worker needs -addr (rank 0's rendezvous address)")
+		}
+	}
+	// Placement is parsed once -peers has fixed the final rank count.
+	var err error
+	if o.placement, err = parsePlacement(o.placementFlag, o.procs); err != nil {
+		return fmt.Errorf("-placement: %w", err)
+	}
+	return nil
+}
+
 // backendWorld is the slice of the backend API dibella drives: par.World
 // for the in-process runtime, distRankWorld for one rank of a -dist job.
 type backendWorld interface {
 	Run(func(rt.Runtime)) error
 	Metrics(i int) *rt.Metrics
-	ResetMetrics()
 }
 
 // distRankWorld adapts a single dist.Rank (this process's rank) to the
@@ -79,145 +202,113 @@ func (d distRankWorld) Metrics(i int) *rt.Metrics {
 	}
 	return d.r.Metrics()
 }
-func (d distRankWorld) ResetMetrics() { d.r.ResetMetrics() }
 
-func main() {
-	var (
-		in       = flag.String("in", "", "input FASTA/FASTQ (required)")
-		mode     = flag.String("mode", "bsp", "coordination strategy: bsp or async")
-		procs    = flag.Int("procs", 4, "number of ranks (goroutines)")
-		k        = flag.Int("k", 17, "k-mer length")
-		x        = flag.Int("x", 15, "X-drop parameter")
-		minScore = flag.Int("minscore", 100, "minimum alignment score to save")
-		coverage = flag.Float64("coverage", 0, "sequencing depth for the BELLA filter window")
-		errRate  = flag.Float64("error", 0.15, "error rate for the BELLA filter window")
-		loFreq   = flag.Int("lofreq", 0, "explicit k-mer frequency lower bound (overrides BELLA model)")
-		hiFreq   = flag.Int("hifreq", 0, "explicit k-mer frequency upper bound (overrides BELLA model)")
-		mem      = flag.Int64("mem", 0, "per-rank exchange memory budget in bytes (0 = unlimited)")
-		cacheB   = flag.Int64("cache-budget", 0, "per-rank remote-read cache budget in bytes (0 disables, negative = unbounded)")
-		nodeSize = flag.Int("node-size", 0, "-dist: group this many consecutive ranks per node and aggregate collectives hierarchically (0/1 = flat)")
-		placeStr = flag.String("placement", "", "-dist: rank→slot placement permutation: identity (default), reverse, or an explicit comma-separated slot list — regroups which ranks share a -node-size node (results are identical under any placement)")
-		outPath  = flag.String("out", "", "output path (default stdout)")
-		stages   = flag.String("stages", "overlap", "run the pipeline through this stage: overlap (hit TSV), graph (string-graph edge TSV), reduce (transitively reduced edge TSV) or contigs (FASTA); each includes all earlier stages")
-		slack    = flag.Int("slack", 50, "assembly stages: tolerated unaligned overhang at read ends when classifying overlaps")
-		minOv    = flag.Int("minoverlap", 100, "assembly stages: discard alignments spanning fewer bases on either read")
-		fuzz     = flag.Int("fuzz", 0, "assembly stages: transitive-reduction length tolerance in bases")
-		stageMet = flag.String("stage-metrics", "", "write per-stage per-rank metrics (CSV, or JSON if path ends in .json); needs -stages beyond overlap")
-		paf      = flag.Bool("paf", false, "emit PAF records (with cg:Z cigar tags) instead of TSV")
-		distrib  = flag.Bool("distributed", false, "run k-mer analysis and candidate discovery as a distributed SPMD stage (DiBELLA stages 1-2) instead of serially")
-		steal    = flag.Bool("steal", false, "async mode with dynamic load balancing (work stealing)")
-		noBatch  = flag.Bool("no-batch", false, "disable length-bucketed batch scheduling of alignment tasks (ablation; results are identical either way)")
-		packed   = flag.Bool("packed", false, "2-bit-pack N-free reads on the wire (≈4x smaller exchanges)")
-		traceOut = flag.String("trace", "", "write a Chrome trace_event JSON of the run (load in Perfetto)")
-		metrics  = flag.String("metrics", "", "write per-rank metrics (CSV, or JSON if path ends in .json)")
-		sample   = flag.Int("sample", 1, "trace sampling: keep every Nth high-volume event")
-		distMode = flag.Bool("dist", false, "run ranks as separate OS processes over the TCP transport (self-forks -procs workers unless -rank is set)")
-		rankFlag = flag.Int("rank", -1, "this worker's rank in a -dist job (set by the self-fork launcher, or by hand for multi-host runs)")
-		peers    = flag.Int("peers", 0, "total rank count of a -dist job (defaults to -procs)")
-		addr     = flag.String("addr", "", "rendezvous address host:port of rank 0 in a -dist job (auto-picked when self-forking)")
-		deadline = flag.Duration("progress-deadline", dist.DefaultProgressDeadline,
-			"-dist: fail a rank blocked in a collective with no inbound traffic for this long (0 disables)")
-		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile to this file (rank-suffixed in -dist mode)")
-		memProf = flag.String("memprofile", "", "write a pprof heap profile to this file on exit (rank-suffixed in -dist mode)")
-	)
-	flag.Parse()
-	if *in == "" {
-		fmt.Fprintln(os.Stderr, "dibella: -in is required")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *mode != "bsp" && *mode != "async" {
-		fmt.Fprintf(os.Stderr, "dibella: unknown -mode %q\n", *mode)
-		os.Exit(2)
-	}
-	if stageChainIndex(*stages) < 0 {
-		fmt.Fprintf(os.Stderr, "dibella: unknown -stages %q (want overlap, graph, reduce or contigs)\n", *stages)
-		os.Exit(2)
-	}
-	if *stages != "overlap" && *paf {
-		fmt.Fprintln(os.Stderr, "dibella: -paf emits overlap records and needs -stages overlap")
-		os.Exit(2)
-	}
-	if *stages == "overlap" && *stageMet != "" {
-		fmt.Fprintln(os.Stderr, "dibella: -stage-metrics needs -stages graph, reduce or contigs")
-		os.Exit(2)
-	}
+// session is one process's run: the options plus the backend and the read
+// data this process holds.
+type session struct {
+	*options
+	stdout, stderr io.Writer
 
-	isDist, myRank := *distMode, 0
-	if isDist {
-		if *paf {
-			fail(fmt.Errorf("-paf needs every rank's task table and is not supported with -dist"))
-		}
-		if *peers <= 0 {
-			*peers = *procs
-		}
-		*procs = *peers
-		if *rankFlag < 0 {
-			// Coordinator: pick a rendezvous port and re-exec one worker
-			// process per rank with explicit coordinates appended (later
-			// flags override the ones already on the command line).
-			a := *addr
-			if a == "" {
-				var err error
-				if a, err = launch.FreeLocalAddr(); err != nil {
-					fail(err)
-				}
+	myRank int // this process's rank under -dist, else 0
+	world  backendWorld
+	tracer *trace.Tracer
+	plan   *pipeline.Plan // partition and discovery window; stages.go adds the stage list
+
+	lens    []int32         // every read's length (replicated metadata)
+	reads   *seq.ReadSet    // in-process mode: the shared full set
+	ix      *seq.FileIndex  // -dist mode: replicated per-record index
+	myStore *seq.SliceStore // -dist mode: this rank's partition range
+}
+
+// logf writes informational stderr output, from one process only under -dist.
+func (s *session) logf(format string, args ...any) {
+	if s.myRank == 0 {
+		fmt.Fprintf(s.stderr, format, args...)
+	}
+}
+
+// localRanks lists the ranks whose state lives in this process: all of
+// them in-process, this worker's own under -dist.
+func (s *session) localRanks() []int {
+	if s.dist {
+		return []int{s.myRank}
+	}
+	ranks := make([]int, s.procs)
+	for rk := range ranks {
+		ranks[rk] = rk
+	}
+	return ranks
+}
+
+// rankSuffix tags per-process output files under -dist (".rankN").
+func (s *session) rankSuffix() string {
+	if s.dist {
+		return fmt.Sprintf(".rank%d", s.myRank)
+	}
+	return ""
+}
+
+// storeFor hands a rank its owner-only view of the reads: the physical
+// per-rank slice in -dist mode, an enforcing scoped view of the shared set
+// in-process. Out-of-partition Gets panic in -dist workers and are counted
+// into the rank's metrics in-process.
+func (s *session) storeFor(r rt.Runtime) seq.Store {
+	if s.dist {
+		return s.myStore
+	}
+	lo, hi := s.plan.Part.Range(r.Rank())
+	return seq.ScopeCounting(s.reads, lo, hi, s.lens, &r.Metrics().OOPGets)
+}
+
+// nameOf resolves a read's name — from the replicated index in -dist mode,
+// where rank 0 does not hold the other ranks' records.
+func (s *session) nameOf(id seq.ReadID) string {
+	if s.dist {
+		return s.ix.Names[id]
+	}
+	return s.reads.Get(id).Name
+}
+
+// execute runs the validated command line in this process: the self-fork
+// coordinator, one -dist worker, or the in-process world.
+func (o *options) execute(args []string, stdout, stderr io.Writer) error {
+	if o.dist && o.rank < 0 {
+		// Coordinator: pick a rendezvous port and re-exec one worker process
+		// per rank with explicit coordinates appended (later flags override
+		// the ones already on the command line).
+		addr := o.addr
+		if addr == "" {
+			var err error
+			if addr, err = launch.FreeLocalAddr(); err != nil {
+				return err
 			}
-			base := append([]string{}, os.Args[1:]...)
-			if err := launch.SelfFork(*peers, func(rank int) []string {
-				return append(append([]string{}, base...),
-					"-rank", fmt.Sprint(rank), "-peers", fmt.Sprint(*peers), "-addr", a)
-			}); err != nil {
-				fail(err)
-			}
-			return
 		}
-		if *rankFlag >= *peers {
-			fail(fmt.Errorf("-rank %d out of range for -peers %d", *rankFlag, *peers))
-		}
-		if *addr == "" {
-			fail(fmt.Errorf("a -dist worker needs -addr (rank 0's rendezvous address)"))
-		}
-		myRank = *rankFlag
+		return launch.SelfFork(o.peers, func(rank int) []string {
+			return append(append([]string{}, args...),
+				"-rank", fmt.Sprint(rank), "-peers", fmt.Sprint(o.peers), "-addr", addr)
+		})
 	}
-	// Placement regroups ranks across physical nodes, which only exists in
-	// -dist mode; parse after -peers has fixed the final rank count.
-	if *placeStr != "" && !isDist {
-		fmt.Fprintln(os.Stderr, "dibella: -placement needs -dist (in-process ranks have no node topology)")
-		os.Exit(2)
-	}
-	placement, perr := parsePlacement(*placeStr, *procs)
-	if perr != nil {
-		fmt.Fprintf(os.Stderr, "dibella: -placement: %v\n", perr)
-		os.Exit(2)
+	s := &session{options: o, stdout: stdout, stderr: stderr}
+	if o.dist {
+		s.myRank = o.rank
 	}
 
-	// Informational stderr output comes from one process only in -dist mode.
-	logf := func(format string, args ...any) {
-		if !isDist || myRank == 0 {
-			fmt.Fprintf(os.Stderr, format, args...)
-		}
-	}
-
-	// Profiling starts after the coordinator's self-fork return above, so in
-	// -dist mode only the workers profile, each into a rank-suffixed file
+	// Under -dist only the workers profile, each into a rank-suffixed file
 	// (same convention as -trace and -metrics).
-	cpuPath, memPath := *cpuProf, *memProf
-	if isDist {
-		if cpuPath != "" {
-			cpuPath += fmt.Sprintf(".rank%d", myRank)
-		}
-		if memPath != "" {
-			memPath += fmt.Sprintf(".rank%d", myRank)
-		}
+	cpuPath, memPath := o.cpuProf, o.memProf
+	if cpuPath != "" {
+		cpuPath += s.rankSuffix()
 	}
-	stopProf, profErr := prof.Start(cpuPath, memPath)
-	if profErr != nil {
-		fail(profErr)
+	if memPath != "" {
+		memPath += s.rankSuffix()
+	}
+	stopProf, err := prof.Start(cpuPath, memPath)
+	if err != nil {
+		return err
 	}
 	defer func() {
 		if err := stopProf(); err != nil {
-			fmt.Fprintf(os.Stderr, "dibella: %v\n", err)
+			fmt.Fprintf(stderr, "dibella: %v\n", err)
 		}
 	}()
 
@@ -228,485 +319,133 @@ func main() {
 	// In-process mode loads the full set once and hands each rank an
 	// enforcing owner-only view of it.
 	t0 := time.Now()
-	var (
-		reads *seq.ReadSet   // in-process mode: the shared full set
-		ix    *seq.FileIndex // -dist mode: replicated metadata only
-		lens  []int32
-		err   error
-	)
-	if isDist {
-		if ix, err = seq.IndexFile(*in); err != nil {
-			fail(err)
+	if o.dist {
+		if s.ix, err = seq.IndexFile(o.in); err != nil {
+			return err
 		}
-		lens = ix.Lens
-		logf("dibella: indexed %s in %s\n", seq.StatsFromLens(lens), time.Since(t0).Round(time.Millisecond))
+		s.lens = s.ix.Lens
+		s.logf("dibella: indexed %s in %s\n", seq.StatsFromLens(s.lens), time.Since(t0).Round(time.Millisecond))
 	} else {
-		if reads, err = seq.LoadFile(*in); err != nil {
-			fail(err)
+		if s.reads, err = seq.LoadFile(o.in); err != nil {
+			return err
 		}
-		lens = workload.LensOf(reads)
-		logf("dibella: loaded %s in %s\n", reads.ComputeStats(), time.Since(t0).Round(time.Millisecond))
+		s.lens = workload.LensOf(s.reads)
+		s.logf("dibella: loaded %s in %s\n", s.reads.ComputeStats(), time.Since(t0).Round(time.Millisecond))
 	}
 
-	lensInt := make([]int, len(lens))
-	for i, l := range lens {
-		lensInt[i] = int(l)
-	}
-	pt, err := partition.BySize(lensInt, *procs)
-	if err != nil {
-		fail(err)
-	}
-	var tracer *trace.Tracer
-	if *traceOut != "" || *metrics != "" {
-		tracer = trace.New(*procs, trace.Config{Sample: *sample})
-	}
-	var world backendWorld
-	var distRank *dist.Rank
-	if isDist {
-		tp, err := transport.Rendezvous(myRank, *procs, transport.TCPConfig{
-			Addr: *addr, Timeout: 60 * time.Second})
-		if err != nil {
-			fail(fmt.Errorf("rank %d rendezvous at %s: %w", myRank, *addr, err))
-		}
-		pd := *deadline
-		if pd == 0 {
-			pd = -1 // flag 0 means "disable"; dist.Config 0 means "default"
-		}
-		distRank = dist.NewRank(tp, dist.Config{
-			MemBudget: *mem, Tracer: tracer, ProgressDeadline: pd,
-			NodeSize: *nodeSize, Placement: placement})
-		world = distRankWorld{distRank}
-		// Graceful drain: a signal aborts the transport, so the collective
-		// this rank is blocked in fails with a typed RankError instead of
-		// the process dying mid-exchange — the failure path below then
-		// flushes this rank's trace and metrics before exiting.
-		sigc := make(chan os.Signal, 1)
-		signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			s := <-sigc
-			fmt.Fprintf(os.Stderr, "dibella: rank %d: %v — draining (aborting transport)\n", myRank, s)
-			if ab, ok := tp.(transport.Aborter); ok {
-				ab.Abort()
-			} else {
-				tp.Close()
-			}
-		}()
-	} else {
-		pw, err := par.NewWorld(par.Config{P: *procs, MemBudget: *mem, Tracer: tracer})
-		if err != nil {
-			fail(err)
-		}
-		world = pw
-	}
-
-	// -dist: agree on the input (every worker indexed its own copy of the
-	// file; one mismatched byte anywhere would silently skew the partition),
-	// then materialise only this rank's partition range from disk.
-	var myStore *seq.SliceStore
-	if isDist {
-		sum := ix.Checksum()
-		var agreeErr error
-		if err := world.Run(func(r rt.Runtime) {
-			if r.Allreduce(sum, rt.OpMin) != r.Allreduce(sum, rt.OpMax) {
-				agreeErr = fmt.Errorf("input index checksum %#x disagrees across ranks — workers see different files", uint64(sum))
-			}
-		}); err != nil {
-			fail(err)
-		}
-		if agreeErr != nil {
-			fail(agreeErr)
-		}
-		lo, hi := pt.Range(myRank)
-		tl := time.Now()
-		if myStore, err = seq.LoadFileRange(*in, ix, lo, hi); err != nil {
-			fail(fmt.Errorf("rank %d loading reads [%d,%d): %w", myRank, lo, hi, err))
-		}
-		fmt.Fprintf(os.Stderr, "dibella: rank %d resident reads [%d,%d) = %s of %s global in %s\n",
-			myRank, lo, hi, stats.FmtBytes(myStore.LocalBytes()),
-			stats.FmtBytes(seq.StatsFromLens(lens).TotalBases), time.Since(tl).Round(time.Millisecond))
-	}
-	// Artifact flushing is an exit hook, not straight-line code at the end
-	// of main: fail() exits without running defers, and the graceful drain
-	// above deliberately routes through it, so a drained or failed run
-	// still exports whatever trace and metrics it accumulated.
-	var distMet rt.Metrics // align-phase snapshot (-dist), set before the hit gather
-	distMetSet := false
-	var flushOnce sync.Once
-	flushArtifacts := func() {
-		flushOnce.Do(func() {
-			metricsFor := func(rk int) *rt.Metrics {
-				if isDist {
-					if distMetSet {
-						return &distMet
-					}
-					return world.Metrics(myRank)
-				}
-				return world.Metrics(rk)
-			}
-			writeRunArtifacts(tracer, *traceOut, *metrics, *mode, isDist, myRank, *procs, metricsFor, logf)
-		})
-	}
-	onExit(flushArtifacts)
-
-	// storeFor hands a rank its owner-only view of the reads: the physical
-	// per-rank slice in -dist mode, an enforcing scoped view of the shared
-	// set in-process. Out-of-partition Gets panic in -dist workers and are
-	// counted into the rank's metrics in-process.
-	storeFor := func(r rt.Runtime) seq.Store {
-		if isDist {
-			return myStore
-		}
-		lo, hi := pt.Range(r.Rank())
-		return seq.ScopeCounting(reads, lo, hi, lens, &r.Metrics().OOPGets)
-	}
-	// Names and lengths come from the replicated metadata in -dist mode;
-	// rank 0 does not hold the other ranks' bases.
-	nameOf := func(id seq.ReadID) string {
-		if isDist {
-			return ix.Names[id]
-		}
-		return reads.Get(id).Name
-	}
-
-	// -stages beyond overlap: run the whole assembly chain as one staged
-	// collective region and write its artifact instead of the hit TSV.
-	if *stages != "overlap" {
-		modeStr := *mode
-		if modeStr == "async" && *steal {
-			modeStr = "steal"
-		}
-		if err := runStagedAssembly(&stagedConfig{
-			world: world, lens: lens, storeFor: storeFor, nameOf: nameOf,
-			logf: logf, procs: *procs, isDist: isDist, myRank: myRank,
-			stages: *stages, mode: modeStr, k: *k, lo: *loFreq, hi: *hiFreq,
-			coverage: *coverage, errRate: *errRate, x: *x, minScore: *minScore,
-			packed: *packed, cacheB: *cacheB, noBatch: *noBatch, slack: *slack, minOv: *minOv,
-			fuzz: *fuzz, outPath: *outPath, stageMetrics: *stageMet,
-		}); err != nil {
-			fail(err)
-		}
-		if distRank != nil {
-			distRank.Close()
-		}
-		flushArtifacts()
-		return
-	}
-
-	// Stage 1-2: k-mer analysis and candidate discovery — serial reference
-	// path or the distributed SPMD pipeline. -dist always takes the SPMD
-	// path: the serial one would need the global read set, which no worker
-	// holds any more.
-	t1 := time.Now()
-	var tasks []overlap.Task
-	var byRank [][]overlap.Task
-	if isDist && !*distrib {
-		logf("dibella: -dist task discovery runs the distributed pipeline (owner-only residency)\n")
-	}
-	if *distrib || isDist {
-		lo, hi := *loFreq, *hiFreq
-		if hi <= 0 {
-			lo, hi = kmer.ReliableWindow(*coverage, *errRate, *k, 0)
-			if *loFreq > 0 {
-				lo = *loFreq
-			}
-		}
-		outs := make([]*pipeline.Output, *procs)
-		errs := make([]error, *procs)
-		if err := world.Run(func(r rt.Runtime) {
-			outs[r.Rank()], errs[r.Rank()] = pipeline.Run(r, &pipeline.Input{
-				Part: pt, Store: storeFor(r), Lens: lens, K: *k, Lo: lo, Hi: hi,
-			})
-		}); err != nil {
-			fail(err)
-		}
-		byRank = make([][]overlap.Task, *procs)
-		if isDist {
-			// Each process only knows (and only needs) its own rank's tasks;
-			// report the global count via the runtime.
-			if errs[myRank] != nil {
-				fail(fmt.Errorf("pipeline rank %d: %w", myRank, errs[myRank]))
-			}
-			byRank[myRank] = outs[myRank].Tasks
-			tasks = outs[myRank].Tasks
-			var total int64
-			if err := world.Run(func(r rt.Runtime) {
-				total = r.Allreduce(int64(len(tasks)), rt.OpSum)
-			}); err != nil {
-				fail(err)
-			}
-			logf("dibella: %d candidate tasks (distributed, k=%d, window [%d,%d]) in %s\n",
-				total, *k, lo, hi, time.Since(t1).Round(time.Millisecond))
-		} else {
-			for rk := 0; rk < *procs; rk++ {
-				if errs[rk] != nil {
-					fail(fmt.Errorf("pipeline rank %d: %w", rk, errs[rk]))
-				}
-				byRank[rk] = outs[rk].Tasks
-				tasks = append(tasks, outs[rk].Tasks...)
-			}
-			logf("dibella: %d candidate tasks (distributed, k=%d, window [%d,%d]) in %s\n",
-				len(tasks), *k, lo, hi, time.Since(t1).Round(time.Millisecond))
-		}
-		// The reported breakdown should cover the align phase alone, not the
-		// k-mer pipeline that just ran.
-		world.ResetMetrics()
-	} else {
-		var lo, hi int
-		tasks, lo, hi, err = overlap.FromReadSet(reads, overlap.Config{
-			K: *k, Lo: *loFreq, Hi: *hiFreq, Coverage: *coverage, ErrRate: *errRate,
-		})
-		if err != nil {
-			fail(err)
-		}
-		byRank = partition.AssignTasks(tasks, pt)
-		logf("dibella: %d candidate tasks (k=%d, reliable window [%d,%d]) in %s\n",
-			len(tasks), *k, lo, hi, time.Since(t1).Round(time.Millisecond))
-	}
-	exec := core.RealExecutor{Scoring: align.DefaultScoring(), X: *x}
-	results := make([]*core.Result, *procs)
-	errs := make([]error, *procs)
-	t2 := time.Now()
-	runErr := world.Run(func(r rt.Runtime) {
-		// The codec encodes from this rank's own store, so it is built
-		// per rank inside the SPMD region.
-		st := storeFor(r)
-		var codec core.Codec = core.RealCodec{Store: st}
-		if *packed {
-			codec = core.PackedCodec{Store: st}
-		}
-		input := &core.Input{Part: pt, Lens: lens, Tasks: byRank[r.Rank()],
-			Codec: codec, Store: st}
-		cfg := core.Config{Exec: exec, MinScore: *minScore, CacheBudget: *cacheB, NoBatch: *noBatch}
-		switch {
-		case *mode == "async" && *steal:
-			results[r.Rank()], errs[r.Rank()] = core.RunAsyncStealing(r, input, cfg)
-		case *mode == "async":
-			results[r.Rank()], errs[r.Rank()] = core.RunAsync(r, input, cfg)
-		default:
-			results[r.Rank()], errs[r.Rank()] = core.RunBSP(r, input, cfg)
-		}
-	})
-	if runErr != nil {
-		fail(runErr)
-	}
-	alignWall := time.Since(t2)
-	var hits []core.Hit
-	if isDist {
-		if errs[myRank] != nil {
-			fail(fmt.Errorf("rank %d: %w", myRank, errs[myRank]))
-		}
-		distMet = *world.Metrics(myRank)
-		distMetSet = true
-		if err := world.Run(func(r rt.Runtime) {
-			hits = core.GatherHits(r, results[r.Rank()].Hits)
-		}); err != nil {
-			fail(err)
-		}
-		// Graceful departure: ranks finish the gather at different times,
-		// and the bye handshake keeps our exit from looking like a crash
-		// to peers still polling.
-		distRank.Close()
-	} else {
-		for rk := 0; rk < *procs; rk++ {
-			if errs[rk] != nil {
-				fail(fmt.Errorf("rank %d: %w", rk, errs[rk]))
-			}
-			hits = append(hits, results[rk].Hits...)
-		}
-		core.SortHits(hits)
-	}
-
-	// Rank 0 (or the sole process) writes the results and the report;
-	// -dist workers skip straight to their per-rank trace/metrics export.
-	if !isDist || myRank == 0 {
-		if !*paf {
-			// Canonical TSV: symmetric duplicates collapse and every record
-			// reads A < B, so the emitted file is a deterministic function of
-			// the hit set regardless of driver, rank count or task order.
-			// PAF keeps the raw per-task records — its seed replay needs the
-			// original orientation.
-			hits = core.CanonicalizeHits(hits, lens)
-		}
-		w := bufio.NewWriter(os.Stdout)
-		if *outPath != "" {
-			f, err := os.Create(*outPath)
-			if err != nil {
-				fail(err)
-			}
-			defer f.Close()
-			w = bufio.NewWriter(f)
-		}
-		kinds := map[overlap.Kind]int{}
-		taskOf := make(map[uint64]overlap.Task, len(tasks))
-		for _, t := range tasks {
-			taskOf[t.Key()] = t
-		}
-		for _, h := range hits {
-			res := align.Result{Score: int(h.Score),
-				AStart: int(h.AStart), AEnd: int(h.AEnd),
-				BStart: int(h.BStart), BEnd: int(h.BEnd)}
-			kinds[overlap.Classify(res, int(lens[h.A]), int(lens[h.B]), 50)]++
-			if !*paf {
-				fmt.Fprintf(w, "%s\t%s\t%d\n", nameOf(h.A), nameOf(h.B), h.Score)
-				continue
-			}
-			if err := writePAF(w, reads, taskOf[uint64(h.A)<<32|uint64(h.B)], h, *x); err != nil {
-				fail(err)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "dibella: overlap kinds:")
-		for _, k := range []overlap.Kind{overlap.SuffixPrefix, overlap.PrefixSuffix,
-			overlap.ContainsB, overlap.ContainedInB, overlap.Internal} {
-			fmt.Fprintf(os.Stderr, " %s=%d", k, kinds[k])
-		}
-		fmt.Fprintln(os.Stderr)
-
-		table := &stats.Table{
-			Title:   fmt.Sprintf("dibella: %s, %d ranks, %d hits, align phase %s", *mode, *procs, len(hits), alignWall.Round(time.Millisecond)),
-			Headers: []string{"rank", "align", "overhead", "comm", "sync", "maxmem", "store", "steps"},
-		}
-		if isDist {
-			m := &distMet
-			table.Title += fmt.Sprintf(" (rank %d of %d processes)", myRank, *procs)
-			table.AddRow(fmt.Sprint(myRank),
-				stats.FmtDur(m.Time[rt.CatAlign]), stats.FmtDur(m.Time[rt.CatOverhead]),
-				stats.FmtDur(m.Time[rt.CatComm]), stats.FmtDur(m.Time[rt.CatSync]),
-				stats.FmtBytes(m.MaxMem), stats.FmtBytes(m.StoreBytes), fmt.Sprint(m.Supersteps))
-		} else {
-			for rk := 0; rk < *procs; rk++ {
-				m := world.Metrics(rk)
-				table.AddRow(fmt.Sprint(rk),
-					stats.FmtDur(m.Time[rt.CatAlign]), stats.FmtDur(m.Time[rt.CatOverhead]),
-					stats.FmtDur(m.Time[rt.CatComm]), stats.FmtDur(m.Time[rt.CatSync]),
-					stats.FmtBytes(m.MaxMem), stats.FmtBytes(m.StoreBytes), fmt.Sprint(m.Supersteps))
-			}
-		}
-		table.Render(os.Stderr)
-	}
-
-	flushArtifacts()
-}
-
-// writeRunArtifacts exports the Chrome trace and per-rank metrics files:
-// in -dist mode every worker writes its own rank's slice into a
-// rank-suffixed file, in-process mode one file with all ranks. Errors are
-// reported rather than fatal — this also runs on the failure path, where
-// an exit is already in progress.
-func writeRunArtifacts(tracer *trace.Tracer, traceOut, metricsOut, mode string,
-	isDist bool, myRank, procs int, metricsFor func(int) *rt.Metrics, logf func(string, ...any)) {
-	tracePath, metricsPath := traceOut, metricsOut
-	if isDist {
-		if tracePath != "" {
-			tracePath += fmt.Sprintf(".rank%d", myRank)
-		}
-		if metricsPath != "" {
-			metricsPath += fmt.Sprintf(".rank%d", myRank)
-		}
-	}
-	if tracePath != "" {
-		label := fmt.Sprintf("dibella %s procs=%d", mode, procs)
-		f, err := os.Create(tracePath)
-		if err == nil {
-			err = trace.WriteChromeTrace(f, tracer, label)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dibella: -trace: %v\n", err)
-			return
-		}
-		logf("dibella: trace -> %s\n", tracePath)
-	}
-	if metricsPath != "" {
-		var rows []trace.RankMetrics
-		if isDist {
-			rows = []trace.RankMetrics{rt.TraceRow(myRank, metricsFor(myRank), tracer.Rank(myRank))}
-		} else {
-			rows = make([]trace.RankMetrics, procs)
-			for rk := 0; rk < procs; rk++ {
-				rows[rk] = rt.TraceRow(rk, metricsFor(rk), tracer.Rank(rk))
-			}
-		}
-		f, err := os.Create(metricsPath)
-		if err == nil {
-			if strings.HasSuffix(metricsOut, ".json") {
-				err = trace.WriteMetricsJSON(f, rows)
-			} else {
-				err = trace.WriteMetricsCSV(f, rows)
-			}
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dibella: -metrics: %v\n", err)
-			return
-		}
-		logf("dibella: metrics -> %s\n", metricsPath)
-	}
-}
-
-// writePAF renders one saved alignment as a PAF record (the de-facto
-// interchange format for long-read overlaps), recomputing the edit
-// transcript for the residue-match and cg:Z fields. Coordinates follow the
-// PAF convention: for '-' strand hits, target coordinates are reported on
-// the original strand.
-func writePAF(w io.Writer, reads *seq.ReadSet, t overlap.Task, h core.Hit, x int) error {
-	ra, rb := reads.Get(h.A), reads.Get(h.B)
-	b := rb.Seq
-	if h.RC {
-		b = b.ReverseComplement()
-	}
-	_, cigar, err := align.SeedExtendTrace(ra.Seq, b, int(t.Seed.PosA), int(t.Seed.PosB),
-		int(t.Seed.K), align.DefaultScoring(), x)
-	if err != nil {
+	if s.plan, err = pipeline.NewPlan(s.lens, o.procs, pipeline.Spec{
+		K: o.k, Lo: o.loFreq, Hi: o.hiFreq, Coverage: o.coverage, ErrRate: o.errRate,
+	}); err != nil {
 		return err
 	}
-	_, _, matches, alnLen := cigar.Counts()
-	strand := "+"
-	tStart, tEnd := int(h.BStart), int(h.BEnd)
-	if h.RC {
-		strand = "-"
-		tStart, tEnd = rb.Len()-int(h.BEnd), rb.Len()-int(h.BStart)
+	if o.traceOut != "" || o.metrics != "" {
+		s.tracer = trace.New(o.procs, trace.Config{Sample: o.sample})
 	}
-	_, err = fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%s\t%s\t%d\t%d\t%d\t%d\t%d\t255\tAS:i:%d\tcg:Z:%s\n",
-		ra.Name, ra.Len(), h.AStart, h.AEnd, strand,
-		rb.Name, rb.Len(), tStart, tEnd, matches, alnLen, h.Score, cigar)
-	return err
+	var distRank *dist.Rank
+	if o.dist {
+		if distRank, err = s.joinDist(); err != nil {
+			return err
+		}
+	} else if s.world, err = par.NewWorld(par.Config{P: o.procs, MemBudget: o.mem, Tracer: s.tracer}); err != nil {
+		return err
+	}
+	runErr := s.runPipeline()
+	if runErr == nil && distRank != nil {
+		// Graceful departure: ranks finish at different times, and the bye
+		// handshake keeps our exit from looking like a crash to peers still
+		// polling.
+		distRank.Close()
+	}
+	return errors.Join(runErr, s.writeRunArtifacts())
 }
 
-// exitHooks are cleanups that must survive fail(): os.Exit skips defers,
-// so anything that has to flush on the failure path (trace and metrics
-// export during a graceful drain, most importantly) registers here.
-var exitHooks struct {
-	mu  sync.Mutex
-	ran bool
-	fns []func()
+// joinDist makes this process one rank of the -dist job: rendezvous over
+// TCP, agree on the input — every worker indexed its own copy of the file;
+// one mismatched byte anywhere would silently skew the partition — then
+// materialise only this rank's partition range from disk.
+func (s *session) joinDist() (*dist.Rank, error) {
+	tp, err := transport.Rendezvous(s.myRank, s.procs, transport.TCPConfig{
+		Addr: s.addr, Timeout: 60 * time.Second})
+	if err != nil {
+		return nil, fmt.Errorf("rank %d rendezvous at %s: %w", s.myRank, s.addr, err)
+	}
+	pd := s.deadline
+	if pd == 0 {
+		pd = -1 // flag 0 means "disable"; dist.Config 0 means "default"
+	}
+	distRank := dist.NewRank(tp, dist.Config{
+		MemBudget: s.mem, Tracer: s.tracer, ProgressDeadline: pd,
+		NodeSize: s.nodeSize, Placement: s.placement})
+	s.world = distRankWorld{distRank}
+	// Graceful drain: a signal aborts the transport, so the collective this
+	// rank is blocked in fails with a typed RankError instead of the process
+	// dying mid-exchange — the failed run still exports this rank's trace
+	// and metrics before exiting.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		sig := <-sigc
+		fmt.Fprintf(s.stderr, "dibella: rank %d: %v — draining (aborting transport)\n", s.myRank, sig)
+		if ab, ok := tp.(transport.Aborter); ok {
+			ab.Abort()
+		} else {
+			tp.Close()
+		}
+	}()
+
+	sum := s.ix.Checksum()
+	var agreeErr error
+	if err := s.world.Run(func(r rt.Runtime) {
+		if r.Allreduce(sum, rt.OpMin) != r.Allreduce(sum, rt.OpMax) {
+			agreeErr = fmt.Errorf("input index checksum %#x disagrees across ranks — workers see different files", uint64(sum))
+		}
+	}); err != nil {
+		return nil, err
+	}
+	if agreeErr != nil {
+		return nil, agreeErr
+	}
+	lo, hi := s.plan.Part.Range(s.myRank)
+	t0 := time.Now()
+	if s.myStore, err = seq.LoadFileRange(s.in, s.ix, lo, hi); err != nil {
+		return nil, fmt.Errorf("rank %d loading reads [%d,%d): %w", s.myRank, lo, hi, err)
+	}
+	fmt.Fprintf(s.stderr, "dibella: rank %d resident reads [%d,%d) = %s of %s global in %s\n",
+		s.myRank, lo, hi, stats.FmtBytes(s.myStore.LocalBytes()),
+		stats.FmtBytes(seq.StatsFromLens(s.lens).TotalBases), time.Since(t0).Round(time.Millisecond))
+	return distRank, nil
 }
 
-// onExit registers f to run (once, reverse order) before any exit path.
-func onExit(f func()) {
-	exitHooks.mu.Lock()
-	exitHooks.fns = append(exitHooks.fns, f)
-	exitHooks.mu.Unlock()
-}
-
-// runExitHooks runs the registered hooks exactly once.
-func runExitHooks() {
-	exitHooks.mu.Lock()
-	fns, ran := exitHooks.fns, exitHooks.ran
-	exitHooks.ran, exitHooks.fns = true, nil
-	exitHooks.mu.Unlock()
-	if ran {
-		return
+// writeRunArtifacts exports the Chrome trace and the per-rank metrics of
+// the whole run: in -dist mode every worker writes its own rank's slice
+// into a rank-suffixed file, in-process mode one file with all ranks. It
+// runs after failed and drained runs too — their trace and metrics are the
+// only artifact such a run leaves — and always attempts both files.
+func (s *session) writeRunArtifacts() error {
+	var errs []error
+	if s.traceOut != "" {
+		path := s.traceOut + s.rankSuffix()
+		label := fmt.Sprintf("dibella %s procs=%d", s.mode, s.procs)
+		if err := trace.WriteFile(path, func(w io.Writer) error {
+			return trace.WriteChromeTrace(w, s.tracer, label)
+		}); err != nil {
+			errs = append(errs, fmt.Errorf("-trace: %w", err))
+		} else {
+			s.logf("dibella: trace -> %s\n", path)
+		}
 	}
-	for i := len(fns) - 1; i >= 0; i-- {
-		fns[i]()
+	if s.metrics != "" {
+		var rows []trace.RankMetrics
+		for _, rk := range s.localRanks() {
+			rows = append(rows, rt.TraceRow(rk, s.world.Metrics(rk), s.tracer.Rank(rk)))
+		}
+		if err := trace.WriteMetricsFile(s.metrics, s.rankSuffix(), rows, trace.WriteMetricsCSV, trace.WriteMetricsJSON); err != nil {
+			errs = append(errs, fmt.Errorf("-metrics: %w", err))
+		} else {
+			s.logf("dibella: metrics -> %s%s\n", s.metrics, s.rankSuffix())
+		}
 	}
+	return errors.Join(errs...)
 }
 
 // parsePlacement resolves the -placement flag into a rank→slot permutation
@@ -741,10 +480,4 @@ func parsePlacement(s string, p int) ([]int, error) {
 		return nil, err
 	}
 	return pl, nil
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "dibella: %v\n", err)
-	runExitHooks()
-	os.Exit(1)
 }

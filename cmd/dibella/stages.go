@@ -1,27 +1,28 @@
-// The -stages flag extends dibella past overlap detection into the
-// assembly chain: "overlap" is the historical pipeline, and each further
-// name runs every stage up to and including itself —
+// Every dibella run is one stage chain under pipeline's launcher. -stages
+// names the last stage; each name runs every stage up to and including
+// itself and decides the artifact —
 //
-//	overlap  discover + align                 (hit TSV, the default)
+//	overlap  discover + align                 (hit TSV or PAF, the default)
 //	graph    + string-graph construction      (edge TSV)
 //	reduce   + transitive reduction           (edge TSV of the reduced graph)
 //	contigs  + contig generation              (FASTA)
 //
-// The whole chain executes as one collective region under
-// pipeline.RunStages on every backend dibella has (-procs goroutines or
+// The chain plus the gather of the artifact to rank 0 executes as one
+// collective region on every backend dibella has (-procs goroutines or
 // -dist processes), with per-stage metric deltas exported through
 // -stage-metrics.
 package main
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
-	"os"
-	"strings"
+	"io"
 	"time"
 
+	"gnbody/internal/align"
+	"gnbody/internal/core"
 	"gnbody/internal/graph"
+	"gnbody/internal/overlap"
 	"gnbody/internal/pipeline"
 	"gnbody/internal/rt"
 	"gnbody/internal/seq"
@@ -43,231 +44,203 @@ func stageChainIndex(name string) int {
 	return -1
 }
 
-// stagedConfig carries the slice of main's state the staged path needs.
-// The plan re-derives the same size-balanced partition main's stores were
-// built over (partition.BySize is a pure function of lens and ranks).
-type stagedConfig struct {
-	world    backendWorld
-	lens     []int32
-	storeFor func(rt.Runtime) seq.Store
-	nameOf   func(seq.ReadID) string
-	logf     func(string, ...any)
-
-	procs  int
-	isDist bool
-	myRank int
-
-	stages   string // -stages value, validated ("graph", "reduce" or "contigs")
-	mode     string // "bsp", "async" or "steal"
-	k        int
-	lo, hi   int // explicit window bounds (0 = BELLA model)
-	coverage float64
-	errRate  float64
-	x        int
-	minScore int
-	packed   bool
-	cacheB   int64
-	noBatch  bool
-	slack    int
-	minOv    int
-	fuzz     int
-
-	outPath      string
-	stageMetrics string
+// artifact is what the region gathers onto rank 0 for the artifact writer.
+type artifact struct {
+	tasks     int64      // overlap: candidate tasks discovered, summed over ranks
+	hits      []core.Hit // overlap: every rank's hits, sorted
+	edges     []graph.Edge
+	contained []bool
+	contigs   []graph.Contig
 }
 
-// runStagedAssembly executes the staged pipeline and writes the final
-// stage's artifact (edge TSV or contig FASTA) plus the optional per-stage
-// metrics file. Rank 0 (or the sole process) owns the artifact; every
-// -dist worker writes its own rank-suffixed metrics slice.
-func runStagedAssembly(c *stagedConfig) error {
-	plan, err := pipeline.NewPlan(c.lens, c.procs, pipeline.Spec{
-		K: c.k, Lo: c.lo, Hi: c.hi, Coverage: c.coverage, ErrRate: c.errRate,
-	})
-	if err != nil {
-		return err
+// gather runs on every rank after the last stage: the gather matching the
+// final stage's output (for overlap, plus the task-count reduction its
+// summary line reports). Only rank 0 keeps the result.
+func (a *artifact) gather(r rt.Runtime, run *pipeline.StageRun) (err error) {
+	var got artifact
+	switch out := run.Out.(type) {
+	case *core.Result:
+		got.tasks = r.Allreduce(int64(len(run.Outs[0].(*pipeline.Output).Tasks)), rt.OpSum)
+		got.hits = core.GatherHits(r, out.Hits)
+	case *graph.Graph:
+		got.edges, err = graph.GatherEdges(r, out.EdgeList())
+		got.contained = out.Contained
+	case []graph.Contig:
+		got.contigs, err = graph.GatherContigs(r, out)
+	}
+	if r.Rank() == 0 {
+		*a = got
+	}
+	return err
+}
+
+// runPipeline executes the stage chain and writes the final stage's
+// artifact plus the optional per-stage metrics file. Rank 0 (or the sole
+// process) owns the artifact; every -dist worker writes its own
+// rank-suffixed metrics slice.
+func (s *session) runPipeline() error {
+	mode := s.mode
+	if s.steal {
+		mode = "steal"
 	}
 	// The reduce stage's neighbour fetches follow the align phase's
 	// coordination strategy; stealing is an align-only concept.
-	reduceMode := "bsp"
-	if c.mode != "bsp" {
-		reduceMode = "async"
-	}
-	n := stageChainIndex(c.stages)
-	plan.Stages = []pipeline.Stage{
+	s.plan.Stages = append([]pipeline.Stage{
 		pipeline.DiscoverStage{},
-		pipeline.AlignStage{Mode: c.mode, MinScore: c.minScore, X: c.x,
-			Packed: c.packed, CacheBudget: c.cacheB, NoBatch: c.noBatch},
-	}
-	plan.Stages = append(plan.Stages, graph.AssemblyStages(c.slack, c.minOv, c.fuzz, reduceMode, nil)[:n]...)
+		pipeline.AlignStage{Mode: mode, MinScore: s.minScore, X: s.x,
+			Packed: s.packed, CacheBudget: s.cacheB, NoBatch: s.noBatch},
+	}, graph.AssemblyStages(s.slack, s.minOv, s.fuzz, s.mode, nil)[:stageChainIndex(s.stages)]...)
 
 	t0 := time.Now()
-	runs := make([]*pipeline.StageRun, c.procs)
-	errs := make([]error, c.procs)
-	var (
-		edges     []graph.Edge
-		contained []bool
-		contigs   []graph.Contig
-		gatherErr error
-	)
-	runErr := c.world.Run(func(r rt.Runtime) {
-		rk := r.Rank()
-		run, perr := plan.RunStages(r, c.storeFor(r), nil)
-		runs[rk], errs[rk] = run, perr
-		if perr != nil {
-			return // the abort agreement failed every rank; no one gathers
-		}
-		switch out := run.Out.(type) {
-		case *graph.Graph:
-			es, gerr := graph.GatherEdges(r, out.EdgeList())
-			if rk == 0 {
-				edges, contained, gatherErr = es, out.Contained, gerr
-			}
-		case []graph.Contig:
-			cs, gerr := graph.GatherContigs(r, out)
-			if rk == 0 {
-				contigs, gatherErr = cs, gerr
-			}
-		}
-	})
-	if runErr != nil {
-		return runErr
-	}
-	// Prefer the instigating rank's root cause over peers' abort reports.
-	var abort error
-	for rk, rerr := range errs {
-		var se *pipeline.StageError
-		if errors.As(rerr, &se) && se.Err != nil {
-			return fmt.Errorf("rank %d: %w", rk, rerr)
-		}
-		if rerr != nil && abort == nil {
-			abort = fmt.Errorf("rank %d: %w", rk, rerr)
-		}
-	}
-	if abort != nil {
-		return abort
-	}
-	if gatherErr != nil {
-		return gatherErr
+	var art artifact
+	runs, err := s.plan.RunOn(s.world, s.storeFor, art.gather)
+	if err != nil {
+		return err
 	}
 	wall := time.Since(t0)
 
-	if err := writeStageMetrics(c, runs); err != nil {
-		return err
-	}
-
-	if c.isDist && c.myRank != 0 {
-		return nil
-	}
-	w := bufio.NewWriter(os.Stdout)
-	if c.outPath != "" {
-		f, err := os.Create(c.outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = bufio.NewWriter(f)
-	}
-	switch c.stages {
-	case "graph", "reduce":
-		if err := graph.WriteEdgeTSV(w, edges, contained, c.nameOf); err != nil {
-			return err
-		}
-		c.logf("dibella: %s stage: %d edges, %d contained reads\n",
-			c.stages, len(edges), countTrue(contained))
-	case "contigs":
-		if err := graph.WriteContigFASTA(w, contigs); err != nil {
-			return err
-		}
-		var bases int
-		for _, ct := range contigs {
-			bases += len(ct.Seq)
-		}
-		c.logf("dibella: %d contigs, %d bases\n", len(contigs), bases)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	renderStageTable(c, runs, wall)
-	return nil
-}
-
-// writeStageMetrics exports the stage-tagged per-rank metric rows: one file
-// with every rank's rows in-process, a rank-suffixed file with this rank's
-// rows per -dist worker. Rows are stage-major so one stage's ranks read as
-// a block.
-func writeStageMetrics(c *stagedConfig, runs []*pipeline.StageRun) error {
-	if c.stageMetrics == "" {
-		return nil
-	}
-	path := c.stageMetrics
+	// Stage-major rows, so one stage's ranks read as a block.
 	var rows []trace.StageRow
-	if c.isDist {
-		path += fmt.Sprintf(".rank%d", c.myRank)
-		rows = runs[c.myRank].Rows
-	} else {
-		for si := range runs[0].Rows {
-			for rk := 0; rk < c.procs; rk++ {
-				rows = append(rows, runs[rk].Rows[si])
-			}
+	ranks := s.localRanks()
+	for si := range s.plan.Stages {
+		for _, rk := range ranks {
+			rows = append(rows, runs[rk].Rows[si])
 		}
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+	if s.stageMetrics != "" {
+		if err := trace.WriteMetricsFile(s.stageMetrics, s.rankSuffix(), rows, trace.WriteStageMetricsCSV, trace.WriteStageMetricsJSON); err != nil {
+			return fmt.Errorf("-stage-metrics: %w", err)
+		}
+		s.logf("dibella: stage metrics -> %s%s\n", s.stageMetrics, s.rankSuffix())
 	}
-	if strings.HasSuffix(c.stageMetrics, ".json") {
-		err = trace.WriteStageMetricsJSON(f, rows)
+	if s.myRank != 0 {
+		return nil
+	}
+	write := func(w io.Writer) error { return s.writeArtifact(w, &art, runs) }
+	if s.outPath != "" {
+		err = trace.WriteFile(s.outPath, write)
 	} else {
-		err = trace.WriteStageMetricsCSV(f, rows)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+		bw := bufio.NewWriter(s.stdout)
+		if err = write(bw); err == nil {
+			err = bw.Flush()
+		}
 	}
 	if err != nil {
-		return fmt.Errorf("-stage-metrics: %w", err)
+		return fmt.Errorf("-out: %w", err)
 	}
-	c.logf("dibella: stage metrics -> %s\n", path)
-	return nil
-}
 
-// renderStageTable prints the per-stage runtime breakdown to stderr: all
-// ranks in-process, this rank's slice per -dist worker.
-func renderStageTable(c *stagedConfig, runs []*pipeline.StageRun, wall time.Duration) {
 	table := &stats.Table{
 		Title: fmt.Sprintf("dibella: %s through %s, %d ranks, %s",
-			c.mode, c.stages, c.procs, wall.Round(time.Millisecond)),
+			mode, s.stages, s.procs, wall.Round(time.Millisecond)),
 		Headers: []string{"stage", "rank", "align", "overhead", "comm", "sync", "sent", "steps"},
 	}
-	addRow := func(row trace.StageRow) {
+	if s.dist {
+		table.Title += fmt.Sprintf(" (rank %d of %d processes)", s.myRank, s.procs)
+	}
+	for _, row := range rows {
 		table.AddRow(row.Stage, fmt.Sprint(row.Rank),
 			stats.FmtDur(durSec(row.AlignSec)), stats.FmtDur(durSec(row.OverheadSec)),
 			stats.FmtDur(durSec(row.CommSec)), stats.FmtDur(durSec(row.SyncSec)),
 			stats.FmtBytes(row.BytesSent), fmt.Sprint(row.Supersteps))
 	}
-	if c.isDist {
-		table.Title += fmt.Sprintf(" (rank %d of %d processes)", c.myRank, c.procs)
-		for _, row := range runs[c.myRank].Rows {
-			addRow(row)
+	table.Render(s.stderr)
+	return nil
+}
+
+// writeArtifact renders the final stage's gathered output: the hit TSV (or
+// PAF) for overlap, the edge TSV for graph and reduce, the contig FASTA for
+// contigs — each with its one-line summary on stderr.
+func (s *session) writeArtifact(w io.Writer, art *artifact, runs []*pipeline.StageRun) error {
+	switch s.stages {
+	case "overlap":
+		s.logf("dibella: %d candidate tasks (k=%d, reliable window [%d,%d])\n",
+			art.tasks, s.plan.K, s.plan.Lo, s.plan.Hi)
+		hits := art.hits
+		taskOf := map[uint64]overlap.Task{}
+		if s.paf {
+			// PAF keeps the raw per-task records — its seed replay needs the
+			// original orientation and the task's seed, which the discover
+			// stage's outputs still hold in-process.
+			for _, run := range runs {
+				for _, t := range run.Outs[0].(*pipeline.Output).Tasks {
+					taskOf[t.Key()] = t
+				}
+			}
+		} else {
+			// Canonical TSV: symmetric duplicates collapse and every record
+			// reads A < B, so the emitted file is a deterministic function of
+			// the hit set regardless of driver, rank count or task order.
+			hits = core.CanonicalizeHits(hits, s.lens)
 		}
-	} else {
-		for si := range runs[0].Rows {
-			for rk := 0; rk < c.procs; rk++ {
-				addRow(runs[rk].Rows[si])
+		kinds := map[overlap.Kind]int{}
+		for _, h := range hits {
+			res := align.Result{Score: int(h.Score),
+				AStart: int(h.AStart), AEnd: int(h.AEnd),
+				BStart: int(h.BStart), BEnd: int(h.BEnd)}
+			kinds[overlap.Classify(res, int(s.lens[h.A]), int(s.lens[h.B]), 50)]++
+			if !s.paf {
+				fmt.Fprintf(w, "%s\t%s\t%d\n", s.nameOf(h.A), s.nameOf(h.B), h.Score)
+			} else if err := writePAF(w, s.reads, taskOf[uint64(h.A)<<32|uint64(h.B)], h, s.x); err != nil {
+				return err
 			}
 		}
+		fmt.Fprintf(s.stderr, "dibella: overlap kinds:")
+		for _, k := range []overlap.Kind{overlap.SuffixPrefix, overlap.PrefixSuffix,
+			overlap.ContainsB, overlap.ContainedInB, overlap.Internal} {
+			fmt.Fprintf(s.stderr, " %s=%d", k, kinds[k])
+		}
+		fmt.Fprintln(s.stderr)
+	case "graph", "reduce":
+		if err := graph.WriteEdgeTSV(w, art.edges, art.contained, s.nameOf); err != nil {
+			return err
+		}
+		contained := 0
+		for _, c := range art.contained {
+			if c {
+				contained++
+			}
+		}
+		s.logf("dibella: %s stage: %d edges, %d contained reads\n", s.stages, len(art.edges), contained)
+	case "contigs":
+		if err := graph.WriteContigFASTA(w, art.contigs); err != nil {
+			return err
+		}
+		var bases int
+		for _, ct := range art.contigs {
+			bases += len(ct.Seq)
+		}
+		s.logf("dibella: %d contigs, %d bases\n", len(art.contigs), bases)
 	}
-	table.Render(os.Stderr)
+	return nil
+}
+
+// writePAF renders one saved alignment as a PAF record (the de-facto
+// interchange format for long-read overlaps), recomputing the edit
+// transcript for the residue-match and cg:Z fields. Coordinates follow the
+// PAF convention: for '-' strand hits, target coordinates are reported on
+// the original strand.
+func writePAF(w io.Writer, reads *seq.ReadSet, t overlap.Task, h core.Hit, x int) error {
+	ra, rb := reads.Get(h.A), reads.Get(h.B)
+	b := rb.Seq
+	if h.RC {
+		b = b.ReverseComplement()
+	}
+	_, cigar, err := align.SeedExtendTrace(ra.Seq, b, int(t.Seed.PosA), int(t.Seed.PosB),
+		int(t.Seed.K), align.DefaultScoring(), x)
+	if err != nil {
+		return err
+	}
+	_, _, matches, alnLen := cigar.Counts()
+	strand := "+"
+	tStart, tEnd := int(h.BStart), int(h.BEnd)
+	if h.RC {
+		strand = "-"
+		tStart, tEnd = rb.Len()-int(h.BEnd), rb.Len()-int(h.BStart)
+	}
+	_, err = fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%s\t%s\t%d\t%d\t%d\t%d\t%d\t255\tAS:i:%d\tcg:Z:%s\n",
+		ra.Name, ra.Len(), h.AStart, h.AEnd, strand,
+		rb.Name, rb.Len(), tStart, tEnd, matches, alnLen, h.Score, cigar)
+	return err
 }
 
 func durSec(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
-
-func countTrue(bs []bool) int {
-	n := 0
-	for _, b := range bs {
-		if b {
-			n++
-		}
-	}
-	return n
-}

@@ -35,7 +35,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -138,17 +137,5 @@ func flushJobMetrics(srv *serve.Server, path string) error {
 	for _, j := range srv.Jobs() {
 		rows = append(rows, j.Metrics()...)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".json") {
-		err = trace.WriteJobMetricsJSON(f, rows)
-	} else {
-		err = trace.WriteJobMetricsCSV(f, rows)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return trace.WriteMetricsFile(path, "", rows, trace.WriteJobMetricsCSV, trace.WriteJobMetricsJSON)
 }

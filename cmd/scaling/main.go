@@ -259,32 +259,16 @@ func main() {
 	}
 	if *traceOut != "" {
 		label := fmt.Sprintf("%s %s nodes=%d ranks=%d", traced.Workload, traced.Mode, traced.Nodes, traced.Ranks)
-		f, err := os.Create(*traceOut)
-		if err == nil {
-			err = trace.WriteChromeTrace(f, traced.Trace, label)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
+		if err := trace.WriteFile(*traceOut, func(w io.Writer) error {
+			return trace.WriteChromeTrace(w, traced.Trace, label)
+		}); err != nil {
 			fmt.Fprintf(os.Stderr, "scaling: -trace: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Printf("  [trace of %s -> %s]\n", label, *traceOut)
 	}
 	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err == nil {
-			if strings.HasSuffix(*metricsOut, ".json") {
-				err = trace.WriteMetricsJSON(f, traced.TraceRows)
-			} else {
-				err = trace.WriteMetricsCSV(f, traced.TraceRows)
-			}
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
+		if err := trace.WriteMetricsFile(*metricsOut, "", traced.TraceRows, trace.WriteMetricsCSV, trace.WriteMetricsJSON); err != nil {
 			fmt.Fprintf(os.Stderr, "scaling: -metrics: %v\n", err)
 			os.Exit(1)
 		}

@@ -27,6 +27,7 @@ import (
 
 	"gnbody/internal/overlap"
 	"gnbody/internal/partition"
+	"gnbody/internal/rt"
 	"gnbody/internal/seq"
 )
 
@@ -214,4 +215,20 @@ func (in *Input) validate(rank int) error {
 		}
 	}
 	return nil
+}
+
+// Run executes the exchange-and-align phase under the coordination
+// strategy mode names: "bsp" (or "", the default), "async", or "steal"
+// (async with work stealing). It is the one place a mode string becomes a
+// driver.
+func Run(mode string, r rt.Runtime, in *Input, cfg Config) (*Result, error) {
+	switch mode {
+	case "", "bsp":
+		return RunBSP(r, in, cfg)
+	case "async":
+		return RunAsync(r, in, cfg)
+	case "steal":
+		return RunAsyncStealing(r, in, cfg)
+	}
+	return nil, fmt.Errorf("core: unknown mode %q (want bsp, async or steal)", mode)
 }

@@ -100,19 +100,12 @@ func Assembly(p AssemblyParams) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		runs := make([]*pipeline.StageRun, ranks)
-		errs := make([]error, ranks)
-		if err := eng.Run(func(r rt.Runtime) {
+		runs, err := plan.RunOn(eng, func(r rt.Runtime) seq.Store {
 			lo, hi := plan.Part.Range(r.Rank())
-			st := seq.ScopeCounting(reads, lo, hi, lens, &r.Metrics().OOPGets)
-			runs[r.Rank()], errs[r.Rank()] = plan.RunStages(r, st, nil)
-		}); err != nil {
-			return nil, err
-		}
-		for rk, e := range errs {
-			if e != nil {
-				return nil, fmt.Errorf("expt: assembly nodes=%d rank %d: %w", nodes, rk, e)
-			}
+			return seq.ScopeCounting(reads, lo, hi, lens, &r.Metrics().OOPGets)
+		}, nil)
+		if err != nil {
+			return nil, fmt.Errorf("expt: assembly nodes=%d: %w", nodes, err)
 		}
 
 		// Outs is index-aligned with the stage list: align at 1, the last

@@ -9,9 +9,6 @@ import (
 	"gnbody/internal/align"
 	"gnbody/internal/core"
 	"gnbody/internal/dist"
-	"gnbody/internal/partition"
-	"gnbody/internal/rt"
-	"gnbody/internal/seq"
 	"gnbody/internal/stats"
 	"gnbody/internal/transport"
 	"gnbody/internal/workload"
@@ -104,21 +101,16 @@ func Dist(p DistParams) (*stats.Table, []DistRow, error) {
 		return nil, nil, err
 	}
 	lens := workload.LensOf(reads)
-	lensInt := make([]int, len(lens))
-	for i, l := range lens {
-		lensInt[i] = int(l)
-	}
 	sc := align.DefaultScoring()
 	ref, err := core.SerialHits(reads, tasks, sc, 15, 100)
 	if err != nil {
 		return nil, nil, err
 	}
-	pt, err := partition.BySize(lensInt, p.Ranks)
+	pt, byRank, err := ownerTasks(lens, tasks, p.Ranks)
 	if err != nil {
 		return nil, nil, err
 	}
-	byRank := partition.AssignTasks(tasks, pt)
-	exec := core.RealExecutor{Scoring: sc, X: 15}
+	cfg := core.Config{Exec: core.RealExecutor{Scoring: sc, X: 15}, MinScore: 100, CacheBudget: p.CacheBudget}
 
 	var rows []DistRow
 	for _, fabric := range fabrics {
@@ -139,35 +131,14 @@ func Dist(p DistParams) (*stats.Table, []DistRow, error) {
 					return nil, nil, err
 				}
 			}
-			results := make([]*core.Result, p.Ranks)
-			errs := make([]error, p.Ranks)
 			t0 := time.Now()
-			runErr := world.Run(func(r rt.Runtime) {
-				// Owner-only residency: each rank's store covers exactly its
-				// partition, and the codec encodes from it, so an attempt to
-				// touch a remote read's bases panics the experiment.
-				lo, hi := pt.Range(r.Rank())
-				st := seq.Scope(reads, lo, hi, lens)
-				in := &core.Input{Part: pt, Lens: lens, Tasks: byRank[r.Rank()],
-					Codec: core.RealCodec{Store: st}, Store: st}
-				cfg := core.Config{Exec: exec, MinScore: 100, CacheBudget: p.CacheBudget}
-				if mode == Async {
-					results[r.Rank()], errs[r.Rank()] = core.RunAsync(r, in, cfg)
-				} else {
-					results[r.Rank()], errs[r.Rank()] = core.RunBSP(r, in, cfg)
-				}
-			})
-			if runErr != nil {
+			results, err := alignPass(world, mode, len(byRank), scopedInputs(pt, lens, byRank, reads), cfg)
+			if err != nil {
 				world.Close()
-				return nil, nil, fmt.Errorf("dist/%s %s: %w", fabric, mode, runErr)
+				return nil, nil, fmt.Errorf("dist/%s %s: %w", fabric, mode, err)
 			}
-			elapsed := time.Since(t0)
-			row := DistRow{Transport: fabric, Mode: mode, Ranks: p.Ranks, Elapsed: elapsed}
+			row := DistRow{Transport: fabric, Mode: mode, Ranks: p.Ranks, Elapsed: time.Since(t0)}
 			for rk := 0; rk < p.Ranks; rk++ {
-				if errs[rk] != nil {
-					world.Close()
-					return nil, nil, fmt.Errorf("dist/%s %s rank %d: %w", fabric, mode, rk, errs[rk])
-				}
 				row.Hits += len(results[rk].Hits)
 				row.Msgs += world.Metrics(rk).Msgs
 				row.Bytes += world.Metrics(rk).BytesSent

@@ -8,9 +8,6 @@ import (
 	"gnbody/internal/align"
 	"gnbody/internal/core"
 	"gnbody/internal/par"
-	"gnbody/internal/partition"
-	"gnbody/internal/rt"
-	"gnbody/internal/seq"
 	"gnbody/internal/stats"
 	"gnbody/internal/workload"
 )
@@ -52,12 +49,8 @@ func Intranode(p IntranodeParams) (*stats.Table, []IntranodeRow, error) {
 		return nil, nil, err
 	}
 	lens := workload.LensOf(reads)
-	lensInt := make([]int, len(lens))
-	for i, l := range lens {
-		lensInt[i] = int(l)
-	}
-	sc := align.DefaultScoring()
-	exec := core.RealExecutor{Scoring: sc, X: 15}
+	cfg := core.Config{Exec: core.RealExecutor{Scoring: align.DefaultScoring(), X: 15},
+		MinScore: 100, CacheBudget: p.CacheBudget}
 
 	var cores []int
 	for c := 1; c <= p.MaxCores; c *= 2 {
@@ -67,37 +60,23 @@ func Intranode(p IntranodeParams) (*stats.Table, []IntranodeRow, error) {
 	base := map[Mode]time.Duration{}
 	for _, mode := range []Mode{BSP, Async} {
 		for _, c := range cores {
-			pt, err := partition.BySize(lensInt, c)
+			pt, byRank, err := ownerTasks(lens, tasks, c)
 			if err != nil {
 				return nil, nil, err
 			}
-			byRank := partition.AssignTasks(tasks, pt)
 			world, err := par.NewWorld(par.Config{P: c})
 			if err != nil {
 				return nil, nil, err
 			}
-			results := make([]*core.Result, c)
-			errs := make([]error, c)
 			t0 := time.Now()
-			world.Run(func(r rt.Runtime) {
-				lo, hi := pt.Range(r.Rank())
-				st := seq.Scope(reads, lo, hi, lens)
-				in := &core.Input{Part: pt, Lens: lens, Tasks: byRank[r.Rank()],
-					Codec: core.RealCodec{Store: st}, Store: st}
-				cfg := core.Config{Exec: exec, MinScore: 100, CacheBudget: p.CacheBudget}
-				if mode == Async {
-					results[r.Rank()], errs[r.Rank()] = core.RunAsync(r, in, cfg)
-				} else {
-					results[r.Rank()], errs[r.Rank()] = core.RunBSP(r, in, cfg)
-				}
-			})
+			results, err := alignPass(world, mode, len(byRank), scopedInputs(pt, lens, byRank, reads), cfg)
+			if err != nil {
+				return nil, nil, fmt.Errorf("%s cores=%d: %w", mode, c, err)
+			}
 			elapsed := time.Since(t0)
 			hits := 0
-			for rk := 0; rk < c; rk++ {
-				if errs[rk] != nil {
-					return nil, nil, fmt.Errorf("%s cores=%d rank %d: %w", mode, c, rk, errs[rk])
-				}
-				hits += len(results[rk].Hits)
+			for _, res := range results {
+				hits += len(res.Hits)
 			}
 			if c == 1 {
 				base[mode] = elapsed

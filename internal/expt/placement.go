@@ -17,7 +17,6 @@ import (
 	"gnbody/internal/core"
 	"gnbody/internal/dist"
 	"gnbody/internal/partition"
-	"gnbody/internal/rt"
 	"gnbody/internal/sim"
 	"gnbody/internal/stats"
 	"gnbody/internal/workload"
@@ -55,35 +54,22 @@ func PlacementWorkload(preset workload.Preset, scale int, seed int64, p int) (*w
 // runPlacedBSP runs the model-mode BSP overlap pass on the loopback dist
 // backend under a placement and reduces the tier byte counters.
 func runPlacedBSP(w *workload.Workload, ranks, nodeSize int, pl []int, cacheBudget int64) (hits []core.Hit, intra, inter int64, err error) {
-	lensInt := make([]int, len(w.Lens))
-	for i, l := range w.Lens {
-		lensInt[i] = int(l)
-	}
-	pt, err := partition.BySize(lensInt, ranks)
+	pt, byRank, err := ownerTasks(w.Lens, w.Tasks, ranks)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	byRank := partition.AssignTasks(w.Tasks, pt)
 	world, err := dist.NewWorld(dist.Config{P: ranks, NodeSize: nodeSize, Placement: pl})
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	defer world.Close()
-	exec := core.ModelExecutor{Model: align.DefaultCostModel(), Meta: w.Meta()}
-	results := make([]*core.Result, ranks)
-	errs := make([]error, ranks)
-	if err := world.Run(func(r rt.Runtime) {
-		in := &core.Input{Part: pt, Lens: w.Lens, Tasks: byRank[r.Rank()],
-			Codec: core.PhantomCodec{Lens: w.Lens}}
-		results[r.Rank()], errs[r.Rank()] = core.RunBSP(r, in,
-			core.Config{Exec: exec, MinScore: 1, CacheBudget: cacheBudget})
-	}); err != nil {
+	results, err := alignPass(world, BSP, len(byRank), phantomInputs(pt, w.Lens, byRank), core.Config{
+		Exec:     core.ModelExecutor{Model: align.DefaultCostModel(), Meta: w.Meta()},
+		MinScore: 1, CacheBudget: cacheBudget})
+	if err != nil {
 		return nil, 0, 0, err
 	}
 	for rk := 0; rk < ranks; rk++ {
-		if errs[rk] != nil {
-			return nil, 0, 0, fmt.Errorf("rank %d: %w", rk, errs[rk])
-		}
 		hits = append(hits, results[rk].Hits...)
 		intra += world.Metrics(rk).IntraBytes
 		inter += world.Metrics(rk).InterBytes
@@ -126,15 +112,10 @@ func PlacementSweep(p Params) (*stats.Table, error) {
 			continue
 		}
 		w := workload.ScatterGenomeBlocks(w0, ranks)
-		lensInt := make([]int, len(w.Lens))
-		for i, l := range w.Lens {
-			lensInt[i] = int(l)
-		}
-		pt, err := partition.BySize(lensInt, ranks)
+		pt, byRank, err := ownerTasks(w.Lens, w.Tasks, ranks)
 		if err != nil {
 			return nil, err
 		}
-		byRank := partition.AssignTasks(w.Tasks, pt)
 		pairs := partition.TrafficMatrix(byRank, pt, w.Lens)
 		traffic := make([]sim.Traffic, len(pairs))
 		for i, e := range pairs {
@@ -168,15 +149,10 @@ func PlacementSweep(p Params) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	lensInt := make([]int, len(wm.Lens))
-	for i, l := range wm.Lens {
-		lensInt[i] = int(l)
-	}
-	pt, err := partition.BySize(lensInt, mRanks)
+	pt, byRank, err := ownerTasks(wm.Lens, wm.Tasks, mRanks)
 	if err != nil {
 		return nil, err
 	}
-	byRank := partition.AssignTasks(wm.Tasks, pt)
 	pl := partition.PlaceByTraffic(partition.TrafficMatrix(byRank, pt, wm.Lens), mRanks, mNS)
 	idHits, idIntra, idInter, err := runPlacedBSP(wm, mRanks, mNS, nil, p.CacheBudget)
 	if err != nil {

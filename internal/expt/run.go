@@ -11,8 +11,11 @@ import (
 
 	"gnbody/internal/align"
 	"gnbody/internal/core"
+	"gnbody/internal/overlap"
 	"gnbody/internal/partition"
+	"gnbody/internal/pipeline"
 	"gnbody/internal/rt"
+	"gnbody/internal/seq"
 	"gnbody/internal/sim"
 	"gnbody/internal/stats"
 	"gnbody/internal/trace"
@@ -160,6 +163,61 @@ func placementDigest(pl []int) string {
 	return fmt.Sprintf("p%d-%016x", len(pl), h)
 }
 
+// driverOf maps the figures' display names onto core.Run's mode strings.
+var driverOf = map[Mode]string{BSP: "bsp", Async: "async", AsyncSteal: "steal"}
+
+// ownerTasks partitions the reads across ranks by size and assigns every
+// task to the owner of one of its reads — the align-only experiments'
+// stand-in for the discovery stage.
+func ownerTasks(lens []int32, tasks []overlap.Task, ranks int) (*partition.Partition, [][]overlap.Task, error) {
+	lensInt := make([]int, len(lens))
+	for i, l := range lens {
+		lensInt[i] = int(l)
+	}
+	pt, err := partition.BySize(lensInt, ranks)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pt, partition.AssignTasks(tasks, pt), nil
+}
+
+// phantomInputs builds each rank's model-mode input: payloads of the true
+// wire size, no bases.
+func phantomInputs(pt *partition.Partition, lens []int32, byRank [][]overlap.Task) func(rank int) *core.Input {
+	return func(rank int) *core.Input {
+		return &core.Input{Part: pt, Lens: lens, Tasks: byRank[rank], Codec: core.PhantomCodec{Lens: lens}}
+	}
+}
+
+// scopedInputs builds each rank's real-alignment input: an owner-only view
+// of its partition and the real codec, so touching a remote read's bases
+// without fetching it panics the experiment.
+func scopedInputs(pt *partition.Partition, lens []int32, byRank [][]overlap.Task, reads *seq.ReadSet) func(rank int) *core.Input {
+	return func(rank int) *core.Input {
+		lo, hi := pt.Range(rank)
+		store := seq.Scope(reads, lo, hi, lens)
+		return &core.Input{Part: pt, Lens: lens, Tasks: byRank[rank], Store: store, Codec: core.RealCodec{Store: store}}
+	}
+}
+
+// alignPass runs one exchange-and-align pass under mode on every rank of
+// world, each on the input built for it, and returns the per-rank results.
+func alignPass(world pipeline.World, mode Mode, ranks int, input func(rank int) *core.Input, cfg core.Config) ([]*core.Result, error) {
+	results := make([]*core.Result, ranks)
+	errs := make([]error, ranks)
+	if err := world.Run(func(r rt.Runtime) {
+		results[r.Rank()], errs[r.Rank()] = core.Run(driverOf[mode], r, input(r.Rank()), cfg)
+	}); err != nil {
+		return nil, err
+	}
+	for rk, e := range errs {
+		if e != nil {
+			return nil, fmt.Errorf("rank %d: %w", rk, e)
+		}
+	}
+	return results, nil
+}
+
 // RunSim executes one simulated driver run and reduces its metrics.
 // Results are memoised per spec.
 func RunSim(spec SimSpec) (*Row, error) {
@@ -177,15 +235,10 @@ func RunSim(spec SimSpec) (*Row, error) {
 		}
 	}
 	ranks := spec.Nodes * spec.RanksPerNode
-	lensInt := make([]int, len(w.Lens))
-	for i, l := range w.Lens {
-		lensInt[i] = int(l)
-	}
-	pt, err := partition.BySize(lensInt, ranks)
+	pt, byRank, err := ownerTasks(w.Lens, w.Tasks, ranks)
 	if err != nil {
 		return nil, err
 	}
-	byRank := partition.AssignTasks(w.Tasks, pt)
 
 	budget := budgetFor(spec.Machine, spec.RanksPerNode, w.Scale)
 	var tracer *trace.Tracer
@@ -218,33 +271,11 @@ func RunSim(spec SimSpec) (*Row, error) {
 	}
 	exec := core.ModelExecutor{Model: model, Meta: w.Meta(), Overhead: overhead}
 
-	results := make([]*core.Result, ranks)
-	errs := make([]error, ranks)
-	err = eng.Run(func(r rt.Runtime) {
-		in := &core.Input{
-			Part:  pt,
-			Lens:  w.Lens,
-			Tasks: byRank[r.Rank()],
-			Codec: core.PhantomCodec{Lens: w.Lens},
-		}
-		cfg := core.Config{Exec: exec, MinScore: 1, MaxOutstanding: spec.MaxOutstanding,
-			FetchBatch: spec.FetchBatch, CacheBudget: spec.CacheBudget}
-		switch spec.Mode {
-		case Async:
-			results[r.Rank()], errs[r.Rank()] = core.RunAsync(r, in, cfg)
-		case AsyncSteal:
-			results[r.Rank()], errs[r.Rank()] = core.RunAsyncStealing(r, in, cfg)
-		default:
-			results[r.Rank()], errs[r.Rank()] = core.RunBSP(r, in, cfg)
-		}
-	})
+	results, err := alignPass(eng, spec.Mode, ranks, phantomInputs(pt, w.Lens, byRank),
+		core.Config{Exec: exec, MinScore: 1, MaxOutstanding: spec.MaxOutstanding,
+			FetchBatch: spec.FetchBatch, CacheBudget: spec.CacheBudget})
 	if err != nil {
 		return nil, err
-	}
-	for rk, e := range errs {
-		if e != nil {
-			return nil, fmt.Errorf("rank %d: %w", rk, e)
-		}
 	}
 
 	row := &Row{Workload: w.Preset.Name, Nodes: spec.Nodes, Ranks: ranks, Mode: spec.Mode,

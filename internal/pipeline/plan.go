@@ -55,8 +55,7 @@ type Plan struct {
 
 	// Stages is the ordered stage list RunStages executes — the pipeline
 	// is a DAG chain, not a hardwired overlap run. Callers append stages
-	// after NewPlan; a list of [DiscoverStage, AlignStage] reproduces the
-	// historical one-shot overlap pipeline exactly.
+	// after NewPlan; [DiscoverStage, AlignStage] is the overlap pipeline.
 	Stages []Stage
 
 	// OnStage, when set, runs on every rank after each successful stage

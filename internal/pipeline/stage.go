@@ -11,6 +11,7 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 
 	"gnbody/internal/align"
@@ -100,6 +101,59 @@ func (pl *Plan) RunStages(r rt.Runtime, store seq.Store, initial any) (*StageRun
 	return run, nil
 }
 
+// World is what the launcher needs of a backend: enter the SPMD region on
+// every rank this process hosts — par.World, sim.Engine, dist.World, or a
+// single dist.Rank of a multi-process job.
+type World interface {
+	Run(func(rt.Runtime)) error
+}
+
+// RunOn launches the plan on world as one collective region: every rank
+// runs the stage list over its owner-only store from storeFor and then, if
+// every stage succeeded, after (the place for result gathers; may be nil).
+// It returns the per-rank records indexed by rank — nil for ranks hosted by
+// another process and for ranks whose stages failed — and one folded error:
+// the world's own error, else the first *StageError carrying a root cause
+// (the instigating rank, preferred over peers that merely agreed to abort),
+// else the first abort, else the first error from after.
+func (pl *Plan) RunOn(world World, storeFor func(rt.Runtime) seq.Store,
+	after func(rt.Runtime, *StageRun) error) ([]*StageRun, error) {
+	runs := make([]*StageRun, pl.Part.P)
+	errs := make([]error, pl.Part.P)
+	if err := world.Run(func(r rt.Runtime) {
+		rk := r.Rank()
+		runs[rk], errs[rk] = pl.RunStages(r, storeFor(r), nil)
+		if errs[rk] == nil && after != nil {
+			errs[rk] = after(r, runs[rk])
+		}
+	}); err != nil {
+		return runs, err
+	}
+	var abort, late error
+	for rk, err := range errs {
+		if err == nil {
+			continue
+		}
+		if runs[rk] != nil { // the stages ran: this is after's error
+			if late == nil {
+				late = err
+			}
+			continue
+		}
+		var se *StageError
+		if errors.As(err, &se) && se.Err != nil {
+			return runs, fmt.Errorf("rank %d: %w", rk, err)
+		}
+		if abort == nil {
+			abort = fmt.Errorf("rank %d: %w", rk, err)
+		}
+	}
+	if abort != nil {
+		return runs, abort
+	}
+	return runs, late
+}
+
 func boolI64(b bool) int64 {
 	if b {
 		return 1
@@ -173,13 +227,5 @@ func (s AlignStage) Run(r rt.Runtime, pl *Plan, store seq.Store, prev any) (any,
 	in := &core.Input{Part: pl.Part, Lens: pl.Lens, Tasks: tasks, Codec: codec, Store: store}
 	cfg := core.Config{Exec: exec, MinScore: s.MinScore, CacheBudget: s.CacheBudget,
 		MaxOutstanding: s.MaxOutstanding, PollEvery: s.PollEvery, NoBatch: s.NoBatch}
-	switch s.Mode {
-	case "async":
-		return core.RunAsync(r, in, cfg)
-	case "steal":
-		return core.RunAsyncStealing(r, in, cfg)
-	case "", "bsp":
-		return core.RunBSP(r, in, cfg)
-	}
-	return nil, fmt.Errorf("align stage: unknown mode %q", s.Mode)
+	return core.Run(s.Mode, r, in, cfg)
 }

@@ -152,12 +152,12 @@ func (e *engine) close() {
 	}
 }
 
-// runWorld enters the SPMD region on whichever backend is live.
-func (e *engine) runWorld(f func(rt.Runtime)) error {
+// world is whichever backend is live, as the launcher sees it.
+func (e *engine) world() pipeline.World {
 	if e.pw != nil {
-		return e.pw.Run(f)
+		return e.pw
 	}
-	return e.dw.Run(f)
+	return e.dw
 }
 
 // metrics returns rank i's cumulative world metrics.
@@ -171,8 +171,8 @@ func (e *engine) metrics(i int) *rt.Metrics {
 // run executes one job on the resident world: a single collective region
 // covering stages 1-2 (discovery), the align phase under the job's mode,
 // and the hit gather to rank 0 — expressed as the plan's stage list
-// [discover, align] under pipeline.RunStages, the same machinery the
-// batch path uses for full assembly chains. kill >= 0 arms the chaos
+// [discover, align] launched through pipeline's Plan.RunOn, the same
+// path the batch CLI uses for every stage chain. kill >= 0 arms the chaos
 // hook: the OnStage callback kills that rank's endpoint right after the
 // discover stage and its agreement, so the align phase's first collective
 // fails and the caller sees a typed *dist.RankError naming the victim.
@@ -193,64 +193,39 @@ func (e *engine) run(j *Job, kill int) (hits []core.Hit, tasks int64, rows []tra
 		return nil, 0, nil, err
 	}
 	exec := core.RealExecutor{Scoring: align.DefaultScoring(), X: j.Spec.X}
-	taskCounts := make([]int64, e.ranks)
 	plan.Stages = []pipeline.Stage{
 		pipeline.DiscoverStage{},
 		pipeline.AlignStage{Mode: j.Spec.Mode, MinScore: j.Spec.MinScore,
 			CacheBudget: e.cacheBudget,
 			ExecFor:     func(rank int) core.Executor { return e.resident.Bind(rank, exec) }},
 	}
-	plan.OnStage = func(r rt.Runtime, stage string, out any) {
-		if stage == "discover" {
-			if o, ok := out.(*pipeline.Output); ok {
-				taskCounts[r.Rank()] = int64(len(o.Tasks))
-			}
-			if r.Rank() == kill {
-				e.taps[r.Rank()].Kill() // the align phase's first collective now fails
-			}
+	plan.OnStage = func(r rt.Runtime, stage string, _ any) {
+		if stage == "discover" && r.Rank() == kill {
+			e.taps[kill].Kill() // the align phase's first collective now fails
 		}
 	}
 	before := make([]rt.Metrics, e.ranks)
 	for i := range before {
 		before[i] = e.metrics(i).Snapshot()
 	}
-	var (
-		rankErrs = make([]error, e.ranks)
-		gathered []core.Hit
-	)
-	runErr := e.runWorld(func(r rt.Runtime) {
-		rank := r.Rank()
-		lo, hi := plan.Part.Range(rank)
-		st := seq.ScopeCounting(j.reads, lo, hi, lens, &r.Metrics().OOPGets)
-		run, perr := plan.RunStages(r, st, nil)
-		if perr != nil {
-			rankErrs[rank] = perr
-			return
-		}
-		g := core.GatherHits(r, run.Out.(*core.Result).Hits)
-		if rank == 0 {
-			gathered = g
-		}
-	})
-	if runErr != nil {
-		return nil, 0, nil, runErr
+	var gathered []core.Hit
+	runs, err := plan.RunOn(e.world(),
+		func(r rt.Runtime) seq.Store {
+			lo, hi := plan.Part.Range(r.Rank())
+			return seq.ScopeCounting(j.reads, lo, hi, lens, &r.Metrics().OOPGets)
+		},
+		func(r rt.Runtime, run *pipeline.StageRun) error {
+			g := core.GatherHits(r, run.Out.(*core.Result).Hits)
+			if r.Rank() == 0 {
+				gathered = g
+			}
+			return nil
+		})
+	if err != nil {
+		return nil, 0, nil, fmt.Errorf("serve: job %s: %w", j.ID, err)
 	}
-	// Prefer the instigating rank's root cause; peers only report the abort.
-	var abort error
-	for rank, rerr := range rankErrs {
-		var se *pipeline.StageError
-		if errors.As(rerr, &se) && se.Err != nil {
-			return nil, 0, nil, fmt.Errorf("serve: job %s rank %d: %w", j.ID, rank, rerr)
-		}
-		if rerr != nil && abort == nil {
-			abort = fmt.Errorf("serve: job %s rank %d: %w", j.ID, rank, rerr)
-		}
-	}
-	if abort != nil {
-		return nil, 0, nil, abort
-	}
-	for _, c := range taskCounts {
-		tasks += c
+	for _, run := range runs {
+		tasks += int64(len(run.Outs[0].(*pipeline.Output).Tasks))
 	}
 	rows = make([]trace.JobRow, e.ranks)
 	for i := range rows {

@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
+	"strings"
 )
 
 // RankMetrics is the flat per-rank accounting row the metrics exporters
@@ -173,6 +175,26 @@ func (r RankMetrics) record() []string {
 
 func fsec(v float64) string { return strconv.FormatFloat(v, 'f', 6, 64) }
 
+// JobRow scopes one rank's metrics row to the job that produced it — the
+// export shape of a resident, multi-tenant world, where several jobs share
+// one rank pool and per-job accounting comes from snapshot/diff
+// (rt.Metrics Snapshot/Sub). The watermark columns (max_mem_bytes, peak_*)
+// read as world-lifetime values; everything else is the job's own delta.
+type JobRow struct {
+	Job string `json:"job"`
+	RankMetrics
+}
+
+// StageRow scopes one rank's metrics row to the pipeline stage that
+// produced it: the rank's rt.Metrics delta across the stage. elapsed_sec
+// is the sum of the four category times (per-stage wall clock is not
+// observable mid-region on the virtual-time backend), and the watermark
+// columns read as region-lifetime values.
+type StageRow struct {
+	Stage string `json:"stage"`
+	RankMetrics
+}
+
 // WriteMetricsCSV writes one row per rank followed by an "imbalance"
 // footer row (align, elapsed and recv-bytes max/mean in their columns).
 func WriteMetricsCSV(w io.Writer, rows []RankMetrics) error {
@@ -201,14 +223,99 @@ func WriteMetricsCSV(w io.Writer, rows []RankMetrics) error {
 // WriteMetricsJSON writes {"ranks": [...], "summary": {...}} with stable
 // field order (struct-tag order).
 func WriteMetricsJSON(w io.Writer, rows []RankMetrics) error {
+	return writeJSON(w, struct {
+		Ranks   []RankMetrics  `json:"ranks"`
+		Summary MetricsSummary `json:"summary"`
+	}{rows, Summarize(rows)})
+}
+
+func writeJSON(w io.Writer, doc any) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(struct {
-		Ranks   []RankMetrics  `json:"ranks"`
-		Summary MetricsSummary `json:"summary"`
-	}{rows, Summarize(rows)}); err != nil {
+	if err := enc.Encode(doc); err != nil {
 		return err
 	}
 	return bw.Flush()
+}
+
+// writeScopedCSV writes n rows under the stable per-rank schema prefixed
+// with a scope column ("job" or "stage"); row gives the i-th row's label and
+// metrics. Rows of several jobs or stages may be concatenated into one
+// file; no imbalance footer is emitted, because they do not reduce
+// meaningfully together.
+func writeScopedCSV(w io.Writer, column string, n int, row func(i int) (string, RankMetrics)) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(append([]string{column}, metricsHeader...)); err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		label, m := row(i)
+		if err := cw.Write(append([]string{label}, m.record()...)); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
+// WriteJobMetricsCSV writes job-scoped rows with a leading "job" column.
+func WriteJobMetricsCSV(w io.Writer, rows []JobRow) error {
+	return writeScopedCSV(w, "job", len(rows), func(i int) (string, RankMetrics) {
+		return rows[i].Job, rows[i].RankMetrics
+	})
+}
+
+// WriteJobMetricsJSON writes {"jobs": [...]} with stable field order.
+func WriteJobMetricsJSON(w io.Writer, rows []JobRow) error {
+	return writeJSON(w, struct {
+		Jobs []JobRow `json:"jobs"`
+	}{rows})
+}
+
+// WriteStageMetricsCSV writes stage-scoped rows with a leading "stage"
+// column.
+func WriteStageMetricsCSV(w io.Writer, rows []StageRow) error {
+	return writeScopedCSV(w, "stage", len(rows), func(i int) (string, RankMetrics) {
+		return rows[i].Stage, rows[i].RankMetrics
+	})
+}
+
+// WriteStageMetricsJSON writes {"stages": [...]} with stable field order.
+func WriteStageMetricsJSON(w io.Writer, rows []StageRow) error {
+	return writeJSON(w, struct {
+		Stages []StageRow `json:"stages"`
+	}{rows})
+}
+
+// WriteFile creates path, lets write fill it through a buffer, and closes
+// it, returning the first error — flush and close included, so a full disk
+// never reads as success.
+func WriteFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(f)
+	err = write(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// WriteMetricsFile exports rows to the file path+suffix with the given
+// writer pair: asJSON when path ends in ".json", asCSV otherwise. suffix
+// carries the ".rankN" tag of per-process files, so the format follows the
+// name the user gave.
+func WriteMetricsFile[R any](path, suffix string, rows []R, asCSV, asJSON func(io.Writer, []R) error) error {
+	return WriteFile(path+suffix, func(w io.Writer) error {
+		if strings.HasSuffix(path, ".json") {
+			return asJSON(w, rows)
+		}
+		return asCSV(w, rows)
+	})
 }
