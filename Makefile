@@ -8,6 +8,11 @@
 #                in the benchmark driver
 #   make loc     non-test Go lines outside benchmark/ — the number the
 #                ROADMAP line budget is counted in
+#   make backhalf-rounds  one traced 5 s run of the benchmark's
+#                assemble-backhalf workload: the contig stage must make at
+#                most 4 blocking runtime calls per rank, whatever the chain
+#                lengths, and no operation may fail — exact counts, so no
+#                timing noise
 #   make race    full suite under the race detector (what CI runs)
 #   make fuzz    10s smoke per fuzz target (go fuzzing allows one -fuzz
 #                target per invocation, hence one run per target)
@@ -48,7 +53,7 @@ FUZZT   ?= 10s
 BENCHN  ?= 5
 BENCH_JSON ?= BENCH_9.json
 
-.PHONY: check vet fmtcheck build test bench-build loc race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke bench bench-smoke bench-comm ci
+.PHONY: check vet fmtcheck build test bench-build backhalf-rounds loc race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke bench bench-smoke bench-comm ci
 
 check: vet fmtcheck build test bench-build
 
@@ -70,6 +75,15 @@ test:
 bench-build:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
+backhalf-rounds:
+	@out=$$(bash benchmark/run.sh -workload assemble-backhalf -seconds 5 -trace 1) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | awk ' \
+		$$1 == "=" && $$2 == "graph.contig_rounds" { rounds = $$3; seen = 1 } \
+		/operations attempted/ { ops = 1; failed = $$NF } \
+		END { if (!seen || !ops) { print "backhalf-rounds: report lacks graph.contig_rounds or the operations line"; exit 1 } \
+		  if (rounds > 4 || failed != 0) { printf "backhalf-rounds: graph.contig_rounds %s (limit 4), failed %s (limit 0)\n", rounds, failed; exit 1 } \
+		  printf "backhalf-rounds: OK (graph.contig_rounds %s, failed 0)\n", rounds }'
+
 loc:
 	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' | xargs cat | wc -l
 
@@ -89,6 +103,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzCacheEvict -fuzztime $(FUZZT) ./internal/core/
 	$(GO) test -fuzz=FuzzJobRequest -fuzztime $(FUZZT) ./internal/serve/
 	$(GO) test -fuzz=FuzzOverlapClassify -fuzztime $(FUZZT) ./internal/graph/
+	$(GO) test -fuzz=FuzzContigLinks$$ -fuzztime $(FUZZT) ./internal/graph/
 
 golden:
 	$(GO) test -run TestGolden ./internal/trace/ -update
@@ -272,4 +287,4 @@ bench-smoke:
 		./internal/align/ | $(GO) run ./cmd/benchfmt \
 		-old bench/bench_baseline.txt -gate 10
 
-ci: check race fuzz chaos bench-smoke dist-smoke serve-smoke assemble-smoke placement-smoke
+ci: check backhalf-rounds race fuzz chaos bench-smoke dist-smoke serve-smoke assemble-smoke placement-smoke

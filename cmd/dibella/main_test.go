@@ -89,6 +89,34 @@ func TestHitTSVMatchesGoldenAndSerial(t *testing.T) {
 	}
 }
 
+// TestAssemblyMatchesGolden: edges.golden.tsv and contigs.golden.fa are the
+// reduced graph's edge TSV and the contig FASTA that the commit before the
+// link-table contig stage wrote for the fixture with -fuzz 50 (seven
+// contigs, three of them merging two to four reads) — byte-identical there
+// across its bsp replay walker and its async RPC walker at 1 and 3 ranks.
+// -mode still picks the reduce stage's fetch strategy; neither it nor the
+// rank count may show in an artifact.
+func TestAssemblyMatchesGolden(t *testing.T) {
+	for stage, file := range map[string]string{"reduce": "testdata/edges.golden.tsv", "contigs": "testdata/contigs.golden.fa"} {
+		want, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []string{"bsp", "async"} {
+			for _, procs := range []string{"1", "3"} {
+				args := append(append([]string{}, fixtureArgs...), "-fuzz", "50", "-stages", stage, "-mode", mode, "-procs", procs)
+				code, stdout, stderr := dibella(args...)
+				if code != 0 {
+					t.Fatalf("%s -mode %s -procs %s: exit %d\n%s", stage, mode, procs, code, stderr)
+				}
+				if stdout != string(want) {
+					t.Errorf("%s -mode %s -procs %s: artifact differs from %s (%d vs %d bytes)", stage, mode, procs, file, len(stdout), len(want))
+				}
+			}
+		}
+	}
+}
+
 // TestOutFile: -out must hold the same bytes stdout would, and a write
 // that cannot land (ENOSPC at flush/close) must fail the run.
 func TestOutFile(t *testing.T) {

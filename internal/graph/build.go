@@ -67,6 +67,7 @@ func (c BuildConfig) withDefaults() BuildConfig {
 // distributed build and the serial reference share it.
 func classifyHits(hits []core.Hit, lens []int32, cfg BuildConfig) (contained []seq.ReadID, cand []Edge) {
 	canon := core.CanonicalizeHits(hits, lens)
+	cand = make([]Edge, 0, 2*len(canon)) // every hit a dovetail: no regrowth
 	for _, h := range canon {
 		v, pair := ClassifyHit(h, lens[h.A], lens[h.B], cfg.Slack, cfg.MinOverlap)
 		switch v {
@@ -147,12 +148,22 @@ func Build(r rt.Runtime, part *partition.Partition, lens []int32, hits []core.Hi
 	}
 
 	// Round 2: route every surviving edge to the owner of its From read.
+	// A counting pass sizes each destination's buffer exactly.
 	send = make([][]byte, p)
 	r.Timed(rt.CatOverhead, func() {
+		live := cand[:0]
+		counts := make([]int, p)
 		for _, e := range cand {
 			if contained[e.From.Read()] || contained[e.To.Read()] {
 				continue
 			}
+			live = append(live, e)
+			counts[part.Owner(e.From.Read())]++
+		}
+		for dst, n := range counts {
+			send[dst] = make([]byte, 0, n*edgeWire)
+		}
+		for _, e := range live {
 			dst := part.Owner(e.From.Read())
 			send[dst] = appendEdge(send[dst], e)
 		}

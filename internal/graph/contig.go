@@ -8,24 +8,22 @@
 // emits. Perfect cycles (every vertex mergeable) get a second pass that
 // elects the minimum vertex of the cycle as the emitter.
 //
-// Distribution: out-degrees are local (a rank owns its reads' adjacency)
-// and in-degrees are the twin's out-degree, also local — only the
-// predecessor's out-degree crosses ranks, gathered in one alltoallv.
-// Walks then follow edges wherever they lead, resolving remote vertex
-// records and remote base suffixes in one of two modes (DESIGN.md §17):
-// "bsp" (default) replays unfinished walks against a growing record
-// cache, batching each round's distinct misses into a single alltoallv
-// request/response pair — so the fetch traffic rides the hierarchical
-// leader-relay path and its tier accounting — and defers sequence
-// assembly behind one batched suffix round; "async" pulls records
-// through the runtime's AsyncCall RPC with a per-run coalescing cache,
-// exactly like the overlap phase fetches remote reads.
+// Distribution (DESIGN.md §15, §17): three bulk collectives, whatever the
+// chain lengths. Every rank encodes one fixed-width link row per oriented
+// live read it owns — out-degree class and, when that is 1, the successor
+// and the bases it appends — and replicates its rows to every rank in one
+// alltoallv. In-degree is the twin's out-degree and a predecessor's
+// out-degree is the predecessor's row, so the table answers every question
+// a walk asks: walks run locally, from the rank's own start vertices, and
+// never miss. The remote base suffixes the finished walks append then
+// arrive in one batched alltoallv request/response pair.
 package graph
 
 import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"gnbody/internal/rt"
@@ -46,210 +44,146 @@ type ContigConfig struct {
 	// MinReads discards contigs assembled from fewer reads (0 keeps all,
 	// including unassembled singleton reads).
 	MinReads int
-	// Mode selects the remote-record strategy: "bsp" (default) batches
-	// each replay round's distinct misses into one alltoallv pair;
-	// "async" issues pull RPCs with a per-run coalescing cache. Both
-	// modes produce identical contigs.
-	Mode string
 	// Model prices the stage on the simulator backend; nil elsewhere.
 	Model *CostModel
 }
 
-// vrec is the walker's view of one vertex. predOut is the out-degree of
-// the sole predecessor, valid only when indeg == 1; succ/succLen are the
-// single out-edge, valid only when outdeg == 1.
+// One link row on the wire: out-degree class (1 B), then — meaningful only
+// for degOne — the successor vertex (8 B) and the bases it appends (4 B).
+const (
+	linkRow = 13
+
+	degNone = 0
+	degOne  = 1
+	degMany = 2 // two or more: the walk rules only ever ask "is it 1?"
+)
+
+// linkTable is the replicated chain-link table: per owner rank, the
+// payload that rank sent — two rows (forward, reverse) per live read in id
+// order. Contained reads have no rows; Contained is replicated, so every
+// rank computes the same live index and no key travels. Rows are read in
+// place out of the alltoallv buffers.
+type linkTable struct {
+	g *Graph // this rank's partition: Part, Lens and Contained are global
+	// liveBefore[id] counts the non-contained reads with a smaller id.
+	liveBefore []int32
+	rows       [][]byte
+}
+
+// vrec is the walker's view of one vertex, as degree classes. predOut is
+// the out-degree class of the sole predecessor, valid only when indeg is
+// degOne; succ/succLen are the single out-edge, valid only when outdeg is
+// degOne.
 type vrec struct {
-	outdeg, indeg, predOut int32
+	outdeg, indeg, predOut byte
 	succ                   Vertex
 	succLen                int32
 }
 
-const (
-	reqVertex = 'v' // + vertex(8)            → outdeg(4) indeg(4) predout(4) succ(8) succlen(4)
-	reqBases  = 'b' // + vertex(8) + take(4)  → take bases, oriented suffix
-	vrecWire  = 24
-)
-
-// sufKey identifies one oriented suffix fetch: the vertex and how many
-// trailing bases its walk appends.
-type sufKey struct {
-	v    Vertex
-	take int32
+func newLinkTable(g *Graph) *linkTable {
+	t := &linkTable{g: g, liveBefore: make([]int32, len(g.Contained)+1)}
+	for id, c := range g.Contained {
+		t.liveBefore[id+1] = t.liveBefore[id]
+		if !c {
+			t.liveBefore[id+1]++
+		}
+	}
+	return t
 }
 
-// contiger holds one rank's state for the walk phase.
-type contiger struct {
-	r     rt.Runtime
-	g     *Graph
-	store seq.Store
-	mode  string
-	// predOut[v] for local v with indeg(v) == 1: the predecessor's
-	// out-degree (from the exchange round).
-	predOut map[Vertex]int32
-	// recCache holds remote vertex records already fetched this run —
-	// the bsp replay cache, and the async path's coalescing cache.
-	recCache map[Vertex]vrec
-	// want collects the current bsp round's record misses (distinct
-	// remote vertices to fetch).
-	want map[Vertex]bool
-	// sufCache holds remote suffixes: filled by the batched suffix round
-	// (bsp) or lazily per RPC (async).
-	sufCache map[sufKey]seq.Seq
+// live is the number of row pairs rank q contributes: its live reads.
+func (t *linkTable) live(q int) int {
+	lo, hi := t.g.Part.Range(q)
+	return int(t.liveBefore[hi] - t.liveBefore[lo])
 }
 
-func (c *contiger) localRec(v Vertex) vrec {
-	rec := vrec{
-		outdeg: int32(len(c.g.Adj[v])),
-		indeg:  int32(len(c.g.Adj[v.Twin()])),
+// encode renders this rank's rows from its adjacency.
+func (t *linkTable) encode(me int) []byte {
+	lo, hi := t.g.Part.Range(me)
+	buf := make([]byte, 0, 2*linkRow*t.live(me))
+	for id := lo; id < hi; id++ {
+		if t.g.Contained[id] {
+			continue
+		}
+		for _, rev := range [2]bool{false, true} {
+			var row [linkRow]byte
+			switch es := t.g.Adj[V(seq.ReadID(id), rev)]; len(es) {
+			case 0:
+			case 1:
+				row[0] = degOne
+				binary.LittleEndian.PutUint64(row[1:], uint64(es[0].To))
+				binary.LittleEndian.PutUint32(row[9:], uint32(es[0].Len))
+			default:
+				row[0] = degMany
+			}
+			buf = append(buf, row[:]...)
+		}
 	}
-	if rec.outdeg == 1 {
-		e := c.g.Adj[v][0]
-		rec.succ, rec.succLen = e.To, e.Len
+	return buf
+}
+
+// adopt validates the payloads the table exchange returned and keeps them
+// as the table. After it succeeds every row a walk can reach exists: a
+// successor is in range and live, so are its twin and — being some live
+// vertex's successor's twin — every predecessor, and a suffix length never
+// exceeds its read.
+func (t *linkTable) adopt(recv [][]byte) error {
+	lens, contained := t.g.Lens, t.g.Contained
+	for src, buf := range recv {
+		if want := 2 * linkRow * t.live(src); len(buf) != want {
+			return fmt.Errorf("graph: link table from rank %d is %d bytes, want %d", src, len(buf), want)
+		}
+		for off := 0; off < len(buf); off += linkRow {
+			switch buf[off] {
+			case degNone, degMany:
+			case degOne:
+				succ := binary.LittleEndian.Uint64(buf[off+1:])
+				take := binary.LittleEndian.Uint32(buf[off+9:])
+				if succ >= 2*uint64(len(lens)) {
+					return fmt.Errorf("graph: link row %d from rank %d: successor %d out of range", off/linkRow, src, succ)
+				}
+				if id := Vertex(succ).Read(); contained[id] || take > uint32(lens[id]) {
+					return fmt.Errorf("graph: link row %d from rank %d: successor %v contained, or %d bases past its %d",
+						off/linkRow, src, Vertex(succ), take, lens[id])
+				}
+			default:
+				return fmt.Errorf("graph: link row %d from rank %d: degree class %d", off/linkRow, src, buf[off])
+			}
+		}
 	}
-	if rec.indeg == 1 {
-		rec.predOut = c.predOut[v]
+	t.rows = recv
+	return nil
+}
+
+// row returns the wire row of a live vertex.
+func (t *linkTable) row(v Vertex) []byte {
+	id := v.Read()
+	o := t.g.Part.Owner(id)
+	lo, _ := t.g.Part.Range(o)
+	i := 2*int(t.liveBefore[id]-t.liveBefore[lo]) + int(v&1)
+	return t.rows[o][i*linkRow : (i+1)*linkRow]
+}
+
+// rec assembles the walker's view of v: its own row, its twin's row (the
+// in-degree) and, when the in-degree is 1, the sole predecessor's row —
+// the twin of the twin's successor.
+func (t *linkTable) rec(v Vertex) vrec {
+	row, twin := t.row(v), t.row(v.Twin())
+	rec := vrec{outdeg: row[0], indeg: twin[0]}
+	if rec.outdeg == degOne {
+		rec.succ = Vertex(binary.LittleEndian.Uint64(row[1:]))
+		rec.succLen = int32(binary.LittleEndian.Uint32(row[9:]))
+	}
+	if rec.indeg == degOne {
+		pred := Vertex(binary.LittleEndian.Uint64(twin[1:])).Twin()
+		rec.predOut = t.row(pred)[0]
 	}
 	return rec
 }
 
-func encodeVrec(rec vrec) []byte {
-	buf := make([]byte, vrecWire)
-	binary.LittleEndian.PutUint32(buf[0:], uint32(rec.outdeg))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(rec.indeg))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(rec.predOut))
-	binary.LittleEndian.PutUint64(buf[12:], uint64(rec.succ))
-	binary.LittleEndian.PutUint32(buf[20:], uint32(rec.succLen))
-	return buf
-}
-
-func decodeVrec(buf []byte) (vrec, error) {
-	if len(buf) != vrecWire {
-		return vrec{}, fmt.Errorf("graph: vertex record of %d bytes, want %d", len(buf), vrecWire)
-	}
-	return vrec{
-		outdeg:  int32(binary.LittleEndian.Uint32(buf[0:])),
-		indeg:   int32(binary.LittleEndian.Uint32(buf[4:])),
-		predOut: int32(binary.LittleEndian.Uint32(buf[8:])),
-		succ:    Vertex(binary.LittleEndian.Uint64(buf[12:])),
-		succLen: int32(binary.LittleEndian.Uint32(buf[20:])),
-	}, nil
-}
-
-// orientedSuffix returns the last take bases of the vertex's oriented
-// sequence: the forward read's tail, or for a reverse vertex the reverse
-// complement of the read's head.
-func orientedSuffix(rd seq.Seq, rev bool, take int32) seq.Seq {
-	if int(take) > len(rd) {
-		take = int32(len(rd))
-	}
-	if !rev {
-		out := make(seq.Seq, take)
-		copy(out, rd[len(rd)-int(take):])
-		return out
-	}
-	return rd[:take].ReverseComplement()
-}
-
-// serve answers walk-phase RPCs for this rank's vertices.
-func (c *contiger) serve(req []byte) []byte {
-	if len(req) < 9 {
-		panic(fmt.Sprintf("graph: contig request of %d bytes", len(req)))
-	}
-	v := Vertex(binary.LittleEndian.Uint64(req[1:]))
-	switch req[0] {
-	case reqVertex:
-		return encodeVrec(c.localRec(v))
-	case reqBases:
-		take := int32(binary.LittleEndian.Uint32(req[9:]))
-		rd := c.store.Get(v.Read())
-		s := orientedSuffix(rd.Seq, v.Rev(), take)
-		out := make([]byte, len(s))
-		for i, b := range s {
-			out[i] = byte(b)
-		}
-		return out
-	}
-	panic(fmt.Sprintf("graph: unknown contig request tag %q", req[0]))
-}
-
-// rec resolves a vertex record on the async path: locally, from the
-// coalescing cache, or over RPC.
-func (c *contiger) rec(v Vertex) vrec {
-	if c.g.Part.Owner(v.Read()) == c.r.Rank() {
-		return c.localRec(v)
-	}
-	if out, ok := c.recCache[v]; ok {
-		c.r.Metrics().GraphCoalesced++
-		return out
-	}
-	req := make([]byte, 9)
-	req[0] = reqVertex
-	binary.LittleEndian.PutUint64(req[1:], uint64(v))
-	var out vrec
-	var err error
-	c.r.AsyncCall(c.g.Part.Owner(v.Read()), req, func(resp []byte) {
-		out, err = decodeVrec(resp)
-	})
-	c.r.Drain(0)
-	if err != nil {
-		panic(err)
-	}
-	c.recCache[v] = out
-	c.r.Metrics().GraphFetches++
-	return out
-}
-
-// tryRec resolves a vertex record on the bsp path: locally or from the
-// replay cache. A miss is noted in want for the next fetch round and
-// reported as incomplete; the caller's walk replays after the round.
-func (c *contiger) tryRec(v Vertex) (vrec, bool) {
-	if c.g.Part.Owner(v.Read()) == c.r.Rank() {
-		return c.localRec(v), true
-	}
-	if rec, ok := c.recCache[v]; ok {
-		c.r.Metrics().GraphCoalesced++
-		return rec, true
-	}
-	c.want[v] = true
-	return vrec{}, false
-}
-
-// suffix resolves the last take oriented bases of v's read: locally,
-// from the suffix cache (which the bsp batched round pre-fills — a bsp
-// miss here is a protocol bug), or over RPC in async mode.
-func (c *contiger) suffix(v Vertex, take int32) seq.Seq {
-	if c.g.Part.Owner(v.Read()) == c.r.Rank() {
-		return orientedSuffix(c.store.Get(v.Read()).Seq, v.Rev(), take)
-	}
-	if s, ok := c.sufCache[sufKey{v, take}]; ok {
-		if c.mode == "async" {
-			c.r.Metrics().GraphCoalesced++
-		}
-		return s
-	}
-	if c.mode != "async" {
-		panic(fmt.Sprintf("graph: suffix %v/%d missing from batched round", v, take))
-	}
-	req := make([]byte, 13)
-	req[0] = reqBases
-	binary.LittleEndian.PutUint64(req[1:], uint64(v))
-	binary.LittleEndian.PutUint32(req[9:], uint32(take))
-	var out seq.Seq
-	c.r.AsyncCall(c.g.Part.Owner(v.Read()), req, func(resp []byte) {
-		out = make(seq.Seq, len(resp))
-		for i, b := range resp {
-			out[i] = seq.Base(b)
-		}
-	})
-	c.r.Drain(0)
-	c.sufCache[sufKey{v, take}] = out
-	c.r.Metrics().GraphFetches++
-	return out
-}
-
 // mergeable: v continues its predecessor's contig rather than starting
 // its own.
-func mergeable(rec vrec) bool { return rec.indeg == 1 && rec.predOut == 1 }
+func mergeable(rec vrec) bool { return rec.indeg == degOne && rec.predOut == degOne }
 
 // pathKey compares a walk against its twin walk: the contig is emitted by
 // whichever strand reads lexicographically smaller as a vertex sequence.
@@ -265,260 +199,187 @@ func pathLessOrEqualTwin(path []Vertex) bool {
 	return true // self-twin (palindromic): single emitter anyway
 }
 
-// pendContig is a finished walk awaiting sequence assembly.
+// pendContig is a finished walk awaiting sequence assembly: the vertex
+// path and, per vertex, the bases it contributes — lens[0] for the start
+// (the whole read; on a cycle, only what it appends past the last vertex,
+// so a circular contig is exactly one turn), lens[i] the suffix path[i]
+// appends.
 type pendContig struct {
 	path     []Vertex
 	lens     []int32
 	circular bool
 }
 
-// tryLinear attempts the linear walk from v0 against get. done=false
-// means a remote record was unavailable (bsp: the miss is noted in want
-// and the walk replays next round); otherwise pend is the finished walk,
-// nil when v0 does not emit.
-func (c *contiger) tryLinear(v0 Vertex, maxSteps, minReads int, get func(Vertex) (vrec, bool)) (pend *pendContig, done bool, err error) {
-	rec0 := c.localRec(v0)
-	if mergeable(rec0) {
-		return nil, true, nil // interior of some other walk
-	}
-	path := []Vertex{v0}
-	lens := []int32{} // appended bases per extension
-	cur := rec0
-	for cur.outdeg == 1 && len(path) < maxSteps {
-		w, l := cur.succ, cur.succLen
-		wrec, ok := get(w)
-		if !ok {
-			return nil, false, nil
-		}
-		// Given cur's out-degree is 1, w merges iff its in-degree is 1.
-		if wrec.indeg != 1 {
-			break
-		}
-		path = append(path, w)
-		lens = append(lens, l)
-		cur = wrec
-	}
-	if len(path) >= maxSteps {
-		return nil, true, fmt.Errorf("graph: walk from %v exceeded %d steps; graph is inconsistent", v0, maxSteps)
-	}
-	if len(path) < minReads || !pathLessOrEqualTwin(path) {
-		return nil, true, nil
-	}
-	return &pendContig{path: path, lens: lens}, true, nil
+// walker runs one rank's walks over the table. path and lens are scratch
+// reused across starts; a walk that emits copies them out.
+type walker struct {
+	t        *linkTable
+	minReads int // linear walks merging fewer reads do not emit
+	path     []Vertex
+	lens     []int32
 }
 
-// tryCycle attempts the pure-cycle walk from v0: components where every
-// vertex is mergeable that no linear walk enters. The minimum vertex of
+// maxSteps bounds a walk: any simple oriented path is shorter.
+func (w *walker) maxSteps() int { return 2*len(w.t.g.Lens) + 2 }
+
+func (w *walker) pend(circular bool) *pendContig {
+	return &pendContig{path: slices.Clone(w.path), lens: slices.Clone(w.lens), circular: circular}
+}
+
+// tryLinear runs the linear walk from v0; the result is nil when v0 does
+// not emit. A walk only exceeds maxSteps over a table no twin-symmetric
+// graph produces.
+func (w *walker) tryLinear(v0 Vertex) (*pendContig, error) {
+	cur := w.t.rec(v0)
+	if mergeable(cur) {
+		return nil, nil // interior of some other walk
+	}
+	w.path, w.lens = append(w.path[:0], v0), append(w.lens[:0], w.t.g.Lens[v0.Read()])
+	maxSteps := w.maxSteps()
+	for cur.outdeg == degOne && len(w.path) < maxSteps {
+		next := w.t.rec(cur.succ)
+		// Given cur's out-degree is 1, the successor merges iff its
+		// in-degree is 1.
+		if next.indeg != degOne {
+			break
+		}
+		w.path = append(w.path, cur.succ)
+		w.lens = append(w.lens, cur.succLen)
+		cur = next
+	}
+	if len(w.path) >= maxSteps {
+		return nil, fmt.Errorf("graph: walk from %v exceeded %d steps; graph is inconsistent", v0, maxSteps)
+	}
+	if len(w.path) < w.minReads || !pathLessOrEqualTwin(w.path) {
+		return nil, nil
+	}
+	return w.pend(false), nil
+}
+
+// tryCycle runs the pure-cycle walk from v0: components where every
+// vertex is mergeable, which no linear walk enters. The minimum vertex of
 // the cycle emits; walks from larger vertices abort on first sight of a
 // smaller one, and the twin cycle is suppressed by the same ≤ rule.
-func (c *contiger) tryCycle(v0 Vertex, maxSteps int, get func(Vertex) (vrec, bool)) (pend *pendContig, done bool, err error) {
-	rec0 := c.localRec(v0)
-	if !mergeable(rec0) || rec0.outdeg != 1 {
-		return nil, true, nil
+func (w *walker) tryCycle(v0 Vertex) (*pendContig, error) {
+	cur := w.t.rec(v0)
+	if !mergeable(cur) || cur.outdeg != degOne {
+		return nil, nil
 	}
-	path := []Vertex{v0}
-	lens := []int32{}
+	w.path, w.lens = append(w.path[:0], v0), append(w.lens[:0], 0)
 	minTwin := v0.Twin()
-	cur := rec0
 	closed := false
-	for len(path) < maxSteps {
-		w, l := cur.succ, cur.succLen
-		if w == v0 {
+	maxSteps := w.maxSteps()
+	for len(w.path) < maxSteps {
+		next, l := cur.succ, cur.succLen
+		if next == v0 {
+			w.lens[0] = l // the closing edge: what v0 adds past the last vertex
 			closed = true
 			break
 		}
-		if w < v0 {
+		if next < v0 {
 			break // a smaller cycle vertex will emit
 		}
-		wrec, ok := get(w)
-		if !ok {
-			return nil, false, nil
-		}
-		if !mergeable(wrec) || wrec.outdeg != 1 {
+		cur = w.t.rec(next)
+		if !mergeable(cur) || cur.outdeg != degOne {
 			break // not a pure cycle: the linear pass covers it
 		}
-		path = append(path, w)
-		lens = append(lens, l)
-		if t := w.Twin(); t < minTwin {
-			minTwin = t
-		}
-		cur = wrec
+		w.path = append(w.path, next)
+		w.lens = append(w.lens, l)
+		minTwin = min(minTwin, next.Twin())
 	}
-	if len(path) >= maxSteps {
-		return nil, true, fmt.Errorf("graph: cycle walk from %v exceeded %d steps", v0, maxSteps)
+	if len(w.path) >= maxSteps {
+		return nil, fmt.Errorf("graph: cycle walk from %v exceeded %d steps", v0, maxSteps)
 	}
 	if !closed || v0 > minTwin {
-		return nil, true, nil
+		return nil, nil
 	}
-	return &pendContig{path: path, lens: lens, circular: true}, true, nil
+	return w.pend(true), nil
 }
 
-// replayRounds drives one bsp walk phase: replay every unfinished start
-// against the record cache, allreduce the global miss count, and fetch
-// each round's distinct misses in one alltoallv pair — until no rank
-// misses. A rank that hits a walk error keeps serving rounds (the
-// collectives must stay matched across ranks) and surfaces the error
-// after the phase drains.
-func (c *contiger) replayRounds(starts []Vertex, attempt func(Vertex) (*pendContig, bool, error)) ([]*pendContig, error) {
-	r := c.r
+// walkAll runs both passes from every oriented live read rank me owns.
+func (w *walker) walkAll(me int) ([]*pendContig, error) {
 	var pends []*pendContig
-	var walkErr error
-	pending := starts
-	for {
-		if walkErr == nil {
-			var next []Vertex
-			for _, v0 := range pending {
-				pc, done, err := attempt(v0)
+	lo, hi := w.t.g.Part.Range(me)
+	for _, try := range [2]func(Vertex) (*pendContig, error){w.tryLinear, w.tryCycle} {
+		for id := lo; id < hi; id++ {
+			if w.t.g.Contained[id] {
+				continue
+			}
+			for _, rev := range [2]bool{false, true} {
+				pc, err := try(V(seq.ReadID(id), rev))
 				if err != nil {
-					walkErr = err
-					break
-				}
-				if !done {
-					next = append(next, v0)
-					continue
+					return nil, err
 				}
 				if pc != nil {
 					pends = append(pends, pc)
 				}
 			}
-			pending = next
-		}
-		if walkErr != nil {
-			pends, pending = nil, nil
-			clear(c.want)
-		}
-		if r.Allreduce(int64(len(c.want)), rt.OpSum) == 0 {
-			break
-		}
-		if err := c.fetchRecords(); err != nil && walkErr == nil {
-			walkErr = err
 		}
 	}
-	return pends, walkErr
+	return pends, nil
 }
 
-// fetchRecords resolves this round's record misses: one 8-byte request
-// per distinct remote vertex, answered in request order with vrecWire
-// bytes each. Both legs ride the alltoallv path, so hierarchical
-// leader-relay aggregation and tier-byte accounting apply to the walk
-// phase exactly as to the overlap exchange.
-func (c *contiger) fetchRecords() error {
-	r := c.r
-	p := r.Size()
-	perOwner := make([][]Vertex, p)
-	req := make([][]byte, p)
-	r.Timed(rt.CatOverhead, func() {
-		for v := range c.want {
-			o := c.g.Part.Owner(v.Read())
-			perOwner[o] = append(perOwner[o], v)
+// appendOriented appends the last take bases of the oriented read: the
+// forward read's tail, or for a reverse vertex the reverse complement of
+// the read's head.
+func appendOriented[B ~byte](dst []B, rd seq.Seq, rev bool, take int) []B {
+	take = min(take, len(rd))
+	if !rev {
+		for _, b := range rd[len(rd)-take:] {
+			dst = append(dst, B(b))
 		}
-		for o, ids := range perOwner {
-			if len(ids) == 0 {
-				continue
-			}
-			SortVertices(ids)
-			buf := make([]byte, 0, 8*len(ids))
-			for _, v := range ids {
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-			}
-			req[o] = buf
-		}
-	})
-	inbound := r.Alltoallv(req)
-	resp := make([][]byte, p)
-	var srvErr error
-	r.Timed(rt.CatOverhead, func() {
-		for src, buf := range inbound {
-			if len(buf)%8 != 0 {
-				srvErr = fmt.Errorf("graph: vertex-record request from rank %d is %d bytes", src, len(buf))
-				return
-			}
-			if len(buf) == 0 {
-				continue
-			}
-			out := make([]byte, 0, vrecWire/8*len(buf))
-			for off := 0; off < len(buf); off += 8 {
-				v := Vertex(binary.LittleEndian.Uint64(buf[off:]))
-				out = append(out, encodeVrec(c.localRec(v))...)
-			}
-			resp[src] = out
-		}
-	})
-	// The response leg runs even on a malformed request so peers'
-	// collectives stay matched; the error surfaces after.
-	answers := r.Alltoallv(resp)
-	if srvErr != nil {
-		return srvErr
+		return dst
 	}
-	met := r.Metrics()
-	for o, ids := range perOwner {
-		if len(ids) == 0 {
-			continue
-		}
-		buf := answers[o]
-		if len(buf) != vrecWire*len(ids) {
-			return fmt.Errorf("graph: rank %d answered %d record bytes, want %d", o, len(buf), vrecWire*len(ids))
-		}
-		for i, v := range ids {
-			rec, err := decodeVrec(buf[i*vrecWire : (i+1)*vrecWire])
-			if err != nil {
-				return err
-			}
-			c.recCache[v] = rec
-		}
-		met.GraphFetches += int64(len(ids))
+	for i := take - 1; i >= 0; i-- {
+		dst = append(dst, B(rd[i].Complement()))
 	}
-	clear(c.want)
-	met.Supersteps++
-	return nil
+	return dst
+}
+
+// sufKey identifies one oriented suffix fetch: the vertex and how many
+// trailing bases its walk appends.
+type sufKey struct {
+	v    Vertex
+	take int32
+}
+
+// suffixes holds the remote suffixes one rank's contigs append: per owner
+// the response payload, and per key its offset in it.
+type suffixes struct {
+	at   map[sufKey]int
+	from [][]byte
 }
 
 // fetchSuffixes resolves every remote suffix the pending contigs need in
 // one batched round: 12-byte (vertex, take) requests — coalesced across
-// all walks — answered with length-prefixed base payloads in request
-// order. Collective; ranks with nothing pending still serve.
-func (c *contiger) fetchSuffixes(pends []*pendContig) error {
-	r := c.r
+// all walks — answered with the bases back to back in request order (the
+// requester knows every length). Collective; ranks with nothing pending
+// still serve, and a rank that finds a peer's frame malformed still
+// completes both legs before reporting it.
+func fetchSuffixes(r rt.Runtime, g *Graph, store seq.Store, pends []*pendContig) (*suffixes, error) {
 	p, me := r.Size(), r.Rank()
 	met := r.Metrics()
-	need := make(map[sufKey]bool)
-	perOwner := make([][]sufKey, p)
+	suf := &suffixes{at: make(map[sufKey]int)}
 	req := make([][]byte, p)
+	want := make([]int, p) // response bytes owed by each owner
 	r.Timed(rt.CatOverhead, func() {
 		for _, pc := range pends {
 			for i, l := range pc.lens {
-				w := pc.path[i+1]
-				if c.g.Part.Owner(w.Read()) == me {
+				k := sufKey{pc.path[i], l}
+				o := g.Part.Owner(k.v.Read())
+				if o == me {
 					continue
 				}
-				k := sufKey{w, l}
-				if need[k] {
+				if _, dup := suf.at[k]; dup {
 					met.GraphCoalesced++
 					continue
 				}
-				need[k] = true
+				suf.at[k] = want[o]
+				want[o] += int(l)
+				req[o] = binary.LittleEndian.AppendUint64(req[o], uint64(k.v))
+				req[o] = binary.LittleEndian.AppendUint32(req[o], uint32(l))
+				met.GraphFetches++
 			}
-		}
-		for k := range need {
-			o := c.g.Part.Owner(k.v.Read())
-			perOwner[o] = append(perOwner[o], k)
-		}
-		for o, ks := range perOwner {
-			if len(ks) == 0 {
-				continue
-			}
-			sort.Slice(ks, func(i, j int) bool {
-				if ks[i].v != ks[j].v {
-					return ks[i].v < ks[j].v
-				}
-				return ks[i].take < ks[j].take
-			})
-			buf := make([]byte, 0, 12*len(ks))
-			for _, k := range ks {
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(k.v))
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(k.take))
-			}
-			req[o] = buf
 		}
 	})
 	inbound := r.Alltoallv(req)
@@ -526,238 +387,117 @@ func (c *contiger) fetchSuffixes(pends []*pendContig) error {
 	var srvErr error
 	r.Timed(rt.CatOverhead, func() {
 		for src, buf := range inbound {
-			if len(buf)%12 != 0 {
-				srvErr = fmt.Errorf("graph: suffix request from rank %d is %d bytes", src, len(buf))
+			out, err := answerSuffixes(g, store, buf)
+			if err != nil {
+				srvErr = fmt.Errorf("graph: suffix request from rank %d: %w", src, err)
 				return
-			}
-			var out []byte
-			for off := 0; off < len(buf); off += 12 {
-				v := Vertex(binary.LittleEndian.Uint64(buf[off:]))
-				take := int32(binary.LittleEndian.Uint32(buf[off+8:]))
-				s := orientedSuffix(c.store.Get(v.Read()).Seq, v.Rev(), take)
-				out = binary.LittleEndian.AppendUint32(out, uint32(len(s)))
-				for _, b := range s {
-					out = append(out, byte(b))
-				}
 			}
 			resp[src] = out
 		}
 	})
-	answers := r.Alltoallv(resp)
+	suf.from = r.Alltoallv(resp)
 	if srvErr != nil {
-		return srvErr
+		return nil, srvErr
 	}
-	for o, ks := range perOwner {
-		buf := answers[o]
-		off := 0
-		for _, k := range ks {
-			if off+4 > len(buf) {
-				return fmt.Errorf("graph: truncated suffix response from rank %d", o)
-			}
-			n := int(binary.LittleEndian.Uint32(buf[off:]))
-			off += 4
-			if off+n > len(buf) {
-				return fmt.Errorf("graph: truncated suffix response from rank %d", o)
-			}
-			s := make(seq.Seq, n)
-			for i := 0; i < n; i++ {
-				s[i] = seq.Base(buf[off+i])
-			}
-			off += n
-			c.sufCache[k] = s
+	for o, buf := range suf.from {
+		if len(buf) != want[o] {
+			return nil, fmt.Errorf("graph: rank %d answered %d suffix bytes, want %d", o, len(buf), want[o])
 		}
-		if off != len(buf) {
-			return fmt.Errorf("graph: %d trailing suffix bytes from rank %d", len(buf)-off, o)
-		}
-		met.GraphFetches += int64(len(ks))
 	}
 	met.Supersteps++
-	return nil
+	return suf, nil
 }
 
-// Contigs walks this rank's share of the reduced graph. Collective.
-// Contig sequences are assembled on the rank owning the starting vertex;
-// GatherContigs concatenates them on rank 0 in canonical order. The
-// result is a pure function of the global graph — mode, rank count and
-// placement never change which contigs emerge.
-func Contigs(r rt.Runtime, g *Graph, store seq.Store, cfg ContigConfig) ([]Contig, error) {
-	p, me := r.Size(), r.Rank()
-	n := len(g.Lens)
-	maxSteps := 2*n + 2 // any simple oriented path is shorter
-
-	switch cfg.Mode {
-	case "", "bsp", "async":
-	default:
-		return nil, fmt.Errorf("graph: unknown contig mode %q", cfg.Mode)
+// answerSuffixes serves one peer's suffix request from the local store.
+func answerSuffixes(g *Graph, store seq.Store, req []byte) ([]byte, error) {
+	if len(req)%12 != 0 {
+		return nil, fmt.Errorf("%d bytes", len(req))
 	}
-	c := &contiger{r: r, g: g, store: store, mode: cfg.Mode,
-		predOut:  make(map[Vertex]int32),
-		recCache: make(map[Vertex]vrec),
-		want:     make(map[Vertex]bool),
-		sufCache: make(map[sufKey]seq.Seq)}
+	var out []byte
+	for off := 0; off < len(req); off += 12 {
+		v := binary.LittleEndian.Uint64(req[off:])
+		take := binary.LittleEndian.Uint32(req[off+8:])
+		if v >= 2*uint64(len(g.Lens)) || !store.Owns(Vertex(v).Read()) {
+			return nil, fmt.Errorf("vertex %d is not resident here", v)
+		}
+		rd := store.Get(Vertex(v).Read()).Seq
+		if uint64(take) > uint64(len(rd)) {
+			return nil, fmt.Errorf("%d bases of the %d in %v", take, len(rd), Vertex(v))
+		}
+		out = appendOriented(out, rd, Vertex(v).Rev(), int(take))
+	}
+	return out, nil
+}
 
-	// Exchange round: every edge (w→x) tells x's owner w's out-degree, so
-	// owners know predOut for their indeg-1 vertices.
-	send := make([][]byte, p)
+// Contigs walks this rank's share of the reduced graph. Collective —
+// every rank makes all three alltoallv calls even after a local error, so
+// the collectives stay matched and the error surfaces after them. Contigs
+// are assembled on the rank owning their start vertex (GatherContigs
+// concatenates them on rank 0 in canonical order) and are a pure function
+// of the global graph: rank count and placement never change them.
+func Contigs(r rt.Runtime, g *Graph, store seq.Store, cfg ContigConfig) ([]Contig, error) {
+	me := r.Rank()
+	t := newLinkTable(g)
+	send := make([][]byte, r.Size())
 	r.Timed(rt.CatOverhead, func() {
-		for _, es := range g.Adj {
-			od := int32(len(es))
-			for _, e := range es {
-				dst := g.Part.Owner(e.To.Read())
-				var rec [12]byte
-				binary.LittleEndian.PutUint64(rec[0:], uint64(e.To))
-				binary.LittleEndian.PutUint32(rec[8:], uint32(od))
-				send[dst] = append(send[dst], rec[:]...)
-			}
+		rows := t.encode(me)
+		for dst := range send {
+			send[dst] = rows
 		}
 	})
 	recv := r.Alltoallv(send)
-	var exErr error
-	r.Timed(rt.CatOverhead, func() {
-		for src := 0; src < p; src++ {
-			buf := recv[src]
-			if len(buf)%12 != 0 {
-				exErr = fmt.Errorf("graph: pred-degree payload from rank %d is %d bytes", src, len(buf))
-				return
-			}
-			for off := 0; off < len(buf); off += 12 {
-				v := Vertex(binary.LittleEndian.Uint64(buf[off:]))
-				od := int32(binary.LittleEndian.Uint32(buf[off+8:]))
-				// Only consulted when indeg(v) == 1 (unique record); keep
-				// the max so duplicates cannot make the value order-dependent.
-				if cur, ok := c.predOut[v]; !ok || od > cur {
-					c.predOut[v] = od
-				}
-			}
-		}
-	})
-	if exErr != nil {
-		return nil, exErr
-	}
-
-	// Walk phase. Every non-contained local read starts a walk in both
-	// orientations; the attempt functions decide which starts emit.
-	lo, hi := g.Part.Range(me)
-	starts := make([]Vertex, 0, 2*(hi-lo))
-	for id := lo; id < hi; id++ {
-		if g.Contained[id] {
-			continue
-		}
-		starts = append(starts, V(seq.ReadID(id), false), V(seq.ReadID(id), true))
-	}
+	r.Metrics().Supersteps++
 
 	var pends []*pendContig
-	var walkErr error
-	if cfg.Mode == "async" {
-		// RPC service up, then walk local starts to completion one by one.
-		get := func(w Vertex) (vrec, bool) { return c.rec(w), true }
-		r.Serve(c.serve)
-		r.Barrier()
-		for _, v0 := range starts {
-			pc, _, err := c.tryLinear(v0, maxSteps, cfg.MinReads, get)
-			if err != nil {
-				walkErr = err
-				break
-			}
-			if pc != nil {
-				pends = append(pends, pc)
-			}
+	var err error
+	r.Timed(rt.CatOverhead, func() {
+		if err = t.adopt(recv); err == nil {
+			pends, err = (&walker{t: t, minReads: cfg.MinReads}).walkAll(me)
 		}
-		if walkErr == nil {
-			for _, v0 := range starts {
-				pc, _, err := c.tryCycle(v0, maxSteps, get)
-				if err != nil {
-					walkErr = err
-					break
-				}
-				if pc != nil {
-					pends = append(pends, pc)
-				}
-			}
-		}
-		// Assemble before the exit barrier: emission pulls remote
-		// suffixes over RPC and peers must still be serving.
-		var contigs []Contig
-		if walkErr == nil {
-			for _, pc := range pends {
-				contigs = append(contigs, c.emit(pc.path, pc.lens, pc.circular))
-			}
-		}
-		r.Drain(0)
-		r.Barrier() // keep serving peers still walking
-		if walkErr != nil {
-			return nil, walkErr
-		}
-		return finishContigs(r, contigs, cfg)
-	}
-
-	// bsp: replay both phases round-by-round, then resolve all suffixes
-	// in one batched exchange before assembling. Phases run even after a
-	// local error so the collectives stay matched across ranks.
-	pends, walkErr = c.replayRounds(starts, func(v0 Vertex) (*pendContig, bool, error) {
-		return c.tryLinear(v0, maxSteps, cfg.MinReads, c.tryRec)
 	})
-	cycPends, cycErr := c.replayRounds(starts, func(v0 Vertex) (*pendContig, bool, error) {
-		return c.tryCycle(v0, maxSteps, c.tryRec)
-	})
-	if walkErr == nil {
-		walkErr = cycErr
+	suf, sufErr := fetchSuffixes(r, g, store, pends)
+	if err == nil {
+		err = sufErr
 	}
-	pends = append(pends, cycPends...)
-	if walkErr != nil {
-		pends = nil
+	if err != nil {
+		return nil, err
 	}
-	if err := c.fetchSuffixes(pends); err != nil && walkErr == nil {
-		walkErr = err
-	}
-	if walkErr != nil {
-		return nil, walkErr
-	}
-	var contigs []Contig
-	for _, pc := range pends {
-		contigs = append(contigs, c.emit(pc.path, pc.lens, pc.circular))
-	}
-	return finishContigs(r, contigs, cfg)
-}
 
-// finishContigs orders the walk output and applies the cost model.
-func finishContigs(r rt.Runtime, contigs []Contig, cfg ContigConfig) ([]Contig, error) {
-
-	sort.Slice(contigs, func(i, j int) bool { return contigs[i].Start < contigs[j].Start })
+	contigs := make([]Contig, 0, len(pends))
 	total := 0
-	for _, ct := range contigs {
-		total += len(ct.Seq)
-	}
+	r.Timed(rt.CatOverhead, func() {
+		for _, pc := range pends {
+			ct := suf.emit(g, store, me, pc)
+			total += len(ct.Seq)
+			contigs = append(contigs, ct)
+		}
+		sort.Slice(contigs, func(i, j int) bool { return contigs[i].Start < contigs[j].Start })
+	})
 	cfg.Model.charge(r, rt.CatOverhead, cfg.Model.perBase(), total)
 	return contigs, nil
 }
 
-// emit assembles the sequence of a finished walk: the full oriented first
-// read, then each extension's appended suffix.
-func (c *contiger) emit(path []Vertex, lens []int32, circular bool) Contig {
-	v0 := path[0]
-	first := orientedSeq(c.store.Get(v0.Read()).Seq, v0.Rev())
-	out := make(seq.Seq, 0, len(first)+sum32(lens))
-	out = append(out, first...)
-	for i, l := range lens {
-		out = append(out, c.suffix(path[i+1], l)...)
+// emit assembles the sequence of a finished walk: each vertex's
+// contribution in path order — from the local store, or from the owner's
+// suffix response.
+func (s *suffixes) emit(g *Graph, store seq.Store, me int, pc *pendContig) Contig {
+	n := 0
+	for _, l := range pc.lens {
+		n += int(l)
 	}
-	return Contig{Start: v0, Reads: int32(len(path)), Circular: circular, Seq: out}
-}
-
-func orientedSeq(s seq.Seq, rev bool) seq.Seq {
-	if !rev {
-		return s
+	out := make(seq.Seq, 0, n)
+	for i, l := range pc.lens {
+		v := pc.path[i]
+		if o := g.Part.Owner(v.Read()); o == me {
+			out = appendOriented(out, store.Get(v.Read()).Seq, v.Rev(), int(l))
+		} else {
+			off := s.at[sufKey{v, l}]
+			for _, b := range s.from[o][off : off+int(l)] {
+				out = append(out, seq.Base(b))
+			}
+		}
 	}
-	return s.ReverseComplement()
-}
-
-func sum32(xs []int32) int {
-	t := 0
-	for _, x := range xs {
-		t += int(x)
-	}
-	return t
+	return Contig{Start: pc.path[0], Reads: int32(len(pc.path)), Circular: pc.circular, Seq: out}
 }
 
 // contigWire encodes one contig: Start(8) Reads(4) Circular(1) SeqLen(4) + bases.

@@ -399,7 +399,7 @@ func TestReduceTwinSymmetric(t *testing.T) {
 // stride, so consecutive reads overlap by readLen-step and reads two apart
 // by readLen-2*step — real transitive edges that reduction must remove
 // before the contig walk can reproduce the genome in one piece.
-func tiledWorkload(t *testing.T, n, readLen, step int, seed int64) (seq.Seq, *seq.ReadSet, []int32) {
+func tiledWorkload(t testing.TB, n, readLen, step int, seed int64) (seq.Seq, *seq.ReadSet, []int32) {
 	t.Helper()
 	g := genome.Generate(genome.Config{Length: step*(n-1) + readLen, Seed: seed})
 	seqs := make([]seq.Seq, n)

@@ -63,7 +63,6 @@ func (s ReduceStage) Run(r rt.Runtime, _ *pipeline.Plan, _ seq.Store, prev any) 
 // Output: []Contig — this rank's contigs; GatherContigs collects them.
 type ContigStage struct {
 	MinReads int
-	Mode     string // remote records: "bsp" (default) or "async"
 	Model    *CostModel
 }
 
@@ -71,24 +70,26 @@ type ContigStage struct {
 func (ContigStage) Name() string { return "contigs" }
 
 // Run executes this rank's share of the walk. Contig bases come from the
-// rank's owner-only store (plus RPC for remote suffixes), so the stage
-// needs real sequences — the phantom codec's metadata-only runs stop
+// rank's owner-only store (plus one batched fetch of remote suffixes), so
+// the stage needs real sequences — the phantom codec's metadata-only runs stop
 // after reduce.
 func (s ContigStage) Run(r rt.Runtime, _ *pipeline.Plan, store seq.Store, prev any) (any, error) {
 	g, ok := prev.(*Graph)
 	if !ok {
 		return nil, fmt.Errorf("contig stage wants *graph.Graph, got %T", prev)
 	}
-	return Contigs(r, g, store, ContigConfig{MinReads: s.MinReads, Mode: s.Mode, Model: s.Model})
+	return Contigs(r, g, store, ContigConfig{MinReads: s.MinReads, Model: s.Model})
 }
 
 // AssemblyStages is the canonical full chain after discovery/alignment:
 // graph construction, transitive reduction, contig generation — the
-// -stages flag's named prefixes map onto truncations of this list.
+// -stages flag's named prefixes map onto truncations of this list. mode is
+// the reduce stage's neighbour-fetch strategy; the other two stages have
+// one algorithm each.
 func AssemblyStages(slack, minOverlap, fuzz int, mode string, model *CostModel) []pipeline.Stage {
 	return []pipeline.Stage{
 		BuildStage{Slack: slack, MinOverlap: minOverlap, Model: model},
 		ReduceStage{Fuzz: fuzz, Mode: mode, Model: model},
-		ContigStage{Mode: mode, Model: model},
+		ContigStage{Model: model},
 	}
 }

@@ -124,11 +124,12 @@ type Metrics struct {
 	InterBytes int64
 
 	// Graph-round fetch accounting (DESIGN.md §17). GraphFetches counts
-	// distinct remote vertex/suffix records this rank actually pulled over
-	// the wire during assembly rounds (Reduce neighbor fetch, Contigs
-	// walks); GraphCoalesced counts remote lookups satisfied without a new
-	// wire fetch — deduplicated within a round or served from the per-run
-	// record cache.
+	// the distinct remote records this rank pulled over the wire in the
+	// assembly stages' request/response rounds — adjacency lists in
+	// Reduce's neighbour fetch, base suffixes in Contigs' suffix round;
+	// GraphCoalesced counts the remote lookups that needed no record of
+	// their own because the round's dedup had already asked for it.
+	// Contigs' replicated link table is bulk data (BytesSent), not lookups.
 	GraphFetches   int64
 	GraphCoalesced int64
 
