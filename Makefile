@@ -104,6 +104,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzJobRequest -fuzztime $(FUZZT) ./internal/serve/
 	$(GO) test -fuzz=FuzzOverlapClassify -fuzztime $(FUZZT) ./internal/graph/
 	$(GO) test -fuzz=FuzzContigLinks$$ -fuzztime $(FUZZT) ./internal/graph/
+	$(GO) test -fuzz=FuzzDiscoverWire$$ -fuzztime $(FUZZT) ./internal/pipeline/
 
 golden:
 	$(GO) test -run TestGolden ./internal/trace/ -update

@@ -80,31 +80,34 @@ type Occurrence struct {
 }
 
 // Scan calls fn for every N-free window of r, passing the window position,
-// the canonical code, and whether canonicalisation flipped the strand.
-// It restarts cleanly after runs of N.
+// the canonical code, and whether canonicalisation flipped the strand (a
+// palindromic window reports false). The forward code and its reverse
+// complement both roll in O(1) per base, and the scan restarts cleanly
+// after runs of N: stale bits are shifted or masked out of both codes
+// before valid reaches k again.
 func Scan(r *seq.Read, k int, fn func(pos int, canon Code, rc bool)) error {
 	if k <= 0 || k > MaxK {
 		return fmt.Errorf("kmer: k=%d out of range [1,%d]", k, MaxK)
 	}
-	s := r.Seq
-	if len(s) < k {
-		return nil
-	}
 	mask := Code(1)<<(2*uint(k)) - 1
-	var fwd Code
+	top := 2 * uint(k-1) // where the newest base's complement enters rev
+	var fwd, rev Code
 	valid := 0 // number of consecutive non-N bases ending at current position
-	for i := 0; i < len(s); i++ {
-		if s[i] >= seq.N {
+	for i, b := range r.Seq {
+		if b >= seq.N {
 			valid = 0
-			fwd = 0
 			continue
 		}
-		fwd = (fwd<<2 | Code(s[i])) & mask
-		valid++
-		if valid >= k {
-			canon := Canonical(fwd, k)
-			fn(i-k+1, canon, canon != fwd)
+		fwd = (fwd<<2 | Code(b)) & mask
+		rev = rev>>2 | Code(3-b)<<top
+		if valid++; valid < k {
+			continue
 		}
+		canon, rc := fwd, false
+		if rev < fwd {
+			canon, rc = rev, true
+		}
+		fn(i-k+1, canon, rc)
 	}
 	return nil
 }

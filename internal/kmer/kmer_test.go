@@ -270,3 +270,76 @@ func TestReliableWindow(t *testing.T) {
 		t.Errorf("degenerate window = [%d,%d]", lo, hi)
 	}
 }
+
+// Property: the rolling encoder reports, for every N-free window and no
+// other, exactly Canonical(Encode(window)) — for every k, across N runs
+// that restart it, on reads shorter than k, and on even-k palindromes,
+// whose canonical code is the forward code and so must report rc false.
+func TestScanMatchesCanonical(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	type window struct {
+		pos   int
+		canon Code
+		rc    bool
+	}
+	for k := 1; k <= MaxK; k++ {
+		var reads []seq.Seq
+		for _, n := range []int{0, 1, k - 1, k, k + 1, 3 * k, 200} {
+			s := make(seq.Seq, n)
+			for i := range s {
+				s[i] = seq.Base(rng.Intn(4))
+			}
+			reads = append(reads, s)
+			if n > k { // the same read with N runs, one of them at the very start
+				withN := append(seq.Seq(nil), s...)
+				for at := 0; at < n; at += 1 + rng.Intn(2*k+2) {
+					for j := at; j < n && j < at+1+rng.Intn(3); j++ {
+						withN[j] = seq.N
+					}
+				}
+				reads = append(reads, withN)
+			}
+		}
+		palindromes := 0
+		if k%2 == 0 { // half + revcomp(half), behind an N so the encoder restarts into it
+			half := make(seq.Seq, k/2)
+			for i := range half {
+				half[i] = seq.Base(rng.Intn(4))
+			}
+			pal := append(append(seq.Seq{seq.N}, half...), half.ReverseComplement()...)
+			reads = append(reads, append(pal, seq.Base(rng.Intn(4))))
+			palindromes = 1
+		}
+		for _, s := range reads {
+			var want []window
+			for i := 0; i+k <= len(s); i++ {
+				free := true
+				for _, b := range s[i : i+k] {
+					free = free && b < seq.N
+				}
+				if free {
+					fwd := Encode(s, i, k)
+					want = append(want, window{i, Canonical(fwd, k), Canonical(fwd, k) != fwd})
+					if fwd == revComp(fwd, k) {
+						palindromes--
+					}
+				}
+			}
+			var got []window
+			if err := Scan(&seq.Read{Seq: s}, k, func(pos int, c Code, rc bool) { got = append(got, window{pos, c, rc}) }); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("k=%d read %v: %d windows, want %d", k, s, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("k=%d read %v: window %d = %+v, want %+v", k, s, i, got[i], want[i])
+				}
+			}
+		}
+		if palindromes > 0 {
+			t.Fatalf("k=%d: the palindrome fixture holds no palindromic window", k)
+		}
+	}
+}

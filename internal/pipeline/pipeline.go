@@ -1,13 +1,16 @@
 // Package pipeline implements DiBELLA's stages 1-2 as a distributed SPMD
-// program on the rt.Runtime interface (paper §3): each rank extracts
-// k-mers from its own read partition, canonical k-mers are routed to hash
-// owners in an irregular all-to-all, the owners build the global histogram
-// and apply the reliable-frequency window, retained occurrence lists turn
-// into candidate pairs, pairs are deduplicated at hash owners (keeping the
-// smallest-code seed, matching the serial reference exactly), and finally
-// the tasks are redistributed to read owners under the owner invariant
-// with count balancing ("the tasks are roughly balanced across the
-// processors").
+// program on the rt.Runtime interface (paper §3), as a sort over flat
+// fixed-width records: each rank turns every k-mer instance of its own
+// reads into one 16-byte occurrence record routed to the canonical code's
+// hash owner in an irregular all-to-all; the owner radix-sorts what it
+// received by code and scans the runs — a run's length is the k-mer's
+// global count, tested once against the reliable-frequency window, and a
+// retained run's first occurrence per read turns into candidate pairs;
+// pairs are deduplicated at hash owners by sorting on the pair and keeping
+// each run's smallest-code seed (matching the serial reference exactly,
+// and yielding pair order); finally the tasks are redistributed to read
+// owners under the owner invariant with count balancing ("the tasks are
+// roughly balanced across the processors").
 //
 // The union of every rank's output tasks equals overlap.FromReadSet's
 // serial result — seed for seed — which the tests enforce.
@@ -15,25 +18,15 @@ package pipeline
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"gnbody/internal/kmer"
 	"gnbody/internal/overlap"
-	"gnbody/internal/partition"
 	"gnbody/internal/rt"
 	"gnbody/internal/seq"
 )
-
-// Input is one rank's view of the stage-1/2 problem.
-type Input struct {
-	Part  *partition.Partition
-	Store seq.Store // owner-only read store; this rank scans only its range
-	Lens  []int32   // global read lengths (stage-1 metadata)
-	K     int
-	Lo    int // reliable-frequency window
-	Hi    int
-}
 
 // Output is the rank's share of the discovered work.
 type Output struct {
@@ -47,25 +40,123 @@ type Output struct {
 	PairsOwned     int64 // deduplicated pairs this rank arbitrated
 }
 
-// occWire is the wire size of one k-mer occurrence record:
-// 8B code + 4B read + 4B pos + 1B strand.
-const occWire = 17
+// occRec is one k-mer instance, in memory and (little-endian, in field
+// order) on the wire: 8B canonical code + 4B read + 4B pos<<1|rc.
+type occRec struct {
+	code  uint64
+	read  uint32
+	posRC uint32
+}
 
-// taskWire is the wire size of one candidate record:
-// 8B code + 4B a + 4B b + 4B posA + 4B posB + 2B k + 1B rc.
-const taskWire = 27
+const (
+	occWire = 16
+	// taskWire is one task record: 4B a + 4B b + 4B posA + 4B posB<<1|rc
+	// (k is the plan's). candWire is a candidate: the 8B code that seeded
+	// it, then the task record.
+	taskWire = 16
+	candWire = 8 + taskWire
+)
 
-// keyedTask pairs a candidate with the canonical code that produced it
+// candRec is a candidate pair and the canonical code that produced it
 // (dedup keeps the smallest code's seed).
-type keyedTask struct {
+type candRec struct {
 	code uint64
 	task overlap.Task
 }
 
-// hashOwner routes a 64-bit key to a rank.
-func hashOwner(key uint64, p int) int {
-	return int(splitmix(key) % uint64(p))
+// WireError reports a discover frame from a peer that cannot be used: a
+// ragged length, or a record that no scan of the plan's reads produces.
+type WireError struct {
+	Record string // "occurrence", "candidate", "task" or "count"
+	From   int    // the sending rank
+	Reason string
 }
+
+func (e *WireError) Error() string {
+	return fmt.Sprintf("pipeline: %s list from rank %d: %s", e.Record, e.From, e.Reason)
+}
+
+// decodeFrames decodes each size-byte record of each rank's frame with
+// rec, in rank order. A frame that is not whole records, or a record rec
+// rejects, is a *WireError naming the rank that sent it.
+func decodeFrames[T any](record string, frames [][]byte, size int, rec func([]byte) (T, bool)) ([]T, error) {
+	n := 0
+	for _, buf := range frames {
+		n += len(buf) / size
+	}
+	out := make([]T, 0, n)
+	for from, buf := range frames {
+		if len(buf)%size != 0 {
+			return nil, &WireError{record, from, fmt.Sprintf("ragged: %d bytes, %d per record", len(buf), size)}
+		}
+		for ; len(buf) > 0; buf = buf[size:] {
+			v, ok := rec(buf[:size])
+			if !ok {
+				return nil, &WireError{record, from, fmt.Sprintf("bad record % x", buf[:size])}
+			}
+			out = append(out, v)
+		}
+	}
+	return out, nil
+}
+
+// decodeOccs decodes a round of occurrence frames, checking what the run
+// scan relies on: codes within 2k bits, windows inside their reads, and
+// (read, pos) strictly ascending throughout. The last is the ordering
+// contract that lets a stable sort by code stand in for a sort by (code,
+// read, pos): ranks own contiguous ascending read ranges (Partition.Range),
+// scan them in order, and their frames are decoded in rank order.
+func decodeOccs(frames [][]byte, lens []int32, k int) ([]occRec, error) {
+	next := uint64(0) // the smallest (read, pos) the next record may carry
+	return decodeFrames("occurrence", frames, occWire, func(b []byte) (occRec, bool) {
+		o := occRec{binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint32(b[8:]), binary.LittleEndian.Uint32(b[12:])}
+		at := uint64(o.read)<<32 | uint64(o.posRC>>1)
+		ok := o.code>>(2*uint(k)) == 0 && int(o.read) < len(lens) && int(o.posRC>>1)+k <= int(lens[o.read]) && at >= next
+		next = at + 1
+		return o, ok
+	})
+}
+
+// putTask appends t's task record to buf.
+func putTask(buf []byte, t overlap.Task) []byte {
+	posRC := uint32(t.Seed.PosB) << 1
+	if t.Seed.RC {
+		posRC |= 1
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.A))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.B))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.Seed.PosA))
+	return binary.LittleEndian.AppendUint32(buf, posRC)
+}
+
+// getTask decodes a task record and reports whether it is one discovery
+// can emit: A < B, both seed windows inside their reads.
+func getTask(b []byte, lens []int32, k int) (overlap.Task, bool) {
+	posRC := binary.LittleEndian.Uint32(b[12:])
+	t := overlap.Task{
+		A:    seq.ReadID(binary.LittleEndian.Uint32(b)),
+		B:    seq.ReadID(binary.LittleEndian.Uint32(b[4:])),
+		Seed: overlap.Seed{PosA: int32(binary.LittleEndian.Uint32(b[8:])), PosB: int32(posRC >> 1), K: int16(k), RC: posRC&1 == 1},
+	}
+	return t, t.A < t.B && int(t.B) < len(lens) && t.Seed.PosA >= 0 &&
+		int(t.Seed.PosA)+k <= int(lens[t.A]) && int(t.Seed.PosB)+k <= int(lens[t.B])
+}
+
+// decodeCands decodes a round of candidate frames.
+func decodeCands(frames [][]byte, lens []int32, k int) ([]candRec, error) {
+	return decodeFrames("candidate", frames, candWire, func(b []byte) (candRec, bool) {
+		t, ok := getTask(b[8:], lens, k)
+		return candRec{binary.LittleEndian.Uint64(b), t}, ok
+	})
+}
+
+// decodeTasks decodes a round of redistributed task frames.
+func decodeTasks(frames [][]byte, lens []int32, k int) ([]overlap.Task, error) {
+	return decodeFrames("task", frames, taskWire, func(b []byte) (overlap.Task, bool) { return getTask(b, lens, k) })
+}
+
+// hashOwner routes a 64-bit key to a rank.
+func hashOwner(key uint64, p int) int { return int(splitmix(key) % uint64(p)) }
 
 func splitmix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
@@ -74,282 +165,225 @@ func splitmix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Run executes stages 1-2 on one rank. Collective: all ranks call it.
-func Run(r rt.Runtime, in *Input) (*Output, error) {
-	if in.K <= 0 || in.K > kmer.MaxK {
-		return nil, fmt.Errorf("pipeline: k=%d out of range", in.K)
-	}
-	if in.Lo < 2 {
-		in.Lo = 2
+// Run executes one rank's share of stages 1-2 under the plan. Collective:
+// all ranks call it, each with its own owner-only store; a plan may run on
+// a world that has already run others, with no reset in between. A bad
+// frame from a peer is remembered, not returned at once: the rank still
+// enters every remaining round, with nothing to send, so that no peer is
+// left waiting in a collective, and reports its errors last.
+func (pl *Plan) Run(r rt.Runtime, store seq.Store) (*Output, error) {
+	if pl.K <= 0 || pl.K > kmer.MaxK {
+		return nil, fmt.Errorf("pipeline: k=%d out of range", pl.K)
 	}
 	out := &Output{}
 	p := r.Size()
+	var fail error
 
 	// --- Stage: local k-mer extraction, routed by canonical-code hash. ---
-	var sendOcc [][]byte
+	sendOcc := make([][]byte, p)
 	r.Timed(rt.CatOverhead, func() {
-		sendOcc = make([][]byte, p)
-		lo, hi := in.Part.Range(r.Rank())
-		perRead := make(map[kmer.Code]struct{})
-		for i := lo; i < hi; i++ {
-			read := in.Store.Get(seq.ReadID(i))
-			// keepPerRead=1: only a read's first occurrence of each code
-			// seeds candidates (one seed per candidate overlap, §4).
-			// All occurrences of a (code, read) pair originate here, so
-			// local dedup is global dedup.
-			for k := range perRead {
-				delete(perRead, k)
-			}
-			err := kmer.Scan(read, in.K, func(pos int, c kmer.Code, rc bool) {
+		lo, hi := pl.Part.Range(r.Rank())
+		bases := 0
+		for _, l := range pl.Lens[lo:hi] {
+			bases += int(l)
+		}
+		for dst := range sendOcc { // an even share plus an eighth: growth is the exception
+			sendOcc[dst] = make([]byte, 0, occWire*(bases/p+bases/(8*p)+8))
+		}
+		for i := lo; i < hi && fail == nil; i++ {
+			fail = kmer.Scan(store.Get(seq.ReadID(i)), pl.K, func(pos int, c kmer.Code, rc bool) {
 				out.KmersExtracted++
-				if _, dup := perRead[c]; dup {
-					return
-				}
-				perRead[c] = struct{}{}
-				dst := hashOwner(uint64(c), p)
-				var rec [occWire]byte
-				binary.LittleEndian.PutUint64(rec[0:], uint64(c))
-				binary.LittleEndian.PutUint32(rec[8:], uint32(read.ID))
-				binary.LittleEndian.PutUint32(rec[12:], uint32(pos))
+				posRC := uint32(pos) << 1
 				if rc {
-					rec[16] = 1
+					posRC |= 1
 				}
-				sendOcc[dst] = append(sendOcc[dst], rec[:]...)
+				dst := hashOwner(uint64(c), p)
+				buf := binary.LittleEndian.AppendUint64(sendOcc[dst], uint64(c))
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(i))
+				sendOcc[dst] = binary.LittleEndian.AppendUint32(buf, posRC)
 			})
-			if err != nil {
-				panic(err) // K validated above
-			}
 		}
 	})
 	recvOcc := r.Alltoallv(sendOcc)
 
-	// --- Stage: histogram + reliable window + candidate generation. ---
-	var sendTask [][]byte
-	var perr error
+	// --- Stage: sort by code; a run is a k-mer, its length the global count. ---
+	sendTask := make([][]byte, p)
 	r.Timed(rt.CatOverhead, func() {
-		index := make(map[kmer.Code][]kmer.Occurrence)
-		for src, buf := range recvOcc {
-			if len(buf)%occWire != 0 {
-				perr = fmt.Errorf("pipeline: rank %d: ragged occurrence list from %d", r.Rank(), src)
-				return
-			}
-			for off := 0; off < len(buf); off += occWire {
-				c := kmer.Code(binary.LittleEndian.Uint64(buf[off:]))
-				occ := kmer.Occurrence{
-					Read: seq.ReadID(binary.LittleEndian.Uint32(buf[off+8:])),
-					Pos:  int32(binary.LittleEndian.Uint32(buf[off+12:])),
-					RC:   buf[off+16] == 1,
-				}
-				index[c] = append(index[c], occ)
-			}
+		recs, err := decodeOccs(recvOcc, pl.Lens, pl.K)
+		if fail = errors.Join(fail, err); fail != nil {
+			return
 		}
-		out.KmersOwned = int64(len(index))
-
-		// Deterministic order and the exact pairing rule of the serial
-		// reference: sorted codes; occurrences sorted by (read, pos).
-		codes := make([]uint64, 0, len(index))
-		for c := range index {
-			codes = append(codes, uint64(c))
-		}
-		sort.Slice(codes, func(i, j int) bool { return codes[i] < codes[j] })
-		sendTask = make([][]byte, p)
-		for _, cu := range codes {
-			occ := index[kmer.Code(cu)]
-			if len(occ) < in.Lo || len(occ) > in.Hi {
+		recs = sortByCode(recs, make([]occRec, len(recs)), 2*pl.K)
+		lo := max(pl.Lo, 2) // a k-mer must occur twice to pair anything
+		for len(recs) > 0 {
+			count := 1
+			for count < len(recs) && recs[count].code == recs[0].code {
+				count++
+			}
+			run := recs[:count]
+			recs = recs[count:]
+			out.KmersOwned++
+			if count < lo || count > pl.Hi {
 				continue
 			}
 			out.KmersRetained++
-			sort.Slice(occ, func(i, j int) bool {
-				if occ[i].Read != occ[j].Read {
-					return occ[i].Read < occ[j].Read
+			// keepPerRead=1: only a read's first occurrence of each code
+			// seeds candidates (one seed per candidate overlap, §4). The run
+			// is in (read, pos) order, so that is the first of each read.
+			reads := 1
+			for _, o := range run[1:] {
+				if o.read != run[reads-1].read {
+					run[reads] = o
+					reads++
 				}
-				return occ[i].Pos < occ[j].Pos
-			})
-			for i := 0; i < len(occ); i++ {
-				for j := i + 1; j < len(occ); j++ {
-					a, b := occ[i], occ[j]
-					if a.Read == b.Read {
-						continue
-					}
-					if a.Read > b.Read {
-						a, b = b, a
-					}
-					rc := a.RC != b.RC
-					posB := b.Pos
-					if rc {
-						posB = in.Lens[b.Read] - b.Pos - int32(in.K)
+			}
+			for i, a := range run[:reads] {
+				for _, b := range run[i+1 : reads] { // a.read < b.read
+					t := overlap.Task{A: seq.ReadID(a.read), B: seq.ReadID(b.read), Seed: overlap.Seed{
+						PosA: int32(a.posRC >> 1), PosB: int32(b.posRC >> 1), K: int16(pl.K), RC: (a.posRC^b.posRC)&1 == 1}}
+					if t.Seed.RC {
+						t.Seed.PosB = pl.Lens[b.read] - t.Seed.PosB - int32(pl.K)
 					}
 					out.PairsEmitted++
-					key := uint64(a.Read)<<32 | uint64(b.Read)
-					dst := hashOwner(key, p)
-					var rec [taskWire]byte
-					binary.LittleEndian.PutUint64(rec[0:], cu)
-					binary.LittleEndian.PutUint32(rec[8:], uint32(a.Read))
-					binary.LittleEndian.PutUint32(rec[12:], uint32(b.Read))
-					binary.LittleEndian.PutUint32(rec[16:], uint32(a.Pos))
-					binary.LittleEndian.PutUint32(rec[20:], uint32(posB))
-					binary.LittleEndian.PutUint16(rec[24:], uint16(in.K))
-					if rc {
-						rec[26] = 1
-					}
-					sendTask[dst] = append(sendTask[dst], rec[:]...)
+					dst := hashOwner(t.Key(), p)
+					sendTask[dst] = putTask(binary.LittleEndian.AppendUint64(sendTask[dst], a.code), t)
 				}
 			}
 		}
 	})
-	if perr != nil {
-		return nil, perr
-	}
 	recvTask := r.Alltoallv(sendTask)
 
 	// --- Stage: pair dedup (min-code seed wins, as in the serial path). ---
-	var deduped []keyedTask
+	var deduped []overlap.Task
 	r.Timed(rt.CatOverhead, func() {
-		best := make(map[uint64]keyedTask)
-		for _, buf := range recvTask {
-			for off := 0; off+taskWire <= len(buf); off += taskWire {
-				code := binary.LittleEndian.Uint64(buf[off:])
-				t := overlap.Task{
-					A: seq.ReadID(binary.LittleEndian.Uint32(buf[off+8:])),
-					B: seq.ReadID(binary.LittleEndian.Uint32(buf[off+12:])),
-					Seed: overlap.Seed{
-						PosA: int32(binary.LittleEndian.Uint32(buf[off+16:])),
-						PosB: int32(binary.LittleEndian.Uint32(buf[off+20:])),
-						K:    int16(binary.LittleEndian.Uint16(buf[off+24:])),
-						RC:   buf[off+26] == 1,
-					},
+		cands, err := decodeCands(recvTask, pl.Lens, pl.K)
+		if fail = errors.Join(fail, err); fail != nil {
+			return
+		}
+		// The occurrence sort again, on 16-byte handles: code holds the pair
+		// as the dense key A·reads+B, read the candidate's index. A run is
+		// one pair; its smallest-code candidate wins.
+		nreads := uint64(len(pl.Lens))
+		handles := make([]occRec, len(cands))
+		for i, c := range cands {
+			handles[i] = occRec{code: uint64(c.task.A)*nreads + uint64(c.task.B), read: uint32(i)}
+		}
+		handles = sortByCode(handles, make([]occRec, len(cands)), 2*bits.Len64(nreads))
+		deduped = make([]overlap.Task, 0, len(cands))
+		var best uint64 // the current pair's smallest code so far
+		for i, h := range handles {
+			c := cands[h.read]
+			if i > 0 && h.code == handles[i-1].code {
+				if c.code < best {
+					deduped[len(deduped)-1], best = c.task, c.code
 				}
-				cur, seen := best[t.Key()]
-				if !seen || code < cur.code {
-					best[t.Key()] = keyedTask{code: code, task: t}
-				}
+				continue
 			}
+			deduped, best = append(deduped, c.task), c.code
 		}
-		out.PairsOwned = int64(len(best))
-		deduped = make([]keyedTask, 0, len(best))
-		for _, kt := range best {
-			deduped = append(deduped, kt)
-		}
-		sort.Slice(deduped, func(i, j int) bool {
-			return deduped[i].task.Key() < deduped[j].task.Key()
-		})
+		out.PairsOwned = int64(len(deduped))
 	})
 
 	// --- Stage: task redistribution to read owners, count-balanced. ---
-	tasks, err := redistribute(r, in, deduped)
-	if err != nil {
+	tasks, err := redistribute(r, pl, deduped)
+	if err = errors.Join(fail, err); err != nil {
 		return nil, err
 	}
 	out.Tasks = tasks
 	return out, nil
 }
 
-// redistribute sends each deduplicated task to the owner of one of its
-// reads, balancing counts: a hash parity picks the initial owner (an
-// unbiased even split of every rank's eligibility), then one global
-// refinement round moves surplus tasks from overloaded ranks toward their
-// alternative owner in proportion to the measured imbalance.
-func redistribute(r rt.Runtime, in *Input, deduped []keyedTask) ([]overlap.Task, error) {
+// radixBits is the digit width of sortByCode: a 34-bit code (k=17, the
+// paper's k) takes three passes, and 2^12 counters still sit in L1.
+const radixBits = 12
+
+// sortByCode stable-sorts recs by the low width bits of code with an LSD
+// radix sort, ping-ponging between recs and tmp (equal lengths), and
+// returns whichever of the two holds the result.
+func sortByCode(recs, tmp []occRec, width int) []occRec {
+	var count [1 << radixBits]int
+	for shift := 0; shift < width; shift += radixBits {
+		clear(count[:])
+		for i := range recs {
+			count[recs[i].code>>shift&(1<<radixBits-1)]++
+		}
+		sum := 0
+		for d, c := range count {
+			count[d], sum = sum, sum+c
+		}
+		for i := range recs {
+			d := recs[i].code >> shift & (1<<radixBits - 1)
+			tmp[count[d]] = recs[i]
+			count[d]++
+		}
+		recs, tmp = tmp, recs
+	}
+	return recs
+}
+
+// redistribute sends each deduplicated task (in pair-key order) to the
+// owner of one of its reads, balancing counts: a hash parity picks the
+// initial owner (an unbiased even split of every rank's eligibility), then
+// one global refinement round moves surplus tasks from overloaded ranks
+// toward their alternative owner in proportion to the measured imbalance.
+// Like Run, it enters all three rounds whatever it decodes on the way.
+func redistribute(r rt.Runtime, pl *Plan, deduped []overlap.Task) ([]overlap.Task, error) {
 	p := r.Size()
-	encode := func(dst [][]byte, t overlap.Task, owner int) {
-		var rec [taskWire - 8]byte
-		binary.LittleEndian.PutUint32(rec[0:], uint32(t.A))
-		binary.LittleEndian.PutUint32(rec[4:], uint32(t.B))
-		binary.LittleEndian.PutUint32(rec[8:], uint32(t.Seed.PosA))
-		binary.LittleEndian.PutUint32(rec[12:], uint32(t.Seed.PosB))
-		binary.LittleEndian.PutUint16(rec[16:], uint16(t.Seed.K))
-		if t.Seed.RC {
-			rec[18] = 1
-		}
-		dst[owner] = append(dst[owner], rec[:]...)
-	}
-	decode := func(bufs [][]byte) ([]overlap.Task, error) {
-		var out []overlap.Task
-		for src, buf := range bufs {
-			if len(buf)%(taskWire-8) != 0 {
-				return nil, fmt.Errorf("pipeline: rank %d: ragged task list from %d", r.Rank(), src)
-			}
-			for off := 0; off < len(buf); off += taskWire - 8 {
-				out = append(out, overlap.Task{
-					A: seq.ReadID(binary.LittleEndian.Uint32(buf[off:])),
-					B: seq.ReadID(binary.LittleEndian.Uint32(buf[off+4:])),
-					Seed: overlap.Seed{
-						PosA: int32(binary.LittleEndian.Uint32(buf[off+8:])),
-						PosB: int32(binary.LittleEndian.Uint32(buf[off+12:])),
-						K:    int16(binary.LittleEndian.Uint16(buf[off+16:])),
-						RC:   buf[off+18] == 1,
-					},
-				})
-			}
-		}
-		return out, nil
-	}
 
 	// Initial split: hash parity chooses owner(A) vs owner(B).
 	send := make([][]byte, p)
-	for _, kt := range deduped {
-		t := kt.task
-		owner := in.Part.Owner(t.A)
-		if alt := in.Part.Owner(t.B); alt != owner && splitmix(t.Key())&1 == 1 {
+	for _, t := range deduped {
+		owner := pl.Part.Owner(t.A)
+		if alt := pl.Part.Owner(t.B); alt != owner && splitmix(t.Key())&1 == 1 {
 			owner = alt
 		}
-		encode(send, t, owner)
+		send[owner] = putTask(send[owner], t)
 	}
-	mine, err := decode(r.Alltoallv(send))
-	if err != nil {
-		return nil, err
-	}
+	mine, err1 := decodeTasks(r.Alltoallv(send), pl.Lens, pl.K)
 
 	// Refinement: learn everyone's counts (an allgather via alltoallv),
 	// then overloaded ranks push surplus toward underloaded alternates.
-	counts, err := allgatherCounts(r, int64(len(mine)))
-	if err != nil {
-		return nil, err
-	}
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	mean := total / int64(p)
-	surplus := int64(len(mine)) - mean
+	counts, err2 := allgatherCounts(r, int64(len(mine)))
 	moved := make([][]byte, p)
 	var kept []overlap.Task
-	for _, t := range mine {
-		ra, rb := in.Part.Owner(t.A), in.Part.Owner(t.B)
-		alt := ra
-		if ra == r.Rank() {
-			alt = rb
+	if err1 == nil && err2 == nil {
+		var total int64
+		for _, c := range counts {
+			total += c
 		}
-		if surplus > 0 && alt != r.Rank() && counts[alt] < mean {
-			encode(moved, t, alt)
-			surplus--
-			continue
+		mean := total / int64(p)
+		surplus := int64(len(mine)) - mean
+		for _, t := range mine {
+			ra, rb := pl.Part.Owner(t.A), pl.Part.Owner(t.B)
+			alt := ra
+			if ra == r.Rank() {
+				alt = rb
+			}
+			if surplus > 0 && alt != r.Rank() && counts[alt] < mean {
+				moved[alt] = putTask(moved[alt], t)
+				surplus--
+				continue
+			}
+			kept = append(kept, t)
 		}
-		kept = append(kept, t)
 	}
-	incoming, err := decode(r.Alltoallv(moved))
-	if err != nil {
-		return nil, err
-	}
+	incoming, err3 := decodeTasks(r.Alltoallv(moved), pl.Lens, pl.K)
 	kept = append(kept, incoming...)
 	overlap.SortTasks(kept)
-	return kept, nil
+	return kept, errors.Join(err1, err2, err3)
 }
 
 // allgatherCounts shares every rank's task count via a tiny alltoallv.
 func allgatherCounts(r rt.Runtime, mine int64) ([]int64, error) {
-	p := r.Size()
-	send := make([][]byte, p)
-	var rec [8]byte
-	binary.LittleEndian.PutUint64(rec[:], uint64(mine))
-	for dst := 0; dst < p; dst++ {
-		send[dst] = rec[:]
+	send := make([][]byte, r.Size())
+	rec := binary.LittleEndian.AppendUint64(nil, uint64(mine))
+	for dst := range send {
+		send[dst] = rec
 	}
-	recv := r.Alltoallv(send)
-	counts := make([]int64, p)
-	for src, buf := range recv {
-		if len(buf) != 8 {
-			return nil, fmt.Errorf("pipeline: rank %d: bad count from %d", r.Rank(), src)
+	counts := make([]int64, len(send))
+	for src, buf := range r.Alltoallv(send) {
+		if len(buf) != len(rec) {
+			return nil, &WireError{"count", src, fmt.Sprintf("%d bytes", len(buf))}
 		}
 		counts[src] = int64(binary.LittleEndian.Uint64(buf))
 	}

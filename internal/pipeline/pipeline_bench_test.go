@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"gnbody/internal/par"
-	"gnbody/internal/partition"
 	"gnbody/internal/rt"
 	"gnbody/internal/workload"
 )
@@ -15,15 +14,8 @@ func BenchmarkDistributedStages(b *testing.B) {
 		b.Fatal(err)
 	}
 	lens := workload.LensOf(reads)
-	lensInt := make([]int, len(lens))
-	for i, l := range lens {
-		lensInt[i] = int(l)
-	}
 	const p = 4
-	pt, err := partition.BySize(lensInt, p)
-	if err != nil {
-		b.Fatal(err)
-	}
+	pt := sizePartition(b, lens, p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		world, err := par.NewWorld(par.Config{P: p})
@@ -33,7 +25,7 @@ func BenchmarkDistributedStages(b *testing.B) {
 		var total int64
 		outs := make([]*Output, p)
 		world.Run(func(r rt.Runtime) {
-			out, err := Run(r, &Input{Part: pt, Store: scopeRank(r, pt, reads, lens), Lens: lens, K: 15, Lo: 2, Hi: 60})
+			out, err := (&Plan{Part: pt, Lens: lens, K: 15, Lo: 2, Hi: 60}).Run(r, scopeRank(r, pt, reads, lens))
 			if err != nil {
 				b.Error(err)
 				return

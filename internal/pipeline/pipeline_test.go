@@ -1,8 +1,14 @@
 package pipeline
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
+	"gnbody/internal/genome"
 	"gnbody/internal/kmer"
 	"gnbody/internal/overlap"
 	"gnbody/internal/par"
@@ -22,9 +28,29 @@ func scopeRank(r rt.Runtime, pt *partition.Partition, reads *seq.ReadSet, lens [
 
 // runDistributed executes stages 1-2 on the real runtime and gathers the
 // per-rank outputs.
-func runDistributed(t *testing.T, reads *seq.ReadSet, p, k, lo, hi int) ([]*Output, *partition.Partition) {
+func runDistributed(t testing.TB, reads *seq.ReadSet, p, k, lo, hi int) ([]*Output, *partition.Partition) {
 	t.Helper()
 	lens := workload.LensOf(reads)
+	pt := sizePartition(t, lens, p)
+	world, err := par.NewWorld(par.Config{P: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs := make([]*Output, p)
+	errs := make([]error, p)
+	world.Run(func(r rt.Runtime) {
+		outs[r.Rank()], errs[r.Rank()] = (&Plan{Part: pt, Lens: lens, K: k, Lo: lo, Hi: hi}).Run(r, scopeRank(r, pt, reads, lens))
+	})
+	for rk, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", rk, err)
+		}
+	}
+	return outs, pt
+}
+
+func sizePartition(t testing.TB, lens []int32, p int) *partition.Partition {
+	t.Helper()
 	lensInt := make([]int, len(lens))
 	for i, l := range lens {
 		lensInt[i] = int(l)
@@ -33,23 +59,7 @@ func runDistributed(t *testing.T, reads *seq.ReadSet, p, k, lo, hi int) ([]*Outp
 	if err != nil {
 		t.Fatal(err)
 	}
-	world, err := par.NewWorld(par.Config{P: p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs := make([]*Output, p)
-	errs := make([]error, p)
-	world.Run(func(r rt.Runtime) {
-		outs[r.Rank()], errs[r.Rank()] = Run(r, &Input{
-			Part: pt, Store: scopeRank(r, pt, reads, lens), Lens: lens, K: k, Lo: lo, Hi: hi,
-		})
-	})
-	for rk, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", rk, err)
-		}
-	}
-	return outs, pt
+	return pt
 }
 
 func pipelineReads(t *testing.T, seed int64) *seq.ReadSet {
@@ -61,40 +71,170 @@ func pipelineReads(t *testing.T, seed int64) *seq.ReadSet {
 	return reads
 }
 
-// The central pipeline invariant: the union of all ranks' tasks equals the
-// serial reference, seed for seed, for any rank count.
-func TestDistributedMatchesSerial(t *testing.T) {
-	reads := pipelineReads(t, 1)
-	const k, lo, hi = 15, 2, 60
-	idx, err := kmer.Index(reads, k, lo, hi, 1)
+// mixedReads is a small read set with everything the scan and the run
+// scan must get right: both strands, substitution/indel/N errors, runs of N
+// that restart the encoder, a read shorter than any k, a genome repeat
+// (k-mers with several instances in one read, the whole genome being read
+// 0), and a last read of unrelated bases long enough that BySize leaves the
+// last of eight ranks an empty range.
+func mixedReads(t testing.TB, seed int64) *seq.ReadSet {
+	t.Helper()
+	g := genome.Generate(genome.Config{Length: 5000, RepeatLen: 120, RepeatCopies: 3, Seed: seed})
+	smp, err := genome.NewSampler(g, genome.ReadConfig{
+		Coverage: 9, MeanLen: 700, SigmaLog: 0.3, BothStrands: true, Seed: seed + 1,
+		Errors: genome.ErrorModel{Substitution: 0.02, Insertion: 0.015, Deletion: 0.01, NRate: 0.002},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := overlap.Candidates(idx, k, func(id seq.ReadID) int { return reads.Get(id).Len() })
-	overlap.SortTasks(want)
-	if len(want) == 0 {
-		t.Fatal("serial reference found no candidates")
+	sampled, _ := smp.Sample()
+	rng := rand.New(rand.NewSource(seed + 2))
+	seqs := []seq.Seq{append(seq.Seq(nil), g...), g[100:110]}
+	for i := range sampled.Reads {
+		s := sampled.Reads[i].Seq
+		if i%4 == 0 && len(s) > 100 { // an N run somewhere inside
+			at := rng.Intn(len(s) - 40)
+			for j := at; j < at+2+rng.Intn(30); j++ {
+				s[j] = seq.N
+			}
+		}
+		seqs = append(seqs, s)
 	}
-	for _, p := range []int{1, 2, 5, 9} {
-		outs, pt := runDistributed(t, reads, p, k, lo, hi)
-		var got []overlap.Task
-		for rk, out := range outs {
-			for _, task := range out.Tasks {
-				if pt.Owner(task.A) != rk && pt.Owner(task.B) != rk {
-					t.Fatalf("P=%d: rank %d violates the owner invariant with %+v", p, rk, task)
+	junk := make(seq.Seq, 20000)
+	for i := range junk {
+		junk[i] = seq.Base(rng.Intn(4))
+	}
+	return seq.NewReadSet(append(seqs, junk))
+}
+
+// serialTasks is the oracle: overlap.FromReadSet, sorted.
+func serialTasks(t testing.TB, reads *seq.ReadSet, k, lo, hi int) []overlap.Task {
+	t.Helper()
+	want, _, _, err := overlap.FromReadSet(reads, overlap.Config{K: k, Lo: lo, Hi: hi})
+	if err != nil {
+		t.Fatal(err)
+	}
+	overlap.SortTasks(want)
+	return want
+}
+
+// unionTasks gathers every rank's tasks, checking the owner invariant.
+func unionTasks(t testing.TB, outs []*Output, pt *partition.Partition) []overlap.Task {
+	t.Helper()
+	var got []overlap.Task
+	for rk, out := range outs {
+		for _, task := range out.Tasks {
+			if pt.Owner(task.A) != rk && pt.Owner(task.B) != rk {
+				t.Fatalf("P=%d: rank %d violates the owner invariant with %+v", pt.P, rk, task)
+			}
+		}
+		got = append(got, out.Tasks...)
+	}
+	overlap.SortTasks(got)
+	return got
+}
+
+func sameTasks(t testing.TB, label string, got, want []overlap.Task) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d tasks, serial %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: task %d = %+v, serial %+v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// The central pipeline invariant: the union of all ranks' tasks equals the
+// serial reference, seed for seed, for any rank count and any k (even k
+// has palindromic k-mers). The window's upper edge is low enough to drop
+// the repeat's k-mers, so both of its tests are exercised.
+func TestDistributedMatchesSerial(t *testing.T) {
+	const lo, hi = 2, 12
+	for seed := int64(1); seed <= 3; seed++ {
+		reads := mixedReads(t, seed)
+		for _, k := range []int{15, 16, 17} {
+			want := serialTasks(t, reads, k, lo, hi)
+			var rc, dropped int
+			for _, task := range want {
+				if task.Seed.RC {
+					rc++
 				}
 			}
-			got = append(got, out.Tasks...)
-		}
-		overlap.SortTasks(got)
-		if len(got) != len(want) {
-			t.Fatalf("P=%d: %d tasks, serial %d", p, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("P=%d: task %d = %+v, serial %+v", p, i, got[i], want[i])
+			if h, err := kmer.CountSet(reads, k); err != nil {
+				t.Fatal(err)
+			} else {
+				for _, n := range h {
+					if n > hi {
+						dropped++
+					}
+				}
+			}
+			if rc == 0 || rc == len(want) || dropped == 0 {
+				t.Fatalf("seed %d k=%d: %d tasks, %d opposite-strand, %d k-mers over the window: the fixture lost a case",
+					seed, k, len(want), rc, dropped)
+			}
+			for _, p := range []int{1, 2, 3, 5, 8} {
+				outs, pt := runDistributed(t, reads, p, k, lo, hi)
+				if p == 8 {
+					if l, h := pt.Range(7); l != h {
+						t.Fatalf("rank 7 of 8 owns [%d,%d): the fixture lost its empty range", l, h)
+					}
+				}
+				sameTasks(t, fmt.Sprintf("seed %d P=%d k=%d", seed, p, k), unionTasks(t, outs, pt), want)
 			}
 		}
+	}
+}
+
+// The frequency window counts k-mer instances, as kmer.Index does — not
+// distinct reads. X sits twice in read 0 and once in reads 1 and 2: four
+// instances on three reads, outside the window [2,3], so the three pairs
+// must be seeded by X's neighbour Y (three instances), one base on.
+func TestWindowCountsInstances(t *testing.T) {
+	const k, lo, hi = 15, 2, 3
+	rng := rand.New(rand.NewSource(7))
+	random := func(n int) seq.Seq {
+		s := make(seq.Seq, n)
+		for i := range s {
+			s[i] = seq.Base(rng.Intn(4))
+		}
+		return s
+	}
+	join := func(parts ...seq.Seq) seq.Seq {
+		var s seq.Seq
+		for _, part := range parts {
+			s = append(s, part...)
+		}
+		return s
+	}
+	var shared seq.Seq // X = shared[:k], Y = shared[1:]; X must be the smaller seed to matter
+	code := func(i int) kmer.Code { return kmer.Canonical(kmer.Encode(shared, i, k), k) }
+	for shared = random(k + 1); code(0) >= code(1); shared = random(k + 1) {
+	}
+	// Each copy sits between bases no other copy has, so that X and Y are
+	// all the reads share: X at 40, 40 and 50 (and again in read 0).
+	b := func(x seq.Base) seq.Seq { return seq.Seq{x} }
+	reads := seq.NewReadSet([]seq.Seq{
+		join(random(39), b(0), shared, b(0), random(30), b(3), shared[:k], b(3-shared[k]), random(20)),
+		join(random(39), b(1), shared, b(1), random(25)),
+		join(random(49), b(2), shared, b(2), random(35)),
+	})
+	h, err := kmer.CountSet(reads, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h[code(0)] != 4 || h[code(1)] != 3 {
+		t.Fatalf("fixture: X has %d instances (want 4), Y %d (want 3)", h[code(0)], h[code(1)])
+	}
+	want := serialTasks(t, reads, k, lo, hi)
+	if len(want) != 3 || want[0].Seed.PosA != 41 || want[1].Seed.PosA != 41 || want[2].Seed.PosA != 41 {
+		t.Fatalf("oracle: %+v, want three pairs seeded by Y at 41", want)
+	}
+	for _, p := range []int{1, 2, 3} {
+		outs, pt := runDistributed(t, reads, p, k, lo, hi)
+		sameTasks(t, "tandem fixture", unionTasks(t, outs, pt), want)
 	}
 }
 
@@ -153,18 +293,14 @@ func TestDistributedStats(t *testing.T) {
 func TestDistributedValidation(t *testing.T) {
 	reads := pipelineReads(t, 4)
 	lens := workload.LensOf(reads)
-	lensInt := make([]int, len(lens))
-	for i, l := range lens {
-		lensInt[i] = int(l)
-	}
-	pt, _ := partition.BySize(lensInt, 2)
+	pt := sizePartition(t, lens, 2)
 	world, _ := par.NewWorld(par.Config{P: 2})
 	errs := make([]error, 2)
 	world.Run(func(r rt.Runtime) {
 		if r.Rank() != 0 {
 			return
 		}
-		_, errs[0] = Run(r, &Input{Part: pt, Store: scopeRank(r, pt, reads, lens), Lens: lens, K: 0})
+		_, errs[0] = (&Plan{Part: pt, Lens: lens, K: 0}).Run(r, scopeRank(r, pt, reads, lens))
 	})
 	if errs[0] == nil {
 		t.Error("k=0 accepted")
@@ -184,11 +320,7 @@ func TestDistributedUnderSimulator(t *testing.T) {
 	overlap.SortTasks(want)
 
 	lens := workload.LensOf(reads)
-	lensInt := make([]int, len(lens))
-	for i, l := range lens {
-		lensInt[i] = int(l)
-	}
-	pt, _ := partition.BySize(lensInt, 4)
+	pt := sizePartition(t, lens, 4)
 	eng, err := sim.NewEngine(sim.Config{Machine: sim.CoriKNL(), Nodes: 2, RanksPerNode: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -196,9 +328,7 @@ func TestDistributedUnderSimulator(t *testing.T) {
 	outs := make([]*Output, 4)
 	errs := make([]error, 4)
 	if err := eng.Run(func(r rt.Runtime) {
-		outs[r.Rank()], errs[r.Rank()] = Run(r, &Input{
-			Part: pt, Store: scopeRank(r, pt, reads, lens), Lens: lens, K: k, Lo: lo, Hi: hi,
-		})
+		outs[r.Rank()], errs[r.Rank()] = (&Plan{Part: pt, Lens: lens, K: k, Lo: lo, Hi: hi}).Run(r, scopeRank(r, pt, reads, lens))
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -221,4 +351,268 @@ func TestDistributedUnderSimulator(t *testing.T) {
 	if eng.MaxClock() <= 0 {
 		t.Error("no simulated time elapsed")
 	}
+}
+
+// occFrame encodes occurrence records the way the scan does.
+func occFrame(recs ...occRec) []byte {
+	var buf []byte
+	for _, o := range recs {
+		buf = binary.LittleEndian.AppendUint64(buf, o.code)
+		buf = binary.LittleEndian.AppendUint32(buf, o.read)
+		buf = binary.LittleEndian.AppendUint32(buf, o.posRC)
+	}
+	return buf
+}
+
+// The run scan takes a run's (read, pos) order from a stable sort, which
+// rests on two things, both pinned here. Ranks own contiguous ascending
+// read ranges, empty ones included, so frames decoded in rank order are in
+// (read, pos) order; and decodeOccs refuses frames that are not — swapped
+// sources, or records out of order within one — naming the sender, so a
+// partition or transport that broke the contract could not silently move
+// a seed.
+func TestOccurrenceOrderContract(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		lens := make([]int32, 1+rng.Intn(40))
+		for i := range lens {
+			lens[i] = int32(1 + rng.Intn(5000))
+		}
+		p := 1 + rng.Intn(12)
+		pt := sizePartition(t, lens, p)
+		next := 0
+		for rk := 0; rk < p; rk++ {
+			lo, hi := pt.Range(rk)
+			if lo != next || hi < lo {
+				t.Fatalf("lens %v P=%d: rank %d owns [%d,%d) after %d", lens, p, rk, lo, hi, next)
+			}
+			next = hi
+		}
+		if next != len(lens) {
+			t.Fatalf("lens %v P=%d: ranges end at %d", lens, p, next)
+		}
+	}
+
+	const k = 5
+	lens := []int32{30, 30, 30, 30}
+	rank0 := occFrame(occRec{7, 0, 3 << 1}, occRec{9, 0, 8<<1 | 1}, occRec{7, 1, 0})
+	rank1 := occFrame(occRec{9, 2, 4 << 1}, occRec{7, 3, 25<<1 | 1})
+	decode := func(frames ...[]byte) ([]occRec, error) { return decodeOccs(frames, lens, k) }
+	recs, err := decode(rank0, nil, rank1)
+	if err != nil || len(recs) != 5 {
+		t.Fatalf("honest frames: %d records, %v", len(recs), err)
+	}
+	sorted := sortByCode(recs, make([]occRec, len(recs)), 2*k)
+	want := []occRec{{7, 0, 3 << 1}, {7, 1, 0}, {7, 3, 25<<1 | 1}, {9, 0, 8<<1 | 1}, {9, 2, 4 << 1}}
+	for i, o := range sorted {
+		if o != want[i] {
+			t.Fatalf("sorted record %d = %+v, want %+v", i, o, want[i])
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		frames [][]byte
+		from   int
+	}{
+		{"sources swapped", [][]byte{rank1, rank0}, 1},
+		{"records swapped", [][]byte{occFrame(occRec{7, 1, 0}, occRec{7, 0, 3 << 1})}, 0},
+		{"a position twice", [][]byte{occFrame(occRec{7, 0, 3 << 1}, occRec{9, 0, 3<<1 | 1})}, 0},
+		{"ragged", [][]byte{rank0, rank1[:len(rank1)-1]}, 1},
+		{"read out of range", [][]byte{occFrame(occRec{7, 4, 0})}, 0},
+		{"window past the read", [][]byte{occFrame(occRec{7, 0, 26 << 1})}, 0},
+		{"code wider than 2k bits", [][]byte{occFrame(occRec{1 << (2 * k), 0, 0})}, 0},
+	} {
+		_, err := decode(tc.frames...)
+		var we *WireError
+		if !errors.As(err, &we) || we.From != tc.from || we.Record != "occurrence" {
+			t.Errorf("%s: got %v, want an occurrence WireError from rank %d", tc.name, err, tc.from)
+		}
+	}
+}
+
+// lyingRuntime rewrites what this rank sends rank 0 in its call-th
+// Alltoallv.
+type lyingRuntime struct {
+	rt.Runtime
+	seen, call int
+	mutate     func(sent []byte) []byte
+}
+
+func (l *lyingRuntime) Alltoallv(send [][]byte) [][]byte {
+	if l.seen == l.call {
+		send = append([][]byte(nil), send...)
+		send[0] = l.mutate(send[0])
+	}
+	l.seen++
+	return l.Runtime.Alltoallv(send)
+}
+
+// A malformed frame in any of discover's record rounds — ragged, or
+// holding a record no scan produces — ends the stage with a *StageError on
+// every rank; the one that decoded it carries the *WireError naming the
+// sender, and nobody hangs in a later round.
+func TestDiscoverRejectsCorruptPeer(t *testing.T) {
+	const p, k = 3, 15
+	reads := mixedReads(t, 1)
+	lens := workload.LensOf(reads)
+	chop := func(sent []byte) []byte { return sent[:len(sent)-1] }
+	for _, tc := range []struct {
+		name, record string
+		call         int
+		mutate       func([]byte) []byte
+	}{
+		{"ragged occurrences", "occurrence", 0, chop},
+		{"occurrences out of order", "occurrence", 0, func(sent []byte) []byte {
+			return append(append([]byte(nil), sent[occWire:2*occWire]...), sent[:occWire]...)
+		}},
+		{"ragged candidates", "candidate", 1, chop},
+		{"candidate for an unknown read", "candidate", 1, func(sent []byte) []byte {
+			bad := append([]byte(nil), sent...)
+			binary.LittleEndian.PutUint32(bad[12:], uint32(len(lens)))
+			return bad
+		}},
+		{"ragged tasks", "task", 2, func(sent []byte) []byte { return append(sent, 0) }},
+		{"ragged moved tasks", "task", 4, func(sent []byte) []byte { return append(sent, 0) }},
+	} {
+		plan, err := NewPlan(lens, p, Spec{K: k, Lo: 2, Hi: 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan.Stages = []Stage{DiscoverStage{}}
+		world, err := par.NewWorld(par.Config{P: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs := make([]error, p)
+		if err := world.Run(func(r rt.Runtime) {
+			store := scopeRank(r, plan.Part, reads, lens)
+			if r.Rank() == 1 {
+				r = &lyingRuntime{Runtime: r, call: tc.call, mutate: tc.mutate}
+			}
+			_, errs[r.Rank()] = plan.RunStages(r, store, nil)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var we *WireError
+		if !errors.As(errs[0], &we) || we.From != 1 || we.Record != tc.record {
+			t.Errorf("%s: rank 0 returned %v, want a %s WireError from rank 1", tc.name, errs[0], tc.record)
+		}
+		for rk, err := range errs {
+			var se *StageError
+			if !errors.As(err, &se) || se.Stage != "discover" || (rk != 0) != (se.Err == nil) {
+				t.Errorf("%s: rank %d returned %v", tc.name, rk, err)
+			}
+		}
+	}
+}
+
+// Allocation guard: discovery allocates per rank and per buffer doubling,
+// never per k-mer. Tripling the distinct k-mers adds a few doublings.
+func TestDiscoverAllocsIndependentOfKmers(t *testing.T) {
+	perRank := func(genomeLen, p int) (allocs, extracted float64) {
+		smp, err := genome.NewSampler(genome.Generate(genome.Config{Length: genomeLen, Seed: 1}), genome.ReadConfig{
+			Coverage: 20, MeanLen: 4000, SigmaLog: 0.3, Seed: 2,
+			Errors: genome.ErrorModel{Substitution: 0.06, Insertion: 0.05, Deletion: 0.04},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads, _ := smp.Sample()
+		lens := workload.LensOf(reads)
+		pt := sizePartition(t, lens, p)
+		world, err := par.NewWorld(par.Config{P: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs := make([]*Output, p)
+		allocs = testing.AllocsPerRun(2, func() {
+			world.Run(func(r rt.Runtime) {
+				outs[r.Rank()], _ = (&Plan{Part: pt, Lens: lens, K: 15, Lo: 2, Hi: 60}).Run(r, scopeRank(r, pt, reads, lens))
+			})
+		})
+		for _, out := range outs {
+			extracted += float64(out.KmersExtracted)
+		}
+		return allocs / float64(p), extracted
+	}
+	for _, p := range []int{2, 8} {
+		small, nSmall := perRank(30000, p)
+		large, nLarge := perRank(100000, p)
+		if nLarge < 2.5*nSmall {
+			t.Fatalf("P=%d: %.0f vs %.0f k-mers: the inputs no longer differ in size", p, nSmall, nLarge)
+		}
+		if limit := 32 * (float64(p) + math.Log2(nLarge)); large > limit || large > 1.25*small {
+			t.Errorf("P=%d: %.0f allocations per rank for %.0f k-mers, %.0f for %.0f (limit %.0f and 1.25x)",
+				p, small, nSmall, large, nLarge, limit)
+		}
+	}
+}
+
+// FuzzDiscoverWire feeds arbitrary bytes to the three decoders a peer's
+// frame reaches. None may panic or index out of range; a ragged frame is a
+// *WireError naming the sender; whatever is accepted satisfies what the
+// later stages index by (reads in range, windows inside their reads) and
+// re-encodes to the bytes it came from.
+func FuzzDiscoverWire(f *testing.F) {
+	const k, from = 5, 2
+	lens := []int32{30, 8, 30, 5, 64}
+	f.Add(occFrame(occRec{7, 0, 3 << 1}, occRec{9, 2, 8<<1 | 1}))
+	f.Add(putTask(binary.LittleEndian.AppendUint64(nil, 99), overlap.Task{A: 0, B: 2, Seed: overlap.Seed{PosA: 1, PosB: 20, K: k, RC: true}}))
+	f.Add(putTask(nil, overlap.Task{A: 1, B: 4, Seed: overlap.Seed{PosA: 3, PosB: 59, K: k}}))
+	f.Add([]byte{1, 2, 3})
+	windowOK := func(t overlap.Task) bool {
+		return t.A < t.B && int(t.B) < len(lens) && t.Seed.PosA >= 0 && t.Seed.PosB >= 0 &&
+			int(t.Seed.PosA)+k <= int(lens[t.A]) && int(t.Seed.PosB)+k <= int(lens[t.B])
+	}
+	// check vets one decoder's verdict and reports whether it accepted.
+	check := func(t *testing.T, record string, size int, data []byte, err error, accepted int) bool {
+		var we *WireError
+		switch {
+		case err == nil && accepted*size != len(data):
+			t.Fatalf("%s: %d bytes accepted as %d records", record, len(data), accepted)
+		case err != nil && (!errors.As(err, &we) || we.From != from || we.Record != record):
+			t.Fatalf("%s: error %v is not a WireError from rank %d", record, err, from)
+		}
+		return err == nil
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		frames := make([][]byte, from+1)
+		frames[from] = data
+		var again []byte
+		occs, err := decodeOccs(frames, lens, k)
+		if check(t, "occurrence", occWire, data, err, len(occs)) {
+			for _, o := range occs {
+				if int(o.read) >= len(lens) || int(o.posRC>>1)+k > int(lens[o.read]) || o.code >= 1<<(2*k) {
+					t.Fatalf("accepted occurrence %+v", o)
+				}
+			}
+			if string(occFrame(occs...)) != string(data) {
+				t.Fatal("occurrences do not re-encode to their frame")
+			}
+		}
+		cands, err := decodeCands(frames, lens, k)
+		if check(t, "candidate", candWire, data, err, len(cands)) {
+			for _, c := range cands {
+				if !windowOK(c.task) {
+					t.Fatalf("accepted candidate %+v", c)
+				}
+				again = putTask(binary.LittleEndian.AppendUint64(again, c.code), c.task)
+			}
+			if string(again) != string(data) {
+				t.Fatal("candidates do not re-encode to their frame")
+			}
+		}
+		tasks, err := decodeTasks(frames, lens, k)
+		if again = nil; check(t, "task", taskWire, data, err, len(tasks)) {
+			for _, task := range tasks {
+				if !windowOK(task) {
+					t.Fatalf("accepted task %+v", task)
+				}
+				again = putTask(again, task)
+			}
+			if string(again) != string(data) {
+				t.Fatal("tasks do not re-encode to their frame")
+			}
+		}
+	})
 }

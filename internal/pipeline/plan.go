@@ -2,8 +2,8 @@
 // SPMD execution, so a resident world can be re-entered job after job: a
 // Plan is built once per job on the submitting goroutine (partition layout,
 // reliable-frequency window resolution — pure functions of the job's
-// metadata), then every rank runs Plan.Run concurrently with nothing but
-// its own store. cmd/dibella's batch path and internal/serve's resident
+// metadata), then every rank runs Plan.Run (pipeline.go) concurrently with
+// nothing but its own store. cmd/dibella's batch path and internal/serve's resident
 // service both build their stage-1/2 runs from the same Plan.
 package pipeline
 
@@ -13,7 +13,6 @@ import (
 	"gnbody/internal/kmer"
 	"gnbody/internal/partition"
 	"gnbody/internal/rt"
-	"gnbody/internal/seq"
 )
 
 // Spec is the job-level parameterisation of stages 1-2: the k-mer length
@@ -79,12 +78,4 @@ func NewPlan(lens []int32, ranks int, s Spec) (*Plan, error) {
 	}
 	lo, hi := s.Window()
 	return &Plan{Part: pt, Lens: lens, K: s.K, Lo: lo, Hi: hi}, nil
-}
-
-// Run executes one rank's share of stages 1-2 under the plan. Collective:
-// all ranks call it, each with its own owner-only store. It is the
-// re-entrant per-job half of the split — a Plan may run on a world that
-// has already executed other plans, with no reset in between.
-func (pl *Plan) Run(r rt.Runtime, store seq.Store) (*Output, error) {
-	return Run(r, &Input{Part: pl.Part, Store: store, Lens: pl.Lens, K: pl.K, Lo: pl.Lo, Hi: pl.Hi})
 }

@@ -44,9 +44,10 @@ func TestNewPlanValidation(t *testing.T) {
 	}
 }
 
-// TestPlanRunMatchesRun: the re-entrant Plan.Run path produces exactly the
-// task set of the one-shot Run it wraps — including when the same Plan is
-// executed twice on the same world (the resident-service usage pattern).
+// TestPlanRunMatchesRun: a plan from NewPlan produces exactly the task set
+// of a hand-built one with the same parameters — including when the same
+// Plan is executed twice on the same world (the resident-service usage
+// pattern).
 func TestPlanRunMatchesRun(t *testing.T) {
 	reads := pipelineReads(t, 4)
 	lens := workload.LensOf(reads)
@@ -81,7 +82,7 @@ func TestPlanRunMatchesRun(t *testing.T) {
 	if len(first) == 0 {
 		t.Fatal("plan found no tasks")
 	}
-	// Reference: the direct Run path this Plan must wrap faithfully.
+	// Reference: a Plan literal with the same partition and window.
 	outs, _ := runDistributed(t, reads, p, k, lo, hi)
 	var want []overlap.Task
 	for _, out := range outs {
