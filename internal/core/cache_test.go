@@ -290,8 +290,10 @@ func runCached(t *testing.T, w *testWorkload, p int, mode string, exec Executor,
 // TestCacheCoherenceBattery is the lock-down: for every driver, a cached
 // run (unbounded, and with a tiny eviction-forcing budget) must produce
 // bitwise-identical hits and byte-identical task inputs to the uncached
-// run, never fetch more over the wire, and satisfy the counting invariants
-// that make the hit/miss numbers trustworthy.
+// run, never fetch more over the wire (than the uncached run where the
+// schedule is fixed, than its own uncached fetch decisions under stealing),
+// and satisfy the counting invariants that make the hit/miss numbers
+// trustworthy.
 func TestCacheCoherenceBattery(t *testing.T) {
 	w := makeWorkload(t, 10000, 6, 47)
 	sc := align.DefaultScoring()
@@ -321,12 +323,13 @@ func TestCacheCoherenceBattery(t *testing.T) {
 					if !reflect.DeepEqual(onExec.sums, offExec.sums) {
 						t.Error("cached run fed different bases to at least one task")
 					}
-					var wire, chits, evicts int
+					var wire, chits, decisions, evicts int
 					for rk := 0; rk < p; rk++ {
 						m := world.Metrics(rk)
 						r := res[rk]
 						wire += r.WireFetches
 						chits += r.CacheHits
+						decisions += int(m.CacheHits + m.CacheMisses)
 						evicts += int(m.CacheEvicts)
 						// Misses are counted inside the cache, wire fetches at
 						// the call sites: their equality is the coherence of
@@ -350,7 +353,16 @@ func TestCacheCoherenceBattery(t *testing.T) {
 							t.Errorf("rank %d: %d tracked bytes leaked", rk, m.CurMem)
 						}
 					}
-					if wire > offWire {
+					if mode == "steal" {
+						// Which groups get stolen — and so how many fetch
+						// decisions a run makes — depends on timing, so two
+						// steal runs are not comparable. The bound that holds
+						// under every schedule is on the run's own counters:
+						// each decision the cache answered saved a fetch.
+						if wire > decisions-chits {
+							t.Errorf("wire fetches %d exceed decisions %d - cache hits %d", wire, decisions, chits)
+						}
+					} else if wire > offWire {
 						t.Errorf("cache increased wire fetches: %d > %d", wire, offWire)
 					}
 					if tc.budget < 0 && evicts != 0 {
