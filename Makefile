@@ -13,6 +13,11 @@
 #                most 4 blocking runtime calls per rank, whatever the chain
 #                lengths, and no operation may fail — exact counts, so no
 #                timing noise
+#   make exchange-allocs  one untraced 5 s run of the benchmark's
+#                exchange-tcp workload: the read exchange (a BSP and an
+#                async pass over TCP) must allocate at most 200 MB per rep
+#                and no operation may fail — alloc_mb repeats to ±0.01 %
+#                run to run, so this is a count, not a timing
 #   make race    full suite under the race detector (what CI runs)
 #   make fuzz    10s smoke per fuzz target (go fuzzing allows one -fuzz
 #                target per invocation, hence one run per target)
@@ -53,7 +58,7 @@ FUZZT   ?= 10s
 BENCHN  ?= 5
 BENCH_JSON ?= BENCH_9.json
 
-.PHONY: check vet fmtcheck build test bench-build backhalf-rounds loc race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke bench bench-smoke bench-comm ci
+.PHONY: check vet fmtcheck build test bench-build backhalf-rounds exchange-allocs loc race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke bench bench-smoke bench-comm ci
 
 check: vet fmtcheck build test bench-build
 
@@ -84,6 +89,15 @@ backhalf-rounds:
 		  if (rounds > 4 || failed != 0) { printf "backhalf-rounds: graph.contig_rounds %s (limit 4), failed %s (limit 0)\n", rounds, failed; exit 1 } \
 		  printf "backhalf-rounds: OK (graph.contig_rounds %s, failed 0)\n", rounds }'
 
+exchange-allocs:
+	@out=$$(bash benchmark/run.sh -workload exchange-tcp -seconds 5) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | awk ' \
+		$$1 == "=" && $$2 == "alloc_mb" { mb = $$3; seen = 1 } \
+		/operations attempted/ { ops = 1; failed = $$NF } \
+		END { if (!seen || !ops) { print "exchange-allocs: report lacks alloc_mb or the operations line"; exit 1 } \
+		  if (mb > 200 || failed != 0) { printf "exchange-allocs: alloc_mb %s (limit 200), failed %s (limit 0)\n", mb, failed; exit 1 } \
+		  printf "exchange-allocs: OK (alloc_mb %s, failed 0)\n", mb }'
+
 loc:
 	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' | xargs cat | wc -l
 
@@ -96,10 +110,12 @@ fuzz:
 	$(GO) test -fuzz=FuzzFASTA$$ -fuzztime $(FUZZT) ./internal/seq/
 	$(GO) test -fuzz=FuzzFASTARange$$ -fuzztime $(FUZZT) ./internal/seq/
 	$(GO) test -fuzz=FuzzFASTQ$$ -fuzztime $(FUZZT) ./internal/seq/
+	$(GO) test -fuzz=FuzzWire$$ -fuzztime $(FUZZT) ./internal/seq/
 	$(GO) test -fuzz=FuzzXDrop$$ -fuzztime $(FUZZT) ./internal/align/
 	$(GO) test -fuzz=FuzzXDropDiff$$ -fuzztime $(FUZZT) ./internal/align/
 	$(GO) test -fuzz=FuzzXDropSWARDiff$$ -fuzztime $(FUZZT) ./internal/align/
 	$(GO) test -fuzz=FuzzFrame -fuzztime $(FUZZT) ./internal/transport/
+	$(GO) test -fuzz=FuzzSendV$$ -fuzztime $(FUZZT) ./internal/transport/
 	$(GO) test -fuzz=FuzzCacheEvict -fuzztime $(FUZZT) ./internal/core/
 	$(GO) test -fuzz=FuzzJobRequest -fuzztime $(FUZZT) ./internal/serve/
 	$(GO) test -fuzz=FuzzOverlapClassify -fuzztime $(FUZZT) ./internal/graph/
@@ -288,4 +304,4 @@ bench-smoke:
 		./internal/align/ | $(GO) run ./cmd/benchfmt \
 		-old bench/bench_baseline.txt -gate 10
 
-ci: check backhalf-rounds race fuzz chaos bench-smoke dist-smoke serve-smoke assemble-smoke placement-smoke
+ci: check backhalf-rounds exchange-allocs race fuzz chaos bench-smoke dist-smoke serve-smoke assemble-smoke placement-smoke

@@ -50,7 +50,12 @@ func RunAsync(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 	// registered (reads become "accessible via RPC-lookup" only once all
 	// ranks pass the barrier).
 	var cbErr error
-	r.Serve(readServer(r, in))
+	fail := func(err error) {
+		if cbErr == nil {
+			cbErr = err
+		}
+	}
+	r.Serve(readServer(r, in, fail))
 
 	// Batchers are pooled, not shared: a Progress call inside one group's
 	// loop can start another group's completion callback (DESIGN.md §16).
@@ -72,6 +77,7 @@ func RunAsync(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 	// when FetchBatch > 1.
 	tb := r.Tracer()
 	var scratch seqScratch
+	dec := newReadDecoder(r, in)
 	issue := func(ids []seq.ReadID) {
 		batch := append([]seq.ReadID(nil), ids...)
 		out.WireFetches += len(batch)
@@ -79,11 +85,14 @@ func RunAsync(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 		// issue time; the callback releases it. Both run on this rank's
 		// goroutine (progress contract), so no synchronisation is needed.
 		var est int64
+		longest := 0 // of the batch: its one decode buffer is sized for it
 		for _, id := range batch {
 			est += int64(in.planSize(id))
+			longest = max(longest, int(in.Lens[id]))
 		}
 		meter.add(est)
-		r.AsyncCall(in.Part.Owner(batch[0]), encodeReadReq(batch...), func(val []byte) {
+		owner := in.Part.Owner(batch[0])
+		r.AsyncCall(owner, encodeReadReq(batch...), func(val []byte) {
 			meter.sub(est)
 			n := int64(len(val))
 			r.Alloc(n)
@@ -94,16 +103,13 @@ func RunAsync(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 			// Check a decode buffer out for the whole batch: the Progress
 			// calls below can run other completion callbacks before this one
 			// returns, and each needs its own buffer.
-			dbuf := scratch.get()
-			defer func() { scratch.put(dbuf) }()
+			dbuf := scratch.get(longest)
+			defer scratch.put(dbuf)
 			for _, rid := range batch {
-				read, used, err := in.Codec.DecodeInto(dbuf, buf)
+				read, used, err := dec.decode(dbuf, buf)
 				if err != nil || read.ID != rid {
-					cbErr = fmt.Errorf("core: rank %d: bad RPC payload for read %d: %v", r.Rank(), rid, err)
+					fail(&ExchangeError{r.Rank(), owner, fmt.Sprintf("bad RPC payload for read %d: %v", rid, err)})
 					return
-				}
-				if cap(read.Seq) > cap(dbuf) {
-					dbuf = read.Seq
 				}
 				buf = buf[used:]
 				if cache != nil {
@@ -130,7 +136,7 @@ func RunAsync(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 			}
 			tb.Span(trace.KindBatch, tBatch, int64(tasksRun))
 			if len(buf) != 0 {
-				cbErr = fmt.Errorf("core: rank %d: %d trailing payload bytes", r.Rank(), len(buf))
+				fail(&ExchangeError{r.Rank(), owner, fmt.Sprintf("%d trailing payload bytes", len(buf))})
 			}
 		})
 		if r.Outstanding() > cfg.MaxOutstanding {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"gnbody/internal/align"
-
 	"gnbody/internal/overlap"
 	"gnbody/internal/rt"
 	"gnbody/internal/seq"
@@ -145,7 +144,6 @@ func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 	// rank has reads left to fetch.
 	next := 0
 	tb := r.Tracer()
-	var dbuf seq.Seq // reused across all supersteps' unpack loops
 	budget := r.MemBudget()
 	if budget > 0 {
 		budget -= base // the input partition occupies part of the budget
@@ -154,6 +152,27 @@ func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 			// smallest possible superstep (one read per round) rather
 			// than silently dropping the limit.
 			budget = 1
+		}
+	}
+	// One decode buffer, sized for the longest read this rank will be sent,
+	// serves every superstep's unpack loop.
+	longest := 0
+	for _, g := range groups {
+		longest = max(longest, int(in.Lens[g.read]))
+	}
+	dbuf := make(seq.Seq, 0, longest)
+	dec := newReadDecoder(r, in)
+	lo, hi := in.Part.Range(r.Rank())
+	runs := make([][2]int, r.Size()) // per owner: its reads' index range in the chunk
+	// runErr is this rank's first ExchangeError. A rank that has one stops
+	// asking for reads but keeps entering every remaining superstep's
+	// collectives — answering the peers it can — so nobody hangs, and
+	// returns the error when the loop ends.
+	var runErr error
+	fail := func(from int, reason string) {
+		if runErr == nil {
+			runErr = &ExchangeError{r.Rank(), from, reason}
+			next = len(groups)
 		}
 	}
 	for {
@@ -175,34 +194,43 @@ func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 		chunk := groups[next:end]
 		out.Supersteps++
 
-		// Round trip 1: request lists (read IDs grouped by owner).
-		var reqBytes int64
+		// Round trip 1: request lists (read IDs grouped by owner). Groups
+		// are sorted by read and an owner's partition is one contiguous id
+		// range, so the reads asked of one owner are one run of the chunk.
+		reqBytes := int64(4 * len(chunk))
 		sendReq := make([][]byte, r.Size())
-		groupOf := make(map[seq.ReadID][]overlap.Task, len(chunk))
-		for _, g := range chunk {
-			owner := in.Part.Owner(g.read)
-			var idb [4]byte
-			binary.LittleEndian.PutUint32(idb[:], uint32(g.read))
-			sendReq[owner] = append(sendReq[owner], idb[:]...)
-			reqBytes += 4
-			groupOf[g.read] = store.tasksOf(g)
-			out.WireFetches++
+		clear(runs)
+		for i := 0; i < len(chunk); {
+			owner := in.Part.Owner(chunk[i].read)
+			_, ownerHi := in.Part.Range(owner)
+			j := i + 1
+			for j < len(chunk) && int(chunk[j].read) < ownerHi {
+				j++
+			}
+			req := make([]byte, 0, 4*(j-i))
+			for _, g := range chunk[i:j] {
+				req = binary.LittleEndian.AppendUint32(req, uint32(g.read))
+			}
+			sendReq[owner], runs[owner] = req, [2]int{i, j}
+			i = j
 		}
+		out.WireFetches += len(chunk)
 		r.Alloc(reqBytes)
 		recvReq := r.Alltoallv(sendReq)
 
-		// Round trip 2: aggregated read payloads back to requesters.
+		// Round trip 2: aggregated read payloads back to requesters, each
+		// packed into a buffer allocated once at its planned size.
 		var payBytes int64
 		var sendPay [][]byte
 		r.Timed(rt.CatOverhead, func() {
 			sendPay = make([][]byte, r.Size())
 			for src, ids := range recvReq {
-				if len(ids)%4 != 0 {
-					panic(fmt.Sprintf("core: rank %d: ragged request list from %d", r.Rank(), src))
+				if len(ids) == 0 {
+					continue
 				}
-				for off := 0; off < len(ids); off += 4 {
-					id := seq.ReadID(binary.LittleEndian.Uint32(ids[off:]))
-					sendPay[src] = in.Codec.Encode(sendPay[src], id)
+				var bad string
+				if sendPay[src], bad = encodeReads(nil, in, lo, hi, ids); bad != "" {
+					fail(src, bad)
 				}
 				payBytes += int64(len(sendPay[src]))
 			}
@@ -221,21 +249,28 @@ func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 		// Compute alignments as reads are unpacked from receive buffers. One
 		// decode buffer serves the whole unpack: every task of a read runs
 		// before the next read is decoded over it, and nothing below this
-		// loop retains the sequence.
+		// loop retains the sequence. Each owner must answer with exactly the
+		// reads asked of it, in the order asked: a read left out would lose
+		// its tasks' hits, a repeated one would run them twice.
 		for src, buf := range recvPay {
-			for len(buf) > 0 {
-				read, n, err := in.Codec.DecodeInto(dbuf, buf)
-				if err != nil {
-					return nil, fmt.Errorf("core: rank %d: bad payload from %d: %v", r.Rank(), src, err)
+			want := chunk[runs[src][0]:runs[src][1]]
+			k := 0
+			for len(buf) > 0 && runErr == nil {
+				read, n, err := dec.decode(dbuf, buf)
+				switch {
+				case err != nil:
+					fail(src, fmt.Sprintf("bad payload: %v", err))
+				case k > 0 && read.ID == want[k-1].read:
+					fail(src, fmt.Sprintf("read %d arrived twice", read.ID))
+				case k == len(want):
+					fail(src, fmt.Sprintf("unsolicited read %d", read.ID))
+				case read.ID != want[k].read:
+					fail(src, fmt.Sprintf("read %d missing from the payload (read %d in its place)", want[k].read, read.ID))
 				}
-				if cap(read.Seq) > cap(dbuf) {
-					dbuf = read.Seq
+				if runErr != nil {
+					break
 				}
 				buf = buf[n:]
-				tasks, ok := groupOf[read.ID]
-				if !ok {
-					return nil, fmt.Errorf("core: rank %d: unsolicited read %d from %d", r.Rank(), read.ID, src)
-				}
 				if cache != nil {
 					// Retain an owned copy for later reuse (read.Seq aliases
 					// the shared decode buffer), pinned while this group's
@@ -246,11 +281,15 @@ func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 					}
 					cache.Insert(read.ID, cp, int64(in.planSize(read.ID)), 1)
 				}
-				bt.loadFlat(tasks)
+				bt.loadFlat(store.tasksOf(want[k]))
 				bt.run(r, in, &cfg, read.ID, read.Seq, true, out, 0)
 				if cache != nil {
 					cache.Release(read.ID, 1)
 				}
+				k++
+			}
+			if runErr == nil && k < len(want) {
+				fail(src, fmt.Sprintf("read %d missing from the payload", want[k].read))
 			}
 		}
 		r.Free(payBytes)
@@ -259,12 +298,17 @@ func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 			met.PeakExchange = ex
 		}
 
-		next = end
+		if runErr == nil {
+			next = end
+		}
 		remaining := r.Allreduce(int64(len(groups)-next), rt.OpSum)
 		tb.Span(trace.KindSuperstep, tStep, int64(len(chunk)))
 		if remaining == 0 {
 			break
 		}
+	}
+	if runErr != nil {
+		return nil, runErr
 	}
 	// Accumulate (not assign): metrics on a resident world add up across
 	// Runs, and job-scoped reporting recovers per-Run counts by Sub-ing

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"gnbody/internal/seq"
 )
@@ -26,52 +27,42 @@ type PackedCodec struct{ Store seq.Store }
 
 const packedFlag = 1 << 31
 
-// Encode appends the packed wire form of read id (must be resident).
+// Encode appends the packed wire form of read id (must be resident). The
+// read is scanned for N once and dst grows at most once.
 func (c PackedCodec) Encode(dst []byte, id seq.ReadID) []byte {
-	r := c.Store.Get(id)
-	s := r.Seq
-	packed := true
-	for _, b := range s {
-		if b >= seq.N {
-			packed = false
-			break
-		}
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(id))
-	n := uint32(len(s))
+	s := c.Store.Get(id).Seq
+	n, nb := uint32(len(s)), len(s)
+	packed := !s.HasN()
 	if packed {
-		n |= packedFlag
+		n, nb = n|packedFlag, (len(s)+3)/4
 	}
-	binary.LittleEndian.PutUint32(hdr[4:], n)
-	dst = append(dst, hdr[:]...)
+	dst = slices.Grow(dst, 8+nb)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
+	dst = binary.LittleEndian.AppendUint32(dst, n)
 	if !packed {
-		for _, b := range s {
-			dst = append(dst, byte(b))
+		return seq.AppendBases(dst, s)
+	}
+	out := dst[len(dst) : len(dst)+nb]
+	full := len(s) / 4
+	for i := 0; i < full; i++ {
+		q := s[4*i : 4*i+4 : 4*i+4]
+		out[i] = byte(q[0]) | byte(q[1])<<2 | byte(q[2])<<4 | byte(q[3])<<6
+	}
+	if full < nb {
+		var cur byte
+		for j, b := range s[4*full:] {
+			cur |= byte(b) << uint(2*j)
 		}
-		return dst
+		out[full] = cur
 	}
-	var cur byte
-	for i, b := range s {
-		cur |= byte(b) << uint((i%4)*2)
-		if i%4 == 3 {
-			dst = append(dst, cur)
-			cur = 0
-		}
-	}
-	if len(s)%4 != 0 {
-		dst = append(dst, cur)
-	}
-	return dst
+	return dst[:len(dst)+nb]
 }
 
 // WireSize returns the packed wire size of read id (must be resident).
 func (c PackedCodec) WireSize(id seq.ReadID) int {
 	s := c.Store.Get(id).Seq
-	for _, b := range s {
-		if b >= seq.N {
-			return 8 + len(s)
-		}
+	if s.HasN() {
+		return 8 + len(s)
 	}
 	return 8 + (len(s)+3)/4
 }
@@ -109,13 +100,11 @@ func (c PackedCodec) DecodeInto(dst seq.Seq, buf []byte) (seq.Read, int, error) 
 			s[i] = seq.Base(buf[8+i/4] >> uint((i%4)*2) & 3)
 		}
 	} else {
-		for i := 0; i < n; i++ {
-			b := buf[8+i]
-			if b >= seq.NumBases {
-				return seq.Read{}, 0, fmt.Errorf("core: packed wire: invalid base %d", b)
-			}
-			s[i] = seq.Base(b)
+		raw := buf[8:body]
+		if i := seq.InvalidBase(raw); i >= 0 {
+			return seq.Read{}, 0, fmt.Errorf("core: packed wire: invalid base %d", raw[i])
 		}
+		seq.CopyBases(s, raw)
 	}
 	return seq.Read{ID: seq.ReadID(id), Seq: s}, body, nil
 }

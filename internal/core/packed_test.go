@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -76,6 +79,93 @@ func TestPackedCodecErrors(t *testing.T) {
 	buf := c.Encode(nil, 0)
 	if _, _, err := c.Decode(buf[:len(buf)-1]); err == nil {
 		t.Error("short body accepted")
+	}
+}
+
+// refPackedEncode is the per-base encoder PackedCodec.Encode replaced, kept
+// as the differential reference.
+func refPackedEncode(dst []byte, id seq.ReadID, s seq.Seq) []byte {
+	packed := true
+	for _, b := range s {
+		if b >= seq.N {
+			packed = false
+			break
+		}
+	}
+	var hdr [8]byte
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(id))
+	n := uint32(len(s))
+	if packed {
+		n |= packedFlag
+	}
+	binary.LittleEndian.PutUint32(hdr[4:], n)
+	dst = append(dst, hdr[:]...)
+	if !packed {
+		for _, b := range s {
+			dst = append(dst, byte(b))
+		}
+		return dst
+	}
+	var cur byte
+	for i, b := range s {
+		cur |= byte(b) << uint((i%4)*2)
+		if i%4 == 3 {
+			dst = append(dst, cur)
+			cur = 0
+		}
+	}
+	if len(s)%4 != 0 {
+		dst = append(dst, cur)
+	}
+	return dst
+}
+
+// TestPackedCodecMatchesByteLoops: every length 0..67, N-free (packed) and
+// with an N at every position (the byte fallback), onto nil and into a
+// buffer with room; and the fallback's decoder reports an invalid code at
+// any offset with the parent's error text.
+func TestPackedCodecMatchesByteLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for n := 0; n <= 67; n++ {
+		base := make(seq.Seq, n)
+		for i := range base {
+			base[i] = seq.Base(rng.Intn(4))
+		}
+		variants := []seq.Seq{base}
+		for off := 0; off < n; off++ {
+			v := base.Clone()
+			v[off] = seq.N
+			variants = append(variants, v)
+		}
+		for vi, s := range variants {
+			c := PackedCodec{Store: seq.FullStore(seq.NewReadSet([]seq.Seq{s}))}
+			want := refPackedEncode(nil, 0, s)
+			if got := c.Encode(nil, 0); !bytes.Equal(got, want) {
+				t.Fatalf("len %d variant %d: Encode % x, reference % x", n, vi, got, want)
+			}
+			sized := append(make([]byte, 0, 2+len(want)), 0xde, 0xad)
+			if got := c.Encode(sized, 0); !bytes.Equal(got[2:], want) || &got[0] != &sized[0] {
+				t.Fatalf("len %d variant %d: Encode into a sized buffer: % x", n, vi, got)
+			}
+			if got := c.WireSize(0); got != len(want) {
+				t.Fatalf("len %d variant %d: WireSize %d, encoded %d", n, vi, got, len(want))
+			}
+			r, used, err := c.DecodeInto(make(seq.Seq, 0, 80), want)
+			if err != nil || used != len(want) || !reflect.DeepEqual(r.Seq, s) {
+				t.Fatalf("len %d variant %d: round trip gave (%v, %d, %v)", n, vi, r.Seq, used, err)
+			}
+			if vi == 0 {
+				continue
+			}
+			for off := 0; off < n; off++ {
+				bad := append([]byte(nil), want...)
+				bad[8+off] = 0x80 | byte(off)
+				_, _, err := c.DecodeInto(nil, bad)
+				if wantErr := fmt.Sprintf("core: packed wire: invalid base %d", bad[8+off]); err == nil || err.Error() != wantErr {
+					t.Fatalf("len %d: invalid code at %d: error %v, want %q", n, off, err, wantErr)
+				}
+			}
+		}
 	}
 }
 

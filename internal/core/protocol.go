@@ -32,16 +32,51 @@ func encodeReadReq(ids ...seq.ReadID) []byte {
 	return buf
 }
 
-// decodeReadReq parses a reqRead payload (after the op byte).
-func decodeReadReq(body []byte) ([]seq.ReadID, error) {
-	if len(body)%4 != 0 {
-		return nil, fmt.Errorf("core: ragged read request (%d payload bytes)", len(body))
+// ExchangeError reports bytes from a peer that the read exchange cannot
+// use: a request that is ragged, of an unknown kind or for a read its
+// receiver does not own, or a payload that omits, repeats or adds to the
+// reads that were asked for. The rank that detects it answers with nothing,
+// keeps taking part in the run's remaining collectives so no peer hangs,
+// and returns the error when its driver returns.
+type ExchangeError struct {
+	Rank   int // the rank that detected it
+	From   int // the peer that sent the bytes; -1 for an RPC request, whose caller the runtime does not name
+	Reason string
+}
+
+func (e *ExchangeError) Error() string {
+	if e.From < 0 {
+		return fmt.Sprintf("core: rank %d: bad request: %s", e.Rank, e.Reason)
 	}
-	ids := make([]seq.ReadID, len(body)/4)
-	for i := range ids {
-		ids[i] = seq.ReadID(binary.LittleEndian.Uint32(body[4*i:]))
+	return fmt.Sprintf("core: rank %d: bad bytes from rank %d: %s", e.Rank, e.From, e.Reason)
+}
+
+// encodeReads answers a peer's list of 4-byte read ids — all of which must
+// lie in this rank's partition [lo, hi) — with the reads' concatenated wire
+// encodings in dst[:0]. The answer's size is known from the replicated
+// length vector before a base is written, so dst is allocated at most once
+// (an overestimate under the packed codec, exact otherwise). A list this rank
+// cannot answer is returned as a reason, with dst emptied.
+func encodeReads(dst []byte, in *Input, lo, hi int, ids []byte) ([]byte, string) {
+	dst = dst[:0]
+	if len(ids)%4 != 0 {
+		return dst, fmt.Sprintf("ragged read request (%d id bytes)", len(ids))
 	}
-	return ids, nil
+	size := 0
+	for off := 0; off < len(ids); off += 4 {
+		id := int(binary.LittleEndian.Uint32(ids[off:]))
+		if id < lo || id >= hi {
+			return dst, fmt.Sprintf("read %d asked of the owner of [%d,%d)", id, lo, hi)
+		}
+		size += in.planSize(seq.ReadID(id))
+	}
+	if cap(dst) < size {
+		dst = make([]byte, 0, size)
+	}
+	for off := 0; off < len(ids); off += 4 {
+		dst = in.Codec.Encode(dst, seq.ReadID(binary.LittleEndian.Uint32(ids[off:])))
+	}
+	return dst, ""
 }
 
 // rpcMeter tracks this rank's estimated in-flight pull-RPC response bytes
@@ -64,25 +99,64 @@ func (p *rpcMeter) add(n int64) {
 func (p *rpcMeter) sub(n int64) { p.cur -= n }
 
 // readServer answers reqRead lookups into this rank's partition. Drivers
-// needing more ops (stealing) wrap it.
-func readServer(r rt.Runtime, in *Input) func([]byte) []byte {
+// needing more ops (stealing) wrap it. Every response is built in one
+// per-rank buffer: the runtime snapshots a handler's response before the
+// handler can run again (rt.Runtime.Serve). A request this rank cannot
+// answer is reported through fail and answered with nothing.
+func readServer(r rt.Runtime, in *Input, fail func(error)) func([]byte) []byte {
 	lo, hi := in.Part.Range(r.Rank())
+	var resp []byte
 	return func(req []byte) []byte {
 		if len(req) == 0 || req[0] != reqRead {
-			panic(fmt.Sprintf("core: rank %d got unknown request op %v", r.Rank(), req))
+			fail(&ExchangeError{r.Rank(), -1, fmt.Sprintf("unknown request % x", req[:min(len(req), 8)])})
+			return nil
 		}
-		ids, err := decodeReadReq(req[1:])
-		if err != nil {
-			panic(err.Error())
+		var bad string
+		if resp, bad = encodeReads(resp, in, lo, hi, req[1:]); bad != "" {
+			fail(&ExchangeError{r.Rank(), -1, bad})
 		}
-		var out []byte
-		for _, id := range ids {
-			if int(id) < lo || int(id) >= hi {
-				panic(fmt.Sprintf("core: rank %d asked for read %d outside its partition [%d,%d)",
-					r.Rank(), id, lo, hi))
-			}
-			out = in.Codec.Encode(out, id)
-		}
-		return out
+		return resp
 	}
+}
+
+// readDecoder decodes received reads under Timed(CatOverhead) — unpacking is
+// driver overhead like packing — through one closure built up front, so the
+// per-read cost is the Timed call and not an allocation. A decoded read
+// whose length differs from the replicated length vector is rejected: the
+// plan, the budgets and the decode buffers were all sized from that vector.
+type readDecoder struct {
+	r rt.Runtime
+
+	dst  seq.Seq
+	buf  []byte
+	read seq.Read
+	used int
+	err  error
+	fn   func()
+}
+
+func newReadDecoder(r rt.Runtime, in *Input) *readDecoder {
+	d := &readDecoder{r: r}
+	d.fn = func() {
+		d.read, d.used, d.err = in.Codec.DecodeInto(d.dst, d.buf)
+		if d.err != nil {
+			return
+		}
+		if id := int(d.read.ID); id >= len(in.Lens) {
+			d.err = fmt.Errorf("read %d of %d", id, len(in.Lens))
+		} else if d.read.Seq != nil && len(d.read.Seq) != int(in.Lens[id]) {
+			d.err = fmt.Errorf("read %d has %d bases, the length vector says %d", id, len(d.read.Seq), in.Lens[id])
+		}
+	}
+	return d
+}
+
+// decode parses the read at the front of buf into dst. The results are
+// copied out before any other decode can run, so nested completion
+// callbacks may share one decoder.
+func (d *readDecoder) decode(dst seq.Seq, buf []byte) (seq.Read, int, error) {
+	d.dst, d.buf = dst, buf
+	d.r.Timed(rt.CatOverhead, d.fn)
+	d.dst, d.buf = nil, nil
+	return d.read, d.used, d.err
 }

@@ -10,17 +10,26 @@ import "gnbody/internal/seq"
 // batch and returns it on exit; a nested callback checks out its own.
 // Under the progress contract every checkout happens on the rank's own
 // goroutine, so the free list needs no locking.
+//
+// A callback asks for the length of the read it is about to decode, known
+// from the replicated length vector, so no decode ever regrows a buffer.
+// (Sizing every buffer for the longest read in the plan instead would
+// multiply that length by the callback nesting depth, which reaches
+// MaxOutstanding when responses arrive in bursts.)
 type seqScratch struct{ free []seq.Seq }
 
-// get checks out a buffer (nil when the pool is empty: DecodeInto grows it
-// and put recovers the grown buffer afterwards).
-func (p *seqScratch) get() seq.Seq {
-	if n := len(p.free); n > 0 {
-		s := p.free[n-1]
-		p.free = p.free[:n-1]
-		return s
+// get checks out a buffer with room for n bases: the most recently
+// returned one that fits, or a new one of exactly that capacity.
+func (p *seqScratch) get(n int) seq.Seq {
+	for i := len(p.free) - 1; i >= 0; i-- {
+		if s := p.free[i]; cap(s) >= n {
+			last := len(p.free) - 1
+			p.free[i] = p.free[last]
+			p.free = p.free[:last]
+			return s
+		}
 	}
-	return nil
+	return make(seq.Seq, 0, n)
 }
 
 // put returns a buffer to the pool.

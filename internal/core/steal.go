@@ -58,9 +58,19 @@ func RunAsyncStealing(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 	// variables suffice.
 	next, tail := 0, len(store.order)-1
 
-	readHandler := readServer(r, in)
+	var cbErr error
+	fail := func(err error) {
+		if cbErr == nil {
+			cbErr = err
+		}
+	}
+	readHandler := readServer(r, in, fail)
 	r.Serve(func(req []byte) []byte {
 		if len(req) > 0 && req[0] == reqSteal {
+			if len(req) != 5 {
+				fail(&ExchangeError{r.Rank(), -1, fmt.Sprintf("ragged steal request (%d bytes)", len(req))})
+				return nil
+			}
 			max := int(binary.LittleEndian.Uint32(req[1:]))
 			var bundle []byte
 			for n := 0; n < max && next <= tail; n++ {
@@ -74,7 +84,6 @@ func RunAsyncStealing(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 		return readHandler(req)
 	})
 
-	var cbErr error
 	// Batchers are pooled, not shared: a Progress call inside one group's
 	// loop can start another group's completion callback (DESIGN.md §16).
 	var bpool batchPool
@@ -87,9 +96,8 @@ func RunAsyncStealing(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 
 	// Phase 1: own queue, front to wherever stealing leaves it. With the
 	// cache enabled every pull routes through the fetch context (decision
-	// point + retention); without it the original zero-alloc scratch path
-	// runs unchanged.
-	var scratch seqScratch
+	// point + retention); without it the zero-alloc path below decodes into
+	// the fetch context's pooled buffers directly.
 	for next <= tail {
 		rid := store.order[next]
 		next++
@@ -97,7 +105,7 @@ func RunAsyncStealing(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 		if fc.cache != nil {
 			fc.fetch(rid, true, func(s seq.Seq, err error) {
 				if err != nil {
-					cbErr = err
+					fail(err)
 					return
 				}
 				cbt := bpool.get()
@@ -114,26 +122,21 @@ func RunAsyncStealing(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 		est := int64(in.planSize(rid))
 		meter.add(est)
 		out.WireFetches++
-		r.AsyncCall(in.Part.Owner(rid), encodeReadReq(rid), func(val []byte) {
+		owner := in.Part.Owner(rid)
+		r.AsyncCall(owner, encodeReadReq(rid), func(val []byte) {
 			meter.sub(est)
 			n := int64(len(val))
 			r.Alloc(n)
 			defer r.Free(n)
 			// Per-callback decode buffer: Progress below can run other
 			// completion callbacks before this one finishes its tasks.
-			// (The stolen-group path keeps plain Decode — it retains the
-			// sequence across nested fetch callbacks.)
-			dbuf := scratch.get()
-			read, used, err := in.Codec.DecodeInto(dbuf, val)
-			if err != nil || used != len(val) {
-				scratch.put(dbuf)
-				cbErr = fmt.Errorf("core: rank %d: bad RPC payload for read %d: %v", r.Rank(), rid, err)
+			dbuf := fc.scratch.get(int(in.Lens[rid]))
+			defer fc.scratch.put(dbuf)
+			read, used, err := fc.dec.decode(dbuf, val)
+			if err != nil || used != len(val) || read.ID != rid {
+				fail(&ExchangeError{r.Rank(), owner, fmt.Sprintf("bad RPC payload for read %d: %v", rid, err)})
 				return
 			}
-			if cap(read.Seq) > cap(dbuf) {
-				dbuf = read.Seq
-			}
-			defer scratch.put(dbuf)
 			cbt := bpool.get()
 			cbt.loadPtr(tasks)
 			cbt.run(r, in, &cfg, rid, read.Seq, true, out, cfg.PollEvery)
@@ -157,23 +160,23 @@ func RunAsyncStealing(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 				var req [5]byte
 				req[0] = reqSteal
 				binary.LittleEndian.PutUint32(req[1:], uint32(cfg.StealBatch))
-				var bundle []byte
-				got := false
+				// The bundle is decoded inside the callback: the response
+				// buffer is the runtime's again once the callback returns.
+				var groups []stolenGroup
+				var err error
 				tProbe := tb.Now()
 				r.AsyncCall(victim, req[:], func(val []byte) {
-					bundle = val
-					got = true
+					groups, err = decodeStolenGroups(val)
 				})
 				r.Drain(0)
-				if !got || len(bundle) == 0 {
+				if err != nil {
+					fail(&ExchangeError{r.Rank(), victim, fmt.Sprintf("bad steal bundle: %v", err)})
+				}
+				if len(groups) == 0 {
 					tb.Span(trace.KindSteal, tProbe, 0) // failed probe
 					continue
 				}
 				gotAny = true
-				groups, err := decodeStolenGroups(bundle)
-				if err != nil {
-					return nil, fmt.Errorf("core: rank %d: bad steal bundle from %d: %v", r.Rank(), victim, err)
-				}
 				tb.Span(trace.KindSteal, tProbe, int64(len(groups)))
 				for _, g := range groups {
 					out.TasksStolen += len(g.tasks)
@@ -282,8 +285,9 @@ type fetchCtx struct {
 	lo, hi int        // this rank's partition range
 	// scratch pools decode buffers for cache-disabled fetches, so stolen
 	// tasks (two wire fetches each) stop allocating bases per fetch. The
-	// cache-enabled path keeps plain Decode: Insert retains owned bases.
+	// cache-enabled path decodes into fresh bases: Insert retains them.
 	scratch seqScratch
+	dec     *readDecoder
 	// inflight holds, per read currently on the wire, the callbacks of the
 	// fetch decisions that arrived while it was in flight. All access is on
 	// this rank's goroutine (progress contract).
@@ -291,7 +295,7 @@ type fetchCtx struct {
 }
 
 func newFetchCtx(r rt.Runtime, in *Input, meter *rpcMeter, out *Result, cache *ReadCache) *fetchCtx {
-	fc := &fetchCtx{r: r, in: in, meter: meter, out: out, cache: cache}
+	fc := &fetchCtx{r: r, in: in, meter: meter, out: out, cache: cache, dec: newReadDecoder(r, in)}
 	fc.lo, fc.hi = in.Part.Range(r.Rank())
 	if cache != nil {
 		fc.inflight = make(map[seq.ReadID][]func(seq.Seq, error))
@@ -336,7 +340,8 @@ func (fc *fetchCtx) fetch(id seq.ReadID, retain bool, cb func(seq.Seq, error)) {
 	est := int64(fc.in.planSize(id))
 	fc.meter.add(est)
 	fc.out.WireFetches++
-	fc.r.AsyncCall(fc.in.Part.Owner(id), encodeReadReq(id), func(val []byte) {
+	owner := fc.in.Part.Owner(id)
+	fc.r.AsyncCall(owner, encodeReadReq(id), func(val []byte) {
 		fc.meter.sub(est)
 		n := int64(len(val))
 		fc.r.Alloc(n)
@@ -346,15 +351,12 @@ func (fc *fetchCtx) fetch(id seq.ReadID, retain bool, cb func(seq.Seq, error)) {
 			// A retained fetch hands the buffer to the caller with the
 			// bases (returned through doneSeq at group completion); a
 			// transient one recovers it as soon as cb is done.
-			dbuf := fc.scratch.get()
-			read, used, err := fc.in.Codec.DecodeInto(dbuf, val)
-			if err != nil || used != len(val) {
+			dbuf := fc.scratch.get(int(fc.in.Lens[id]))
+			read, used, err := fc.dec.decode(dbuf, val)
+			if err != nil || used != len(val) || read.ID != id {
 				fc.scratch.put(dbuf)
-				cb(nil, fmt.Errorf("bad payload for read %d: %v", id, err))
+				cb(nil, fc.badPayload(owner, id, err))
 				return
-			}
-			if cap(read.Seq) > cap(dbuf) {
-				dbuf = read.Seq
 			}
 			if retain && read.Seq != nil {
 				cb(read.Seq, nil)
@@ -364,9 +366,9 @@ func (fc *fetchCtx) fetch(id seq.ReadID, retain bool, cb func(seq.Seq, error)) {
 			fc.scratch.put(dbuf)
 			return
 		}
-		read, used, err := fc.in.Codec.Decode(val)
-		if err != nil || used != len(val) {
-			err = fmt.Errorf("bad payload for read %d: %v", id, err)
+		read, used, err := fc.dec.decode(nil, val)
+		if err != nil || used != len(val) || read.ID != id {
+			err = fc.badPayload(owner, id, err)
 			waiters := fc.inflight[id]
 			delete(fc.inflight, id)
 			for _, w := range waiters {
@@ -386,6 +388,11 @@ func (fc *fetchCtx) fetch(id seq.ReadID, retain bool, cb func(seq.Seq, error)) {
 			w(read.Seq, nil)
 		}
 	})
+}
+
+// badPayload is the error for an owner's response that is not read id.
+func (fc *fetchCtx) badPayload(owner int, id seq.ReadID, err error) error {
+	return &ExchangeError{fc.r.Rank(), owner, fmt.Sprintf("bad payload for read %d: %v", id, err)}
 }
 
 // done releases the pin a successful non-local fetch acquired.

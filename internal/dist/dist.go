@@ -203,7 +203,7 @@ type Rank struct {
 	redResult map[uint64]int64
 
 	rec    transport.FrameRecycler // non-nil when the fabric reuses delivered frames
-	rpcBuf []byte                  // reused RPC wire-frame scratch (Send snapshots before returning)
+	rpcHdr [5]byte                 // reused RPC frame-header scratch (SendV snapshots before returning)
 }
 
 var _ rt.Runtime = (*Rank)(nil)
@@ -244,7 +244,6 @@ func NewRank(tp transport.Transport, cfg Config) *Rank {
 		Metrics: &r.met,
 		Tracer:  r.tr,
 		Nested:  func(d time.Duration) { r.nestedWall += d },
-		// Transports deliver receiver-owned frames; no extra copy needed.
 	})
 	return r
 }
@@ -430,36 +429,37 @@ func (r *Rank) nodeOf(q int) int { return r.slot[q] / r.ns }
 // leaderOf returns the leader of q's node: the rank on its first slot.
 func (r *Rank) leaderOf(q int) int { return r.inv[(r.slot[q]/r.ns)*r.ns] }
 
-// sendFrame ships one wire frame, classifying its bytes into the
-// intra/inter tier by destination node (with NodeSize unset every rank is
-// its own node, so all dist traffic is inter — each rank is a separate
-// process). A transport failure fails this rank with the operation's name
-// and unwinds.
-func (r *Rank) sendFrame(op string, dst int, frame []byte) {
+// sendFrame ships the wire frame hdr‖body — the header this runtime built
+// and the payload it was handed, never joined on a fabric that can send
+// them as they lie (body is nil for frames built whole). Its bytes are
+// classified into the intra/inter tier by destination node (with NodeSize
+// unset every rank is its own node, so all dist traffic is inter — each
+// rank is a separate process). A transport failure fails this rank with
+// the operation's name and unwinds.
+func (r *Rank) sendFrame(op string, dst int, hdr, body []byte) {
+	n := int64(len(hdr) + len(body))
 	if r.nodeOf(dst) == r.nodeOf(r.id) {
-		r.met.IntraBytes += int64(len(frame))
+		r.met.IntraBytes += n
 	} else {
-		r.met.InterBytes += int64(len(frame))
+		r.met.InterBytes += n
 	}
-	if err := r.tp.Send(dst, frame); err != nil {
+	if err := transport.SendV(r.tp, dst, hdr, body); err != nil {
 		r.raise(op, err)
 	}
 }
 
-// sendRPC is the engine's conduit: wrap the message in a wire frame. The
-// frame is built in a per-rank scratch buffer — Send snapshots it before
-// returning, and sendRPC only runs on this rank's goroutine, so the scratch
-// is free again as soon as sendFrame returns.
+// sendRPC is the engine's conduit: the message's payload goes out behind a
+// five-byte frame header. The header lives in per-rank scratch — the
+// transport snapshots both pieces before returning and never polls, so
+// neither the scratch nor a handler's reused response buffer can be
+// rewritten under it.
 func (r *Rank) sendRPC(dst int, m transport.Msg) {
-	typ := byte(msgRPCResp)
+	r.rpcHdr[0] = msgRPCResp
 	if m.Req {
-		typ = msgRPCReq
+		r.rpcHdr[0] = msgRPCReq
 	}
-	frame := append(r.rpcBuf[:0], typ)
-	frame = binary.BigEndian.AppendUint32(frame, m.Seq)
-	frame = append(frame, m.Val...)
-	r.rpcBuf = frame[:0]
-	r.sendFrame(r.op("rpc"), dst, frame)
+	binary.BigEndian.PutUint32(r.rpcHdr[1:], m.Seq)
+	r.sendFrame(r.op("rpc"), dst, r.rpcHdr[:], m.Val)
 }
 
 // Progress drains the transport inbox, dispatching every pending frame:
@@ -487,12 +487,11 @@ func (r *Rank) Progress() bool {
 // sender), the process survives to report it.
 //
 // Frames whose bytes are provably dead once dispatch returns — barrier
-// tokens, allreduce values, and RPC *request* frames (Engine.Deliver runs
-// the handler and sends the response before returning, and handlers must
-// not retain the request) — are recycled back to the transport. A2A
-// payloads are retained in a2aGot until the collective collects them, and
-// RPC *response* values may be retained by the completion callback (the
-// stealing driver keeps its bundle), so neither is ever recycled.
+// tokens, allreduce values, and RPC frames of both directions
+// (Engine.Deliver runs the handler and sends the response, or runs the
+// completion callback, before returning, and neither may retain what it
+// was given) — are recycled back to the transport. A2A payloads are handed
+// to the collective's caller, who owns them, so they are never recycled.
 func (r *Rank) dispatch(from int, frame []byte) {
 	if len(frame) == 0 {
 		r.raise(r.op("progress"), fmt.Errorf("empty frame from rank %d", from))
@@ -551,9 +550,7 @@ func (r *Rank) dispatch(from int, frame []byte) {
 		}); err != nil {
 			r.raise(r.op("rpc"), err)
 		}
-		if typ == msgRPCReq {
-			r.recycle(frame)
-		}
+		r.recycle(frame)
 	default:
 		r.raise(r.op("progress"), fmt.Errorf("unknown frame type %d from rank %d", typ, from))
 	}
@@ -647,7 +644,7 @@ func (r *Rank) disseminate(op string, kind byte, epoch uint64, firstRound int) {
 		if round < firstRound {
 			continue
 		}
-		r.sendFrame(op, (r.id+dist)%r.p, barFrame(kind, epoch, byte(round)))
+		r.sendFrame(op, (r.id+dist)%r.p, barFrame(kind, epoch, byte(round)), nil)
 		r.waitToken(rt.CatSync, op, kind, epoch, byte(round), dist)
 	}
 }
@@ -669,7 +666,7 @@ func (r *Rank) SplitBarrier() (wait func()) {
 	epoch := r.barEpoch[barSplit]
 	r.barEpoch[barSplit]++
 	if r.p > 1 {
-		r.sendFrame("split-barrier", (r.id+1)%r.p, barFrame(barSplit, epoch, 0))
+		r.sendFrame("split-barrier", (r.id+1)%r.p, barFrame(barSplit, epoch, 0), nil)
 	}
 	return func() {
 		t0 := r.tr.Now()
@@ -719,10 +716,7 @@ func (r *Rank) Alltoallv(send [][]byte) [][]byte {
 		for step := 1; step < r.p; step++ {
 			dst := (r.id + step) % r.p
 			src := (r.id - step + r.p) % r.p
-			frame := make([]byte, 0, 9+len(send[dst]))
-			frame = append(frame, hdr[:]...)
-			frame = append(frame, send[dst]...)
-			r.sendFrame("alltoallv", dst, frame)
+			r.sendFrame("alltoallv", dst, hdr[:], send[dst])
 			k := srcKey{epoch: epoch, src: src}
 			r.waitLoop(rt.CatComm, "alltoallv", func() []int { return []int{src} }, func() bool {
 				_, ok := r.a2aGot[k]
@@ -785,11 +779,11 @@ func (r *Rank) Allreduce(v int64, op rt.Op) int64 {
 			acc = op.Combine(acc, vals[i])
 		}
 		for dst := 1; dst < r.p; dst++ {
-			r.sendFrame("allreduce", dst, redFrame(msgRedResult, epoch, acc))
+			r.sendFrame("allreduce", dst, redFrame(msgRedResult, epoch, acc), nil)
 		}
 		return acc
 	}
-	r.sendFrame("allreduce", 0, redFrame(msgRedVal, epoch, v))
+	r.sendFrame("allreduce", 0, redFrame(msgRedVal, epoch, v), nil)
 	r.waitLoop(rt.CatSync, "allreduce", func() []int { return []int{0} }, func() bool {
 		_, ok := r.redResult[epoch]
 		return ok

@@ -294,32 +294,7 @@ func TestDistResetMetrics(t *testing.T) {
 // mesh: the identical collective code must behave the same as on loopback.
 func TestDistOverTCP(t *testing.T) {
 	const p = 4
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	fabric := make([]transport.Transport, p)
-	ferrs := make([]error, p)
-	var wg sync.WaitGroup
-	for i := 0; i < p; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cfg := transport.TCPConfig{Addr: addr, Timeout: 20 * time.Second}
-			if i == 0 {
-				cfg.Listener = ln
-			}
-			fabric[i], ferrs[i] = transport.Rendezvous(i, p, cfg)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range ferrs {
-		if err != nil {
-			t.Fatalf("rendezvous rank %d: %v", i, err)
-		}
-	}
-	w, err := NewWorldOver(fabric, Config{})
+	w, err := NewWorldOver(tcpMesh(t, p), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,6 +342,129 @@ func TestDistOverTCP(t *testing.T) {
 	for err := range errs {
 		if err != nil {
 			t.Error(err)
+		}
+	}
+}
+
+// tcpMesh rendezvouses a p-wide localhost socket mesh.
+func tcpMesh(t *testing.T, p int) []transport.Transport {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	fabric := make([]transport.Transport, p)
+	ferrs := make([]error, p)
+	var wg sync.WaitGroup
+	for i := 0; i < p; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			cfg := transport.TCPConfig{Addr: addr, Timeout: 20 * time.Second}
+			if i == 0 {
+				cfg.Listener = ln
+			}
+			fabric[i], ferrs[i] = transport.Rendezvous(i, p, cfg)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range ferrs {
+		if err != nil {
+			t.Fatalf("rendezvous rank %d: %v", i, err)
+		}
+	}
+	return fabric
+}
+
+// TestVectoredSendCountsTheSameBytes: the collectives hand the transport a
+// header and a payload instead of one joined frame. What arrives, and what
+// the tier counters charge for it, must not depend on whether the fabric
+// sends the two pieces as they lie (TCP) or a wrapper joins them first (the
+// fault injector, with nothing injected): every rank's received rows,
+// IntraBytes and InterBytes are identical across the two, and an
+// alltoallv-only program is charged exactly 9 header bytes plus the payload
+// per peer frame — what the joined frame weighed.
+func TestVectoredSendCountsTheSameBytes(t *testing.T) {
+	const p = 4
+	rng := rand.New(rand.NewSource(13))
+	sizes := make([][]int, p) // sizes[src][dst], some rows empty
+	for src := range sizes {
+		sizes[src] = make([]int, p)
+		for dst := range sizes[src] {
+			if rng.Intn(4) > 0 {
+				sizes[src][dst] = rng.Intn(200_000)
+			}
+		}
+	}
+	type outcome struct {
+		recv         [p][][]byte
+		intra, inter [p]int64
+	}
+	run := func(nodeSize int, wrap bool, withRPC bool) outcome {
+		fabric := tcpMesh(t, p)
+		if wrap {
+			for i, ep := range fabric {
+				fabric[i] = transport.NewFault(ep, transport.FaultPlan{})
+			}
+		}
+		w, err := NewWorldOver(fabric, Config{NodeSize: nodeSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		var out outcome
+		runWorld(t, w, 60*time.Second, func(r rt.Runtime) {
+			send := make([][]byte, p)
+			for dst, n := range sizes[r.Rank()] {
+				send[dst] = make([]byte, n)
+				for i := range send[dst] {
+					send[dst][i] = cell(r.Rank(), dst, i)
+				}
+			}
+			out.recv[r.Rank()] = r.Alltoallv(send)
+			if withRPC {
+				r.Serve(func(req []byte) []byte { return append([]byte{byte(r.Rank())}, req...) })
+				r.Barrier()
+				r.AsyncCall((r.Rank()+1)%p, make([]byte, 3000), func([]byte) {})
+				r.Drain(0)
+				r.Barrier()
+			}
+		})
+		for rk := 0; rk < p; rk++ {
+			out.intra[rk], out.inter[rk] = w.Metrics(rk).IntraBytes, w.Metrics(rk).InterBytes
+		}
+		return out
+	}
+	for _, nodeSize := range []int{0, 2} {
+		vec, joined := run(nodeSize, false, true), run(nodeSize, true, true)
+		for rk := 0; rk < p; rk++ {
+			for src := 0; src < p; src++ {
+				if !bytes.Equal(vec.recv[rk][src], joined.recv[rk][src]) || len(vec.recv[rk][src]) != sizes[src][rk] {
+					t.Fatalf("node size %d: rank %d row %d differs between the vectored and the joined send", nodeSize, rk, src)
+				}
+				for i, b := range vec.recv[rk][src] {
+					if b != cell(src, rk, i) {
+						t.Fatalf("node size %d: rank %d row %d corrupt at %d", nodeSize, rk, src, i)
+					}
+				}
+			}
+		}
+		if vec.intra != joined.intra || vec.inter != joined.inter {
+			t.Errorf("node size %d: tier bytes differ: vectored intra %v inter %v, joined intra %v inter %v",
+				nodeSize, vec.intra, vec.inter, joined.intra, joined.inter)
+		}
+	}
+	flat := run(0, false, false)
+	for rk := 0; rk < p; rk++ {
+		var want int64
+		for dst := 0; dst < p; dst++ {
+			if dst != rk {
+				want += 9 + int64(sizes[rk][dst])
+			}
+		}
+		if flat.inter[rk] != want || flat.intra[rk] != 0 {
+			t.Errorf("rank %d: alltoallv charged %d inter and %d intra bytes, want %d and 0", rk, flat.inter[rk], flat.intra[rk], want)
 		}
 	}
 }

@@ -114,7 +114,7 @@ func (r *Rank) alltoallvHier(epoch uint64, send, recv [][]byte) {
 			}
 			up = appendRecord(up, send[dst], dst)
 		}
-		r.sendFrame("alltoallv", leader, up)
+		r.sendFrame("alltoallv", leader, up, nil)
 	}
 
 	// Node-internal rows: the flat pairwise schedule, restricted to the
@@ -126,10 +126,7 @@ func (r *Rank) alltoallvHier(epoch uint64, send, recv [][]byte) {
 	for step := 1; step < n; step++ {
 		dst := r.inv[baseSlot+(idx+step)%n]
 		src := r.inv[baseSlot+(idx-step+n)%n]
-		frame := make([]byte, 0, 9+len(send[dst]))
-		frame = append(frame, hdr[:]...)
-		frame = append(frame, send[dst]...)
-		r.sendFrame("alltoallv", dst, frame)
+		r.sendFrame("alltoallv", dst, hdr[:], send[dst])
 		k := srcKey{epoch: epoch, src: src}
 		r.waitLoop(rt.CatComm, "alltoallv", func() []int { return []int{src} }, func() bool {
 			_, ok := r.a2aGot[k]
@@ -213,7 +210,7 @@ func (r *Rank) alltoallvHier(epoch uint64, send, recv [][]byte) {
 			}
 		}
 		srcLeader := r.inv[srcNode*r.ns]
-		r.sendFrame("alltoallv", r.inv[dstNode*r.ns], x)
+		r.sendFrame("alltoallv", r.inv[dstNode*r.ns], x, nil)
 		k := srcKey{epoch: epoch, src: srcLeader}
 		r.waitLoop(rt.CatComm, "alltoallv", func() []int { return []int{srcLeader} }, func() bool {
 			_, ok := r.xGot[k]
@@ -241,12 +238,9 @@ func (r *Rank) alltoallvHier(epoch uint64, send, recv [][]byte) {
 
 	// Stage 3 (leader): deliver. Always sent, even empty — the frame is
 	// also the member's completion signal.
+	hdr[0] = msgA2ADown
 	for s := baseSlot + 1; s < endSlot; s++ {
-		frame := make([]byte, 0, 9+len(down[s-baseSlot]))
-		frame = append(frame, msgA2ADown)
-		frame = binary.BigEndian.AppendUint64(frame, epoch)
-		frame = append(frame, down[s-baseSlot]...)
-		r.sendFrame("alltoallv", r.inv[s], frame)
+		r.sendFrame("alltoallv", r.inv[s], hdr[:], down[s-baseSlot])
 	}
 }
 
@@ -260,7 +254,7 @@ func (r *Rank) allreduceHier(epoch uint64, v int64, op rt.Op) int64 {
 	root := r.inv[0] // leader of node 0 — the global fold point
 
 	if r.id != leader {
-		r.sendFrame("allreduce", leader, redFrame(msgRedVal, epoch, v))
+		r.sendFrame("allreduce", leader, redFrame(msgRedVal, epoch, v), nil)
 		r.waitLoop(rt.CatSync, "allreduce", func() []int { return []int{leader} }, func() bool {
 			_, ok := r.redResult[epoch]
 			return ok
@@ -297,10 +291,10 @@ func (r *Rank) allreduceHier(epoch uint64, v int64, op rt.Op) int64 {
 			delete(r.redGot, k)
 		}
 		for bs := r.ns; bs < r.p; bs += r.ns {
-			r.sendFrame("allreduce", r.inv[bs], redFrame(msgRedResult, epoch, acc))
+			r.sendFrame("allreduce", r.inv[bs], redFrame(msgRedResult, epoch, acc), nil)
 		}
 	} else {
-		r.sendFrame("allreduce", root, redFrame(msgRedVal, epoch, acc))
+		r.sendFrame("allreduce", root, redFrame(msgRedVal, epoch, acc), nil)
 		r.waitLoop(rt.CatSync, "allreduce", func() []int { return []int{root} }, func() bool {
 			_, ok := r.redResult[epoch]
 			return ok
@@ -310,7 +304,7 @@ func (r *Rank) allreduceHier(epoch uint64, v int64, op rt.Op) int64 {
 	}
 
 	for s := baseSlot + 1; s < endSlot; s++ {
-		r.sendFrame("allreduce", r.inv[s], redFrame(msgRedResult, epoch, acc))
+		r.sendFrame("allreduce", r.inv[s], redFrame(msgRedResult, epoch, acc), nil)
 	}
 	return acc
 }

@@ -8,12 +8,11 @@
 // transport.Engine, the same engine the distributed backend (package dist)
 // runs over sockets.
 //
-// Buffer ownership: Alltoallv receive slices and RPC payloads are copied on
-// delivery, so a receiver may freely mutate or retain what it was handed
-// while the sender reuses its staging buffers. The send side keeps
-// single-owner semantics: a buffer passed to AsyncCall, or returned from a
-// Serve handler, must not be touched by the sender until the peer's
-// delivery has happened (in practice: ever again).
+// Buffer ownership: Alltoallv receive slices are copied on delivery, so a
+// receiver may freely mutate or retain what it was handed while the sender
+// reuses its staging buffers. RPC payloads are copied as they are sent: a
+// buffer passed to AsyncCall, or returned from a Serve handler, is the
+// sender's again as soon as the message is queued.
 //
 // Times are wall-clock. This back-end produces the genuine intranode
 // results (paper §4.1) and runs the production pipeline in cmd/dibella;
@@ -85,9 +84,6 @@ func NewWorld(cfg Config) (*World, error) {
 			Metrics: &r.met,
 			Tracer:  r.tr,
 			Nested:  func(d time.Duration) { r.nestedWall += d },
-			// The channel inbox moves payloads between rank goroutines by
-			// reference; the engine copies them on delivery.
-			CopyOnDeliver: true,
 		})
 		w.ranks[i] = r
 	}
@@ -275,10 +271,16 @@ func (r *Rank) AsyncCall(owner int, req []byte, cb func([]byte)) {
 }
 
 // send delivers msg to dst's inbox, servicing our own inbox if dst's is
-// full (prevents mutual-full deadlock). Goroutine ranks share one address
-// space, so every byte moved is intra-node by definition.
+// full (prevents mutual-full deadlock). The payload is copied first — the
+// channel would otherwise move it between rank goroutines by reference,
+// and servicing the inbox below can run this rank's handler again, which
+// may rebuild its response in the very buffer being sent. Goroutine ranks
+// share one address space, so every byte moved is intra-node by definition.
 func (r *Rank) send(dst int, msg transport.Msg) {
 	r.met.IntraBytes += int64(len(msg.Val))
+	if len(msg.Val) > 0 {
+		msg.Val = append([]byte(nil), msg.Val...)
+	}
 	in := r.w.ranks[dst].inbox
 	for {
 		select {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gnbody/internal/core"
 	"gnbody/internal/genome"
 	"gnbody/internal/kmer"
 	"gnbody/internal/overlap"
@@ -502,6 +503,83 @@ func TestDiscoverRejectsCorruptPeer(t *testing.T) {
 			if !errors.As(err, &se) || se.Stage != "discover" || (rk != 0) != (se.Err == nil) {
 				t.Errorf("%s: rank %d returned %v", tc.name, rk, err)
 			}
+		}
+	}
+}
+
+// shortAnswerAlign is a BSP align stage whose rank 1 answers the first read
+// it is asked for wrongly: leaves it out of the payload, or packs it twice.
+type shortAnswerAlign struct{ repeat bool }
+
+func (shortAnswerAlign) Name() string { return "align" }
+
+func (s shortAnswerAlign) Run(r rt.Runtime, pl *Plan, store seq.Store, prev any) (any, error) {
+	var codec core.Codec = core.RealCodec{Store: store}
+	if r.Rank() == 1 {
+		codec = &shortAnswerCodec{RealCodec: core.RealCodec{Store: store}, repeat: s.repeat}
+	}
+	in := &core.Input{Part: pl.Part, Lens: pl.Lens, Tasks: prev.(*Output).Tasks, Codec: codec, Store: store}
+	return core.RunBSP(r, in, core.Config{Exec: core.NoopExecutor{}})
+}
+
+type shortAnswerCodec struct {
+	core.RealCodec
+	repeat, done bool
+}
+
+func (c *shortAnswerCodec) Encode(dst []byte, id seq.ReadID) []byte {
+	if c.done {
+		return c.RealCodec.Encode(dst, id)
+	}
+	c.done = true
+	if c.repeat {
+		return c.RealCodec.Encode(c.RealCodec.Encode(dst, id), id)
+	}
+	return dst
+}
+
+// An owner whose payload leaves out a requested read, or carries one twice,
+// ends the align stage with a *StageError on every rank; the requester
+// carries the *core.ExchangeError naming the owner, and nobody hangs.
+func TestAlignRejectsShortOrRepeatedPayload(t *testing.T) {
+	const p, k = 3, 15
+	reads := mixedReads(t, 1)
+	lens := workload.LensOf(reads)
+	for _, repeat := range []bool{false, true} {
+		plan, err := NewPlan(lens, p, Spec{K: k, Lo: 2, Hi: 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan.Stages = []Stage{DiscoverStage{}, shortAnswerAlign{repeat}}
+		world, err := par.NewWorld(par.Config{P: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs := make([]error, p)
+		if err := world.Run(func(r rt.Runtime) {
+			_, errs[r.Rank()] = plan.RunStages(r, scopeRank(r, plan.Part, reads, lens), nil)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		instigators := 0
+		for rk, err := range errs {
+			var se *StageError
+			if !errors.As(err, &se) || se.Stage != "align" {
+				t.Errorf("repeat=%v: rank %d returned %v, want an align StageError", repeat, rk, err)
+				continue
+			}
+			var xe *core.ExchangeError
+			if errors.As(err, &xe) {
+				instigators++
+				if xe.Rank != rk || xe.From != 1 {
+					t.Errorf("repeat=%v: rank %d carries %v, want bad bytes from rank 1", repeat, rk, xe)
+				}
+			} else if se.Err != nil {
+				t.Errorf("repeat=%v: rank %d carries %v", repeat, rk, se.Err)
+			}
+		}
+		if instigators != 1 {
+			t.Errorf("repeat=%v: %d ranks carry an ExchangeError, want the one requester", repeat, instigators)
 		}
 	}
 }

@@ -246,14 +246,19 @@ type Runtime interface {
 	// exactly that synchronisation. The handler runs during this rank's
 	// polling; it must not block, and it must not retain the request bytes
 	// past its return — the runtime may recycle the request buffer for a
-	// later delivery.
+	// later delivery. The response it returns is snapshotted by the
+	// runtime before the handler can run again, so a handler may build
+	// every response in one buffer it keeps.
 	Serve(handler func(req []byte) []byte)
 
 	// AsyncCall sends req to owner's handler; cb receives the response on
 	// this rank during a later Progress/Barrier. The injection overhead
 	// accrues to CatComm; round-trip latency is hidden unless the rank
 	// runs dry. Single-read lookups, batched fetches and work-steal
-	// requests all ride this one primitive.
+	// requests all ride this one primitive. cb must not retain resp past
+	// its return — the runtime may recycle the response buffer for a later
+	// delivery; a callback that needs the bytes afterwards copies or
+	// decodes them first. req must stay untouched until cb runs.
 	AsyncCall(owner int, req []byte, cb func(resp []byte))
 
 	// Progress services inbound requests and runs ready callbacks,

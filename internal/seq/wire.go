@@ -3,6 +3,8 @@ package seq
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"unsafe"
 )
 
 // Wire encoding for reads exchanged between ranks. A read on the wire is
@@ -14,17 +16,60 @@ import (
 // the exchange use these helpers so exchange-load accounting (Figure 6) and
 // memory budgeting (Figures 9, 11) are exact.
 
-// AppendWire appends the wire encoding of r to dst and returns the
-// extended slice.
-func AppendWire(dst []byte, r *Read) []byte {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(r.ID))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(r.Seq)))
-	dst = append(dst, hdr[:]...)
-	for _, b := range r.Seq {
-		dst = append(dst, byte(b))
+// A base code on the wire is the Base's own byte, so moving a sequence to or
+// from a byte buffer is one memmove and checking it is a scan over 64-bit
+// words. seqBytes is the only place a Seq's storage is viewed as bytes.
+func seqBytes(s Seq) []byte {
+	return unsafe.Slice((*byte)(unsafe.SliceData(s)), len(s))
+}
+
+// AppendBases appends the base codes of s to dst.
+func AppendBases(dst []byte, s Seq) []byte { return append(dst, seqBytes(s)...) }
+
+// CopyBases copies base codes from src into dst, returning the count
+// copied (the shorter length). It does not validate; see InvalidBase.
+func CopyBases(dst Seq, src []byte) int { return copy(seqBytes(dst), src) }
+
+// InvalidBase returns the offset of the first byte of b that is not a base
+// code, or -1 when all are.
+func InvalidBase(b []byte) int { return firstAtLeast(b, NumBases) }
+
+// HasN reports whether s holds a base that 2-bit packing cannot carry (N,
+// or any code beyond it).
+func (s Seq) HasN() bool { return firstAtLeast(seqBytes(s), byte(N)) >= 0 }
+
+// firstAtLeast returns the offset of the first byte of b that is >= limit
+// (limit <= 0x80), or -1. Eight bytes are checked per 64-bit word: a byte
+// is >= limit exactly when adding 0x80-limit carries into its high bit or
+// that bit was already set. The byte loop runs only on a word that failed
+// (to name the offset) and on the tail.
+func firstAtLeast(b []byte, limit byte) int {
+	const (
+		ones = 0x0101010101010101
+		high = 0x80 * ones
+	)
+	add := uint64(0x80-limit) * ones
+	i := 0
+	for ; i+8 <= len(b); i += 8 {
+		if x := binary.LittleEndian.Uint64(b[i:]); ((x+add)|x)&high != 0 {
+			break
+		}
 	}
-	return dst
+	for ; i < len(b); i++ {
+		if b[i] >= limit {
+			return i
+		}
+	}
+	return -1
+}
+
+// AppendWire appends the wire encoding of r to dst and returns the
+// extended slice. dst grows at most once.
+func AppendWire(dst []byte, r *Read) []byte {
+	dst = slices.Grow(dst, 8+len(r.Seq))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(r.ID))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.Seq)))
+	return AppendBases(dst, r.Seq)
 }
 
 // DecodeWire decodes one read from the front of buf, returning the read and
@@ -53,13 +98,11 @@ func DecodeWireInto(dst Seq, buf []byte) (Read, int, error) {
 	} else {
 		s = make(Seq, n) // non-nil even for n == 0, matching DecodeWire
 	}
-	for i := 0; i < n; i++ {
-		b := buf[8+i]
-		if b >= NumBases {
-			return Read{}, 0, fmt.Errorf("seq: wire: invalid base code %d at offset %d", b, 8+i)
-		}
-		s[i] = Base(b)
+	body := buf[8 : 8+n]
+	if i := InvalidBase(body); i >= 0 {
+		return Read{}, 0, fmt.Errorf("seq: wire: invalid base code %d at offset %d", body[i], 8+i)
 	}
+	CopyBases(s, body)
 	return Read{ID: ReadID(id), Seq: s}, 8 + n, nil
 }
 

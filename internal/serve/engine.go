@@ -43,6 +43,16 @@ func (k *killableTP) Send(dst int, frame []byte) error {
 	return k.Transport.Send(dst, frame)
 }
 
+// SendV forwards the two-piece send, so the kill switch costs the wrapped
+// fabric's vectored path nothing (transport.SendV joins the pieces only if
+// that fabric cannot take them apart).
+func (k *killableTP) SendV(dst int, hdr, body []byte) error {
+	if k.dead.Load() {
+		return errChaosKill
+	}
+	return transport.SendV(k.Transport, dst, hdr, body)
+}
+
 func (k *killableTP) Recv() (int, []byte, bool, error) {
 	if k.dead.Load() {
 		return 0, nil, false, errChaosKill

@@ -165,7 +165,13 @@ func (p *proc) serve(ev *event) {
 		panic(fmt.Sprintf("sim: rank %d received request before Serve", p.id))
 	}
 	tEnter := p.clock
+	// Snapshot the response: it travels by reference until the caller's
+	// event loop reaches it, and the handler may rebuild its next response
+	// in the same buffer before then.
 	val := p.handler(ev.val)
+	if len(val) > 0 {
+		val = append([]byte(nil), val...)
+	}
 	m := &p.eng.cfg.Machine
 	// Service occupancy: dequeue + lookup + injecting the payload. The
 	// per-byte term (NIC injection — internode only; intranode RPCs ride

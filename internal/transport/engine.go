@@ -31,8 +31,12 @@ type EngineConfig struct {
 	Rank int
 	// Send moves one message toward dst; the host supplies its conduit
 	// (par: channel inboxes with self-service on full; dist: Transport
-	// frames). Send may service inbound work while it waits, but must not
-	// deliver the message being sent back into Deliver re-entrantly.
+	// frames). Send must take its own snapshot of m.Val before it returns
+	// or services any inbound work (par copies into the inbox message, dist
+	// serialises onto the transport): a Serve handler may rebuild its next
+	// response in the buffer it returned the last one in. Send may service
+	// inbound work while it waits, but must not deliver the message being
+	// sent back into Deliver re-entrantly.
 	Send func(dst int, m Msg)
 	// Metrics receives the engine's accounting (same rank-owned
 	// single-writer discipline as the rest of rt.Metrics).
@@ -42,16 +46,6 @@ type EngineConfig struct {
 	// Nested, if set, is told the wall time spent inside request service,
 	// so the host's wait loops can subtract already-attributed time.
 	Nested func(d time.Duration)
-	// CopyOnDeliver copies payloads before handing them to the handler or
-	// callback. Required when the conduit moves buffers between ranks by
-	// reference (par's channel inboxes): the receiver may then mutate or
-	// retain what it was given without racing the sender's buffers. Wire
-	// transports already deliver fresh buffers and leave this false.
-	//
-	// The send side keeps single-owner semantics either way: a buffer
-	// passed to Call, or returned by the Serve handler, belongs to the
-	// engine until delivered — the sender must not mutate it afterwards.
-	CopyOnDeliver bool
 }
 
 // pendingCall is one issued request awaiting its response: the callback to
@@ -80,11 +74,14 @@ func NewEngine(cfg EngineConfig) *Engine {
 	return e
 }
 
-// Serve registers the handler answering inbound requests.
+// Serve registers the handler answering inbound requests. The handler must
+// not retain req past its return; the response it returns is snapshotted by
+// Send before the handler can run again, so it may reuse one buffer.
 func (e *Engine) Serve(handler func(req []byte) []byte) { e.handler = handler }
 
 // Call issues a request to owner; cb runs on this rank when the response
-// is delivered through a later Deliver.
+// is delivered through a later Deliver. cb must not retain resp past its
+// return: the host may recycle the buffer once Deliver returns.
 func (e *Engine) Call(owner int, req []byte, cb func(resp []byte)) {
 	if cb == nil {
 		panic("transport: AsyncCall requires a callback")
@@ -105,17 +102,12 @@ func (e *Engine) Call(owner int, req []byte, cb func(resp []byte)) {
 
 // Deliver consumes one inbound message: requests run the registered
 // handler (service time accrues to CatComm) and send the response back;
-// responses run their pending callback. Protocol violations — a request
-// arriving before Serve, a response for an unknown seq — are returned as
-// errors: over a wire fabric they mean a corrupt or misbehaving link, a
-// per-rank failure, not grounds to kill the process.
+// responses run their pending callback. Neither keeps a reference to m.Val
+// once Deliver returns, so the host may then recycle it. Protocol
+// violations — a request arriving before Serve, a response for an unknown
+// seq — are returned as errors: over a wire fabric they mean a corrupt or
+// misbehaving link, a per-rank failure, not grounds to kill the process.
 func (e *Engine) Deliver(m Msg) error {
-	val := m.Val
-	if e.cfg.CopyOnDeliver && len(val) > 0 {
-		cp := make([]byte, len(val))
-		copy(cp, val)
-		val = cp
-	}
 	met := e.cfg.Metrics
 	switch {
 	case m.Req:
@@ -124,7 +116,7 @@ func (e *Engine) Deliver(m Msg) error {
 		}
 		tEnter := e.cfg.Tracer.Now()
 		t0 := time.Now()
-		resp := e.handler(val)
+		resp := e.handler(m.Val)
 		d := time.Since(t0)
 		met.Time[rt.CatComm] += d // serving lookups is communication work
 		if e.cfg.Nested != nil {
@@ -141,12 +133,12 @@ func (e *Engine) Deliver(m Msg) error {
 			return fmt.Errorf("transport: rank %d got response from rank %d for unknown seq %d", e.cfg.Rank, m.From, m.Seq)
 		}
 		delete(e.pending, m.Seq)
-		met.BytesRecv += int64(len(val))
+		met.BytesRecv += int64(len(m.Val))
 		if e.cfg.Tracer != nil {
-			e.cfg.Tracer.Span(trace.KindRPC, e.pendT0[m.Seq], int64(len(val)))
+			e.cfg.Tracer.Span(trace.KindRPC, e.pendT0[m.Seq], int64(len(m.Val)))
 			delete(e.pendT0, m.Seq)
 		}
-		p.cb(val)
+		p.cb(m.Val)
 	}
 	return nil
 }

@@ -73,6 +73,7 @@ type Loopback struct {
 
 var _ Transport = (*Loopback)(nil)
 var _ FrameRecycler = (*Loopback)(nil)
+var _ VectorSender = (*Loopback)(nil)
 
 // NewLoopback builds an n-rank in-memory fabric and returns the per-rank
 // endpoints. Endpoint i must only be used by rank i's goroutine.
@@ -102,14 +103,18 @@ func (l *Loopback) Size() int { return len(l.queues) }
 // peer that closed its endpoint is a graceful departure: the send fails
 // with ErrPeerDeparted naming that peer, and every other link stays usable
 // — the same semantics the TCP fabric gets from its bye frame.
-func (l *Loopback) Send(dst int, frame []byte) error {
+func (l *Loopback) Send(dst int, frame []byte) error { return l.SendV(dst, frame, nil) }
+
+// SendV is Send of the frame hdr‖body: both pieces are copied straight into
+// the one buffer dst's inbox receives.
+func (l *Loopback) SendV(dst int, hdr, body []byte) error {
 	if dst < 0 || dst >= len(l.queues) {
 		return fmt.Errorf("transport: loopback send to rank %d of %d", dst, len(l.queues))
 	}
 	var cp []byte
-	if len(frame) > 0 {
-		cp = l.pool.get(len(frame))
-		copy(cp, frame)
+	if n := len(hdr) + len(body); n > 0 {
+		cp = l.pool.get(n)
+		copy(cp[copy(cp, hdr):], body)
 	}
 	if err := l.queues[dst].push(loopItem{from: l.rank, frame: cp}); err != nil {
 		if dst == l.rank {

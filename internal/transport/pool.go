@@ -1,6 +1,9 @@
 package transport
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // FrameRecycler is implemented by fabrics that can reuse delivered frame
 // buffers. A receiver that has fully consumed a Recv frame — decoded it and
@@ -13,28 +16,47 @@ type FrameRecycler interface {
 	RecycleFrame(frame []byte)
 }
 
+// Pooled buffers come in power-of-two capacities from 64 B to 1 MiB, one
+// sync.Pool per capacity, so a request only ever meets buffers that fit it:
+// a 10 kB RPC response and an 11-byte barrier token recycle side by side
+// without evicting each other. Frames beyond the largest class — bulk
+// alltoallv bodies, which their receivers keep and never recycle — are
+// allocated at their exact size and stay out of the pool.
+const (
+	minClassBits = 6
+	maxClassBits = 20
+)
+
 // framePool recycles frame buffers between deliveries. Recycled buffers
 // come back from receiving ranks' goroutines while senders draw from
-// arbitrary ones, so the pool is a sync.Pool (of *[]byte, keeping the
+// arbitrary ones, so each class is a sync.Pool (of *[]byte, keeping the
 // header allocation off the Put path).
-type framePool struct{ p sync.Pool }
-
-// get returns a length-n buffer, reusing a pooled allocation when one is
-// large enough. Too-small buffers are dropped rather than requeued, so the
-// pool converges on the fabric's actual frame sizes.
-func (fp *framePool) get(n int) []byte {
-	if v, ok := fp.p.Get().(*[]byte); ok && cap(*v) >= n {
-		return (*v)[:n]
-	}
-	return make([]byte, n)
+type framePool struct {
+	classes [maxClassBits - minClassBits + 1]sync.Pool
 }
 
-// put returns a buffer for reuse; zero-capacity slices carry nothing worth
-// keeping.
+// get returns a length-n buffer: a pooled one of n's class when there is
+// one, otherwise a fresh one with the class's full capacity so that it can
+// serve the whole class once recycled.
+func (fp *framePool) get(n int) []byte {
+	if n > 1<<maxClassBits {
+		return make([]byte, n)
+	}
+	c := max(bits.Len(uint(max(n, 1)-1)), minClassBits) // smallest c with n <= 1<<c
+	if v, ok := fp.classes[c-minClassBits].Get().(*[]byte); ok {
+		return (*v)[:n]
+	}
+	return make([]byte, n, 1<<c)
+}
+
+// put returns a buffer for reuse, filed under the largest class its
+// capacity covers (buffers the pool did not allocate may have any
+// capacity); those too small or too large for every class are dropped.
 func (fp *framePool) put(b []byte) {
-	if cap(b) == 0 {
+	c := bits.Len(uint(cap(b))) - 1 // largest c with 1<<c <= cap(b)
+	if c < minClassBits || cap(b) > 1<<maxClassBits {
 		return
 	}
 	b = b[:0]
-	fp.p.Put(&b)
+	fp.classes[c-minClassBits].Put(&b)
 }

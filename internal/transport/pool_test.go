@@ -78,22 +78,66 @@ func TestTCPRecycling(t *testing.T) {
 	exerciseRecycling(t, tcpFabric(t, 3))
 }
 
-// TestFramePoolSizing pins the pool mechanics: large-enough buffers are
-// reused at the requested length, too-small ones are dropped, and
-// zero-capacity slices are never pooled.
+// TestFramePoolSizing pins the pool mechanics: a request only ever meets
+// buffers of its own power-of-two class, so a recycled small frame neither
+// serves nor is evicted by a larger request; fresh buffers carry their
+// class's full capacity; frames beyond the largest class are allocated
+// exactly and never pooled; zero-capacity slices are dropped.
 func TestFramePoolSizing(t *testing.T) {
 	var fp framePool
-	fp.put(make([]byte, 0, 100))
-	b := fp.get(40)
-	if len(b) != 40 || cap(b) != 100 {
-		t.Fatalf("get(40) after put(cap 100): len %d cap %d", len(b), cap(b))
-	}
-	fp.put(b)
-	if c := fp.get(200); cap(c) != 200 {
-		t.Fatalf("get(200) should allocate fresh, got cap %d", cap(c))
-	}
 	fp.put(nil) // must not panic or pool an empty slice
-	if d := fp.get(1); len(d) != 1 {
-		t.Fatalf("get(1) = len %d", len(d))
+	if d := fp.get(1); len(d) != 1 || cap(d) != 1<<minClassBits {
+		t.Fatalf("get(1) = len %d cap %d, want 1 and %d", len(d), cap(d), 1<<minClassBits)
+	}
+	for _, n := range []int{0, 11, 64, 65, 200, 10_600, 1 << maxClassBits} {
+		b := fp.get(n)
+		if len(b) != n || cap(b) < n || cap(b)&(cap(b)-1) != 0 || (cap(b) > 1<<minClassBits && cap(b) >= 2*n) {
+			t.Fatalf("get(%d): len %d cap %d, want the smallest class that fits", n, len(b), cap(b))
+		}
+	}
+
+	// A foreign buffer (capacity 100) files under class 64 and serves only
+	// requests that class covers. sync.Pool may drop a Put (it does so at
+	// random under the race detector), so reuse is required to happen at
+	// least once over many tries rather than every time.
+	reused := false
+	for try := 0; try < 100 && !reused; try++ {
+		fp.put(make([]byte, 0, 100))
+		if c := fp.get(200); cap(c) != 256 {
+			t.Fatalf("get(200) met a buffer of cap %d from another class", cap(c))
+		}
+		b := fp.get(40)
+		if len(b) != 40 || (cap(b) != 100 && cap(b) != 64) {
+			t.Fatalf("get(40) after put(cap 100): len %d cap %d", len(b), cap(b))
+		}
+		reused = cap(b) == 100
+	}
+	if !reused {
+		t.Error("a recycled buffer was never reused in 100 tries")
+	}
+
+	// Mixed traffic: an 11-byte token recycled between two 10 kB responses
+	// must not cost the second response its buffer.
+	reused = false
+	for try := 0; try < 100 && !reused; try++ {
+		resp := fp.get(10_600)
+		resp[0] = 0xA5
+		fp.put(resp)
+		fp.put(fp.get(11))
+		again := fp.get(10_900)
+		reused = again[0] == 0xA5
+	}
+	if !reused {
+		t.Error("a recycled 10 kB buffer never survived a recycled token")
+	}
+
+	big := fp.get(1<<maxClassBits + 1)
+	if cap(big) != len(big) {
+		t.Fatalf("oversize get: cap %d != len %d", cap(big), len(big))
+	}
+	big[0] = 0x5A
+	fp.put(big)
+	if again := fp.get(1<<maxClassBits + 1); again[0] == 0x5A {
+		t.Error("an oversize frame was pooled")
 	}
 }

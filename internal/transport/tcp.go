@@ -66,8 +66,8 @@ const (
 // tcpTransport is one rank's endpoint of the socket mesh.
 type tcpTransport struct {
 	rank, size int
-	conns      []net.Conn   // per peer; nil at self
-	wmu        []sync.Mutex // per-peer write locks (RPC replies can be sent from Progress)
+	conns      []net.Conn  // per peer; nil at self
+	w          []tcpWriter // per-peer write side (RPC replies can be sent from Progress)
 	inbox      loopQueue
 	pool       framePool // recycled delivery buffers (readers draw, receiver returns)
 	closed     atomic.Bool
@@ -79,22 +79,31 @@ type tcpTransport struct {
 	departed []bool // peers that sent tcpBye (graceful close)
 }
 
-// writeTagged sends one tagged frame: [len+1][tag][payload].
-func writeTagged(c net.Conn, tag byte, payload []byte) error {
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload))+1)
-	hdr[4] = tag
-	if _, err := c.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) == 0 {
-		return nil
-	}
-	_, err := c.Write(payload)
+// tcpWriter is the write side of one peer link: the lock that serialises
+// frames onto the socket and, under it, the scratch a vectored write needs,
+// so sending allocates nothing.
+type tcpWriter struct {
+	mu   sync.Mutex
+	pre  [5]byte     // length prefix + tag
+	vec  [3][]byte   // pre, hdr, body
+	bufs net.Buffers // the slice WriteTo consumes; re-pointed at vec per frame
+}
+
+// writeTagged sends one tagged frame, [len+1][tag][hdr][body], as a single
+// vectored write (one writev on a TCP socket): the pieces are never joined,
+// and a small frame costs one syscall. The caller holds w.mu.
+func (w *tcpWriter) writeTagged(c net.Conn, tag byte, hdr, body []byte) error {
+	binary.BigEndian.PutUint32(w.pre[:4], uint32(len(hdr)+len(body))+1)
+	w.pre[4] = tag
+	w.vec = [3][]byte{w.pre[:], hdr, body}
+	w.bufs = w.vec[:]
+	_, err := w.bufs.WriteTo(c)
+	w.vec = [3][]byte{} // a failed write must not pin the caller's buffers
 	return err
 }
 
 var _ Transport = (*tcpTransport)(nil)
+var _ VectorSender = (*tcpTransport)(nil)
 
 // Rendezvous joins (or, on rank 0, hosts) the handshake and returns this
 // rank's connected endpoint. It blocks until the full mesh is up or the
@@ -112,7 +121,7 @@ func Rendezvous(rank, size int, cfg TCPConfig) (Transport, error) {
 		rank:     rank,
 		size:     size,
 		conns:    make([]net.Conn, size),
-		wmu:      make([]sync.Mutex, size),
+		w:        make([]tcpWriter, size),
 		departed: make([]bool, size),
 	}
 	if size > 1 {
@@ -391,7 +400,11 @@ func (t *tcpTransport) Rank() int { return t.rank }
 func (t *tcpTransport) Size() int { return t.size }
 
 // Send writes frame to dst's socket (self-sends go straight to the inbox).
-func (t *tcpTransport) Send(dst int, frame []byte) error {
+func (t *tcpTransport) Send(dst int, frame []byte) error { return t.SendV(dst, frame, nil) }
+
+// SendV is Send of the frame hdr‖body, written to the socket from where the
+// two pieces lie.
+func (t *tcpTransport) SendV(dst int, hdr, body []byte) error {
 	if t.closed.Load() {
 		return ErrClosed
 	}
@@ -402,16 +415,17 @@ func (t *tcpTransport) Send(dst int, frame []byte) error {
 		return fmt.Errorf("transport: tcp send to rank %d of %d", dst, t.size)
 	}
 	if dst == t.rank {
-		cp := t.pool.get(len(frame))
-		copy(cp, frame)
+		cp := t.pool.get(len(hdr) + len(body))
+		copy(cp[copy(cp, hdr):], body)
 		return t.inbox.push(loopItem{from: t.rank, frame: cp})
 	}
 	if t.hasDeparted(dst) {
 		return t.departedErr(dst)
 	}
-	t.wmu[dst].Lock()
-	err := writeTagged(t.conns[dst], tcpData, frame)
-	t.wmu[dst].Unlock()
+	w := &t.w[dst]
+	w.mu.Lock()
+	err := w.writeTagged(t.conns[dst], tcpData, hdr, body)
+	w.mu.Unlock()
 	if err != nil {
 		// A bye can race the write: the peer closed its end between our
 		// departed check and the syscall. That is still a graceful
@@ -463,9 +477,9 @@ func (t *tcpTransport) Close() error {
 	}
 	for p, c := range t.conns {
 		if c != nil {
-			t.wmu[p].Lock()
-			writeTagged(c, tcpBye, nil)
-			t.wmu[p].Unlock()
+			t.w[p].mu.Lock()
+			t.w[p].writeTagged(c, tcpBye, nil, nil)
+			t.w[p].mu.Unlock()
 			c.Close()
 		}
 	}

@@ -108,3 +108,30 @@ type Transport interface {
 	// ErrClosed (pending frames are discarded).
 	Close() error
 }
+
+// VectorSender is implemented by fabrics that can send a frame handed over
+// in two pieces — a small header the runtime built and a body it was given
+// — without first joining them in a fresh buffer. SendV(dst, hdr, body)
+// delivers exactly the frame Send(dst, hdr‖body) would, under the same
+// ownership contract: both pieces are snapshotted before it returns. Like
+// FrameRecycler it is opt-in; callers go through the SendV function, which
+// joins the pieces for endpoints (wrappers, mostly) that do not implement
+// it.
+type VectorSender interface {
+	SendV(dst int, hdr, body []byte) error
+}
+
+// SendV sends the frame hdr‖body to dst over tp: as two pieces when the
+// endpoint is a VectorSender, as one joined copy through Send otherwise (a
+// frame built whole, with no body, needs no joining).
+func SendV(tp Transport, dst int, hdr, body []byte) error {
+	if v, ok := tp.(VectorSender); ok {
+		return v.SendV(dst, hdr, body)
+	}
+	if len(body) == 0 {
+		return tp.Send(dst, hdr)
+	}
+	frame := make([]byte, 0, len(hdr)+len(body))
+	frame = append(frame, hdr...)
+	return tp.Send(dst, append(frame, body...))
+}
