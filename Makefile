@@ -1,13 +1,17 @@
 # gnbody — build, test, and fuzz gates. Pure Go, no external tools.
 #
 #   make check   fast gate: vet + gofmt + build + full test suite, plus
-#                bench-build
+#                bench-build and loc-budget
 #   make bench-build  vet and test the benchmark/ module (a Go module of
 #                its own, so ./... does not reach it): a change that breaks
 #                the exported surface it compiles against fails here, not
 #                in the benchmark driver
 #   make loc     non-test Go lines outside benchmark/ — the number the
 #                ROADMAP line budget is counted in
+#   make loc-budget  ratchet on that number: fails when make loc exceeds
+#                LOC_BUDGET below. A PR that shrinks the tree lowers the
+#                budget to its own result; one that must grow it raises the
+#                number in the same diff, where a reviewer sees it
 #   make backhalf-rounds  one traced 5 s run of the benchmark's
 #                assemble-backhalf workload: the contig stage must make at
 #                most 4 blocking runtime calls per rank, whatever the chain
@@ -57,10 +61,11 @@ GO      ?= go
 FUZZT   ?= 10s
 BENCHN  ?= 5
 BENCH_JSON ?= BENCH_9.json
+LOC_BUDGET = 19565
 
-.PHONY: check vet fmtcheck build test bench-build backhalf-rounds exchange-allocs loc race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke bench bench-smoke bench-comm ci
+.PHONY: check vet fmtcheck build test bench-build backhalf-rounds exchange-allocs loc loc-budget race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke bench bench-smoke bench-comm ci
 
-check: vet fmtcheck build test bench-build
+check: vet fmtcheck build test bench-build loc-budget
 
 vet:
 	$(GO) vet ./...
@@ -101,6 +106,13 @@ exchange-allocs:
 loc:
 	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' | xargs cat | wc -l
 
+loc-budget:
+	@n=$$($(MAKE) -s loc); \
+	if [ "$$n" -gt $(LOC_BUDGET) ]; then \
+		echo "loc-budget: $$n non-test Go lines, budget $(LOC_BUDGET)"; exit 1; \
+	fi; \
+	echo "loc-budget: OK ($$n of $(LOC_BUDGET))"
+
 # The wall-clock experiments in internal/expt run ~10x slower under the
 # race detector; the default 10m per-package test timeout is not enough.
 race:
@@ -116,6 +128,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzXDropSWARDiff$$ -fuzztime $(FUZZT) ./internal/align/
 	$(GO) test -fuzz=FuzzFrame -fuzztime $(FUZZT) ./internal/transport/
 	$(GO) test -fuzz=FuzzSendV$$ -fuzztime $(FUZZT) ./internal/transport/
+	$(GO) test -fuzz=FuzzHierRecord$$ -fuzztime $(FUZZT) ./internal/dist/
 	$(GO) test -fuzz=FuzzCacheEvict -fuzztime $(FUZZT) ./internal/core/
 	$(GO) test -fuzz=FuzzJobRequest -fuzztime $(FUZZT) ./internal/serve/
 	$(GO) test -fuzz=FuzzOverlapClassify -fuzztime $(FUZZT) ./internal/graph/

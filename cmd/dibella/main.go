@@ -50,6 +50,7 @@ import (
 	"gnbody/internal/rt"
 	"gnbody/internal/seq"
 	"gnbody/internal/stats"
+	"gnbody/internal/topo"
 	"gnbody/internal/trace"
 	"gnbody/internal/transport"
 	"gnbody/internal/workload"
@@ -82,7 +83,7 @@ type options struct {
 	rank, peers                           int
 	coverage, errRate                     float64
 	mem, cacheB                           int64
-	paf, steal, noBatch, packed, dist     bool
+	paf, steal, packed, dist              bool
 	deadline                              time.Duration
 
 	placement []int // -placement resolved to a rank→slot permutation (nil = identity)
@@ -116,7 +117,6 @@ func parseOptions(args []string, stderr io.Writer) (*options, int) {
 	fs.StringVar(&o.stageMetrics, "stage-metrics", "", "write per-stage per-rank metrics, one row per stage and rank (CSV, or JSON if path ends in .json)")
 	fs.BoolVar(&o.paf, "paf", false, "emit PAF records (with cg:Z cigar tags) instead of TSV; needs -stages overlap and in-process ranks")
 	fs.BoolVar(&o.steal, "steal", false, "async mode with dynamic load balancing (work stealing); needs -mode async")
-	fs.BoolVar(&o.noBatch, "no-batch", false, "disable length-bucketed batch scheduling of alignment tasks (ablation; results are identical either way)")
 	fs.BoolVar(&o.packed, "packed", false, "2-bit-pack N-free reads on the wire (≈4x smaller exchanges)")
 	fs.StringVar(&o.traceOut, "trace", "", "write a Chrome trace_event JSON of the run (load in Perfetto)")
 	fs.StringVar(&o.metrics, "metrics", "", "write per-rank metrics totalled over the whole run, all stages and the result gather included (CSV, or JSON if path ends in .json)")
@@ -476,7 +476,7 @@ func parsePlacement(s string, p int) ([]int, error) {
 			pl[i] = v
 		}
 	}
-	if err := dist.CheckPlacement(pl, p); err != nil {
+	if _, err := topo.New(p, 0, pl); err != nil {
 		return nil, err
 	}
 	return pl, nil

@@ -88,7 +88,7 @@ func (s *session) runPipeline() error {
 	s.plan.Stages = append([]pipeline.Stage{
 		pipeline.DiscoverStage{},
 		pipeline.AlignStage{Mode: mode, MinScore: s.minScore, X: s.x,
-			Packed: s.packed, CacheBudget: s.cacheB, NoBatch: s.noBatch},
+			Packed: s.packed, CacheBudget: s.cacheB},
 	}, graph.AssemblyStages(s.slack, s.minOv, s.fuzz, s.mode, nil)[:stageChainIndex(s.stages)]...)
 
 	t0 := time.Now()

@@ -119,23 +119,16 @@ func (bt *batcher) plan(in *Input) {
 	}
 }
 
-// run executes the staged group in bucketed order (original order under
-// Config.NoBatch), storing each result at the task's original index, then
-// emits hits in original order. rem is the group's remote payload and rid
-// the read it stands for; haveRem distinguishes a remote group under the
+// run executes the staged group in bucketed order, storing each result at
+// the task's original index, then emits hits in original order. rem is the
+// group's remote payload and rid the read it stands for; haveRem distinguishes a remote group under the
 // phantom codec (rem == nil, but the remote side must stay nil) from a
 // local-local group, where both sides resolve from the store. pollEvery
 // > 0 answers inbound requests between alignments (the asynchronous
 // drivers' application-level polling); BSP passes 0.
 func (bt *batcher) run(r rt.Runtime, in *Input, cfg *Config, rid seq.ReadID, rem seq.Seq, haveRem bool, out *Result, pollEvery int) {
 	n := len(bt.tasks)
-	if cfg.NoBatch || n <= 1 {
-		for i := 0; i < n; i++ {
-			bt.order[i] = int32(i)
-		}
-	} else {
-		bt.plan(in)
-	}
+	bt.plan(in)
 	done := 0
 	for _, oi := range bt.order[:n] {
 		t := bt.tasks[oi]

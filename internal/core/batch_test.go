@@ -11,17 +11,22 @@ import (
 // TestBatchOrderInvariance is the batching property test (DESIGN.md §16):
 // length-bucketed execution must produce the identical hit set — same
 // alignments, same scores, same extents after the canonical SortHits — as
-// discovery-order execution, under every driver and rank count. Batching
-// is a schedule, not a semantic.
+// SerialHits, which runs every task in discovery order with no batcher,
+// under every driver and rank count. Batching is a schedule, not a
+// semantic.
 func TestBatchOrderInvariance(t *testing.T) {
 	w := makeWorkload(t, 3000, 12, 77)
-	exec := RealExecutor{Scoring: align.DefaultScoring(), X: 15}
+	sc := align.DefaultScoring()
+	plain, err := SerialHits(w.reads, w.tasks, sc, 15, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := RealExecutor{Scoring: sc, X: 15}
 	for _, driver := range []string{"bsp", "async", "steal"} {
 		for _, p := range []int{1, 3} {
 			batched, _ := runRealMode(t, w, p, driver, exec, Config{MinScore: 40})
-			plain, _ := runRealMode(t, w, p, driver, exec, Config{MinScore: 40, NoBatch: true})
 			if !reflect.DeepEqual(batched, plain) {
-				t.Errorf("%s p=%d: batched hits differ from unbatched (%d vs %d hits)",
+				t.Errorf("%s p=%d: batched hits differ from discovery order (%d vs %d hits)",
 					driver, p, len(batched), len(plain))
 			}
 		}

@@ -48,11 +48,6 @@ type Config struct {
 	// the same rank. Takes precedence over CacheBudget. A cache must only
 	// ever be used by a single rank (it is unlocked by design).
 	Cache *ReadCache
-
-	// NoBatch disables length-bucketed batch scheduling (DESIGN.md §16):
-	// task groups run in discovery order instead of bucketed order. The
-	// result set is identical either way; this is the ablation knob.
-	NoBatch bool
 }
 
 func (cfg *Config) defaults() {

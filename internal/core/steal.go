@@ -94,53 +94,23 @@ func RunAsyncStealing(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 	bpool.put(lbt)
 	wait()
 
-	// Phase 1: own queue, front to wherever stealing leaves it. With the
-	// cache enabled every pull routes through the fetch context (decision
-	// point + retention); without it the zero-alloc path below decodes into
-	// the fetch context's pooled buffers directly.
+	// Phase 1: own queue, front to wherever stealing leaves it. Every pull
+	// routes through the fetch context: with the cache it is the decision
+	// point and the retention; without, it decodes into pooled scratch.
 	for next <= tail {
 		rid := store.order[next]
 		next++
 		tasks := store.byRemote[rid]
-		if fc.cache != nil {
-			fc.fetch(rid, true, func(s seq.Seq, err error) {
-				if err != nil {
-					fail(err)
-					return
-				}
-				cbt := bpool.get()
-				cbt.loadPtr(tasks)
-				cbt.run(r, in, &cfg, rid, s, true, out, cfg.PollEvery)
-				bpool.put(cbt)
-				fc.doneSeq(rid, s)
-			})
-			if r.Outstanding() > cfg.MaxOutstanding {
-				r.Drain(cfg.MaxOutstanding)
-			}
-			continue
-		}
-		est := int64(in.planSize(rid))
-		meter.add(est)
-		out.WireFetches++
-		owner := in.Part.Owner(rid)
-		r.AsyncCall(owner, encodeReadReq(rid), func(val []byte) {
-			meter.sub(est)
-			n := int64(len(val))
-			r.Alloc(n)
-			defer r.Free(n)
-			// Per-callback decode buffer: Progress below can run other
-			// completion callbacks before this one finishes its tasks.
-			dbuf := fc.scratch.get(int(in.Lens[rid]))
-			defer fc.scratch.put(dbuf)
-			read, used, err := fc.dec.decode(dbuf, val)
-			if err != nil || used != len(val) || read.ID != rid {
-				fail(&ExchangeError{r.Rank(), owner, fmt.Sprintf("bad RPC payload for read %d: %v", rid, err)})
+		fc.fetch(rid, true, func(s seq.Seq, err error) {
+			if err != nil {
+				fail(err)
 				return
 			}
 			cbt := bpool.get()
 			cbt.loadPtr(tasks)
-			cbt.run(r, in, &cfg, rid, read.Seq, true, out, cfg.PollEvery)
+			cbt.run(r, in, &cfg, rid, s, true, out, cfg.PollEvery)
 			bpool.put(cbt)
+			fc.doneSeq(rid, s)
 		})
 		if r.Outstanding() > cfg.MaxOutstanding {
 			r.Drain(cfg.MaxOutstanding)

@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"gnbody/internal/rt"
+	"gnbody/internal/topo"
 	"gnbody/internal/trace"
 	"gnbody/internal/transport"
 )
@@ -97,32 +98,11 @@ type Config struct {
 	// purely a regrouping: it changes which rank pairs count as intra- vs
 	// inter-node (and which relay through leaders under aggregation),
 	// never what the application exchanges, so results are byte-identical
-	// under every permutation. Must be a permutation of 0..P-1
-	// (CheckPlacement); NewWorldOver rejects invalid placements,
-	// NewRank (which cannot error) falls back to identity.
+	// under every permutation. Must be a permutation of 0..P-1 (topo.New
+	// is the check): NewWorldOver rejects an invalid placement, and a rank
+	// NewRank built from one fails its first Run with a *RankError (op
+	// "placement") rather than route on a topology its peers do not share.
 	Placement []int
-}
-
-// CheckPlacement verifies that pl is a valid rank→slot placement for p
-// ranks: nil (identity) or a permutation of 0..p-1.
-func CheckPlacement(pl []int, p int) error {
-	if pl == nil {
-		return nil
-	}
-	if len(pl) != p {
-		return fmt.Errorf("dist: placement has %d entries, want %d", len(pl), p)
-	}
-	seen := make([]bool, p)
-	for q, s := range pl {
-		if s < 0 || s >= p {
-			return fmt.Errorf("dist: placement[%d]=%d out of range [0,%d)", q, s, p)
-		}
-		if seen[s] {
-			return fmt.Errorf("dist: placement is not a permutation: slot %d assigned twice", s)
-		}
-		seen[s] = true
-	}
-	return nil
 }
 
 // deadline resolves the configured progress deadline.
@@ -146,7 +126,7 @@ const (
 	msgRPCResp   = 6 // [seq:4][payload...]
 
 	// Hierarchical alltoallv frames (hier.go). Records pack only non-empty
-	// rows; ranks are uint16 (NodeSize > 1 requires P <= 65535).
+	// rows; ranks are uint16 (topo.MaxRelayRanks).
 	msgA2AUp   = 7 // [epoch:8][{dst:2,len:4,payload}...] member -> leader
 	msgA2AX    = 8 // [epoch:8][{src:2,dst:2,len:4,payload}...] leader -> leader
 	msgA2ADown = 9 // [epoch:8][{src:2,len:4,payload}...] leader -> member
@@ -187,9 +167,7 @@ type Rank struct {
 	curOp    string        // collective currently blocked in (error context)
 	failErr  *RankError    // sticky first failure; the rank is dead once set
 
-	ns   int   // normalized node size (>= 1); 1 means flat
-	slot []int // rank -> node slot (identity when no placement is set)
-	inv  []int // node slot -> rank (inverse of slot)
+	tm *topo.Map // which rank is on which node, who relays (nil on a rank born failed)
 
 	barEpoch  [2]uint64 // next epoch per barrier kind
 	barGot    map[barKey]struct{}
@@ -225,17 +203,11 @@ func NewRank(tp transport.Transport, cfg Config) *Rank {
 		redGot:    make(map[srcKey]int64),
 		redResult: make(map[uint64]int64),
 	}
-	r.ns = cfg.NodeSize
-	if r.ns < 1 || r.p > 65535 {
-		r.ns = 1 // flat; hierarchical record headers carry uint16 ranks
-	}
-	if r.ns > r.p {
-		r.ns = r.p
-	}
-	if err := r.SetPlacement(cfg.Placement); err != nil {
-		// NewRank cannot report errors; launchers validate via
-		// CheckPlacement (NewWorldOver does). Identity is always safe.
-		r.setSlots(nil)
+	var err error
+	if r.tm, err = topo.New(r.p, cfg.NodeSize, cfg.Placement); err != nil {
+		// NewRank cannot return an error, so the rank is born failed: its
+		// first Run reports why instead of running the body.
+		r.failErr = &RankError{Rank: r.id, Op: "placement", Err: err}
 	}
 	r.rec, _ = tp.(transport.FrameRecycler)
 	r.eng = transport.NewEngine(transport.EngineConfig{
@@ -308,8 +280,8 @@ func NewWorldOver(fabric []transport.Transport, cfg Config) (*World, error) {
 	if len(fabric) == 0 {
 		return nil, fmt.Errorf("dist: empty fabric")
 	}
-	if err := CheckPlacement(cfg.Placement, len(fabric)); err != nil {
-		return nil, err
+	if _, err := topo.New(len(fabric), cfg.NodeSize, cfg.Placement); err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
 	}
 	w := &World{ranks: make([]*Rank, len(fabric))}
 	for i, tp := range fabric {
@@ -352,18 +324,6 @@ func (w *World) Size() int { return len(w.ranks) }
 // the single-goroutine ownership rules of its methods.
 func (w *World) Rank(i int) *Rank { return w.ranks[i] }
 
-// SetPlacement installs the same rank→slot placement on every rank. Call
-// only between Runs.
-func (w *World) SetPlacement(pl []int) error {
-	if err := CheckPlacement(pl, len(w.ranks)); err != nil {
-		return err
-	}
-	for _, r := range w.ranks {
-		r.setSlots(pl)
-	}
-	return nil
-}
-
 // ResetMetrics zeroes every rank's accounting. Call only between Runs.
 func (w *World) ResetMetrics() {
 	for _, r := range w.ranks {
@@ -397,38 +357,6 @@ func (r *Rank) op(fallback string) string {
 	return fallback
 }
 
-// SetPlacement installs (or clears, with nil) the rank→slot placement.
-// Collective-safe only between collectives, and every rank must install the
-// same placement before the next one — placements change relay routing and
-// tier classification, not payload, so a world may re-place between Runs.
-func (r *Rank) SetPlacement(pl []int) error {
-	if err := CheckPlacement(pl, r.p); err != nil {
-		return err
-	}
-	r.setSlots(pl)
-	return nil
-}
-
-// setSlots materialises the slot and inverse tables (identity for nil).
-func (r *Rank) setSlots(pl []int) {
-	r.slot = make([]int, r.p)
-	r.inv = make([]int, r.p)
-	for q := 0; q < r.p; q++ {
-		s := q
-		if pl != nil {
-			s = pl[q]
-		}
-		r.slot[q] = s
-		r.inv[s] = q
-	}
-}
-
-// nodeOf returns the node index rank q belongs to: its slot's group.
-func (r *Rank) nodeOf(q int) int { return r.slot[q] / r.ns }
-
-// leaderOf returns the leader of q's node: the rank on its first slot.
-func (r *Rank) leaderOf(q int) int { return r.inv[(r.slot[q]/r.ns)*r.ns] }
-
 // sendFrame ships the wire frame hdr‖body — the header this runtime built
 // and the payload it was handed, never joined on a fabric that can send
 // them as they lie (body is nil for frames built whole). Its bytes are
@@ -438,7 +366,7 @@ func (r *Rank) leaderOf(q int) int { return r.inv[(r.slot[q]/r.ns)*r.ns] }
 // the operation's name and unwinds.
 func (r *Rank) sendFrame(op string, dst int, hdr, body []byte) {
 	n := int64(len(hdr) + len(body))
-	if r.nodeOf(dst) == r.nodeOf(r.id) {
+	if r.tm.SameNode(dst, r.id) {
 		r.met.IntraBytes += n
 	} else {
 		r.met.InterBytes += n
@@ -707,10 +635,10 @@ func (r *Rank) Alltoallv(send [][]byte) [][]byte {
 		recv[r.id] = []byte{}
 	}
 	r.met.BytesRecv += int64(len(self))
-	if r.hier() {
+	if r.relay() {
 		r.alltoallvHier(epoch, send, recv)
 	} else {
-		var hdr [9]byte
+		var hdr [topo.FrameHeader]byte
 		hdr[0] = msgA2A
 		binary.BigEndian.PutUint64(hdr[1:], epoch)
 		for step := 1; step < r.p; step++ {
@@ -759,7 +687,7 @@ func (r *Rank) Allreduce(v int64, op rt.Op) int64 {
 	if r.p == 1 {
 		return v
 	}
-	if r.hier() {
+	if r.relay() {
 		return r.allreduceHier(epoch, v, op)
 	}
 	if r.id == 0 {

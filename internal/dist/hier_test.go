@@ -2,14 +2,17 @@ package dist
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"gnbody/internal/rt"
+	"gnbody/internal/topo"
 	"gnbody/internal/transport"
 )
 
@@ -204,4 +207,88 @@ func TestHierOverTCP(t *testing.T) {
 	}
 	defer w.Close()
 	runWorld(t, w, 60*time.Second, runHierBody(t, p))
+}
+
+// TestNewRankBadPlacement is "never silently differ" for a hand-launched
+// worker: a rank built from a placement that is not a permutation must not
+// route on a topology its peers do not share. Its first Run returns a sticky
+// *RankError (op "placement") without running the body, and a world refuses
+// the same placement up front.
+func TestNewRankBadPlacement(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		placement []int
+	}{
+		{"wrong length", []int{0, 1, 2}},
+		{"out of range", []int{0, 1, 2, 4}},
+		{"negative", []int{0, -1, 2, 3}},
+		{"duplicate slot", []int{0, 1, 1, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{NodeSize: 2, Placement: tc.placement}
+			fabric := transport.NewLoopback(4)
+			defer func() {
+				for _, tp := range fabric {
+					tp.Close()
+				}
+			}()
+			if _, err := NewWorldOver(fabric, cfg); err == nil {
+				t.Error("NewWorldOver accepted the placement")
+			}
+			r := NewRank(fabric[1], cfg)
+			for run := 0; run < 2; run++ {
+				ran := false
+				err := r.Run(func(rt.Runtime) { ran = true })
+				var re *RankError
+				if !errors.As(err, &re) || re.Rank != 1 || re.Op != "placement" {
+					t.Fatalf("run %d: error %v, want a *RankError with op placement naming rank 1", run, err)
+				}
+				if ran {
+					t.Fatalf("run %d: body ran on a rank with no agreed topology", run)
+				}
+			}
+			if r.Err() == nil {
+				t.Error("Err() is nil on a rank born failed")
+			}
+		})
+	}
+}
+
+// FuzzHierRecord fuzzes the relay record codec the leaders re-pack frames
+// with, in its 1-id (up, down) and 2-id (cross) forms: a record built by
+// appendRecord decodes to the same ids and payload with the tail intact,
+// and no byte string — truncated header, truncated payload, trailing bytes
+// — makes record panic, over-read or hand back bytes it was not given.
+func FuzzHierRecord(f *testing.F) {
+	f.Add([]byte("payload"), uint16(3), uint16(9), []byte{})
+	f.Add([]byte{}, uint16(0), uint16(65535), []byte{0, 1})
+	f.Add([]byte{1}, uint16(7), uint16(7), []byte{0, 0, 0, 0, 0, 9})
+	f.Fuzz(func(t *testing.T, payload []byte, a, b uint16, tail []byte) {
+		for _, ids := range [][]int{{int(a)}, {int(a), int(b)}} {
+			nIDs := len(ids)
+			enc := appendRecord(nil, payload, ids...)
+			if len(enc) != topo.RecordHeader(nIDs)+len(payload) {
+				t.Fatalf("%d-id record of %d bytes encodes to %d", nIDs, len(payload), len(enc))
+			}
+			gotIDs, got, rest, err := record(append(enc, tail...), nIDs, nil)
+			if err != nil {
+				t.Fatalf("%d-id round trip: %v", nIDs, err)
+			}
+			if !reflect.DeepEqual(gotIDs, ids) || !bytes.Equal(got, payload) || !bytes.Equal(rest, tail) {
+				t.Fatalf("%d-id round trip: ids %v payload %x rest %x, want %v %x %x",
+					nIDs, gotIDs, got, rest, ids, payload, tail)
+			}
+			for cut := 0; cut < len(enc); cut++ {
+				if _, _, _, err := record(enc[:cut], nIDs, nil); err == nil {
+					t.Fatalf("%d-id record cut to %d of %d bytes decoded", nIDs, cut, len(enc))
+				}
+			}
+			// Arbitrary bytes: either an error, or a payload and remainder
+			// that tile the input exactly past the header.
+			if _, got, rest, err := record(tail, nIDs, nil); err == nil &&
+				topo.RecordHeader(nIDs)+len(got)+len(rest) != len(tail) {
+				t.Fatalf("%d-id decode of %x: payload %d + rest %d bytes do not tile the input", nIDs, tail, len(got), len(rest))
+			}
+		}
+	})
 }

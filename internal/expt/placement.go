@@ -117,17 +117,13 @@ func PlacementSweep(p Params) (*stats.Table, error) {
 			return nil, err
 		}
 		pairs := partition.TrafficMatrix(byRank, pt, w.Lens)
-		traffic := make([]sim.Traffic, len(pairs))
-		for i, e := range pairs {
-			traffic[i] = sim.Traffic{Src: e.Src, Dst: e.Dst, Bytes: e.Bytes}
-		}
 		pl := partition.PlaceByTraffic(pairs, ranks, rpn)
 		var idInter int64
 		for _, row := range []struct {
 			label string
 			slot  []int
 		}{{"identity", nil}, {"traffic", pl}} {
-			elapsed, intra, inter, err := sim.PriceExchange(m, nodes, rpn, row.slot, traffic, true)
+			elapsed, intra, inter, err := sim.PriceExchange(m, nodes, rpn, row.slot, pairs, true)
 			if err != nil {
 				return nil, err
 			}

@@ -12,9 +12,10 @@ import (
 	"gnbody/internal/rt"
 	"gnbody/internal/seq"
 	"gnbody/internal/sim"
+	"gnbody/internal/topo"
 )
 
-// TestPlacementGraphConformance (DESIGN.md §17): a rank→slot placement is
+// TestPlacementGraphConformance (DESIGN.md §13): a rank→slot placement is
 // pure regrouping — it decides which ranks share a node (tier
 // classification, leader-relay routing) and never touches a payload — so
 // every placement permutation must produce byte-identical string graphs,
@@ -84,7 +85,7 @@ func TestPlacementGraphConformance(t *testing.T) {
 		if pl == nil {
 			continue
 		}
-		if err := dist.CheckPlacement(pl, p); err != nil {
+		if _, err := topo.New(p, 2, pl); err != nil {
 			t.Fatalf("%s placement invalid: %v", name, err)
 		}
 	}

@@ -13,14 +13,12 @@ import (
 
 	"gnbody/internal/overlap"
 	"gnbody/internal/seq"
+	"gnbody/internal/topo"
 )
 
 // PairTraffic is one directed rank→rank traffic edge: Bytes of planned wire
 // payload that rank Dst will pull from rank Src.
-type PairTraffic struct {
-	Src, Dst int
-	Bytes    int64
-}
+type PairTraffic = topo.Traffic
 
 // TrafficMatrix builds the sparse rank→rank traffic matrix implied by a
 // task assignment: for every rank, each *distinct* remote read referenced
@@ -188,13 +186,15 @@ func PlaceByTraffic(pairs []PairTraffic, p, nodeSize int) []int {
 		return affs[i].b < affs[j].b
 	})
 
-	nNodes := (p + nodeSize - 1) / nodeSize
+	// Under the identity map a node's members are its slots: that is where
+	// the node count, each node's capacity (the tail node holds the
+	// remainder) and, at the end, the slots handed out come from. p > 2
+	// here and nil is always a valid placement, so New cannot fail.
+	grid, _ := topo.New(p, nodeSize, nil)
+	nNodes := grid.Nodes()
 	free := make([]int, nNodes)
 	for k := range free {
-		free[k] = nodeSize
-		if rem := p - k*nodeSize; rem < nodeSize {
-			free[k] = rem // tail node holds the remainder
-		}
+		free[k] = len(grid.Members(k))
 	}
 	nodeOf := make([]int, p)
 	for i := range nodeOf {
@@ -244,16 +244,13 @@ func PlaceByTraffic(pairs []PairTraffic, p, nodeSize int) []int {
 	if p <= refineSwaps {
 		refinePlacement(affs, nodeOf, p, nNodes)
 	}
-	// Emit slots: node k's block starts at slot k*nodeSize (the tail block
-	// is simply shorter), each node's members ascending on consecutive slots.
+	// Emit slots: each node's members ascending on its consecutive slots.
 	slot := ident // reuse; overwritten below for every rank
 	next := make([]int, nNodes)
-	for k := 0; k < nNodes; k++ {
-		next[k] = k * nodeSize
-	}
 	for r := 0; r < p; r++ {
-		slot[r] = next[nodeOf[r]]
-		next[nodeOf[r]]++
+		k := nodeOf[r]
+		slot[r] = grid.Members(k)[next[k]]
+		next[k]++
 	}
 	return slot
 }
@@ -261,23 +258,24 @@ func PlaceByTraffic(pairs []PairTraffic, p, nodeSize int) []int {
 // TrafficSplit prices a traffic matrix under a placement (nil = identity):
 // the total bytes that stay within a NodeSize group versus those that cross
 // groups. It is the planning-time analogue of the IntraBytes/InterBytes
-// runtime counters and lets callers score candidate placements without
-// running anything.
+// runtime counters — payload only, no frame or record headers — and lets
+// callers score candidate placements without running anything. The rank
+// count is len(slot), or with the identity placement one past the highest
+// rank the matrix names. slot must be a permutation, as PlaceByTraffic's
+// results are; any other is a caller bug and panics.
 func TrafficSplit(pairs []PairTraffic, slot []int, nodeSize int) (intra, inter int64) {
-	if nodeSize <= 1 {
+	p := max(len(slot), 1)
+	if slot == nil {
 		for _, e := range pairs {
-			inter += e.Bytes
+			p = max(p, e.Src+1, e.Dst+1)
 		}
-		return
 	}
-	node := func(q int) int {
-		if slot != nil {
-			q = slot[q]
-		}
-		return q / nodeSize
+	tm, err := topo.New(p, nodeSize, slot)
+	if err != nil {
+		panic("partition: TrafficSplit: " + err.Error())
 	}
 	for _, e := range pairs {
-		if node(e.Src) == node(e.Dst) {
+		if tm.SameNode(e.Src, e.Dst) {
 			intra += e.Bytes
 		} else {
 			inter += e.Bytes

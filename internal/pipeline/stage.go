@@ -186,7 +186,6 @@ type AlignStage struct {
 
 	Packed      bool  // 2-bit-pack N-free reads on the wire
 	CacheBudget int64 // per-rank remote-read cache budget (0 off, <0 unbounded)
-	NoBatch     bool  // disable length-bucketed batch scheduling (ablation)
 
 	// MaxOutstanding/PollEvery tune the async driver (0 = driver default).
 	MaxOutstanding, PollEvery int
@@ -226,6 +225,6 @@ func (s AlignStage) Run(r rt.Runtime, pl *Plan, store seq.Store, prev any) (any,
 	}
 	in := &core.Input{Part: pl.Part, Lens: pl.Lens, Tasks: tasks, Codec: codec, Store: store}
 	cfg := core.Config{Exec: exec, MinScore: s.MinScore, CacheBudget: s.CacheBudget,
-		MaxOutstanding: s.MaxOutstanding, PollEvery: s.PollEvery, NoBatch: s.NoBatch}
+		MaxOutstanding: s.MaxOutstanding, PollEvery: s.PollEvery}
 	return core.Run(s.Mode, r, in, cfg)
 }

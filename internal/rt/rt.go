@@ -123,7 +123,7 @@ type Metrics struct {
 	IntraBytes int64
 	InterBytes int64
 
-	// Graph-round fetch accounting (DESIGN.md §17). GraphFetches counts
+	// Graph-round fetch accounting (DESIGN.md §13). GraphFetches counts
 	// the distinct remote records this rank pulled over the wire in the
 	// assembly stages' request/response rounds — adjacency lists in
 	// Reduce's neighbour fetch, base suffixes in Contigs' suffix round;

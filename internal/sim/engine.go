@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"gnbody/internal/rt"
+	"gnbody/internal/topo"
 	"gnbody/internal/trace"
 )
 
@@ -20,26 +22,19 @@ type Config struct {
 	Seed         int64         // noise RNG seed
 	Tracer       *trace.Tracer // structured-event layer (virtual-clock stamps); nil disables
 
-	// Hierarchical prices the alltoallv as the node-aggregated plan the
-	// dist backend runs at NodeSize > 1 (hier.go): members relay
-	// cross-node rows through their node leader over the intra-node
-	// fabric, and only leaders inject onto the network — one aggregated
-	// frame per peer node. The inter-node injection term then serialises
-	// each node's whole cross-node volume through its leader, the
-	// per-peer software overhead shrinks from (P - RanksPerNode) messages
-	// to (Nodes - 1), and members' InterBytes drop to zero. With one
-	// node, one rank per node, or Hierarchical false, the flat pairwise
-	// pricing applies.
+	// Hierarchical prices the alltoallv as topo's relay plan, the one the
+	// dist backend runs at NodeSize > 1: the inter-node injection term
+	// serialises each node's whole cross-node volume through its leader,
+	// the per-peer software overhead shrinks from (P - RanksPerNode)
+	// messages to (Nodes - 1), and members' InterBytes drop to zero.
+	// Where topo.Map.Relay says the plan cannot run (one node, one rank
+	// per node), or with Hierarchical false, the flat plan is priced.
 	Hierarchical bool
 
-	// Placement maps each rank to a node slot, mirroring
-	// dist.Config.Placement: rank q lives on node Placement[q]/RanksPerNode
-	// and the rank on a node's first slot is its leader. nil is the
-	// identity placement (rank q on slot q, the historical consecutive
-	// grouping). Placement changes only which pairs are priced and
-	// classified as intra- vs inter-node (and who relays under
-	// Hierarchical); the exchanged payloads are untouched. Must be a
-	// permutation of 0..Ranks()-1.
+	// Placement is the rank→slot permutation of topo.New, as in
+	// dist.Config.Placement (nil = identity). It changes only which pairs
+	// are priced and classified as intra- vs inter-node and who relays;
+	// the exchanged payloads are untouched.
 	Placement []int
 }
 
@@ -144,10 +139,7 @@ type Engine struct {
 	back  chan struct{}
 	stamp int64
 
-	// slot/inv materialise Config.Placement (identity when nil):
-	// rank→slot and slot→rank. Node of rank q is slot[q]/RanksPerNode,
-	// leader of node k is inv[k*RanksPerNode].
-	slot, inv []int
+	tm *topo.Map // Config.Placement over nodes of RanksPerNode
 
 	bar, split, a2a, red collective
 
@@ -169,28 +161,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg.MemBudget = cfg.Machine.AppMemPerCore
 	}
 	p := cfg.Nodes * cfg.RanksPerNode
-	e := &Engine{cfg: cfg, p: p, back: make(chan struct{})}
-	if cfg.Placement != nil && len(cfg.Placement) != p {
-		return nil, fmt.Errorf("sim: placement has %d entries, want %d", len(cfg.Placement), p)
+	tm, err := topo.New(p, cfg.RanksPerNode, cfg.Placement)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
-	e.slot = make([]int, p)
-	e.inv = make([]int, p)
-	for q := 0; q < p; q++ {
-		s := q
-		if cfg.Placement != nil {
-			s = cfg.Placement[q]
-		}
-		if s < 0 || s >= p {
-			return nil, fmt.Errorf("sim: placement[%d]=%d out of range [0,%d)", q, s, p)
-		}
-		e.slot[q] = s
-		e.inv[s] = q
-	}
-	for s, q := range e.inv {
-		if e.slot[q] != s {
-			return nil, fmt.Errorf("sim: placement is not a permutation: slot %d unassigned", s)
-		}
-	}
+	e := &Engine{cfg: cfg, p: p, tm: tm, back: make(chan struct{})}
 	e.procs = make([]*proc, p)
 	for i := 0; i < p; i++ {
 		pr := &proc{
@@ -316,17 +291,40 @@ func (e *Engine) post(dst int, ev *event) {
 	}
 }
 
-// nodeOf returns the node index of rank q under the placement.
-func (e *Engine) nodeOf(q int) int { return e.slot[q] / e.cfg.RanksPerNode }
+// exchangeCost is the LogGP price of one alltoallv routed over tm: the
+// pairwise exchange proceeds in lockstep, so every rank completes together
+// after tree latency + the most-loaded rank's volume at each tier's
+// bandwidth + the inter-node volume's bisection share + one software
+// send/recv pair per peer (one per peer node when leaders relay). The
+// max-load term is why the exchange-load imbalance of Figure 6 becomes
+// everyone's communication latency. Only payload loads are priced; frame
+// and record headers show in the tier byte counters alone.
+func exchangeCost(m *Machine, tm *topo.Map, r topo.Routed) int64 {
+	p, rpn := tm.Ranks(), tm.NodeSize()
+	interPeers := int64(p - rpn)
+	if r.Relay {
+		interPeers = int64(tm.Nodes() - 1)
+	}
+	// Per-peer software cost, rescaled from per-core to per-sim-rank (each
+	// sim rank stands for CoresPerNode/rpn cores, and the real exchange
+	// has that many times more peers).
+	msgOv := int64(m.A2AMsgOverhead)
+	if m.CoresPerNode > rpn {
+		msgOv *= int64(m.CoresPerNode / rpn)
+	}
+	return m.alphaLog(p) +
+		max(slices.Max(r.InterSend), slices.Max(r.InterRecv))*int64(m.ByteTime) +
+		max(slices.Max(r.IntraSend), slices.Max(r.IntraRecv))*int64(m.intraByteTime()) +
+		r.InterPayload*int64(m.BisectByteTime)/int64(p) +
+		interPeers*msgOv +
+		int64(rpn-1)*msgOv/10
+}
 
-// leaderOf returns the leader rank of node k: the rank on its first slot.
-func (e *Engine) leaderOf(k int) int { return e.inv[k*e.cfg.RanksPerNode] }
-
-// alphaLog is the latency of a log-tree collective phase.
-func (e *Engine) alphaLog() int64 {
-	steps := int(math.Ceil(math.Log2(float64(e.p))))
+// alphaLog is the latency of a log-tree collective phase over p ranks.
+func (m *Machine) alphaLog(p int) int64 {
+	steps := int(math.Ceil(math.Log2(float64(p))))
 	if steps < 1 {
 		steps = 1
 	}
-	return int64(e.cfg.Machine.Alpha) * int64(steps)
+	return int64(m.Alpha) * int64(steps)
 }

@@ -74,8 +74,12 @@ func TestHierarchicalPricing(t *testing.T) {
 	if hierInter >= flatInter {
 		t.Errorf("aggregated plan prices more cross-node bytes: %d >= %d", hierInter, flatInter)
 	}
-	if hier.MaxClock() <= 0 || flat.MaxClock() <= 0 {
-		t.Fatalf("degenerate clocks: hier=%v flat=%v", hier.MaxClock(), flat.MaxClock())
+	// Modelled time reads payload loads only. These are the clocks from
+	// before the tier counters were routed through topo (which added the
+	// headers dist really sends to the counters): the bytes moved, the
+	// times must not.
+	if flat.MaxClock() != 3755856 || hier.MaxClock() != 5124432 {
+		t.Errorf("bulk clocks moved: flat=%d hier=%d ns, want 3755856 and 5124432", flat.MaxClock(), hier.MaxClock())
 	}
 
 	// Where aggregation pays: many small rows, so per-message software
@@ -85,6 +89,9 @@ func TestHierarchicalPricing(t *testing.T) {
 	// which is the honest LogGP answer, so no clock claim is made above.
 	flatSmall := runHierA2A(t, false, 64)
 	hierSmall := runHierA2A(t, true, 64)
+	if flatSmall.MaxClock() != 2401104 || hierSmall.MaxClock() != 721488 {
+		t.Errorf("small-row clocks moved: flat=%d hier=%d ns, want 2401104 and 721488", flatSmall.MaxClock(), hierSmall.MaxClock())
+	}
 	if hierSmall.MaxClock() >= flatSmall.MaxClock() {
 		t.Errorf("small-message aggregated plan not faster: %v >= %v",
 			hierSmall.MaxClock(), flatSmall.MaxClock())

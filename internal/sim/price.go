@@ -2,159 +2,42 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"time"
+
+	"gnbody/internal/topo"
 )
 
-// Traffic is one directed rank→rank traffic cell: Bytes of alltoallv
-// payload that Src sends Dst. It mirrors partition.PairTraffic without
-// coupling the packages (expt converts between them).
-type Traffic struct {
-	Src, Dst int
-	Bytes    int64
-}
+// Traffic is one directed rank→rank traffic cell, shared with
+// partition.PairTraffic.
+type Traffic = topo.Traffic
 
 // PriceExchange prices one irregular all-to-all of the given traffic
-// matrix analytically, under the exact cost formula Engine's Alltoallv
-// release applies — tree latency, the most-loaded rank's volume at
-// injection bandwidth per tier, the global inter-node volume's bisection
-// share, and per-peer software overhead — without running the O(P²)
-// event engine, so placement sweeps reach the 32K-rank regime in
-// milliseconds. placement is a rank→slot permutation (nil = identity);
-// hier prices the node-aggregated leader-relay plan. Returns the modeled
-// exchange time and the two wire-tier byte totals (envelopes included),
-// which match the engine's summed IntraBytes/InterBytes for the same
-// single exchange bit-for-bit (the conformance test pins this).
+// matrix analytically — the same topo route and the same exchangeCost the
+// Engine's Alltoallv release applies — without running the O(P²) event
+// engine, so placement sweeps reach the 32K-rank regime in milliseconds.
+// placement is a rank→slot permutation (nil = identity); hier prices the
+// leader-relay plan. Returns the modeled exchange time and the two
+// wire-tier byte totals (headers included), which match the engine's
+// summed IntraBytes/InterBytes for the same single exchange bit-for-bit
+// (the conformance test pins this).
 //
 // Every cell in pairs must have distinct (Src, Dst); self cells (Src ==
-// Dst) are legal and priced as intra-node, like the engine's self row.
+// Dst) load the intra tier, like the engine's self row.
 func PriceExchange(m Machine, nodes, rpn int, placement []int, pairs []Traffic, hier bool) (elapsed time.Duration, intra, inter int64, err error) {
-	p := nodes * rpn
-	if p <= 0 {
+	if nodes <= 0 || rpn <= 0 {
 		return 0, 0, 0, fmt.Errorf("sim: price: %d nodes x %d ranks", nodes, rpn)
 	}
-	nodeOf := func(q int) int {
-		if placement != nil {
-			return placement[q] / rpn
-		}
-		return q / rpn
+	tm, err := topo.New(nodes*rpn, rpn, placement)
+	if err != nil {
+		return 0, 0, 0, fmt.Errorf("sim: price: %w", err)
 	}
-	leaderIsSet := placement != nil
-	leaderOf := make([]int, nodes) // node -> leader rank
-	if leaderIsSet {
-		for q := 0; q < p; q++ {
-			if placement[q]%rpn == 0 {
-				leaderOf[placement[q]/rpn] = q
-			}
-		}
-	} else {
-		for k := range leaderOf {
-			leaderOf[k] = k * rpn
-		}
+	routed, err := tm.Route(pairs, hier)
+	if err != nil {
+		return 0, 0, 0, fmt.Errorf("sim: price: %w", err)
 	}
-	hier = hier && nodes > 1 && rpn > 1
-
-	interSend := make([]int64, p)
-	interRecv := make([]int64, p)
-	intraSend := make([]int64, p)
-	intraRecv := make([]int64, p)
-	nodePair := make([]int64, nodes*nodes)
-	var interTot int64
-	for _, c := range pairs {
-		if c.Src < 0 || c.Src >= p || c.Dst < 0 || c.Dst >= p {
-			return 0, 0, 0, fmt.Errorf("sim: price: cell %d->%d out of range [0,%d)", c.Src, c.Dst, p)
-		}
-		n := c.Bytes
-		if nodeOf(c.Src) == nodeOf(c.Dst) {
-			intraSend[c.Src] += n
-			intraRecv[c.Dst] += n
-			if n > 0 {
-				intra += n + a2aEnvelope
-			}
-			continue
-		}
-		interSend[c.Src] += n
-		interRecv[c.Dst] += n
-		interTot += n
-		if n > 0 {
-			if hier {
-				nodePair[nodeOf(c.Src)*nodes+nodeOf(c.Dst)] += n
-			} else {
-				inter += n + a2aEnvelope
-			}
-		}
+	for q := range routed.Intra {
+		intra += routed.Intra[q]
+		inter += routed.Inter[q]
 	}
-	if hier {
-		// Leader relay: members' cross-node volume rides the intra tier to
-		// and from the leader; only aggregated leader→leader frames cross.
-		nodeOut := make([]int64, nodes)
-		nodeIn := make([]int64, nodes)
-		for q := 0; q < p; q++ {
-			node := nodeOf(q)
-			leader := leaderOf[node]
-			nodeOut[node] += interSend[q]
-			nodeIn[node] += interRecv[q]
-			if q != leader {
-				if interSend[q] > 0 {
-					intraSend[q] += interSend[q]
-					intraRecv[leader] += interSend[q]
-					intra += interSend[q] + a2aEnvelope
-				}
-				if interRecv[q] > 0 {
-					intraSend[leader] += interRecv[q]
-					intraRecv[q] += interRecv[q]
-					intra += interRecv[q] + a2aEnvelope
-				}
-			}
-		}
-		for _, v := range nodePair {
-			if v > 0 {
-				inter += v + a2aEnvelope
-			}
-		}
-		for q := 0; q < p; q++ {
-			if q == leaderOf[nodeOf(q)] {
-				interSend[q] = nodeOut[nodeOf(q)]
-				interRecv[q] = nodeIn[nodeOf(q)]
-			} else {
-				interSend[q] = 0
-				interRecv[q] = 0
-			}
-		}
-	}
-	max2 := func(xs, ys []int64) int64 {
-		var v int64
-		for q := range xs {
-			if xs[q] > v {
-				v = xs[q]
-			}
-			if ys[q] > v {
-				v = ys[q]
-			}
-		}
-		return v
-	}
-	interPeers := int64(p - rpn)
-	intraPeers := int64(rpn - 1)
-	if interPeers < 0 {
-		interPeers = 0
-	}
-	if hier {
-		interPeers = int64(nodes - 1)
-	}
-	msgOv := int64(m.A2AMsgOverhead)
-	if m.CoresPerNode > rpn {
-		msgOv *= int64(m.CoresPerNode / rpn)
-	}
-	steps := int64(math.Ceil(math.Log2(float64(p))))
-	if steps < 1 {
-		steps = 1
-	}
-	done := int64(m.Alpha)*steps +
-		max2(interSend, interRecv)*int64(m.ByteTime) +
-		max2(intraSend, intraRecv)*int64(m.intraByteTime()) +
-		interTot*int64(m.BisectByteTime)/int64(p) +
-		interPeers*msgOv +
-		intraPeers*msgOv/10
-	return time.Duration(done), intra, inter, nil
+	return time.Duration(exchangeCost(&m, tm, routed)), intra, inter, nil
 }

@@ -64,13 +64,30 @@ func TestPriceExchangeMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestPriceExchangeRejectsBadCells covers the validation path.
-func TestPriceExchangeRejectsBadCells(t *testing.T) {
-	if _, _, _, err := PriceExchange(CoriKNL(), 2, 2, nil,
-		[]Traffic{{Src: 0, Dst: 9, Bytes: 1}}, false); err == nil {
-		t.Fatal("out-of-range cell accepted")
-	}
-	if _, _, _, err := PriceExchange(CoriKNL(), 0, 4, nil, nil, false); err == nil {
-		t.Fatal("zero nodes accepted")
+// TestPriceExchangeRejects covers the validation path: a world of no
+// ranks, a cell outside it, and every way a placement can fail to be a
+// permutation are errors, never an index panic.
+func TestPriceExchangeRejects(t *testing.T) {
+	one := []Traffic{{Src: 0, Dst: 1, Bytes: 1}}
+	for _, tc := range []struct {
+		name       string
+		nodes, rpn int
+		placement  []int
+		cells      []Traffic
+	}{
+		{"cell out of range", 2, 2, nil, []Traffic{{Src: 0, Dst: 9, Bytes: 1}}},
+		{"zero nodes", 0, 4, nil, nil},
+		{"negative world", -2, -2, nil, nil},
+		{"placement too short", 2, 2, []int{0, 1, 2}, one},
+		{"placement too long", 2, 2, []int{0, 1, 2, 3, 4}, one},
+		{"slot out of range", 2, 2, []int{0, 1, 2, 4}, one},
+		{"negative slot", 2, 2, []int{0, -1, 2, 3}, one},
+		{"duplicate slot", 2, 2, []int{0, 1, 1, 3}, one},
+	} {
+		for _, hier := range []bool{false, true} {
+			if _, _, _, err := PriceExchange(CoriKNL(), tc.nodes, tc.rpn, tc.placement, tc.cells, hier); err == nil {
+				t.Errorf("%s (hier=%v) accepted", tc.name, hier)
+			}
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gnbody/internal/rt"
+	"gnbody/internal/topo"
 	"gnbody/internal/trace"
 )
 
@@ -202,7 +203,7 @@ func (p *proc) serve(ev *event) {
 // sameNode reports whether rank q shares this rank's node (under the
 // configured placement).
 func (p *proc) sameNode(q int) bool {
-	return p.eng.nodeOf(p.id) == p.eng.nodeOf(q)
+	return p.eng.tm.SameNode(p.id, q)
 }
 
 // linkAlpha returns the one-way latency to rank q.
@@ -288,7 +289,7 @@ func (p *proc) Barrier() {
 	tEnter := p.clock
 	p.barrierArrive(&e.bar, func(t0 int64) {
 		for q := 0; q < e.p; q++ {
-			e.post(q, &event{arrival: t0 + e.alphaLog(), kind: evBarRel, t0: t0})
+			e.post(q, &event{arrival: t0 + e.cfg.Machine.alphaLog(e.p), kind: evBarRel, t0: t0})
 		}
 	})
 	ev := p.collectiveWait(evBarRel, rt.CatSync)
@@ -304,7 +305,7 @@ func (p *proc) SplitBarrier() (wait func()) {
 	e := p.eng
 	p.barrierArrive(&e.split, func(t0 int64) {
 		for q := 0; q < e.p; q++ {
-			e.post(q, &event{arrival: t0 + e.alphaLog(), kind: evSplitRel, t0: t0})
+			e.post(q, &event{arrival: t0 + e.cfg.Machine.alphaLog(e.p), kind: evSplitRel, t0: t0})
 		}
 	})
 	return func() {
@@ -319,10 +320,8 @@ func (p *proc) SplitBarrier() (wait func()) {
 }
 
 // Alltoallv performs the irregular all-to-all under the LogGP model:
-// arrival skew accrues to CatSync; the priced transfer accrues to CatComm.
-// Each rank's transfer costs tree latency + the larger of its send and
-// receive volumes at injection bandwidth + its share of the global volume
-// crossing the bisection.
+// arrival skew accrues to CatSync; the priced transfer (exchangeCost)
+// accrues to CatComm.
 func (p *proc) Alltoallv(send [][]byte) [][]byte {
 	e := p.eng
 	if len(send) != e.p {
@@ -340,142 +339,32 @@ func (p *proc) Alltoallv(send [][]byte) [][]byte {
 		c.store = make([][][]byte, e.p)
 	}
 	c.store[p.id] = send
-	m := &e.cfg.Machine
 	p.barrierArrive(c, func(t0 int64) {
-		// One O(P²) pass prices the exchange. The pairwise-exchange
-		// algorithm proceeds in lockstep, so every rank completes together:
-		// tree latency + the most-loaded rank's volume at injection
-		// bandwidth + the global volume's bisection share + one software
-		// send/recv pair per peer. The skew term is why the exchange-load
-		// imbalance of Figure 6 translates into everyone's communication
-		// latency.
-		rpn := e.cfg.RanksPerNode
-		hier := e.cfg.Hierarchical && e.cfg.Nodes > 1 && rpn > 1
-		interSend := make([]int64, e.p)
-		interRecv := make([]int64, e.p)
-		intraSend := make([]int64, e.p)
-		intraRecv := make([]int64, e.p)
+		// One O(P²) pass transposes the rows and lists the non-empty cells;
+		// topo routes them, which yields both the tier bytes dist would put
+		// on the wire and the loads the exchange is priced from. (Writes
+		// into peer procs' metrics are safe: the release closure runs under
+		// the strict scheduler handoff.)
 		recvs := make([][][]byte, e.p)
-		var interTot int64
-		for q := 0; q < e.p; q++ {
+		for q := range recvs {
 			recvs[q] = make([][]byte, e.p)
 		}
-		for src := 0; src < e.p; src++ {
-			row := c.store[src]
-			met := &e.procs[src].met
-			for dst := 0; dst < e.p; dst++ {
-				n := int64(len(row[dst]))
-				if e.nodeOf(src) == e.nodeOf(dst) { // shared-memory peers
-					intraSend[src] += n
-					intraRecv[dst] += n
-					if n > 0 {
-						met.IntraBytes += n + a2aEnvelope
-					}
-				} else {
-					interSend[src] += n
-					interRecv[dst] += n
-					interTot += n
-					if n > 0 && !hier {
-						met.InterBytes += n + a2aEnvelope
-					}
-				}
-				recvs[dst][src] = row[dst]
-			}
-		}
-		if hier {
-			// Hierarchical plan: members relay their cross-node volume
-			// through the leader (rank 0 of the node) on the intra fabric;
-			// only leaders inject onto the network, one aggregated frame
-			// per peer node. Wire tiers follow the relay (writes into peer
-			// procs' metrics are safe: the release closure runs under the
-			// strict scheduler handoff).
-			nodes := e.cfg.Nodes
-			nodeOut := make([]int64, nodes)
-			nodeIn := make([]int64, nodes)
-			nodePair := make([]int64, nodes*nodes) // aggregated frames out
-			for src := 0; src < e.p; src++ {
-				row := c.store[src]
-				for dst := 0; dst < e.p; dst++ {
-					if e.nodeOf(src) != e.nodeOf(dst) {
-						nodePair[e.nodeOf(src)*nodes+e.nodeOf(dst)] += int64(len(row[dst]))
-					}
-				}
-			}
-			for q := 0; q < e.p; q++ {
-				node := e.nodeOf(q)
-				leader := e.leaderOf(node)
-				nodeOut[node] += interSend[q]
-				nodeIn[node] += interRecv[q]
-				if q != leader {
-					// Up and down relay: member<->leader volume rides the
-					// intra-node fabric and its byte tier.
-					if interSend[q] > 0 {
-						intraSend[q] += interSend[q]
-						intraRecv[leader] += interSend[q]
-						e.procs[q].met.IntraBytes += interSend[q] + a2aEnvelope
-					}
-					if interRecv[q] > 0 {
-						intraSend[leader] += interRecv[q]
-						intraRecv[q] += interRecv[q]
-						e.procs[leader].met.IntraBytes += interRecv[q] + a2aEnvelope
-					}
-				}
-			}
-			for a := 0; a < nodes; a++ {
-				leader := e.leaderOf(a)
-				for b := 0; b < nodes; b++ {
-					if v := nodePair[a*nodes+b]; v > 0 {
-						e.procs[leader].met.InterBytes += v + a2aEnvelope
-					}
-				}
-			}
-			// Pricing below reads the per-node loads through the leaders'
-			// inter arrays: the leader's NIC serialises the node's volume.
-			for q := 0; q < e.p; q++ {
-				if q == e.leaderOf(e.nodeOf(q)) {
-					interSend[q] = nodeOut[e.nodeOf(q)]
-					interRecv[q] = nodeIn[e.nodeOf(q)]
-				} else {
-					interSend[q] = 0
-					interRecv[q] = 0
+		var cells []topo.Traffic
+		for src, row := range c.store {
+			for dst, buf := range row {
+				recvs[dst][src] = buf
+				if len(buf) > 0 {
+					cells = append(cells, topo.Traffic{Src: src, Dst: dst, Bytes: int64(len(buf))})
 				}
 			}
 		}
-		max2 := func(xs, ys []int64) int64 {
-			var v int64
-			for q := range xs {
-				if xs[q] > v {
-					v = xs[q]
-				}
-				if ys[q] > v {
-					v = ys[q]
-				}
-			}
-			return v
+		// Every cell comes from the p×p store, so none is out of range.
+		routed, _ := e.tm.Route(cells, e.cfg.Hierarchical)
+		for q, pr := range e.procs {
+			pr.met.IntraBytes += routed.Intra[q]
+			pr.met.InterBytes += routed.Inter[q]
 		}
-		interPeers := int64(e.p - rpn)
-		intraPeers := int64(rpn - 1)
-		if interPeers < 0 {
-			interPeers = 0
-		}
-		if hier {
-			// One aggregated frame per peer node from each leader instead
-			// of every rank messaging every off-node rank.
-			interPeers = int64(e.cfg.Nodes - 1)
-		}
-		// Per-peer software cost, rescaled from per-core to per-sim-rank
-		// (each sim rank stands for CoresPerNode/rpn cores, and the real
-		// exchange has that many times more peers).
-		msgOv := int64(m.A2AMsgOverhead)
-		if m.CoresPerNode > rpn {
-			msgOv *= int64(m.CoresPerNode / rpn)
-		}
-		done := t0 + e.alphaLog() +
-			max2(interSend, interRecv)*int64(m.ByteTime) +
-			max2(intraSend, intraRecv)*int64(m.intraByteTime()) +
-			interTot*int64(m.BisectByteTime)/int64(e.p) +
-			interPeers*msgOv +
-			intraPeers*msgOv/10
+		done := t0 + exchangeCost(&e.cfg.Machine, e.tm, routed)
 		for q := 0; q < e.p; q++ {
 			// The release lands at the sync point t0 so the wait loop
 			// charges only skew to CatSync; the transfer window
@@ -512,7 +401,7 @@ func (p *proc) Allreduce(v int64, op rt.Op) int64 {
 			acc = op.Combine(acc, c.vals[i])
 		}
 		for q := 0; q < e.p; q++ {
-			e.post(q, &event{arrival: t0 + 2*e.alphaLog(), kind: evRedRel, t0: t0, red: acc})
+			e.post(q, &event{arrival: t0 + 2*e.cfg.Machine.alphaLog(e.p), kind: evRedRel, t0: t0, red: acc})
 		}
 	})
 	ev := p.collectiveWait(evRedRel, rt.CatSync)
@@ -528,12 +417,6 @@ func (p *proc) Serve(handler func([]byte) []byte) { p.handler = handler }
 
 // requestEnvelope is the on-wire overhead of a request (headers).
 const requestEnvelope = 8
-
-// a2aEnvelope is the per-frame on-wire overhead of one alltoallv frame
-// (kind byte + epoch), matching the dist backend's framing; the tier byte
-// counters include it so simulated and real IntraBytes/InterBytes agree in
-// shape.
-const a2aEnvelope = 9
 
 // AsyncCall issues an RPC: injection overhead now, response later.
 func (p *proc) AsyncCall(owner int, req []byte, cb func([]byte)) {
