@@ -319,20 +319,9 @@ func BenchmarkSeedExtend10k(b *testing.B) { benchSeedExtend(b, 10000, false) }
 func BenchmarkSeedExtendRef1k(b *testing.B)  { benchSeedExtend(b, 1000, true) }
 func BenchmarkSeedExtendRef10k(b *testing.B) { benchSeedExtend(b, 10000, true) }
 
-// The Scalar variants pin the int32 fallback kernel, so bench runs report
-// the SWAR and scalar paths side by side on identical inputs; the Wide
-// variants raise the drop threshold to x=100, the broad-band regime where
-// the packed words cover many more lanes per row.
-func BenchmarkSeedExtendScalar1k(b *testing.B)      { benchScalar(b, 1000, 15) }
-func BenchmarkSeedExtendScalar10k(b *testing.B)     { benchScalar(b, 10000, 15) }
-func BenchmarkSeedExtendWide10k(b *testing.B)       { benchSeedExtendX(b, 10000, 100, false) }
-func BenchmarkSeedExtendWideScalar10k(b *testing.B) { benchScalar(b, 10000, 100) }
-
-func benchScalar(b *testing.B, n, x int) {
-	defer func(v bool) { swarEnabled = v }(swarEnabled)
-	swarEnabled = false
-	benchSeedExtendX(b, n, x, false)
-}
+// The Wide variant raises the drop threshold to x=100, the broad-band
+// regime where a row is several hundred cells.
+func BenchmarkSeedExtendWide10k(b *testing.B) { benchSeedExtendX(b, 10000, 100, false) }
 
 func benchSeedExtend(b *testing.B, n int, ref bool) { benchSeedExtendX(b, n, 15, ref) }
 

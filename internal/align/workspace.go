@@ -11,11 +11,8 @@ import (
 // gap penalty is added.
 const negInf32 = int32(-1)<<29 - 1
 
-// swarEnabled gates the packed int16 kernel; tests and benchmarks flip it
-// off to pin the scalar path.
-var swarEnabled = true
-
-// Workspace is the reusable scratch of one alignment lane: DP rows grown
+// Workspace is the reusable scratch of one alignment lane: the two DP rows
+// and the query profile of b, carved from one allocation that grows
 // monotonically, the 5×5 substitution table for the current scoring scheme,
 // and a reverse-complement buffer. With a warm workspace, SeedExtend runs
 // allocation-free — the property the hot path depends on, since every one
@@ -28,24 +25,29 @@ var swarEnabled = true
 // callbacks of a rank run on that rank's goroutine, so even the stealing
 // driver needs no more than the rank's own workspace.
 type Workspace struct {
-	prev, cur []int32
-	sub       [seq.NumBases][seq.NumBases]int32
-	subFor    Scoring
-	subOK     bool
-	rc        seq.Seq
-	swar      swarState
-	stats     KernelStats
+	prev, cur []int32 // DP rows, indexed by column 0..blen
+
+	// prof[c][j] is the substitution score of row base c against the base
+	// column j consumes, in walk order (b[j-1] forward, b[blen-j] reversed);
+	// prof[N] is the all-mismatch row. An extension builds it in chunks as
+	// the band's high-water column advances, so a false positive that dies
+	// after a few rows never pays for the far end of b. Column 0 consumes
+	// no base; its entries stay 0 and only ever meet a negInf32 diagonal.
+	prof [seq.NumBases][]int32
+
+	sub    [seq.NumBases][seq.NumBases]int32
+	subFor Scoring
+	subOK  bool
+	rc     seq.Seq
+	stats  KernelStats
 }
 
-// KernelStats counts which kernel served the extensions run on a workspace
-// and how full the SWAR lanes were: LaneCells is the number of live window
-// cells the packed pass covered, LaneSlots the number of int16 lane slots
-// it issued for them (words × 4) — occupancy is their ratio.
+// KernelStats counts the extensions run on a workspace by the kernel that
+// served them, and the DP cells the row kernel swept.
 type KernelStats struct {
-	SWARExts   int64 // extensions served by the packed int16 kernel
-	ScalarExts int64 // extensions that fell back to the int32 scalar kernel
-	LaneCells  int64 // live DP cells covered by packed pass-A words
-	LaneSlots  int64 // int16 lane slots issued by packed pass-A words
+	RowExts int64 // extensions served by the int32 row kernel
+	RefExts int64 // extensions that fell back to the int reference
+	Cells   int64 // DP cells swept by the row kernel
 }
 
 // TakeStats returns the counters accumulated since the last call and
@@ -60,19 +62,26 @@ func (w *Workspace) TakeStats() KernelStats {
 // are retained across calls.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// ensure sizes the DP rows for a b of length blen and refreshes the
-// substitution table when the scoring scheme changed.
+// profChunk is how many columns past the band's edge one profile build
+// covers, so the build runs once per chunk of rows, not once per row.
+const profChunk = 64
+
+// ensure sizes the rows and the profile for a b of length blen and
+// refreshes the substitution table when the scoring scheme changed.
 func (w *Workspace) ensure(sc Scoring, blen int) {
-	if cap(w.prev) < blen+1 {
-		n := 2 * cap(w.prev)
+	if len(w.prev) < blen+1 {
+		n := 2 * len(w.prev)
 		if n < blen+1 {
 			n = blen + 1
 		}
 		if n < 256 {
 			n = 256
 		}
-		w.prev = make([]int32, n)
-		w.cur = make([]int32, n)
+		slab := make([]int32, (2+seq.NumBases)*n)
+		w.prev, w.cur = slab[:n], slab[n:2*n]
+		for c := range w.prof {
+			w.prof[c] = slab[(2+c)*n : (3+c)*n]
+		}
 	}
 	if !w.subOK || w.subFor != sc {
 		for x := 0; x < seq.NumBases; x++ {
@@ -81,6 +90,24 @@ func (w *Workspace) ensure(sc Scoring, blen int) {
 			}
 		}
 		w.subFor, w.subOK = sc, true
+	}
+}
+
+// buildProfile fills profile columns [from, to] for b in walk order. The
+// five rows are written side by side from hoisted subslices: looping over
+// w.prof per column doubled the build's cost.
+func (w *Workspace) buildProfile(b seq.Seq, rev bool, from, to int) {
+	p0, p1, p2 := w.prof[0][from:to+1], w.prof[1][from:to+1], w.prof[2][from:to+1]
+	p3, p4 := w.prof[3][from:to+1], w.prof[4][from:to+1]
+	for k := range p0 {
+		cb := b[from+k-1]
+		if rev {
+			cb = b[len(b)-from-k]
+		}
+		if cb > seq.N {
+			cb = seq.N // any out-of-alphabet code scores like N
+		}
+		p0[k], p1[k], p2[k], p3[k], p4[k] = w.sub[0][cb], w.sub[1][cb], w.sub[2][cb], w.sub[3][cb], w.sub[4][cb]
 	}
 }
 
@@ -135,56 +162,38 @@ func (w *Workspace) ExtendRight(a, b seq.Seq, sc Scoring, x int) Extension {
 	return w.extend(a, b, sc, x, false)
 }
 
-// extend dispatches one X-drop extension to the fastest kernel whose value
-// range provably holds the inputs: the packed int16 SWAR kernel when
-// fitsInt16 passes, else the int32 scalar kernel (which itself falls back
-// to the int reference for pathological magnitudes). All three produce
-// bit-identical scores, extents and cell counts.
+// extend runs the X-drop extension over a and b, walking both backward when
+// rev is set — the left extension runs over reversed indices instead of the
+// reference kernel's heap-materialised reversed copies. Results (Score,
+// AExt, BExt, Cells) are identical to extendRightRef on the corresponding
+// (possibly reversed) inputs; inputs whose values could overflow int32, or
+// whose gap score is not a penalty, go to that reference.
+//
+// Relative to the reference, a row is one call of the branch-free leaf
+// extendRow over the window's columns, substitution scores come from the
+// query profile instead of a per-cell base load and table lookup, cells are
+// counted per row, and the column of a new best is recovered by a scan
+// only on the rows where the best rose.
 func (w *Workspace) extend(a, b seq.Seq, sc Scoring, x int, rev bool) Extension {
 	if x < 0 {
 		x = 0
 	}
-	if swarEnabled && fitsInt16(len(a), len(b), sc, x) {
-		w.stats.SWARExts++
-		return w.extendSWAR(a, b, sc, x, rev)
-	}
-	w.stats.ScalarExts++
-	return w.extendScalar(a, b, sc, x, rev)
-}
-
-// extendScalar runs the X-drop extension over a and b, walking both backward
-// when rev is set — the left extension runs over reversed indices instead of
-// the reference kernel's heap-materialised reversed copies. Results (Score,
-// AExt, BExt, Cells) are identical to extendRightRef on the corresponding
-// (possibly reversed) inputs. It stays on past the SWAR kernel both as the
-// wide-range fallback and as the differential oracle the fuzz targets pin
-// the packed kernel against.
-//
-// Inner-loop structure relative to the reference: the three window-membership
-// tests per cell are replaced by peeled first/last columns (only the middle
-// columns have all three moves in-window), the per-cell sub() call by the
-// precomputed substitution row, the per-cell cells++ by one per-row addition,
-// and the per-cell best-x recomputation by a threshold updated only when
-// best improves. The diagonal and left DP inputs are carried in registers.
-func (w *Workspace) extendScalar(a, b seq.Seq, sc Scoring, x int, rev bool) Extension {
-	if x < 0 {
-		x = 0
-	}
 	alen, blen := len(a), len(b)
-	if !fitsInt32(alen, blen, sc, x) {
-		// Pathological scoring magnitudes: use the int-rowed reference.
+	if sc.Gap >= 0 || !fitsInt32(alen, blen, sc, x) {
+		w.stats.RefExts++
 		if rev {
 			return extendRightRef(reverse(a), reverse(b), sc, x)
 		}
 		return extendRightRef(a, b, sc, x)
 	}
+	w.stats.RowExts++
 	w.ensure(sc, blen)
+	built := 0 // profile columns 1..built are filled
 	gap := int32(sc.Gap)
 	x32 := int32(x)
 	prev, cur := w.prev[:blen+1], w.cur[:blen+1]
 
 	best, bestI, bestJ := int32(0), 0, 0
-	thresh := -x32
 	cells := 0
 
 	// Row 0: gaps in a only. Cells here are not counted (reference
@@ -194,132 +203,100 @@ func (w *Workspace) extendScalar(a, b seq.Seq, sc Scoring, x int, rev bool) Exte
 	s := int32(0)
 	for j := 1; j <= blen; j++ {
 		s += gap
-		if s < thresh {
+		if s < -x32 {
 			break
 		}
 		prev[j] = s
 		hi = j
 	}
 
-	bstep := 1
-	if rev {
-		bstep = -1
-	}
-
 	plo, phi := 0, hi
 	for i := 1; i <= alen; i++ {
-		// Columns reachable this row: [plo, phi+1] clipped to b.
+		// Columns reachable this row: [plo, phi+1] clipped to b. The
+		// previous row ends at phi, so column phi+1 has no vertical move:
+		// a pruned cell above it takes that move out of the max.
 		lo := plo
 		hi = phi + 1
-		tail := hi <= blen // does the phi+1 column exist?
-		if !tail {
+		if hi <= blen {
+			prev[hi] = negInf32
+		} else {
 			hi = blen
 		}
 		cells += hi - lo + 1
+		if hi > built {
+			to := min(hi+profChunk, blen)
+			w.buildProfile(b, rev, built+1, to)
+			built = to
+		}
 
 		ca := a[i-1]
 		if rev {
 			ca = a[alen-i]
 		}
 		if ca > seq.N {
-			ca = seq.N // any out-of-alphabet code scores like N
+			ca = seq.N
 		}
-		srow := &w.sub[ca]
-
-		// b index of column lo's base: b[lo-1] forward, b[blen-lo] reversed.
-		bj := lo - 1
-		if rev {
-			bj = blen - lo
-		}
-
-		// Column lo: only the vertical move is in-window (diagonal and left
-		// would read column lo-1, below the live window).
-		v := prev[lo] + gap
-		if v < thresh {
-			v = negInf32
-		}
-		cur[lo] = v
-		rowBest := v
-		if v > best {
-			best, bestI, bestJ = v, i, lo
-			thresh = best - x32
-		}
-		left := v
-		diag := prev[lo]
-		bj += bstep
-
-		// Middle columns (lo, mid]: all three moves are in-window.
-		mid := hi
-		if tail {
-			mid = hi - 1
-		}
-		for j := lo + 1; j <= mid; j++ {
-			up := prev[j]
-			cb := b[bj]
-			if cb > seq.N {
-				cb = seq.N
-			}
-			v := diag + srow[cb]
-			if u := up + gap; u > v {
-				v = u
-			}
-			if l := left + gap; l > v {
-				v = l
-			}
-			if v < thresh {
-				v = negInf32
-			}
-			cur[j] = v
-			if v > rowBest {
-				rowBest = v
-			}
-			if v > best {
-				best, bestI, bestJ = v, i, j
-				thresh = best - x32
-			}
-			diag = up
-			left = v
-			bj += bstep
-		}
-
-		// Column phi+1, when it exists: the previous row ends at phi, so
-		// there is no vertical move.
-		if tail {
-			cb := b[bj]
-			if cb > seq.N {
-				cb = seq.N
-			}
-			v := diag + srow[cb]
-			if l := left + gap; l > v {
-				v = l
-			}
-			if v < thresh {
-				v = negInf32
-			}
-			cur[hi] = v
-			if v > rowBest {
-				rowBest = v
-			}
-			if v > best {
-				best, bestI, bestJ = v, i, hi
-				thresh = best - x32
+		rowBest := extendRow(cur[lo:hi+1], prev[lo:hi+1], w.prof[ca][lo:hi+1], gap, best, x32)
+		if rowBest > best {
+			// The reference moves (bestI, bestJ) on every strict rise, so
+			// it ends the row on the first column holding the row maximum.
+			best, bestI, bestJ = rowBest, i, lo
+			for cur[bestJ] != best {
+				bestJ++
 			}
 		}
 
-		if rowBest == negInf32 {
-			break // X-drop termination: every live cell pruned
-		}
-		// Shrink the window to live cells.
+		// Shrink the window to live cells; an empty window is the X-drop
+		// termination: every cell of the row pruned.
 		for lo <= hi && cur[lo] == negInf32 {
 			lo++
 		}
 		for hi >= lo && cur[hi] == negInf32 {
 			hi--
 		}
+		if lo > hi {
+			break
+		}
 		prev, cur = cur, prev
 		plo, phi = lo, hi
 	}
+	w.stats.Cells += int64(cells)
 	return Extension{Score: int(best), AExt: bestI, BExt: bestJ, Cells: cells}
+}
+
+// extendRow computes one DP row over a window of columns: up is the
+// previous row and sub the profile row of this row's base over the same
+// columns as out. It returns the running best after the row.
+//
+// The first column has no diagonal or left neighbour in the window, so both
+// enter as negInf32. The loop-carried value u is the cell's score BEFORE
+// pruning, so the only serial dependency is u = max(t, u+gap); the stored
+// cell is pruned as in the reference. Carrying the unpruned value changes
+// nothing: gap < 0 and the threshold best-x only rises along a row, so a
+// value below the threshold at its own column stays below every later
+// threshold however many gaps extend it — it can never win a max that
+// survives pruning. For the same reason u > best implies the cell is live,
+// so the threshold (carried in place of best) folds against u directly.
+//
+// Not inlined: inside extend the loop's live values compete with the
+// caller's for registers and spill.
+//
+//go:noinline
+func extendRow(out, up, sub []int32, gap, best, x int32) int32 {
+	up, sub = up[:len(out)], sub[:len(out)]
+	diag, u, thresh := negInf32, negInf32, best-x
+	for j := range out {
+		p := up[j]
+		u = max(u+gap, p+gap, diag+sub[j])
+		v := negInf32 // select into the sentinel: the other way round clobbers u and spills it
+		if u >= thresh {
+			v = u
+		}
+		out[j] = v
+		thresh = max(thresh, u-x)
+		diag = p
+	}
+	return thresh + x
 }
 
 // SeedExtend is the package-level SeedExtend running on this workspace:

@@ -7,19 +7,27 @@ import (
 	"gnbody/internal/seq"
 )
 
-// The differential battery: the optimised Workspace kernel must reproduce
-// the retained reference kernel bit for bit — Score, AExt, BExt and the
-// Cells work measure — on any input, with the workspace deliberately kept
-// dirty across cases to prove stale row contents never leak into a result.
+// The differential battery: the Workspace row kernel must reproduce the
+// retained reference kernel bit for bit — Score, AExt, BExt and the Cells
+// work measure — on any input and in both walk directions, with the
+// workspace deliberately kept dirty across cases to prove stale row or
+// profile contents never leak into a result.
 
-// diffCase runs both kernels on one ExtendRight input and compares.
+// diffCase runs both kernels on one extension input, forward and over
+// reversed indices, and compares.
 func diffCase(t *testing.T, w *Workspace, a, b seq.Seq, sc Scoring, x int) {
 	t.Helper()
-	want := extendRightRef(a, b, sc, x)
-	got := w.ExtendRight(a, b, sc, x)
-	if got != want {
-		t.Fatalf("ExtendRight(|a|=%d,|b|=%d,%+v,x=%d):\n workspace %+v\n reference %+v",
-			len(a), len(b), sc, x, got, want)
+	for _, rev := range []bool{false, true} {
+		ra, rb := a, b
+		if rev {
+			ra, rb = reverse(a), reverse(b)
+		}
+		want := extendRightRef(ra, rb, sc, x)
+		got := w.extend(a, b, sc, x, rev)
+		if got != want {
+			t.Fatalf("extend(a=%s,b=%s,%+v,x=%d,rev=%v):\n workspace %+v\n reference %+v",
+				a, b, sc, x, rev, got, want)
+		}
 	}
 }
 
@@ -31,19 +39,83 @@ func randSeq(rng *rand.Rand, n int) seq.Seq {
 	return s
 }
 
+// TestRowKernelAdversarialRows drives the row shapes the kernel's
+// equivalence argument rests on: the unpruned left carry, the first-
+// occurrence scan for BExt, and the window edges. (Column lo itself can
+// never raise the best — it has only the vertical move — so the leftmost
+// rise is in column lo+1.)
+func TestRowKernelAdversarialRows(t *testing.T) {
+	unit := DefaultScoring()
+	const edgeMag = 1<<26 - 1 // 8*edgeMag + 7 = 2^29 - 1: the last input fitsInt32 admits for |a|=|b|=3
+	edge := Scoring{Match: edgeMag, Mismatch: -edgeMag, Gap: -edgeMag}
+	cases := []struct {
+		name string
+		a, b string
+		sc   Scoring
+		x    int
+	}{
+		// x = 0 keeps one live cell per row: the best rises in the phi+1
+		// tail column every row, and the column under it is pruned.
+		{"x0-tail-rise", "ACGTACGT", "ACGTACGT", unit, 0},
+		// x = 1 keeps the cell right of the diagonal alive, so the rise is
+		// in the last middle column with a tail column after it.
+		{"x1-last-middle-rise", "ACGTACGT", "ACGTACGT", unit, 1},
+		// A window as wide as b: no tail column at all, rises mid-window
+		// and finally in column blen.
+		{"blen-lt-alen-no-tail", "ACGTACGT", "ACGT", unit, 10},
+		{"gap-ne-mismatch", "ACGTTACGGA", "ACGTACGTGA", Scoring{Match: 3, Mismatch: -2, Gap: -5}, 7},
+		{"cheap-gaps", "ACGTTACGGA", "ACGACGTGGA", Scoring{Match: 2, Mismatch: -7, Gap: -1}, 6},
+		// Row 2 scores 2 in columns 1 and 2; the reference stops at the first.
+		{"row-max-tie", "CGT", "GG", Scoring{Match: 3, Mismatch: -1, Gap: -1}, 5},
+		{"row-max-tie-wide", "TACT", "AAAG", Scoring{Match: 3, Mismatch: -1, Gap: -1}, 7},
+		{"whole-row-pruned", "AAAAAA", "CCCCCC", unit, 1},
+		{"dies-after-match", "ACGTTTTTTT", "ACGTAAAAAA", unit, 2},
+		{"n-runs", "ACGNNNNACGTAC", "ACGTACGNNTACN", unit, 8},
+		{"all-n", "NNNN", "NNNN", unit, 3},
+		{"empty-a", "", "ACGT", unit, 5},
+		{"empty-b", "ACGT", "", unit, 5},
+		{"fits-int32-last-in", "ACG", "ACG", edge, 7},
+		{"fits-int32-first-out", "ACG", "ACG", edge, 8},
+	}
+	w := NewWorkspace()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			diffCase(t, w, seq.MustFromString(tc.a), seq.MustFromString(tc.b), tc.sc, tc.x)
+		})
+	}
+
+	acg := seq.MustFromString("ACG")
+	w.TakeStats()
+	w.ExtendRight(acg, acg, edge, 7)
+	in := w.TakeStats()
+	w.ExtendRight(acg, acg, edge, 8)
+	out := w.TakeStats()
+	if in.RowExts != 1 || in.RefExts != 0 || out.RowExts != 0 || out.RefExts != 1 {
+		t.Errorf("gate edge: x=7 ran %+v, x=8 ran %+v; want the row kernel, then the reference", in, out)
+	}
+	tie := Scoring{Match: 3, Mismatch: -1, Gap: -1}
+	if got := w.ExtendRight(seq.MustFromString("CGT"), seq.MustFromString("GG"), tie, 5); got.AExt != 2 || got.BExt != 1 {
+		t.Errorf("row-max tie: extents (%d,%d), want the first occurrence (2,1)", got.AExt, got.BExt)
+	}
+}
+
+// TestWorkspaceMatchesReferenceExtend is the seeded property test: 20 000
+// random cases — unrelated pairs, mutated copies, shared prefixes; N
+// included; schemes with unequal penalties — against the reference in both
+// walk directions.
 func TestWorkspaceMatchesReferenceExtend(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	w := NewWorkspace() // shared across all cases: dirty-buffer reuse is the point
-	schemes := []Scoring{
-		DefaultScoring(),
-		{Match: 2, Mismatch: -3, Gap: -2},
-		{Match: 5, Mismatch: -4, Gap: -11},
-		{Match: 1, Mismatch: -16, Gap: -1},
-	}
-	for iter := 0; iter < 400; iter++ {
-		sc := schemes[rng.Intn(len(schemes))]
+	for iter := 0; iter < 20000; iter++ {
+		sc := DefaultScoring()
+		if iter%2 == 0 {
+			sc = Scoring{Match: 1 + rng.Intn(5), Mismatch: -1 - rng.Intn(16), Gap: -1 - rng.Intn(11)}
+		}
 		x := rng.Intn(60)
-		la, lb := rng.Intn(200), rng.Intn(200)
+		la, lb := rng.Intn(60), rng.Intn(60)
+		if iter%100 == 0 { // a few long ones cross several profile chunks
+			la, lb = 200+rng.Intn(200), 200+rng.Intn(200)
+		}
 		var a, b seq.Seq
 		switch rng.Intn(3) {
 		case 0: // unrelated
@@ -52,14 +124,11 @@ func TestWorkspaceMatchesReferenceExtend(t *testing.T) {
 			a = randSeq(rng, la)
 			b = a.Clone()
 			for m := 0; m < la/8; m++ {
-				if la > 0 {
-					b[rng.Intn(la)] = seq.Base(rng.Intn(seq.NumBases))
-				}
+				b[rng.Intn(la)] = seq.Base(rng.Intn(seq.NumBases))
 			}
 		default: // shared prefix, then divergence: mid-run termination
 			a = randSeq(rng, la)
-			b = append(randSeq(rng, 0), a[:la/2]...)
-			b = append(b, randSeq(rng, lb/2)...)
+			b = append(a[:la/2].Clone(), randSeq(rng, lb/2)...)
 		}
 		diffCase(t, w, a, b, sc, x)
 	}
@@ -107,11 +176,14 @@ func TestWorkspaceOverflowFallback(t *testing.T) {
 		t.Fatal("guard accepted a scheme that can overflow int32")
 	}
 	diffCase(t, w, a, b, sc, 1<<27)
+	if st := w.TakeStats(); st.RowExts != 0 || st.RefExts == 0 {
+		t.Errorf("kernel stats %+v, want reference only", st)
+	}
 }
 
-// TestSeedExtendWarmWorkspaceAllocFree is the tentpole's allocation guard:
-// with a warm workspace the whole seed-and-extend path — including the
-// reversed-index left extension — performs zero heap allocations.
+// TestSeedExtendWarmWorkspaceAllocFree is the allocation guard: with the
+// rows and the profile grown, the whole seed-and-extend path — including
+// the reversed-index left extension — performs zero heap allocations.
 func TestSeedExtendWarmWorkspaceAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n := 2000
@@ -124,6 +196,9 @@ func TestSeedExtendWarmWorkspaceAllocFree(t *testing.T) {
 	sc := DefaultScoring()
 	if _, err := w.SeedExtend(a, b, n/2, n/2, 17, sc, 15); err != nil {
 		t.Fatal(err)
+	}
+	if st := w.TakeStats(); st.RowExts != 2 || st.RefExts != 0 {
+		t.Fatalf("warm-up did not run on the row kernel: %+v", st)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		if _, err := w.SeedExtend(a, b, n/2, n/2, 17, sc, 15); err != nil {
@@ -158,26 +233,29 @@ func TestRevCompWarmAllocFree(t *testing.T) {
 }
 
 // FuzzXDropDiff is the differential fuzz target: arbitrary sequences,
-// seeds and X parameters through both kernels, on a package-shared dirty
+// seeds, X parameters and scoring magnitudes — across the fitsInt32 gate —
+// through both kernels, forward and reversed, on a package-shared dirty
 // workspace. Any divergence in Score/AExt/BExt/Cells fails.
 func FuzzXDropDiff(f *testing.F) {
-	f.Add([]byte("\x00\x01\x02\x03"), []byte("\x00\x01\x02\x03"), 2, 2, 2, 15)
-	f.Add([]byte("\x00\x00\x01\x01\x02\x02"), []byte("\x02\x02\x01\x01"), 0, 0, 3, 4)
-	f.Add([]byte(""), []byte(""), 0, 0, 1, 0)
+	f.Add([]byte("\x00\x01\x02\x03"), []byte("\x00\x01\x02\x03"), 2, 2, 2, 15, 1, 1, 1)
+	f.Add([]byte("\x00\x00\x01\x01\x02\x02"), []byte("\x02\x02\x01\x01"), 0, 0, 3, 4, 5, 4, 11)
+	f.Add([]byte(""), []byte(""), 0, 0, 1, 0, 1, 16000, 19999)
+	f.Add([]byte("\x00\x01"), []byte("\x00\x01"), 0, 0, 1, 2000, 1<<27, 1<<27, 1<<27)
 	w := NewWorkspace()
-	f.Fuzz(func(t *testing.T, ab, bb []byte, posA, posB, k, x int) {
+	// mag folds any int into [0, 2^28) with a log-uniform spread (28 value
+	// bits shifted right by the next five), so short inputs land on both
+	// sides of the fitsInt32 gate and small scores stay common.
+	mag := func(v int) int { return v & (1<<28 - 1) >> (v >> 28 & 31) }
+	f.Fuzz(func(t *testing.T, ab, bb []byte, posA, posB, k, x, match, mism, gap int) {
 		a := fuzzSeq(ab, 300)
 		b := fuzzSeq(bb, 300)
-		if x < -1000 || x > 1000 {
-			x %= 1000
+		sc := Scoring{Match: 1 + mag(match), Mismatch: -1 - mag(mism), Gap: -1 - mag(gap)}
+		if x < 0 {
+			x = -1 // clamped to 0 by both kernels
 		}
-		sc := DefaultScoring()
+		x %= 1 << 29
 
-		want := extendRightRef(a, b, sc, x)
-		got := w.ExtendRight(a, b, sc, x)
-		if got != want {
-			t.Fatalf("ExtendRight diverged:\n workspace %+v\n reference %+v", got, want)
-		}
+		diffCase(t, w, a, b, sc, x)
 
 		wantR, errR := seedExtendRef(a, b, posA, posB, k, sc, x)
 		gotR, errG := w.SeedExtend(a, b, posA, posB, k, sc, x)
@@ -185,7 +263,7 @@ func FuzzXDropDiff(f *testing.F) {
 			t.Fatalf("error mismatch: ref %v, workspace %v", errR, errG)
 		}
 		if errR == nil && gotR != wantR {
-			t.Fatalf("SeedExtend diverged:\n workspace %+v\n reference %+v", gotR, wantR)
+			t.Fatalf("SeedExtend diverged (%+v, x=%d):\n workspace %+v\n reference %+v", sc, x, gotR, wantR)
 		}
 	})
 }

@@ -64,18 +64,19 @@ func (e RealExecutor) Align(r rt.Runtime, t overlap.Task, a, b seq.Seq) (align.R
 	if err != nil {
 		panic("core: invalid task reached the aligner: " + err.Error())
 	}
-	// Drain the workspace's kernel counters into the rank's metrics: a task
-	// counts as SWAR only when every extension ran packed; any scalar
-	// fallback marks the whole task.
+	// Drain the workspace's kernel counters into the rank's metrics. The
+	// field names predate the single row kernel (see rt.Metrics): a task
+	// counts under SWARTasks when every extension ran on the row kernel,
+	// under FallbackTasks when any reached the int reference.
 	ks := w.TakeStats()
 	m := r.Metrics()
-	if ks.ScalarExts > 0 {
+	if ks.RefExts > 0 {
 		m.FallbackTasks++
-	} else if ks.SWARExts > 0 {
+	} else if ks.RowExts > 0 {
 		m.SWARTasks++
 	}
-	m.LaneCells += ks.LaneCells
-	m.LaneSlots += ks.LaneSlots
+	m.LaneCells += ks.Cells
+	m.LaneSlots += ks.Cells
 	return res, true
 }
 

@@ -133,11 +133,13 @@ type Metrics struct {
 	GraphFetches   int64
 	GraphCoalesced int64
 
-	// Alignment-kernel accounting (DESIGN.md §16). SWARTasks/FallbackTasks
-	// count alignment tasks served entirely by the packed int16 kernel vs
-	// tasks where at least one extension fell back to the scalar kernel;
-	// LaneCells/LaneSlots measure packed-lane occupancy (live DP cells
-	// covered vs int16 lane slots issued for them).
+	// Alignment-kernel accounting (DESIGN.md §12). The names date from a
+	// packed int16 kernel that no longer exists; the benchmark module
+	// compiles against them, so the rename waits for a benchmark PR.
+	// SWARTasks counts alignment tasks whose extensions all ran on the
+	// int32 row kernel, FallbackTasks tasks where at least one reached the
+	// int reference. LaneCells and LaneSlots both hold the DP cells the row
+	// kernel swept, so their ratio (lane_occupancy) reads 1.
 	SWARTasks     int64
 	FallbackTasks int64
 	LaneCells     int64

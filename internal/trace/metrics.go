@@ -46,6 +46,9 @@ type RankMetrics struct {
 	GraphFetches   int64 `json:"graph_fetches"`
 	GraphCoalesced int64 `json:"graph_coalesced"`
 
+	// Kernel accounting under the column names of the deleted SWAR kernel
+	// (see rt.Metrics): row-kernel tasks, reference-fallback tasks, and
+	// the cells swept in both lane columns.
 	SWARTasks     int64 `json:"swar_tasks"`
 	FallbackTasks int64 `json:"fallback_tasks"`
 	LaneCells     int64 `json:"lane_cells"`
