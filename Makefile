@@ -53,22 +53,12 @@
 #                must be retried to completion or fail naming the rank,
 #                the other must complete, and SIGTERM must drain the
 #                server to a clean exit with job metrics flushed
-#   make bench   full kernel benchmark run (count 5): writes the raw
-#                output to bench/bench_new.txt and the before/after
-#                comparison against bench/bench_baseline.txt (the
-#                committed numbers of the current kernel) to $(BENCH_JSON)
-#   make bench-smoke  fast CI gate: alloc-free guard tests plus a short
-#                kernel bench pass gated against the committed baseline
-#                (benchfmt -gate) — catches hot-path allocation and
-#                kernel time regressions without the full count-5 run
 
 GO      ?= go
 FUZZT   ?= 10s
-BENCHN  ?= 5
-BENCH_JSON ?= BENCH_9.json
-LOC_BUDGET = 19131
+LOC_BUDGET = 18719
 
-.PHONY: check vet fmtcheck build test bench-build backhalf-rounds exchange-allocs kernel-cells loc loc-budget race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke bench bench-smoke bench-comm ci
+.PHONY: check vet fmtcheck build test bench-build backhalf-rounds exchange-allocs kernel-cells loc loc-budget race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke ci
 
 check: vet fmtcheck build test bench-build loc-budget
 
@@ -144,6 +134,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSendV$$ -fuzztime $(FUZZT) ./internal/transport/
 	$(GO) test -fuzz=FuzzHierRecord$$ -fuzztime $(FUZZT) ./internal/dist/
 	$(GO) test -fuzz=FuzzCacheEvict -fuzztime $(FUZZT) ./internal/core/
+	$(GO) test -fuzz=FuzzStolenGroups$$ -fuzztime $(FUZZT) ./internal/core/
 	$(GO) test -fuzz=FuzzJobRequest -fuzztime $(FUZZT) ./internal/serve/
 	$(GO) test -fuzz=FuzzOverlapClassify -fuzztime $(FUZZT) ./internal/graph/
 	$(GO) test -fuzz=FuzzContigLinks$$ -fuzztime $(FUZZT) ./internal/graph/
@@ -292,47 +283,4 @@ placement-smoke:
 		  printf "placement-smoke tiers: OK (%d intra, %d inter bytes)\n", intra, inter }' \
 		$$(ls $$tmp/met-contigs.csv.rank*) || exit 1
 
-# Full kernel benchmark run. bench/bench_baseline.txt is the committed
-# output of the same benchmarks on the current kernel (after a kernel
-# change, run `make bench` and copy bench/bench_new.txt over it);
-# $(BENCH_JSON) records median/min/max per benchmark and unit plus the
-# relative delta against that baseline.
-bench:
-	$(GO) test -run '^$$' -bench SeedExtend -benchmem -count $(BENCHN) \
-		./internal/align/ | tee bench/bench_new.txt
-	$(GO) run ./cmd/benchfmt -old bench/bench_baseline.txt \
-		-json $(BENCH_JSON) bench/bench_new.txt
-
-# Communication-volume comparison: the same benchmarks run cache-off/flat
-# (baseline) then cache-on/aggregated, diffed into BENCH_10.json. The
-# suite covers both the overlap exchange (dist-bsp) and the assembly
-# stages' neighbour-fetch rounds (dist-assembly, which also reports
-# graphfetches/op and graphcoalesced/op). wirefetches/op and interbytes/op
-# are the numbers to watch: the cache halves the former, hierarchical
-# aggregation trims the latter — so the interbytes gate only trips when
-# the hierarchical path sends MORE cross-node bytes than the flat
-# baseline, a genuine regression.
-bench-comm:
-	$(GO) test -run '^$$' -bench CommExchange -benchtime 1x \
-		./internal/workload/ -args -cachebudget=0 | tee bench/comm_off.txt
-	$(GO) test -run '^$$' -bench CommExchange -benchtime 1x \
-		./internal/workload/ -args -cachebudget=-1 | tee bench/comm_on.txt
-	$(GO) run ./cmd/benchfmt -old bench/comm_off.txt \
-		-json BENCH_10.json -gate 10 -gateunits interbytes/op bench/comm_on.txt
-
-# Fast allocation-regression gate for CI: the AllocsPerRun guard tests
-# (kernel, codecs, wire decode, overlap workspace) plus one short bench
-# pass of the row kernel gated at +10% ns/op against the committed
-# baseline, so neither the benchmarks nor the kernel's speed can rot
-# silently. The allocating reference benchmarks stay out of the gate:
-# their time moves ±10 % with the collector on unchanged code. Median of
-# three passes of 200, because 50 iterations of the 1 kb case are 5 ms
-# and mostly measure the workspace's first growth.
-bench-smoke:
-	$(GO) test -run 'AllocFree' -v ./internal/align/ ./internal/core/ \
-		./internal/seq/ ./internal/overlap/
-	$(GO) test -run '^$$' -bench 'SeedExtend(1k|10k|Wide10k)$$' -benchtime 200x \
-		-count 3 -benchmem ./internal/align/ | $(GO) run ./cmd/benchfmt \
-		-old bench/bench_baseline.txt -gate 10
-
-ci: check backhalf-rounds exchange-allocs kernel-cells race fuzz chaos bench-smoke dist-smoke serve-smoke assemble-smoke placement-smoke
+ci: check backhalf-rounds exchange-allocs kernel-cells race fuzz chaos dist-smoke serve-smoke assemble-smoke placement-smoke

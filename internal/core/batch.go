@@ -47,9 +47,9 @@ func expectedExtension(in *Input, t overlap.Task) int {
 // batcher holds the reusable buffers for scheduling one task group at a
 // time. Buffers grow monotonically and are reused across groups, so the
 // drivers' zero-allocation steady state is preserved. Not safe for
-// concurrent use; the asynchronous drivers keep a batchPool because a
-// Progress call inside one group's loop can start another group's
-// completion callback.
+// concurrent use; the asynchronous driver keeps one per nesting level
+// (fetcher.runGroup) because a Progress call inside one group's loop can
+// start another group's completion callback.
 type batcher struct {
 	tasks []overlap.Task
 	order []int32
@@ -157,19 +157,3 @@ func (bt *batcher) run(r rt.Runtime, in *Input, cfg *Config, rid seq.ReadID, rem
 		}
 	}
 }
-
-// batchPool is a freelist of batchers for the asynchronous drivers, where
-// completion callbacks nest through Progress: each callback checks one
-// out for its group and returns it when done (mirroring seqScratch).
-type batchPool struct{ free []*batcher }
-
-func (p *batchPool) get() *batcher {
-	if n := len(p.free); n > 0 {
-		bt := p.free[n-1]
-		p.free = p.free[:n-1]
-		return bt
-	}
-	return new(batcher)
-}
-
-func (p *batchPool) put(bt *batcher) { p.free = append(p.free, bt) }

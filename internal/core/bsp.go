@@ -88,22 +88,17 @@ func mkHit(t overlap.Task, res align.Result) Hit {
 // every alignment waiting on a received read runs as the read is unpacked
 // from the receive buffer. Collective: all ranks must call it.
 func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
-	cfg.defaults()
-	if err := in.validate(r.Rank()); err != nil {
+	f, done, err := begin(r, in, &cfg)
+	if err != nil {
 		return nil, err
 	}
-	out := &Result{}
+	defer done()
+	out, base, met := f.out, f.base, r.Metrics()
 	var store *flatStore
 	r.Timed(rt.CatOverhead, func() { store = buildFlatStore(in, r.Rank()) })
 	out.LocalTasks = len(store.local)
 	out.RemoteTasks = len(store.remote)
 	out.RemoteReads = len(store.groups)
-
-	base := in.PartitionBytes(r.Rank())
-	r.Alloc(base)
-	defer r.Free(base)
-	met := r.Metrics()
-	met.StoreBytes = in.storeBytes(r.Rank())
 
 	// Tasks with both reads local need no exchange. BSP never nests task
 	// loops (no completion callbacks), so one batcher serves the whole Run.
@@ -114,19 +109,15 @@ func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 	// Cache pre-pass: any remote read already resident (retained by an
 	// earlier Run over the same world) runs its tasks now and drops out of
 	// the exchange plan entirely — the superstep loop below only ever sees
-	// the misses. One Acquire per group is the fetch decision.
-	cache := cfg.Cache
+	// the misses. One resident call per group is the fetch decision.
 	groups := store.groups
-	if cache != nil {
-		unbind := cache.bind(r)
-		defer unbind()
+	if f.cache != nil {
 		misses := groups[:0:0]
 		for _, g := range groups {
-			if bases, ok := cache.Acquire(g.read, 1); ok {
-				out.CacheHits++
+			if bases, ok := f.resident(g.read); ok {
 				bt.loadFlat(store.tasksOf(g))
 				bt.run(r, in, &cfg, g.read, bases, true, out, 0)
-				cache.Release(g.read, 1)
+				f.unpin(g.read)
 				continue
 			}
 			misses = append(misses, g)
@@ -150,23 +141,24 @@ func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 		}
 	}
 	// One decode buffer, sized for the longest read this rank will be sent,
-	// serves every superstep's unpack loop.
-	longest := 0
-	for _, g := range groups {
-		longest = max(longest, int(in.Lens[g.read]))
+	// serves every superstep's unpack loop. With the cache on each read
+	// decodes into fresh bases instead, which the cache then owns.
+	var dbuf seq.Seq
+	if f.cache == nil {
+		longest := 0
+		for _, g := range groups {
+			longest = max(longest, int(in.Lens[g.read]))
+		}
+		dbuf = make(seq.Seq, 0, longest)
 	}
-	dbuf := make(seq.Seq, 0, longest)
-	dec := newReadDecoder(r, in)
-	lo, hi := in.Part.Range(r.Rank())
 	runs := make([][2]int, r.Size()) // per owner: its reads' index range in the chunk
-	// runErr is this rank's first ExchangeError. A rank that has one stops
+	// f.err is this rank's first ExchangeError. A rank that has one stops
 	// asking for reads but keeps entering every remaining superstep's
 	// collectives — answering the peers it can — so nobody hangs, and
 	// returns the error when the loop ends.
-	var runErr error
 	fail := func(from int, reason string) {
-		if runErr == nil {
-			runErr = &ExchangeError{r.Rank(), from, reason}
+		if f.err == nil {
+			f.err = &ExchangeError{r.Rank(), from, reason}
 			next = len(groups)
 		}
 	}
@@ -224,7 +216,7 @@ func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 					continue
 				}
 				var bad string
-				if sendPay[src], bad = encodeReads(nil, in, lo, hi, ids); bad != "" {
+				if sendPay[src], bad = encodeReads(nil, in, f.lo, f.hi, ids); bad != "" {
 					fail(src, bad)
 				}
 				payBytes += int64(len(sendPay[src]))
@@ -250,8 +242,8 @@ func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 		for src, buf := range recvPay {
 			want := chunk[runs[src][0]:runs[src][1]]
 			k := 0
-			for len(buf) > 0 && runErr == nil {
-				read, n, err := dec.decode(dbuf, buf)
+			for len(buf) > 0 && f.err == nil {
+				read, n, err := f.dec.decode(dbuf, buf)
 				switch {
 				case err != nil:
 					fail(src, fmt.Sprintf("bad payload: %v", err))
@@ -262,28 +254,19 @@ func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 				case read.ID != want[k].read:
 					fail(src, fmt.Sprintf("read %d missing from the payload (read %d in its place)", want[k].read, read.ID))
 				}
-				if runErr != nil {
+				if f.err != nil {
 					break
 				}
 				buf = buf[n:]
-				if cache != nil {
-					// Retain an owned copy for later reuse (read.Seq aliases
-					// the shared decode buffer), pinned while this group's
-					// tasks still reference the read.
-					var cp seq.Seq
-					if read.Seq != nil {
-						cp = read.Seq.Clone()
-					}
-					cache.Insert(read.ID, cp, int64(in.planSize(read.ID)), 1)
-				}
+				// Retained for later reuse, pinned while this group's tasks
+				// still reference the read.
+				f.admit(read.ID, read.Seq, 1)
 				bt.loadFlat(store.tasksOf(want[k]))
 				bt.run(r, in, &cfg, read.ID, read.Seq, true, out, 0)
-				if cache != nil {
-					cache.Release(read.ID, 1)
-				}
+				f.unpin(read.ID)
 				k++
 			}
-			if runErr == nil && k < len(want) {
+			if f.err == nil && k < len(want) {
 				fail(src, fmt.Sprintf("read %d missing from the payload", want[k].read))
 			}
 		}
@@ -293,7 +276,7 @@ func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 			met.PeakExchange = ex
 		}
 
-		if runErr == nil {
+		if f.err == nil {
 			next = end
 		}
 		remaining := r.Allreduce(int64(len(groups)-next), rt.OpSum)
@@ -302,12 +285,12 @@ func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 			break
 		}
 	}
-	if runErr != nil {
-		return nil, runErr
+	if f.err != nil {
+		return nil, f.err
 	}
 	// Accumulate (not assign): metrics on a resident world add up across
 	// Runs, and job-scoped reporting recovers per-Run counts by Sub-ing
 	// snapshots.
-	r.Metrics().Supersteps += int64(out.Supersteps)
+	met.Supersteps += int64(out.Supersteps)
 	return out, nil
 }

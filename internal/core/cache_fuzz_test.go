@@ -43,9 +43,9 @@ func FuzzCacheEvict(f *testing.F) {
 		const p = 3
 		for _, mode := range []string{"async", "steal"} {
 			offExec := newHashExec(RealExecutor{Scoring: sc, X: 15})
-			offHits, _, _, _ := runCached(t, w, p, mode, offExec, 0, false)
+			offHits, _, _, _ := runCached(t, w, p, mode, 0, offExec, 0, false)
 			onExec := newHashExec(RealExecutor{Scoring: sc, X: 15})
-			hits, res, world, caches := runCached(t, w, p, mode, onExec, budget, true)
+			hits, res, world, caches := runCached(t, w, p, mode, 0, onExec, budget, true)
 			if !reflect.DeepEqual(hits, offHits) {
 				t.Fatalf("%s budget=%d: cached hits (%d) != uncached (%d)",
 					mode, budget, len(hits), len(offHits))

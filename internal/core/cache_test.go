@@ -232,7 +232,7 @@ func (h *hashExec) Align(r rt.Runtime, task overlap.Task, a, b seq.Seq) (align.R
 
 // runCached executes one driver over the par backend with per-rank caches
 // the test retains for post-run inspection (nil budget pointer → cache off).
-func runCached(t *testing.T, w *testWorkload, p int, mode string, exec Executor,
+func runCached(t *testing.T, w *testWorkload, p int, mode string, fetchBatch int, exec Executor,
 	budget int64, cacheOn bool) ([]Hit, []*Result, *par.World, []*ReadCache) {
 	t.Helper()
 	lens := w.lens()
@@ -263,23 +263,19 @@ func runCached(t *testing.T, w *testWorkload, p int, mode string, exec Executor,
 		st := seq.Scope(w.reads, lo, hi, lens)
 		in := &Input{Part: pt, Lens: lens, Tasks: byRank[r.Rank()],
 			Codec: RealCodec{Store: st}, Store: st}
-		cfg := Config{Exec: exec, MinScore: 50, MaxOutstanding: 8, PollEvery: 4}
+		cfg := Config{Exec: exec, MinScore: 50, MaxOutstanding: 8, PollEvery: 4, FetchBatch: fetchBatch}
 		if cacheOn {
 			cfg.Cache = caches[r.Rank()]
 		}
-		switch mode {
-		case "async":
-			results[r.Rank()], errs[r.Rank()] = RunAsync(r, in, cfg)
-		case "steal":
-			results[r.Rank()], errs[r.Rank()] = RunAsyncStealing(r, in, cfg)
-		default:
-			results[r.Rank()], errs[r.Rank()] = RunBSP(r, in, cfg)
-		}
+		results[r.Rank()], errs[r.Rank()] = Run(mode, r, in, cfg)
 	})
 	var hits []Hit
 	for rk := 0; rk < p; rk++ {
 		if errs[rk] != nil {
 			t.Fatalf("%s rank %d: %v", mode, rk, errs[rk])
+		}
+		if n := results[rk].unreturned; n != 0 {
+			t.Errorf("%s rank %d: %d scratch buffers or batchers checked out and never returned", mode, rk, n)
 		}
 		hits = append(hits, results[rk].Hits...)
 	}
@@ -293,15 +289,17 @@ func runCached(t *testing.T, w *testWorkload, p int, mode string, exec Executor,
 // run, never fetch more over the wire (than the uncached run where the
 // schedule is fixed, than its own uncached fetch decisions under stealing),
 // and satisfy the counting invariants that make the hit/miss numbers
-// trustworthy.
+// trustworthy. The asynchronous drivers run it again with four reads to a
+// request; every run, cached or not, must also hand back each scratch
+// buffer and batcher it checked out (runCached asserts it).
 func TestCacheCoherenceBattery(t *testing.T) {
 	w := makeWorkload(t, 10000, 6, 47)
 	sc := align.DefaultScoring()
 	const p = 4
 	for _, mode := range []string{"bsp", "async", "steal"} {
-		t.Run(mode, func(t *testing.T) {
+		battery := func(t *testing.T, fetchBatch int) {
 			offExec := newHashExec(RealExecutor{Scoring: sc, X: 15})
-			offHits, offRes, _, _ := runCached(t, w, p, mode, offExec, 0, false)
+			offHits, offRes, _, _ := runCached(t, w, p, mode, fetchBatch, offExec, 0, false)
 			var offWire int
 			for _, res := range offRes {
 				offWire += res.WireFetches
@@ -315,7 +313,7 @@ func TestCacheCoherenceBattery(t *testing.T) {
 			}{{"unbounded", -1}, {"tiny", 256}} {
 				t.Run(tc.name, func(t *testing.T) {
 					onExec := newHashExec(RealExecutor{Scoring: sc, X: 15})
-					hits, res, world, caches := runCached(t, w, p, mode, onExec, tc.budget, true)
+					hits, res, world, caches := runCached(t, w, p, mode, fetchBatch, onExec, tc.budget, true)
 					if !reflect.DeepEqual(hits, offHits) {
 						t.Errorf("cached hits (%d) differ from uncached (%d)", len(hits), len(offHits))
 					}
@@ -372,6 +370,12 @@ func TestCacheCoherenceBattery(t *testing.T) {
 						t.Errorf("256-byte budget forced no evictions (wire=%d)", wire)
 					}
 				})
+			}
+		}
+		t.Run(mode, func(t *testing.T) {
+			battery(t, 1)
+			if mode != "bsp" {
+				t.Run("batch4", func(t *testing.T) { battery(t, 4) })
 			}
 		})
 	}

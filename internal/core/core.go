@@ -195,6 +195,10 @@ type Result struct {
 	// is zero. The coherence battery pins hits+fetches == decisions.
 	WireFetches int
 	CacheHits   int
+
+	// unreturned: scratch buffers and batchers an asynchronous Run checked
+	// out and never handed back. Tests pin it to zero.
+	unreturned int
 }
 
 // validate checks the owner invariant over the rank's tasks and, when a
@@ -225,10 +229,8 @@ func Run(mode string, r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 	switch mode {
 	case "", "bsp":
 		return RunBSP(r, in, cfg)
-	case "async":
-		return RunAsync(r, in, cfg)
-	case "steal":
-		return RunAsyncStealing(r, in, cfg)
+	case "async", "steal":
+		return runAsync(r, in, cfg, mode == "steal")
 	}
 	return nil, fmt.Errorf("core: unknown mode %q (want bsp, async or steal)", mode)
 }

@@ -8,29 +8,20 @@ import (
 	"gnbody/internal/seq"
 )
 
-// The async drivers' RPC request protocol. Every request starts with a
+// The asynchronous driver's RPC request protocol. Every request starts with a
 // one-byte op code; the remainder is op-specific.
 const (
 	// reqRead asks the owner for one or more of its reads:
 	// [op][4-byte read id]... — the response is the concatenated wire
 	// encodings. A batch of size one is the paper's per-read pull; larger
-	// batches are the §5 "more aggregation" variant.
+	// batches are the §5 "more aggregation" variant. Built in
+	// fetcher.flush, answered by readServer.
 	reqRead = 0x01
 	// reqSteal asks the victim to hand over up to max pending task
 	// groups: [op][4-byte max] — the response is a stolen-work bundle
 	// (see steal.go), empty when the victim has nothing left.
 	reqSteal = 0x02
 )
-
-// encodeReadReq builds a reqRead request for the given ids.
-func encodeReadReq(ids ...seq.ReadID) []byte {
-	buf := make([]byte, 1+4*len(ids))
-	buf[0] = reqRead
-	for i, id := range ids {
-		binary.LittleEndian.PutUint32(buf[1+4*i:], uint32(id))
-	}
-	return buf
-}
 
 // ExchangeError reports bytes from a peer that the read exchange cannot
 // use: a request that is ragged, of an unknown kind or for a read its
@@ -79,41 +70,21 @@ func encodeReads(dst []byte, in *Input, lo, hi int, ids []byte) ([]byte, string)
 	return dst, ""
 }
 
-// rpcMeter tracks this rank's estimated in-flight pull-RPC response bytes
-// (planned from the replicated length vector at issue time) and records
-// the high-water mark in Metrics.PeakRPCBytes — the async counterpart of
-// the BSP driver's exchange-buffer peak. All updates run on the rank's own
-// goroutine under the progress contract, so plain arithmetic suffices.
-type rpcMeter struct {
-	cur int64
-	m   *rt.Metrics
-}
-
-func (p *rpcMeter) add(n int64) {
-	p.cur += n
-	if p.cur > p.m.PeakRPCBytes {
-		p.m.PeakRPCBytes = p.cur
-	}
-}
-
-func (p *rpcMeter) sub(n int64) { p.cur -= n }
-
-// readServer answers reqRead lookups into this rank's partition. Drivers
-// needing more ops (stealing) wrap it. Every response is built in one
-// per-rank buffer: the runtime snapshots a handler's response before the
-// handler can run again (rt.Runtime.Serve). A request this rank cannot
-// answer is reported through fail and answered with nothing.
-func readServer(r rt.Runtime, in *Input, fail func(error)) func([]byte) []byte {
-	lo, hi := in.Part.Range(r.Rank())
+// readServer answers reqRead lookups into this rank's partition; stealing
+// wraps it with its own op (groupQueue.serveSteals). Every response is
+// built in one per-rank buffer: the runtime snapshots a handler's response
+// before the handler can run again (rt.Runtime.Serve). A request this rank
+// cannot answer is reported through f.fail and answered with nothing.
+func readServer(f *fetcher) func([]byte) []byte {
 	var resp []byte
 	return func(req []byte) []byte {
 		if len(req) == 0 || req[0] != reqRead {
-			fail(&ExchangeError{r.Rank(), -1, fmt.Sprintf("unknown request % x", req[:min(len(req), 8)])})
+			f.fail(&ExchangeError{f.r.Rank(), -1, fmt.Sprintf("unknown request % x", req[:min(len(req), 8)])})
 			return nil
 		}
 		var bad string
-		if resp, bad = encodeReads(resp, in, lo, hi, req[1:]); bad != "" {
-			fail(&ExchangeError{r.Rank(), -1, bad})
+		if resp, bad = encodeReads(resp, f.in, f.lo, f.hi, req[1:]); bad != "" {
+			f.fail(&ExchangeError{f.r.Rank(), -1, bad})
 		}
 		return resp
 	}

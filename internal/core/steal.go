@@ -16,169 +16,96 @@ import (
 // the performance improvements can compensate for the overheads of dynamic
 // load balancing in practice will be the question."
 //
-// The static structure is RunAsync's. Additionally, every rank exposes the
-// *unissued tail* of its remote-read task groups to work stealing: a rank
-// that exhausts its own queue probes peers with reqSteal; a victim hands
-// over up to StealBatch groups from the tail of its queue. The thief must
-// then fetch *both* reads of each stolen task (neither may be local to
-// it) — the very overhead the paper's question is about, measured here by
-// the extra RPC traffic and the stolen-task counters.
-//
-// The result-set invariant is unchanged: hits across ranks equal the
-// serial reference (the ablation benches compare sync time and runtime
-// against RunAsync).
+// The driver is RunAsync's (runAsync); this file holds what stealing adds.
+// Every rank exposes the *unissued tail* of its remote-read task groups; a
+// rank that exhausts its own queue probes peers with reqSteal, and a victim
+// hands over up to StealBatch groups from its tail. The thief must then
+// fetch *both* reads of each stolen task (neither may be local to it) — the
+// very overhead the paper's question is about, measured by the extra RPC
+// traffic and the stolen-task counters. Hits across ranks still equal the
+// serial reference.
 func RunAsyncStealing(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
-	cfg.defaults()
-	if err := in.validate(r.Rank()); err != nil {
-		return nil, err
-	}
-	out := &Result{}
-	var store *ptrStore
-	r.Timed(rt.CatOverhead, func() { store = buildPtrStore(in, r.Rank()) })
-	out.LocalTasks = len(store.local)
-	out.RemoteReads = len(store.order)
-	for _, ts := range store.byRemote {
-		out.RemoteTasks += len(ts)
-	}
+	return runAsync(r, in, cfg, true)
+}
 
-	base := in.PartitionBytes(r.Rank())
-	r.Alloc(base)
-	defer r.Free(base)
-	r.Metrics().StoreBytes = in.storeBytes(r.Rank())
-	meter := rpcMeter{m: r.Metrics()}
-	fc := newFetchCtx(r, in, &meter, out, cfg.Cache)
-	if fc.cache != nil {
-		unbind := fc.cache.bind(r)
-		defer unbind()
-	}
+// groupQueue is a rank's queue of remote-read task groups. The rank and its
+// steal handler run on one goroutine (handlers execute during polling), so
+// plain fields suffice.
+type groupQueue struct {
+	store      *ptrStore
+	next, tail int
+}
 
-	// The steal queue: store.order[next..tail] is unclaimed. The owner
-	// consumes from the front; steal requests pop from the tail. Both run
-	// on this rank's goroutine (handlers execute during polling), so plain
-	// variables suffice.
-	next, tail := 0, len(store.order)-1
-
-	var cbErr error
-	fail := func(err error) {
-		if cbErr == nil {
-			cbErr = err
+// serveSteals wraps the read handler with the steal op: a reqSteal request
+// takes up to its max groups off the tail of the queue.
+func (q *groupQueue) serveSteals(f *fetcher, reads func([]byte) []byte) func([]byte) []byte {
+	return func(req []byte) []byte {
+		if len(req) == 0 || req[0] != reqSteal {
+			return reads(req)
 		}
-	}
-	readHandler := readServer(r, in, fail)
-	r.Serve(func(req []byte) []byte {
-		if len(req) > 0 && req[0] == reqSteal {
-			if len(req) != 5 {
-				fail(&ExchangeError{r.Rank(), -1, fmt.Sprintf("ragged steal request (%d bytes)", len(req))})
-				return nil
-			}
-			max := int(binary.LittleEndian.Uint32(req[1:]))
-			var bundle []byte
-			for n := 0; n < max && next <= tail; n++ {
-				rid := store.order[tail]
-				tail--
-				bundle = appendStolenGroup(bundle, rid, store.byRemote[rid])
-				out.TasksShed += len(store.byRemote[rid])
-			}
-			return bundle
+		if len(req) != 5 {
+			f.fail(&ExchangeError{f.r.Rank(), -1, fmt.Sprintf("ragged steal request (%d bytes)", len(req))})
+			return nil
 		}
-		return readHandler(req)
-	})
-
-	// Batchers are pooled, not shared: a Progress call inside one group's
-	// loop can start another group's completion callback (DESIGN.md §16).
-	var bpool batchPool
-	wait := r.SplitBarrier()
-	lbt := bpool.get()
-	lbt.loadPtr(store.local)
-	lbt.run(r, in, &cfg, 0, nil, false, out, cfg.PollEvery)
-	bpool.put(lbt)
-	wait()
-
-	// Phase 1: own queue, front to wherever stealing leaves it. Every pull
-	// routes through the fetch context: with the cache it is the decision
-	// point and the retention; without, it decodes into pooled scratch.
-	for next <= tail {
-		rid := store.order[next]
-		next++
-		tasks := store.byRemote[rid]
-		fc.fetch(rid, true, func(s seq.Seq, err error) {
-			if err != nil {
-				fail(err)
-				return
-			}
-			cbt := bpool.get()
-			cbt.loadPtr(tasks)
-			cbt.run(r, in, &cfg, rid, s, true, out, cfg.PollEvery)
-			bpool.put(cbt)
-			fc.doneSeq(rid, s)
-		})
-		if r.Outstanding() > cfg.MaxOutstanding {
-			r.Drain(cfg.MaxOutstanding)
+		max := int(binary.LittleEndian.Uint32(req[1:]))
+		var bundle []byte
+		for n := 0; n < max && q.next <= q.tail; n++ {
+			rid := q.store.order[q.tail]
+			q.tail--
+			bundle = appendStolenGroup(bundle, rid, q.store.byRemote[rid])
+			f.out.TasksShed += len(q.store.byRemote[rid])
 		}
+		return bundle
 	}
-	r.Drain(0)
+}
 
-	// Phase 2: steal. Sweep the other ranks; stop after a full sweep
-	// yields nothing anywhere.
-	pendingWork := 0
+// stealFromPeers is the probe phase, entered with this rank's own queue
+// done: sweep the other ranks until a full sweep yields nothing anywhere.
+func stealFromPeers(f *fetcher) {
+	r, cfg := f.r, f.cfg
 	tb := r.Tracer()
-	if r.Size() > 1 {
-		for {
-			gotAny := false
-			for off := 1; off < r.Size(); off++ {
-				victim := (r.Rank() + off) % r.Size()
-				var req [5]byte
-				req[0] = reqSteal
-				binary.LittleEndian.PutUint32(req[1:], uint32(cfg.StealBatch))
-				// The bundle is decoded inside the callback: the response
-				// buffer is the runtime's again once the callback returns.
-				var groups []stolenGroup
-				var err error
-				tProbe := tb.Now()
-				r.AsyncCall(victim, req[:], func(val []byte) {
-					groups, err = decodeStolenGroups(val)
-				})
-				r.Drain(0)
-				if err != nil {
-					fail(&ExchangeError{r.Rank(), victim, fmt.Sprintf("bad steal bundle: %v", err)})
-				}
-				if len(groups) == 0 {
-					tb.Span(trace.KindSteal, tProbe, 0) // failed probe
-					continue
-				}
-				gotAny = true
-				tb.Span(trace.KindSteal, tProbe, int64(len(groups)))
-				for _, g := range groups {
-					out.TasksStolen += len(g.tasks)
-					pendingWork++
-					runStolenGroupImpl(r, in, &cfg, fc, g, out, &pendingWork, &cbErr)
-					if r.Outstanding() > cfg.MaxOutstanding {
-						r.Drain(cfg.MaxOutstanding)
-					}
-				}
-				// Finish this haul before probing further: steal targets
-				// shift as queues drain.
-				for pendingWork > 0 {
-					r.Drain(0)
-					if pendingWork > 0 {
-						r.Progress()
-					}
+	pendingWork := 0
+	for gotAny := true; gotAny; {
+		gotAny = false
+		for off := 1; off < r.Size(); off++ {
+			victim := (r.Rank() + off) % r.Size()
+			req := binary.LittleEndian.AppendUint32([]byte{reqSteal}, uint32(cfg.StealBatch))
+			// The bundle is decoded inside the callback: the response
+			// buffer is the runtime's again once the callback returns.
+			var groups []stolenGroup
+			var err error
+			tProbe := tb.Now()
+			r.AsyncCall(victim, req, func(val []byte) {
+				groups, err = decodeStolenGroups(val)
+			})
+			r.Drain(0)
+			if err != nil {
+				f.fail(&ExchangeError{r.Rank(), victim, fmt.Sprintf("bad steal bundle: %v", err)})
+			}
+			tb.Span(trace.KindSteal, tProbe, int64(len(groups))) // 0: failed probe
+			if len(groups) == 0 {
+				continue
+			}
+			gotAny = true
+			for _, g := range groups {
+				f.out.TasksStolen += len(g.tasks)
+				pendingWork++
+				runStolenGroup(f, g, &pendingWork)
+				if r.Outstanding() > cfg.MaxOutstanding {
+					r.Drain(cfg.MaxOutstanding)
 				}
 			}
-			if !gotAny {
-				break
+			// Finish this haul before probing further: steal targets
+			// shift as queues drain.
+			f.flush()
+			for pendingWork > 0 {
+				r.Drain(0)
+				if pendingWork > 0 {
+					r.Progress()
+				}
 			}
 		}
 	}
-	r.Drain(0)
-
-	// Single exit barrier: reads stay servable (and empty steal responses
-	// keep peers' sweeps terminating) until every rank is done.
-	r.Barrier()
-	if cbErr != nil {
-		return nil, cbErr
-	}
-	return out, nil
 }
 
 // stolenGroup is one remote-read task group handed to a thief.
@@ -241,202 +168,50 @@ func decodeStolenGroups(buf []byte) ([]stolenGroup, error) {
 	return out, nil
 }
 
-// fetchCtx routes every thief-side read pull through one decision point:
-// the local store, the remote-read cache, an already-in-flight pull for the
-// same read (coalesced), or — only then — the wire. It is what turns the
-// steal driver's degree-k duplication (one pull per stolen task touching a
-// hub read) back into one pull per distinct read.
-type fetchCtx struct {
-	r      rt.Runtime
-	in     *Input
-	meter  *rpcMeter
-	out    *Result
-	cache  *ReadCache // nil: cache disabled, decode into pooled scratch
-	lo, hi int        // this rank's partition range
-	// scratch pools decode buffers for cache-disabled fetches, so stolen
-	// tasks (two wire fetches each) stop allocating bases per fetch. The
-	// cache-enabled path decodes into fresh bases: Insert retains them.
-	scratch seqScratch
-	dec     *readDecoder
-	// inflight holds, per read currently on the wire, the callbacks of the
-	// fetch decisions that arrived while it was in flight. All access is on
-	// this rank's goroutine (progress contract).
-	inflight map[seq.ReadID][]func(seq.Seq, error)
-}
-
-func newFetchCtx(r rt.Runtime, in *Input, meter *rpcMeter, out *Result, cache *ReadCache) *fetchCtx {
-	fc := &fetchCtx{r: r, in: in, meter: meter, out: out, cache: cache, dec: newReadDecoder(r, in)}
-	fc.lo, fc.hi = in.Part.Range(r.Rank())
-	if cache != nil {
-		fc.inflight = make(map[seq.ReadID][]func(seq.Seq, error))
-	}
-	return fc
-}
-
-func (fc *fetchCtx) local(id seq.ReadID) bool { return int(id) >= fc.lo && int(id) < fc.hi }
-
-// fetch resolves one read and hands it to cb — synchronously for local or
-// cached reads, from a completion callback otherwise. retain declares that
-// the callee keeps using the bases after cb returns (the stolen group's
-// read, referenced by every nested per-task fetch): on success of a
-// non-local retained fetch the callee then owes a release — the cache pin
-// when the cache is enabled, the scratch decode buffer otherwise — paid by
-// calling doneSeq(id, bases) after its last use; on error nothing is owed.
-// A transient fetch (retain=false) may use the bases only inside cb; its
-// decode buffer returns to the scratch pool as cb exits (done(id) still
-// releases the cache pin when the cache is enabled). cb(nil, err) reports
-// decode failures.
-func (fc *fetchCtx) fetch(id seq.ReadID, retain bool, cb func(seq.Seq, error)) {
-	if fc.local(id) {
-		cb(fc.in.localSeq(id), nil)
-		return
-	}
-	if fc.cache != nil {
-		if waiters, ok := fc.inflight[id]; ok {
-			// A pull for id is already on the wire: ride it rather than
-			// fetch again. The completion pins once per rider.
-			fc.cache.NoteCoalescedHit()
-			fc.out.CacheHits++
-			fc.inflight[id] = append(waiters, cb)
-			return
-		}
-		if bases, ok := fc.cache.Acquire(id, 1); ok {
-			fc.out.CacheHits++
-			cb(bases, nil)
-			return
-		}
-		fc.inflight[id] = nil // mark in flight before going to the wire
-	}
-	est := int64(fc.in.planSize(id))
-	fc.meter.add(est)
-	fc.out.WireFetches++
-	owner := fc.in.Part.Owner(id)
-	fc.r.AsyncCall(owner, encodeReadReq(id), func(val []byte) {
-		fc.meter.sub(est)
-		n := int64(len(val))
-		fc.r.Alloc(n)
-		defer fc.r.Free(n)
-		if fc.cache == nil {
-			// Decode into a pooled buffer instead of allocating per fetch.
-			// A retained fetch hands the buffer to the caller with the
-			// bases (returned through doneSeq at group completion); a
-			// transient one recovers it as soon as cb is done.
-			dbuf := fc.scratch.get(int(fc.in.Lens[id]))
-			read, used, err := fc.dec.decode(dbuf, val)
-			if err != nil || used != len(val) || read.ID != id {
-				fc.scratch.put(dbuf)
-				cb(nil, fc.badPayload(owner, id, err))
+// runStolenGroup executes a stolen task group: fetch the group's remote
+// read, then per task fetch the other side (the victim's local read —
+// usually remote to the thief too: stealing pays double communication,
+// which is exactly the overhead §5 asks about). *pendingWork drops by one
+// when the group is finished, whether or not its reads could be had.
+func runStolenGroup(f *fetcher, g stolenGroup, pendingWork *int) {
+	f.fetch(waiter{id: g.rid, retain: true, cb: func(ridSeq seq.Seq, ok bool) {
+		// The group's read outlives every per-task fetch: its retention
+		// (cache pin or scratch buffer) drops with the last hold — one per
+		// task and one for this callback.
+		holds := 1
+		drop := func() {
+			if holds--; holds > 0 {
 				return
 			}
-			if retain && read.Seq != nil {
-				cb(read.Seq, nil)
-				return
+			if ok {
+				f.release(g.rid, ridSeq)
 			}
-			cb(read.Seq, nil)
-			fc.scratch.put(dbuf)
-			return
-		}
-		read, used, err := fc.dec.decode(nil, val)
-		if err != nil || used != len(val) || read.ID != id {
-			err = fc.badPayload(owner, id, err)
-			waiters := fc.inflight[id]
-			delete(fc.inflight, id)
-			for _, w := range waiters {
-				w(nil, err)
-			}
-			cb(nil, err)
-			return
-		}
-		// Plain Decode returned owned bases (the stolen-group paths retain
-		// them anyway), so they go into the cache as-is: one pin for this
-		// caller plus one per coalesced rider.
-		waiters := fc.inflight[id]
-		delete(fc.inflight, id)
-		fc.cache.Insert(id, read.Seq, est, 1+len(waiters))
-		cb(read.Seq, nil)
-		for _, w := range waiters {
-			w(read.Seq, nil)
-		}
-	})
-}
-
-// badPayload is the error for an owner's response that is not read id.
-func (fc *fetchCtx) badPayload(owner int, id seq.ReadID, err error) error {
-	return &ExchangeError{fc.r.Rank(), owner, fmt.Sprintf("bad payload for read %d: %v", id, err)}
-}
-
-// done releases the pin a successful non-local fetch acquired.
-func (fc *fetchCtx) done(id seq.ReadID) {
-	if fc.cache == nil || fc.local(id) {
-		return
-	}
-	fc.cache.Release(id, 1)
-}
-
-// doneSeq settles whatever a successful retained fetch left owing: the
-// cache pin when the cache is enabled, the scratch decode buffer (handed
-// over as the bases themselves) otherwise. Local reads owe nothing — the
-// bases belong to the store.
-func (fc *fetchCtx) doneSeq(id seq.ReadID, bases seq.Seq) {
-	if fc.local(id) {
-		return
-	}
-	if fc.cache != nil {
-		fc.cache.Release(id, 1)
-		return
-	}
-	fc.scratch.put(bases)
-}
-
-// runStolenGroupImpl executes a stolen task group: fetch the group's
-// remote read, then per task fetch the other side (the victim's local
-// read — usually remote to the thief too: stealing pays double
-// communication, which is exactly the overhead §5 asks about).
-func runStolenGroupImpl(r rt.Runtime, in *Input, cfg *Config, fc *fetchCtx, g stolenGroup, out *Result, pendingWork *int, cbErr *error) {
-	fc.fetch(g.rid, true, func(ridSeq seq.Seq, err error) {
-		if err != nil {
-			*cbErr = err
 			*pendingWork--
-			return
 		}
-		remaining := len(g.tasks)
-		if remaining == 0 {
-			fc.doneSeq(g.rid, ridSeq)
-			*pendingWork--
-			return
-		}
-		for _, t := range g.tasks {
-			t := t
-			other := t.A
-			if other == g.rid {
-				other = t.B
-			}
-			fc.fetch(other, false, func(otherSeq seq.Seq, err error) {
-				if err != nil {
-					*cbErr = err
-				} else {
-					var a, b seq.Seq
-					if in.Store != nil || otherSeq != nil || ridSeq != nil {
+		if ok {
+			holds += len(g.tasks)
+			for _, t := range g.tasks {
+				other := t.A
+				if other == g.rid {
+					other = t.B
+				}
+				f.fetch(waiter{id: other, cb: func(otherSeq seq.Seq, got bool) {
+					if got {
+						a, b := otherSeq, ridSeq
 						if t.A == g.rid {
 							a, b = ridSeq, otherSeq
-						} else {
-							a, b = otherSeq, ridSeq
+						}
+						if res, hit := f.cfg.Exec.Align(f.r, t, a, b); hit && res.Score >= f.cfg.MinScore {
+							f.out.Hits = append(f.out.Hits, mkHit(t, res))
 						}
 					}
-					if res, ok := cfg.Exec.Align(r, t, a, b); ok && res.Score >= cfg.MinScore {
-						out.Hits = append(out.Hits, mkHit(t, res))
-					}
-					fc.done(other)
-				}
-				remaining--
-				if remaining == 0 {
-					// The group's read outlives every per-task fetch: its
-					// retention (cache pin or scratch buffer) drops only
-					// when the last task completes.
-					fc.doneSeq(g.rid, ridSeq)
-					*pendingWork--
-				}
-			})
+					drop()
+				}})
+			}
+			// The other sides are mostly the victim's own reads: one
+			// owner, so they share requests FetchBatch at a time.
+			f.flush()
 		}
-	})
+		drop()
+	}})
 }

@@ -12,8 +12,8 @@ import (
 
 // loopRT is a minimal synchronous runtime for exercising one rank's RPC
 // paths in isolation: AsyncCall answers every request with a canned
-// response, inline on the caller's goroutine. Only what fetchCtx touches
-// is implemented meaningfully; the one collective fetchCtx never uses
+// response, inline on the caller's goroutine. Only what the fetcher touches
+// is implemented meaningfully; the one collective it never uses
 // panics to catch accidental reliance.
 type loopRT struct {
 	m    rt.Metrics
@@ -40,9 +40,9 @@ func (l *loopRT) Metrics() *rt.Metrics                       { return &l.m }
 func (l *loopRT) Tracer() *trace.Buf                         { return nil }
 
 // stealFetchHarness builds a 2-rank world where rank 0 (this rank) pulls
-// read 1 from rank 1 through a cache-disabled fetchCtx. The response is
+// read 1 from rank 1 through a cache-disabled fetcher. The response is
 // pre-encoded once, so measurements see only the thief-side path.
-func stealFetchHarness(t *testing.T, blen int) *fetchCtx {
+func stealFetchHarness(t *testing.T, blen int) *fetcher {
 	t.Helper()
 	bases := make(seq.Seq, blen)
 	for i := range bases {
@@ -58,8 +58,11 @@ func stealFetchHarness(t *testing.T, blen int) *fetchCtx {
 	in := &Input{Part: pt, Lens: lens, Codec: RealCodec{Store: st}, Store: st}
 	victim := RealCodec{Store: seq.Scope(reads, 1, 2, lens)}
 	r := &loopRT{resp: victim.Encode(nil, 1)}
-	meter := &rpcMeter{m: r.Metrics()}
-	return newFetchCtx(r, in, meter, &Result{}, nil)
+	f, _, err := begin(r, in, &Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
 // stealFetchGot records the last sink delivery; the sink is a package
@@ -69,9 +72,9 @@ var stealFetchGot struct {
 	n   int
 }
 
-func stealFetchSink(s seq.Seq, err error) {
-	if err != nil {
-		panic(err)
+func stealFetchSink(s seq.Seq, ok bool) {
+	if !ok {
+		panic("fetch failed")
 	}
 	stealFetchGot.n = len(s)
 	if len(s) > 0 {
@@ -80,14 +83,14 @@ func stealFetchSink(s seq.Seq, err error) {
 }
 
 // TestStealFetchAllocFree pins the thief-side pull path of the steal
-// driver: with a warm fetchCtx, a transient fetch performs no per-base
+// driver: with a warm fetcher, a transient fetch performs no per-base
 // allocation — the payload decodes into the pooled scratch buffer instead
 // of a fresh bases copy per stolen-task fetch. The two allocations left
 // are the encoded request and the completion closure, both O(1) in read
-// length.
+// length; the request's waiter list is recycled.
 func TestStealFetchAllocFree(t *testing.T) {
 	fc := stealFetchHarness(t, 32<<10)
-	fetchOnce := func() { fc.fetch(1, false, stealFetchSink) }
+	fetchOnce := func() { fc.fetch(waiter{id: 1, cb: stealFetchSink}) }
 	fetchOnce() // warm the scratch pool
 	allocs := testing.AllocsPerRun(100, fetchOnce)
 	if allocs > 2 {
@@ -100,36 +103,36 @@ func TestStealFetchAllocFree(t *testing.T) {
 
 // TestStealFetchScratchReuse pins the buffer lifecycle: consecutive
 // transient fetches decode into the same pooled buffer; a retained fetch
-// takes the buffer out of the pool with the bases and doneSeq returns it.
+// takes the buffer out of the pool with the bases and release returns it.
 func TestStealFetchScratchReuse(t *testing.T) {
 	fc := stealFetchHarness(t, 4096)
-	fc.fetch(1, false, stealFetchSink)
+	fc.fetch(waiter{id: 1, cb: stealFetchSink})
 	if stealFetchGot.n != 4096 {
 		t.Fatalf("fetched %d bases, want 4096", stealFetchGot.n)
 	}
 	first := stealFetchGot.ptr
-	fc.fetch(1, false, stealFetchSink)
+	fc.fetch(waiter{id: 1, cb: stealFetchSink})
 	if stealFetchGot.ptr != first {
 		t.Error("transient fetch did not reuse the scratch buffer")
 	}
 
 	var held seq.Seq
-	fc.fetch(1, true, func(s seq.Seq, err error) {
-		if err != nil {
-			t.Fatal(err)
+	fc.fetch(waiter{id: 1, retain: true, cb: func(s seq.Seq, ok bool) {
+		if !ok {
+			t.Fatal("retained fetch failed")
 		}
 		held = s
-	})
+	}})
 	if &held[0] != first {
 		t.Error("retained fetch did not draw from the scratch pool")
 	}
-	fc.fetch(1, false, stealFetchSink)
+	fc.fetch(waiter{id: 1, cb: stealFetchSink})
 	if stealFetchGot.ptr == first {
 		t.Error("pool handed out a buffer still owned by a retained fetch")
 	}
-	fc.doneSeq(1, held)
-	fc.fetch(1, false, stealFetchSink)
+	fc.release(1, held)
+	fc.fetch(waiter{id: 1, cb: stealFetchSink})
 	if stealFetchGot.ptr != &held[0] {
-		t.Error("doneSeq did not return the retained buffer to the pool")
+		t.Error("release did not return the retained buffer to the pool")
 	}
 }

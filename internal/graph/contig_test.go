@@ -294,7 +294,7 @@ func TestContigsRejectCorruptPeer(t *testing.T) {
 }
 
 // corruptingRuntime rewrites what one rank sends rank 0 in its call-th
-// Alltoallv.
+// Alltoallv, and in every RPC request.
 type corruptingRuntime struct {
 	rt.Runtime
 	seen, call int
@@ -308,6 +308,13 @@ func (c *corruptingRuntime) Alltoallv(send [][]byte) [][]byte {
 	}
 	c.seen++
 	return c.Runtime.Alltoallv(send)
+}
+
+func (c *corruptingRuntime) AsyncCall(owner int, req []byte, cb func([]byte)) {
+	if owner == 0 {
+		req = c.mutate(req)
+	}
+	c.Runtime.AsyncCall(owner, req, cb)
 }
 
 // FuzzContigLinks feeds arbitrary bytes to the two decoders a peer's frame

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"gnbody/internal/align"
@@ -371,6 +372,59 @@ func TestReduceMatchesOracle(t *testing.T) {
 						seed, fuzz, mode, len(got), len(want), got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestReduceRejectsRaggedRequest: a 7-byte adjacency request used to panic
+// the rank that received it over RPC. Now, in either fetch mode, that rank
+// answers with nothing and returns an error naming the stage and the
+// request; the sender, whose answer came back empty, errors too; both do
+// so after the stage's last collective, so the third rank finishes.
+func TestReduceRejectsRaggedRequest(t *testing.T) {
+	const p = 3
+	edges, lens := randomTwinGraph(rand.New(rand.NewSource(3)), 30, 120)
+	lensInt := make([]int, len(lens))
+	for i, l := range lens {
+		lensInt[i] = int(l)
+	}
+	pt, err := partition.BySize(lensInt, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{"async", "bsp"} {
+		world, err := par.NewWorld(par.Config{P: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs := make([]error, p)
+		mustRun(t, world.Run)(func(r rt.Runtime) {
+			rk := r.Rank()
+			adj := make(map[Vertex][]Edge)
+			for _, e := range edges {
+				if pt.Owner(e.From.Read()) == rk {
+					adj[e.From] = append(adj[e.From], e)
+				}
+			}
+			g := &Graph{Part: pt, Lens: lens, Adj: adj, Contained: make([]bool, len(lens))}
+			if rk == 1 { // cut rank 1's neighbour request to rank 0 to 7 bytes
+				call := 0 // bsp: the first Alltoallv carries it
+				if mode == "async" {
+					call = -1 // async: an RPC does; leave the collectives alone
+				}
+				r = &corruptingRuntime{Runtime: r, call: call, mutate: func(req []byte) []byte { return req[:7] }}
+			}
+			_, errs[rk] = Reduce(r, g, ReduceConfig{Mode: mode})
+		})
+		if errs[0] == nil || !strings.Contains(errs[0].Error(), "reduce: rank 0: bad request") ||
+			!strings.Contains(errs[0].Error(), "7 bytes") {
+			t.Errorf("%s: rank 0 returned %v, want an error naming the reduce stage and the 7-byte request", mode, errs[0])
+		}
+		if errs[1] == nil {
+			t.Errorf("%s: rank 1 (whose request went unanswered) returned no error", mode)
+		}
+		if errs[2] != nil {
+			t.Errorf("%s: rank 2 returned %v, want success", mode, errs[2])
 		}
 	}
 }

@@ -129,16 +129,16 @@ func (g *Graph) fetchNeighbors(r rt.Runtime, mode string, need map[Vertex]bool) 
 				if len(inbound[src]) == 0 {
 					continue
 				}
-				resp[src], err = g.answerAdjReq(inbound[src])
-				if err != nil {
-					return
+				var bad error
+				if resp[src], bad = g.answerAdjReq(inbound[src]); bad != nil && err == nil {
+					err = fmt.Errorf("graph: reduce: rank %d: bad request from rank %d: %w", me, src, bad)
 				}
 			}
 		})
+		answers := r.Alltoallv(resp)
 		if err != nil {
 			return nil, err
 		}
-		answers := r.Alltoallv(resp)
 		for o, ids := range perOwner {
 			if len(ids) == 0 {
 				continue
@@ -150,15 +150,17 @@ func (g *Graph) fetchNeighbors(r rt.Runtime, mode string, need map[Vertex]bool) 
 		return neigh, nil
 
 	case "async":
+		// A request this rank cannot answer is answered with nothing; the
+		// first error, served or received, is returned after the exit barrier.
+		var perr error
 		r.Serve(func(req []byte) []byte {
 			resp, err := g.answerAdjReq(req)
-			if err != nil {
-				panic(err) // a malformed peer request is a protocol bug
+			if err != nil && perr == nil {
+				perr = fmt.Errorf("graph: reduce: rank %d: bad request: %w", me, err)
 			}
 			return resp
 		})
 		r.Barrier() // handler registered everywhere before anyone calls in
-		var perr error
 		for o, ids := range perOwner {
 			if len(ids) == 0 {
 				continue
@@ -170,7 +172,7 @@ func (g *Graph) fetchNeighbors(r rt.Runtime, mode string, need map[Vertex]bool) 
 			ids := ids
 			r.AsyncCall(o, buf, func(resp []byte) {
 				if err := parseAdjResp(ids, resp, neigh); err != nil && perr == nil {
-					perr = err
+					perr = fmt.Errorf("from rank %d: %w", o, err)
 				}
 			})
 		}
@@ -211,10 +213,9 @@ func Reduce(r rt.Runtime, g *Graph, cfg ReduceConfig) (*Graph, error) {
 			}
 		}
 	})
-	neigh, err := g.fetchNeighbors(r, cfg.Mode, need)
-	if err != nil {
-		return nil, err
-	}
+	// A fetch error is returned after the twin-mark exchange below, the
+	// stage's last collective, so no peer is left waiting in it.
+	neigh, fetchErr := g.fetchNeighbors(r, cfg.Mode, need)
 
 	// Mark local reducible edges.
 	local := g.EdgeList()
@@ -267,6 +268,9 @@ func Reduce(r rt.Runtime, g *Graph, cfg ReduceConfig) (*Graph, error) {
 		}
 	})
 	recv := r.Alltoallv(send)
+	if fetchErr != nil {
+		return nil, fetchErr
+	}
 	var symErr error
 	r.Timed(rt.CatOverhead, func() {
 		for src := 0; src < p; src++ {

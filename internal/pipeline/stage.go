@@ -187,9 +187,6 @@ type AlignStage struct {
 	Packed      bool  // 2-bit-pack N-free reads on the wire
 	CacheBudget int64 // per-rank remote-read cache budget (0 off, <0 unbounded)
 
-	// MaxOutstanding/PollEvery tune the async driver (0 = driver default).
-	MaxOutstanding, PollEvery int
-
 	// Exec overrides the executor (default: RealExecutor with the default
 	// scoring and X). ExecFor, when set, wins over Exec and binds a
 	// per-rank executor — the hook resident worker pools use to reuse warm
@@ -224,7 +221,6 @@ func (s AlignStage) Run(r rt.Runtime, pl *Plan, store seq.Store, prev any) (any,
 		codec = core.PackedCodec{Store: store}
 	}
 	in := &core.Input{Part: pl.Part, Lens: pl.Lens, Tasks: tasks, Codec: codec, Store: store}
-	cfg := core.Config{Exec: exec, MinScore: s.MinScore, CacheBudget: s.CacheBudget,
-		MaxOutstanding: s.MaxOutstanding, PollEvery: s.PollEvery}
+	cfg := core.Config{Exec: exec, MinScore: s.MinScore, CacheBudget: s.CacheBudget}
 	return core.Run(s.Mode, r, in, cfg)
 }

@@ -370,8 +370,8 @@ func TestHierCommReductionSkewed(t *testing.T) {
 }
 
 // BenchmarkCommExchange reports communication volume on the skewed
-// workload as benchmark metrics, so `make bench-comm` can diff cache-off
-// against cache-on runs through cmd/benchfmt into BENCH_6.json.
+// workload as benchmark metrics: run it with -args -cachebudget=0 and
+// -cachebudget=-1 to compare cache-off against cache-on by hand.
 func BenchmarkCommExchange(b *testing.B) {
 	w := skewedWorkload(b)
 	for _, mode := range []expt.Mode{expt.Async, expt.AsyncSteal} {
@@ -408,8 +408,8 @@ func BenchmarkCommExchange(b *testing.B) {
 
 // runDistAssembly runs the full staged chain — discover, align, string
 // graph, transitive reduction, contigs — on an 8-rank dist world in nodes
-// of 4, so bench-comm records the assembly stages' tier byte split and the
-// neighbour-fetch coalescing counters alongside the overlap phase's.
+// of 4, for the assembly stages' tier byte split and the neighbour-fetch
+// coalescing counters alongside the overlap phase's.
 func runDistAssembly(t testing.TB, noAgg bool) (intra, inter, fetches, coal int64) {
 	t.Helper()
 	const p, ns = 8, 4
