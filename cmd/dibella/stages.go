@@ -61,7 +61,7 @@ func (a *artifact) gather(r rt.Runtime, run *pipeline.StageRun) (err error) {
 	switch out := run.Out.(type) {
 	case *core.Result:
 		got.tasks = r.Allreduce(int64(len(run.Outs[0].(*pipeline.Output).Tasks)), rt.OpSum)
-		got.hits = core.GatherHits(r, out.Hits)
+		got.hits, err = core.GatherHits(r, out.Hits)
 	case *graph.Graph:
 		got.edges, err = graph.GatherEdges(r, out.EdgeList())
 		got.contained = out.Contained

@@ -355,6 +355,42 @@ func benchSeedExtendX(b *testing.B, n, x int, ref bool) {
 	b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
 }
 
+// BenchmarkExtendRow times the leaf alone, at the row widths of
+// overlap-noisy (~25 cells) and of SeedExtendWide10k (~156 cells), so its
+// ns/cell separates the leaf's cost from the per-row code around it. The
+// rows start as a band near the running best with pruned cells scattered in
+// it and are then recomputed in place call after call; the leaf is
+// branch-free, so the values it meets do not steer its time.
+func BenchmarkExtendRow25(b *testing.B)  { benchExtendRow(b, 25, 15) }
+func BenchmarkExtendRow156(b *testing.B) { benchExtendRow(b, 156, 100) }
+
+var rowSink int32
+
+func benchExtendRow(b *testing.B, width int, x int32) {
+	const rows, best = 64, 1000
+	rng := rand.New(rand.NewSource(1))
+	row, sub := make([][]int32, rows), make([][]int32, rows)
+	for r := range row {
+		row[r], sub[r] = make([]int32, width), make([]int32, width)
+		for j := range row[r] {
+			row[r][j] = best - rng.Int31n(2*x)
+			if row[r][j] < best-x {
+				row[r][j] = negInf32
+			}
+			sub[r][j] = 1
+			if rng.Intn(10) == 0 {
+				sub[r][j] = -1
+			}
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, top := extendRow(row[i%rows], sub[i%rows], -1, best, x)
+		rowSink += v + int32(top)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/cell")
+}
+
 func BenchmarkSW1k(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	a := make(seq.Seq, 1000)

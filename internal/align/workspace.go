@@ -11,8 +11,8 @@ import (
 // gap penalty is added.
 const negInf32 = int32(-1)<<29 - 1
 
-// Workspace is the reusable scratch of one alignment lane: the two DP rows
-// and the query profile of b, carved from one allocation that grows
+// Workspace is the reusable scratch of one alignment lane: the DP row and
+// the query profile of b, carved from one allocation that grows
 // monotonically, the 5×5 substitution table for the current scoring scheme,
 // and a reverse-complement buffer. With a warm workspace, SeedExtend runs
 // allocation-free — the property the hot path depends on, since every one
@@ -25,7 +25,9 @@ const negInf32 = int32(-1)<<29 - 1
 // callbacks of a rank run on that rank's goroutine, so even the stealing
 // driver needs no more than the rank's own workspace.
 type Workspace struct {
-	prev, cur []int32 // DP rows, indexed by column 0..blen
+	// row is the DP row, indexed by column 0..blen; each row overwrites its
+	// predecessor in place (extendRow).
+	row []int32
 
 	// prof[c][j] is the substitution score of row base c against the base
 	// column j consumes, in walk order (b[j-1] forward, b[blen-j] reversed);
@@ -66,21 +68,15 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 // covers, so the build runs once per chunk of rows, not once per row.
 const profChunk = 64
 
-// ensure sizes the rows and the profile for a b of length blen and
+// ensure sizes the row and the profile for a b of length blen and
 // refreshes the substitution table when the scoring scheme changed.
 func (w *Workspace) ensure(sc Scoring, blen int) {
-	if len(w.prev) < blen+1 {
-		n := 2 * len(w.prev)
-		if n < blen+1 {
-			n = blen + 1
-		}
-		if n < 256 {
-			n = 256
-		}
-		slab := make([]int32, (2+seq.NumBases)*n)
-		w.prev, w.cur = slab[:n], slab[n:2*n]
+	if len(w.row) < blen+1 {
+		n := max(2*len(w.row), blen+1, 256)
+		slab := make([]int32, (1+seq.NumBases)*n)
+		w.row = slab[:n]
 		for c := range w.prof {
-			w.prof[c] = slab[(2+c)*n : (3+c)*n]
+			w.prof[c] = slab[(1+c)*n : (2+c)*n]
 		}
 	}
 	if !w.subOK || w.subFor != sc {
@@ -104,9 +100,7 @@ func (w *Workspace) buildProfile(b seq.Seq, rev bool, from, to int) {
 		if rev {
 			cb = b[len(b)-from-k]
 		}
-		if cb > seq.N {
-			cb = seq.N // any out-of-alphabet code scores like N
-		}
+		cb = min(cb, seq.N) // any out-of-alphabet code scores like N
 		p0[k], p1[k], p2[k], p3[k], p4[k] = w.sub[0][cb], w.sub[1][cb], w.sub[2][cb], w.sub[3][cb], w.sub[4][cb]
 	}
 }
@@ -170,10 +164,10 @@ func (w *Workspace) ExtendRight(a, b seq.Seq, sc Scoring, x int) Extension {
 // whose gap score is not a penalty, go to that reference.
 //
 // Relative to the reference, a row is one call of the branch-free leaf
-// extendRow over the window's columns, substitution scores come from the
-// query profile instead of a per-cell base load and table lookup, cells are
-// counted per row, and the column of a new best is recovered by a scan
-// only on the rows where the best rose.
+// extendRow over the window's columns, overwriting the row above in place;
+// substitution scores come from the query profile instead of a per-cell
+// base load and table lookup, cells are counted per row, and the leaf
+// reports the column of a new best.
 func (w *Workspace) extend(a, b seq.Seq, sc Scoring, x int, rev bool) Extension {
 	if x < 0 {
 		x = 0
@@ -191,34 +185,32 @@ func (w *Workspace) extend(a, b seq.Seq, sc Scoring, x int, rev bool) Extension 
 	built := 0 // profile columns 1..built are filled
 	gap := int32(sc.Gap)
 	x32 := int32(x)
-	prev, cur := w.prev[:blen+1], w.cur[:blen+1]
+	row := w.row[:blen+1]
 
 	best, bestI, bestJ := int32(0), 0, 0
 	cells := 0
 
 	// Row 0: gaps in a only. Cells here are not counted (reference
 	// behaviour).
-	hi := 0
-	prev[0] = 0
+	lo, hi := 0, 0 // the previous row's live window
+	row[0] = 0
 	s := int32(0)
 	for j := 1; j <= blen; j++ {
 		s += gap
 		if s < -x32 {
 			break
 		}
-		prev[j] = s
+		row[j] = s
 		hi = j
 	}
 
-	plo, phi := 0, hi
 	for i := 1; i <= alen; i++ {
-		// Columns reachable this row: [plo, phi+1] clipped to b. The
-		// previous row ends at phi, so column phi+1 has no vertical move:
-		// a pruned cell above it takes that move out of the max.
-		lo := plo
-		hi = phi + 1
+		// Columns reachable this row: [lo, hi+1] clipped to b. Column hi+1
+		// has no vertical move: a pruned cell above it takes that move out
+		// of the max.
+		hi++
 		if hi <= blen {
-			prev[hi] = negInf32
+			row[hi] = negInf32
 		} else {
 			hi = blen
 		}
@@ -233,70 +225,74 @@ func (w *Workspace) extend(a, b seq.Seq, sc Scoring, x int, rev bool) Extension 
 		if rev {
 			ca = a[alen-i]
 		}
-		if ca > seq.N {
-			ca = seq.N
-		}
-		rowBest := extendRow(cur[lo:hi+1], prev[lo:hi+1], w.prof[ca][lo:hi+1], gap, best, x32)
-		if rowBest > best {
-			// The reference moves (bestI, bestJ) on every strict rise, so
-			// it ends the row on the first column holding the row maximum.
-			best, bestI, bestJ = rowBest, i, lo
-			for cur[bestJ] != best {
-				bestJ++
-			}
+		ca = min(ca, seq.N)
+		rowBest, top := extendRow(row[lo:hi+1], w.prof[ca][lo:hi+1], gap, best, x32)
+		if top >= 0 {
+			best, bestI, bestJ = rowBest, i, lo+top
 		}
 
 		// Shrink the window to live cells; an empty window is the X-drop
 		// termination: every cell of the row pruned.
-		for lo <= hi && cur[lo] == negInf32 {
+		for lo <= hi && row[lo] == negInf32 {
 			lo++
 		}
-		for hi >= lo && cur[hi] == negInf32 {
+		for hi >= lo && row[hi] == negInf32 {
 			hi--
 		}
 		if lo > hi {
 			break
 		}
-		prev, cur = cur, prev
-		plo, phi = lo, hi
 	}
 	w.stats.Cells += int64(cells)
 	return Extension{Score: int(best), AExt: bestI, BExt: bestJ, Cells: cells}
 }
 
-// extendRow computes one DP row over a window of columns: up is the
-// previous row and sub the profile row of this row's base over the same
-// columns as out. It returns the running best after the row.
+// extendRow computes one DP row in place over a window of columns: row
+// holds the row above on entry and this row on return; sub is the profile
+// row of this row's base over the same columns. It returns the running best
+// and top, the offset of the first cell holding it if the row raised it
+// (-1 if not) — where the reference, moving (bestI, bestJ) on every strict
+// rise, ends the row.
 //
-// The first column has no diagonal or left neighbour in the window, so both
-// enter as negInf32. The loop-carried value u is the cell's score BEFORE
-// pruning, so the only serial dependency is u = max(t, u+gap); the stored
-// cell is pruned as in the reference. Carrying the unpruned value changes
-// nothing: gap < 0 and the threshold best-x only rises along a row, so a
-// value below the threshold at its own column stays below every later
-// threshold however many gaps extend it — it can never win a max that
-// survives pruning. For the same reason u > best implies the cell is live,
-// so the threshold (carried in place of best) folds against u directly.
+// The first column's diagonal and left neighbour enter as negInf32. The
+// carried u is the cell's score BEFORE pruning; the stored cell is pruned
+// as in the reference. That changes nothing: gap < 0 and best-x only rises
+// along a row, so a value below the threshold at its own column stays below
+// every later one however many gaps extend it. For the same reason u > best
+// implies a live cell, so one compare of u against best feeds both
+// conditional moves.
 //
-// Not inlined: inside extend the loop's live values compete with the
-// caller's for registers and spill.
+// The carried chain compiles to ADDL, CMPL, CMOVG: three cycles a cell.
+// That rests on source order: Go lowers max(a, b, c) as max(max(a, b), c),
+// so t, from the two moves off the row above, comes first and u+gap last;
+// max(u+gap, p+gap, diag+sub[j]) runs u through both compare-and-moves,
+// five cycles.
+//
+// Not inlined: inside extend the loop's values compete with the caller's
+// for registers and spill. The loop uses all 13 registers amd64 leaves the
+// allocator; a separate output row, or tracking the last live column too,
+// reloads sub's base from the stack every cell.
 //
 //go:noinline
-func extendRow(out, up, sub []int32, gap, best, x int32) int32 {
-	up, sub = up[:len(out)], sub[:len(out)]
-	diag, u, thresh := negInf32, negInf32, best-x
-	for j := range out {
-		p := up[j]
-		u = max(u+gap, p+gap, diag+sub[j])
+func extendRow(row, sub []int32, gap, best, x int32) (rowBest int32, top int) {
+	sub = sub[:len(row)]
+	diag, u := negInf32, negInf32
+	top = -1
+	for j := range row {
+		p := row[j]
+		t := max(p+gap, diag+sub[j])
+		u = max(u+gap, t)
 		v := negInf32 // select into the sentinel: the other way round clobbers u and spills it
-		if u >= thresh {
+		if u+x >= best {
 			v = u
 		}
-		out[j] = v
-		thresh = max(thresh, u-x)
+		row[j] = v
+		if u > best {
+			best, top = u, j
+		}
 		diag = p
 	}
-	return thresh + x
+	return best, top
 }
 
 // SeedExtend is the package-level SeedExtend running on this workspace:

@@ -99,6 +99,85 @@ func TestRowKernelAdversarialRows(t *testing.T) {
 	}
 }
 
+// refRow is the reference kernel's inner loop transcribed cell by cell for
+// one window: negInf32 in up is a pruned cell (no move), each cell is
+// pruned against the best seen before it, and the left move comes from the
+// pruned cell the loop just stored.
+func refRow(up, sub []int32, gap, best, x int32) (out []int32, rowBest int32, top int) {
+	out = make([]int32, len(up))
+	top = -1
+	for j := range up {
+		v := int64(negInf)
+		if up[j] != negInf32 {
+			v = max(v, int64(up[j])+int64(gap))
+		}
+		if j > 0 && up[j-1] != negInf32 {
+			v = max(v, int64(up[j-1])+int64(sub[j]))
+		}
+		if j > 0 && out[j-1] != negInf32 {
+			v = max(v, int64(out[j-1])+int64(gap))
+		}
+		out[j] = negInf32
+		if v >= int64(best)-int64(x) {
+			out[j] = int32(v)
+		}
+		if v > int64(best) {
+			best, top = int32(v), j
+		}
+	}
+	return out, best, top
+}
+
+// TestExtendRowMatchesCells pins the leaf to refRow on windows the driver
+// never builds on its own schedule: widths 0–300, up rows with negInf32
+// runs, real profile rows, x = 0 and |gap| ≠ |mismatch| — every stored
+// cell, the returned best and the column of its first occurrence.
+func TestExtendRowMatchesCells(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	w := NewWorkspace()
+	for iter := 0; iter < 4000; iter++ {
+		sc := Scoring{Match: 1 + rng.Intn(5), Mismatch: -1 - rng.Intn(8), Gap: -1 - rng.Intn(8)}
+		x := int32(rng.Intn(40))
+		if iter%4 == 0 {
+			x = 0
+		}
+		width := rng.Intn(301)
+		b := randSeq(rng, width+1+rng.Intn(20))
+		rev := iter%2 == 1
+		w.ensure(sc, len(b))
+		w.buildProfile(b, rev, 1, len(b))
+		lo := rng.Intn(len(b) + 1 - width)
+		sub := w.prof[rng.Intn(seq.NumBases)][lo : lo+width]
+
+		best := int32(rng.Intn(1000))
+		up := make([]int32, width)
+		for j := 0; j < width; {
+			run := 1 + rng.Intn(6)
+			dead := rng.Intn(3) == 0
+			for ; run > 0 && j < width; run, j = run-1, j+1 {
+				up[j] = best - int32(rng.Intn(int(x)+8)) + 3
+				if dead {
+					up[j] = negInf32
+				}
+			}
+		}
+
+		wantRow, wantBest, wantTop := refRow(up, sub, int32(sc.Gap), best, x)
+		row := append([]int32(nil), up...)
+		gotBest, gotTop := extendRow(row, sub, int32(sc.Gap), best, x)
+		if gotBest != wantBest || gotTop != wantTop {
+			t.Fatalf("iter %d (%+v, x=%d, best=%d, width %d): leaf returned (%d, %d), reference (%d, %d)",
+				iter, sc, x, best, width, gotBest, gotTop, wantBest, wantTop)
+		}
+		for j := range row {
+			if row[j] != wantRow[j] {
+				t.Fatalf("iter %d (%+v, x=%d, best=%d): cell %d of %d stored %d, reference %d\n up  %v\n sub %v",
+					iter, sc, x, best, j, width, row[j], wantRow[j], up, sub)
+			}
+		}
+	}
+}
+
 // TestWorkspaceMatchesReferenceExtend is the seeded property test: 20 000
 // random cases — unrelated pairs, mutated copies, shared prefixes; N
 // included; schemes with unequal penalties — against the reference in both

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"net"
 	"reflect"
 	"sync"
@@ -270,9 +271,13 @@ func runConfDist(t *testing.T, w *testWorkload, mode, fabricKind string, cacheBu
 	// — this is the path a true multi-process launch depends on. Done after
 	// the counters above are read so driver accounting stays comparable to
 	// par's.
+	gerrs := make([]error, confRanks)
 	if err := world.Run(func(r rt.Runtime) {
-		gathered[r.Rank()] = GatherHits(r, results[r.Rank()].Hits)
+		gathered[r.Rank()], gerrs[r.Rank()] = GatherHits(r, results[r.Rank()].Hits)
 	}); err != nil {
+		t.Fatalf("dist/%s %s gather: %v", fabricKind, mode, err)
+	}
+	if err := errors.Join(gerrs...); err != nil {
 		t.Fatalf("dist/%s %s gather: %v", fabricKind, mode, err)
 	}
 	if !reflect.DeepEqual(gathered[0], out.hits) {

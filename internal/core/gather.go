@@ -59,22 +59,23 @@ func DecodeHits(buf []byte) ([]Hit, error) {
 // Alltoallv. Rank 0 returns the concatenation in rank order, sorted with
 // SortHits; all other ranks return nil. Multi-process backends need this
 // because result slices cannot be shared through memory; it also works —
-// and accounts identically — on the in-process backends.
-func GatherHits(r rt.Runtime, local []Hit) []Hit {
+// and accounts identically — on the in-process backends. A peer's frame is
+// input: one that does not decode is an error naming the source rank.
+func GatherHits(r rt.Runtime, local []Hit) ([]Hit, error) {
 	send := make([][]byte, r.Size())
 	send[0] = EncodeHits(local)
 	recv := r.Alltoallv(send)
 	if r.Rank() != 0 {
-		return nil
+		return nil, nil
 	}
 	var all []Hit
-	for src := 0; src < r.Size(); src++ {
-		hs, err := DecodeHits(recv[src])
+	for src, buf := range recv {
+		hs, err := DecodeHits(buf)
 		if err != nil {
-			panic(fmt.Sprintf("core: GatherHits from rank %d: %v", src, err))
+			return nil, fmt.Errorf("core: gather hits from rank %d: %w", src, err)
 		}
 		all = append(all, hs...)
 	}
 	SortHits(all)
-	return all
+	return all, nil
 }

@@ -3,8 +3,11 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
+	"gnbody/internal/par"
+	"gnbody/internal/rt"
 	"gnbody/internal/seq"
 )
 
@@ -39,5 +42,47 @@ func TestHitWireRoundTrip(t *testing.T) {
 	}
 	if got, err := DecodeHits(nil); err != nil || len(got) != 0 {
 		t.Fatalf("empty payload: got %v, %v", got, err)
+	}
+}
+
+// raggedRuntime cuts the last byte off what its rank sends rank 0.
+type raggedRuntime struct{ rt.Runtime }
+
+func (c raggedRuntime) Alltoallv(send [][]byte) [][]byte {
+	send = append([][]byte(nil), send...)
+	send[0] = send[0][:len(send[0])-1]
+	return c.Runtime.Alltoallv(send)
+}
+
+// TestGatherHitsRaggedFrame: a peer's hit frame that is not a whole number
+// of records is an error on rank 0 naming the peer, not a panic, and every
+// rank returns.
+func TestGatherHitsRaggedFrame(t *testing.T) {
+	const p = 3
+	world, err := par.NewWorld(par.Config{P: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := make([][]Hit, p)
+	errs := make([]error, p)
+	if err := world.Run(func(r rt.Runtime) {
+		local := []Hit{{A: seq.ReadID(r.Rank()), B: 9, Score: 100}}
+		if r.Rank() == 1 {
+			r = raggedRuntime{r}
+		}
+		hits[r.Rank()], errs[r.Rank()] = GatherHits(r, local)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if errs[0] == nil || !strings.Contains(errs[0].Error(), "rank 1") {
+		t.Errorf("rank 0 returned %v, want an error naming rank 1", errs[0])
+	}
+	if hits[0] != nil {
+		t.Errorf("rank 0 returned %d hits beside its error", len(hits[0]))
+	}
+	for rk := 1; rk < p; rk++ {
+		if errs[rk] != nil || hits[rk] != nil {
+			t.Errorf("rank %d returned (%v, %v), want (nil, nil)", rk, hits[rk], errs[rk])
+		}
 	}
 }

@@ -225,11 +225,11 @@ func (e *engine) run(j *Job, kill int) (hits []core.Hit, tasks int64, rows []tra
 			return seq.ScopeCounting(j.reads, lo, hi, lens, &r.Metrics().OOPGets)
 		},
 		func(r rt.Runtime, run *pipeline.StageRun) error {
-			g := core.GatherHits(r, run.Out.(*core.Result).Hits)
+			g, err := core.GatherHits(r, run.Out.(*core.Result).Hits)
 			if r.Rank() == 0 {
 				gathered = g
 			}
-			return nil
+			return err
 		})
 	if err != nil {
 		return nil, 0, nil, fmt.Errorf("serve: job %s: %w", j.ID, err)
