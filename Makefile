@@ -57,7 +57,7 @@
 
 GO      ?= go
 FUZZT   ?= 10s
-LOC_BUDGET = 18716
+LOC_BUDGET = 18439
 
 .PHONY: check vet fmtcheck build test bench-build backhalf-rounds exchange-allocs kernel-cells loc loc-budget race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke ci
 

@@ -45,7 +45,7 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8642", "listen address (port 0 picks a free port; see -ready-file)")
-		backend    = flag.String("backend", "par", "resident-world backend: par (goroutine ranks) or dist (message-passing over the in-process fabric)")
+		backend    = flag.String("backend", "par", "resident-world setup, both goroutine ranks over the in-process fabric: par (one node, no deadline) or dist (per-rank kill switches, -progress-deadline, -chaos)")
 		procs      = flag.Int("procs", 4, "ranks per resident world")
 		worlds     = flag.Int("worlds", 2, "resident worlds in the pool (= concurrently running jobs)")
 		mem        = flag.Int64("mem", 0, "per-rank exchange memory budget in bytes (0 = unlimited)")

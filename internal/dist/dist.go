@@ -1,8 +1,9 @@
-// Package dist is the distributed back-end of the rt.Runtime interface:
-// ranks are separate processes (or goroutines, under the loopback fabric —
-// the collectives cannot tell) connected by a point-to-point
-// transport.Transport, and every runtime primitive is built purely from
-// Send/Recv frames:
+// Package dist is the message-passing back-end of the rt.Runtime interface,
+// the one real runtime: ranks are separate processes connected by TCP, or
+// goroutines of one process connected by the loopback fabric (package par's
+// in-process world is such a world) — the collectives cannot tell. Ranks
+// meet only through a point-to-point transport.Transport, and every runtime
+// primitive is built purely from Send/Recv frames:
 //
 //   - Barrier is a dissemination barrier: ceil(log2 P) rounds in which rank
 //     r signals rank (r+2^k) mod P and waits on rank (r-2^k) mod P — no
@@ -15,19 +16,20 @@
 //     payload is staged beyond the result buffers (the schedule that keeps
 //     an irregular exchange inside the per-rank MemBudget discipline; the
 //     BSP driver additionally sizes supersteps against MemBudget).
-//   - Allreduce gathers contributions to rank 0, folds them in rank order
-//     (bit-identical to par's fold), and broadcasts the result.
-//   - The RPC engine is the shared transport.Engine — the same state
-//     machine package par drives over channel inboxes — fed here from
-//     decoded wire frames. Progress/Drain follow the application-level
-//     polling discipline of the paper's UPC++ implementation (§3.2).
+//   - Allreduce gathers contributions to rank 0, folds them in rank order,
+//     and broadcasts the result.
+//   - The RPC engine is transport.Engine, fed here from decoded wire
+//     frames. Progress/Drain follow the application-level polling
+//     discipline of the paper's UPC++ implementation (§3.2); a rank blocked
+//     with nothing to poll parks on its transport's Ready signal.
 //
-// Accounting parity: dist counts exactly what par counts — Alltoallv
-// payload bytes and non-empty messages, RPC requests and responses — and
-// none of its internal coordination frames (barrier tokens, reduce values),
-// mirroring par's zero-message shared-memory collectives. The cross-backend
-// conformance battery pins this: byte/message counters match par exactly
-// for the deterministic drivers.
+// Accounting: the application-level counters are Alltoallv payload bytes
+// and non-empty messages, RPC requests and responses — none of the
+// runtime's internal coordination frames (barrier tokens, reduce values)
+// count, just as the simulator's collectives count none. The cross-backend
+// conformance battery pins this: byte/message counters match the simulator
+// exactly for the deterministic drivers. What the wire carries, frames and
+// headers included, is the separate IntraBytes/InterBytes tier split.
 //
 // A transport failure (peer death, broken socket, stalled link) is fatal
 // to the SPMD program but not to the process: the failing primitive
@@ -161,9 +163,9 @@ type Rank struct {
 	tr  *trace.Buf
 
 	nestedWall time.Duration
-	idlePolls  int
 
 	deadline time.Duration // progress deadline; 0 = disabled
+	timer    *time.Timer   // parks against the deadline; made on first use
 	curOp    string        // collective currently blocked in (error context)
 	failErr  *RankError    // sticky first failure; the rank is dead once set
 
@@ -245,7 +247,7 @@ func (r *Rank) Err() error {
 }
 
 // ResetMetrics zeroes this rank's accounting so the next Run is measured
-// in isolation (same semantics as par's World.ResetMetrics). Call only
+// in isolation (the single-rank form of World.ResetMetrics). Call only
 // between Runs.
 func (r *Rank) ResetMetrics() {
 	r.met = rt.Metrics{}
@@ -501,10 +503,16 @@ func (r *Rank) departedPeers() []int {
 	return nil
 }
 
+// spinPolls is how many empty polls a blocked rank makes, yielding the
+// processor between them, before it parks on its inbox: a peer that is
+// about to answer is cheaper to catch spinning than to be woken for.
+const spinPolls = 1024
+
 // waitLoop polls Progress until cond holds, attributing the unserviced
-// waiting time to cat. Idle polls back off briefly so a blocked process
-// rank does not saturate a core while its peers compute. op names the
-// blocked collective and waiting its missing peers: if no frame at all
+// waiting time to cat. After spinPolls empty polls the rank parks on its
+// transport's Ready signal, so a blocked rank costs no processor while its
+// peers compute and wakes as soon as a frame (or a failure) lands. op names
+// the blocked collective and waiting its missing peers: if no frame at all
 // arrives for the progress deadline while blocked, the rank fails with a
 // DeadlineError instead of hanging on a stalled or dead peer.
 func (r *Rank) waitLoop(cat rt.Category, op string, waiting func() []int, cond func() bool) {
@@ -514,33 +522,52 @@ func (r *Rank) waitLoop(cat rt.Category, op string, waiting func() []int, cond f
 	r.curOp = op
 	defer func() { r.curOp = prevOp }()
 	lastIn := t0
+	idle := 0
 	for !cond() {
 		if r.Progress() {
-			r.idlePolls = 0
+			idle = 0
 			lastIn = time.Now()
 			continue
 		}
-		r.idlePolls++
-		if r.idlePolls > 1024 {
-			time.Sleep(20 * time.Microsecond)
-			if r.deadline > 0 {
-				if stalled := time.Since(lastIn); stalled > r.deadline {
-					r.raise(op, &DeadlineError{
-						Op:       op,
-						Stalled:  stalled,
-						Waiting:  waiting(),
-						Departed: r.departedPeers(),
-					})
-				}
-			}
-		} else {
+		if idle++; idle <= spinPolls {
 			runtime.Gosched()
+			continue
 		}
+		r.park(op, lastIn, waiting)
 	}
-	r.idlePolls = 0
 	if d := time.Since(t0) - (r.nestedWall - n0); d > 0 {
 		r.met.Time[cat] += d
 		r.nestedWall += d
+	}
+}
+
+// park blocks until the transport signals Ready or the progress deadline,
+// counted from lastIn (the last inbound frame), has just passed — and fails
+// the rank if it already has. The rank's one timer is reused, so parking
+// allocates nothing; a stale tick from an earlier park only wakes the rank
+// for one more empty poll.
+func (r *Rank) park(op string, lastIn time.Time, waiting func() []int) {
+	if r.deadline <= 0 {
+		<-r.tp.Ready()
+		return
+	}
+	stalled := time.Since(lastIn)
+	if stalled > r.deadline {
+		r.raise(op, &DeadlineError{
+			Op:       op,
+			Stalled:  stalled,
+			Waiting:  waiting(),
+			Departed: r.departedPeers(),
+		})
+	}
+	if left := r.deadline - stalled + time.Microsecond; r.timer == nil {
+		r.timer = time.NewTimer(left)
+	} else {
+		r.timer.Reset(left)
+	}
+	select {
+	case <-r.tp.Ready():
+	case <-r.timer.C:
 	}
 }
 
@@ -679,8 +706,8 @@ func redFrame(typ byte, epoch uint64, val int64) []byte {
 }
 
 // Allreduce combines v across ranks: contributions gather to rank 0, fold
-// in rank order (identical to par's fold), and the result broadcasts back.
-// Like par's shared-memory reduction, this counts no application messages.
+// in rank order, and the result broadcasts back. Like every coordination
+// frame, the reduction counts no application messages.
 func (r *Rank) Allreduce(v int64, op rt.Op) int64 {
 	epoch := r.redEpoch
 	r.redEpoch++

@@ -3,14 +3,14 @@
 // crash and never a hang.
 //
 // rt.Runtime's collective signatures carry no error returns — the same
-// interface runs over shared memory (par) and the simulator (sim), where
-// peer loss cannot happen — so the distributed rank propagates failure by
-// unwinding: the first fault inside any primitive records a RankError and
-// unwinds the SPMD body with a typed panic that Rank.Run recovers into its
-// error return. User code never observes a half-failed collective (no
-// zero-value results to mis-compute with), driver loops conditioned on
-// collective results cannot spin on garbage, and the process stays alive
-// to report per-rank diagnostics. Foreign panics are re-raised untouched.
+// interface runs over the simulator (sim), where peer loss cannot happen —
+// so the distributed rank propagates failure by unwinding: the first fault
+// inside any primitive records a RankError and unwinds the SPMD body with a
+// typed panic that Rank.Run recovers into its error return. User code never
+// observes a half-failed collective (no zero-value results to mis-compute
+// with), driver loops conditioned on collective results cannot spin on
+// garbage, and the process stays alive to report per-rank diagnostics.
+// Foreign panics are re-raised untouched.
 package dist
 
 import (

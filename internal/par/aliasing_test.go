@@ -85,9 +85,10 @@ func TestAlltoallvDeliveryIsolation(t *testing.T) {
 }
 
 // TestRPCDeliveryIsolation pins the RPC half of the ownership contract:
-// response payloads are copied on delivery, so a caller mutating what its
-// callback received cannot corrupt the server's retained response buffers,
-// and retained responses stay stable even as the client scribbles on them.
+// responses are snapshotted as they are sent, so a caller mutating what its
+// callback received cannot corrupt the server's retained response buffers.
+// The callback keeps a copy, because the runtime may recycle the buffer it
+// was handed once the callback returns.
 func TestRPCDeliveryIsolation(t *testing.T) {
 	const P = 3
 	const calls = 64
@@ -114,12 +115,12 @@ func TestRPCDeliveryIsolation(t *testing.T) {
 		for c := 0; c < calls; c++ {
 			req := []byte{byte(r.Rank()), byte(c)}
 			r.AsyncCall(owner, req, func(resp []byte) {
-				got = append(got, resp)
 				// Mutate immediately: with aliasing this would trash the
 				// server's retained buffer.
 				for i := range resp {
 					resp[i] ^= 0xFF
 				}
+				got = append(got, bytes.Clone(resp))
 			})
 		}
 		r.Drain(0)

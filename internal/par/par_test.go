@@ -2,10 +2,12 @@ package par
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
 
+	"gnbody/internal/dist"
 	"gnbody/internal/rt"
 )
 
@@ -166,10 +168,10 @@ func TestRPCBasic(t *testing.T) {
 }
 
 func TestRPCLoad(t *testing.T) {
-	// Many small requests with a small inbox: exercises the
-	// service-while-send-blocked path.
+	// Many small requests in flight at once, each rank serving its peers
+	// while it drains its own.
 	const P, per = 6, 500
-	w, _ := NewWorld(Config{P: P, InboxSize: 8})
+	w, _ := NewWorld(Config{P: P})
 	fail := atomic.Bool{}
 	w.Run(func(r rt.Runtime) {
 		me := r.Rank()
@@ -306,25 +308,21 @@ func TestMetricsCounters(t *testing.T) {
 	}
 }
 
-func TestAlltoallvWrongShapePanics(t *testing.T) {
+// TestAlltoallvWrongShapeFails: a send list of the wrong length is this
+// rank's failure, returned from Run as a typed *dist.RankError naming the
+// collective — not a panic that takes the process down.
+func TestAlltoallvWrongShapeFails(t *testing.T) {
 	w, _ := NewWorld(Config{P: 2})
-	panicked := atomic.Bool{}
-	w.Run(func(r rt.Runtime) {
+	err := w.Run(func(r rt.Runtime) {
 		if r.Rank() == 0 {
-			func() {
-				defer func() {
-					if recover() != nil {
-						panicked.Store(true)
-					}
-				}()
-				r.Alltoallv(make([][]byte, 1))
-			}()
+			r.Alltoallv(make([][]byte, 1))
 		}
-		// Rank 1 must not be left hanging: rank 0 never reached the
-		// barrier, so we do not call any collectives here.
+		// Rank 1 must not be left hanging: rank 0 never reaches the
+		// exchange, so we do not call any collectives here.
 	})
-	if !panicked.Load() {
-		t.Error("wrong-shaped Alltoallv did not panic")
+	var re *dist.RankError
+	if !errors.As(err, &re) || re.Rank != 0 || re.Op != "alltoallv" {
+		t.Errorf("wrong-shaped Alltoallv: Run returned %v, want rank 0's alltoallv *dist.RankError", err)
 	}
 }
 

@@ -102,8 +102,8 @@ func (pl *Plan) RunStages(r rt.Runtime, store seq.Store, initial any) (*StageRun
 }
 
 // World is what the launcher needs of a backend: enter the SPMD region on
-// every rank this process hosts — par.World, sim.Engine, dist.World, or a
-// single dist.Rank of a multi-process job.
+// every rank this process hosts — a dist.World (par's in-process world is
+// one), sim.Engine, or a single dist.Rank of a multi-process job.
 type World interface {
 	Run(func(rt.Runtime)) error
 }

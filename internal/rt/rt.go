@@ -1,8 +1,10 @@
 // Package rt defines the SPMD runtime interface that both parallel
-// back-ends implement: the real in-process runtime (package par), where
-// ranks are goroutines and times are wall-clock, and the performance
-// simulator (package sim), where ranks run under a conservative
-// discrete-event scheduler against a LogGP-style cost model.
+// back-ends implement: the real message-passing runtime (package dist),
+// where ranks are processes over TCP or goroutines over an in-process
+// loopback fabric (package par builds the latter) and times are
+// wall-clock, and the performance simulator (package sim), where ranks run
+// under a conservative discrete-event scheduler against a LogGP-style cost
+// model.
 //
 // The paper's two coordination strategies — bulk-synchronous with
 // aggregated irregular all-to-alls, and asynchronous with pull RPCs — are
@@ -115,11 +117,13 @@ type Metrics struct {
 	CachePinnedPeak int64
 
 	// Per-tier wire bytes: IntraBytes crossed only cheap intra-node links,
-	// InterBytes crossed a node boundary. Backends classify at their send
-	// conduits (dist: whole frames by destination node; sim: modeled frames
-	// under the two-tier LogGP machine; par: everything intra — one
-	// process is one node). Unlike BytesSent these include coordination
-	// framing, because the tier split is about what the network carries.
+	// InterBytes crossed a node boundary. Backends classify the frames they
+	// actually send, headers included, by destination node (dist: whole
+	// frames, so an in-process par world, one node, counts every frame
+	// intra and a rank's rows to itself not at all; sim: modeled frames
+	// under the two-tier LogGP machine). Unlike BytesSent these include
+	// coordination framing, because the tier split is about what the
+	// network carries.
 	IntraBytes int64
 	InterBytes int64
 

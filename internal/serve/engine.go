@@ -22,58 +22,38 @@ import (
 // death, as if the owning process took a SIGKILL mid-collective.
 var errChaosKill = errors.New("serve: chaos-killed endpoint")
 
-// killableTP wraps one rank's transport endpoint with a kill switch that
+// killableTP wraps one rank's loopback endpoint with a kill switch that
 // any goroutine may flip mid-run. Once dead, every Send/Recv fails — the
 // owning rank unwinds with a *dist.RankError naming itself, and peers
 // blocked on it fail via the progress deadline. The loopback fabric has no
 // Abort (in-process queues cannot crash), so the service grows its own
 // fault surface here rather than in the transport.
 type killableTP struct {
-	transport.Transport
+	*transport.Loopback
 	dead atomic.Bool
 }
 
-// Kill flips the endpoint dead. Safe from any goroutine; idempotent.
-func (k *killableTP) Kill() { k.dead.Store(true) }
-
-func (k *killableTP) Send(dst int, frame []byte) error {
-	if k.dead.Load() {
-		return errChaosKill
-	}
-	return k.Transport.Send(dst, frame)
+// Kill flips the endpoint dead and wakes its owner, should it be parked on
+// an empty inbox, to find out. Safe from any goroutine; idempotent.
+func (k *killableTP) Kill() {
+	k.dead.Store(true)
+	k.Wake()
 }
 
-// SendV forwards the two-piece send, so the kill switch costs the wrapped
-// fabric's vectored path nothing (transport.SendV joins the pieces only if
-// that fabric cannot take them apart).
+func (k *killableTP) Send(dst int, frame []byte) error { return k.SendV(dst, frame, nil) }
+
 func (k *killableTP) SendV(dst int, hdr, body []byte) error {
 	if k.dead.Load() {
 		return errChaosKill
 	}
-	return transport.SendV(k.Transport, dst, hdr, body)
+	return k.Loopback.SendV(dst, hdr, body)
 }
 
 func (k *killableTP) Recv() (int, []byte, bool, error) {
 	if k.dead.Load() {
 		return 0, nil, false, errChaosKill
 	}
-	return k.Transport.Recv()
-}
-
-// RecycleFrame forwards frame recycling to the wrapped endpoint so the
-// loopback pool keeps working through the wrapper.
-func (k *killableTP) RecycleFrame(frame []byte) {
-	if rec, ok := k.Transport.(transport.FrameRecycler); ok {
-		rec.RecycleFrame(frame)
-	}
-}
-
-// DepartedPeers forwards graceful-departure tracking.
-func (k *killableTP) DepartedPeers() []int {
-	if dt, ok := k.Transport.(transport.DepartedTracker); ok {
-		return dt.DepartedPeers()
-	}
-	return nil
+	return k.Loopback.Recv()
 }
 
 // engine is one resident world and its reusable per-rank state: the
@@ -89,15 +69,15 @@ type engine struct {
 
 	resident *core.Resident // survives world rebuilds: workspaces are plain memory
 
-	pw   *par.World
-	dw   *dist.World
+	w    *dist.World
 	taps []*killableTP // dist only: per-rank kill switches
 }
 
-// newEngine builds a resident world. backend "par" runs ranks as plain
-// goroutines (no failure surface, no chaos); "dist" runs the
-// message-passing backend over an in-process loopback fabric wrapped with
-// kill switches, with the full typed-failure model live.
+// newEngine builds a resident world. Both backends are goroutine ranks of
+// the message-passing runtime over the in-process loopback fabric: "par" is
+// par's world (one node, no deadline, no chaos); "dist" wraps every
+// endpoint with a kill switch and runs under the configured progress
+// deadline, with the full typed-failure model live.
 func newEngine(backend string, ranks int, memBudget, cacheBudget int64, deadline time.Duration) (*engine, error) {
 	e := &engine{
 		backend: backend, ranks: ranks,
@@ -114,68 +94,42 @@ func newEngine(backend string, ranks int, memBudget, cacheBudget int64, deadline
 func (e *engine) build() error {
 	switch e.backend {
 	case "par":
-		pw, err := par.NewWorld(par.Config{P: e.ranks, MemBudget: e.memBudget})
-		if err != nil {
-			return err
-		}
-		e.pw = pw
-		return nil
+		w, err := par.NewWorld(par.Config{P: e.ranks, MemBudget: e.memBudget})
+		e.w = w
+		return err
 	case "dist":
-		eps := transport.NewLoopback(e.ranks)
-		taps := make([]*killableTP, e.ranks)
+		e.taps = make([]*killableTP, e.ranks)
 		fabric := make([]transport.Transport, e.ranks)
-		for i, ep := range eps {
-			taps[i] = &killableTP{Transport: ep}
-			fabric[i] = taps[i]
+		for i, ep := range transport.NewLoopback(e.ranks) {
+			e.taps[i] = &killableTP{Loopback: ep.(*transport.Loopback)}
+			fabric[i] = e.taps[i]
 		}
 		pd := e.deadline
 		if pd == 0 {
 			pd = -1 // serve default is "no deadline" unless configured
 		}
-		dw, err := dist.NewWorldOver(fabric, dist.Config{
+		w, err := dist.NewWorldOver(fabric, dist.Config{
 			MemBudget: e.memBudget, ProgressDeadline: pd})
-		if err != nil {
-			return err
-		}
-		e.dw, e.taps = dw, taps
-		return nil
+		e.w = w
+		return err
 	default:
 		return fmt.Errorf("serve: unknown backend %q (want par or dist)", e.backend)
 	}
 }
 
-// rebuild replaces a failed world. A dist rank's failure is sticky (the
-// world is poisoned once any rank raised), so retrying a job means a fresh
+// rebuild replaces a failed world. A rank's failure is sticky (the world
+// is poisoned once any rank raised), so retrying a job means a fresh
 // fabric — but the resident workspaces carry over: rebuild only re-creates
 // the cheap queues, not the warm DP state.
 func (e *engine) rebuild() error {
-	if e.dw != nil {
-		e.dw.Close() // best-effort; the failed world is already dead
-	}
-	e.dw, e.taps = nil, nil
+	e.close() // best-effort; the failed world is already dead
 	return e.build()
 }
 
 func (e *engine) close() {
-	if e.dw != nil {
-		e.dw.Close()
+	if e.w != nil {
+		e.w.Close()
 	}
-}
-
-// world is whichever backend is live, as the launcher sees it.
-func (e *engine) world() pipeline.World {
-	if e.pw != nil {
-		return e.pw
-	}
-	return e.dw
-}
-
-// metrics returns rank i's cumulative world metrics.
-func (e *engine) metrics(i int) *rt.Metrics {
-	if e.pw != nil {
-		return e.pw.Metrics(i)
-	}
-	return e.dw.Metrics(i)
 }
 
 // run executes one job on the resident world: a single collective region
@@ -216,10 +170,10 @@ func (e *engine) run(j *Job, kill int) (hits []core.Hit, tasks int64, rows []tra
 	}
 	before := make([]rt.Metrics, e.ranks)
 	for i := range before {
-		before[i] = e.metrics(i).Snapshot()
+		before[i] = e.w.Metrics(i).Snapshot()
 	}
 	var gathered []core.Hit
-	runs, err := plan.RunOn(e.world(),
+	runs, err := plan.RunOn(e.w,
 		func(r rt.Runtime) seq.Store {
 			lo, hi := plan.Part.Range(r.Rank())
 			return seq.ScopeCounting(j.reads, lo, hi, lens, &r.Metrics().OOPGets)
@@ -239,7 +193,7 @@ func (e *engine) run(j *Job, kill int) (hits []core.Hit, tasks int64, rows []tra
 	}
 	rows = make([]trace.JobRow, e.ranks)
 	for i := range rows {
-		diff := rt.Sub(e.metrics(i).Snapshot(), before[i])
+		diff := rt.Sub(e.w.Metrics(i).Snapshot(), before[i])
 		rows[i] = trace.JobRow{Job: j.ID, RankMetrics: rt.TraceRow(i, &diff, nil)}
 	}
 	return gathered, tasks, rows, nil

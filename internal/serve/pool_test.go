@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gnbody/internal/dist"
+	"gnbody/internal/rt"
 )
 
 func e2eSpec(mode string) JobSpec {
@@ -114,6 +115,33 @@ func TestChaosKillExhausted(t *testing.T) {
 	}
 	if st := waitJob(t, healthy, 120*time.Second); st.State != StateDone {
 		t.Fatalf("healthy follow-up job: state %s (error %q); world not rebuilt?", st.State, st.Error)
+	}
+}
+
+// TestKillWakesParkedRank: the kill switch can be thrown from any
+// goroutine while its rank is parked on an empty inbox, and the rank must
+// fail at once with the kill, not wait out the progress deadline.
+func TestKillWakesParkedRank(t *testing.T) {
+	e, err := newEngine("dist", 2, 0, 0, dist.DefaultProgressDeadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.close()
+	t0 := time.Now()
+	err = e.w.Run(func(r rt.Runtime) {
+		if r.Rank() == 0 {
+			r.Barrier()
+			return
+		}
+		time.Sleep(100 * time.Millisecond) // rank 0 spins out and parks
+		e.taps[0].Kill()
+	})
+	var re *dist.RankError
+	if !errors.As(err, &re) || re.Rank != 0 || !errors.Is(err, errChaosKill) {
+		t.Errorf("Run returned %v, want rank 0 failing with the chaos kill", err)
+	}
+	if took := time.Since(t0); took > 5*time.Second {
+		t.Errorf("killed rank took %v to notice, want it woken at once", took)
 	}
 }
 

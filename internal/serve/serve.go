@@ -1,7 +1,7 @@
 // Package serve turns the batch overlap pipeline into a resident,
 // multi-tenant service: an HTTP/JSON gateway in front of a pool of
-// long-lived SPMD worlds (package par or the message-passing backend over
-// an in-process fabric). Clients stream read sets in, jobs are admitted
+// long-lived SPMD worlds (goroutine ranks of the message-passing runtime
+// over the in-process loopback fabric). Clients stream read sets in, jobs are admitted
 // against a memory budget, batched by compatible spec onto warm worlds,
 // and overlap hits stream back per job in the exact format of the batch
 // tool — the one-shot setup (world construction, workspace warm-up) is

@@ -1,9 +1,8 @@
-// The request/response RPC engine, written once and shared by both
-// runtimes: package par drives it over its per-rank channel inboxes,
-// package dist over a Transport. The engine owns the state machine — seq
-// allocation, the pending-callback map, handler dispatch — and the paper's
-// accounting: issue overhead and service time accrue to CatComm, every
-// request and response counts as one message (§3.2).
+// The request/response RPC engine that package dist drives over a
+// Transport. The engine owns the state machine — seq allocation, the
+// pending-callback map, handler dispatch — and the paper's accounting:
+// issue overhead and service time accrue to CatComm, every request and
+// response counts as one message (§3.2).
 
 package transport
 
@@ -29,14 +28,13 @@ type Msg struct {
 type EngineConfig struct {
 	// Rank is the hosting rank's id.
 	Rank int
-	// Send moves one message toward dst; the host supplies its conduit
-	// (par: channel inboxes with self-service on full; dist: Transport
-	// frames). Send must take its own snapshot of m.Val before it returns
-	// or services any inbound work (par copies into the inbox message, dist
-	// serialises onto the transport): a Serve handler may rebuild its next
-	// response in the buffer it returned the last one in. Send may service
-	// inbound work while it waits, but must not deliver the message being
-	// sent back into Deliver re-entrantly.
+	// Send moves one message toward dst over the host's conduit (dist:
+	// Transport frames). Send must take its own snapshot of m.Val before it
+	// returns or services any inbound work (dist's transports copy or
+	// serialise it): a Serve handler may rebuild its next response in the
+	// buffer it returned the last one in. Send may service inbound work
+	// while it waits, but must not deliver the message being sent back into
+	// Deliver re-entrantly.
 	Send func(dst int, m Msg)
 	// Metrics receives the engine's accounting (same rank-owned
 	// single-writer discipline as the rest of rt.Metrics).

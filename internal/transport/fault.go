@@ -189,6 +189,27 @@ func (f *FaultTransport) Recv() (int, []byte, bool, error) {
 	return from, frame, true, nil
 }
 
+// Ready is the wrapped endpoint's signal, except where the plan decides:
+// a crashed endpoint always has an error to report, a held or duplicated
+// frame is due within a few polls (the delay clock counts polls, not
+// time), and a stalled endpoint never delivers again.
+func (f *FaultTransport) Ready() <-chan struct{} {
+	switch {
+	case f.crashed || len(f.held) > 0 || len(f.dups) > 0:
+		return closedReady
+	case f.stalled:
+		return nil
+	}
+	return f.inner.Ready()
+}
+
+// closedReady is a Ready channel that never blocks.
+var closedReady = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
 // Close tears down the wrapped endpoint (gracefully — an injected crash
 // has already aborted it).
 func (f *FaultTransport) Close() error { return f.inner.Close() }

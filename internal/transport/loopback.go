@@ -1,11 +1,11 @@
-// The in-memory loopback fabric: the Transport shape of par's per-rank
-// inbox machinery. Frames move between goroutine ranks through unbounded
-// mutex-guarded FIFO queues, copied at Send so the sender's buffer is free
-// the moment the call returns and the receiver owns what it pops — the same
-// ownership semantics the TCP transport gets from serialising onto the
-// wire. The distributed backend runs its collective code unchanged over
-// this fabric, which is what the conformance battery and the race-detector
-// property tests exercise.
+// The in-memory loopback fabric: ranks are goroutines of one process.
+// Frames move between them through unbounded mutex-guarded FIFO queues,
+// copied at Send so the sender's buffer is free the moment the call returns
+// and the receiver owns what it pops — the same ownership semantics the TCP
+// transport gets from serialising onto the wire. The message-passing runtime
+// runs its collective code unchanged over this fabric: it is the in-process
+// world of package par, and what the conformance battery and the
+// race-detector property tests exercise.
 
 package transport
 
@@ -20,21 +20,37 @@ type loopItem struct {
 	frame []byte
 }
 
-// loopQueue is one rank's unbounded inbox.
+// loopQueue is one rank's unbounded inbox, the loopback's and the TCP
+// endpoint's alike. ready holds at most one token: every push, the close,
+// and a link failure leave it there, so an owner that found the queue empty
+// can park on it and be woken by whatever comes next.
 type loopQueue struct {
 	mu     sync.Mutex
 	items  []loopItem
 	head   int
 	closed bool
+	ready  chan struct{}
+}
+
+func newLoopQueue() *loopQueue { return &loopQueue{ready: make(chan struct{}, 1)} }
+
+// signal leaves the ready token, unless one is already waiting.
+func (q *loopQueue) signal() {
+	select {
+	case q.ready <- struct{}{}:
+	default:
+	}
 }
 
 func (q *loopQueue) push(it loopItem) error {
 	q.mu.Lock()
-	defer q.mu.Unlock()
 	if q.closed {
+		q.mu.Unlock()
 		return ErrClosed
 	}
 	q.items = append(q.items, it)
+	q.mu.Unlock()
+	q.signal()
 	return nil
 }
 
@@ -62,6 +78,7 @@ func (q *loopQueue) close() {
 	q.items = nil
 	q.head = 0
 	q.mu.Unlock()
+	q.signal()
 }
 
 // Loopback is one rank's endpoint of the in-memory fabric.
@@ -83,7 +100,7 @@ func NewLoopback(n int) []Transport {
 	}
 	queues := make([]*loopQueue, n)
 	for i := range queues {
-		queues[i] = &loopQueue{}
+		queues[i] = newLoopQueue()
 	}
 	pool := &framePool{}
 	eps := make([]Transport, n)
@@ -134,6 +151,15 @@ func (l *Loopback) Recv() (int, []byte, bool, error) {
 	}
 	return it.from, it.frame, true, nil
 }
+
+// Ready signals when this rank's inbox has had a frame pushed or was closed.
+func (l *Loopback) Ready() <-chan struct{} { return l.queues[l.rank].ready }
+
+// Wake leaves this endpoint's Ready signalled, rousing an owner parked on
+// it. It is safe from any goroutine: it is how a switch thrown from outside
+// the rank — serve's kill switch — gets a parked owner to poll again and
+// find it.
+func (l *Loopback) Wake() { l.queues[l.rank].signal() }
 
 // Close shuts this rank's inbox down; this rank's own Recv gets ErrClosed
 // and peers sending to it get ErrPeerDeparted from then on.

@@ -68,7 +68,7 @@ type tcpTransport struct {
 	rank, size int
 	conns      []net.Conn  // per peer; nil at self
 	w          []tcpWriter // per-peer write side (RPC replies can be sent from Progress)
-	inbox      loopQueue
+	inbox      *loopQueue
 	pool       framePool // recycled delivery buffers (readers draw, receiver returns)
 	closed     atomic.Bool
 
@@ -122,6 +122,7 @@ func Rendezvous(rank, size int, cfg TCPConfig) (Transport, error) {
 		size:     size,
 		conns:    make([]net.Conn, size),
 		w:        make([]tcpWriter, size),
+		inbox:    newLoopQueue(),
 		departed: make([]bool, size),
 	}
 	if size > 1 {
@@ -352,13 +353,15 @@ func (t *tcpTransport) reader(from int, c net.Conn) {
 	}
 }
 
-// fail records the first link error; Send and Recv surface it.
+// fail records the first link error, which Send and Recv surface, and
+// wakes a parked owner so it polls and finds it.
 func (t *tcpTransport) fail(err error) {
 	t.failMu.Lock()
 	if t.failErr == nil {
 		t.failErr = err
 	}
 	t.failMu.Unlock()
+	t.inbox.signal()
 }
 
 func (t *tcpTransport) failed() error {
@@ -392,6 +395,10 @@ func (t *tcpTransport) DepartedPeers() []int {
 	}
 	return out
 }
+
+// Ready signals when a reader has queued a frame, a link has failed, or the
+// endpoint was closed.
+func (t *tcpTransport) Ready() <-chan struct{} { return t.inbox.ready }
 
 // Rank returns this endpoint's rank.
 func (t *tcpTransport) Rank() int { return t.rank }

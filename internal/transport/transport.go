@@ -1,14 +1,16 @@
 // Package transport defines the minimal point-to-point message fabric the
-// distributed runtime (package dist) is built on, plus the request/response
-// RPC engine shared with the in-process runtime (package par).
+// message-passing runtime (package dist) is built on, plus the
+// request/response RPC engine that runtime drives.
 //
 // A Transport is one rank's endpoint of a P-way fabric: Send(dst, frame)
 // delivers an opaque byte frame to a peer, Recv polls for inbound frames
-// without blocking. Two implementations exist:
+// without blocking, and Ready signals when polling again is worthwhile, so a
+// rank with nothing to do can park instead of spinning. Two implementations
+// exist:
 //
-//   - the in-memory loopback (NewLoopback), extracted from par's per-rank
-//     inbox machinery — ranks are goroutines in one address space and frames
-//     move through mutex-guarded queues;
+//   - the in-memory loopback (NewLoopback) — ranks are goroutines in one
+//     address space and frames move through mutex-guarded queues; package
+//     par's in-process world is this fabric;
 //   - the TCP transport (Rendezvous), where ranks are processes: frames are
 //     length-prefixed on full-mesh sockets, and a rendezvous handshake
 //     (rank 0 listens, peers dial, an address table is exchanged) bootstraps
@@ -91,6 +93,11 @@ type Aborter interface {
 // rank's application to poll — frames queue at the receiver — so two ranks
 // sending to each other at full inboxes cannot deadlock. Recv is
 // non-blocking: ok == false with a nil error means nothing is pending.
+// Ready is how an owner that found nothing waits without spinning: the
+// channel it returns receives a value, or is closed, once a later Recv may
+// report a frame or an error. A wakeup may be spurious — the owner polls
+// again and parks again — but none is ever lost: a frame or failure that
+// arrives after a Recv came up empty always leaves Ready signalled.
 //
 // A Transport endpoint is owned by a single rank; calls are not safe for
 // concurrent use by multiple goroutines.
@@ -104,6 +111,10 @@ type Transport interface {
 	// Recv returns the next pending frame and its source rank.
 	// ok == false with err == nil means the inbox is empty.
 	Recv() (from int, frame []byte, ok bool, err error)
+	// Ready returns the channel that signals a later Recv may find a frame
+	// or an error. A nil channel means the endpoint will never become
+	// ready (only a deadline ends the wait).
+	Ready() <-chan struct{}
 	// Close tears the endpoint down. Subsequent Sends and Recvs return
 	// ErrClosed (pending frames are discarded).
 	Close() error
