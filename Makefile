@@ -31,8 +31,9 @@
 #   make race    full suite under the race detector (what CI runs)
 #   make fuzz    10s smoke per fuzz target (go fuzzing allows one -fuzz
 #                target per invocation, hence one run per target)
-#   make golden  regenerate the exporter golden fixtures after an
-#                intentional trace/metrics schema change
+#   make golden  regenerate the golden fixtures after an intentional
+#                change: the trace/metrics exporter schemas, and the
+#                experiment tables internal/expt prints at small sizes
 #   make chaos   fault-injection battery under the race detector: every
 #                injected crash/stall/departure must end in a clean
 #                per-rank error, never a hang or a panic
@@ -57,7 +58,7 @@
 
 GO      ?= go
 FUZZT   ?= 10s
-LOC_BUDGET = 18439
+LOC_BUDGET = 18122
 
 .PHONY: check vet fmtcheck build test bench-build backhalf-rounds exchange-allocs kernel-cells loc loc-budget race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke ci
 
@@ -147,6 +148,8 @@ fuzz:
 golden:
 	$(GO) test -run TestGolden ./internal/trace/ -update
 	$(GO) test -run TestGolden ./internal/trace/
+	$(GO) test -run TestExperimentsMatchGolden ./internal/expt/ -update
+	$(GO) test -run TestExperimentsMatchGolden ./internal/expt/
 
 chaos:
 	$(GO) test -race -run 'Chaos|Fault' ./...

@@ -11,119 +11,108 @@ import (
 
 // Ablations for the design choices the paper calls out (DESIGN.md §7).
 
+// Ablations runs every ablation, one table each.
+func Ablations(p Params) (Result, error) {
+	var all Result
+	for _, ablate := range []func(Params) (Result, error){AblationOutstanding,
+		AblationAggregation, AblationNetwork, AblationFetchBatch, AblationDynamicBalance} {
+		r, err := ablate(p)
+		if err != nil {
+			return Result{}, err
+		}
+		all.Tables = append(all.Tables, r.Tables...)
+		all.Rows = append(all.Rows, r.Rows...)
+	}
+	return all, nil
+}
+
 // AblationOutstanding sweeps the asynchronous driver's outstanding-request
 // cap (§4.3 speculates "varying limits on outgoing requests" could improve
 // the 8-16 node latency anomaly). Communication-only mode isolates the
 // effect.
-func AblationOutstanding(p Params, caps []int) (*stats.Table, []*Row, error) {
+func AblationOutstanding(p Params) (Result, error) {
 	p = p.defaults()
-	if len(caps) == 0 {
-		caps = []int{1, 4, 16, 64, 256, 1024}
-	}
-	w, err := workload.Synthesize(workload.HumanCCS, p.ScaleHumanCCS, p.Seed)
+	w, err := p.synth(workload.HumanCCS)
 	if err != nil {
-		return nil, nil, err
+		return Result{}, err
 	}
-	nodes := 8
-	if len(p.Nodes) > 0 {
-		nodes = p.Nodes[0]
-	}
-	var rows []*Row
+	s := p.spec(w, sim.CoriKNL())
+	s.Nodes, s.Mode, s.SkipCompute = p.nodesOr([]int{8})[0], Async, true
 	t := &stats.Table{
-		Title:   fmt.Sprintf("Ablation: async outstanding-request cap (Human CCS, %d nodes, compute skipped)", nodes),
+		Title:   fmt.Sprintf("Ablation: async outstanding-request cap (Human CCS, %d nodes, compute skipped)", s.Nodes),
 		Headers: []string{"cap", "avg-comm", "max-comm", "runtime"},
 	}
-	for _, c := range caps {
-		row, err := RunSim(SimSpec{Workload: w, Machine: sim.CoriKNL(), Nodes: nodes,
-			RanksPerNode: p.RanksPerNode, Mode: Async, SkipCompute: true,
-			MaxOutstanding: c, Seed: p.Seed, NewTracer: p.NewTracer, CacheBudget: p.CacheBudget, Hierarchical: p.NodeSize > 1})
+	var rows []*Row
+	for _, c := range []int{1, 4, 16, 64, 256, 1024} {
+		s.MaxOutstanding = c
+		row, err := RunSim(s)
 		if err != nil {
-			return nil, nil, err
+			return Result{}, err
 		}
 		rows = append(rows, row)
 		t.AddRow(fmt.Sprint(c), stats.FmtDur(row.Cat[rt.CatComm]),
 			stats.FmtDur(row.CatMax[rt.CatComm]), stats.FmtDur(row.Runtime))
 	}
-	return t, rows, nil
+	return Result{Tables: []*stats.Table{t}, Rows: rows}, nil
 }
 
 // AblationAggregation contrasts BSP under shrinking memory budgets: less
 // aggregation → more supersteps → more synchronization and per-round
 // latency (the §5 argument that memory enables aggregation enables
 // performance). Budget factors scale the default budget.
-func AblationAggregation(p Params, factors []float64) (*stats.Table, []*Row, error) {
+func AblationAggregation(p Params) (Result, error) {
 	p = p.defaults()
-	if len(factors) == 0 {
-		factors = []float64{1, 0.5, 0.25, 0.125, 0.0625}
-	}
-	w, err := workload.Synthesize(workload.HumanCCS, p.ScaleHumanCCS, p.Seed)
+	w, err := p.synth(workload.HumanCCS)
 	if err != nil {
-		return nil, nil, err
+		return Result{}, err
 	}
-	nodes := 8
-	if len(p.Nodes) > 0 {
-		nodes = p.Nodes[0]
-	}
-	var rows []*Row
+	m := sim.CoriKNL()
+	s := p.spec(w, m)
+	s.Nodes, s.Mode = p.nodesOr([]int{8})[0], BSP
 	t := &stats.Table{
-		Title:   fmt.Sprintf("Ablation: BSP aggregation vs memory budget (Human CCS, %d nodes)", nodes),
+		Title:   fmt.Sprintf("Ablation: BSP aggregation vs memory budget (Human CCS, %d nodes)", s.Nodes),
 		Headers: []string{"budget", "steps", "comm", "sync", "runtime"},
 	}
-	for _, f := range factors {
-		m := sim.CoriKNL()
+	var rows []*Row
+	for _, f := range []float64{1, 0.5, 0.25, 0.125, 0.0625} {
 		// Scale the budget by shrinking per-core memory.
-		m.AppMemPerCore = int64(float64(m.AppMemPerCore) * f)
-		row, err := RunSim(SimSpec{Workload: w, Machine: m, Nodes: nodes,
-			RanksPerNode: p.RanksPerNode, Mode: BSP, Seed: p.Seed, NewTracer: p.NewTracer, CacheBudget: p.CacheBudget, Hierarchical: p.NodeSize > 1})
+		s.Machine.AppMemPerCore = int64(float64(m.AppMemPerCore) * f)
+		row, err := RunSim(s)
 		if err != nil {
-			return nil, nil, err
+			return Result{}, err
 		}
 		rows = append(rows, row)
 		t.AddRow(stats.FmtBytes(row.MemBudget), fmt.Sprint(row.Supersteps),
 			stats.FmtDur(row.Cat[rt.CatComm]), stats.FmtDur(row.Cat[rt.CatSync]),
 			stats.FmtDur(row.Runtime))
 	}
-	return t, rows, nil
+	return Result{Tables: []*stats.Table{t}, Rows: rows}, nil
 }
 
 // AblationDynamicBalance compares the static async driver against the
 // work-stealing variant — §5's open question: "whether the performance
 // improvements can compensate for the overheads of dynamic load balancing
 // in practice".
-func AblationDynamicBalance(p Params) (*stats.Table, map[Mode][]*Row, error) {
+func AblationDynamicBalance(p Params) (Result, error) {
 	p = p.defaults()
-	nodes := p.nodesOr([]int{8, 32, 128})
-	w, err := workload.Synthesize(workload.HumanCCS, p.ScaleHumanCCS, p.Seed)
+	_, rows, err := p.ccs(p.nodesOr([]int{8, 32, 128}), []Mode{Async, AsyncSteal}, false)
 	if err != nil {
-		return nil, nil, err
+		return Result{}, err
 	}
-	out := map[Mode][]*Row{}
 	t := &stats.Table{
 		Title:   "Ablation: dynamic load balancing (work stealing) vs static assignment, Human CCS",
 		Headers: []string{"nodes", "mode", "runtime", "sync", "comm", "stolen", "vs-static"},
 	}
-	for _, n := range nodes {
-		var rows [2]*Row
-		for i, mode := range []Mode{Async, AsyncSteal} {
-			row, err := RunSim(SimSpec{Workload: w, Machine: sim.CoriKNL(), Nodes: n,
-				RanksPerNode: p.RanksPerNode, Mode: mode, Seed: p.Seed, NewTracer: p.NewTracer, CacheBudget: p.CacheBudget, Hierarchical: p.NodeSize > 1})
-			if err != nil {
-				return nil, nil, err
-			}
-			out[mode] = append(out[mode], row)
-			rows[i] = row
+	for i, row := range rows {
+		vs := ""
+		if i%2 == 1 {
+			vs = stats.FmtPct(float64(row.Runtime) / float64(rows[i-1].Runtime))
 		}
-		for i, row := range rows {
-			vs := ""
-			if i == 1 {
-				vs = stats.FmtPct(float64(rows[1].Runtime) / float64(rows[0].Runtime))
-			}
-			t.AddRow(fmt.Sprint(n), string(row.Mode), stats.FmtDur(row.Runtime),
-				stats.FmtDur(row.Cat[rt.CatSync]), stats.FmtDur(row.Cat[rt.CatComm]),
-				fmt.Sprint(row.TasksStolen), vs)
-		}
+		t.AddRow(fmt.Sprint(row.Nodes), string(row.Mode), stats.FmtDur(row.Runtime),
+			stats.FmtDur(row.Cat[rt.CatSync]), stats.FmtDur(row.Cat[rt.CatComm]),
+			fmt.Sprint(row.TasksStolen), vs)
 	}
-	return t, out, nil
+	return Result{Tables: []*stats.Table{t}, Rows: rows}, nil
 }
 
 // AblationFetchBatch sweeps the async driver's reads-per-RPC on the
@@ -131,61 +120,45 @@ func AblationDynamicBalance(p Params) (*stats.Table, map[Mode][]*Row, error) {
 // expect more aggregation to be necessary". Computation is skipped so the
 // sweep isolates the communication effect (the regime where §5's argument
 // bites: per-message latency has outrun per-task compute).
-func AblationFetchBatch(p Params, batches []int) (*stats.Table, []*Row, error) {
+func AblationFetchBatch(p Params) (Result, error) {
 	p = p.defaults()
-	if len(batches) == 0 {
-		batches = []int{1, 4, 16, 64}
-	}
-	w, err := workload.Synthesize(workload.EColi100x, p.ScaleEColi100x, p.Seed)
+	w, err := p.synth(workload.EColi100x)
 	if err != nil {
-		return nil, nil, err
+		return Result{}, err
 	}
-	nodes := 32
-	if len(p.Nodes) > 0 {
-		nodes = p.Nodes[0]
-	}
-	var rows []*Row
+	s := p.spec(w, sim.HighLatencyCloud())
+	s.Nodes, s.Mode, s.SkipCompute = p.nodesOr([]int{32})[0], Async, true
 	t := &stats.Table{
-		Title:   fmt.Sprintf("Ablation: async aggregation (reads per RPC) on a 30us network (E. coli 100x, %d nodes)", nodes),
+		Title:   fmt.Sprintf("Ablation: async aggregation (reads per RPC) on a 30us network (E. coli 100x, %d nodes)", s.Nodes),
 		Headers: []string{"fetch-batch", "runtime", "comm", "rpcs", "maxmem"},
 	}
-	for _, b := range batches {
-		row, err := RunSim(SimSpec{Workload: w, Machine: sim.HighLatencyCloud(), Nodes: nodes,
-			RanksPerNode: p.RanksPerNode, Mode: Async, FetchBatch: b, SkipCompute: true, Seed: p.Seed, NewTracer: p.NewTracer, CacheBudget: p.CacheBudget, Hierarchical: p.NodeSize > 1})
+	var rows []*Row
+	for _, b := range []int{1, 4, 16, 64} {
+		s.FetchBatch = b
+		row, err := RunSim(s)
 		if err != nil {
-			return nil, nil, err
+			return Result{}, err
 		}
 		rows = append(rows, row)
 		t.AddRow(fmt.Sprint(b), stats.FmtDur(row.Runtime), stats.FmtDur(row.Cat[rt.CatComm]),
 			stats.FmtCount(row.RPCsSent), stats.FmtBytes(row.MaxMem))
 	}
-	return t, rows, nil
+	return Result{Tables: []*stats.Table{t}, Rows: rows}, nil
 }
 
 // AblationNetwork reruns the Figure 8 comparison on the high-latency cloud
 // preset: §5 predicts the asynchronous approach needs more aggregation once
 // per-message latency overtakes per-task compute.
-func AblationNetwork(p Params) (*stats.Table, map[Mode][]*Row, error) {
+func AblationNetwork(p Params) (Result, error) {
 	p = p.defaults()
-	nodes := p.nodesOr([]int{8, 32, 128})
-	w, err := workload.Synthesize(workload.EColi100x, p.ScaleEColi100x, p.Seed)
+	w, err := p.synth(workload.EColi100x)
 	if err != nil {
-		return nil, nil, err
+		return Result{}, err
 	}
-	out := map[Mode][]*Row{}
-	var rows []*Row
-	for _, n := range nodes {
-		for _, mode := range []Mode{BSP, Async} {
-			row, err := RunSim(SimSpec{Workload: w, Machine: sim.HighLatencyCloud(), Nodes: n,
-				RanksPerNode: p.RanksPerNode, Mode: mode, Seed: p.Seed, NewTracer: p.NewTracer, CacheBudget: p.CacheBudget, Hierarchical: p.NodeSize > 1})
-			if err != nil {
-				return nil, nil, err
-			}
-			out[mode] = append(out[mode], row)
-			rows = append(rows, row)
-		}
+	rows, err := sweep(p.spec(w, sim.HighLatencyCloud()), p.nodesOr([]int{8, 32, 128}), paperModes)
+	if err != nil {
+		return Result{}, err
 	}
-	t := breakdownTable("Ablation: E. coli 100x on a high-latency (30us) network", rows)
-	addNormalizedRuntime(t, out)
-	return t, out, nil
+	t := comparisonTable("Ablation: E. coli 100x on a high-latency (30us) network", rows)
+	return Result{Tables: []*stats.Table{t}, Rows: rows}, nil
 }

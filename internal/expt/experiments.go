@@ -2,6 +2,8 @@ package expt
 
 import (
 	"fmt"
+	"io"
+	"runtime"
 	"time"
 
 	"gnbody/internal/rt"
@@ -11,8 +13,8 @@ import (
 	"gnbody/internal/workload"
 )
 
-// Params controls experiment sizing. Zero values select the defaults
-// recorded in EXPERIMENTS.md; benchmarks shrink them for wall-clock budget.
+// Params sizes every experiment. Zero values select the defaults recorded
+// in EXPERIMENTS.md; tests shrink them for wall-clock budget.
 type Params struct {
 	ScaleEColi30x  int // workload scale divisors (Table 1 ÷ scale)
 	ScaleEColi100x int
@@ -23,9 +25,18 @@ type Params struct {
 
 	// CacheBudget enables the per-rank remote-read cache in every driver
 	// run (bytes; 0 disables, negative unbounded). NodeSize > 1 prices the
-	// simulated alltoallv as the node-aggregated hierarchical plan.
+	// simulated alltoallv as the node-aggregated hierarchical plan and
+	// groups the dist experiment's ranks into nodes.
 	CacheBudget int64
 	NodeSize    int
+
+	// The wall-clock side studies run the real pipeline on E. coli 30x ÷
+	// their own divisor: intranode (default 150) on 1..MaxCores ranks
+	// (default: host CPUs), dist (default 300), and serve (default 600)
+	// with ServeJobs jobs per phase (default 4).
+	IntraScale, MaxCores  int
+	DistScale             int
+	ServeScale, ServeJobs int
 
 	// NewTracer, when set, is passed to every RunSim so each simulated run
 	// records structured events; cmd/scaling exports the last traced run.
@@ -33,17 +44,17 @@ type Params struct {
 }
 
 func (p Params) defaults() Params {
-	if p.ScaleEColi30x <= 0 {
-		p.ScaleEColi30x = 8
-	}
-	if p.ScaleEColi100x <= 0 {
-		p.ScaleEColi100x = 64
-	}
-	if p.ScaleHumanCCS <= 0 {
-		p.ScaleHumanCCS = 256
-	}
-	if p.RanksPerNode <= 0 {
-		p.RanksPerNode = 4
+	for _, d := range []struct {
+		v   *int
+		def int
+	}{
+		{&p.ScaleEColi30x, 8}, {&p.ScaleEColi100x, 64}, {&p.ScaleHumanCCS, 256},
+		{&p.RanksPerNode, 4}, {&p.IntraScale, 150}, {&p.MaxCores, runtime.NumCPU()},
+		{&p.DistScale, 300}, {&p.ServeScale, 600}, {&p.ServeJobs, 4},
+	} {
+		if *d.v <= 0 {
+			*d.v = d.def
+		}
 	}
 	if p.Seed == 0 {
 		p.Seed = 1
@@ -58,114 +69,173 @@ func (p Params) nodesOr(def []int) []int {
 	return def
 }
 
+// synth synthesizes a Table 1 preset at p's divisor for it.
+func (p Params) synth(preset workload.Preset) (*workload.Workload, error) {
+	scale := p.ScaleHumanCCS
+	switch preset.Name {
+	case workload.EColi30x.Name:
+		scale = p.ScaleEColi30x
+	case workload.EColi100x.Name:
+		scale = p.ScaleEColi100x
+	}
+	return workload.Synthesize(preset, scale, p.Seed)
+}
+
+// spec is the SimSpec every simulated experiment starts from: w on m at
+// p's ranks per node, seed, tracer, cache budget and node grouping.
+func (p Params) spec(w *workload.Workload, m sim.Machine) SimSpec {
+	return SimSpec{Workload: w, Machine: m, RanksPerNode: p.RanksPerNode, Seed: p.Seed,
+		NewTracer: p.NewTracer, CacheBudget: p.CacheBudget, Hierarchical: p.NodeSize > 1}
+}
+
+// sweep runs base at every node count in every mode, node-major: the rows
+// of one node count sit together, in modes order.
+func sweep(base SimSpec, nodes []int, modes []Mode) ([]*Row, error) {
+	var rows []*Row
+	for _, n := range nodes {
+		for _, mode := range modes {
+			s := base
+			s.Nodes, s.Mode = n, mode
+			row, err := RunSim(s)
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, row)
+		}
+	}
+	return rows, nil
+}
+
+// paperModes are the paper's two strategies; a sweep over them yields BSP
+// and Async rows in pairs.
+var paperModes = []Mode{BSP, Async}
+
+// ccsNodes is the paper's Human CCS strong-scaling range.
+var ccsNodes = []int{8, 16, 32, 64, 128, 256, 512}
+
+// ccs sweeps Human CCS on Cori KNL and returns the workload with the rows.
+func (p Params) ccs(nodes []int, modes []Mode, skipCompute bool) (*workload.Workload, []*Row, error) {
+	w, err := p.synth(workload.HumanCCS)
+	if err != nil {
+		return nil, nil, err
+	}
+	s := p.spec(w, sim.CoriKNL())
+	s.SkipCompute = skipCompute
+	rows, err := sweep(s, nodes, modes)
+	return w, rows, err
+}
+
+// Experiment is one entry of the evaluation: a paper table or figure, the
+// ablation set, or a side study.
+type Experiment struct {
+	ID  string
+	Run func(Params) (Result, error)
+}
+
+// Result is what an experiment produced: its tables in print order, and
+// the simulated rows behind them (none for experiments that simulate
+// nothing), which the trace exporters and the shape tests read.
+type Result struct {
+	Tables []*stats.Table
+	Rows   []*Row
+}
+
+// Render writes r's tables to w, a blank line between two.
+func (r Result) Render(w io.Writer) {
+	for i, t := range r.Tables {
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		t.Render(w)
+	}
+}
+
+// Experiments is every experiment, in cmd/scaling's -experiment order.
+var Experiments = []Experiment{
+	{"table1", Table1}, {"fig3", Fig3}, {"fig4", Fig4}, {"fig5", Fig5}, {"fig6", Fig6},
+	{"fig7", Fig7}, {"fig8", Fig8}, {"fig9", Fig9}, {"fig10", Fig10}, {"fig11", Fig11},
+	{"fig12", Fig12}, {"fig13", Fig13}, {"intranode", Intranode}, {"dist", Dist},
+	{"serve", Serve}, {"assembly", Assembly}, {"placement", PlacementSweep},
+	{"ablations", Ablations},
+}
+
 // Table1 reproduces Table 1: the workload inventory, paper counts beside
 // the synthesized scaled counts.
-func Table1(p Params) (*stats.Table, []*workload.Workload, error) {
+func Table1(p Params) (Result, error) {
 	p = p.defaults()
-	scales := []int{p.ScaleEColi30x, p.ScaleEColi100x, p.ScaleHumanCCS}
 	t := &stats.Table{
 		Title: "Table 1: workloads (paper counts vs synthesized at 1/scale)",
 		Headers: []string{"dataset", "species", "paper-reads", "paper-tasks",
 			"scale", "reads", "tasks", "true", "false", "bases"},
 	}
-	var ws []*workload.Workload
-	for i, preset := range workload.Presets {
-		w, err := workload.Synthesize(preset, scales[i], p.Seed)
+	for _, preset := range workload.Presets {
+		w, err := p.synth(preset)
 		if err != nil {
-			return nil, nil, err
+			return Result{}, err
 		}
-		ws = append(ws, w)
 		t.AddRow(preset.Name, preset.Species,
 			stats.FmtCount(int64(preset.PaperReads)), stats.FmtCount(preset.PaperTasks),
-			fmt.Sprintf("1/%d", scales[i]),
+			fmt.Sprintf("1/%d", w.Scale),
 			stats.FmtCount(int64(len(w.Lens))), stats.FmtCount(int64(len(w.Tasks))),
 			stats.FmtCount(int64(w.TrueTasks)), stats.FmtCount(int64(w.FalseTasks)),
 			stats.FmtBytes(w.TotalBases()))
 	}
-	return t, ws, nil
+	return Result{Tables: []*stats.Table{t}}, nil
 }
 
 // Fig3 reproduces Figure 3: single-node runtime breakdowns for E. coli 30×,
 // BSP vs Async, with all 68 cores running the application (OS noise) versus
 // 64 cores plus 4 isolating system overhead.
-func Fig3(p Params) (*stats.Table, []*Row, error) {
+func Fig3(p Params) (Result, error) {
 	p = p.defaults()
-	w, err := workload.Synthesize(workload.EColi30x, p.ScaleEColi30x, p.Seed)
+	w, err := p.synth(workload.EColi30x)
 	if err != nil {
-		return nil, nil, err
+		return Result{}, err
 	}
 	var rows []*Row
 	for _, m := range []sim.Machine{sim.CoriKNLNoIsolation(), sim.CoriKNL()} {
-		for _, mode := range []Mode{BSP, Async} {
-			row, err := RunSim(SimSpec{Workload: w, Machine: m, Nodes: 1,
-				RanksPerNode: m.CoresPerNode, Mode: mode, Seed: p.Seed,
-				NewTracer: p.NewTracer, CacheBudget: p.CacheBudget, Hierarchical: p.NodeSize > 1})
-			if err != nil {
-				return nil, nil, err
-			}
-			rows = append(rows, row)
+		s := p.spec(w, m)
+		s.RanksPerNode = m.CoresPerNode
+		rs, err := sweep(s, []int{1}, paperModes)
+		if err != nil {
+			return Result{}, err
 		}
+		rows = append(rows, rs...)
 	}
 	t := breakdownTable("Figure 3: E. coli 30x on 1 node, 68 cores (left) vs 64+4 cores (right)", rows)
-	return t, rows, nil
+	return Result{Tables: []*stats.Table{t}, Rows: rows}, nil
 }
 
 // Fig4 reproduces Figure 4: single-node (64+4 cores) runtime breakdowns on
 // two problem sizes, E. coli 30× and E. coli 100×.
-func Fig4(p Params) (*stats.Table, []*Row, error) {
+func Fig4(p Params) (Result, error) {
 	p = p.defaults()
 	var rows []*Row
-	for _, spec := range []struct {
-		preset workload.Preset
-		scale  int
-	}{{workload.EColi30x, p.ScaleEColi30x}, {workload.EColi100x, p.ScaleEColi100x}} {
-		w, err := workload.Synthesize(spec.preset, spec.scale, p.Seed)
+	for _, preset := range []workload.Preset{workload.EColi30x, workload.EColi100x} {
+		w, err := p.synth(preset)
 		if err != nil {
-			return nil, nil, err
+			return Result{}, err
 		}
-		m := sim.CoriKNL()
-		for _, mode := range []Mode{BSP, Async} {
-			row, err := RunSim(SimSpec{Workload: w, Machine: m, Nodes: 1,
-				RanksPerNode: m.CoresPerNode, Mode: mode, Seed: p.Seed,
-				NewTracer: p.NewTracer, CacheBudget: p.CacheBudget, Hierarchical: p.NodeSize > 1})
-			if err != nil {
-				return nil, nil, err
-			}
-			rows = append(rows, row)
+		s := p.spec(w, sim.CoriKNL())
+		s.RanksPerNode = s.Machine.CoresPerNode
+		rs, err := sweep(s, []int{1}, paperModes)
+		if err != nil {
+			return Result{}, err
 		}
+		rows = append(rows, rs...)
 	}
 	t := breakdownTable("Figure 4: 1-node breakdowns on two problem sizes (64+4 cores)", rows)
-	return t, rows, nil
-}
-
-// ccsSweep runs Human CCS across node counts in one mode.
-func ccsSweep(p Params, nodes []int, mode Mode, skipCompute bool) ([]*Row, error) {
-	w, err := workload.Synthesize(workload.HumanCCS, p.ScaleHumanCCS, p.Seed)
-	if err != nil {
-		return nil, err
-	}
-	var rows []*Row
-	for _, n := range nodes {
-		row, err := RunSim(SimSpec{Workload: w, Machine: sim.CoriKNL(), Nodes: n,
-			RanksPerNode: p.RanksPerNode, Mode: mode, SkipCompute: skipCompute, Seed: p.Seed,
-			NewTracer: p.NewTracer, CacheBudget: p.CacheBudget, Hierarchical: p.NodeSize > 1})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return Result{Tables: []*stats.Table{t}, Rows: rows}, nil
 }
 
 // Fig5 reproduces Figure 5: minimum, average and maximum cumulative
 // seed-and-extend time per rank, and the load imbalance (max/mean), strong
 // scaling Human CCS.
-func Fig5(p Params) (*stats.Table, []*Row, error) {
+func Fig5(p Params) (Result, error) {
 	p = p.defaults()
-	nodes := p.nodesOr([]int{8, 16, 32, 64, 128, 256, 512})
-	rows, err := ccsSweep(p, nodes, BSP, false)
+	_, rows, err := p.ccs(p.nodesOr(ccsNodes), []Mode{BSP}, false)
 	if err != nil {
-		return nil, nil, err
+		return Result{}, err
 	}
 	t := &stats.Table{
 		Title:   "Figure 5: cumulative seed-and-extend time and load imbalance, strong scaling Human CCS",
@@ -178,17 +248,16 @@ func Fig5(p Params) (*stats.Table, []*Row, error) {
 			stats.FmtDur(time.Duration(r.AlignTimes.Max*float64(time.Second))),
 			fmt.Sprintf("%.2f", r.AlignTimes.Imbalance()))
 	}
-	return t, rows, nil
+	return Result{Tables: []*stats.Table{t}, Rows: rows}, nil
 }
 
 // Fig6 reproduces Figure 6: the spread (max − min) of the bulk-synchronous
 // exchange loads — received read bytes per rank — strong scaling Human CCS.
-func Fig6(p Params) (*stats.Table, []*Row, error) {
+func Fig6(p Params) (Result, error) {
 	p = p.defaults()
-	nodes := p.nodesOr([]int{8, 16, 32, 64, 128, 256, 512})
-	rows, err := ccsSweep(p, nodes, BSP, false)
+	_, rows, err := p.ccs(p.nodesOr(ccsNodes), []Mode{BSP}, false)
 	if err != nil {
-		return nil, nil, err
+		return Result{}, err
 	}
 	t := &stats.Table{
 		Title:   "Figure 6: BSP exchange-load imbalance (received bytes per rank), Human CCS",
@@ -200,28 +269,23 @@ func Fig6(p Params) (*stats.Table, []*Row, error) {
 			stats.FmtBytes(int64(r.RecvBytes.Max-r.RecvBytes.Min)),
 			fmt.Sprintf("%.2f", r.RecvBytes.Imbalance()))
 	}
-	return t, rows, nil
+	return Result{Tables: []*stats.Table{t}, Rows: rows}, nil
 }
 
 // Fig7 reproduces Figure 7: absolute (unhidden) communication latency with
 // the computation skipped, BSP vs Async, strong scaling Human CCS.
-func Fig7(p Params) (*stats.Table, map[Mode][]*Row, error) {
+func Fig7(p Params) (Result, error) {
 	p = p.defaults()
-	nodes := p.nodesOr([]int{8, 16, 32, 64, 128, 256, 512})
-	out := map[Mode][]*Row{}
-	for _, mode := range []Mode{BSP, Async} {
-		rows, err := ccsSweep(p, nodes, mode, true)
-		if err != nil {
-			return nil, nil, err
-		}
-		out[mode] = rows
+	_, rows, err := p.ccs(p.nodesOr(ccsNodes), paperModes, true)
+	if err != nil {
+		return Result{}, err
 	}
 	t := &stats.Table{
 		Title:   "Figure 7: communication latency with computation skipped, Human CCS",
 		Headers: []string{"nodes", "ranks", "BSP-avg-comm", "Async-avg-comm", "async/bsp"},
 	}
-	for i := range out[BSP] {
-		b, a := out[BSP][i], out[Async][i]
+	for i := 0; i < len(rows); i += 2 {
+		b, a := rows[i], rows[i+1]
 		ratio := "-"
 		if b.Cat[rt.CatComm] > 0 {
 			ratio = fmt.Sprintf("%.2f", float64(a.Cat[rt.CatComm])/float64(b.Cat[rt.CatComm]))
@@ -229,173 +293,131 @@ func Fig7(p Params) (*stats.Table, map[Mode][]*Row, error) {
 		t.AddRow(fmt.Sprint(b.Nodes), fmt.Sprint(b.Ranks),
 			stats.FmtDur(b.Cat[rt.CatComm]), stats.FmtDur(a.Cat[rt.CatComm]), ratio)
 	}
-	return t, out, nil
+	return Result{Tables: []*stats.Table{t}, Rows: rows}, nil
 }
 
 // Fig8 reproduces Figure 8: comparative runtime breakdown strong scaling
 // E. coli 100× from 1 to 128 nodes — conditions optimal for BSP (a single
 // bandwidth-maximizing exchange fits in memory at every scale).
-func Fig8(p Params) (*stats.Table, map[Mode][]*Row, error) {
+func Fig8(p Params) (Result, error) {
 	p = p.defaults()
-	nodes := p.nodesOr([]int{1, 2, 4, 8, 16, 32, 64, 128})
-	w, err := workload.Synthesize(workload.EColi100x, p.ScaleEColi100x, p.Seed)
+	w, err := p.synth(workload.EColi100x)
 	if err != nil {
-		return nil, nil, err
+		return Result{}, err
 	}
-	out := map[Mode][]*Row{}
-	var rows []*Row
-	for _, n := range nodes {
-		for _, mode := range []Mode{BSP, Async} {
-			row, err := RunSim(SimSpec{Workload: w, Machine: sim.CoriKNL(), Nodes: n,
-				RanksPerNode: p.RanksPerNode, Mode: mode, Seed: p.Seed,
-				NewTracer: p.NewTracer, CacheBudget: p.CacheBudget, Hierarchical: p.NodeSize > 1})
-			if err != nil {
-				return nil, nil, err
-			}
-			out[mode] = append(out[mode], row)
-			rows = append(rows, row)
-		}
+	rows, err := sweep(p.spec(w, sim.CoriKNL()), p.nodesOr([]int{1, 2, 4, 8, 16, 32, 64, 128}), paperModes)
+	if err != nil {
+		return Result{}, err
 	}
-	t := breakdownTable("Figure 8: strong scaling E. coli 100x (single-superstep BSP regime)", rows)
-	addNormalizedRuntime(t, out)
-	return t, out, nil
+	t := comparisonTable("Figure 8: strong scaling E. coli 100x (single-superstep BSP regime)", rows)
+	return Result{Tables: []*stats.Table{t}, Rows: rows}, nil
 }
 
-// addNormalizedRuntime appends the Async-vs-BSP efficiency series the
-// paper overlays on Figures 8-10.
-func addNormalizedRuntime(t *stats.Table, out map[Mode][]*Row) {
-	for i := range out[BSP] {
-		b, a := out[BSP][i], out[Async][i]
+// comparisonTable is the breakdown table of paired BSP/Async rows with the
+// Async-vs-BSP efficiency series the paper overlays on Figures 8-10.
+func comparisonTable(title string, rows []*Row) *stats.Table {
+	t := breakdownTable(title, rows)
+	for i := 0; i < len(rows); i += 2 {
+		b, a := rows[i], rows[i+1]
 		t.AddRow(b.Workload, fmt.Sprint(b.Nodes), fmt.Sprint(b.Ranks), "Async/BSP",
 			stats.FmtPct(float64(a.Runtime)/float64(b.Runtime)), "", "", "", "", "")
 	}
+	return t
 }
 
 // Fig9 reproduces Figure 9: Human CCS from 8 to 64 nodes, where the BSP
 // exchange exceeds per-rank memory and must run multiple supersteps.
-func Fig9(p Params) (*stats.Table, map[Mode][]*Row, error) {
-	p = p.defaults()
-	return ccsBreakdown(p, p.nodesOr([]int{8, 16, 32, 64}),
+func Fig9(p Params) (Result, error) {
+	return ccsComparison(p, []int{8, 16, 32, 64},
 		"Figure 9: Human CCS, 8-64 nodes (memory-limited multi-round BSP)")
 }
 
 // Fig10 reproduces Figure 10: Human CCS from 64 to 512 nodes, where a
 // single superstep fits.
-func Fig10(p Params) (*stats.Table, map[Mode][]*Row, error) {
-	p = p.defaults()
-	return ccsBreakdown(p, p.nodesOr([]int{64, 128, 256, 512}),
+func Fig10(p Params) (Result, error) {
+	return ccsComparison(p, []int{64, 128, 256, 512},
 		"Figure 10: Human CCS, 64-512 nodes (single-superstep BSP)")
 }
 
-func ccsBreakdown(p Params, nodes []int, title string) (*stats.Table, map[Mode][]*Row, error) {
-	out := map[Mode][]*Row{}
-	var rows []*Row
-	for _, mode := range []Mode{BSP, Async} {
-		rs, err := ccsSweep(p, nodes, mode, false)
-		if err != nil {
-			return nil, nil, err
-		}
-		out[mode] = rs
+func ccsComparison(p Params, nodes []int, title string) (Result, error) {
+	p = p.defaults()
+	_, rows, err := p.ccs(p.nodesOr(nodes), paperModes, false)
+	if err != nil {
+		return Result{}, err
 	}
-	for i := range out[BSP] {
-		rows = append(rows, out[BSP][i], out[Async][i])
-	}
-	t := breakdownTable(title, rows)
-	addNormalizedRuntime(t, out)
-	return t, out, nil
+	return Result{Tables: []*stats.Table{comparisonTable(title, rows)}, Rows: rows}, nil
 }
 
 // Fig11 reproduces Figure 11: maximum per-rank memory footprint of both
 // approaches vs the application-available budget and the estimated
 // all-at-once exchange requirement, strong scaling Human CCS.
-func Fig11(p Params) (*stats.Table, map[Mode][]*Row, error) {
+func Fig11(p Params) (Result, error) {
 	p = p.defaults()
-	nodes := p.nodesOr([]int{8, 16, 32, 64, 128, 256, 512})
-	out := map[Mode][]*Row{}
-	for _, mode := range []Mode{BSP, Async} {
-		rows, err := ccsSweep(p, nodes, mode, false)
-		if err != nil {
-			return nil, nil, err
-		}
-		out[mode] = rows
+	w, rows, err := p.ccs(p.nodesOr(ccsNodes), paperModes, false)
+	if err != nil {
+		return Result{}, err
 	}
 	t := &stats.Table{
 		Title: "Figure 11: max per-rank memory footprint, Human CCS",
 		Headers: []string{"nodes", "ranks", "BSP-maxmem", "Async-maxmem",
 			"budget", "est-1-round", "BSP-steps"},
 	}
-	for i := range out[BSP] {
-		b, a := out[BSP][i], out[Async][i]
+	for i := 0; i < len(rows); i += 2 {
+		b, a := rows[i], rows[i+1]
 		// The paper's estimate: total exchange load ÷ ranks + average
 		// input partition size.
-		w := specWorkload(p)
 		est := int64(b.RecvBytes.Sum/float64(b.Ranks)) + w.TotalBases()/int64(b.Ranks)
 		t.AddRow(fmt.Sprint(b.Nodes), fmt.Sprint(b.Ranks),
 			stats.FmtBytes(b.MaxMem), stats.FmtBytes(a.MaxMem),
 			stats.FmtBytes(b.MemBudget), stats.FmtBytes(est), fmt.Sprint(b.Supersteps))
 	}
-	return t, out, nil
-}
-
-// specWorkload re-synthesizes the CCS workload for estimate arithmetic
-// (cached by Go's determinism: same seed, same counts).
-func specWorkload(p Params) *workload.Workload {
-	w, err := workload.Synthesize(workload.HumanCCS, p.ScaleHumanCCS, p.Seed)
-	if err != nil {
-		panic(err)
-	}
-	return w
+	return Result{Tables: []*stats.Table{t}, Rows: rows}, nil
 }
 
 // Fig12 reproduces Figure 12: the Figure 11 footprints on an absolute scale
 // beside overall runtimes.
-func Fig12(p Params) (*stats.Table, map[Mode][]*Row, error) {
+func Fig12(p Params) (Result, error) {
 	p = p.defaults()
-	_, out, err := Fig11(p)
+	_, rows, err := p.ccs(p.nodesOr(ccsNodes), paperModes, false)
 	if err != nil {
-		return nil, nil, err
+		return Result{}, err
 	}
 	t := &stats.Table{
 		Title: "Figure 12: memory footprint and runtime, Human CCS",
 		Headers: []string{"nodes", "BSP-maxmem", "Async-maxmem", "BSP-runtime",
 			"Async-runtime", "async/bsp"},
 	}
-	for i := range out[BSP] {
-		b, a := out[BSP][i], out[Async][i]
+	for i := 0; i < len(rows); i += 2 {
+		b, a := rows[i], rows[i+1]
 		t.AddRow(fmt.Sprint(b.Nodes),
 			stats.FmtBytes(b.MaxMem), stats.FmtBytes(a.MaxMem),
 			stats.FmtDur(b.Runtime), stats.FmtDur(a.Runtime),
 			stats.FmtPct(float64(a.Runtime)/float64(b.Runtime)))
 	}
-	return t, out, nil
+	return Result{Tables: []*stats.Table{t}, Rows: rows}, nil
 }
 
 // Fig13 reproduces Figure 13: computational overhead of traversing the
 // local task structures — BSP flat arrays vs async pointer structures —
 // as a share of overall runtime, strong scaling Human CCS.
-func Fig13(p Params) (*stats.Table, map[Mode][]*Row, error) {
+func Fig13(p Params) (Result, error) {
 	p = p.defaults()
-	nodes := p.nodesOr([]int{8, 16, 32, 64, 128, 256, 512})
-	out := map[Mode][]*Row{}
-	for _, mode := range []Mode{BSP, Async} {
-		rows, err := ccsSweep(p, nodes, mode, false)
-		if err != nil {
-			return nil, nil, err
-		}
-		out[mode] = rows
+	_, rows, err := p.ccs(p.nodesOr(ccsNodes), paperModes, false)
+	if err != nil {
+		return Result{}, err
 	}
 	t := &stats.Table{
 		Title: "Figure 13: local data-structure traversal overhead, Human CCS",
 		Headers: []string{"nodes", "ranks", "BSP-ovhd", "BSP-ovhd%",
 			"Async-ovhd", "Async-ovhd%"},
 	}
-	for i := range out[BSP] {
-		b, a := out[BSP][i], out[Async][i]
+	for i := 0; i < len(rows); i += 2 {
+		b, a := rows[i], rows[i+1]
 		t.AddRow(fmt.Sprint(b.Nodes), fmt.Sprint(b.Ranks),
 			stats.FmtDur(b.Cat[rt.CatOverhead]),
 			stats.FmtPct(float64(b.Cat[rt.CatOverhead])/float64(b.Runtime)),
 			stats.FmtDur(a.Cat[rt.CatOverhead]),
 			stats.FmtPct(float64(a.Cat[rt.CatOverhead])/float64(a.Runtime)))
 	}
-	return t, out, nil
+	return Result{Tables: []*stats.Table{t}, Rows: rows}, nil
 }

@@ -1,12 +1,19 @@
 package expt
 
 import (
+	"bytes"
+	"encoding/csv"
+	"flag"
+	"os"
+	"strings"
 	"testing"
 
 	"gnbody/internal/rt"
 	"gnbody/internal/sim"
 	"gnbody/internal/workload"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/quick.golden.txt")
 
 // quick sizes every experiment down to seconds.
 func quick(nodes ...int) Params {
@@ -20,17 +27,103 @@ func quick(nodes ...int) Params {
 	}
 }
 
-func TestTable1(t *testing.T) {
-	tab, ws, err := Table1(quick())
+// byMode keeps the rows of one mode, in order.
+func byMode(rows []*Row, m Mode) []*Row {
+	var out []*Row
+	for _, r := range rows {
+		if r.Mode == m {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// cells reads an experiment's only table back through its CSV rendering:
+// one map per row, keyed by header.
+func cells(t *testing.T, res Result) []map[string]string {
+	t.Helper()
+	if len(res.Tables) != 1 {
+		t.Fatalf("got %d tables, want 1", len(res.Tables))
+	}
+	var buf bytes.Buffer
+	if err := res.Tables[0].RenderCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := csv.NewReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab == nil || len(ws) != 3 {
-		t.Fatalf("got %d workloads", len(ws))
+	var out []map[string]string
+	for _, rec := range recs[1:] {
+		row := map[string]string{}
+		for i, h := range recs[0] {
+			row[h] = rec[i]
+		}
+		out = append(out, row)
 	}
-	for i, w := range ws {
-		if len(w.Tasks) == 0 {
-			t.Errorf("workload %d empty", i)
+	return out
+}
+
+// TestExperimentsMatchGolden renders every deterministic experiment (all
+// but the wall-clock intranode, dist and serve) through the registry at
+// quick sizes and compares the bytes with what cmd/scaling printed for
+// them at -scale30 64 -scale100 512 -scaleccs 2048 -rpn 2 -nodes 2,8, the
+// "[... completed in ...]" lines stripped. Regenerate with make golden.
+func TestExperimentsMatchGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every simulated experiment")
+	}
+	var got bytes.Buffer
+	for _, e := range Experiments {
+		switch e.ID {
+		case "intranode", "dist", "serve":
+			continue
+		}
+		res, err := e.Run(quick(2, 8))
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		res.Render(&got)
+		got.WriteString("\n")
+	}
+	const path = "testdata/quick.golden.txt"
+	if *update {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("%s line %d:\n got %q\nwant %q", path, i+1, g, w)
+		}
+	}
+}
+
+func TestTable1(t *testing.T) {
+	res, err := Table1(quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := cells(t, res)
+	if len(rows) != len(workload.Presets) {
+		t.Fatalf("got %d workloads", len(rows))
+	}
+	for _, r := range rows {
+		if r["tasks"] == "0" {
+			t.Errorf("workload %s empty", r["dataset"])
 		}
 	}
 }
@@ -68,11 +161,11 @@ func TestRunSimDeterministic(t *testing.T) {
 // share grows with node count while async's stays bounded, and BSP runs a
 // single superstep throughout (the E. coli 100x regime).
 func TestFig8Shapes(t *testing.T) {
-	_, out, err := Fig8(quick(1, 8, 64))
+	res, err := Fig8(quick(1, 8, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bsp := out[BSP]
+	bsp := byMode(res.Rows, BSP)
 	if len(bsp) != 3 {
 		t.Fatalf("got %d BSP rows", len(bsp))
 	}
@@ -87,7 +180,7 @@ func TestFig8Shapes(t *testing.T) {
 	}
 	// Strong scaling: runtime decreases with node count for both modes.
 	for _, mode := range []Mode{BSP, Async} {
-		rows := out[mode]
+		rows := byMode(res.Rows, mode)
 		for i := 1; i < len(rows); i++ {
 			if rows[i].Runtime >= rows[i-1].Runtime {
 				t.Errorf("%s: no speedup from %d to %d nodes", mode, rows[i-1].Nodes, rows[i].Nodes)
@@ -103,31 +196,33 @@ func TestFig9MemoryRegime(t *testing.T) {
 	p := quick(8, 64)
 	p.ScaleHumanCCS = 512
 	p.RanksPerNode = 4
-	_, out, err := Fig9(p)
+	res, err := Fig9(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, large := out[BSP][0], out[BSP][1]
+	bsp, async := byMode(res.Rows, BSP), byMode(res.Rows, Async)
+	small, large := bsp[0], bsp[1]
 	if small.Supersteps < 2 {
 		t.Errorf("8-node CCS ran %d supersteps, want multi-round", small.Supersteps)
 	}
 	if large.Supersteps != 1 {
 		t.Errorf("64-node CCS ran %d supersteps, want 1", large.Supersteps)
 	}
-	if a := out[Async][0]; a.MaxMem >= small.MaxMem {
+	if a := async[0]; a.MaxMem >= small.MaxMem {
 		t.Errorf("async footprint %d not below BSP %d at 8 nodes", a.MaxMem, small.MaxMem)
 	}
 	// §4.4: async is more efficient in the memory-limited regime.
-	if out[Async][0].Runtime >= small.Runtime {
-		t.Errorf("async (%v) not faster than multi-round BSP (%v)", out[Async][0].Runtime, small.Runtime)
+	if async[0].Runtime >= small.Runtime {
+		t.Errorf("async (%v) not faster than multi-round BSP (%v)", async[0].Runtime, small.Runtime)
 	}
 }
 
 func TestFig5ImbalanceGrowsWithScale(t *testing.T) {
-	_, rows, err := Fig5(quick(1, 32))
+	res, err := Fig5(quick(1, 32))
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Rows
 	if rows[0].AlignTimes.Imbalance() >= rows[1].AlignTimes.Imbalance() {
 		t.Errorf("imbalance did not grow with scale: %.2f -> %.2f",
 			rows[0].AlignTimes.Imbalance(), rows[1].AlignTimes.Imbalance())
@@ -140,31 +235,29 @@ func TestFig5ImbalanceGrowsWithScale(t *testing.T) {
 }
 
 func TestFig7LatencyScalesDown(t *testing.T) {
-	_, out, err := Fig7(quick(8, 64))
+	res, err := Fig7(quick(8, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := out[Async]
+	a := byMode(res.Rows, Async)
 	if a[1].Cat[rt.CatComm] >= a[0].Cat[rt.CatComm] {
 		t.Errorf("async comm-only latency did not scale down: %v at 8 nodes, %v at 64",
 			a[0].Cat[rt.CatComm], a[1].Cat[rt.CatComm])
 	}
 	// Computation must actually be skipped.
-	for _, rows := range out {
-		for _, r := range rows {
-			if r.Cat[rt.CatAlign] > r.Runtime/100 {
-				t.Errorf("comm-only run spent %v aligning", r.Cat[rt.CatAlign])
-			}
+	for _, r := range res.Rows {
+		if r.Cat[rt.CatAlign] > r.Runtime/100 {
+			t.Errorf("comm-only run spent %v aligning", r.Cat[rt.CatAlign])
 		}
 	}
 }
 
 func TestFig3NoiseAndIsolation(t *testing.T) {
-	p := quick()
-	_, rows, err := Fig3(p)
+	res, err := Fig3(quick())
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Rows
 	if len(rows) != 4 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -182,12 +275,13 @@ func TestFig3NoiseAndIsolation(t *testing.T) {
 }
 
 func TestFig13OverheadOrdering(t *testing.T) {
-	_, out, err := Fig13(quick(8, 64))
+	res, err := Fig13(quick(8, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range out[BSP] {
-		b, a := out[BSP][i], out[Async][i]
+	bsp, async := byMode(res.Rows, BSP), byMode(res.Rows, Async)
+	for i := range bsp {
+		b, a := bsp[i], async[i]
 		if a.Cat[rt.CatOverhead] <= b.Cat[rt.CatOverhead] {
 			t.Errorf("%d nodes: pointer-store overhead (%v) not above flat-store (%v)",
 				b.Nodes, a.Cat[rt.CatOverhead], b.Cat[rt.CatOverhead])
@@ -199,10 +293,11 @@ func TestAblationAggregationMonotone(t *testing.T) {
 	p := quick(8)
 	p.ScaleHumanCCS = 512
 	p.RanksPerNode = 4
-	_, rows, err := AblationAggregation(p, []float64{1, 0.25, 0.0625})
+	res, err := AblationAggregation(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Rows
 	for i := 1; i < len(rows); i++ {
 		if rows[i].Supersteps < rows[i-1].Supersteps {
 			t.Errorf("supersteps not monotone as memory shrinks: %d then %d",
@@ -215,16 +310,17 @@ func TestAblationAggregationMonotone(t *testing.T) {
 }
 
 func TestAblationOutstandingRuns(t *testing.T) {
-	_, rows, err := AblationOutstanding(quick(8), []int{4, 256})
+	res, err := AblationOutstanding(quick(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
+	rows := res.Rows // caps 1, 4, 16, 64, 256, 1024
+	if len(rows) != 6 {
 		t.Fatalf("got %d rows", len(rows))
 	}
 	// Deeper pipelining cannot be slower in comm-only mode.
-	if rows[1].Runtime > rows[0].Runtime {
-		t.Errorf("cap=256 (%v) slower than cap=4 (%v)", rows[1].Runtime, rows[0].Runtime)
+	if rows[4].Runtime > rows[1].Runtime {
+		t.Errorf("cap=256 (%v) slower than cap=4 (%v)", rows[4].Runtime, rows[1].Runtime)
 	}
 }
 
@@ -232,26 +328,21 @@ func TestIntranodeRealRuntime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-pipeline experiment")
 	}
-	_, rows, err := Intranode(IntranodeParams{Scale: 500, MaxCores: 2, Seed: 1})
+	res, err := Intranode(Params{IntraScale: 500, MaxCores: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rows: per mode, cores 1 and 2. Both modes must find the same hits.
-	var hits [2][]int
-	for _, r := range rows {
-		i := 0
-		if r.Mode == Async {
-			i = 1
-		}
-		hits[i] = append(hits[i], r.Hits)
+	// Rows: per mode, cores 1 and 2. Every configuration must find the
+	// same hits.
+	rows := cells(t, res)
+	if len(rows) != 4 {
+		t.Fatalf("got %d rows", len(rows))
 	}
-	for i := 1; i < len(hits[0]); i++ {
-		if hits[0][i] != hits[0][0] {
-			t.Errorf("BSP hit count varies with cores: %v", hits[0])
+	for _, r := range rows[1:] {
+		if r["hits"] != rows[0]["hits"] {
+			t.Errorf("%s on %s cores found %s hits, BSP on 1 found %s",
+				r["mode"], r["cores"], r["hits"], rows[0]["hits"])
 		}
-	}
-	if len(hits[1]) > 0 && hits[1][0] != hits[0][0] {
-		t.Errorf("Async hits %d != BSP hits %d", hits[1][0], hits[0][0])
 	}
 }
 
@@ -277,32 +368,33 @@ func TestBudgetFor(t *testing.T) {
 }
 
 func TestAblationFetchBatchShape(t *testing.T) {
-	_, rows, err := AblationFetchBatch(quick(8), []int{1, 16})
+	res, err := AblationFetchBatch(quick(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
+	rows := res.Rows // batches 1, 4, 16, 64
+	if len(rows) != 4 {
 		t.Fatalf("got %d rows", len(rows))
 	}
-	if rows[1].RPCsSent >= rows[0].RPCsSent {
-		t.Errorf("batching did not reduce RPCs: %d -> %d", rows[0].RPCsSent, rows[1].RPCsSent)
+	if rows[2].RPCsSent >= rows[0].RPCsSent {
+		t.Errorf("batching did not reduce RPCs: %d -> %d", rows[0].RPCsSent, rows[2].RPCsSent)
 	}
 	// §5: on a high-latency network, aggregation must help.
-	if rows[1].Runtime >= rows[0].Runtime {
-		t.Errorf("batch=16 (%v) not faster than batch=1 (%v) at 30us latency", rows[1].Runtime, rows[0].Runtime)
+	if rows[2].Runtime >= rows[0].Runtime {
+		t.Errorf("batch=16 (%v) not faster than batch=1 (%v) at 30us latency", rows[2].Runtime, rows[0].Runtime)
 	}
 }
 
 func TestAblationDynamicBalanceRuns(t *testing.T) {
-	p := quick(4)
-	_, out, err := AblationDynamicBalance(p)
+	res, err := AblationDynamicBalance(quick(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out[Async]) != 1 || len(out[AsyncSteal]) != 1 {
-		t.Fatalf("rows missing: %v", out)
+	static, steal := byMode(res.Rows, Async), byMode(res.Rows, AsyncSteal)
+	if len(static) != 1 || len(steal) != 1 {
+		t.Fatalf("rows missing: %v", res.Rows)
 	}
-	a, s := out[Async][0], out[AsyncSteal][0]
+	a, s := static[0], steal[0]
 	if a.Hits != s.Hits {
 		t.Errorf("stealing changed hit count: %d vs %d", s.Hits, a.Hits)
 	}
@@ -315,14 +407,15 @@ func TestServeAmortization(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-pipeline experiment")
 	}
-	_, rows, err := Serve(ServeParams{Scale: 1500, Jobs: 2, Seed: 1})
+	res, err := Serve(Params{ServeScale: 1500, ServeJobs: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 || rows[0].Phase != "cold" || rows[1].Phase != "warm" {
-		t.Fatalf("rows: %+v", rows)
+	rows := cells(t, res)
+	if len(rows) != 2 || rows[0]["phase"] != "cold" || rows[1]["phase"] != "warm" {
+		t.Fatalf("rows: %v", rows)
 	}
-	if rows[0].Hits != rows[1].Hits || rows[0].Hits == 0 {
-		t.Errorf("hit counts: cold %d, warm %d", rows[0].Hits, rows[1].Hits)
+	if rows[0]["hits"] != rows[1]["hits"] || rows[0]["hits"] == "0" {
+		t.Errorf("hit counts: cold %s, warm %s", rows[0]["hits"], rows[1]["hits"])
 	}
 }

@@ -83,7 +83,7 @@ func runPlacedBSP(w *workload.Workload, ranks, nodeSize int, pl []int, cacheBudg
 // ranks, identity vs traffic-aware; measured rows run the E. coli study
 // workload for real on the dist backend at 8 ranks in 2 nodes of 4 and
 // must produce byte-identical hits under both placements.
-func PlacementSweep(p Params) (*stats.Table, error) {
+func PlacementSweep(p Params) (Result, error) {
 	sweepScale := p.ScaleHumanCCS
 	if sweepScale <= 0 {
 		// The top sweep row needs at least one read per rank: Human CCS at
@@ -102,7 +102,7 @@ func PlacementSweep(p Params) (*stats.Table, error) {
 
 	w0, err := placementBase(workload.HumanCCS, sweepScale, p.Seed)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	for _, nodes := range p.nodesOr([]int{2, 8, 32, 128, 512}) {
 		ranks := nodes * rpn
@@ -114,7 +114,7 @@ func PlacementSweep(p Params) (*stats.Table, error) {
 		w := workload.ScatterGenomeBlocks(w0, ranks)
 		pt, byRank, err := ownerTasks(w.Lens, w.Tasks, ranks)
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
 		pairs := partition.TrafficMatrix(byRank, pt, w.Lens)
 		pl := partition.PlaceByTraffic(pairs, ranks, rpn)
@@ -125,7 +125,7 @@ func PlacementSweep(p Params) (*stats.Table, error) {
 		}{{"identity", nil}, {"traffic", pl}} {
 			elapsed, intra, inter, err := sim.PriceExchange(m, nodes, rpn, row.slot, pairs, true)
 			if err != nil {
-				return nil, err
+				return Result{}, err
 			}
 			drop := "-"
 			if row.slot == nil {
@@ -143,23 +143,23 @@ func PlacementSweep(p Params) (*stats.Table, error) {
 	const mRanks, mNS = 8, 4
 	wm, err := PlacementWorkload(workload.EColi30x, 40, p.Seed, mRanks)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	pt, byRank, err := ownerTasks(wm.Lens, wm.Tasks, mRanks)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	pl := partition.PlaceByTraffic(partition.TrafficMatrix(byRank, pt, wm.Lens), mRanks, mNS)
 	idHits, idIntra, idInter, err := runPlacedBSP(wm, mRanks, mNS, nil, p.CacheBudget)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	trHits, trIntra, trInter, err := runPlacedBSP(wm, mRanks, mNS, pl, p.CacheBudget)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	if !reflect.DeepEqual(idHits, trHits) {
-		return nil, fmt.Errorf("expt: placement changed hits: %d vs %d", len(trHits), len(idHits))
+		return Result{}, fmt.Errorf("expt: placement changed hits: %d vs %d", len(trHits), len(idHits))
 	}
 	drop := "-"
 	if idInter > 0 {
@@ -169,5 +169,5 @@ func PlacementSweep(p Params) (*stats.Table, error) {
 		stats.FmtBytes(idIntra), stats.FmtBytes(idInter), "-", "-", fmt.Sprint(len(idHits)))
 	t.AddRow("measured", wm.Preset.Name, "2", fmt.Sprint(mRanks), "traffic",
 		stats.FmtBytes(trIntra), stats.FmtBytes(trInter), drop, "-", fmt.Sprint(len(trHits)))
-	return t, nil
+	return Result{Tables: []*stats.Table{t}}, nil
 }

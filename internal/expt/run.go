@@ -1,7 +1,9 @@
 // Package expt reproduces the paper's evaluation: one experiment per table
-// and figure (§4), runnable from cmd/scaling and from the root benchmark
-// harness. Multinode experiments run the core drivers under the simulator
-// (package sim); intranode experiments run them for real (package par).
+// and figure (§4), plus the ablations and side studies, listed in one
+// registry (Experiments) that cmd/scaling walks. Every experiment takes the
+// one Params and returns a Result. Multinode experiments run the core
+// drivers under the simulator (package sim); the wall-clock side studies
+// run them for real (packages par, dist and serve).
 package expt
 
 import (

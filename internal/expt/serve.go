@@ -9,23 +9,8 @@ import (
 	"gnbody/internal/workload"
 )
 
-// ServeRow is one phase of the resident-world amortization experiment.
-type ServeRow struct {
-	Phase   string // "cold" (fresh pool per job) or "warm" (one resident pool)
-	Jobs    int
-	Ranks   int
-	Elapsed time.Duration // wall clock over all jobs in the phase
-	PerJob  time.Duration
-	Hits    int // summed over jobs; must match across phases
-}
-
-// ServeParams sizes the serving experiment.
-type ServeParams struct {
-	Scale int // E. coli 30x ÷ scale per job (default 600)
-	Ranks int // ranks per resident world (default 4)
-	Jobs  int // jobs per phase (default 4)
-	Seed  int64
-}
+// serveRanks is the rank count of the serve experiment's resident world.
+const serveRanks = 4
 
 // Serve measures what the resident, multi-tenant pool buys over one-shot
 // batch execution: the cold phase builds a fresh pool (world construction,
@@ -33,26 +18,15 @@ type ServeParams struct {
 // runs the same jobs back-to-back through ONE resident pool, where equal
 // specs batch onto a warm world and per-rank workspaces are reused. The
 // hit counts must agree — amortization is not allowed to change answers.
-func Serve(p ServeParams) (*stats.Table, []ServeRow, error) {
-	if p.Scale <= 0 {
-		p.Scale = 600
-	}
-	if p.Ranks <= 0 {
-		p.Ranks = 4
-	}
-	if p.Jobs <= 0 {
-		p.Jobs = 4
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
+func Serve(p Params) (Result, error) {
+	p = p.defaults()
 	spec := serve.JobSpec{K: 15, X: 15, MinScore: 100, LoFreq: 2, HiFreq: 60, Mode: "bsp"}
-	cfg := serve.PoolConfig{Backend: "par", Ranks: p.Ranks, Worlds: 1}
+	cfg := serve.PoolConfig{Backend: "par", Ranks: serveRanks, Worlds: 1}
 
 	jobs := func(tag string) ([]*serve.Job, error) {
-		out := make([]*serve.Job, p.Jobs)
+		out := make([]*serve.Job, p.ServeJobs)
 		for i := range out {
-			reads, _, _, err := workload.Pipeline(workload.EColi30x, p.Scale, p.Seed+int64(i))
+			reads, _, _, err := workload.Pipeline(workload.EColi30x, p.ServeScale, p.Seed+int64(i))
 			if err != nil {
 				return nil, err
 			}
@@ -90,57 +64,56 @@ func Serve(p ServeParams) (*stats.Table, []ServeRow, error) {
 	// workspace allocation, the one-shot batch cost model.
 	cold, err := jobs("cold")
 	if err != nil {
-		return nil, nil, err
+		return Result{}, err
 	}
 	t0 := time.Now()
 	for _, j := range cold {
 		pool, err := serve.NewPool(cfg)
 		if err != nil {
-			return nil, nil, err
+			return Result{}, err
 		}
 		if err := run(pool, []*serve.Job{j}); err != nil {
 			pool.Drain()
-			return nil, nil, err
+			return Result{}, err
 		}
 		pool.Drain()
 	}
-	coldRow := ServeRow{Phase: "cold", Jobs: p.Jobs, Ranks: p.Ranks,
-		Elapsed: time.Since(t0), Hits: hitsOf(cold)}
-	coldRow.PerJob = coldRow.Elapsed / time.Duration(p.Jobs)
+	coldElapsed, coldHits := time.Since(t0), hitsOf(cold)
 
 	// Warm: one resident pool takes the same jobs back-to-back; equal
 	// specs batch onto the warm world.
 	warm, err := jobs("warm")
 	if err != nil {
-		return nil, nil, err
+		return Result{}, err
 	}
 	pool, err := serve.NewPool(cfg)
 	if err != nil {
-		return nil, nil, err
+		return Result{}, err
 	}
 	t0 = time.Now()
 	runErr := run(pool, warm)
-	warmRow := ServeRow{Phase: "warm", Jobs: p.Jobs, Ranks: p.Ranks,
-		Elapsed: time.Since(t0), Hits: hitsOf(warm)}
-	warmRow.PerJob = warmRow.Elapsed / time.Duration(p.Jobs)
+	warmElapsed, warmHits := time.Since(t0), hitsOf(warm)
 	pool.Drain()
 	if runErr != nil {
-		return nil, nil, runErr
+		return Result{}, runErr
 	}
-	if coldRow.Hits != warmRow.Hits {
-		return nil, nil, fmt.Errorf("expt: warm pool found %d hits, cold %d — amortization changed answers",
-			warmRow.Hits, coldRow.Hits)
+	if coldHits != warmHits {
+		return Result{}, fmt.Errorf("expt: warm pool found %d hits, cold %d — amortization changed answers",
+			warmHits, coldHits)
 	}
 
 	t := &stats.Table{
 		Title: fmt.Sprintf("Resident pool amortization (E. coli 30x ÷ %d, %d jobs, %d ranks, wall clock)",
-			p.Scale, p.Jobs, p.Ranks),
+			p.ServeScale, p.ServeJobs, serveRanks),
 		Headers: []string{"phase", "jobs", "ranks", "elapsed", "per-job", "hits"},
 	}
-	rows := []ServeRow{coldRow, warmRow}
-	for _, r := range rows {
-		t.AddRow(r.Phase, fmt.Sprint(r.Jobs), fmt.Sprint(r.Ranks),
-			stats.FmtDur(r.Elapsed), stats.FmtDur(r.PerJob), fmt.Sprint(r.Hits))
+	for _, ph := range []struct {
+		name    string
+		elapsed time.Duration
+		hits    int
+	}{{"cold", coldElapsed, coldHits}, {"warm", warmElapsed, warmHits}} {
+		t.AddRow(ph.name, fmt.Sprint(p.ServeJobs), fmt.Sprint(serveRanks), stats.FmtDur(ph.elapsed),
+			stats.FmtDur(ph.elapsed/time.Duration(p.ServeJobs)), fmt.Sprint(ph.hits))
 	}
-	return t, rows, nil
+	return Result{Tables: []*stats.Table{t}}, nil
 }
