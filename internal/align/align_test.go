@@ -310,7 +310,8 @@ func TestCostModel(t *testing.T) {
 }
 
 // BenchmarkSeedExtend measures the hot-path configuration: one warm
-// workspace reused across tasks, as the drivers run it. BenchmarkSeedExtendRef
+// workspace reused across tasks, as the drivers run it, with a sub-benchmark
+// per row leaf (go, and avx2 where the machine has it). BenchmarkSeedExtendRef
 // is the retained reference kernel on the same inputs, so one binary carries
 // its own before/after comparison.
 func BenchmarkSeedExtend1k(b *testing.B)  { benchSeedExtend(b, 1000, false) }
@@ -336,59 +337,84 @@ func benchSeedExtendX(b *testing.B, n, x int, ref bool) {
 		bb[rng.Intn(n)] = seq.Base(rng.Intn(4))
 	}
 	sc := DefaultScoring()
-	w := NewWorkspace()
-	b.ResetTimer()
-	var cells int64
-	for i := 0; i < b.N; i++ {
-		var res Result
-		var err error
-		if ref {
-			res, err = seedExtendRef(a, bb, n/2, n/2, 17, sc, x)
-		} else {
-			res, err = w.SeedExtend(a, bb, n/2, n/2, 17, sc, x)
+	run := func(b *testing.B) {
+		w := NewWorkspace()
+		b.ResetTimer()
+		var cells int64
+		for i := 0; i < b.N; i++ {
+			var res Result
+			var err error
+			if ref {
+				res, err = seedExtendRef(a, bb, n/2, n/2, 17, sc, x)
+			} else {
+				res, err = w.SeedExtend(a, bb, n/2, n/2, 17, sc, x)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			cells += int64(res.Cells)
 		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		cells += int64(res.Cells)
+		b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
 	}
-	b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
+	if ref {
+		run(b)
+		return
+	}
+	for _, l := range rowLeaves() {
+		b.Run(l.name, func(b *testing.B) {
+			defer func(saved bool) { useAVX2 = saved }(useAVX2)
+			useAVX2 = l.avx2
+			run(b)
+		})
+	}
 }
 
-// BenchmarkExtendRow times the leaf alone, at the row widths of
+// BenchmarkExtendRow times each leaf alone, at the row widths of
 // overlap-noisy (~25 cells) and of SeedExtendWide10k (~156 cells), so its
 // ns/cell separates the leaf's cost from the per-row code around it. The
 // rows start as a band near the running best with pruned cells scattered in
-// it and are then recomputed in place call after call; the leaf is
-// branch-free, so the values it meets do not steer its time.
+// it and are then recomputed in place call after call, the same rows for
+// both leaves.
 func BenchmarkExtendRow25(b *testing.B)  { benchExtendRow(b, 25, 15) }
 func BenchmarkExtendRow156(b *testing.B) { benchExtendRow(b, 156, 100) }
 
 var rowSink int32
 
 func benchExtendRow(b *testing.B, width int, x int32) {
-	const rows, best = 64, 1000
-	rng := rand.New(rand.NewSource(1))
-	row, sub := make([][]int32, rows), make([][]int32, rows)
-	for r := range row {
-		row[r], sub[r] = make([]int32, width), make([]int32, width)
-		for j := range row[r] {
-			row[r][j] = best - rng.Int31n(2*x)
-			if row[r][j] < best-x {
-				row[r][j] = negInf32
+	const rows, best, gap = 64, 1000, -1
+	for _, l := range rowLeaves() {
+		b.Run(l.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			row, sub := make([][]int32, rows), make([][]int32, rows)
+			for r := range row {
+				row[r], sub[r] = make([]int32, width), make([]int32, width)
+				for j := range row[r] {
+					row[r][j] = best - rng.Int31n(2*x)
+					if row[r][j] < best-x {
+						row[r][j] = negInf32
+					}
+					sub[r][j] = 1
+					if rng.Intn(10) == 0 {
+						sub[r][j] = -1
+					}
+				}
 			}
-			sub[r][j] = 1
-			if rng.Intn(10) == 0 {
-				sub[r][j] = -1
+			var ramp gapRamp
+			ramp.set(gap)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var v int32
+				var top int
+				if l.avx2 {
+					v, top = extendRowAVX2(row[i%rows], sub[i%rows], best, x, &ramp)
+				} else {
+					v, top = extendRow(row[i%rows], sub[i%rows], gap, best, x)
+				}
+				rowSink += v + int32(top)
 			}
-		}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/cell")
+		})
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v, top := extendRow(row[i%rows], sub[i%rows], -1, best, x)
-		rowSink += v + int32(top)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/cell")
 }
 
 func BenchmarkSW1k(b *testing.B) {

@@ -37,11 +37,27 @@ type Workspace struct {
 	// no base; its entries stay 0 and only ever meet a negInf32 diagonal.
 	prof [seq.NumBases][]int32
 
-	sub    [seq.NumBases][seq.NumBases]int32
+	sub  [seq.NumBases][seq.NumBases]int32
+	ramp gapRamp // for sub's gap
+	// subFor is the scheme sub and ramp were built for; the zero Scoring
+	// until the first row-kernel extension, whose gap is negative.
 	subFor Scoring
-	subOK  bool
 	rc     seq.Seq
 	stats  KernelStats
+}
+
+// gapRamp is (1..8)·gap, the gap multiples the AVX2 leaf adds to a block,
+// kept with the workspace so a row call loads them instead of forming
+// them. Workspace fills its 352-byte size class exactly: a wider field here
+// would raise what every rank allocates.
+type gapRamp [8]int32
+
+// set fills the ramp for gap. Only row-kernel inputs reach it, and
+// fitsInt32 keeps 8·gap inside int32 for those.
+func (g *gapRamp) set(gap int32) {
+	for i := range g {
+		g[i] = int32(i+1) * gap
+	}
 }
 
 // KernelStats counts the extensions run on a workspace by the kernel that
@@ -79,13 +95,14 @@ func (w *Workspace) ensure(sc Scoring, blen int) {
 			w.prof[c] = slab[(1+c)*n : (2+c)*n]
 		}
 	}
-	if !w.subOK || w.subFor != sc {
+	if w.subFor != sc {
 		for x := 0; x < seq.NumBases; x++ {
 			for y := 0; y < seq.NumBases; y++ {
 				w.sub[x][y] = int32(sub(sc, seq.Base(x), seq.Base(y)))
 			}
 		}
-		w.subFor, w.subOK = sc, true
+		w.ramp.set(int32(sc.Gap))
+		w.subFor = sc
 	}
 }
 
@@ -163,11 +180,11 @@ func (w *Workspace) ExtendRight(a, b seq.Seq, sc Scoring, x int) Extension {
 // (possibly reversed) inputs; inputs whose values could overflow int32, or
 // whose gap score is not a penalty, go to that reference.
 //
-// Relative to the reference, a row is one call of the branch-free leaf
-// extendRow over the window's columns, overwriting the row above in place;
-// substitution scores come from the query profile instead of a per-cell
-// base load and table lookup, cells are counted per row, and the leaf
-// reports the column of a new best.
+// Relative to the reference, a row is one call of the row leaf — extendRow,
+// or extendRowAVX2 where useAVX2 — over the window's columns, overwriting
+// the row above in place; substitution scores come from the query profile
+// instead of a per-cell base load and table lookup, cells are counted per
+// row, and the leaf reports the column of a new best.
 func (w *Workspace) extend(a, b seq.Seq, sc Scoring, x int, rev bool) Extension {
 	if x < 0 {
 		x = 0
@@ -226,7 +243,13 @@ func (w *Workspace) extend(a, b seq.Seq, sc Scoring, x int, rev bool) Extension 
 			ca = a[alen-i]
 		}
 		ca = min(ca, seq.N)
-		rowBest, top := extendRow(row[lo:hi+1], w.prof[ca][lo:hi+1], gap, best, x32)
+		var rowBest int32
+		var top int
+		if useAVX2 {
+			rowBest, top = extendRowAVX2(row[lo:hi+1], w.prof[ca][lo:hi+1], best, x32, &w.ramp)
+		} else {
+			rowBest, top = extendRow(row[lo:hi+1], w.prof[ca][lo:hi+1], gap, best, x32)
+		}
 		if top >= 0 {
 			best, bestI, bestJ = rowBest, i, lo+top
 		}

@@ -7,28 +7,82 @@ import (
 	"gnbody/internal/seq"
 )
 
-// The differential battery: the Workspace row kernel must reproduce the
-// retained reference kernel bit for bit — Score, AExt, BExt and the Cells
-// work measure — on any input and in both walk directions, with the
-// workspace deliberately kept dirty across cases to prove stale row or
-// profile contents never leak into a result.
+// The differential battery: the Workspace row kernel, on each row leaf this
+// machine runs, must reproduce the retained reference kernel bit for bit —
+// Score, AExt, BExt and the Cells work measure — on any input and in both
+// walk directions, with the workspace deliberately kept dirty across cases
+// to prove stale row or profile contents never leak into a result.
 
-// diffCase runs both kernels on one extension input, forward and over
-// reversed indices, and compares.
+// rowLeaf is one implementation of the row leaf: the Go loop extendRow, or
+// the AVX2 one where this machine can run it.
+type rowLeaf struct {
+	name string
+	avx2 bool
+}
+
+// rowLeaves lists the leaves this machine runs, the Go leaf first.
+func rowLeaves() []rowLeaf {
+	ls := []rowLeaf{{"go", false}}
+	if avx2Supported() {
+		ls = append(ls, rowLeaf{"avx2", true})
+	}
+	return ls
+}
+
+// run calls the leaf directly, as Workspace.extend calls it.
+func (l rowLeaf) run(row, sub []int32, gap, best, x int32) (int32, int) {
+	if l.avx2 {
+		var g gapRamp
+		g.set(gap)
+		return extendRowAVX2(row, sub, best, x, &g)
+	}
+	return extendRow(row, sub, gap, best, x)
+}
+
+// forLeaves runs f once per leaf with Workspace.extend calling that leaf,
+// then restores the selection.
+func forLeaves(f func(l rowLeaf)) {
+	defer func(saved bool) { useAVX2 = saved }(useAVX2)
+	for _, l := range rowLeaves() {
+		useAVX2 = l.avx2
+		f(l)
+	}
+}
+
+// diffCase runs the row kernel on every leaf and the reference kernel on
+// one extension input, forward and over reversed indices, and compares.
 func diffCase(t *testing.T, w *Workspace, a, b seq.Seq, sc Scoring, x int) {
 	t.Helper()
-	for _, rev := range []bool{false, true} {
-		ra, rb := a, b
-		if rev {
-			ra, rb = reverse(a), reverse(b)
+	forLeaves(func(l rowLeaf) {
+		for _, rev := range []bool{false, true} {
+			ra, rb := a, b
+			if rev {
+				ra, rb = reverse(a), reverse(b)
+			}
+			want := extendRightRef(ra, rb, sc, x)
+			got := w.extend(a, b, sc, x, rev)
+			if got != want {
+				t.Fatalf("%s leaf: extend(a=%s,b=%s,%+v,x=%d,rev=%v):\n workspace %+v\n reference %+v",
+					l.name, a, b, sc, x, rev, got, want)
+			}
 		}
-		want := extendRightRef(ra, rb, sc, x)
-		got := w.extend(a, b, sc, x, rev)
-		if got != want {
-			t.Fatalf("extend(a=%s,b=%s,%+v,x=%d,rev=%v):\n workspace %+v\n reference %+v",
-				a, b, sc, x, rev, got, want)
+	})
+}
+
+// seedDiffCase compares SeedExtend on every leaf with the reference.
+func seedDiffCase(t *testing.T, w *Workspace, a, b seq.Seq, posA, posB, k int, sc Scoring, x int) {
+	t.Helper()
+	want, errW := seedExtendRef(a, b, posA, posB, k, sc, x)
+	forLeaves(func(l rowLeaf) {
+		got, errG := w.SeedExtend(a, b, posA, posB, k, sc, x)
+		if (errW == nil) != (errG == nil) {
+			t.Fatalf("%s leaf: error mismatch: ref %v, workspace %v", l.name, errW, errG)
 		}
-	}
+		if errW == nil && got != want {
+			t.Fatalf("%s leaf: SeedExtend(|a|=%d,|b|=%d,posA=%d,posB=%d,k=%d,%+v,x=%d):\n workspace %+v\n reference %+v",
+				l.name, len(a), len(b), posA, posB, k, sc, x, got, want)
+		}
+	})
 }
 
 func randSeq(rng *rand.Rand, n int) seq.Seq {
@@ -128,7 +182,7 @@ func refRow(up, sub []int32, gap, best, x int32) (out []int32, rowBest int32, to
 	return out, best, top
 }
 
-// TestExtendRowMatchesCells pins the leaf to refRow on windows the driver
+// TestExtendRowMatchesCells pins each leaf to refRow on windows the driver
 // never builds on its own schedule: widths 0–300, up rows with negInf32
 // runs, real profile rows, x = 0 and |gap| ≠ |mismatch| — every stored
 // cell, the returned best and the column of its first occurrence.
@@ -162,17 +216,88 @@ func TestExtendRowMatchesCells(t *testing.T) {
 			}
 		}
 
-		wantRow, wantBest, wantTop := refRow(up, sub, int32(sc.Gap), best, x)
-		row := append([]int32(nil), up...)
-		gotBest, gotTop := extendRow(row, sub, int32(sc.Gap), best, x)
-		if gotBest != wantBest || gotTop != wantTop {
-			t.Fatalf("iter %d (%+v, x=%d, best=%d, width %d): leaf returned (%d, %d), reference (%d, %d)",
-				iter, sc, x, best, width, gotBest, gotTop, wantBest, wantTop)
+		for _, l := range rowLeaves() {
+			checkLeaf(t, l, append([]int32(nil), up...), sub, int32(sc.Gap), best, x)
 		}
-		for j := range row {
-			if row[j] != wantRow[j] {
-				t.Fatalf("iter %d (%+v, x=%d, best=%d): cell %d of %d stored %d, reference %d\n up  %v\n sub %v",
-					iter, sc, x, best, j, width, row[j], wantRow[j], up, sub)
+	}
+}
+
+// checkLeaf runs leaf l over row in place and compares every stored cell,
+// the returned best and top with refRow on the row's entry values.
+func checkLeaf(t *testing.T, l rowLeaf, row, sub []int32, gap, best, x int32) {
+	t.Helper()
+	up := append([]int32(nil), row...)
+	wantRow, wantBest, wantTop := refRow(up, sub, gap, best, x)
+	gotBest, gotTop := l.run(row, sub, gap, best, x)
+	if gotBest != wantBest || gotTop != wantTop {
+		t.Fatalf("%s leaf (gap=%d, x=%d, best=%d, width %d): returned (%d, %d), reference (%d, %d)",
+			l.name, gap, x, best, len(up), gotBest, gotTop, wantBest, wantTop)
+	}
+	for j := range row {
+		if row[j] != wantRow[j] {
+			t.Fatalf("%s leaf (gap=%d, x=%d, best=%d): cell %d of %d stored %d, reference %d\n up  %v\n sub %v",
+				l.name, gap, x, best, j, len(up), row[j], wantRow[j], up, sub)
+		}
+	}
+}
+
+// TestRowLeafGuards holds every leaf to refRow where a vector leaf can go
+// wrong: each width 0–300 (every partial last block of 1–7 columns after
+// every count of full blocks), x = 0, and the largest score magnitude
+// fitsInt32 admits for a one-row extension of that width, where the AVX2
+// scans come closest to int32's floor. The row and profile sit between
+// sentinels: the row's must survive, and the profile's would raise the best
+// if a leaf read them.
+func TestRowLeafGuards(t *testing.T) {
+	const sentinel = 0x5a5a5a5a
+	rng := rand.New(rand.NewSource(12))
+	for width := 0; width <= 300; width++ {
+		edge := int32((1<<29 - 1) / (width + 2)) // fitsInt32's n for alen 1, blen width-1
+		if width > 0 {
+			sc := Scoring{Match: int(edge), Mismatch: -int(edge), Gap: -int(edge)}
+			in := fitsInt32(1, width-1, sc, 0)
+			sc.Match++
+			if !in || fitsInt32(1, width-1, sc, 0) {
+				t.Fatalf("width %d: %d is not the largest magnitude fitsInt32 admits", width, edge)
+			}
+		}
+		for _, c := range []struct{ gap, mag, x int32 }{
+			{-1 - rng.Int31n(8), 1 + rng.Int31n(5), 0},
+			{-1 - rng.Int31n(8), 1 + rng.Int31n(5), rng.Int31n(40)},
+			{-edge, edge, 0},
+		} {
+			best := rng.Int31n(1000)
+			if c.mag == edge {
+				best = 0
+			}
+			rowBuf, subBuf := make([]int32, width+16), make([]int32, width+16)
+			for j := range rowBuf {
+				rowBuf[j], subBuf[j] = sentinel, sentinel
+			}
+			up, sub := make([]int32, width), subBuf[1:1+width]
+			for j := range up {
+				switch {
+				case rng.Intn(3) == 0:
+					up[j] = negInf32
+				case c.mag == edge:
+					up[j] = -rng.Int31n(edge)
+				default:
+					up[j] = best - rng.Int31n(c.x+8) + 3
+				}
+				sub[j] = c.mag
+				if rng.Intn(3) == 0 {
+					sub[j] = -c.mag
+				}
+			}
+			for _, l := range rowLeaves() {
+				row := rowBuf[1 : 1+width]
+				copy(row, up)
+				checkLeaf(t, l, row, sub, c.gap, best, c.x)
+				for j, v := range rowBuf {
+					if (j == 0 || j > width) && v != sentinel {
+						t.Fatalf("%s leaf, width %d: wrote %d to row cell %d, outside the window", l.name, width, v, j-1)
+					}
+				}
 			}
 		}
 	}
@@ -230,16 +355,7 @@ func TestWorkspaceMatchesReferenceSeedExtend(t *testing.T) {
 		k := 1 + rng.Intn(17)
 		posA := rng.Intn(n - k + 1)
 		posB := rng.Intn(n - k + 1)
-		x := rng.Intn(50)
-		want, errW := seedExtendRef(a, b, posA, posB, k, sc, x)
-		got, errG := w.SeedExtend(a, b, posA, posB, k, sc, x)
-		if (errW == nil) != (errG == nil) {
-			t.Fatalf("error mismatch: ref %v, workspace %v", errW, errG)
-		}
-		if errW == nil && got != want {
-			t.Fatalf("SeedExtend(n=%d,posA=%d,posB=%d,k=%d,x=%d):\n workspace %+v\n reference %+v",
-				n, posA, posB, k, x, got, want)
-		}
+		seedDiffCase(t, w, a, b, posA, posB, k, sc, rng.Intn(50))
 	}
 }
 
@@ -279,14 +395,16 @@ func TestSeedExtendWarmWorkspaceAllocFree(t *testing.T) {
 	if st := w.TakeStats(); st.RowExts != 2 || st.RefExts != 0 {
 		t.Fatalf("warm-up did not run on the row kernel: %+v", st)
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := w.SeedExtend(a, b, n/2, n/2, 17, sc, 15); err != nil {
-			t.Fatal(err)
+	forLeaves(func(l rowLeaf) {
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := w.SeedExtend(a, b, n/2, n/2, 17, sc, 15); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s leaf: warm-workspace SeedExtend allocates %.1f times per run, want 0", l.name, allocs)
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("warm-workspace SeedExtend allocates %.1f times per run, want 0", allocs)
-	}
 }
 
 // TestRevCompWarmAllocFree pins the reverse-complement scratch: warm
@@ -313,8 +431,9 @@ func TestRevCompWarmAllocFree(t *testing.T) {
 
 // FuzzXDropDiff is the differential fuzz target: arbitrary sequences,
 // seeds, X parameters and scoring magnitudes — across the fitsInt32 gate —
-// through both kernels, forward and reversed, on a package-shared dirty
-// workspace. Any divergence in Score/AExt/BExt/Cells fails.
+// through the reference and the row kernel on every leaf, forward and
+// reversed, on a package-shared dirty workspace. Any divergence in
+// Score/AExt/BExt/Cells fails.
 func FuzzXDropDiff(f *testing.F) {
 	f.Add([]byte("\x00\x01\x02\x03"), []byte("\x00\x01\x02\x03"), 2, 2, 2, 15, 1, 1, 1)
 	f.Add([]byte("\x00\x00\x01\x01\x02\x02"), []byte("\x02\x02\x01\x01"), 0, 0, 3, 4, 5, 4, 11)
@@ -335,14 +454,6 @@ func FuzzXDropDiff(f *testing.F) {
 		x %= 1 << 29
 
 		diffCase(t, w, a, b, sc, x)
-
-		wantR, errR := seedExtendRef(a, b, posA, posB, k, sc, x)
-		gotR, errG := w.SeedExtend(a, b, posA, posB, k, sc, x)
-		if (errR == nil) != (errG == nil) {
-			t.Fatalf("error mismatch: ref %v, workspace %v", errR, errG)
-		}
-		if errR == nil && gotR != wantR {
-			t.Fatalf("SeedExtend diverged (%+v, x=%d):\n workspace %+v\n reference %+v", sc, x, gotR, wantR)
-		}
+		seedDiffCase(t, w, a, b, posA, posB, k, sc, x)
 	})
 }

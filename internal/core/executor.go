@@ -62,6 +62,7 @@ func (e RealExecutor) Align(r rt.Runtime, t overlap.Task, a, b seq.Seq) (align.R
 		res, err = overlap.AlignTaskWS(w, a, b, t, e.Scoring, e.X)
 	})
 	if err != nil {
+		// Invariant: a peer's tasks passed checkStolen and its reads readDecoder's length check.
 		panic("core: invalid task reached the aligner: " + err.Error())
 	}
 	// Drain the workspace's kernel counters into the rank's metrics. The

@@ -79,8 +79,12 @@ func stealFromPeers(f *fetcher) {
 				groups, err = decodeStolenGroups(val)
 			})
 			r.Drain(0)
+			if err == nil {
+				err = checkStolen(f.in, groups)
+			}
 			if err != nil {
 				f.fail(&ExchangeError{r.Rank(), victim, fmt.Sprintf("bad steal bundle: %v", err)})
+				groups = nil
 			}
 			tb.Span(trace.KindSteal, tProbe, int64(len(groups))) // 0: failed probe
 			if len(groups) == 0 {
@@ -166,6 +170,31 @@ func decodeStolenGroups(buf []byte) ([]stolenGroup, error) {
 		out = append(out, g)
 	}
 	return out, nil
+}
+
+// checkStolen holds a decoded bundle to the thief's Input before anything in
+// it is fetched: every read id must index the length vector (the partition
+// names no owner past it), every task must belong to its group's read, and
+// every seed must lie inside both reads, which the aligner takes on trust.
+func checkStolen(in *Input, groups []stolenGroup) error {
+	n := len(in.Lens)
+	for _, g := range groups {
+		if int(g.rid) >= n {
+			return fmt.Errorf("group read %d of %d", g.rid, n)
+		}
+		for _, t := range g.tasks {
+			if int(t.A) >= n || int(t.B) >= n || (t.A != g.rid && t.B != g.rid) {
+				return fmt.Errorf("task (%d, %d) in the group of read %d of %d", t.A, t.B, g.rid, n)
+			}
+			s := t.Seed
+			if s.PosA < 0 || s.PosB < 0 || s.K <= 0 ||
+				int64(s.PosA)+int64(s.K) > int64(in.Lens[t.A]) || int64(s.PosB)+int64(s.K) > int64(in.Lens[t.B]) {
+				return fmt.Errorf("task (%d, %d): seed (%d, %d)+%d outside reads of length %d, %d",
+					t.A, t.B, s.PosA, s.PosB, s.K, in.Lens[t.A], in.Lens[t.B])
+			}
+		}
+	}
+	return nil
 }
 
 // runStolenGroup executes a stolen task group: fetch the group's remote

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"errors"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -281,4 +284,129 @@ func FuzzStolenGroups(f *testing.F) {
 			t.Fatalf("re-encoded bundle decodes to %v (%v), want %v", back, err, groups)
 		}
 	})
+}
+
+// TestStealRejectsForgedBundle: a steal bundle is a peer's bytes. A thief
+// handed one that names a read past the length vector, files a task under a
+// read it does not involve, or carries a seed outside its reads fails with
+// an ExchangeError naming the victim before it fetches anything; the victim
+// finishes, and nobody hangs. Without the check the first indexed the
+// length vector out of range and the seeds reached the aligner's panic.
+func TestStealRejectsForgedBundle(t *testing.T) {
+	const p = 2
+	w := makeWorkload(t, 9000, 6, 103)
+	lens := w.lens()
+	lensInt := make([]int, len(lens))
+	for i, l := range lens {
+		lensInt[i] = int(l)
+	}
+	pt, err := partition.BySize(lensInt, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rank 0 holds every task it may (the owner invariant), so rank 1 has
+	// nothing of its own and goes straight to stealing.
+	var tasks []overlap.Task
+	for _, task := range w.tasks {
+		if pt.Owner(task.A) == 0 || pt.Owner(task.B) == 0 {
+			tasks = append(tasks, task)
+		}
+	}
+	n := seq.ReadID(len(lens))
+	for _, tc := range []struct {
+		name  string
+		forge func(g *stolenGroup)
+	}{
+		{"task read past the length vector", func(g *stolenGroup) {
+			if g.tasks[0].A == g.rid {
+				g.tasks[0].B = n
+			} else {
+				g.tasks[0].A = n
+			}
+		}},
+		{"group read past the length vector", func(g *stolenGroup) { g.rid, g.tasks = n+7, nil }},
+		{"task outside its group", func(g *stolenGroup) { g.tasks[0].A, g.tasks[0].B = (g.rid+1)%n, (g.rid+2)%n }},
+		{"seed past the read", func(g *stolenGroup) { g.tasks[0].Seed.PosA = int32(lens[g.tasks[0].A]) }},
+		{"negative seed", func(g *stolenGroup) { g.tasks[0].Seed.PosB = -1 }},
+		{"empty seed", func(g *stolenGroup) { g.tasks[0].Seed.K = 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			world, err := par.NewWorld(par.Config{P: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer world.Close()
+			var forged atomic.Bool
+			errs := make([]error, p)
+			world.Run(func(r rt.Runtime) {
+				lo, hi := pt.Range(r.Rank())
+				st := seq.Scope(w.reads, lo, hi, lens)
+				in := &Input{Part: pt, Lens: lens, Codec: RealCodec{Store: st}, Store: st}
+				if r.Rank() == 0 {
+					in.Tasks = tasks
+				} else {
+					r = &forgingRuntime{Runtime: r, forge: tc.forge, done: &forged}
+				}
+				exec := stallingExecutor{RealExecutor{Scoring: align.DefaultScoring(), X: 15}, &forged}
+				_, errs[r.Rank()] = RunAsyncStealing(r, in, Config{Exec: exec, MinScore: 40, StealBatch: 4})
+			})
+			if !forged.Load() {
+				t.Fatal("rank 1 never received a bundle to forge")
+			}
+			var xe *ExchangeError
+			if !errors.As(errs[1], &xe) || xe.Rank != 1 || xe.From != 0 || !strings.Contains(xe.Reason, "bad steal bundle") {
+				t.Errorf("thief returned %v, want an ExchangeError naming victim 0", errs[1])
+			}
+			if errs[0] != nil {
+				t.Errorf("victim returned %v", errs[0])
+			}
+		})
+	}
+}
+
+// forgingRuntime rewrites the first group of the first non-empty steal
+// bundle this rank receives, then sets done.
+type forgingRuntime struct {
+	rt.Runtime
+	forge func(g *stolenGroup)
+	done  *atomic.Bool
+}
+
+func (c *forgingRuntime) AsyncCall(owner int, req []byte, cb func([]byte)) {
+	if req[0] != reqSteal {
+		c.Runtime.AsyncCall(owner, req, cb)
+		return
+	}
+	c.Runtime.AsyncCall(owner, req, func(val []byte) {
+		if groups, err := decodeStolenGroups(val); err == nil && len(groups) > 0 && !c.done.Load() {
+			c.forge(&groups[0])
+			val = nil
+			for _, g := range groups {
+				ptrs := make([]*overlap.Task, len(g.tasks))
+				for i := range g.tasks {
+					ptrs[i] = &g.tasks[i]
+				}
+				val = appendStolenGroup(val, g.rid, ptrs)
+			}
+			c.done.Store(true)
+		}
+		cb(val)
+	})
+}
+
+// stallingExecutor keeps its rank polling before its first task until the
+// thief has its forged bundle, so the victim's queue still holds groups to
+// hand over when the probe arrives. The wait is bounded: a test that never
+// forges fails instead of hanging. (exec is a field, not embedded, so the
+// executor is no PerRankExecutor whose ForRank would drop the stall.)
+type stallingExecutor struct {
+	exec   RealExecutor
+	forged *atomic.Bool
+}
+
+func (e stallingExecutor) Align(r rt.Runtime, t overlap.Task, a, b seq.Seq) (align.Result, bool) {
+	for deadline := time.Now().Add(10 * time.Second); !e.forged.Load() && time.Now().Before(deadline); {
+		r.Progress()
+	}
+	return e.exec.Align(r, t, a, b)
 }
