@@ -19,11 +19,13 @@
 #                most 4 blocking runtime calls per rank, whatever the chain
 #                lengths, and no operation may fail — exact counts, so no
 #                timing noise
-#   make exchange-allocs  one untraced 5 s run of the benchmark's
-#                exchange-tcp workload: the read exchange (a BSP and an
-#                async pass over TCP) must allocate at most 200 MB per rep
-#                and no operation may fail — alloc_mb repeats to ±0.01 %
-#                run to run, so this is a count, not a timing
+#   make allocs  one untraced 5 s run each of two benchmark workloads on
+#                seed 1, each with a ceiling on alloc_mb per rep and no
+#                failed operation: exchange-tcp (the read exchange, a BSP
+#                and an async pass over TCP) at most 200 MB, overlap-noisy
+#                (discover and align in-process) at most 25 MB — alloc_mb
+#                repeats to ±0.01 % run to run, so these are counts, not
+#                timings
 #   make kernel-cells  one traced 5 s run of the benchmark's
 #                overlap-noisy workload on seed 1 and one on held-out
 #                seed 2: the aligner must see exactly 918 / 921 tasks and
@@ -60,9 +62,9 @@
 
 GO      ?= go
 FUZZT   ?= 10s
-LOC_BUDGET = 18249
+LOC_BUDGET = 18332
 
-.PHONY: check vet fmtcheck build test bench-build backhalf-rounds exchange-allocs kernel-cells loc loc-budget race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke ci
+.PHONY: check vet fmtcheck build test bench-build backhalf-rounds allocs kernel-cells loc loc-budget race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke ci
 
 check: vet fmtcheck build test bench-build loc-budget
 
@@ -94,14 +96,17 @@ backhalf-rounds:
 		  if (rounds > 4 || failed != 0) { printf "backhalf-rounds: graph.contig_rounds %s (limit 4), failed %s (limit 0)\n", rounds, failed; exit 1 } \
 		  printf "backhalf-rounds: OK (graph.contig_rounds %s, failed 0)\n", rounds }'
 
-exchange-allocs:
-	@out=$$(bash benchmark/run.sh -workload exchange-tcp -seconds 5) || { echo "$$out"; exit 1; }; \
-	echo "$$out" | awk ' \
-		$$1 == "=" && $$2 == "alloc_mb" { mb = $$3; seen = 1 } \
-		/operations attempted/ { ops = 1; failed = $$NF } \
-		END { if (!seen || !ops) { print "exchange-allocs: report lacks alloc_mb or the operations line"; exit 1 } \
-		  if (mb > 200 || failed != 0) { printf "exchange-allocs: alloc_mb %s (limit 200), failed %s (limit 0)\n", mb, failed; exit 1 } \
-		  printf "exchange-allocs: OK (alloc_mb %s, failed 0)\n", mb }'
+allocs:
+	@for want in "exchange-tcp 200" "overlap-noisy 25"; do \
+		set -- $$want; \
+		out=$$(bash benchmark/run.sh -workload $$1 -seed 1 -seconds 5) || { echo "$$out"; exit 1; }; \
+		echo "$$out" | awk -v w=$$1 -v limit=$$2 ' \
+			$$1 == "=" && $$2 == "alloc_mb" { mb = $$3; seen = 1 } \
+			/operations attempted/ { ops = 1; failed = $$NF } \
+			END { if (!seen || !ops) { printf "allocs %s: report lacks alloc_mb or the operations line\n", w; exit 1 } \
+			  if (mb > limit || failed != 0) { printf "allocs %s: alloc_mb %s (limit %s), failed %s (limit 0)\n", w, mb, limit, failed; exit 1 } \
+			  printf "allocs %s: OK (alloc_mb %s, limit %s, failed 0)\n", w, mb, limit }' || exit 1; \
+	done
 
 kernel-cells:
 	@for want in "1 918 69296131" "2 921 66789819"; do \
@@ -293,4 +298,4 @@ placement-smoke:
 		  printf "placement-smoke tiers: OK (%d intra, %d inter bytes)\n", intra, inter }' \
 		$$(ls $$tmp/met-contigs.csv.rank*) || exit 1
 
-ci: check backhalf-rounds exchange-allocs kernel-cells race fuzz chaos dist-smoke serve-smoke assemble-smoke placement-smoke
+ci: check backhalf-rounds allocs kernel-cells race fuzz chaos dist-smoke serve-smoke assemble-smoke placement-smoke

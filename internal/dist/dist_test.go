@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -466,5 +467,50 @@ func TestVectoredSendCountsTheSameBytes(t *testing.T) {
 		if flat.inter[rk] != want || flat.intra[rk] != 0 {
 			t.Errorf("rank %d: alltoallv charged %d inter and %d intra bytes, want %d and 0", rk, flat.inter[rk], flat.intra[rk], want)
 		}
+	}
+}
+
+// TestOversizeFrameFailsTheSender: an alltoallv row longer than the fabric's
+// MaxFrame fails the sending rank with a *RankError naming the operation
+// and wrapping the transport's *FrameSizeError, on both fabrics alike.
+// Nothing was written, so the link stays up: the peer only starves into
+// its progress deadline, and a frame sent afterwards still arrives.
+func TestOversizeFrameFailsTheSender(t *testing.T) {
+	big := make([]byte, transport.MaxFrame+1) // never touched: virtual memory only
+	for name, fabric := range map[string][]transport.Transport{
+		"loopback": transport.NewLoopback(2),
+		"tcp":      tcpMesh(t, 2),
+	} {
+		w, err := NewWorldOver(fabric, Config{ProgressDeadline: 300 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Run(func(r rt.Runtime) {
+			send := make([][]byte, 2)
+			if r.Rank() == 0 {
+				send[1] = big
+			}
+			r.Alltoallv(send)
+		})
+		var re *RankError
+		var fe *transport.FrameSizeError
+		if err := w.Rank(0).Err(); !errors.As(err, &re) || re.Op != "alltoallv" || !errors.As(err, &fe) {
+			t.Errorf("%s: rank 0 failed with %v, want an alltoallv RankError over a FrameSizeError", name, err)
+		}
+		if err := fabric[0].Send(1, []byte("still up")); err != nil {
+			t.Fatalf("%s: send after the refusal: %v", name, err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			_, frame, ok, err := fabric[1].Recv()
+			if err != nil || time.Now().After(deadline) {
+				t.Fatalf("%s: link down after the refusal (%v)", name, err)
+			}
+			if ok && string(frame) == "still up" {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		w.Close()
 	}
 }

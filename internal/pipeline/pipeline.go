@@ -3,7 +3,8 @@
 // fixed-width records: each rank turns every k-mer instance of its own
 // reads into one 16-byte occurrence record routed to the canonical code's
 // hash owner in an irregular all-to-all; the owner radix-sorts what it
-// received by code and scans the runs — a run's length is the k-mer's
+// received by code, less the k-mers a count table proves it saw once, and
+// scans the runs — a run's length is the k-mer's
 // global count, tested once against the reliable-frequency window, and a
 // retained run's first occurrence per read turns into candidate pairs;
 // pairs are deduplicated at hash owners by sorting on the pair and keeping
@@ -76,45 +77,98 @@ func (e *WireError) Error() string {
 	return fmt.Sprintf("pipeline: %s list from rank %d: %s", e.Record, e.From, e.Reason)
 }
 
-// decodeFrames decodes each size-byte record of each rank's frame with
-// rec, in rank order. A frame that is not whole records, or a record rec
-// rejects, is a *WireError naming the rank that sent it.
+// scanFrames runs ok over each size-byte record of each rank's frame, in
+// rank order. A frame that is not whole records, or a record ok rejects, is
+// a *WireError naming the rank that sent it.
+func scanFrames(record string, frames [][]byte, size int, ok func([]byte) bool) error {
+	for from, buf := range frames {
+		if len(buf)%size != 0 {
+			return &WireError{record, from, fmt.Sprintf("ragged: %d bytes, %d per record", len(buf), size)}
+		}
+		for ; len(buf) > 0; buf = buf[size:] {
+			if !ok(buf[:size]) {
+				return &WireError{record, from, fmt.Sprintf("bad record % x", buf[:size])}
+			}
+		}
+	}
+	return nil
+}
+
+// decodeFrames decodes every record of a round with rec, under
+// scanFrames's checks.
 func decodeFrames[T any](record string, frames [][]byte, size int, rec func([]byte) (T, bool)) ([]T, error) {
 	n := 0
 	for _, buf := range frames {
 		n += len(buf) / size
 	}
 	out := make([]T, 0, n)
-	for from, buf := range frames {
-		if len(buf)%size != 0 {
-			return nil, &WireError{record, from, fmt.Sprintf("ragged: %d bytes, %d per record", len(buf), size)}
-		}
-		for ; len(buf) > 0; buf = buf[size:] {
-			v, ok := rec(buf[:size])
-			if !ok {
-				return nil, &WireError{record, from, fmt.Sprintf("bad record % x", buf[:size])}
-			}
-			out = append(out, v)
-		}
+	err := scanFrames(record, frames, size, func(b []byte) bool {
+		v, ok := rec(b)
+		out = append(out, v)
+		return ok
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// decodeOccs decodes a round of occurrence frames, checking what the run
-// scan relies on: codes within 2k bits, windows inside their reads, and
-// (read, pos) strictly ascending throughout. The last is the ordering
-// contract that lets a stable sort by code stand in for a sort by (code,
-// read, pos): ranks own contiguous ascending read ranges (Partition.Range),
-// scan them in order, and their frames are decoded in rank order.
-func decodeOccs(frames [][]byte, lens []int32, k int) ([]occRec, error) {
+// occSlots sizes the owner's count table: occSlots to 2·occSlots one-byte
+// slots per received occurrence record, a power of two.
+const occSlots = 4
+
+// repeatedOccs decodes a round of occurrence frames, keeping only the
+// records that can seed a pair. Pass 1 checks every record for what the run
+// scan relies on — codes within 2k bits, windows inside their reads, and
+// (read, pos) strictly ascending throughout, the ordering contract that
+// lets a stable sort by code stand in for a sort by (code, read, pos):
+// ranks own contiguous ascending read ranges (Partition.Range), scan them
+// in order, and their frames are decoded in rank order. It also counts each
+// code into a saturating 0/1/2 table of about slots per record, indexed by
+// the high bits of splitmix(code). Pass 2 keeps, in frame order, the
+// records whose slot reached 2.
+//
+// Every record of a code shares its slot, so a code seen twice or more is
+// kept whole and its run is still its global instance count. A dropped
+// record is alone in its slot: a distinct k-mer seen once, counted in
+// singles. A singleton kept through a collision is a run of one, which the
+// run scan's floor of 2 drops.
+func repeatedOccs(frames [][]byte, lens []int32, k, slots int) (kept []occRec, singles int64, err error) {
+	n := 0
+	for _, buf := range frames {
+		n += len(buf) / occWire
+	}
+	tableBits := bits.Len(uint(slots * n))
+	seen := make([]uint8, 1<<tableBits)
+	shift := 64 - tableBits
+	keep := 0
 	next := uint64(0) // the smallest (read, pos) the next record may carry
-	return decodeFrames("occurrence", frames, occWire, func(b []byte) (occRec, bool) {
-		o := occRec{binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint32(b[8:]), binary.LittleEndian.Uint32(b[12:])}
-		at := uint64(o.read)<<32 | uint64(o.posRC>>1)
-		ok := o.code>>(2*uint(k)) == 0 && int(o.read) < len(lens) && int(o.posRC>>1)+k <= int(lens[o.read]) && at >= next
+	err = scanFrames("occurrence", frames, occWire, func(b []byte) bool {
+		code, read, posRC := binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint32(b[8:]), binary.LittleEndian.Uint32(b[12:])
+		at := uint64(read)<<32 | uint64(posRC>>1)
+		ok := code>>(2*uint(k)) == 0 && int(read) < len(lens) && int(posRC>>1)+k <= int(lens[read]) && at >= next
 		next = at + 1
-		return o, ok
+		h := splitmix(code) >> shift
+		s := seen[h]
+		seen[h] = s + 1 - s>>1
+		keep += int(s&1<<1 | s>>1) // the second record of a slot keeps itself and the first
+		return ok
 	})
+	if err != nil {
+		return nil, 0, err
+	}
+	// Branch-free: every record is written, and the index moves past it only
+	// if its slot reached 2 (hence the one spare element).
+	kept = make([]occRec, keep+1)
+	j := 0
+	for _, buf := range frames {
+		for ; len(buf) > 0; buf = buf[occWire:] {
+			o := occRec{binary.LittleEndian.Uint64(buf), binary.LittleEndian.Uint32(buf[8:]), binary.LittleEndian.Uint32(buf[12:])}
+			kept[j] = o
+			j += int(seen[splitmix(o.code)>>shift] >> 1)
+		}
+	}
+	return kept[:keep], int64(n - keep), nil
 }
 
 // putTask appends t's task record to buf.
@@ -206,50 +260,15 @@ func (pl *Plan) Run(r rt.Runtime, store seq.Store) (*Output, error) {
 	})
 	recvOcc := r.Alltoallv(sendOcc)
 
-	// --- Stage: sort by code; a run is a k-mer, its length the global count. ---
+	// --- Stage: drop singletons, sort by code, scan the runs. ---
 	sendTask := make([][]byte, p)
 	r.Timed(rt.CatOverhead, func() {
-		recs, err := decodeOccs(recvOcc, pl.Lens, pl.K)
+		recs, singles, err := repeatedOccs(recvOcc, pl.Lens, pl.K, occSlots)
 		if fail = errors.Join(fail, err); fail != nil {
 			return
 		}
-		recs = sortByCode(recs, make([]occRec, len(recs)), 2*pl.K)
-		lo := max(pl.Lo, 2) // a k-mer must occur twice to pair anything
-		for len(recs) > 0 {
-			count := 1
-			for count < len(recs) && recs[count].code == recs[0].code {
-				count++
-			}
-			run := recs[:count]
-			recs = recs[count:]
-			out.KmersOwned++
-			if count < lo || count > pl.Hi {
-				continue
-			}
-			out.KmersRetained++
-			// keepPerRead=1: only a read's first occurrence of each code
-			// seeds candidates (one seed per candidate overlap, §4). The run
-			// is in (read, pos) order, so that is the first of each read.
-			reads := 1
-			for _, o := range run[1:] {
-				if o.read != run[reads-1].read {
-					run[reads] = o
-					reads++
-				}
-			}
-			for i, a := range run[:reads] {
-				for _, b := range run[i+1 : reads] { // a.read < b.read
-					t := overlap.Task{A: seq.ReadID(a.read), B: seq.ReadID(b.read), Seed: overlap.Seed{
-						PosA: int32(a.posRC >> 1), PosB: int32(b.posRC >> 1), K: int16(pl.K), RC: (a.posRC^b.posRC)&1 == 1}}
-					if t.Seed.RC {
-						t.Seed.PosB = pl.Lens[b.read] - t.Seed.PosB - int32(pl.K)
-					}
-					out.PairsEmitted++
-					dst := hashOwner(t.Key(), p)
-					sendTask[dst] = putTask(binary.LittleEndian.AppendUint64(sendTask[dst], a.code), t)
-				}
-			}
-		}
+		out.KmersOwned += singles
+		pl.scanRuns(sortByCode(recs, make([]occRec, len(recs)), 2*pl.K), sendTask, out)
 	})
 	recvTask := r.Alltoallv(sendTask)
 
@@ -291,6 +310,48 @@ func (pl *Plan) Run(r rt.Runtime, store seq.Store) (*Output, error) {
 	}
 	out.Tasks = tasks
 	return out, nil
+}
+
+// scanRuns is the owner's pass over recs sorted by code: a run is a k-mer,
+// its length the global count. It counts the runs into out and appends each
+// retained run's candidates to send, by the pair's hash owner.
+func (pl *Plan) scanRuns(recs []occRec, send [][]byte, out *Output) {
+	lo := max(pl.Lo, 2) // a k-mer must occur twice to pair anything
+	for len(recs) > 0 {
+		count := 1
+		for count < len(recs) && recs[count].code == recs[0].code {
+			count++
+		}
+		run := recs[:count]
+		recs = recs[count:]
+		out.KmersOwned++
+		if count < lo || count > pl.Hi {
+			continue
+		}
+		out.KmersRetained++
+		// keepPerRead=1: only a read's first occurrence of each code seeds
+		// candidates (one seed per candidate overlap, §4). The run is in
+		// (read, pos) order, so that is the first of each read.
+		reads := 1
+		for _, o := range run[1:] {
+			if o.read != run[reads-1].read {
+				run[reads] = o
+				reads++
+			}
+		}
+		for i, a := range run[:reads] {
+			for _, b := range run[i+1 : reads] { // a.read < b.read
+				t := overlap.Task{A: seq.ReadID(a.read), B: seq.ReadID(b.read), Seed: overlap.Seed{
+					PosA: int32(a.posRC >> 1), PosB: int32(b.posRC >> 1), K: int16(pl.K), RC: (a.posRC^b.posRC)&1 == 1}}
+				if t.Seed.RC {
+					t.Seed.PosB = pl.Lens[b.read] - t.Seed.PosB - int32(pl.K)
+				}
+				out.PairsEmitted++
+				dst := hashOwner(t.Key(), len(send))
+				send[dst] = putTask(binary.LittleEndian.AppendUint64(send[dst], a.code), t)
+			}
+		}
+	}
 }
 
 // radixBits is the digit width of sortByCode: a 34-bit code (k=17, the

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"gnbody/internal/core"
@@ -368,7 +369,7 @@ func occFrame(recs ...occRec) []byte {
 // The run scan takes a run's (read, pos) order from a stable sort, which
 // rests on two things, both pinned here. Ranks own contiguous ascending
 // read ranges, empty ones included, so frames decoded in rank order are in
-// (read, pos) order; and decodeOccs refuses frames that are not — swapped
+// (read, pos) order; and repeatedOccs refuses frames that are not — swapped
 // sources, or records out of order within one — naming the sender, so a
 // partition or transport that broke the contract could not silently move
 // a seed.
@@ -398,10 +399,13 @@ func TestOccurrenceOrderContract(t *testing.T) {
 	lens := []int32{30, 30, 30, 30}
 	rank0 := occFrame(occRec{7, 0, 3 << 1}, occRec{9, 0, 8<<1 | 1}, occRec{7, 1, 0})
 	rank1 := occFrame(occRec{9, 2, 4 << 1}, occRec{7, 3, 25<<1 | 1})
-	decode := func(frames ...[]byte) ([]occRec, error) { return decodeOccs(frames, lens, k) }
+	decode := func(frames ...[]byte) ([]occRec, error) {
+		recs, _, err := repeatedOccs(frames, lens, k, occSlots)
+		return recs, err
+	}
 	recs, err := decode(rank0, nil, rank1)
 	if err != nil || len(recs) != 5 {
-		t.Fatalf("honest frames: %d records, %v", len(recs), err)
+		t.Fatalf("honest frames: %d records kept, %v", len(recs), err)
 	}
 	sorted := sortByCode(recs, make([]occRec, len(recs)), 2*k)
 	want := []occRec{{7, 0, 3 << 1}, {7, 1, 0}, {7, 3, 25<<1 | 1}, {9, 0, 8<<1 | 1}, {9, 2, 4 << 1}}
@@ -427,6 +431,88 @@ func TestOccurrenceOrderContract(t *testing.T) {
 		var we *WireError
 		if !errors.As(err, &we) || we.From != tc.from || we.Record != "occurrence" {
 			t.Errorf("%s: got %v, want an occurrence WireError from rank %d", tc.name, err, tc.from)
+		}
+	}
+}
+
+// Dropping singletons changes nothing the owner sends or counts: over random
+// honest frames, with the count table shrunk until every code shares one
+// slot and at its full size, the kept records sorted and run-scanned give
+// the same candidate frames, KmersOwned, KmersRetained and PairsEmitted as
+// every record sorted and run-scanned. No candidate is seeded by a k-mer
+// seen once, whatever Lo is.
+func TestRepeatedOccsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var pairs, dropped int64
+	defer func() {
+		if pairs == 0 || dropped == 0 {
+			t.Errorf("fixture lost a case: %d candidates, %d singletons dropped over all trials", pairs, dropped)
+		}
+	}()
+	for trial := 0; trial < 300; trial++ {
+		k := 5 + rng.Intn(13)
+		lens := make([]int32, 1+rng.Intn(12))
+		for i := range lens {
+			lens[i] = int32(rng.Intn(80))
+		}
+		pl := &Plan{Lens: lens, K: k, Lo: 1 + trial%3, Hi: 2 + rng.Intn(10)}
+		p := 1 + rng.Intn(5)
+
+		// Windows in (read, pos) order, split into p consecutive frames; a
+		// code is fresh (most likely a singleton) or from a small pool.
+		pool := make([]uint64, 1+rng.Intn(40))
+		for i := range pool {
+			pool[i] = rng.Uint64() >> (64 - 2*k)
+		}
+		var all []occRec
+		for read, l := range lens {
+			for pos := 0; pos+k <= int(l); pos++ {
+				if rng.Intn(3) == 0 {
+					continue
+				}
+				code := rng.Uint64() >> (64 - 2*k)
+				if rng.Intn(4) == 0 {
+					code = pool[rng.Intn(len(pool))]
+				}
+				all = append(all, occRec{code, uint32(read), uint32(pos)<<1 | uint32(rng.Intn(2))})
+			}
+		}
+		frames := make([][]byte, p)
+		for i, o := range all {
+			frames[i*p/len(all)] = append(frames[i*p/len(all)], occFrame(o)...)
+		}
+		freq := map[uint64]int{}
+		for _, o := range all {
+			freq[o.code]++
+		}
+
+		want := &Output{}
+		wantSend := make([][]byte, p)
+		ref := append([]occRec(nil), all...)
+		pl.scanRuns(sortByCode(ref, make([]occRec, len(ref)), 2*k), wantSend, want)
+		for _, slots := range []int{0, 1, occSlots} {
+			label := fmt.Sprintf("trial %d k=%d Lo=%d Hi=%d, %d slots per record", trial, k, pl.Lo, pl.Hi, slots)
+			kept, singles, err := repeatedOccs(frames, lens, k, slots)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			got := &Output{KmersOwned: singles}
+			send := make([][]byte, p)
+			pl.scanRuns(sortByCode(kept, make([]occRec, len(kept)), 2*k), send, got)
+			if got.KmersOwned != want.KmersOwned || got.KmersRetained != want.KmersRetained || got.PairsEmitted != want.PairsEmitted {
+				t.Fatalf("%s: kept %d of %d records; stats %+v, every record %+v", label, len(kept), len(all), *got, *want)
+			}
+			pairs, dropped = pairs+got.PairsEmitted, dropped+singles
+			for dst := range send {
+				if string(send[dst]) != string(wantSend[dst]) {
+					t.Fatalf("%s: candidates for rank %d differ", label, dst)
+				}
+				for b := send[dst]; len(b) > 0; b = b[candWire:] {
+					if code := binary.LittleEndian.Uint64(b); freq[code] < 2 {
+						t.Fatalf("%s: code %d, seen %d times, seeded a candidate", label, code, freq[code])
+					}
+				}
+			}
 		}
 	}
 }
@@ -585,9 +671,13 @@ func TestAlignRejectsShortOrRepeatedPayload(t *testing.T) {
 }
 
 // Allocation guard: discovery allocates per rank and per buffer doubling,
-// never per k-mer. Tripling the distinct k-mers adds a few doublings.
+// never per k-mer. Tripling the distinct k-mers adds a few doublings. And
+// it allocates few bytes per k-mer instance: the sender's buffers and the
+// received frames (16 B each), plus the owner's count table and its kept
+// records — not a decoded copy and a sort scratch of every instance (32 B
+// more).
 func TestDiscoverAllocsIndependentOfKmers(t *testing.T) {
-	perRank := func(genomeLen, p int) (allocs, extracted float64) {
+	perRank := func(genomeLen, p int) (allocs, extracted, bytes float64) {
 		smp, err := genome.NewSampler(genome.Generate(genome.Config{Length: genomeLen, Seed: 1}), genome.ReadConfig{
 			Coverage: 20, MeanLen: 4000, SigmaLog: 0.3, Seed: 2,
 			Errors: genome.ErrorModel{Substitution: 0.06, Insertion: 0.05, Deletion: 0.04},
@@ -603,19 +693,24 @@ func TestDiscoverAllocsIndependentOfKmers(t *testing.T) {
 			t.Fatal(err)
 		}
 		outs := make([]*Output, p)
-		allocs = testing.AllocsPerRun(2, func() {
+		run := func() {
 			world.Run(func(r rt.Runtime) {
 				outs[r.Rank()], _ = (&Plan{Part: pt, Lens: lens, K: 15, Lo: 2, Hi: 60}).Run(r, scopeRank(r, pt, reads, lens))
 			})
-		})
+		}
+		allocs = testing.AllocsPerRun(2, run)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
 		for _, out := range outs {
 			extracted += float64(out.KmersExtracted)
 		}
-		return allocs / float64(p), extracted
+		return allocs / float64(p), extracted, float64(after.TotalAlloc-before.TotalAlloc) / extracted
 	}
 	for _, p := range []int{2, 8} {
-		small, nSmall := perRank(30000, p)
-		large, nLarge := perRank(100000, p)
+		small, nSmall, _ := perRank(30000, p)
+		large, nLarge, perKmer := perRank(100000, p)
 		if nLarge < 2.5*nSmall {
 			t.Fatalf("P=%d: %.0f vs %.0f k-mers: the inputs no longer differ in size", p, nSmall, nLarge)
 		}
@@ -623,14 +718,22 @@ func TestDiscoverAllocsIndependentOfKmers(t *testing.T) {
 			t.Errorf("P=%d: %.0f allocations per rank for %.0f k-mers, %.0f for %.0f (limit %.0f and 1.25x)",
 				p, small, nSmall, large, nLarge, limit)
 		}
+		// About 82 B on this input at either P; 100 B when the owner decoded
+		// and sorted every instance.
+		if perKmer > 90 {
+			t.Errorf("P=%d: %.1f bytes allocated per k-mer instance (limit 90)", p, perKmer)
+		}
 	}
 }
 
 // FuzzDiscoverWire feeds arbitrary bytes to the three decoders a peer's
 // frame reaches. None may panic or index out of range; a ragged frame is a
 // *WireError naming the sender; whatever is accepted satisfies what the
-// later stages index by (reads in range, windows inside their reads) and
-// re-encodes to the bytes it came from.
+// later stages index by (reads in range, windows inside their reads).
+// Accepted candidates and tasks re-encode to the bytes they came from; the
+// occurrences kept, at the full table size and with every code in one slot,
+// are a subsequence of the frame that holds every repeated code whole, and
+// the singletons dropped make up the rest of the frame's distinct codes.
 func FuzzDiscoverWire(f *testing.F) {
 	const k, from = 5, 2
 	lens := []int32{30, 8, 30, 5, 64}
@@ -657,15 +760,38 @@ func FuzzDiscoverWire(f *testing.F) {
 		frames := make([][]byte, from+1)
 		frames[from] = data
 		var again []byte
-		occs, err := decodeOccs(frames, lens, k)
-		if check(t, "occurrence", occWire, data, err, len(occs)) {
-			for _, o := range occs {
+		for _, slots := range []int{occSlots, 0} {
+			kept, singles, err := repeatedOccs(frames, lens, k, slots)
+			if !check(t, "occurrence", occWire, data, err, len(data)/occWire) {
+				break
+			}
+			freq := map[uint64]int{}
+			for b := data; len(b) > 0; b = b[occWire:] {
+				freq[binary.LittleEndian.Uint64(b)]++
+			}
+			rest, keptFreq := data, map[uint64]int{}
+			for _, o := range kept {
 				if int(o.read) >= len(lens) || int(o.posRC>>1)+k > int(lens[o.read]) || o.code >= 1<<(2*k) {
 					t.Fatalf("accepted occurrence %+v", o)
 				}
+				rec := occFrame(o)
+				for len(rest) > 0 && string(rest[:occWire]) != string(rec) {
+					rest = rest[occWire:]
+				}
+				if len(rest) == 0 {
+					t.Fatalf("%d slots per record: kept %+v is not a subsequence of the frame", slots, o)
+				}
+				rest = rest[occWire:]
+				keptFreq[o.code]++
 			}
-			if string(occFrame(occs...)) != string(data) {
-				t.Fatal("occurrences do not re-encode to their frame")
+			all := slots == 0 && len(data) > occWire // one slot: every code collides
+			for code, n := range freq {
+				if got := keptFreq[code]; got != n && (n > 1 || all || got != 0) {
+					t.Fatalf("%d slots per record: code %d seen %d times, %d kept", slots, code, n, got)
+				}
+			}
+			if int(singles)+len(keptFreq) != len(freq) {
+				t.Fatalf("%d slots per record: %d singles + %d kept codes, %d codes in the frame", slots, singles, len(keptFreq), len(freq))
 			}
 		}
 		cands, err := decodeCands(frames, lens, k)

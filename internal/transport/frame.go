@@ -21,6 +21,7 @@ const MaxFrame = 1 << 28
 // returns the extended slice.
 func AppendFrame(dst, payload []byte) []byte {
 	if len(payload) > MaxFrame {
+		// Invariant: only the handshake's hello, ident and address-table frames come here, tens of bytes per rank.
 		panic(fmt.Sprintf("transport: frame payload %d exceeds MaxFrame", len(payload)))
 	}
 	var hdr [4]byte

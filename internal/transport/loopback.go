@@ -128,8 +128,12 @@ func (l *Loopback) SendV(dst int, hdr, body []byte) error {
 	if dst < 0 || dst >= len(l.queues) {
 		return fmt.Errorf("transport: loopback send to rank %d of %d", dst, len(l.queues))
 	}
+	n := len(hdr) + len(body)
+	if n > MaxFrame {
+		return &FrameSizeError{n}
+	}
 	var cp []byte
-	if n := len(hdr) + len(body); n > 0 {
+	if n > 0 {
 		cp = l.pool.get(n)
 		copy(cp[copy(cp, hdr):], body)
 	}

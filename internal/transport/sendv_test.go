@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -72,6 +73,46 @@ func TestSendVDeliversTheJoinedFrame(t *testing.T) {
 						t.Fatalf("iter %d (%d bytes cut at %d, to rank %d): %s delivered %d bytes from %d, not the frame",
 							iter, n, cut, dst, how, len(got), from)
 					}
+				}
+			}
+		})
+	}
+}
+
+// TestOversizeFrameRefused: a frame longer than MaxFrame, which no receiver
+// accepts, fails the send with a *FrameSizeError on every fabric, whole or
+// in two pieces, to a peer or to self, and nothing is written — the next
+// frame arrives intact and the link stays up. The oversize body is never
+// touched, so it costs only virtual memory.
+func TestOversizeFrameRefused(t *testing.T) {
+	big := make([]byte, MaxFrame+1)
+	fabrics := map[string]func() []Transport{
+		"loopback": func() []Transport { return NewLoopback(2) },
+		"tcp":      func() []Transport { return tcpFabric(t, 2) },
+		"join-only-over-loopback": func() []Transport {
+			eps := NewLoopback(2)
+			eps[0] = joinOnly{eps[0]}
+			return eps
+		},
+	}
+	for name, mk := range fabrics {
+		t.Run(name, func(t *testing.T) {
+			eps := mk()
+			for dst := range eps {
+				for _, err := range []error{
+					eps[0].Send(dst, big),
+					SendV(eps[0], dst, []byte("hdr"), big[:MaxFrame-2]),
+				} {
+					var fe *FrameSizeError
+					if !errors.As(err, &fe) || fe.Len != MaxFrame+1 {
+						t.Fatalf("to rank %d: %v, want a FrameSizeError of %d bytes", dst, err, MaxFrame+1)
+					}
+				}
+				if err := SendV(eps[0], dst, []byte("after"), []byte(" the refusal")); err != nil {
+					t.Fatalf("to rank %d: the next send failed: %v", dst, err)
+				}
+				if from, got := drainOne(t, eps[dst], 10*time.Second); from != 0 || string(got) != "after the refusal" {
+					t.Fatalf("to rank %d: got %q from %d", dst, got, from)
 				}
 			}
 		})

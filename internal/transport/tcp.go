@@ -317,7 +317,7 @@ func (t *tcpTransport) reader(from int, c net.Conn) {
 			return
 		}
 		ln := binary.BigEndian.Uint32(hdr[:])
-		if ln > MaxFrame {
+		if ln > MaxFrame+1 { // the tag byte and at most MaxFrame payload
 			linkErr(fmt.Errorf("transport: frame length %d exceeds MaxFrame %d", ln, MaxFrame))
 			return
 		}
@@ -420,6 +420,9 @@ func (t *tcpTransport) SendV(dst int, hdr, body []byte) error {
 	}
 	if dst < 0 || dst >= t.size {
 		return fmt.Errorf("transport: tcp send to rank %d of %d", dst, t.size)
+	}
+	if n := len(hdr) + len(body); n > MaxFrame {
+		return &FrameSizeError{n} // the peer's reader would drop the link over it
 	}
 	if dst == t.rank {
 		cp := t.pool.get(len(hdr) + len(body))

@@ -54,6 +54,17 @@ type PeerError struct {
 func (e *PeerError) Error() string { return fmt.Sprintf("peer rank %d: %v", e.Peer, e.Err) }
 func (e *PeerError) Unwrap() error { return e.Err }
 
+// FrameSizeError is a send of a frame longer than MaxFrame, which no
+// receiver accepts. Both fabrics refuse it before a byte moves, so the link
+// stays usable.
+type FrameSizeError struct {
+	Len int // the frame's length in bytes
+}
+
+func (e *FrameSizeError) Error() string {
+	return fmt.Sprintf("transport: frame of %d bytes exceeds MaxFrame %d", e.Len, MaxFrame)
+}
+
 // PeerOf extracts the peer rank a transport error concerns, or -1 when the
 // error carries no peer attribution.
 func PeerOf(err error) int {
@@ -141,6 +152,9 @@ func SendV(tp Transport, dst int, hdr, body []byte) error {
 	}
 	if len(body) == 0 {
 		return tp.Send(dst, hdr)
+	}
+	if n := len(hdr) + len(body); n > MaxFrame {
+		return &FrameSizeError{n} // refused before joining a copy of it
 	}
 	frame := make([]byte, 0, len(hdr)+len(body))
 	frame = append(frame, hdr...)
