@@ -19,11 +19,13 @@
 #                most 4 blocking runtime calls per rank, whatever the chain
 #                lengths, and no operation may fail — exact counts, so no
 #                timing noise
-#   make allocs  one untraced 5 s run each of two benchmark workloads on
-#                seed 1, each with a ceiling on alloc_mb per rep and no
+#   make allocs  one untraced 5 s run each of three benchmark workloads
+#                on seed 1, each with a ceiling on alloc_mb per rep and no
 #                failed operation: exchange-tcp (the read exchange, a BSP
 #                and an async pass over TCP) at most 200 MB, overlap-noisy
-#                (discover and align in-process) at most 25 MB — alloc_mb
+#                (discover and align in-process) at most 25 MB,
+#                assemble-backhalf (graph build, reduce and contigs over
+#                TCP, with no maps on the graph path) at most 9 MB — alloc_mb
 #                repeats to ±0.01 % run to run, so these are counts, not
 #                timings
 #   make kernel-cells  one traced 5 s run of the benchmark's
@@ -62,7 +64,7 @@
 
 GO      ?= go
 FUZZT   ?= 10s
-LOC_BUDGET = 18332
+LOC_BUDGET = 18368
 
 .PHONY: check vet fmtcheck build test bench-build backhalf-rounds allocs kernel-cells loc loc-budget race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke ci
 
@@ -97,7 +99,7 @@ backhalf-rounds:
 		  printf "backhalf-rounds: OK (graph.contig_rounds %s, failed 0)\n", rounds }'
 
 allocs:
-	@for want in "exchange-tcp 200" "overlap-noisy 25"; do \
+	@for want in "exchange-tcp 200" "overlap-noisy 25" "assemble-backhalf 9"; do \
 		set -- $$want; \
 		out=$$(bash benchmark/run.sh -workload $$1 -seed 1 -seconds 5) || { echo "$$out"; exit 1; }; \
 		echo "$$out" | awk -v w=$$1 -v limit=$$2 ' \
@@ -151,6 +153,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzJobRequest -fuzztime $(FUZZT) ./internal/serve/
 	$(GO) test -fuzz=FuzzOverlapClassify -fuzztime $(FUZZT) ./internal/graph/
 	$(GO) test -fuzz=FuzzContigLinks$$ -fuzztime $(FUZZT) ./internal/graph/
+	$(GO) test -fuzz=FuzzGraphWire$$ -fuzztime $(FUZZT) ./internal/graph/
 	$(GO) test -fuzz=FuzzDiscoverWire$$ -fuzztime $(FUZZT) ./internal/pipeline/
 
 golden:

@@ -1,6 +1,11 @@
 package core
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+
+	"gnbody/internal/seq"
+)
 
 // Mirror returns the hit seen from the other read's perspective: A and B
 // swap, and the aligned extents swap with them. For an opposite-strand hit
@@ -23,49 +28,69 @@ func (h Hit) Mirror(lenA, lenB int32) Hit {
 }
 
 // CanonicalizeHits rewrites hits into the canonical orientation (A < B,
-// mirroring the extents of any swapped record), sorts them with a stable
-// total order — (A, B, Score, RC, AStart, BStart) — and collapses
-// symmetric duplicates: two records describing the same unordered pair
-// keep the higher-scoring one (ties keep the first in sorted order). The
-// result is deterministic for any input permutation or orientation mix,
-// which is what makes downstream TSV emission and string-graph ingestion
-// independent of which driver (or which rank) produced each hit. lens is
-// the replicated read-length vector.
+// mirroring the extents of any swapped record), sorts the copy in place by
+// pair key and collapses symmetric duplicates: of the records describing
+// one unordered pair it keeps the first under the whole-record order
+// (Score descending, then RC, AStart, BStart, AEnd, BEnd ascending). The
+// order is total, so the result is the same for any input permutation or
+// orientation mix, which is what makes downstream TSV emission and
+// string-graph ingestion independent of which driver (or which rank)
+// produced each hit. The output holds one hit per pair in ascending (A, B)
+// order. lens is the replicated read-length vector.
 func CanonicalizeHits(hs []Hit, lens []int32) []Hit {
 	out := make([]Hit, 0, len(hs))
+	var maxA seq.ReadID
 	for _, h := range hs {
 		if h.A > h.B {
 			h = h.Mirror(lens[h.A], lens[h.B])
 		}
+		maxA = max(maxA, h.A)
 		out = append(out, h)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.A != b.A {
-			return a.A < b.A
+	// Group by A (no per-hit index), then order each (small) group by the
+	// rest of the key, so the keeper leads its pair's run.
+	start := GroupBy(out, int(maxA)+1, func(h Hit) int { return int(h.A) })
+	for id := 0; id+1 < len(start); id++ {
+		if run := out[start[id]:start[id+1]]; len(run) > 1 {
+			slices.SortFunc(run, func(a, b Hit) int {
+				if a.B != b.B {
+					return cmp.Compare(a.B, b.B)
+				}
+				if a.Score != b.Score {
+					return cmp.Compare(b.Score, a.Score) // best first
+				}
+				return cmpExtents(a, b)
+			})
 		}
-		if a.B != b.B {
-			return a.B < b.B
-		}
-		if a.Score != b.Score {
-			return a.Score > b.Score // best first, so dedup keeps it
-		}
-		if a.RC != b.RC {
-			return !a.RC
-		}
-		if a.AStart != b.AStart {
-			return a.AStart < b.AStart
-		}
-		return a.BStart < b.BStart
-	})
-	dedup := out[:0]
-	for _, h := range out {
-		if n := len(dedup); n > 0 && dedup[n-1].A == h.A && dedup[n-1].B == h.B {
-			continue // same unordered pair: the sort put the keeper first
-		}
-		dedup = append(dedup, h)
 	}
-	// Restore the package-wide (A, B, Score) presentation order.
-	SortHits(dedup)
-	return dedup
+	return slices.CompactFunc(out, func(a, b Hit) bool { return a.A == b.A && a.B == b.B })
+}
+
+// GroupBy permutes xs in place into ascending key order and returns the
+// group bounds: the elements with key k are xs[start[k]:start[k+1]]. A
+// counting pass sizes the groups; then each slot's occupant is carried to
+// its group, picking up the element it displaces, so every element moves
+// once and no scratch copy is made (two int32 per key). Every key must lie
+// in [0, n).
+func GroupBy[T any](xs []T, n int, key func(T) int) []int32 {
+	start := make([]int32, n+1)
+	for _, x := range xs {
+		start[key(x)+1]++
+	}
+	for k := 1; k <= n; k++ {
+		start[k] += start[k-1]
+	}
+	next := slices.Clone(start[:n])
+	for k := range next {
+		for next[k] < start[k+1] {
+			x := xs[next[k]]
+			for d := key(x); d != k; d = key(x) {
+				xs[next[d]], x = x, xs[next[d]]
+				next[d]++
+			}
+			xs[next[k]] = x
+			next[k]++
+		}
+	}
+	return start
 }

@@ -97,3 +97,34 @@ func TestHitMirrorInvolution(t *testing.T) {
 		t.Fatal("workload produced no opposite-strand hits; mirror RC path untested")
 	}
 }
+
+// TestCanonicalizeHitsTies: two hits of one pair that agree on everything
+// but their end coordinates canonicalize to the same keeper whichever comes
+// first, in either orientation, and SortHits puts tied hits in one order.
+func TestCanonicalizeHitsTies(t *testing.T) {
+	lens := []int32{500, 600}
+	h1 := Hit{A: 0, B: 1, Score: 200, AStart: 100, AEnd: 480, BStart: 0, BEnd: 390}
+	h2 := h1
+	h2.AEnd, h2.BEnd = 470, 380
+	want := []Hit{h2} // the smaller AEnd wins
+	for _, in := range [][]Hit{
+		{h1, h2},
+		{h2, h1},
+		{h1.Mirror(lens[0], lens[1]), h2},
+		{h2.Mirror(lens[0], lens[1]), h1.Mirror(lens[0], lens[1])},
+	} {
+		if got := CanonicalizeHits(in, lens); !reflect.DeepEqual(got, want) {
+			t.Errorf("CanonicalizeHits(%v) = %v, want %v", in, got, want)
+		}
+	}
+
+	h3 := h1
+	h3.RC = true
+	a := []Hit{h1, h3, h2, h1}
+	b := []Hit{h2, h1, h1, h3}
+	SortHits(a)
+	SortHits(b)
+	if !reflect.DeepEqual(a, b) || a[0] != h2 || a[3] != h3 {
+		t.Errorf("SortHits orders tied hits by input: %v vs %v", a, b)
+	}
+}

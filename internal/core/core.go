@@ -22,8 +22,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"gnbody/internal/overlap"
 	"gnbody/internal/partition"
@@ -44,17 +45,39 @@ type Hit struct {
 	RC           bool
 }
 
-// SortHits orders hits for deterministic comparison.
+// SortHits orders hits for deterministic comparison: by (A, B, Score),
+// then the rest of the record, so tied hits have one order too.
 func SortHits(hs []Hit) {
-	sort.Slice(hs, func(i, j int) bool {
-		if hs[i].A != hs[j].A {
-			return hs[i].A < hs[j].A
+	slices.SortFunc(hs, func(a, b Hit) int {
+		switch {
+		case a.A != b.A:
+			return cmp.Compare(a.A, b.A)
+		case a.B != b.B:
+			return cmp.Compare(a.B, b.B)
+		case a.Score != b.Score:
+			return cmp.Compare(a.Score, b.Score)
 		}
-		if hs[i].B != hs[j].B {
-			return hs[i].B < hs[j].B
-		}
-		return hs[i].Score < hs[j].Score
+		return cmpExtents(a, b)
 	})
+}
+
+// cmpExtents orders hits by (RC, AStart, BStart, AEnd, BEnd), forward
+// strand first.
+func cmpExtents(a, b Hit) int {
+	switch {
+	case a.RC != b.RC:
+		if a.RC {
+			return 1
+		}
+		return -1
+	case a.AStart != b.AStart:
+		return cmp.Compare(a.AStart, b.AStart)
+	case a.BStart != b.BStart:
+		return cmp.Compare(a.BStart, b.BStart)
+	case a.AEnd != b.AEnd:
+		return cmp.Compare(a.AEnd, b.AEnd)
+	}
+	return cmp.Compare(a.BEnd, b.BEnd)
 }
 
 // Codec encodes reads for the wire. The real codec ships sequence bases;

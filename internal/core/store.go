@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"gnbody/internal/overlap"
 	"gnbody/internal/seq"
@@ -58,7 +59,7 @@ func buildFlatStore(in *Input, rank int) *flatStore {
 			st.local = append(st.local, t)
 		}
 	}
-	sort.SliceStable(rem, func(i, j int) bool { return rem[i].rid < rem[j].rid })
+	slices.SortStableFunc(rem, func(a, b keyed) int { return cmp.Compare(a.rid, b.rid) })
 	st.remote = make([]overlap.Task, len(rem))
 	for i, kt := range rem {
 		st.remote[i] = kt.t
@@ -97,6 +98,6 @@ func buildPtrStore(in *Input, rank int) *ptrStore {
 			st.local = append(st.local, t)
 		}
 	}
-	sort.Slice(st.order, func(i, j int) bool { return st.order[i] < st.order[j] })
+	slices.Sort(st.order)
 	return st
 }

@@ -118,7 +118,7 @@ func Build(r rt.Runtime, part *partition.Partition, lens []int32, hits []core.Hi
 	r.Timed(rt.CatOverhead, func() {
 		ids, cand = classifyHits(hits, lens, cfg)
 	})
-	cfg.Model.charge(r, rt.CatOverhead, cfg.Model.perHit(), len(hits))
+	cfg.Model.charge(r, rt.CatOverhead, cfg.Model.prices().PerHit, len(hits))
 
 	// Round 1: agree on the contained set. Every rank broadcasts its local
 	// containment verdicts; the union is replicated (it is O(reads) bits,
@@ -171,6 +171,7 @@ func Build(r rt.Runtime, part *partition.Partition, lens []int32, hits []core.Hi
 	recv = r.Alltoallv(send)
 
 	me := r.Rank()
+	lo, hi := part.Range(me)
 	var edges []Edge
 	var decErr error
 	r.Timed(rt.CatOverhead, func() {
@@ -180,9 +181,9 @@ func Build(r rt.Runtime, part *partition.Partition, lens []int32, hits []core.Hi
 				decErr = fmt.Errorf("graph: from rank %d: %w", src, err)
 				return
 			}
-			for _, e := range es {
-				if part.Owner(e.From.Read()) != me {
-					decErr = fmt.Errorf("graph: rank %d received edge %v→%v it does not own", me, e.From, e.To)
+			for _, e := range es { // whole 64-bit vertices: Read() would truncate
+				if e.From < Vertex(2*lo) || e.From >= Vertex(2*hi) || e.To >= Vertex(2*len(lens)) {
+					decErr = fmt.Errorf("graph: rank %d received edge %v→%v it does not own or that leaves the graph", me, e.From, e.To)
 					return
 				}
 			}
@@ -193,30 +194,17 @@ func Build(r rt.Runtime, part *partition.Partition, lens []int32, hits []core.Hi
 		return nil, decErr
 	}
 
-	g := &Graph{Part: part, Lens: lens, Contained: contained}
+	var g *Graph
 	r.Timed(rt.CatOverhead, func() {
-		g.Adj, g.NumEdges = adjFromEdges(edges)
+		g = newGraph(part, me, lens, contained, edges)
 	})
 	return g, nil
 }
 
-func (m *CostModel) perHit() time.Duration {
+// prices returns the model's prices; a nil model prices everything at 0.
+func (m *CostModel) prices() CostModel {
 	if m == nil {
-		return 0
+		return CostModel{}
 	}
-	return m.PerHit
-}
-
-func (m *CostModel) perPair() time.Duration {
-	if m == nil {
-		return 0
-	}
-	return m.PerPair
-}
-
-func (m *CostModel) perBase() time.Duration {
-	if m == nil {
-		return 0
-	}
-	return m.PerBase
+	return *m
 }

@@ -107,7 +107,7 @@ func (t *linkTable) encode(me int) []byte {
 		}
 		for _, rev := range [2]bool{false, true} {
 			var row [linkRow]byte
-			switch es := t.g.Adj[V(seq.ReadID(id), rev)]; len(es) {
+			switch es := t.g.Out(V(seq.ReadID(id), rev)); len(es) {
 			case 0:
 			case 1:
 				row[0] = degOne
@@ -473,7 +473,7 @@ func Contigs(r rt.Runtime, g *Graph, store seq.Store, cfg ContigConfig) ([]Conti
 		}
 		sort.Slice(contigs, func(i, j int) bool { return contigs[i].Start < contigs[j].Start })
 	})
-	cfg.Model.charge(r, rt.CatOverhead, cfg.Model.perBase(), total)
+	cfg.Model.charge(r, rt.CatOverhead, cfg.Model.prices().PerBase, total)
 	return contigs, nil
 }
 

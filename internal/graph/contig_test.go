@@ -135,11 +135,10 @@ func basesOf(s seq.Seq) []byte {
 // into the next live read's, appending the bases between their starts, and
 // the twins run the other way.
 func chainGraph(pt *partition.Partition, lens []int32, contained []bool, step int32, me int) *Graph {
-	g := &Graph{Part: pt, Lens: lens, Adj: make(map[Vertex][]Edge), Contained: contained}
+	var edges []Edge
 	add := func(e Edge) {
 		if pt.Owner(e.From.Read()) == me {
-			g.Adj[e.From] = append(g.Adj[e.From], e)
-			g.NumEdges++
+			edges = append(edges, e)
 		}
 	}
 	prev := -1
@@ -154,7 +153,7 @@ func chainGraph(pt *partition.Partition, lens []int32, contained []bool, step in
 		}
 		prev = i
 	}
-	return g
+	return newGraph(pt, me, lens, contained, edges)
 }
 
 // countingRuntime counts the calls on which a rank waits for its peers,

@@ -17,10 +17,11 @@
 package graph
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"gnbody/internal/align"
 	"gnbody/internal/core"
@@ -98,41 +99,36 @@ func decodeEdges(buf []byte) ([]Edge, error) {
 }
 
 // SortEdges orders edges canonically: (From, To, Len).
-func SortEdges(es []Edge) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].From != es[j].From {
-			return es[i].From < es[j].From
-		}
-		if es[i].To != es[j].To {
-			return es[i].To < es[j].To
-		}
-		return es[i].Len < es[j].Len
-	})
+func SortEdges(es []Edge) { slices.SortFunc(es, cmpEdges) }
+
+func cmpEdges(a, b Edge) int {
+	if a.From != b.From {
+		return cmp.Compare(a.From, b.From)
+	}
+	if a.To != b.To {
+		return cmp.Compare(a.To, b.To)
+	}
+	return cmp.Compare(a.Len, b.Len)
 }
 
 // dedupEdges collapses duplicate (From, To) pairs in a sorted edge list,
 // keeping the smallest Len (the tightest overlap wins, deterministically).
 func dedupEdges(es []Edge) []Edge {
-	out := es[:0]
-	for _, e := range es {
-		if n := len(out); n > 0 && out[n-1].From == e.From && out[n-1].To == e.To {
-			continue // sorted by Len within the pair: the keeper came first
-		}
-		out = append(out, e)
-	}
-	return out
+	return slices.CompactFunc(es, func(a, b Edge) bool { return a.From == b.From && a.To == b.To })
 }
 
 // Graph is one rank's partition of the string graph: the out-adjacency of
 // every vertex whose read this rank owns, plus the (replicated, small)
-// containment verdicts. Adjacency lists are sorted canonically.
+// containment verdicts.
+//
+// The adjacency is a CSR over the rank's own oriented vertices: edges holds
+// every local edge sorted by (From, To, Len), one per (From, To), and the
+// out-edges of the vertex with read id and orientation o are
+// edges[off[i]:off[i+1]] for i = 2·(id−lo)+o, where lo is the rank's first
+// read — i = v−base for base = 2·lo.
 type Graph struct {
 	Part *partition.Partition
 	Lens []int32
-
-	// Adj maps each local vertex to its sorted out-edges. Vertices with no
-	// out-edges are absent.
-	Adj map[Vertex][]Edge
 
 	// Contained marks reads removed from the graph because an alignment
 	// covers them end to end; replicated on every rank (the same O(n)
@@ -141,6 +137,58 @@ type Graph struct {
 
 	// NumEdges is this rank's live (local) edge count.
 	NumEdges int
+
+	base  Vertex
+	off   []int32
+	edges []Edge
+}
+
+// newGraph indexes rank me's edges — every From owned by me, in any order,
+// duplicates allowed — as a CSR, in place in the slice it takes over:
+// core.GroupBy gathers the rows by From, then each row is sorted and
+// deduplicated as SortEdges and dedupEdges do (the smallest Len per To
+// wins) and moved left over the duplicates dropped before it. Rows are
+// short, so this beats one sort of the whole list (EXPERIMENTS.md, "Back
+// half without maps").
+func newGraph(part *partition.Partition, me int, lens []int32, contained []bool, edges []Edge) *Graph {
+	lo, hi := part.Range(me)
+	base := Vertex(2 * lo)
+	off := core.GroupBy(edges, 2*(hi-lo), func(e Edge) int { return int(e.From - base) })
+	n := int32(0)
+	for i := 0; i+1 < len(off); i++ {
+		row := edges[off[i]:off[i+1]]
+		SortEdges(row)
+		off[i] = n
+		n += int32(copy(edges[n:], dedupEdges(row)))
+	}
+	off[len(off)-1] = n
+	return &Graph{Part: part, Lens: lens, Contained: contained, NumEdges: int(n),
+		base: base, off: off, edges: edges[:n]}
+}
+
+// Out returns v's out-edges, sorted by To. It is nil for a vertex this rank
+// does not own, including any at or past 2·len(Lens).
+func (g *Graph) Out(v Vertex) []Edge {
+	if !g.owns(v) {
+		return nil
+	}
+	i := v - g.base
+	return g.edges[g.off[i]:g.off[i+1]]
+}
+
+// owns reports whether v is one of this rank's vertices.
+func (g *Graph) owns(v Vertex) bool {
+	return uint64(v-g.base) < uint64(len(g.off)-1) // v−base wraps for v below base
+}
+
+// find returns the index in g.edges of the edge from→to.
+func (g *Graph) find(from, to Vertex) (int, bool) {
+	row := g.Out(from)
+	j, ok := slices.BinarySearchFunc(row, to, func(e Edge, to Vertex) int { return cmp.Compare(e.To, to) })
+	if !ok {
+		return 0, false
+	}
+	return int(g.off[from-g.base]) + j, true
 }
 
 // Verdict classifies one hit for graph construction.
@@ -243,37 +291,9 @@ func ClassifyHit(h core.Hit, lenA, lenB int32, slack, minOverlap int) (Verdict, 
 	return VerdictInternal, none
 }
 
-// adjFromEdges builds the sorted, deduplicated adjacency map of an edge
-// list, returning the live edge count.
-func adjFromEdges(edges []Edge) (map[Vertex][]Edge, int) {
-	SortEdges(edges)
-	edges = dedupEdges(edges)
-	adj := make(map[Vertex][]Edge)
-	for _, e := range edges {
-		adj[e.From] = append(adj[e.From], e)
-	}
-	return adj, len(edges)
-}
-
-// EdgeList flattens the graph's local adjacency back into a sorted slice.
+// EdgeList returns a copy of the graph's local edges, sorted.
 func (g *Graph) EdgeList() []Edge {
-	out := make([]Edge, 0, g.NumEdges)
-	for _, es := range g.Adj {
-		out = append(out, es...)
-	}
-	SortEdges(out)
-	return out
-}
-
-// ContainedIDs lists the contained reads in id order.
-func (g *Graph) ContainedIDs() []seq.ReadID {
-	var out []seq.ReadID
-	for id, c := range g.Contained {
-		if c {
-			out = append(out, seq.ReadID(id))
-		}
-	}
-	return out
+	return append(make([]Edge, 0, len(g.edges)), g.edges...)
 }
 
 // GatherEdges collects every rank's local edge list on rank 0, canonically

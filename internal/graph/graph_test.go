@@ -259,7 +259,8 @@ func TestGraphConformance(t *testing.T) {
 	}
 }
 
-// ContainedIDsOf mirrors Graph.ContainedIDs for a bare vector (test helper).
+// ContainedIDsOf lists the contained reads of a containment vector in id
+// order (test helper).
 func ContainedIDsOf(contained []bool) []seq.ReadID {
 	var out []seq.ReadID
 	for id, c := range contained {
@@ -314,6 +315,67 @@ func randomTwinGraph(rng *rand.Rand, n, m int) ([]Edge, []int32) {
 	return dedupEdges(edges), lens
 }
 
+// ownGraph is rank me's partition of a global edge list.
+func ownGraph(pt *partition.Partition, me int, lens []int32, contained []bool, edges []Edge) *Graph {
+	var own []Edge
+	for _, e := range edges {
+		if pt.Owner(e.From.Read()) == me {
+			own = append(own, e)
+		}
+	}
+	return newGraph(pt, me, lens, contained, own)
+}
+
+// ReduceOracle is the brute-force serial reference: test every edge
+// against every possible two-edge explanation, then symmetrize. Quadratic
+// in the edge count — the property tests pit Reduce against it on random
+// graphs.
+func ReduceOracle(edges []Edge, fuzz int) []Edge {
+	es := make([]Edge, len(edges))
+	copy(es, edges)
+	SortEdges(es)
+	es = dedupEdges(es)
+	idx := make(map[[2]Vertex]int, len(es))
+	for i, e := range es {
+		idx[[2]Vertex{e.From, e.To}] = i
+	}
+	marked := make([]bool, len(es))
+	for i, e := range es { // shortcut candidate u→x
+		for _, f := range es { // u→w
+			if f.From != e.From || f.To == e.To || f.To == e.From {
+				continue
+			}
+			k, ok := idx[[2]Vertex{f.To, e.To}] // w→x
+			if !ok {
+				continue
+			}
+			d := f.Len + es[k].Len - e.Len
+			if d < 0 {
+				d = -d
+			}
+			if d <= int32(fuzz) {
+				marked[i] = true
+				break
+			}
+		}
+	}
+	for i, e := range es {
+		if !marked[i] {
+			continue
+		}
+		if k, ok := idx[[2]Vertex{e.To.Twin(), e.From.Twin()}]; ok {
+			marked[k] = true
+		}
+	}
+	var out []Edge
+	for i, e := range es {
+		if !marked[i] {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 // TestReduceMatchesOracle: distributed transitive reduction on random
 // twin-symmetric string graphs equals the brute-force serial oracle, for
 // both fetch modes and several fuzz values.
@@ -342,15 +404,7 @@ func TestReduceMatchesOracle(t *testing.T) {
 				errs := make([]error, p)
 				world.Run(func(r rt.Runtime) {
 					rk := r.Rank()
-					adj := make(map[Vertex][]Edge)
-					ne := 0
-					for _, e := range edges {
-						if pt.Owner(e.From.Read()) == rk {
-							adj[e.From] = append(adj[e.From], e)
-							ne++
-						}
-					}
-					g := &Graph{Part: pt, Lens: lens, Adj: adj, Contained: contained, NumEdges: ne}
+					g := ownGraph(pt, rk, lens, contained, edges)
 					outs[rk], errs[rk] = Reduce(r, g, ReduceConfig{Fuzz: fuzz, Mode: mode})
 				})
 				var got []Edge
@@ -400,13 +454,7 @@ func TestReduceRejectsRaggedRequest(t *testing.T) {
 		errs := make([]error, p)
 		mustRun(t, world.Run)(func(r rt.Runtime) {
 			rk := r.Rank()
-			adj := make(map[Vertex][]Edge)
-			for _, e := range edges {
-				if pt.Owner(e.From.Read()) == rk {
-					adj[e.From] = append(adj[e.From], e)
-				}
-			}
-			g := &Graph{Part: pt, Lens: lens, Adj: adj, Contained: make([]bool, len(lens))}
+			g := ownGraph(pt, rk, lens, make([]bool, len(lens)), edges)
 			if rk == 1 { // cut rank 1's neighbour request to rank 0 to 7 bytes
 				call := 0 // bsp: the first Alltoallv carries it
 				if mode == "async" {

@@ -19,6 +19,7 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"gnbody/internal/rt"
 )
@@ -39,88 +40,97 @@ type ReduceConfig struct {
 // answerAdjReq serves a batch adjacency request: req is a packed list of
 // vertex ids (8B each); the response packs, per vertex in request order,
 // a uint32 edge count followed by (To 8B, Len 4B) per edge. Vertices this
-// rank has no adjacency for (including ones it does not own) answer 0.
+// rank does not own — any id at all, in range or not — answer 0.
 func (g *Graph) answerAdjReq(req []byte) ([]byte, error) {
 	if len(req)%8 != 0 {
 		return nil, fmt.Errorf("graph: adjacency request of %d bytes", len(req))
 	}
 	resp := make([]byte, 0, len(req))
 	for off := 0; off < len(req); off += 8 {
-		v := Vertex(binary.LittleEndian.Uint64(req[off:]))
-		es := g.Adj[v]
-		resp = binary.LittleEndian.AppendUint32(resp, uint32(len(es)))
-		for _, e := range es {
-			resp = binary.LittleEndian.AppendUint64(resp, uint64(e.To))
-			resp = binary.LittleEndian.AppendUint32(resp, uint32(e.Len))
-		}
+		resp = appendAdj(resp, g.Out(Vertex(binary.LittleEndian.Uint64(req[off:]))))
 	}
 	return resp, nil
 }
 
-// parseAdjResp unpacks answerAdjReq's response into neigh[ids[i]].
-func parseAdjResp(ids []Vertex, resp []byte, neigh map[Vertex][]Edge) error {
+// appendAdj appends one vertex's answer: its edge count, then (To, Len)
+// per edge.
+func appendAdj(dst []byte, es []Edge) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(es)))
+	for _, e := range es {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(e.To))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(e.Len))
+	}
+	return dst
+}
+
+// fetched is the adjacency one owner returned: a CSR over the sorted
+// vertices vs, the out-edges of vs[i] at edges[off[i]:off[i+1]].
+type fetched struct {
+	vs    []Vertex
+	off   []int32
+	edges []Edge
+}
+
+// out returns v's fetched out-edges, found by binary search.
+func (f *fetched) out(v Vertex) []Edge {
+	i, ok := slices.BinarySearch(f.vs, v)
+	if !ok {
+		return nil
+	}
+	return f.edges[f.off[i]:f.off[i+1]]
+}
+
+// parseAdjResp unpacks answerAdjReq's response to a request for ids.
+func parseAdjResp(ids []Vertex, resp []byte) (fetched, error) {
+	f := fetched{vs: ids, off: make([]int32, 1, len(ids)+1),
+		edges: make([]Edge, 0, max(len(resp)-4*len(ids), 0)/12)}
 	off := 0
 	for _, v := range ids {
 		if off+4 > len(resp) {
-			return fmt.Errorf("graph: truncated adjacency response")
+			return fetched{}, fmt.Errorf("graph: truncated adjacency response")
 		}
 		n := int(binary.LittleEndian.Uint32(resp[off:]))
 		off += 4
-		if off+12*n > len(resp) {
-			return fmt.Errorf("graph: truncated adjacency response")
+		if n > (len(resp)-off)/12 {
+			return fetched{}, fmt.Errorf("graph: truncated adjacency response")
 		}
-		es := make([]Edge, 0, n)
 		for i := 0; i < n; i++ {
-			es = append(es, Edge{
+			f.edges = append(f.edges, Edge{
 				From: v,
 				To:   Vertex(binary.LittleEndian.Uint64(resp[off:])),
 				Len:  int32(binary.LittleEndian.Uint32(resp[off+8:])),
 			})
 			off += 12
 		}
-		neigh[v] = es
+		f.off = append(f.off, int32(len(f.edges)))
 	}
 	if off != len(resp) {
-		return fmt.Errorf("graph: %d trailing bytes in adjacency response", len(resp)-off)
+		return fetched{}, fmt.Errorf("graph: %d trailing bytes in adjacency response", len(resp)-off)
 	}
-	return nil
+	return f, nil
 }
 
-// fetchNeighbors resolves the out-adjacency of every vertex in need
-// (deduplicated, sorted per owner). Local vertices are answered from
-// g.Adj; remote ones via one alltoallv exchange (bsp) or one batched
-// AsyncCall per owner (async).
-func (g *Graph) fetchNeighbors(r rt.Runtime, mode string, need map[Vertex]bool) (map[Vertex][]Edge, error) {
+// fetchNeighbors resolves the out-adjacency of the remote vertices this
+// rank needs: segs[o] is the sorted run of them owner o holds, and o's
+// answer lands in entry o of the result — through one alltoallv exchange
+// (bsp) or one batched AsyncCall per owner (async). On error the result
+// holds whatever arrived intact.
+func (g *Graph) fetchNeighbors(r rt.Runtime, mode string, segs [][]Vertex) ([]fetched, error) {
 	p, me := r.Size(), r.Rank()
-	neigh := make(map[Vertex][]Edge, len(need))
-	perOwner := make([][]Vertex, p)
-	for v := range need {
-		if o := g.Part.Owner(v.Read()); o == me {
-			neigh[v] = g.Adj[v]
-		} else {
-			perOwner[o] = append(perOwner[o], v)
+	got := make([]fetched, p)
+	req := make([][]byte, p)
+	for o, ids := range segs {
+		if o == me || len(ids) == 0 {
+			continue
 		}
-	}
-	for _, ids := range perOwner {
-		SortVertices(ids)
-		// Each distinct remote vertex costs exactly one wire record per
-		// requesting rank, whatever the mode.
-		r.Metrics().GraphFetches += int64(len(ids))
+		req[o] = make([]byte, 0, 8*len(ids))
+		for _, v := range ids {
+			req[o] = binary.LittleEndian.AppendUint64(req[o], uint64(v))
+		}
 	}
 
 	switch mode {
 	case "", "bsp":
-		req := make([][]byte, p)
-		for o, ids := range perOwner {
-			if len(ids) == 0 {
-				continue
-			}
-			buf := make([]byte, 0, 8*len(ids))
-			for _, v := range ids {
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-			}
-			req[o] = buf
-		}
 		inbound := r.Alltoallv(req)
 		resp := make([][]byte, p)
 		var err error
@@ -137,17 +147,17 @@ func (g *Graph) fetchNeighbors(r rt.Runtime, mode string, need map[Vertex]bool) 
 		})
 		answers := r.Alltoallv(resp)
 		if err != nil {
-			return nil, err
+			return got, err
 		}
-		for o, ids := range perOwner {
-			if len(ids) == 0 {
+		for o, buf := range req {
+			if buf == nil {
 				continue
 			}
-			if err := parseAdjResp(ids, answers[o], neigh); err != nil {
-				return nil, fmt.Errorf("from rank %d: %w", o, err)
+			if got[o], err = parseAdjResp(segs[o], answers[o]); err != nil {
+				return got, fmt.Errorf("from rank %d: %w", o, err)
 			}
 		}
-		return neigh, nil
+		return got, nil
 
 	case "async":
 		// A request this rank cannot answer is answered with nothing; the
@@ -161,82 +171,107 @@ func (g *Graph) fetchNeighbors(r rt.Runtime, mode string, need map[Vertex]bool) 
 			return resp
 		})
 		r.Barrier() // handler registered everywhere before anyone calls in
-		for o, ids := range perOwner {
-			if len(ids) == 0 {
+		for o, buf := range req {
+			if buf == nil {
 				continue
 			}
-			buf := make([]byte, 0, 8*len(ids))
-			for _, v := range ids {
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-			}
-			ids := ids
 			r.AsyncCall(o, buf, func(resp []byte) {
-				if err := parseAdjResp(ids, resp, neigh); err != nil && perr == nil {
+				f, err := parseAdjResp(segs[o], resp)
+				if err != nil && perr == nil {
 					perr = fmt.Errorf("from rank %d: %w", o, err)
 				}
+				got[o] = f
 			})
 		}
 		r.Drain(0)
 		r.Barrier() // keep serving peers still fetching
-		return neigh, perr
+		return got, perr
 	}
-	return nil, fmt.Errorf("graph: unknown reduce mode %q", mode)
+	return got, fmt.Errorf("graph: unknown reduce mode %q", mode)
 }
 
-// SortVertices orders a vertex list ascending.
-func SortVertices(vs []Vertex) {
-	for i := 1; i < len(vs); i++ { // insertion sort: lists are small and nearly sorted
-		for j := i; j > 0 && vs[j] < vs[j-1]; j-- {
-			vs[j], vs[j-1] = vs[j-1], vs[j]
-		}
+// markWire is the size of one twin mark on the wire: the From and To (8B
+// each) of the edge its receiver must drop.
+const markWire = 16
+
+func appendMark(dst []byte, from, to Vertex) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(from))
+	return binary.LittleEndian.AppendUint64(dst, uint64(to))
+}
+
+func decodeMarks(buf []byte) ([][2]Vertex, error) {
+	if len(buf)%markWire != 0 {
+		return nil, fmt.Errorf("graph: twin-mark payload of %d bytes is not a multiple of %d", len(buf), markWire)
 	}
+	out := make([][2]Vertex, 0, len(buf)/markWire)
+	for off := 0; off < len(buf); off += markWire {
+		out = append(out, [2]Vertex{
+			Vertex(binary.LittleEndian.Uint64(buf[off:])),
+			Vertex(binary.LittleEndian.Uint64(buf[off+8:])),
+		})
+	}
+	return out, nil
 }
 
 // Reduce returns the transitively reduced graph. Collective; g is not
 // modified. The output on every rank is a pure function of the global
 // input graph — mode and rank count never change which edges survive.
 func Reduce(r rt.Runtime, g *Graph, cfg ReduceConfig) (*Graph, error) {
-	// Which middle-vertex adjacencies does this rank need? Every To of a
-	// local edge.
-	need := make(map[Vertex]bool)
-	me := r.Rank()
+	p, me := r.Size(), r.Rank()
 	met := r.Metrics()
+
+	// Which middle-vertex adjacencies does this rank need? Every To of a
+	// local edge: sorted and deduplicated, the list splits into one run per
+	// owner, since owners hold contiguous blocks of reads in rank order.
+	// Each distinct remote middle costs one wire record whatever the mode;
+	// every repeat of one is a lookup the dedup saved from the wire.
+	segs := make([][]Vertex, p)
 	r.Timed(rt.CatOverhead, func() {
-		for _, es := range g.Adj {
-			for _, e := range es {
-				// A repeated remote middle vertex is a lookup the need-map
-				// dedup saved from the wire.
-				if need[e.To] && g.Part.Owner(e.To.Read()) != me {
-					met.GraphCoalesced++
-				}
-				need[e.To] = true
+		need := make([]Vertex, len(g.edges))
+		remote := 0
+		for i, e := range g.edges {
+			need[i] = e.To
+			if !g.owns(e.To) {
+				remote++
 			}
 		}
+		slices.Sort(need)
+		need = slices.Compact(need)
+		for o := range segs {
+			lo, hi := g.Part.Range(o)
+			i, _ := slices.BinarySearch(need, Vertex(2*lo))
+			j, _ := slices.BinarySearch(need, Vertex(2*hi))
+			segs[o] = need[i:j]
+		}
+		distinct := len(need) - len(segs[me])
+		met.GraphFetches += int64(distinct)
+		met.GraphCoalesced += int64(remote - distinct)
 	})
 	// A fetch error is returned after the twin-mark exchange below, the
 	// stage's last collective, so no peer is left waiting in it.
-	neigh, fetchErr := g.fetchNeighbors(r, cfg.Mode, need)
+	nb, fetchErr := g.fetchNeighbors(r, cfg.Mode, segs)
+	middle := func(w Vertex) []Edge {
+		if g.owns(w) {
+			return g.Out(w)
+		}
+		return nb[g.Part.Owner(w.Read())].out(w)
+	}
 
 	// Mark local reducible edges.
-	local := g.EdgeList()
-	idx := make(map[[2]Vertex]int, len(local))
-	for i, e := range local {
-		idx[[2]Vertex{e.From, e.To}] = i
-	}
-	marked := make([]bool, len(local))
+	marked := make([]bool, len(g.edges))
 	pairs := 0
 	r.Timed(rt.CatOverhead, func() {
-		for _, e1 := range local { // u→w
-			for _, e2 := range neigh[e1.To] { // w→x
+		for _, e1 := range g.edges { // u→w
+			for _, e2 := range middle(e1.To) { // w→x
 				pairs++
 				if e2.To == e1.From {
 					continue
 				}
-				i, ok := idx[[2]Vertex{e1.From, e2.To}]
+				i, ok := g.find(e1.From, e2.To)
 				if !ok {
 					continue
 				}
-				d := e1.Len + e2.Len - local[i].Len
+				d := e1.Len + e2.Len - g.edges[i].Len
 				if d < 0 {
 					d = -d
 				}
@@ -246,25 +281,21 @@ func Reduce(r rt.Runtime, g *Graph, cfg ReduceConfig) (*Graph, error) {
 			}
 		}
 	})
-	cfg.Model.charge(r, rt.CatOverhead, cfg.Model.perPair(), pairs)
+	cfg.Model.charge(r, rt.CatOverhead, cfg.Model.prices().PerPair, pairs)
 
 	// Symmetrize removal: tell the twin's owner about every mark, so twin
 	// pairs always live or die together (duplicate-overlap dedup can give
 	// the two directions different labels, and the contig walk depends on
 	// indeg(v) == outdeg(twin(v)) holding exactly).
-	p, me := r.Size(), r.Rank()
 	send := make([][]byte, p)
 	r.Timed(rt.CatOverhead, func() {
 		for i, m := range marked {
 			if !m {
 				continue
 			}
-			tf, tt := local[i].To.Twin(), local[i].From.Twin()
+			tf, tt := g.edges[i].To.Twin(), g.edges[i].From.Twin()
 			dst := g.Part.Owner(tf.Read())
-			var rec [16]byte
-			binary.LittleEndian.PutUint64(rec[0:], uint64(tf))
-			binary.LittleEndian.PutUint64(rec[8:], uint64(tt))
-			send[dst] = append(send[dst], rec[:]...)
+			send[dst] = appendMark(send[dst], tf, tt)
 		}
 	})
 	recv := r.Alltoallv(send)
@@ -274,19 +305,17 @@ func Reduce(r rt.Runtime, g *Graph, cfg ReduceConfig) (*Graph, error) {
 	var symErr error
 	r.Timed(rt.CatOverhead, func() {
 		for src := 0; src < p; src++ {
-			buf := recv[src]
-			if len(buf)%16 != 0 {
-				symErr = fmt.Errorf("graph: twin-mark payload from rank %d is %d bytes", src, len(buf))
+			marks, err := decodeMarks(recv[src])
+			if err != nil {
+				symErr = fmt.Errorf("from rank %d: %w", src, err)
 				return
 			}
-			for off := 0; off < len(buf); off += 16 {
-				f := Vertex(binary.LittleEndian.Uint64(buf[off:]))
-				t := Vertex(binary.LittleEndian.Uint64(buf[off+8:]))
-				if g.Part.Owner(f.Read()) != me {
-					symErr = fmt.Errorf("graph: rank %d received twin mark %v→%v it does not own", me, f, t)
+			for _, m := range marks {
+				if !g.owns(m[0]) {
+					symErr = fmt.Errorf("graph: rank %d received twin mark %v→%v it does not own", me, m[0], m[1])
 					return
 				}
-				if i, ok := idx[[2]Vertex{f, t}]; ok {
+				if i, ok := g.find(m[0], m[1]); ok {
 					marked[i] = true
 				}
 			}
@@ -296,65 +325,15 @@ func Reduce(r rt.Runtime, g *Graph, cfg ReduceConfig) (*Graph, error) {
 		return nil, symErr
 	}
 
-	out := &Graph{Part: g.Part, Lens: g.Lens, Contained: g.Contained, Adj: make(map[Vertex][]Edge)}
+	var out *Graph
 	r.Timed(rt.CatOverhead, func() {
-		for i, e := range local {
-			if marked[i] {
-				continue
+		keep := make([]Edge, 0, len(g.edges))
+		for i, e := range g.edges {
+			if !marked[i] {
+				keep = append(keep, e)
 			}
-			out.Adj[e.From] = append(out.Adj[e.From], e)
-			out.NumEdges++
 		}
+		out = newGraph(g.Part, me, g.Lens, g.Contained, keep)
 	})
 	return out, nil
-}
-
-// ReduceOracle is the brute-force serial reference: test every edge
-// against every possible two-edge explanation, then symmetrize. Quadratic
-// in the edge count — test-only, the property tests pit Reduce against it
-// on random graphs.
-func ReduceOracle(edges []Edge, fuzz int) []Edge {
-	es := make([]Edge, len(edges))
-	copy(es, edges)
-	SortEdges(es)
-	es = dedupEdges(es)
-	idx := make(map[[2]Vertex]int, len(es))
-	for i, e := range es {
-		idx[[2]Vertex{e.From, e.To}] = i
-	}
-	marked := make([]bool, len(es))
-	for i, e := range es { // shortcut candidate u→x
-		for _, f := range es { // u→w
-			if f.From != e.From || f.To == e.To || f.To == e.From {
-				continue
-			}
-			k, ok := idx[[2]Vertex{f.To, e.To}] // w→x
-			if !ok {
-				continue
-			}
-			d := f.Len + es[k].Len - e.Len
-			if d < 0 {
-				d = -d
-			}
-			if d <= int32(fuzz) {
-				marked[i] = true
-				break
-			}
-		}
-	}
-	for i, e := range es {
-		if !marked[i] {
-			continue
-		}
-		if k, ok := idx[[2]Vertex{e.To.Twin(), e.From.Twin()}]; ok {
-			marked[k] = true
-		}
-	}
-	var out []Edge
-	for i, e := range es {
-		if !marked[i] {
-			out = append(out, e)
-		}
-	}
-	return out
 }
