@@ -64,7 +64,7 @@
 
 GO      ?= go
 FUZZT   ?= 10s
-LOC_BUDGET = 18368
+LOC_BUDGET = 18312
 
 .PHONY: check vet fmtcheck build test bench-build backhalf-rounds allocs kernel-cells loc loc-budget race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke ci
 

@@ -6,6 +6,7 @@
 //
 //	-mode bsp    bulk-synchronous aggregated exchanges (§3.1)
 //	-mode async  asynchronous pull RPCs with overlap (§3.2)
+//	-mode steal  async with work stealing (§5)
 //
 // Ranks are host goroutines (the real runtime); -procs sets how many.
 // With -dist, ranks are separate OS processes connected by the TCP
@@ -74,17 +75,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // options is the parsed and validated command line.
 type options struct {
-	in, mode, stages, outPath             string
+	job pipeline.JobSpec // -k -x -minscore -coverage -error -lofreq -hifreq -mode
+
+	in, stages, outPath                   string
 	stageMetrics, traceOut, metrics       string
 	cpuProf, memProf, addr, placementFlag string
 
-	procs, k, x, minScore, loFreq, hiFreq int
-	slack, minOv, fuzz, sample, nodeSize  int
-	rank, peers                           int
-	coverage, errRate                     float64
-	mem, cacheB                           int64
-	paf, steal, packed, dist              bool
-	deadline                              time.Duration
+	procs, slack, minOv, fuzz, sample, nodeSize int
+	rank, peers                                 int
+	mem, cacheB                                 int64
+	paf, packed, dist                           bool
+	deadline                                    time.Duration
 
 	placement []int // -placement resolved to a rank→slot permutation (nil = identity)
 }
@@ -95,16 +96,9 @@ func parseOptions(args []string, stderr io.Writer) (*options, int) {
 	o := &options{}
 	fs := flag.NewFlagSet("dibella", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	o.job.Bind(fs)
 	fs.StringVar(&o.in, "in", "", "input FASTA/FASTQ (required)")
-	fs.StringVar(&o.mode, "mode", "bsp", "coordination strategy: bsp or async")
 	fs.IntVar(&o.procs, "procs", 4, "number of ranks (goroutines)")
-	fs.IntVar(&o.k, "k", 17, "k-mer length")
-	fs.IntVar(&o.x, "x", 15, "X-drop parameter")
-	fs.IntVar(&o.minScore, "minscore", 100, "minimum alignment score to save")
-	fs.Float64Var(&o.coverage, "coverage", 0, "sequencing depth for the BELLA filter window")
-	fs.Float64Var(&o.errRate, "error", 0.15, "error rate for the BELLA filter window")
-	fs.IntVar(&o.loFreq, "lofreq", 0, "explicit k-mer frequency lower bound (overrides BELLA model)")
-	fs.IntVar(&o.hiFreq, "hifreq", 0, "explicit k-mer frequency upper bound (overrides BELLA model)")
 	fs.Int64Var(&o.mem, "mem", 0, "per-rank exchange memory budget in bytes (0 = unlimited)")
 	fs.Int64Var(&o.cacheB, "cache-budget", 0, "per-rank remote-read cache budget in bytes (0 disables, negative = unbounded)")
 	fs.IntVar(&o.nodeSize, "node-size", 0, "-dist: group this many consecutive ranks per node and aggregate collectives hierarchically (0/1 = flat)")
@@ -116,7 +110,6 @@ func parseOptions(args []string, stderr io.Writer) (*options, int) {
 	fs.IntVar(&o.fuzz, "fuzz", 0, "assembly stages: transitive-reduction length tolerance in bases")
 	fs.StringVar(&o.stageMetrics, "stage-metrics", "", "write per-stage per-rank metrics, one row per stage and rank (CSV, or JSON if path ends in .json)")
 	fs.BoolVar(&o.paf, "paf", false, "emit PAF records (with cg:Z cigar tags) instead of TSV; needs -stages overlap and in-process ranks")
-	fs.BoolVar(&o.steal, "steal", false, "async mode with dynamic load balancing (work stealing); needs -mode async")
 	fs.BoolVar(&o.packed, "packed", false, "2-bit-pack N-free reads on the wire (≈4x smaller exchanges)")
 	fs.StringVar(&o.traceOut, "trace", "", "write a Chrome trace_event JSON of the run (load in Perfetto)")
 	fs.StringVar(&o.metrics, "metrics", "", "write per-rank metrics totalled over the whole run, all stages and the result gather included (CSV, or JSON if path ends in .json)")
@@ -150,11 +143,10 @@ func parseOptions(args []string, stderr io.Writer) (*options, int) {
 // validate rejects flag combinations that cannot run and resolves the
 // -dist rank count and -placement.
 func (o *options) validate() error {
+	if err := o.job.Validate(); err != nil {
+		return err
+	}
 	switch {
-	case o.mode != "bsp" && o.mode != "async":
-		return fmt.Errorf("unknown -mode %q", o.mode)
-	case o.steal && o.mode != "async":
-		return fmt.Errorf("-steal is a variant of the async driver and needs -mode async")
 	case stageChainIndex(o.stages) < 0:
 		return fmt.Errorf("unknown -stages %q (want overlap, graph, reduce or contigs)", o.stages)
 	case o.paf && o.stages != "overlap":
@@ -175,6 +167,9 @@ func (o *options) validate() error {
 		if o.rank >= 0 && o.addr == "" {
 			return fmt.Errorf("a -dist worker needs -addr (rank 0's rendezvous address)")
 		}
+	}
+	if o.procs < 1 {
+		return fmt.Errorf("-procs %d: need at least one rank", o.procs)
 	}
 	// Placement is parsed once -peers has fixed the final rank count.
 	var err error
@@ -333,9 +328,7 @@ func (o *options) execute(args []string, stdout, stderr io.Writer) error {
 		s.logf("dibella: loaded %s in %s\n", s.reads.ComputeStats(), time.Since(t0).Round(time.Millisecond))
 	}
 
-	if s.plan, err = pipeline.NewPlan(s.lens, o.procs, pipeline.Spec{
-		K: o.k, Lo: o.loFreq, Hi: o.hiFreq, Coverage: o.coverage, ErrRate: o.errRate,
-	}); err != nil {
+	if s.plan, err = pipeline.NewPlan(s.lens, o.procs, o.job.Discovery()); err != nil {
 		return err
 	}
 	if o.traceOut != "" || o.metrics != "" {
@@ -425,7 +418,7 @@ func (s *session) writeRunArtifacts() error {
 	var errs []error
 	if s.traceOut != "" {
 		path := s.traceOut + s.rankSuffix()
-		label := fmt.Sprintf("dibella %s procs=%d", s.mode, s.procs)
+		label := fmt.Sprintf("dibella %s procs=%d", s.job.Mode, s.procs)
 		if err := trace.WriteFile(path, func(w io.Writer) error {
 			return trace.WriteChromeTrace(w, s.tracer, label)
 		}); err != nil {

@@ -20,7 +20,7 @@ import (
 // The fixture is `genreads -genome 8000 -coverage 6 -meanlen 1200 -error
 // 0.08 -both -seed 7`; hits.golden.tsv is the hit TSV the pre-launcher
 // discover→align path wrote for it, byte-identical across bsp / async /
-// async -steal at 1 and 3 ranks, serial and distributed discovery, and
+// steal at 1 and 3 ranks, serial and distributed discovery, and
 // -dist. The staged path must keep reproducing it.
 var fixtureArgs = []string{"-in", "testdata/reads.fa", "-k", "15", "-coverage", "6", "-error", "0.08", "-minscore", "60"}
 
@@ -71,7 +71,7 @@ func TestHitTSVMatchesGoldenAndSerial(t *testing.T) {
 	if oracle.String() != want {
 		t.Fatal("golden TSV differs from CanonicalizeHits(SerialHits(...)): fixture or oracle drifted")
 	}
-	for _, mode := range [][]string{{"-mode", "bsp"}, {"-mode", "async"}, {"-mode", "async", "-steal"}} {
+	for _, mode := range [][]string{{"-mode", "bsp"}, {"-mode", "async"}, {"-mode", "steal"}} {
 		for _, procs := range []string{"1", "3"} {
 			args := append(append(append([]string{}, fixtureArgs...), mode...), "-procs", procs)
 			name := strings.Join(args[len(fixtureArgs):], " ")
@@ -94,15 +94,15 @@ func TestHitTSVMatchesGoldenAndSerial(t *testing.T) {
 // link-table contig stage wrote for the fixture with -fuzz 50 (seven
 // contigs, three of them merging two to four reads) — byte-identical there
 // across its bsp replay walker and its async RPC walker at 1 and 3 ranks.
-// -mode still picks the reduce stage's fetch strategy; neither it nor the
-// rank count may show in an artifact.
+// -mode still picks the reduce stage's fetch strategy (steal fetches as
+// async does); neither it nor the rank count may show in an artifact.
 func TestAssemblyMatchesGolden(t *testing.T) {
 	for stage, file := range map[string]string{"reduce": "testdata/edges.golden.tsv", "contigs": "testdata/contigs.golden.fa"} {
 		want, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []string{"bsp", "async"} {
+		for _, mode := range []string{"bsp", "async", "steal"} {
 			for _, procs := range []string{"1", "3"} {
 				args := append(append([]string{}, fixtureArgs...), "-fuzz", "50", "-stages", stage, "-mode", mode, "-procs", procs)
 				code, stdout, stderr := dibella(args...)
@@ -186,11 +186,17 @@ func TestPAFOneRecordPerRawHit(t *testing.T) {
 
 func TestUsageErrorsExit2(t *testing.T) {
 	for _, tc := range [][]string{
-		{},                         // -in missing
-		{"-distributed"},           // removed: discovery is always the distributed stage
-		{"-steal"},                 // needs -mode async (default is bsp)
-		{"-mode", "bsp", "-steal"}, // likewise, spelled out
+		{},                           // -in missing
+		{"-distributed"},             // removed: discovery is always the distributed stage
+		{"-steal"},                   // removed: the work-stealing variant is -mode steal
+		{"-mode", "async", "-steal"}, // likewise, in its old spelling
 		{"-mode", "pull"},
+		{"-coverage", "1e10"}, // above pipeline.MaxCoverage
+		{"-coverage", "NaN"},
+		{"-x", "-1"},
+		{"-error", "1.5"},
+		{"-k", "40"}, // above kmer.MaxK
+		{"-procs", "0"},
 		{"-stages", "polish"},
 		{"-stages", "graph", "-paf"},
 		{"-paf", "-dist"},

@@ -79,17 +79,12 @@ func (a *artifact) gather(r rt.Runtime, run *pipeline.StageRun) (err error) {
 // process) owns the artifact; every -dist worker writes its own
 // rank-suffixed metrics slice.
 func (s *session) runPipeline() error {
-	mode := s.mode
-	if s.steal {
-		mode = "steal"
-	}
+	alignStage := s.job.AlignStage()
+	alignStage.Packed, alignStage.CacheBudget = s.packed, s.cacheB
 	// The reduce stage's neighbour fetches follow the align phase's
-	// coordination strategy; stealing is an align-only concept.
-	s.plan.Stages = append([]pipeline.Stage{
-		pipeline.DiscoverStage{},
-		pipeline.AlignStage{Mode: mode, MinScore: s.minScore, X: s.x,
-			Packed: s.packed, CacheBudget: s.cacheB},
-	}, graph.AssemblyStages(s.slack, s.minOv, s.fuzz, s.mode, nil)[:stageChainIndex(s.stages)]...)
+	// coordination strategy.
+	s.plan.Stages = append([]pipeline.Stage{pipeline.DiscoverStage{}, alignStage},
+		graph.AssemblyStages(s.slack, s.minOv, s.fuzz, s.job.Mode, nil)[:stageChainIndex(s.stages)]...)
 
 	t0 := time.Now()
 	var art artifact
@@ -131,7 +126,7 @@ func (s *session) runPipeline() error {
 
 	table := &stats.Table{
 		Title: fmt.Sprintf("dibella: %s through %s, %d ranks, %s",
-			mode, s.stages, s.procs, wall.Round(time.Millisecond)),
+			s.job.Mode, s.stages, s.procs, wall.Round(time.Millisecond)),
 		Headers: []string{"stage", "rank", "align", "overhead", "comm", "sync", "sent", "steps"},
 	}
 	if s.dist {
@@ -180,7 +175,7 @@ func (s *session) writeArtifact(w io.Writer, art *artifact, runs []*pipeline.Sta
 			kinds[overlap.Classify(res, int(s.lens[h.A]), int(s.lens[h.B]), 50)]++
 			if !s.paf {
 				fmt.Fprintf(w, "%s\t%s\t%d\n", s.nameOf(h.A), s.nameOf(h.B), h.Score)
-			} else if err := writePAF(w, s.reads, taskOf[uint64(h.A)<<32|uint64(h.B)], h, s.x); err != nil {
+			} else if err := writePAF(w, s.reads, taskOf[uint64(h.A)<<32|uint64(h.B)], h, s.job.X); err != nil {
 				return err
 			}
 		}

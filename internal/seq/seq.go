@@ -1,6 +1,6 @@
 // Package seq provides the base sequence types for the gnbody library:
-// the 5-letter DNA alphabet {A,C,G,T,N}, reads, 2-bit packing for the
-// unambiguous bases, reverse complementation, and read-set statistics.
+// the 5-letter DNA alphabet {A,C,G,T,N}, reads, reverse complementation,
+// and read-set statistics.
 //
 // Long-read sequencers emit reads over a 5-character alphabet: the four
 // bases plus 'N' for low-confidence calls (paper §2). All routines in this
@@ -9,14 +9,14 @@
 package seq
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
 )
 
 // Base is a single nucleotide code. The canonical encoding is
-// A=0, C=1, G=2, T=3, N=4. The 2-bit packed forms only admit A,C,G,T.
+// A=0, C=1, G=2, T=3, N=4. 2-bit packing (core.PackedCodec) only admits
+// A,C,G,T.
 type Base byte
 
 // Canonical base codes.
@@ -137,48 +137,6 @@ func (s Seq) CountN() int {
 		}
 	}
 	return n
-}
-
-// Packed is a 2-bit-per-base packed sequence. Packing is only defined for
-// sequences without N; it is the storage format used for exchanged read
-// payloads in the BSP and Async drivers when the read is N-free, halving...
-// quartering the wire size relative to one byte per base.
-type Packed struct {
-	bits []uint64
-	n    int
-}
-
-// ErrAmbiguous reports an attempt to 2-bit-pack a sequence containing N.
-var ErrAmbiguous = errors.New("seq: cannot 2-bit pack sequence containing N")
-
-// Pack converts s to 2-bit packed form. It fails with ErrAmbiguous if s
-// contains N.
-func Pack(s Seq) (Packed, error) {
-	p := Packed{bits: make([]uint64, (len(s)+31)/32), n: len(s)}
-	for i, b := range s {
-		if b >= N {
-			return Packed{}, ErrAmbiguous
-		}
-		p.bits[i/32] |= uint64(b) << uint((i%32)*2)
-	}
-	return p, nil
-}
-
-// Len returns the number of bases in p.
-func (p Packed) Len() int { return p.n }
-
-// At returns the i-th base of p.
-func (p Packed) At(i int) Base {
-	return Base(p.bits[i/32] >> uint((i%32)*2) & 3)
-}
-
-// Unpack expands p back to one-byte-per-base form.
-func (p Packed) Unpack() Seq {
-	out := make(Seq, p.n)
-	for i := 0; i < p.n; i++ {
-		out[i] = p.At(i)
-	}
-	return out
 }
 
 // ReadID identifies a read globally across all ranks. IDs are dense

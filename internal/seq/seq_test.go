@@ -102,46 +102,6 @@ func TestReverseComplementInvolution(t *testing.T) {
 	}
 }
 
-// Property: 2-bit packing round-trips for N-free sequences.
-func TestPackRoundTrip(t *testing.T) {
-	f := func(data []byte) bool {
-		s := make(Seq, len(data))
-		for i, d := range data {
-			s[i] = Base(d % 4)
-		}
-		p, err := Pack(s)
-		if err != nil {
-			return false
-		}
-		return reflect.DeepEqual(p.Unpack(), s)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPackRejectsN(t *testing.T) {
-	if _, err := Pack(MustFromString("ACGTN")); err != ErrAmbiguous {
-		t.Errorf("Pack with N: err = %v, want ErrAmbiguous", err)
-	}
-}
-
-func TestPackAt(t *testing.T) {
-	s := MustFromString("ACGTACGTACGTACGTACGTACGTACGTACGTACG") // 35 bases, crosses word boundary
-	p, err := Pack(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Len() != 35 {
-		t.Fatalf("Len = %d, want 35", p.Len())
-	}
-	for i := range s {
-		if p.At(i) != s[i] {
-			t.Errorf("At(%d) = %v, want %v", i, p.At(i), s[i])
-		}
-	}
-}
-
 func TestCountN(t *testing.T) {
 	if got := MustFromString("ANNA").CountN(); got != 2 {
 		t.Errorf("CountN = %d, want 2", got)

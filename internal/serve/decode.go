@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"mime"
 	"net/url"
 	"strconv"
 
+	"gnbody/internal/pipeline"
 	"gnbody/internal/seq"
 )
 
@@ -76,8 +78,13 @@ func (l Limits) withDefaults() Limits {
 //
 //   - application/json: a JobRequest document (unknown fields rejected);
 //   - text/x-fasta, application/x-fasta, text/plain: a FASTA body, with
-//     the spec taken from the query string (k, x, minscore, coverage,
-//     error, lofreq, hifreq, mode, chaos_kill_rank).
+//     the spec taken from the query string under dibella's flag names
+//     (k, x, minscore, coverage, error, lofreq, hifreq, mode) plus
+//     chaos_kill_rank; other parameters are ignored.
+//
+// Either way the spec starts from pipeline.DefaultJobSpec: an absent knob
+// keeps its default, a present one is used as given, and the result must
+// pass JobSpec.Validate.
 //
 // The decoder never panics on any input (FuzzJobRequest enforces it) and
 // returns typed errors: ErrUnsupportedMedia, ErrCompressed, or an
@@ -91,10 +98,9 @@ func DecodeJobRequest(contentType string, params url.Values, body []byte, lim Li
 	if len(body) >= 2 && body[0] == 0x1f && body[1] == 0x8b {
 		return nil, ErrCompressed
 	}
-	var rq *JobRequest
+	rq := &JobRequest{JobSpec: pipeline.DefaultJobSpec()}
 	switch mt {
 	case "application/json":
-		rq = &JobRequest{}
 		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(rq); err != nil {
@@ -109,7 +115,7 @@ func DecodeJobRequest(contentType string, params url.Values, body []byte, lim Li
 		if err != nil {
 			return nil, badf("fasta: %v", err)
 		}
-		rq = &JobRequest{Reads: make([]ReadJSON, rs.Len())}
+		rq.Reads = make([]ReadJSON, rs.Len())
 		for i := range rs.Reads {
 			rq.Reads[i] = ReadJSON{Name: rs.Reads[i].Name, Seq: rs.Reads[i].Seq.String()}
 		}
@@ -119,7 +125,7 @@ func DecodeJobRequest(contentType string, params url.Values, body []byte, lim Li
 	default:
 		return nil, fmt.Errorf("%w: %q", ErrUnsupportedMedia, contentType)
 	}
-	if err := rq.JobSpec.normalize(); err != nil {
+	if err := rq.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	if len(rq.Reads) == 0 {
@@ -138,51 +144,22 @@ func DecodeJobRequest(contentType string, params url.Values, body []byte, lim Li
 	return rq, nil
 }
 
-// specFromQuery fills the spec (and chaos hook) from URL query parameters.
+// specFromQuery sets the spec's knobs present in the query through the
+// flag binding dibella parses its command line with, and the chaos hook.
 func (rq *JobRequest) specFromQuery(params url.Values) error {
-	geti := func(key string, dst *int) error {
-		v := params.Get(key)
-		if v == "" {
-			return nil
+	fs := flag.NewFlagSet("query", flag.ContinueOnError)
+	rq.Bind(fs)
+	var err error
+	fs.VisitAll(func(f *flag.Flag) {
+		if err == nil && params.Has(f.Name) {
+			v := params.Get(f.Name)
+			if serr := fs.Set(f.Name, v); serr != nil {
+				err = badf("query %s=%q: %v", f.Name, v, serr)
+			}
 		}
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return badf("query %s=%q: %v", key, v, err)
-		}
-		*dst = n
-		return nil
-	}
-	getf := func(key string, dst *float64) error {
-		v := params.Get(key)
-		if v == "" {
-			return nil
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return badf("query %s=%q: %v", key, v, err)
-		}
-		*dst = f
-		return nil
-	}
-	for _, p := range []struct {
-		key string
-		dst *int
-	}{
-		{"k", &rq.K}, {"x", &rq.X}, {"minscore", &rq.MinScore},
-		{"lofreq", &rq.LoFreq}, {"hifreq", &rq.HiFreq},
-	} {
-		if err := geti(p.key, p.dst); err != nil {
-			return err
-		}
-	}
-	if err := getf("coverage", &rq.Coverage); err != nil {
+	})
+	if err != nil {
 		return err
-	}
-	if err := getf("error", &rq.ErrRate); err != nil {
-		return err
-	}
-	if m := params.Get("mode"); m != "" {
-		rq.Mode = m
 	}
 	if v := params.Get("chaos_kill_rank"); v != "" {
 		n, err := strconv.Atoi(v)

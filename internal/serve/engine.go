@@ -149,20 +149,15 @@ func (e *engine) close() {
 // over between jobs.
 func (e *engine) run(j *Job, kill int) (hits []core.Hit, tasks int64, rows []trace.JobRow, err error) {
 	lens := workload.LensOf(j.reads)
-	plan, err := pipeline.NewPlan(lens, e.ranks, pipeline.Spec{
-		K: j.Spec.K, Lo: j.Spec.LoFreq, Hi: j.Spec.HiFreq,
-		Coverage: j.Spec.Coverage, ErrRate: j.Spec.ErrRate,
-	})
+	plan, err := pipeline.NewPlan(lens, e.ranks, j.Spec.Discovery())
 	if err != nil {
 		return nil, 0, nil, err
 	}
 	exec := core.RealExecutor{Scoring: align.DefaultScoring(), X: j.Spec.X}
-	plan.Stages = []pipeline.Stage{
-		pipeline.DiscoverStage{},
-		pipeline.AlignStage{Mode: j.Spec.Mode, MinScore: j.Spec.MinScore,
-			CacheBudget: e.cacheBudget,
-			ExecFor:     func(rank int) core.Executor { return e.resident.Bind(rank, exec) }},
-	}
+	alignStage := j.Spec.AlignStage()
+	alignStage.CacheBudget = e.cacheBudget
+	alignStage.ExecFor = func(rank int) core.Executor { return e.resident.Bind(rank, exec) }
+	plan.Stages = []pipeline.Stage{pipeline.DiscoverStage{}, alignStage}
 	plan.OnStage = func(r rt.Runtime, stage string, _ any) {
 		if stage == "discover" && r.Rank() == kill {
 			e.taps[kill].Kill() // the align phase's first collective now fails

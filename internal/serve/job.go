@@ -1,12 +1,11 @@
 package serve
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
 	"gnbody/internal/core"
-	"gnbody/internal/kmer"
+	"gnbody/internal/pipeline"
 	"gnbody/internal/seq"
 	"gnbody/internal/trace"
 )
@@ -28,64 +27,10 @@ const (
 // Terminal reports whether the state is final.
 func (s JobState) Terminal() bool { return s == StateDone || s == StateFailed }
 
-// JobSpec is the per-job parameterisation of the overlap pipeline — the
-// compatibility key for request batching: jobs with equal specs may share
-// a warm world back-to-back.
-type JobSpec struct {
-	K        int     `json:"k"`
-	X        int     `json:"x"`
-	MinScore int     `json:"min_score"`
-	Coverage float64 `json:"coverage"`
-	ErrRate  float64 `json:"error_rate"`
-	LoFreq   int     `json:"lo_freq"`
-	HiFreq   int     `json:"hi_freq"`
-	Mode     string  `json:"mode"` // "bsp", "async" or "steal"
-}
-
-// normalize applies defaults and validates the spec.
-func (s *JobSpec) normalize() error {
-	if s.K == 0 {
-		s.K = 17
-	}
-	if s.X == 0 {
-		s.X = 15
-	}
-	if s.MinScore == 0 {
-		s.MinScore = 100
-	}
-	if s.ErrRate == 0 {
-		s.ErrRate = 0.15
-	}
-	if s.Mode == "" {
-		s.Mode = "bsp"
-	}
-	if s.K < 0 || s.K > kmer.MaxK {
-		return fmt.Errorf("serve: k=%d out of range (1..%d)", s.K, kmer.MaxK)
-	}
-	if s.X < 0 {
-		return fmt.Errorf("serve: x=%d must be non-negative", s.X)
-	}
-	switch s.Mode {
-	case "bsp", "async", "steal":
-	default:
-		return fmt.Errorf("serve: unknown mode %q (want bsp, async or steal)", s.Mode)
-	}
-	if s.Coverage < 0 || s.ErrRate < 0 || s.ErrRate >= 1 {
-		return fmt.Errorf("serve: coverage/error_rate out of range")
-	}
-	if s.LoFreq < 0 || s.HiFreq < 0 {
-		return fmt.Errorf("serve: negative frequency bound")
-	}
-	return nil
-}
-
-// batchKey is the compatibility class for request batching: two jobs with
-// the same key run the identical pipeline configuration, so a warm world
-// can take them back-to-back with nothing rebound in between.
-func (s JobSpec) batchKey() string {
-	return fmt.Sprintf("%d|%d|%d|%g|%g|%d|%d|%s",
-		s.K, s.X, s.MinScore, s.Coverage, s.ErrRate, s.LoFreq, s.HiFreq, s.Mode)
-}
+// JobSpec is the overlap job's parameterisation (pipeline.JobSpec), and
+// the batching key: jobs with equal specs may share a warm world
+// back-to-back.
+type JobSpec = pipeline.JobSpec
 
 // Job is one admitted overlap request. Fields under mu are mutated by the
 // scheduler; everything else is immutable after admission.
@@ -116,10 +61,10 @@ type Job struct {
 }
 
 // NewJob builds a job for programmatic submission (experiments, embedding
-// the pool without the HTTP front end). The spec is normalized and
-// validated exactly as an HTTP submission would be.
+// the pool without the HTTP front end). The spec is validated exactly as
+// an HTTP submission's is; start it from pipeline.DefaultJobSpec.
 func NewJob(id string, spec JobSpec, reads *seq.ReadSet) (*Job, error) {
-	if err := spec.normalize(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	return newJob(id, spec, reads, time.Now()), nil

@@ -150,10 +150,11 @@ func (p *Pool) Submit(j *Job) error {
 	return nil
 }
 
-// next blocks for the next job, preferring one whose spec matches lastKey
-// (request batching: equal specs share the warm world back-to-back).
-// Returns nil when the pool is draining and the queue is empty.
-func (p *Pool) next(lastKey string) *Job {
+// next blocks for the next job, preferring one whose spec equals last
+// (request batching: equal specs share the warm world back-to-back). The
+// zero spec, which fails Validate, matches no job. Returns nil when the
+// pool is draining and the queue is empty.
+func (p *Pool) next(last JobSpec) *Job {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for len(p.queue) == 0 && !p.draining {
@@ -163,12 +164,10 @@ func (p *Pool) next(lastKey string) *Job {
 		return nil
 	}
 	pick := 0
-	if lastKey != "" {
-		for i, j := range p.queue {
-			if j.Spec.batchKey() == lastKey {
-				pick = i
-				break
-			}
+	for i, j := range p.queue {
+		if j.Spec == last {
+			pick = i
+			break
 		}
 	}
 	j := p.queue[pick]
@@ -196,13 +195,13 @@ func (p *Pool) release(j *Job, failed bool) {
 func (p *Pool) worker(e *engine) {
 	defer p.wg.Done()
 	defer e.close()
-	var lastKey string
+	var last JobSpec
 	for {
-		j := p.next(lastKey)
+		j := p.next(last)
 		if j == nil {
 			return
 		}
-		lastKey = j.Spec.batchKey()
+		last = j.Spec
 		p.runOne(e, j)
 	}
 }

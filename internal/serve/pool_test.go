@@ -14,7 +14,7 @@ import (
 
 func e2eSpec(mode string) JobSpec {
 	s := JobSpec{K: e2eK, X: e2eX, MinScore: e2eMinScore, LoFreq: e2eLo, HiFreq: e2eHi, Mode: mode}
-	if err := s.normalize(); err != nil {
+	if err := s.Validate(); err != nil {
 		panic(err)
 	}
 	return s
@@ -194,10 +194,10 @@ func TestBatchPreference(t *testing.T) {
 	if err := p.Submit(match); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.next(e2eSpec("bsp").batchKey()); got.ID != "match" {
+	if got := p.next(e2eSpec("bsp")); got.ID != "match" {
 		t.Errorf("next with warm bsp world picked %s, want the spec-compatible job", got.ID)
 	}
-	if got := p.next(""); got.ID != "other" {
+	if got := p.next(JobSpec{}); got.ID != "other" {
 		t.Errorf("next then drained %s, want the remaining job", got.ID)
 	}
 }
