@@ -1,9 +1,10 @@
 # gnbody — build, test, and fuzz gates. Pure Go, no external tools.
 #
 #   make check   fast gate: vet + gofmt + build + full test suite, plus
-#                bench-build and loc-budget. vet also vets internal/align
-#                for arm64, where the AVX2 leaf's assembly is not built and
-#                the pure-Go leaf must compile on its own
+#                cross, bench-build and loc-budget
+#   make cross   vet the whole tree for arm64, where no assembly is built:
+#                align's pure-Go row leaf and seq's SWAR pack kernels must
+#                compile on their own
 #   make bench-build  vet and test the benchmark/ module (a Go module of
 #                its own, so ./... does not reach it): a change that breaks
 #                the exported surface it compiles against fails here, not
@@ -22,7 +23,7 @@
 #   make allocs  one untraced 5 s run each of three benchmark workloads
 #                on seed 1, each with a ceiling on alloc_mb per rep and no
 #                failed operation: exchange-tcp (the read exchange, a BSP
-#                and an async pass over TCP) at most 200 MB, overlap-noisy
+#                and an async pass over TCP) at most 48 MB, overlap-noisy
 #                (discover and align in-process) at most 25 MB,
 #                assemble-backhalf (graph build, reduce and contigs over
 #                TCP, with no maps on the graph path) at most 9 MB — alloc_mb
@@ -64,15 +65,17 @@
 
 GO      ?= go
 FUZZT   ?= 10s
-LOC_BUDGET = 18312
+LOC_BUDGET = 18517
 
-.PHONY: check vet fmtcheck build test bench-build backhalf-rounds allocs kernel-cells loc loc-budget race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke ci
+.PHONY: check vet cross fmtcheck build test bench-build backhalf-rounds allocs kernel-cells loc loc-budget race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke ci
 
-check: vet fmtcheck build test bench-build loc-budget
+check: vet cross fmtcheck build test bench-build loc-budget
 
 vet:
 	$(GO) vet ./...
-	GOARCH=arm64 $(GO) vet ./internal/align
+
+cross:
+	GOARCH=arm64 $(GO) vet ./...
 
 fmtcheck:
 	@out="$$(gofmt -l .)"; \
@@ -99,7 +102,7 @@ backhalf-rounds:
 		  printf "backhalf-rounds: OK (graph.contig_rounds %s, failed 0)\n", rounds }'
 
 allocs:
-	@for want in "exchange-tcp 200" "overlap-noisy 25" "assemble-backhalf 9"; do \
+	@for want in "exchange-tcp 48" "overlap-noisy 25" "assemble-backhalf 9"; do \
 		set -- $$want; \
 		out=$$(bash benchmark/run.sh -workload $$1 -seed 1 -seconds 5) || { echo "$$out"; exit 1; }; \
 		echo "$$out" | awk -v w=$$1 -v limit=$$2 ' \
@@ -143,13 +146,16 @@ fuzz:
 	$(GO) test -fuzz=FuzzFASTARange$$ -fuzztime $(FUZZT) ./internal/seq/
 	$(GO) test -fuzz=FuzzFASTQ$$ -fuzztime $(FUZZT) ./internal/seq/
 	$(GO) test -fuzz=FuzzWire$$ -fuzztime $(FUZZT) ./internal/seq/
+	$(GO) test -fuzz=FuzzPackDiff$$ -fuzztime $(FUZZT) ./internal/seq/
 	$(GO) test -fuzz=FuzzXDrop$$ -fuzztime $(FUZZT) ./internal/align/
 	$(GO) test -fuzz=FuzzXDropDiff$$ -fuzztime $(FUZZT) ./internal/align/
 	$(GO) test -fuzz=FuzzFrame -fuzztime $(FUZZT) ./internal/transport/
 	$(GO) test -fuzz=FuzzSendV$$ -fuzztime $(FUZZT) ./internal/transport/
+	$(GO) test -fuzz=FuzzAddrTable$$ -fuzztime $(FUZZT) ./internal/transport/
 	$(GO) test -fuzz=FuzzHierRecord$$ -fuzztime $(FUZZT) ./internal/dist/
 	$(GO) test -fuzz=FuzzCacheEvict -fuzztime $(FUZZT) ./internal/core/
 	$(GO) test -fuzz=FuzzStolenGroups$$ -fuzztime $(FUZZT) ./internal/core/
+	$(GO) test -fuzz=FuzzDecodeHits$$ -fuzztime $(FUZZT) ./internal/core/
 	$(GO) test -fuzz=FuzzJobRequest -fuzztime $(FUZZT) ./internal/serve/
 	$(GO) test -fuzz=FuzzOverlapClassify -fuzztime $(FUZZT) ./internal/graph/
 	$(GO) test -fuzz=FuzzContigLinks$$ -fuzztime $(FUZZT) ./internal/graph/

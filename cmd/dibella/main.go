@@ -84,7 +84,7 @@ type options struct {
 	procs, slack, minOv, fuzz, sample, nodeSize int
 	rank, peers                                 int
 	mem, cacheB                                 int64
-	paf, packed, dist                           bool
+	paf, dist                                   bool
 	deadline                                    time.Duration
 
 	placement []int // -placement resolved to a rank→slot permutation (nil = identity)
@@ -110,7 +110,6 @@ func parseOptions(args []string, stderr io.Writer) (*options, int) {
 	fs.IntVar(&o.fuzz, "fuzz", 0, "assembly stages: transitive-reduction length tolerance in bases")
 	fs.StringVar(&o.stageMetrics, "stage-metrics", "", "write per-stage per-rank metrics, one row per stage and rank (CSV, or JSON if path ends in .json)")
 	fs.BoolVar(&o.paf, "paf", false, "emit PAF records (with cg:Z cigar tags) instead of TSV; needs -stages overlap and in-process ranks")
-	fs.BoolVar(&o.packed, "packed", false, "2-bit-pack N-free reads on the wire (≈4x smaller exchanges)")
 	fs.StringVar(&o.traceOut, "trace", "", "write a Chrome trace_event JSON of the run (load in Perfetto)")
 	fs.StringVar(&o.metrics, "metrics", "", "write per-rank metrics totalled over the whole run, all stages and the result gather included (CSV, or JSON if path ends in .json)")
 	fs.IntVar(&o.sample, "sample", 1, "trace sampling: keep every Nth high-volume event")

@@ -71,7 +71,10 @@ func TestHitTSVMatchesGoldenAndSerial(t *testing.T) {
 	if oracle.String() != want {
 		t.Fatal("golden TSV differs from CanonicalizeHits(SerialHits(...)): fixture or oracle drifted")
 	}
-	for _, mode := range [][]string{{"-mode", "bsp"}, {"-mode", "async"}, {"-mode", "steal"}} {
+	// 33 of the fixture's 37 reads carry an N, so most cross the wire with
+	// a run list; -mem 20000 splits the bsp exchange into 14 supersteps at
+	// 3 ranks.
+	for _, mode := range [][]string{{"-mode", "bsp"}, {"-mode", "bsp", "-mem", "20000"}, {"-mode", "async"}, {"-mode", "steal"}} {
 		for _, procs := range []string{"1", "3"} {
 			args := append(append(append([]string{}, fixtureArgs...), mode...), "-procs", procs)
 			name := strings.Join(args[len(fixtureArgs):], " ")
@@ -190,6 +193,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"-distributed"},             // removed: discovery is always the distributed stage
 		{"-steal"},                   // removed: the work-stealing variant is -mode steal
 		{"-mode", "async", "-steal"}, // likewise, in its old spelling
+		{"-packed"},                  // removed: every read exchange packs
 		{"-mode", "pull"},
 		{"-coverage", "1e10"}, // above pipeline.MaxCoverage
 		{"-coverage", "NaN"},

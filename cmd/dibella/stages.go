@@ -80,7 +80,7 @@ func (a *artifact) gather(r rt.Runtime, run *pipeline.StageRun) (err error) {
 // rank-suffixed metrics slice.
 func (s *session) runPipeline() error {
 	alignStage := s.job.AlignStage()
-	alignStage.Packed, alignStage.CacheBudget = s.packed, s.cacheB
+	alignStage.CacheBudget = s.cacheB
 	// The reduce stage's neighbour fetches follow the align phase's
 	// coordination strategy.
 	s.plan.Stages = append([]pipeline.Stage{pipeline.DiscoverStage{}, alignStage},

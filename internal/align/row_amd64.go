@@ -1,9 +1,12 @@
 package align
 
+import "gnbody/internal/seq"
+
 // useAVX2 selects the row leaf Workspace.extend calls: extendRowAVX2 when
-// the CPU has AVX2 and the OS saves the YMM registers, extendRow otherwise.
-// It is decided once, here; tests flip it to run both leaves.
-var useAVX2 = avx2Supported()
+// seq.HasAVX2 — the CPU has AVX2 and the OS saves the YMM registers — and
+// extendRow otherwise. It is decided once, here; tests flip it to run both
+// leaves.
+var useAVX2 = seq.HasAVX2()
 
 // extendRowAVX2 is extendRow eight columns at a time (row_amd64.s), with
 // the gap taken from ramp (gapRamp.set). Same contract: row holds the row
@@ -38,23 +41,3 @@ var useAVX2 = avx2Supported()
 //
 //go:noescape
 func extendRowAVX2(row, sub []int32, best, x int32, ramp *gapRamp) (rowBest int32, top int)
-
-func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-func xgetbv() (eax uint32)
-
-// avx2Supported reports AVX2 in CPUID leaf 7 and, through OSXSAVE and
-// XGETBV, that the OS saves both XMM and YMM state across switches.
-func avx2Supported() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
-	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
-		return false
-	}
-	if xgetbv()&6 != 6 {
-		return false
-	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<5) != 0
-}

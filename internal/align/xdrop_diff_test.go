@@ -23,7 +23,7 @@ type rowLeaf struct {
 // rowLeaves lists the leaves this machine runs, the Go leaf first.
 func rowLeaves() []rowLeaf {
 	ls := []rowLeaf{{"go", false}}
-	if avx2Supported() {
+	if seq.HasAVX2() {
 		ls = append(ls, rowLeaf{"avx2", true})
 	}
 	return ls

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -8,7 +9,7 @@ import (
 	"gnbody/internal/seq"
 )
 
-// codecsUnderTest builds all three codecs over the same random read set.
+// codecsUnderTest builds both codecs over the same random read set.
 func codecsUnderTest(t *testing.T) (*seq.ReadSet, map[string]Codec) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(21))
@@ -17,7 +18,7 @@ func codecsUnderTest(t *testing.T) (*seq.ReadSet, map[string]Codec) {
 		s := make(seq.Seq, rng.Intn(300))
 		for j := range s {
 			if i%4 == 0 {
-				s[j] = seq.Base(rng.Intn(seq.NumBases)) // with N: packed fallback
+				s[j] = seq.Base(rng.Intn(seq.NumBases)) // with runs of N
 			} else {
 				s[j] = seq.Base(rng.Intn(4))
 			}
@@ -31,7 +32,6 @@ func codecsUnderTest(t *testing.T) (*seq.ReadSet, map[string]Codec) {
 	}
 	return rs, map[string]Codec{
 		"real":    RealCodec{Store: seq.FullStore(rs)},
-		"packed":  PackedCodec{Store: seq.FullStore(rs)},
 		"phantom": PhantomCodec{Lens: lens},
 	}
 }
@@ -72,9 +72,8 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 	}
 }
 
-// TestDecodeIntoAllocFree: with a warm destination buffer, the real and
-// packed codecs decode without allocating; the phantom codec never
-// allocates at all.
+// TestDecodeIntoAllocFree: with a warm destination buffer, the real codec
+// decodes without allocating; the phantom codec never allocates at all.
 func TestDecodeIntoAllocFree(t *testing.T) {
 	_, codecs := codecsUnderTest(t)
 	for name, c := range codecs {
@@ -91,16 +90,20 @@ func TestDecodeIntoAllocFree(t *testing.T) {
 	}
 }
 
-// TestPhantomEncodeMatchesLegacy pins the zero-body encoder to the byte
-// layout of AppendWire over a zeroed sequence.
+// TestPhantomEncodeMatchesLegacy pins the zero-body encoder to the paper's
+// byte payload: the seq wire header and one zero byte per base.
 func TestPhantomEncodeMatchesLegacy(t *testing.T) {
 	c := PhantomCodec{Lens: []int32{0, 5, 117}}
-	for id := range c.Lens {
-		r := seq.Read{ID: seq.ReadID(id), Seq: make(seq.Seq, c.Lens[id])}
-		want := seq.AppendWire(nil, &r)
+	for id, n := range c.Lens {
+		want := binary.LittleEndian.AppendUint32(nil, uint32(id))
+		want = binary.LittleEndian.AppendUint32(want, uint32(n))
+		want = append(want, make([]byte, n)...)
 		got := c.Encode(nil, seq.ReadID(id))
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("read %d: phantom encoding changed layout", id)
+		}
+		if hid, hn, err := seq.WireHeader(got); err != nil || int(hid) != id || hn != int(n) {
+			t.Errorf("read %d: seq.WireHeader reads (%d, %d, %v)", id, hid, hn, err)
 		}
 	}
 }

@@ -23,6 +23,7 @@ package core
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -80,13 +81,14 @@ func cmpExtents(a, b Hit) int {
 	return cmp.Compare(a.BEnd, b.BEnd)
 }
 
-// Codec encodes reads for the wire. The real codec ships sequence bases;
-// the phantom codec ships correctly-sized zero payloads so the simulator
-// prices exchanges exactly without materialising gigabases.
+// Codec encodes reads for the wire. The real codec ships packed sequence
+// bases; the phantom codec ships correctly-sized zero payloads so the
+// simulator prices the paper's exchanges without materialising gigabases.
 type Codec interface {
 	// Encode appends the wire form of read id to dst.
 	Encode(dst []byte, id seq.ReadID) []byte
-	// WireSize returns the wire size of read id.
+	// WireSize returns the exact wire size of read id, which this rank
+	// must own; it is at most seq.WireSizeOf of the read's length.
 	WireSize(id seq.ReadID) int
 	// Decode parses one read from buf, returning the read (Seq may be nil
 	// under the phantom codec) and bytes consumed.
@@ -97,20 +99,22 @@ type Codec interface {
 	DecodeInto(dst seq.Seq, buf []byte) (seq.Read, int, error)
 }
 
-// RealCodec ships actual read payloads. It encodes from the rank's
+// RealCodec ships actual read payloads in the seq wire format: 2-bit
+// bases with the runs of N listed beside them. It encodes from the rank's
 // owner-only store, so Encode on a non-resident read is a residency
 // violation — exactly the property the store enforces: a rank can only
 // serve bases it owns.
 type RealCodec struct{ Store seq.Store }
 
-// Encode appends the full wire encoding of read id (must be resident).
+// Encode appends the wire encoding of read id (must be resident).
 func (c RealCodec) Encode(dst []byte, id seq.ReadID) []byte {
 	return seq.AppendWire(dst, c.Store.Get(id))
 }
 
-// WireSize returns the read's exact wire size, computed from the
-// replicated length vector so it is valid for any read, owned or not.
-func (c RealCodec) WireSize(id seq.ReadID) int { return seq.WireSizeOf(c.Store.Len(id)) }
+// WireSize returns the read's exact wire size. Packing depends on where
+// the read's Ns are, so it needs the bases and only the owner may ask;
+// planning on every other rank uses Input.planSize.
+func (c RealCodec) WireSize(id seq.ReadID) int { return c.Store.Get(id).EncodedSize() }
 
 // Decode parses one wire-encoded read.
 func (c RealCodec) Decode(buf []byte) (seq.Read, int, error) { return seq.DecodeWire(buf) }
@@ -120,8 +124,9 @@ func (c RealCodec) DecodeInto(dst seq.Seq, buf []byte) (seq.Read, int, error) {
 	return seq.DecodeWireInto(dst, buf)
 }
 
-// PhantomCodec ships zero-filled payloads of the true wire size: exchange
-// volumes, memory accounting and message pricing stay exact while the
+// PhantomCodec ships what the paper's exchange ships — the seq wire header
+// and one byte per base, here zeros — so exchange volumes, memory
+// accounting and message pricing follow the paper's byte payload while the
 // simulated dataset needs no actual bases (the model executor works from
 // task metadata).
 type PhantomCodec struct{ Lens []int32 }
@@ -129,7 +134,9 @@ type PhantomCodec struct{ Lens []int32 }
 // Encode appends a header plus a zero body of the read's length, without
 // materialising a sequence to throw away.
 func (c PhantomCodec) Encode(dst []byte, id seq.ReadID) []byte {
-	return seq.AppendWireZero(dst, id, int(c.Lens[id]))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(c.Lens[id]))
+	return append(dst, make([]byte, c.Lens[id])...) // compiles to a zeroing grow, no temp
 }
 
 // WireSize returns the modeled wire size.
@@ -138,11 +145,14 @@ func (c PhantomCodec) WireSize(id seq.ReadID) int { return seq.WireSizeOf(int(c.
 // Decode parses the header and skips the body (Seq nil): phantom payloads
 // carry no bases worth copying or validating.
 func (c PhantomCodec) Decode(buf []byte) (seq.Read, int, error) {
-	id, n, err := seq.DecodeWireMeta(buf)
+	id, n, err := seq.WireHeader(buf)
 	if err != nil {
 		return seq.Read{}, 0, err
 	}
-	return seq.Read{ID: id}, n, nil
+	if len(buf) < 8+n {
+		return seq.Read{}, 0, fmt.Errorf("core: phantom wire: short body: need %d bytes, have %d", 8+n, len(buf))
+	}
+	return seq.Read{ID: id}, 8 + n, nil
 }
 
 // DecodeInto is Decode; there is no body to land in dst.
@@ -173,8 +183,10 @@ func (in *Input) localSeq(id seq.ReadID) seq.Seq {
 
 // planSize returns the wire size to budget for read id using only the
 // replicated length vector — never the read's bases, which for a remote id
-// this rank must not hold. It is exact for the real and phantom codecs and
-// a safe overestimate for the packed codec (packing only shrinks reads).
+// this rank must not hold. It is seq.WireSizeOf, a bound on every codec's
+// encoding: exact for the phantom codec, about four times the real
+// codec's on a long read. Only the owner, which holds the bases, sizes a
+// payload exactly (Codec.WireSize).
 func (in *Input) planSize(id seq.ReadID) int {
 	return seq.WireSizeOf(int(in.Lens[id]))
 }

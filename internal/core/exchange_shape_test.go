@@ -64,13 +64,14 @@ func crossWorkload(t *testing.T, nReads, readLen, p int) (*seq.ReadSet, []int32,
 
 // TestExchangeAllocationGuard: on dist over the loopback fabric with a
 // no-op executor and the cache off, a pass allocates a small multiple of
-// the payload bytes it receives. The BSP pass allocates its exactly-sized
-// pack buffer and the fabric's one snapshot per frame: 2.0x. The async pass
-// reuses the handler's response buffer, the response frames and the decode
-// buffers, so it allocates only as many of each as callbacks nest deep:
-// 0.8x here (1.1x under the race detector, whose sync.Pool drops buffers
-// at random). The per-base append, the joined alltoallv frame and the
-// unrecycled responses this replaces cost 7.3x and 5.4x.
+// the bases it fetches, counted as the byte-per-base payload requesters
+// plan for (seq.WireSizeOf; the packed wire carries about a quarter of
+// it). The BSP pass allocates its exactly-sized pack buffer and the
+// fabric's one snapshot per frame, both packed, and the decode buffers:
+// 0.6x. The async pass reuses the handler's response buffer, the response
+// frames and the decode buffers, so it allocates only as many of each as
+// callbacks nest deep: 0.7x. The per-base append, the joined alltoallv
+// frame and the unrecycled responses this replaces cost 7.3x and 5.4x.
 func TestExchangeAllocationGuard(t *testing.T) {
 	const p = 2
 	reads, lens, pt, byRank := crossWorkload(t, 400, 20_000, p)
@@ -84,6 +85,18 @@ func TestExchangeAllocationGuard(t *testing.T) {
 		lo, hi := pt.Range(rk)
 		if stores[rk], err = seq.NewSliceStore(lo, reads.Reads[lo:hi], lens); err != nil {
 			t.Fatal(err)
+		}
+	}
+	var planned float64
+	for rk, tasks := range byRank {
+		fetched := make(map[seq.ReadID]bool)
+		for _, task := range tasks {
+			for _, id := range []seq.ReadID{task.A, task.B} {
+				if pt.Owner(id) != rk && !fetched[id] {
+					fetched[id] = true
+					planned += float64(seq.WireSizeOf(int(lens[id])))
+				}
+			}
 		}
 	}
 	pass := func(mode string) (allocated, received float64) {
@@ -118,10 +131,10 @@ func TestExchangeAllocationGuard(t *testing.T) {
 		if received < 1<<20 {
 			t.Fatalf("%s: only %.0f payload bytes received; the guard is vacuous", tc.mode, received)
 		}
-		ratio := allocated / received
-		t.Logf("%s: %.0f bytes allocated for %.0f received (%.2fx)", tc.mode, allocated, received, ratio)
+		ratio := allocated / planned
+		t.Logf("%s: %.0f bytes allocated for %.0f planned, %.0f received (%.2fx)", tc.mode, allocated, planned, received, ratio)
 		if ratio > tc.limit {
-			t.Errorf("%s pass allocated %.2fx the payload it received, limit %.1fx", tc.mode, ratio, tc.limit)
+			t.Errorf("%s pass allocated %.2fx the payload it planned, limit %.1fx", tc.mode, ratio, tc.limit)
 		}
 	}
 }
@@ -227,19 +240,26 @@ func TestCallbackMustNotRetainResponse(t *testing.T) {
 }
 
 // faultyCodec is RealCodec on a rank that answers wrongly for one read:
-// leaves it out of the payload, or packs it twice.
+// leaves it out of the payload ("omit"), packs it twice ("repeat"), or
+// forges a billion-base count into its header ("forge").
 type faultyCodec struct {
 	RealCodec
-	read   seq.ReadID
-	repeat bool
+	read  seq.ReadID
+	fault string
 }
 
 func (c faultyCodec) Encode(dst []byte, id seq.ReadID) []byte {
 	if id != c.read {
 		return c.RealCodec.Encode(dst, id)
 	}
-	if c.repeat {
+	switch c.fault {
+	case "repeat":
 		return c.RealCodec.Encode(c.RealCodec.Encode(dst, id), id)
+	case "forge":
+		at := len(dst)
+		dst = c.RealCodec.Encode(dst, id)
+		binary.LittleEndian.PutUint32(dst[at+4:], 1<<30|binary.LittleEndian.Uint32(dst[at+4:])&(1<<31))
+		return dst
 	}
 	return dst
 }
@@ -247,7 +267,9 @@ func (c faultyCodec) Encode(dst []byte, id seq.ReadID) []byte {
 // TestBSPRejectsShortOrRepeatedPayload: an owner that answers a request
 // list with one read missing, or one read twice, used to cost the requester
 // those tasks' hits — or run them twice — without a word. Now the requester
-// returns an ExchangeError naming the owner and the read, every other rank
+// returns an ExchangeError naming the owner and the read; a read whose
+// header forges its base count is refused on the length vector's word,
+// before anything is sized or unpacked from it. Every other rank
 // finishes normally, and nobody hangs in the superstep's remaining
 // collectives (the run is multi-superstep: the failed rank must keep
 // serving).
@@ -268,10 +290,8 @@ func TestBSPRejectsShortOrRepeatedPayload(t *testing.T) {
 		t.Fatal("rank 0 fetches nothing from rank 1")
 	}
 	for _, tc := range []struct {
-		name   string
-		repeat bool
-		want   string
-	}{{"omitted", false, "missing"}, {"repeated", true, "twice"}} {
+		name, fault, want string
+	}{{"omitted", "omit", "missing"}, {"repeated", "repeat", "twice"}, {"forged length", "forge", "the length vector says"}} {
 		t.Run(tc.name, func(t *testing.T) {
 			world, err := par.NewWorld(par.Config{P: p, MemBudget: 8 << 10}) // several supersteps
 			if err != nil {
@@ -284,7 +304,7 @@ func TestBSPRejectsShortOrRepeatedPayload(t *testing.T) {
 				st := seq.Scope(reads, lo, hi, lens)
 				var codec Codec = RealCodec{Store: st}
 				if r.Rank() == 1 {
-					codec = faultyCodec{RealCodec{Store: st}, victim, tc.repeat}
+					codec = faultyCodec{RealCodec{Store: st}, victim, tc.fault}
 				}
 				in := &Input{Part: pt, Lens: lens, Tasks: byRank[r.Rank()], Codec: codec, Store: st}
 				var res *Result

@@ -33,7 +33,8 @@ func EncodeHits(hs []Hit) []byte {
 	return buf
 }
 
-// DecodeHits is the inverse of EncodeHits.
+// DecodeHits is the inverse of EncodeHits: it accepts only what EncodeHits
+// writes.
 func DecodeHits(buf []byte) ([]Hit, error) {
 	if len(buf)%hitWire != 0 {
 		return nil, fmt.Errorf("core: hit payload of %d bytes is not a multiple of %d", len(buf), hitWire)
@@ -41,6 +42,9 @@ func DecodeHits(buf []byte) ([]Hit, error) {
 	hs := make([]Hit, 0, len(buf)/hitWire)
 	for off := 0; off < len(buf); off += hitWire {
 		b := buf[off:]
+		if b[28] > 1 {
+			return nil, fmt.Errorf("core: hit %d has strand byte %d", off/hitWire, b[28])
+		}
 		hs = append(hs, Hit{
 			A:      seq.ReadID(binary.LittleEndian.Uint32(b[0:])),
 			B:      seq.ReadID(binary.LittleEndian.Uint32(b[4:])),

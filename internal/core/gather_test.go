@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -85,4 +86,25 @@ func TestGatherHitsRaggedFrame(t *testing.T) {
 			t.Errorf("rank %d returned (%v, %v), want (nil, nil)", rk, hits[rk], errs[rk])
 		}
 	}
+}
+
+// FuzzDecodeHits feeds arbitrary bytes to the decoder of GatherHits frames:
+// it must not panic, must reject a length that is no whole number of hits,
+// and whatever it accepts must re-encode to exactly its bytes.
+func FuzzDecodeHits(f *testing.F) {
+	good := EncodeHits([]Hit{{A: 1, B: 2, Score: 300, AEnd: 90, BEnd: 95, RC: true}, {A: 7, B: 3, Score: -1}})
+	f.Add(good)
+	f.Add(good[:len(good)-1])
+	bad := append([]byte(nil), good...)
+	bad[28] = 2
+	f.Add(bad)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		hs, err := DecodeHits(data)
+		if len(data)%hitWire != 0 && err == nil {
+			t.Fatalf("%d bytes decode as %d hits", len(data), len(hs))
+		}
+		if err == nil && !bytes.Equal(EncodeHits(hs), data) {
+			t.Fatal("hits re-encode to different bytes")
+		}
+	})
 }

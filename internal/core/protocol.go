@@ -44,10 +44,9 @@ func (e *ExchangeError) Error() string {
 
 // encodeReads answers a peer's list of 4-byte read ids — all of which must
 // lie in this rank's partition [lo, hi) — with the reads' concatenated wire
-// encodings in dst[:0]. The answer's size is known from the replicated
-// length vector before a base is written, so dst is allocated at most once
-// (an overestimate under the packed codec, exact otherwise). A list this rank
-// cannot answer is returned as a reason, with dst emptied.
+// encodings in dst[:0]. The owner holds the bases, so it sizes the answer
+// exactly before a base is written and dst is allocated at most once. A
+// list this rank cannot answer is returned as a reason, with dst emptied.
 func encodeReads(dst []byte, in *Input, lo, hi int, ids []byte) ([]byte, string) {
 	dst = dst[:0]
 	if len(ids)%4 != 0 {
@@ -59,7 +58,7 @@ func encodeReads(dst []byte, in *Input, lo, hi int, ids []byte) ([]byte, string)
 		if id < lo || id >= hi {
 			return dst, fmt.Sprintf("read %d asked of the owner of [%d,%d)", id, lo, hi)
 		}
-		size += in.planSize(seq.ReadID(id))
+		size += in.Codec.WireSize(seq.ReadID(id))
 	}
 	if cap(dst) < size {
 		dst = make([]byte, 0, size)
@@ -92,9 +91,10 @@ func readServer(f *fetcher) func([]byte) []byte {
 
 // readDecoder decodes received reads under Timed(CatOverhead) — unpacking is
 // driver overhead like packing — through one closure built up front, so the
-// per-read cost is the Timed call and not an allocation. A decoded read
-// whose length differs from the replicated length vector is rejected: the
-// plan, the budgets and the decode buffers were all sized from that vector.
+// per-read cost is the Timed call and not an allocation. A read whose
+// header disagrees with the replicated length vector is rejected before a
+// base is unpacked: the plan, the budgets and the decode buffers were all
+// sized from that vector.
 type readDecoder struct {
 	r rt.Runtime
 
@@ -109,14 +109,17 @@ type readDecoder struct {
 func newReadDecoder(r rt.Runtime, in *Input) *readDecoder {
 	d := &readDecoder{r: r}
 	d.fn = func() {
-		d.read, d.used, d.err = in.Codec.DecodeInto(d.dst, d.buf)
-		if d.err != nil {
-			return
-		}
-		if id := int(d.read.ID); id >= len(in.Lens) {
+		d.read, d.used, d.err = seq.Read{}, 0, nil
+		id, n, err := seq.WireHeader(d.buf)
+		switch {
+		case err != nil:
+			d.err = err
+		case int(id) >= len(in.Lens):
 			d.err = fmt.Errorf("read %d of %d", id, len(in.Lens))
-		} else if d.read.Seq != nil && len(d.read.Seq) != int(in.Lens[id]) {
-			d.err = fmt.Errorf("read %d has %d bases, the length vector says %d", id, len(d.read.Seq), in.Lens[id])
+		case n != int(in.Lens[id]):
+			d.err = fmt.Errorf("read %d has %d bases, the length vector says %d", id, n, in.Lens[id])
+		default:
+			d.read, d.used, d.err = in.Codec.DecodeInto(d.dst, d.buf)
 		}
 	}
 	return d

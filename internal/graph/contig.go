@@ -343,6 +343,19 @@ type sufKey struct {
 	take int32
 }
 
+// BadBasesError reports contig bases from a peer — a suffix response or a
+// gathered contig — holding a code that is no base, which would otherwise
+// reach the contig FASTA as a '?'.
+type BadBasesError struct {
+	From   int  // the rank that sent the bytes
+	Code   byte // the first code that is no base
+	Offset int  // its offset in the frame
+}
+
+func (e *BadBasesError) Error() string {
+	return fmt.Sprintf("graph: rank %d sent base code %d at offset %d", e.From, e.Code, e.Offset)
+}
+
 // suffixes holds the remote suffixes one rank's contigs append: per owner
 // the response payload, and per key its offset in it.
 type suffixes struct {
@@ -402,6 +415,9 @@ func fetchSuffixes(r rt.Runtime, g *Graph, store seq.Store, pends []*pendContig)
 	for o, buf := range suf.from {
 		if len(buf) != want[o] {
 			return nil, fmt.Errorf("graph: rank %d answered %d suffix bytes, want %d", o, len(buf), want[o])
+		}
+		if i := seq.InvalidBase(buf); i >= 0 {
+			return nil, &BadBasesError{From: o, Code: buf[i], Offset: i}
 		}
 	}
 	met.Supersteps++
@@ -519,12 +535,16 @@ func encodeContigs(cs []Contig) []byte {
 	return buf
 }
 
-func decodeContigs(buf []byte) ([]Contig, error) {
+// decodeContigs is the inverse of encodeContigs on a frame from rank from.
+func decodeContigs(from int, buf []byte) ([]Contig, error) {
 	var out []Contig
 	off := 0
 	for off < len(buf) {
 		if off+17 > len(buf) {
 			return nil, fmt.Errorf("graph: truncated contig header")
+		}
+		if buf[off+12] > 1 {
+			return nil, fmt.Errorf("graph: contig circular flag %d", buf[off+12])
 		}
 		ct := Contig{
 			Start:    Vertex(binary.LittleEndian.Uint64(buf[off:])),
@@ -535,6 +555,9 @@ func decodeContigs(buf []byte) ([]Contig, error) {
 		off += 17
 		if off+n > len(buf) {
 			return nil, fmt.Errorf("graph: truncated contig bases")
+		}
+		if i := seq.InvalidBase(buf[off : off+n]); i >= 0 {
+			return nil, &BadBasesError{From: from, Code: buf[off+i], Offset: off + i}
 		}
 		ct.Seq = make(seq.Seq, n)
 		for i := 0; i < n; i++ {
@@ -559,7 +582,7 @@ func GatherContigs(r rt.Runtime, local []Contig) ([]Contig, error) {
 	}
 	var all []Contig
 	for src := 0; src < r.Size(); src++ {
-		cs, err := decodeContigs(recv[src])
+		cs, err := decodeContigs(src, recv[src])
 		if err != nil {
 			return nil, fmt.Errorf("graph: gather from rank %d: %w", src, err)
 		}

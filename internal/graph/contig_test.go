@@ -3,8 +3,10 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -268,6 +270,9 @@ func TestContigsRejectCorruptPeer(t *testing.T) {
 			return first(uint64(V(n-1, true)), step)[1:]
 		}},
 		{"suffix response length", "rank 1", 2, func(sent []byte) []byte { return append(sent, 0) }},
+		{"suffix response base code", "rank 1 sent base code 9", 2, func(sent []byte) []byte {
+			return append(slices.Clone(sent[:len(sent)-1]), 9)
+		}},
 	} {
 		world, err := par.NewWorld(par.Config{P: p})
 		if err != nil {
@@ -286,9 +291,38 @@ func TestContigsRejectCorruptPeer(t *testing.T) {
 		if errs[0] == nil || !strings.Contains(errs[0].Error(), tc.want) {
 			t.Errorf("%s: rank 0 returned %v, want an error containing %q", tc.name, errs[0], tc.want)
 		}
+		if be := (*BadBasesError)(nil); strings.Contains(tc.want, "base code") && (!errors.As(errs[0], &be) || be.From != 1) {
+			t.Errorf("%s: rank 0 returned %v, want a BadBasesError from rank 1", tc.name, errs[0])
+		}
 		if errs[2] != nil {
 			t.Errorf("%s: rank 2, which saw no bad frame, returned %v", tc.name, errs[2])
 		}
+	}
+}
+
+// TestGatherContigsRejectsBadBases: a gathered contig frame whose bases
+// hold a code that is no base ends the gather on rank 0 in a
+// BadBasesError naming the sender, instead of a '?' in the FASTA.
+func TestGatherContigsRejectsBadBases(t *testing.T) {
+	world, err := par.NewWorld(par.Config{P: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got error
+	mustRun(t, world.Run)(func(r rt.Runtime) {
+		local := []Contig{{Start: V(seq.ReadID(r.Rank()), false), Reads: 1, Seq: seq.MustFromString("ACGTN")}}
+		if r.Rank() == 1 {
+			r = &corruptingRuntime{Runtime: r, call: 0, mutate: func(sent []byte) []byte {
+				return append(slices.Clone(sent[:len(sent)-1]), seq.NumBases)
+			}}
+		}
+		if _, err := GatherContigs(r, local); r.Rank() == 0 {
+			got = err
+		}
+	})
+	var be *BadBasesError
+	if !errors.As(got, &be) || be.From != 1 || be.Code != seq.NumBases {
+		t.Fatalf("rank 0 gathered with error %v, want a BadBasesError from rank 1", got)
 	}
 }
 

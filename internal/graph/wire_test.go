@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"slices"
 	"strings"
@@ -144,9 +145,11 @@ func (c collectivesOnly) AsyncCall(owner int, req []byte, cb func([]byte)) {
 // FuzzGraphWire feeds arbitrary bytes to the graph stages' peer decoders:
 // as edge records (decodeEdges), as an adjacency request answered by one
 // rank and parsed back by the requester (answerAdjReq → parseAdjResp), as an
-// adjacency response, and as a twin-mark payload. None may panic; input
-// whose length is no whole number of records must be rejected; and
-// whatever a decoder accepts must re-encode to exactly its bytes.
+// adjacency response, as a twin-mark payload, and as a gathered contig
+// frame (decodeContigs). None may panic; input whose length is no whole
+// number of records must be rejected, and contig bases that are no base
+// codes with a BadBasesError naming the sender; and whatever a decoder
+// accepts must re-encode to exactly its bytes.
 func FuzzGraphWire(f *testing.F) {
 	edges, lens := randomTwinGraph(rand.New(rand.NewSource(5)), 12, 40)
 	pt := sizePartition(f, lens, 2)
@@ -171,6 +174,7 @@ func FuzzGraphWire(f *testing.F) {
 	f.Add(resp)
 	f.Add(appendMark(appendMark(nil, V(1, true), V(2, false)), forgedVertices(len(lens))[0], 0))
 	f.Add(resp[:len(resp)-1])
+	f.Add(encodeContigs([]Contig{{Start: 3, Reads: 2, Circular: true, Seq: seq.MustFromString("ACGTN")}, {Start: 8, Reads: 1}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		es, err := decodeEdges(data)
@@ -229,6 +233,15 @@ func FuzzGraphWire(f *testing.F) {
 			if !bytes.Equal(again, data) {
 				t.Fatal("twin marks re-encode to different bytes")
 			}
+		}
+
+		cs, err := decodeContigs(1, data)
+		var be *BadBasesError
+		switch {
+		case err == nil && !bytes.Equal(encodeContigs(cs), data):
+			t.Fatal("contigs re-encode to different bytes")
+		case errors.As(err, &be) && (be.From != 1 || be.Code < seq.NumBases || data[be.Offset] != be.Code):
+			t.Fatalf("bad-bases error %+v on % x", be, data)
 		}
 	})
 }

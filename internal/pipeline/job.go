@@ -75,7 +75,7 @@ func (s JobSpec) Discovery() Spec {
 }
 
 // AlignStage is the align stage the job implies; callers set the
-// transport knobs (Packed, CacheBudget, Exec) on top.
+// transport knobs (CacheBudget, Exec) on top.
 func (s JobSpec) AlignStage() AlignStage {
 	return AlignStage{Mode: s.Mode, MinScore: s.MinScore, X: s.X}
 }

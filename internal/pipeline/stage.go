@@ -184,7 +184,6 @@ type AlignStage struct {
 	MinScore int
 	X        int
 
-	Packed      bool  // 2-bit-pack N-free reads on the wire
 	CacheBudget int64 // per-rank remote-read cache budget (0 off, <0 unbounded)
 
 	// Exec overrides the executor (default: RealExecutor with the default
@@ -216,11 +215,7 @@ func (s AlignStage) Run(r rt.Runtime, pl *Plan, store seq.Store, prev any) (any,
 	if exec == nil {
 		exec = core.RealExecutor{Scoring: align.DefaultScoring(), X: s.X}
 	}
-	var codec core.Codec = core.RealCodec{Store: store}
-	if s.Packed {
-		codec = core.PackedCodec{Store: store}
-	}
-	in := &core.Input{Part: pl.Part, Lens: pl.Lens, Tasks: tasks, Codec: codec, Store: store}
+	in := &core.Input{Part: pl.Part, Lens: pl.Lens, Tasks: tasks, Codec: core.RealCodec{Store: store}, Store: store}
 	cfg := core.Config{Exec: exec, MinScore: s.MinScore, CacheBudget: s.CacheBudget}
 	return core.Run(s.Mode, r, in, cfg)
 }

@@ -131,26 +131,28 @@ func TestLoadFileDispatch(t *testing.T) {
 }
 
 func TestWireRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var buf []byte
-	var want []Read
-	for i := 0; i < 40; i++ {
-		r := Read{ID: ReadID(rng.Intn(1000)), Seq: randSeq(rng, rng.Intn(200), true)}
-		want = append(want, r)
-		buf = AppendWire(buf, &r)
-	}
-	got, err := DecodeWireAll(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("decoded %d reads, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].ID != want[i].ID || !reflect.DeepEqual(got[i].Seq, want[i].Seq) {
-			t.Errorf("read %d mismatch", i)
+	kernels(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		var buf []byte
+		var want []Read
+		for i := 0; i < 40; i++ {
+			r := Read{ID: ReadID(rng.Intn(1000)), Seq: randSeq(rng, rng.Intn(200), true)}
+			want = append(want, r)
+			buf = AppendWire(buf, &r)
 		}
-	}
+		got, err := DecodeWireAll(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("decoded %d reads, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i].ID != want[i].ID || !reflect.DeepEqual(got[i].Seq, want[i].Seq) {
+				t.Errorf("read %d mismatch", i)
+			}
+		}
+	})
 }
 
 func TestWireErrors(t *testing.T) {

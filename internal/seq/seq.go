@@ -15,8 +15,8 @@ import (
 )
 
 // Base is a single nucleotide code. The canonical encoding is
-// A=0, C=1, G=2, T=3, N=4. 2-bit packing (core.PackedCodec) only admits
-// A,C,G,T.
+// A=0, C=1, G=2, T=3, N=4. The wire format packs A,C,G,T in 2 bits and
+// lists the runs of N beside them (AppendWire).
 type Base byte
 
 // Canonical base codes.
@@ -153,13 +153,15 @@ type Read struct {
 // Len returns the read length in bases.
 func (r *Read) Len() int { return len(r.Seq) }
 
-// WireSize returns the number of payload bytes this read occupies in an
-// exchange message: 4 bytes of ID, 4 bytes of length, one byte per base.
-// The drivers use it for memory budgeting and exchange-load accounting.
+// WireSize returns the planned wire size of this read: 4 bytes of ID, 4
+// bytes of length and one byte per base, the most AppendWire ever writes
+// for it (EncodedSize is the exact size). The drivers use it for memory
+// budgeting and the stores for their resident footprint.
 func (r *Read) WireSize() int { return 8 + len(r.Seq) }
 
-// WireSizeOf returns the wire size for a read of n bases without
-// materialising a Read.
+// WireSizeOf returns the planned wire size for a read of n bases without
+// materialising a Read: a bound any rank can compute from the length
+// vector alone.
 func WireSizeOf(n int) int { return 8 + n }
 
 // ReadSet is an ordered collection of reads with dense IDs.

@@ -37,21 +37,23 @@ func TestDecodeWireAllRobust(t *testing.T) {
 // Truncating a valid stream at every possible byte offset must either
 // decode a prefix of the reads or error — never panic, never corrupt.
 func TestDecodeWireAllTruncations(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	var buf []byte
-	for i := 0; i < 10; i++ {
-		r := Read{ID: ReadID(i), Seq: randSeq(rng, rng.Intn(50), true)}
-		buf = AppendWire(buf, &r)
-	}
-	for cut := 0; cut <= len(buf); cut++ {
-		reads, err := DecodeWireAll(buf[:cut])
-		if err != nil {
-			continue
+	kernels(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(8))
+		var buf []byte
+		for i := 0; i < 10; i++ {
+			r := Read{ID: ReadID(i), Seq: randSeq(rng, rng.Intn(50), true)}
+			buf = AppendWire(buf, &r)
 		}
-		for j := range reads {
-			if reads[j].ID != ReadID(j) {
-				t.Fatalf("cut %d: read %d has ID %d", cut, j, reads[j].ID)
+		for cut := 0; cut <= len(buf); cut++ {
+			reads, err := DecodeWireAll(buf[:cut])
+			if err != nil {
+				continue
+			}
+			for j := range reads {
+				if reads[j].ID != ReadID(j) {
+					t.Fatalf("cut %d: read %d has ID %d", cut, j, reads[j].ID)
+				}
 			}
 		}
-	}
+	})
 }

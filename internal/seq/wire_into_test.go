@@ -10,36 +10,38 @@ import (
 // allocation-free once the destination buffer is warm.
 
 func TestDecodeWireIntoMatchesDecodeWire(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var dst Seq
-	for iter := 0; iter < 100; iter++ {
-		want := Read{ID: ReadID(rng.Intn(1 << 20)), Seq: make(Seq, rng.Intn(200))}
-		for i := range want.Seq {
-			want.Seq[i] = Base(rng.Intn(NumBases))
-		}
-		buf := AppendWire(nil, &want)
+	kernels(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(11))
+		var dst Seq
+		for iter := 0; iter < 100; iter++ {
+			want := Read{ID: ReadID(rng.Intn(1 << 20)), Seq: make(Seq, rng.Intn(200))}
+			for i := range want.Seq {
+				want.Seq[i] = Base(rng.Intn(NumBases))
+			}
+			buf := AppendWire(nil, &want)
 
-		got, n, err := DecodeWireInto(dst, buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != len(buf) || got.ID != want.ID || len(got.Seq) != len(want.Seq) {
-			t.Fatalf("DecodeWireInto = (%+v, %d), want (%+v, %d)", got, n, want, len(buf))
-		}
-		for i := range got.Seq {
-			if got.Seq[i] != want.Seq[i] {
-				t.Fatalf("base %d = %d, want %d", i, got.Seq[i], want.Seq[i])
+			got, n, err := DecodeWireInto(dst, buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != len(buf) || got.ID != want.ID || len(got.Seq) != len(want.Seq) {
+				t.Fatalf("DecodeWireInto = (%+v, %d), want (%+v, %d)", got, n, want, len(buf))
+			}
+			for i := range got.Seq {
+				if got.Seq[i] != want.Seq[i] {
+					t.Fatalf("base %d = %d, want %d", i, got.Seq[i], want.Seq[i])
+				}
+			}
+			if cap(got.Seq) > cap(dst) {
+				dst = got.Seq // adopt the grown buffer, as looping callers do
+			}
+
+			id, bases, err := WireHeader(buf)
+			if err != nil || id != want.ID || bases != len(want.Seq) {
+				t.Fatalf("WireHeader = (%d, %d, %v), want (%d, %d, nil)", id, bases, err, want.ID, len(want.Seq))
 			}
 		}
-		if cap(got.Seq) > cap(dst) {
-			dst = got.Seq // adopt the grown buffer, as looping callers do
-		}
-
-		id, mn, err := DecodeWireMeta(buf)
-		if err != nil || id != want.ID || mn != n {
-			t.Fatalf("DecodeWireMeta = (%d, %d, %v), want (%d, %d, nil)", id, mn, err, want.ID, n)
-		}
-	}
+	})
 }
 
 func TestDecodeWireIntoErrors(t *testing.T) {
@@ -47,16 +49,13 @@ func TestDecodeWireIntoErrors(t *testing.T) {
 	if _, _, err := DecodeWireInto(dst, []byte{1, 2, 3}); err == nil {
 		t.Error("short header accepted")
 	}
-	if _, _, err := DecodeWireMeta([]byte{1, 2, 3}); err == nil {
-		t.Error("meta: short header accepted")
+	if _, _, err := WireHeader([]byte{1, 2, 3}); err == nil {
+		t.Error("header: short header accepted")
 	}
 	r := Read{ID: 9, Seq: MustFromString("ACGTN")}
 	buf := AppendWire(nil, &r)
 	if _, _, err := DecodeWireInto(dst, buf[:len(buf)-1]); err == nil {
 		t.Error("short body accepted")
-	}
-	if _, _, err := DecodeWireMeta(buf[:len(buf)-1]); err == nil {
-		t.Error("meta: short body accepted")
 	}
 	bad := append([]byte(nil), buf...)
 	bad[len(bad)-1] = 0xEE
@@ -76,15 +75,5 @@ func TestDecodeWireIntoAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm DecodeWireInto allocates %.1f times per run, want 0", allocs)
-	}
-}
-
-func TestAppendWireZeroMatchesAppendWire(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 300} {
-		want := AppendWire(nil, &Read{ID: 42, Seq: make(Seq, n)})
-		got := AppendWireZero(nil, 42, n)
-		if string(got) != string(want) {
-			t.Fatalf("AppendWireZero(n=%d) differs from AppendWire on zeroed seq", n)
-		}
 	}
 }

@@ -56,3 +56,28 @@ func FuzzFrame(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAddrTable feeds arbitrary bytes to the decoder of the rendezvous
+// address table rank 0 broadcasts: it must not panic, must accept only a
+// table of exactly the world's size, and whatever it accepts must
+// re-encode to exactly its bytes.
+func FuzzAddrTable(f *testing.F) {
+	const size = 3
+	good := encodeTable([]string{"127.0.0.1:4000", "", "[::1]:4002"})
+	f.Add(good)
+	f.Add(good[:len(good)-1])
+	f.Add(append(append([]byte(nil), good...), 0))
+	f.Add(encodeTable([]string{"a", "b"}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		addrs, err := decodeTable(data, size)
+		if err != nil {
+			return
+		}
+		if len(addrs) != size {
+			t.Fatalf("table of %d addresses accepted for %d ranks", len(addrs), size)
+		}
+		if again := encodeTable(addrs); !bytes.Equal(again, data) {
+			t.Fatalf("table % x re-encodes to % x", data, again)
+		}
+	})
+}
