@@ -1,10 +1,13 @@
 # gnbody — build, test, and fuzz gates. Pure Go, no external tools.
 #
 #   make check   fast gate: vet + gofmt + build + full test suite, plus
-#                cross, bench-build and loc-budget
+#                cross, bench-smoke, bench-build and loc-budget
 #   make cross   vet the whole tree for arm64, where no assembly is built:
 #                align's pure-Go row leaf and seq's SWAR pack kernels must
 #                compile on their own
+#   make bench-smoke  run every Benchmark function in the tree once
+#                (-benchtime 1x): go test only compiles them, so a benchmark
+#                that no longer runs would otherwise go unseen
 #   make bench-build  vet and test the benchmark/ module (a Go module of
 #                its own, so ./... does not reach it): a change that breaks
 #                the exported surface it compiles against fails here, not
@@ -65,11 +68,11 @@
 
 GO      ?= go
 FUZZT   ?= 10s
-LOC_BUDGET = 18517
+LOC_BUDGET = 18634
 
-.PHONY: check vet cross fmtcheck build test bench-build backhalf-rounds allocs kernel-cells loc loc-budget race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke ci
+.PHONY: check vet cross fmtcheck build test bench-smoke bench-build backhalf-rounds allocs kernel-cells loc loc-budget race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke ci
 
-check: vet cross fmtcheck build test bench-build loc-budget
+check: vet cross fmtcheck build test bench-smoke bench-build loc-budget
 
 vet:
 	$(GO) vet ./...
@@ -88,6 +91,9 @@ build:
 
 test:
 	$(GO) test ./...
+
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 bench-build:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...

@@ -198,6 +198,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"-coverage", "1e10"}, // above pipeline.MaxCoverage
 		{"-coverage", "NaN"},
 		{"-x", "-1"},
+		{"-x", "1001"}, // above pipeline.MaxX
 		{"-error", "1.5"},
 		{"-k", "40"}, // above kmer.MaxK
 		{"-procs", "0"},

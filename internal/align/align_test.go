@@ -369,50 +369,49 @@ func benchSeedExtendX(b *testing.B, n, x int, ref bool) {
 	}
 }
 
-// BenchmarkExtendRow times each leaf alone, at the row widths of
-// overlap-noisy (~25 cells) and of SeedExtendWide10k (~156 cells), so its
-// ns/cell separates the leaf's cost from the per-row code around it. The
-// rows start as a band near the running best with pruned cells scattered in
-// it and are then recomputed in place call after call, the same rows for
-// both leaves.
-func BenchmarkExtendRow25(b *testing.B)  { benchExtendRow(b, 25, 15) }
-func BenchmarkExtendRow156(b *testing.B) { benchExtendRow(b, 156, 100) }
+// BenchmarkExtendRow times one call of each leaf's row loop running 64
+// rows, at the row widths of overlap-noisy (~25 cells) and of
+// SeedExtendWide10k (~156 cells), so its ns/cell separates the rows' cost
+// from the per-extension code around them. The rows are the band of a
+// 16 kb pair at 10 % substitutions walked down its diagonal, x setting the
+// width, with the whole profile built up front; a call runs while a lasts,
+// and a is cut 64 rows past where the call starts. The band starts over at
+// the far end or where it dies.
+func BenchmarkExtendRow25(b *testing.B)  { benchExtendRow(b, 15) }
+func BenchmarkExtendRow156(b *testing.B) { benchExtendRow(b, 100) }
 
-var rowSink int32
-
-func benchExtendRow(b *testing.B, width int, x int32) {
-	const rows, best, gap = 64, 1000, -1
+func benchExtendRow(b *testing.B, x int32) {
+	const n, rows = 1 << 14, 64
+	rng := rand.New(rand.NewSource(1))
+	a := randSeq(rng, n)
+	for j := range a {
+		a[j] %= seq.N
+	}
+	bb := a.Clone()
+	for m := 0; m < n/10; m++ {
+		bb[rng.Intn(n)] = seq.Base(rng.Intn(4))
+	}
 	for _, l := range rowLeaves() {
 		b.Run(l.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			row, sub := make([][]int32, rows), make([][]int32, rows)
-			for r := range row {
-				row[r], sub[r] = make([]int32, width), make([]int32, width)
-				for j := range row[r] {
-					row[r][j] = best - rng.Int31n(2*x)
-					if row[r][j] < best-x {
-						row[r][j] = negInf32
-					}
-					sub[r][j] = 1
-					if rng.Intn(10) == 0 {
-						sub[r][j] = -1
-					}
-				}
-			}
-			var ramp gapRamp
-			ramp.set(gap)
+			w := NewWorkspace()
+			w.ensure(DefaultScoring(), n)
+			w.buildProfile(bb, false, 1, n)
+			st := w.startRows(a, n, x, false)
+			st.built = n
+			var cells, ran int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				var v int32
-				var top int
-				if l.avx2 {
-					v, top = extendRowAVX2(row[i%rows], sub[i%rows], best, x, &ramp)
-				} else {
-					v, top = extendRow(row[i%rows], sub[i%rows], gap, best, x)
+				if st.i+rows > n || st.lo > st.hi {
+					cells, ran = cells+st.cells, ran+st.i
+					st = w.startRows(a, n, x, false)
+					st.built = n
 				}
-				rowSink += v + int32(top)
+				st.a = a[:st.i+rows]
+				l.rows(&st)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/cell")
+			cells, ran = cells+st.cells, ran+st.i
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cells), "ns/cell")
+			b.ReportMetric(float64(cells)/float64(ran), "cells/row")
 		})
 	}
 }

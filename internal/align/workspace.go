@@ -13,7 +13,7 @@ const negInf32 = int32(-1)<<29 - 1
 
 // Workspace is the reusable scratch of one alignment lane: the DP row and
 // the query profile of b, carved from one allocation that grows
-// monotonically, the 5×5 substitution table for the current scoring scheme,
+// monotonically, the substitution table for the current scoring scheme,
 // and a reverse-complement buffer. With a warm workspace, SeedExtend runs
 // allocation-free — the property the hot path depends on, since every one
 // of the millions of tasks would otherwise churn the allocator (§4.2's
@@ -25,19 +25,20 @@ const negInf32 = int32(-1)<<29 - 1
 // callbacks of a rank run on that rank's goroutine, so even the stealing
 // driver needs no more than the rank's own workspace.
 type Workspace struct {
-	// row is the DP row, indexed by column 0..blen; each row overwrites its
-	// predecessor in place (extendRow).
-	row []int32
+	// slab is the DP row, indexed by column 0..blen, followed by the five
+	// rows of the query profile, all of one length (stride): each DP row
+	// overwrites its predecessor in place (extendRow).
+	//
+	// Profile row c, slab[(1+c)·stride:][j], is the substitution score of
+	// row base c against the base column j consumes, in walk order (b[j-1]
+	// forward, b[blen-j] reversed); row N is the all-mismatch row. An
+	// extension builds it in chunks as the band's high-water column
+	// advances, so a false positive that dies after a few rows never pays
+	// for the far end of b. Column 0 consumes no base; its entries stay 0
+	// and only ever meet a negInf32 diagonal.
+	slab []int32
 
-	// prof[c][j] is the substitution score of row base c against the base
-	// column j consumes, in walk order (b[j-1] forward, b[blen-j] reversed);
-	// prof[N] is the all-mismatch row. An extension builds it in chunks as
-	// the band's high-water column advances, so a false positive that dies
-	// after a few rows never pays for the far end of b. Column 0 consumes
-	// no base; its entries stay 0 and only ever meet a negInf32 diagonal.
-	prof [seq.NumBases][]int32
-
-	sub  [seq.NumBases][seq.NumBases]int32
+	sub  subTable
 	ramp gapRamp // for sub's gap
 	// subFor is the scheme sub and ramp were built for; the zero Scoring
 	// until the first row-kernel extension, whose gap is negative.
@@ -46,10 +47,14 @@ type Workspace struct {
 	stats  KernelStats
 }
 
+// subTable is the substitution table, sub[row base][column base], each row
+// padded to eight lanes so the AVX2 profile build looks a block of
+// columns up in one register.
+type subTable [seq.NumBases][8]int32
+
 // gapRamp is (1..8)·gap, the gap multiples the AVX2 leaf adds to a block,
-// kept with the workspace so a row call loads them instead of forming
-// them. Workspace fills its 352-byte size class exactly: a wider field here
-// would raise what every rank allocates.
+// kept with the workspace so an extension copies them instead of forming
+// them.
 type gapRamp [8]int32
 
 // set fills the ramp for gap. Only row-kernel inputs reach it, and
@@ -87,13 +92,11 @@ const profChunk = 64
 // ensure sizes the row and the profile for a b of length blen and
 // refreshes the substitution table when the scoring scheme changed.
 func (w *Workspace) ensure(sc Scoring, blen int) {
-	if len(w.row) < blen+1 {
-		n := max(2*len(w.row), blen+1, 256)
-		slab := make([]int32, (1+seq.NumBases)*n)
-		w.row = slab[:n]
-		for c := range w.prof {
-			w.prof[c] = slab[(1+c)*n : (2+c)*n]
-		}
+	if w.stride() < blen+1 {
+		// Whole blocks of eight, and a spare one past column blen, for the
+		// AVX2 row loop.
+		n := max(2*w.stride(), (blen+8)&^7+8, 256)
+		w.slab = make([]int32, (1+seq.NumBases)*n)
 	}
 	if w.subFor != sc {
 		for x := 0; x < seq.NumBases; x++ {
@@ -106,12 +109,30 @@ func (w *Workspace) ensure(sc Scoring, blen int) {
 	}
 }
 
-// buildProfile fills profile columns [from, to] for b in walk order. The
-// five rows are written side by side from hoisted subslices: looping over
-// w.prof per column doubled the build's cost.
+// stride is the length of the DP row and of each profile row.
+func (w *Workspace) stride() int { return len(w.slab) / (1 + seq.NumBases) }
+
+// profRow is profile row c, the scores of row base c by column.
+func (w *Workspace) profRow(c seq.Base) []int32 {
+	n := w.stride()
+	return w.slab[(1+int(c))*n : (2+int(c))*n]
+}
+
+// buildProfile fills profile columns [from, to] for b in walk order:
+// eight columns a step with buildProfileAVX2 where useAVX2, the rest one
+// at a time. The five rows are written side by side from hoisted
+// subslices: looping over the rows per column doubled the build's cost.
 func (w *Workspace) buildProfile(b seq.Seq, rev bool, from, to int) {
-	p0, p1, p2 := w.prof[0][from:to+1], w.prof[1][from:to+1], w.prof[2][from:to+1]
-	p3, p4 := w.prof[3][from:to+1], w.prof[4][from:to+1]
+	if n := (to - from + 1) &^ 7; useAVX2 && n > 0 {
+		bases := b[from-1 : from-1+n]
+		if rev {
+			bases = b[len(b)-from-n+1 : len(b)-from+1]
+		}
+		buildProfileAVX2(w.slab[w.stride()+from:], w.stride(), bases, rev, &w.sub)
+		from += n
+	}
+	p0, p1, p2 := w.profRow(0)[from:to+1], w.profRow(1)[from:to+1], w.profRow(2)[from:to+1]
+	p3, p4 := w.profRow(3)[from:to+1], w.profRow(4)[from:to+1]
 	for k := range p0 {
 		cb := b[from+k-1]
 		if rev {
@@ -180,11 +201,13 @@ func (w *Workspace) ExtendRight(a, b seq.Seq, sc Scoring, x int) Extension {
 // (possibly reversed) inputs; inputs whose values could overflow int32, or
 // whose gap score is not a penalty, go to that reference.
 //
-// Relative to the reference, a row is one call of the row leaf — extendRow,
-// or extendRowAVX2 where useAVX2 — over the window's columns, overwriting
-// the row above in place; substitution scores come from the query profile
-// instead of a per-cell base load and table lookup, cells are counted per
-// row, and the leaf reports the column of a new best.
+// Relative to the reference, the rows run in the row loop — extendRows, or
+// extendRowsAVX2 where useAVX2 — which computes each row over the window's
+// columns in place of the row above; substitution scores come from the
+// query profile instead of a per-cell base load and table lookup, and
+// cells are counted per row. The loop returns whenever the band is about
+// to pass the profile built so far; extend builds the next chunk and calls
+// it again.
 func (w *Workspace) extend(a, b seq.Seq, sc Scoring, x int, rev bool) Extension {
 	if x < 0 {
 		x = 0
@@ -199,63 +222,102 @@ func (w *Workspace) extend(a, b seq.Seq, sc Scoring, x int, rev bool) Extension 
 	}
 	w.stats.RowExts++
 	w.ensure(sc, blen)
-	built := 0 // profile columns 1..built are filled
-	gap := int32(sc.Gap)
-	x32 := int32(x)
-	row := w.row[:blen+1]
-
-	best, bestI, bestJ := int32(0), 0, 0
-	cells := 0
-
-	// Row 0: gaps in a only. Cells here are not counted (reference
-	// behaviour).
-	lo, hi := 0, 0 // the previous row's live window
-	row[0] = 0
-	s := int32(0)
-	for j := 1; j <= blen; j++ {
-		s += gap
-		if s < -x32 {
-			break
-		}
-		row[j] = s
-		hi = j
-	}
-
-	for i := 1; i <= alen; i++ {
-		// Columns reachable this row: [lo, hi+1] clipped to b. Column hi+1
-		// has no vertical move: a pruned cell above it takes that move out
-		// of the max.
-		hi++
-		if hi <= blen {
-			row[hi] = negInf32
-		} else {
-			hi = blen
-		}
-		cells += hi - lo + 1
-		if hi > built {
+	st := w.startRows(a, blen, int32(x), rev)
+	for st.i < alen && st.lo <= st.hi {
+		if hi := min(st.hi+1, blen); hi > st.built {
 			to := min(hi+profChunk, blen)
-			w.buildProfile(b, rev, built+1, to)
-			built = to
+			w.buildProfile(b, rev, st.built+1, to)
+			st.built = to
 		}
+		if useAVX2 {
+			extendRowsAVX2(&st)
+		} else {
+			extendRows(&st)
+		}
+	}
+	w.stats.Cells += int64(st.cells)
+	return Extension{Score: int(st.best), AExt: st.bestI, BExt: st.bestJ, Cells: st.cells}
+}
 
-		ca := a[i-1]
-		if rev {
-			ca = a[alen-i]
+// rowCap bounds the rows one call of the row loop runs. An assembly call
+// cannot be preempted, so the cap keeps one from holding off the garbage
+// collector or the scheduler for long: at x = 1 000 and unit gaps a row is
+// about 2 000 cells, and 1 024 of them take about a millisecond.
+const rowCap = 1024
+
+// rowsState is the row loop's state between calls: where the extension
+// is, what it has found, and what it reads. It lives on extend's stack;
+// the assembly loop reaches its fields by the offsets go_asm.h generates.
+type rowsState struct {
+	slab   []int32 // the workspace's slab: the DP row, then the profile rows
+	stride int     // the length of each of the slab's rows
+	a      seq.Seq // the sequence down the rows, walked backward when rev
+	rev    bool
+	blen   int   // the columns of b, 1..blen
+	built  int   // profile columns 1..built are filled
+	i      int   // the rows done
+	lo, hi int   // the last row's live window; lo > hi when it had none
+	cells  int   // cells swept by rows 1..i
+	bestI  int   // the row of the first cell holding best
+	bestJ  int   // and its column
+	best   int32 // the best score so far
+	x      int32
+	ramp   gapRamp // (1..8)·gap; gap is ramp[0]
+}
+
+// startRows returns the state of an extension of a against a b of length
+// blen, with row 0 — gaps in a only — computed: its cells are not counted
+// (reference behaviour).
+func (w *Workspace) startRows(a seq.Seq, blen int, x int32, rev bool) rowsState {
+	st := rowsState{slab: w.slab, stride: w.stride(), a: a, rev: rev, blen: blen, x: x, ramp: w.ramp}
+	row := w.slab[:st.stride]
+	row[0] = 0
+	for j, s := 1, st.ramp[0]; j <= blen && s >= -x; j, s = j+1, s+st.ramp[0] {
+		row[j] = s
+		st.hi = j
+	}
+	// Row 1 meets negInf32 above column hi+1, and the AVX2 loop reads the
+	// rest of that column's block of eight as pruned.
+	for j := st.hi + 1; j < (st.hi+9)&^7; j++ {
+		row[j] = negInf32
+	}
+	return st
+}
+
+// extendRows is the row loop in Go around the Go leaf, extendRow. It runs
+// rows i+1, i+2, … until one of four things happens: the window empties
+// (the X-drop end: every cell of the row pruned), a runs out, the next
+// row's high column passes the profile built so far, or rowCap rows ran.
+// Each row widens the window by column hi+1, which has no vertical move —
+// a pruned cell above it takes that move out of the max — and then shrinks
+// it to the row's live cells. extendRowsAVX2 is the same contract.
+func extendRows(st *rowsState) {
+	row := st.slab[:st.stride]
+	alen, gap := len(st.a), st.ramp[0]
+	lo, hi, best := st.lo, st.hi, st.best
+	for n := 0; n < rowCap && st.i < alen; n++ {
+		if hi < st.blen {
+			if hi+1 > st.built {
+				break
+			}
+			hi++
+			row[hi] = negInf32
+		}
+		st.i++
+		st.cells += hi - lo + 1
+
+		ca := st.a[st.i-1]
+		if st.rev {
+			ca = st.a[alen-st.i]
 		}
 		ca = min(ca, seq.N)
-		var rowBest int32
+		prof := st.slab[(1+int(ca))*st.stride:]
 		var top int
-		if useAVX2 {
-			rowBest, top = extendRowAVX2(row[lo:hi+1], w.prof[ca][lo:hi+1], best, x32, &w.ramp)
-		} else {
-			rowBest, top = extendRow(row[lo:hi+1], w.prof[ca][lo:hi+1], gap, best, x32)
-		}
+		best, top = extendRow(row[lo:hi+1], prof[lo:hi+1], gap, best, st.x)
 		if top >= 0 {
-			best, bestI, bestJ = rowBest, i, lo+top
+			st.bestI, st.bestJ = st.i, lo+top
 		}
 
-		// Shrink the window to live cells; an empty window is the X-drop
-		// termination: every cell of the row pruned.
 		for lo <= hi && row[lo] == negInf32 {
 			lo++
 		}
@@ -266,8 +328,7 @@ func (w *Workspace) extend(a, b seq.Seq, sc Scoring, x int, rev bool) Extension 
 			break
 		}
 	}
-	w.stats.Cells += int64(cells)
-	return Extension{Score: int(best), AExt: bestI, BExt: bestJ, Cells: cells}
+	st.lo, st.hi, st.best = lo, hi, best
 }
 
 // extendRow computes one DP row in place over a window of columns: row

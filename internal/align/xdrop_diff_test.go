@@ -1,7 +1,9 @@
 package align
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gnbody/internal/seq"
@@ -13,8 +15,8 @@ import (
 // walk directions, with the workspace deliberately kept dirty across cases
 // to prove stale row or profile contents never leak into a result.
 
-// rowLeaf is one implementation of the row leaf: the Go loop extendRow, or
-// the AVX2 one where this machine can run it.
+// rowLeaf is one implementation of the row loop: the Go loop extendRows
+// around extendRow, or the AVX2 one where this machine can run it.
 type rowLeaf struct {
 	name string
 	avx2 bool
@@ -29,14 +31,76 @@ func rowLeaves() []rowLeaf {
 	return ls
 }
 
-// run calls the leaf directly, as Workspace.extend calls it.
-func (l rowLeaf) run(row, sub []int32, gap, best, x int32) (int32, int) {
+// rows makes one call of the leaf's row loop.
+func (l rowLeaf) rows(st *rowsState) {
 	if l.avx2 {
-		var g gapRamp
-		g.set(gap)
-		return extendRowAVX2(row, sub, best, x, &g)
+		extendRowsAVX2(st)
+	} else {
+		extendRows(st)
 	}
-	return extendRow(row, sub, gap, best, x)
+}
+
+// rowSentinel fills the slab around a window run: a row cell that keeps it
+// was not written, and a profile cell holding it would raise the best if a
+// leaf used it.
+const rowSentinel = 0x5a5a5a5a
+
+// run computes one DP row over a window through the leaf's row loop: a
+// call whose one row is the window. The window is width columns from lo, a
+// column that varies with the width mod 8; b ends at its last column, so
+// the row does not widen; and a is one base whose profile row holds sub.
+// The slab holds rowSentinel elsewhere, except what the loop's contract
+// asks of the window's blocks of eight: the row negInf32 left of lo and
+// right of hi, and the profile real scores (sub's largest) left of lo.
+// row holds the row above on entry and this row on return. run returns
+// the running best; top, the offset of the first cell holding it if the
+// row raised it (-1 if not); and the offsets of the first and last cells
+// the row kept, the window the next row would get (first > last: none).
+// It fails t if the call did not run the row, or wrote outside the window
+// anything but negInf32 in the window's blocks and the block after them.
+func (l rowLeaf) run(t *testing.T, row, sub []int32, gap, best, x int32) (rowBest int32, top, first, last int) {
+	t.Helper()
+	width := len(row)
+	if width == 0 { // no window: the loop never runs a row
+		return best, -1, 0, -1
+	}
+	lo := 8 + 3*width%8
+	hi := lo + width - 1
+	stride := (hi+8)&^7 + 16
+	slab := make([]int32, (1+seq.NumBases)*stride)
+	for j := range slab {
+		slab[j] = rowSentinel
+	}
+	prof := slab[stride:]
+	for j := lo &^ 7; j < lo; j++ {
+		slab[j], prof[j] = negInf32, slices.Max(sub[:width])
+	}
+	for j := hi + 1; j <= hi|7; j++ {
+		slab[j] = negInf32
+	}
+	copy(slab[lo:], row)
+	copy(prof[lo:], sub[:width])
+	entry := append([]int32(nil), slab...)
+	st := rowsState{slab: slab, stride: stride, a: seq.Seq{seq.A}, blen: hi, built: hi,
+		lo: lo, hi: hi, best: best, x: x}
+	st.ramp.set(gap)
+	l.rows(&st)
+	if st.i != 1 || st.cells != width {
+		t.Fatalf("%s leaf, width %d: ran %d rows and %d cells, want 1 and %d", l.name, width, st.i, st.cells, width)
+	}
+	for j, v := range slab {
+		inBlocks := j >= lo&^7 && j <= hi|7+8
+		if (j < lo || j > hi) && v != entry[j] && !(inBlocks && v == negInf32) {
+			t.Fatalf("%s leaf, width %d: slab cell %d changed from %d to %d, outside the window [%d, %d]",
+				l.name, width, j, entry[j], v, lo, hi)
+		}
+	}
+	copy(row, slab[lo:])
+	top = -1
+	if st.bestI == 1 {
+		top = st.bestJ - lo
+	}
+	return st.best, top, st.lo - lo, st.hi - lo
 }
 
 // forLeaves runs f once per leaf with Workspace.extend calling that leaf,
@@ -156,10 +220,11 @@ func TestRowKernelAdversarialRows(t *testing.T) {
 // refRow is the reference kernel's inner loop transcribed cell by cell for
 // one window: negInf32 in up is a pruned cell (no move), each cell is
 // pruned against the best seen before it, and the left move comes from the
-// pruned cell the loop just stored.
-func refRow(up, sub []int32, gap, best, x int32) (out []int32, rowBest int32, top int) {
+// pruned cell the loop just stored. first and last are the offsets of the
+// first and last cells kept (first > last: none).
+func refRow(up, sub []int32, gap, best, x int32) (out []int32, rowBest int32, top, first, last int) {
 	out = make([]int32, len(up))
-	top = -1
+	top, first, last = -1, 0, -1
 	for j := range up {
 		v := int64(negInf)
 		if up[j] != negInf32 {
@@ -179,13 +244,19 @@ func refRow(up, sub []int32, gap, best, x int32) (out []int32, rowBest int32, to
 			best, top = int32(v), j
 		}
 	}
-	return out, best, top
+	for first < len(out) && out[first] == negInf32 {
+		first++
+	}
+	for last = len(out) - 1; last >= first && out[last] == negInf32; last-- {
+	}
+	return out, best, top, first, last
 }
 
 // TestExtendRowMatchesCells pins each leaf to refRow on windows the driver
 // never builds on its own schedule: widths 0–300, up rows with negInf32
 // runs, real profile rows, x = 0 and |gap| ≠ |mismatch| — every stored
-// cell, the returned best and the column of its first occurrence.
+// cell, the returned best, the column of its first occurrence and the
+// window the row leaves for the next.
 func TestExtendRowMatchesCells(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	w := NewWorkspace()
@@ -201,7 +272,7 @@ func TestExtendRowMatchesCells(t *testing.T) {
 		w.ensure(sc, len(b))
 		w.buildProfile(b, rev, 1, len(b))
 		lo := rng.Intn(len(b) + 1 - width)
-		sub := w.prof[rng.Intn(seq.NumBases)][lo : lo+width]
+		sub := w.profRow(seq.Base(rng.Intn(seq.NumBases)))[lo : lo+width]
 
 		best := int32(rng.Intn(1000))
 		up := make([]int32, width)
@@ -223,12 +294,13 @@ func TestExtendRowMatchesCells(t *testing.T) {
 }
 
 // checkLeaf runs leaf l over row in place and compares every stored cell,
-// the returned best and top with refRow on the row's entry values.
+// the returned best, top and the kept window with refRow on the row's
+// entry values.
 func checkLeaf(t *testing.T, l rowLeaf, row, sub []int32, gap, best, x int32) {
 	t.Helper()
 	up := append([]int32(nil), row...)
-	wantRow, wantBest, wantTop := refRow(up, sub, gap, best, x)
-	gotBest, gotTop := l.run(row, sub, gap, best, x)
+	wantRow, wantBest, wantTop, wantFirst, wantLast := refRow(up, sub, gap, best, x)
+	gotBest, gotTop, gotFirst, gotLast := l.run(t, row, sub, gap, best, x)
 	if gotBest != wantBest || gotTop != wantTop {
 		t.Fatalf("%s leaf (gap=%d, x=%d, best=%d, width %d): returned (%d, %d), reference (%d, %d)",
 			l.name, gap, x, best, len(up), gotBest, gotTop, wantBest, wantTop)
@@ -239,17 +311,23 @@ func checkLeaf(t *testing.T, l rowLeaf, row, sub []int32, gap, best, x int32) {
 				l.name, gap, x, best, j, len(up), row[j], wantRow[j], up, sub)
 		}
 	}
+	if wantFirst > wantLast {
+		wantFirst, wantLast = gotFirst, gotFirst-1 // an empty window is any lo > hi
+	}
+	if gotFirst != wantFirst || gotLast != wantLast {
+		t.Fatalf("%s leaf (gap=%d, x=%d, best=%d, width %d): kept [%d, %d], reference [%d, %d]\n row %v",
+			l.name, gap, x, best, len(up), gotFirst, gotLast, wantFirst, wantLast, wantRow)
+	}
 }
 
 // TestRowLeafGuards holds every leaf to refRow where a vector leaf can go
 // wrong: each width 0–300 (every partial last block of 1–7 columns after
 // every count of full blocks), x = 0, and the largest score magnitude
 // fitsInt32 admits for a one-row extension of that width, where the AVX2
-// scans come closest to int32's floor. The row and profile sit between
-// sentinels: the row's must survive, and the profile's would raise the best
-// if a leaf read them.
+// scans come closest to int32's floor. Each row runs through the row
+// loop between sentinels (rowLeaf.run): the row's must survive, and the
+// profile's would raise the best if a leaf read them.
 func TestRowLeafGuards(t *testing.T) {
-	const sentinel = 0x5a5a5a5a
 	rng := rand.New(rand.NewSource(12))
 	for width := 0; width <= 300; width++ {
 		edge := int32((1<<29 - 1) / (width + 2)) // fitsInt32's n for alen 1, blen width-1
@@ -270,11 +348,7 @@ func TestRowLeafGuards(t *testing.T) {
 			if c.mag == edge {
 				best = 0
 			}
-			rowBuf, subBuf := make([]int32, width+16), make([]int32, width+16)
-			for j := range rowBuf {
-				rowBuf[j], subBuf[j] = sentinel, sentinel
-			}
-			up, sub := make([]int32, width), subBuf[1:1+width]
+			up, sub := make([]int32, width), make([]int32, width)
 			for j := range up {
 				switch {
 				case rng.Intn(3) == 0:
@@ -290,14 +364,7 @@ func TestRowLeafGuards(t *testing.T) {
 				}
 			}
 			for _, l := range rowLeaves() {
-				row := rowBuf[1 : 1+width]
-				copy(row, up)
-				checkLeaf(t, l, row, sub, c.gap, best, c.x)
-				for j, v := range rowBuf {
-					if (j == 0 || j > width) && v != sentinel {
-						t.Fatalf("%s leaf, width %d: wrote %d to row cell %d, outside the window", l.name, width, v, j-1)
-					}
-				}
+				checkLeaf(t, l, append([]int32(nil), up...), sub, c.gap, best, c.x)
 			}
 		}
 	}
@@ -429,24 +496,40 @@ func TestRevCompWarmAllocFree(t *testing.T) {
 	}
 }
 
-// FuzzXDropDiff is the differential fuzz target: arbitrary sequences,
-// seeds, X parameters and scoring magnitudes — across the fitsInt32 gate —
-// through the reference and the row kernel on every leaf, forward and
-// reversed, on a package-shared dirty workspace. Any divergence in
-// Score/AExt/BExt/Cells fails.
+// FuzzXDropDiff is the differential fuzz target: arbitrary sequences (up
+// to two row caps long), seeds, X parameters and scoring magnitudes —
+// across the fitsInt32 gate — through the reference and the row kernel on
+// every leaf, forward and reversed, on a package-shared dirty workspace.
+// Any divergence in Score/AExt/BExt/Cells fails.
 func FuzzXDropDiff(f *testing.F) {
 	f.Add([]byte("\x00\x01\x02\x03"), []byte("\x00\x01\x02\x03"), 2, 2, 2, 15, 1, 1, 1)
 	f.Add([]byte("\x00\x00\x01\x01\x02\x02"), []byte("\x02\x02\x01\x01"), 0, 0, 3, 4, 5, 4, 11)
 	f.Add([]byte(""), []byte(""), 0, 0, 1, 0, 1, 16000, 19999)
 	f.Add([]byte("\x00\x01"), []byte("\x00\x01"), 0, 0, 1, 2000, 1<<27, 1<<27, 1<<27)
+	// Lengths at the row loop's call boundaries: b ending 63–65 columns past
+	// row 0's band of 15 (the profile chunk's edge), and a of rowCap ±1 rows
+	// against a short b with an x the window never drops below.
+	pattern := func(n int) []byte {
+		p := make([]byte, n)
+		for i := range p {
+			p[i] = byte(i*7 + i/5)
+		}
+		return p
+	}
+	for _, past := range []int{profChunk - 1, profChunk, profChunk + 1} {
+		f.Add(pattern(15+past+30), pattern(15+past), 10, 10, 5, 15, 0, 0, 0)
+	}
+	for _, alen := range []int{rowCap - 1, rowCap, rowCap + 1} {
+		f.Add(pattern(alen), pattern(40), 0, 0, 1, 3*rowCap, 0, 0, 0)
+	}
 	w := NewWorkspace()
 	// mag folds any int into [0, 2^28) with a log-uniform spread (28 value
 	// bits shifted right by the next five), so short inputs land on both
 	// sides of the fitsInt32 gate and small scores stay common.
 	mag := func(v int) int { return v & (1<<28 - 1) >> (v >> 28 & 31) }
 	f.Fuzz(func(t *testing.T, ab, bb []byte, posA, posB, k, x, match, mism, gap int) {
-		a := fuzzSeq(ab, 300)
-		b := fuzzSeq(bb, 300)
+		a := fuzzSeq(ab, 2*rowCap+64)
+		b := fuzzSeq(bb, 2*rowCap+64)
 		sc := Scoring{Match: 1 + mag(match), Mismatch: -1 - mag(mism), Gap: -1 - mag(gap)}
 		if x < 0 {
 			x = -1 // clamped to 0 by both kernels
@@ -456,4 +539,118 @@ func FuzzXDropDiff(f *testing.F) {
 		diffCase(t, w, a, b, sc, x)
 		seedDiffCase(t, w, a, b, posA, posB, k, sc, x)
 	})
+}
+
+// TestRowLoopCallBoundaries crosses every point where the row loop returns
+// to extend and is called again, against the reference: b ending 63–65 and
+// 127–129 columns past row 0's band (the profile chunk's edge), a of rowCap
+// ±1 rows against a short b (the row cap, with no profile left to build),
+// an extension whose first row ends it, an all-N a, x = 0 (a window of one
+// column), a window pinned at blen, and a 100 kb identical pair at x = 1000
+// (a few hundred calls of rows 2 001 cells wide).
+func TestRowLoopCallBoundaries(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	w := NewWorkspace()
+	unit := DefaultScoring()
+	mutate := func(s seq.Seq, every int) seq.Seq {
+		m := s.Clone()
+		for i := every / 2; i < len(m); i += every {
+			m[i] = (m[i] + 1) % seq.N
+		}
+		return m
+	}
+	base := randSeq(rng, 3*rowCap)
+	for j := range base {
+		base[j] %= seq.N
+	}
+	for _, x := range []int{0, 7, 15} {
+		for _, past := range []int{63, 64, 65, 127, 128, 129} {
+			blen := x + past
+			t.Run(fmt.Sprintf("x%d-blen-band+%d", x, past), func(t *testing.T) {
+				diffCase(t, w, base[:blen+40], mutate(base[:blen], 29), unit, x)
+				diffCase(t, w, base[:blen+40], base[:blen], unit, x)
+			})
+		}
+	}
+	for _, alen := range []int{rowCap - 1, rowCap, rowCap + 1, 2*rowCap + 1} {
+		t.Run(fmt.Sprintf("alen-%d-short-b", alen), func(t *testing.T) {
+			diffCase(t, w, base[:alen], base[:40], unit, 3*rowCap)
+			diffCase(t, w, mutate(base[:alen], 17), base[:40], unit, 3*rowCap)
+		})
+	}
+	all := func(c seq.Base, n int) seq.Seq {
+		s := make(seq.Seq, n)
+		for i := range s {
+			s[i] = c
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name string
+		a, b seq.Seq
+		x    int
+	}{
+		{"first-row-ends", all(seq.A, 50), all(seq.C, 50), 0},
+		{"first-row-ends-x1", all(seq.A, 50), all(seq.C, 50), 1},
+		{"all-n-a", all(seq.N, 300), base[:300], 15},
+		{"x0-one-column", base[:500], base[:500], 0},
+		{"x0-mutated", base[:500], mutate(base[:500], 11), 0},
+		{"window-at-blen", base[:600], base[:100], 20},
+		{"window-at-blen-mutated", mutate(base[:600], 13), base[:100], 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) { diffCase(t, w, tc.a, tc.b, unit, tc.x) })
+	}
+
+	t.Run("100kb-x1000", func(t *testing.T) {
+		long := randSeq(rng, 100_000)
+		for j := range long {
+			long[j] %= seq.N
+		}
+		want := extendRightRef(long, long, unit, 1000)
+		forLeaves(func(l rowLeaf) {
+			for _, rev := range []bool{false, true} {
+				if got := w.extend(long, long, unit, 1000, rev); got != want {
+					t.Fatalf("%s leaf, rev=%v: workspace %+v, reference %+v", l.name, rev, got, want)
+				}
+			}
+		})
+	})
+}
+
+// TestBuildProfileMatchesGo holds the AVX2 profile build to the Go one:
+// every column of all five rows, both walk directions, ranges of every
+// length mod 8 at every offset, out-of-alphabet codes included.
+func TestBuildProfileMatchesGo(t *testing.T) {
+	if !seq.HasAVX2() {
+		t.Skip("no AVX2 on this machine")
+	}
+	defer func(saved bool) { useAVX2 = saved }(useAVX2)
+	rng := rand.New(rand.NewSource(14))
+	sc := Scoring{Match: 3, Mismatch: -2, Gap: -5}
+	goW, avxW := NewWorkspace(), NewWorkspace()
+	for iter := 0; iter < 2000; iter++ {
+		b := randSeq(rng, 1+rng.Intn(200))
+		for j := range b {
+			if rng.Intn(50) == 0 {
+				b[j] = seq.Base(5 + rng.Intn(250))
+			}
+		}
+		from := 1 + rng.Intn(len(b))
+		to := from + rng.Intn(len(b)-from+1)
+		rev := iter%2 == 1
+		for _, c := range []struct {
+			w    *Workspace
+			avx2 bool
+		}{{goW, false}, {avxW, true}} {
+			useAVX2 = c.avx2
+			c.w.ensure(sc, len(b))
+			c.w.buildProfile(b, rev, from, to)
+		}
+		for c := seq.Base(0); c < seq.NumBases; c++ {
+			g, v := goW.profRow(c)[from:to+1], avxW.profRow(c)[from:to+1]
+			if !slices.Equal(g, v) {
+				t.Fatalf("row %d, columns [%d, %d] of %d, rev=%v:\n go   %v\n avx2 %v", c, from, to, len(b), rev, g, v)
+			}
+		}
+	}
 }

@@ -40,36 +40,53 @@ type RealExecutor struct {
 	Scoring align.Scoring
 	X       int
 
-	ws *align.Workspace // per-rank scratch; nil until ForRank
+	call *alignCall // per-rank scratch; nil until ForRank or WithWorkspace
+}
+
+// alignCall is one rank's alignment scratch: the workspace, a task's inputs
+// and outputs, and the function Align times over them, built once per rank
+// as readDecoder's is, so a task allocates no closure and moves nothing to
+// the heap. A rank's tasks never nest, so one is enough.
+type alignCall struct {
+	ws   *align.Workspace
+	t    overlap.Task
+	a, b seq.Seq
+	res  align.Result
+	err  error
+	fn   func()
+}
+
+// bind returns a copy of e running on ws.
+func (e RealExecutor) bind(ws *align.Workspace) RealExecutor {
+	c := &alignCall{ws: ws}
+	sc, x := e.Scoring, e.X
+	c.fn = func() { c.res, c.err = overlap.AlignTaskWS(c.ws, c.a, c.b, c.t, sc, x) }
+	e.call = c
+	return e
 }
 
 // ForRank returns a copy bound to a fresh alignment workspace.
-func (e RealExecutor) ForRank() Executor {
-	e.ws = align.NewWorkspace()
-	return e
-}
+func (e RealExecutor) ForRank() Executor { return e.bind(align.NewWorkspace()) }
 
 // Align runs the kernel. Seeds are validated at candidate construction, so
 // a kernel error here is a programming error and panics.
 func (e RealExecutor) Align(r rt.Runtime, t overlap.Task, a, b seq.Seq) (align.Result, bool) {
-	w := e.ws
-	if w == nil {
-		w = align.NewWorkspace()
+	c := e.call
+	if c == nil {
+		c = e.bind(align.NewWorkspace()).call
 	}
-	var res align.Result
-	var err error
-	r.Timed(rt.CatAlign, func() {
-		res, err = overlap.AlignTaskWS(w, a, b, t, e.Scoring, e.X)
-	})
-	if err != nil {
+	c.t, c.a, c.b = t, a, b
+	r.Timed(rt.CatAlign, c.fn)
+	c.a, c.b = nil, nil
+	if c.err != nil {
 		// Invariant: a peer's tasks passed checkStolen and its reads readDecoder's length check.
-		panic("core: invalid task reached the aligner: " + err.Error())
+		panic("core: invalid task reached the aligner: " + c.err.Error())
 	}
 	// Drain the workspace's kernel counters into the rank's metrics. The
 	// field names predate the single row kernel (see rt.Metrics): a task
 	// counts under SWARTasks when every extension ran on the row kernel,
 	// under FallbackTasks when any reached the int reference.
-	ks := w.TakeStats()
+	ks := c.ws.TakeStats()
 	m := r.Metrics()
 	if ks.RefExts > 0 {
 		m.FallbackTasks++
@@ -78,7 +95,7 @@ func (e RealExecutor) Align(r rt.Runtime, t overlap.Task, a, b seq.Seq) (align.R
 	}
 	m.LaneCells += ks.Cells
 	m.LaneSlots += ks.Cells
-	return res, true
+	return c.res, true
 }
 
 // TaskMeta gives the model executor what it needs to price and score a

@@ -59,8 +59,7 @@ type ResidentExecutor interface {
 
 // WithWorkspace binds the executor to an externally-owned workspace.
 func (e RealExecutor) WithWorkspace(ws *align.Workspace) Executor {
-	e.ws = ws
-	return boundExecutor{e}
+	return boundExecutor{e.bind(ws)}
 }
 
 // boundExecutor hides RealExecutor's ForRank so a resident binding is

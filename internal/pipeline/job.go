@@ -13,6 +13,13 @@ import (
 // under a millisecond.
 const MaxCoverage = 1000
 
+// MaxX bounds JobSpec.X. The X-drop band is about 2x/|gap| columns wide,
+// so an x near 2^30 turns every extension into the full, unpruned DP, and
+// one job then holds its world for a time that grows with the product of
+// the read lengths. Every test, experiment and benchmark runs x <= 100;
+// 1000 leaves ten times that.
+const MaxX = 1000
+
 // JobSpec is the overlap job's parameterisation — the one declaration both
 // front ends share: cmd/dibella binds it to flags, internal/serve decodes
 // it from a JSON document or from the same flag names in a query string.
@@ -38,7 +45,7 @@ func DefaultJobSpec() JobSpec {
 func (s *JobSpec) Bind(fs *flag.FlagSet) {
 	*s = DefaultJobSpec()
 	fs.IntVar(&s.K, "k", s.K, "k-mer length")
-	fs.IntVar(&s.X, "x", s.X, "X-drop parameter")
+	fs.IntVar(&s.X, "x", s.X, fmt.Sprintf("X-drop parameter (at most %d)", MaxX))
 	fs.IntVar(&s.MinScore, "minscore", s.MinScore, "minimum alignment score to save")
 	fs.Float64Var(&s.Coverage, "coverage", s.Coverage, fmt.Sprintf("sequencing depth for the BELLA filter window (at most %d)", MaxCoverage))
 	fs.Float64Var(&s.ErrRate, "error", s.ErrRate, "error rate for the BELLA filter window, in [0, 1)")
@@ -53,8 +60,8 @@ func (s JobSpec) Validate() error {
 	switch {
 	case s.K < 1 || s.K > kmer.MaxK:
 		return fmt.Errorf("k=%d out of range (1..%d)", s.K, kmer.MaxK)
-	case s.X < 0:
-		return fmt.Errorf("x=%d must be non-negative", s.X)
+	case s.X < 0 || s.X > MaxX:
+		return fmt.Errorf("x=%d out of range [0, %d]", s.X, MaxX)
 	case !(s.Coverage >= 0 && s.Coverage <= MaxCoverage):
 		return fmt.Errorf("coverage=%g out of range [0, %d]", s.Coverage, MaxCoverage)
 	case !(s.ErrRate >= 0 && s.ErrRate < 1):

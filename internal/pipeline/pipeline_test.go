@@ -820,3 +820,17 @@ func FuzzDiscoverWire(f *testing.F) {
 		}
 	})
 }
+
+// TestJobSpecValidateBoundsX pins the X-drop bound: MaxX is the largest x
+// a job may ask for, and one more is refused before any run starts.
+func TestJobSpecValidateBoundsX(t *testing.T) {
+	s := DefaultJobSpec()
+	s.X = MaxX
+	if err := s.Validate(); err != nil {
+		t.Fatalf("x=MaxX: %v", err)
+	}
+	s.X = MaxX + 1
+	if err := s.Validate(); err == nil {
+		t.Fatalf("x=%d passed Validate, want an error", s.X)
+	}
+}

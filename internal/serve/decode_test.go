@@ -98,6 +98,7 @@ func TestDecodeRejections(t *testing.T) {
 		{"bad mode", "application/json", `{"reads":[{"seq":"A"}],"mode":"turbo"}`, "", ErrBadRequest},
 		{"malformed json", "application/json", `{"reads":`, "", ErrBadRequest},
 		{"negative x", "application/json", `{"reads":[{"seq":"A"}],"x":-1}`, "", ErrBadRequest},
+		{"huge query x", "text/plain", ">r\nACGT\n", "x=1073741824", ErrBadRequest},
 		{"bad query int", "text/plain", ">r\nACGT\n", "k=banana", ErrBadRequest},
 		{"huge query coverage", "text/plain", ">r\nACGT\n", "coverage=1e10", ErrBadRequest},
 		{"NaN query coverage", "text/plain", ">r\nACGT\n", "coverage=NaN", ErrBadRequest},
