@@ -68,7 +68,7 @@
 
 GO      ?= go
 FUZZT   ?= 10s
-LOC_BUDGET = 18634
+LOC_BUDGET = 18672
 
 .PHONY: check vet cross fmtcheck build test bench-smoke bench-build backhalf-rounds allocs kernel-cells loc loc-budget race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke ci
 
@@ -153,6 +153,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzFASTQ$$ -fuzztime $(FUZZT) ./internal/seq/
 	$(GO) test -fuzz=FuzzWire$$ -fuzztime $(FUZZT) ./internal/seq/
 	$(GO) test -fuzz=FuzzPackDiff$$ -fuzztime $(FUZZT) ./internal/seq/
+	$(GO) test -fuzz=FuzzBasesDiff$$ -fuzztime $(FUZZT) ./internal/seq/
+	$(GO) test -fuzz=FuzzLoadDiff$$ -fuzztime $(FUZZT) ./internal/seq/
 	$(GO) test -fuzz=FuzzXDrop$$ -fuzztime $(FUZZT) ./internal/align/
 	$(GO) test -fuzz=FuzzXDropDiff$$ -fuzztime $(FUZZT) ./internal/align/
 	$(GO) test -fuzz=FuzzFrame -fuzztime $(FUZZT) ./internal/transport/

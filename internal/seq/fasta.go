@@ -2,98 +2,45 @@ package seq
 
 import (
 	"bufio"
-	"bytes"
-	"compress/gzip"
 	"fmt"
 	"io"
 	"os"
-	"strings"
+	"slices"
 )
 
 // ReadFASTA parses FASTA records from r into a ReadSet with dense IDs.
 // Multi-line sequences are concatenated; blank lines are skipped; invalid
 // characters are rejected with a position-bearing error.
 func ReadFASTA(r io.Reader) (*ReadSet, error) {
-	reads, err := parseFASTA(r, 0, -1, 0)
+	return readRecords(newLineReader(r, 0), '>')
+}
+
+// readRecords parses every record of a stream in the given format into a
+// ReadSet: each FASTA line decodes onto the end of one growing buffer, and
+// each read gets an exact copy of it.
+func readRecords(lr *lineReader, format byte) (*ReadSet, error) {
+	rs := &ReadSet{}
+	var name string
+	var body Seq
+	err := lr.walk(format, func(text []byte) error {
+		name = headerName(text, len(rs.Reads))
+		body = body[:0]
+		return nil
+	}, func(text []byte) error {
+		n := len(body)
+		body = slices.Grow(body, len(text))[:n+len(text)]
+		if j := decodeBases(body[n:], text); j >= 0 {
+			return fmt.Errorf("%s: line %d: invalid character %q", kindOf(format), lr.line, text[j])
+		}
+		return nil
+	}, func() error {
+		rs.Reads = append(rs.Reads, Read{ID: ReadID(len(rs.Reads)), Name: name, Seq: append(Seq(nil), body...)})
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &ReadSet{Reads: reads}, nil
-}
-
-// parseFASTA is the shared FASTA record parser: skip `skip` records
-// (scanned and validated, never materialised), then keep `count` records
-// (-1 = all) with IDs assigned from firstID — the primitive behind both
-// the whole-file loaders and the per-rank range loaders.
-func parseFASTA(r io.Reader, skip, count, firstID int) ([]Read, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	var out []Read
-	var name string
-	var body []Base
-	var inRecord bool
-	rec := 0 // index of the open record (== records flushed so far)
-	line := 0
-	kept := func(i int) bool { return i >= skip && (count < 0 || i < skip+count) }
-	flush := func() {
-		if inRecord {
-			if kept(rec) {
-				out = append(out, Read{
-					ID:   ReadID(firstID + len(out)),
-					Name: name,
-					Seq:  append(Seq(nil), body...),
-				})
-			}
-			rec++
-			body = body[:0]
-		}
-	}
-	for sc.Scan() {
-		line++
-		text := bytes.TrimSpace(sc.Bytes())
-		if len(text) == 0 {
-			continue
-		}
-		if text[0] == '>' {
-			flush()
-			if count >= 0 && rec >= skip+count {
-				return out, nil
-			}
-			inRecord = true
-			name = firstField(string(text[1:]))
-			if name == "" {
-				name = fmt.Sprintf("read%d", firstID+len(out))
-			}
-			continue
-		}
-		if !inRecord {
-			return nil, fmt.Errorf("fasta: line %d: sequence data before first header", line)
-		}
-		keep := kept(rec)
-		for i := 0; i < len(text); i++ {
-			b, ok := BaseFromChar(text[i])
-			if !ok {
-				return nil, fmt.Errorf("fasta: line %d: invalid character %q", line, text[i])
-			}
-			if keep {
-				body = append(body, b)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("fasta: %w", err)
-	}
-	flush()
-	return out, nil
-}
-
-// firstField returns the first whitespace-separated token of s, or "" for
-// a blank string (a bare ">"/"@" header line has no name).
-func firstField(s string) string {
-	if fs := strings.Fields(s); len(fs) > 0 {
-		return fs[0]
-	}
-	return ""
+	return rs, nil
 }
 
 // WriteFASTA writes the read set as FASTA with lines wrapped at width
@@ -136,75 +83,7 @@ func WriteFASTA(w io.Writer, rs *ReadSet, width int) error {
 // Quality strings are validated for length but discarded: the alignment
 // pipeline in this library is quality-agnostic, as in the paper.
 func ReadFASTQ(r io.Reader) (*ReadSet, error) {
-	reads, err := parseFASTQ(r, 0, -1, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &ReadSet{Reads: reads}, nil
-}
-
-// parseFASTQ is parseFASTA's FASTQ counterpart: skip, then keep count
-// records with IDs from firstID. Skipped records are fully validated but
-// their bases are dropped immediately, keeping memory at one record.
-func parseFASTQ(r io.Reader, skip, count, firstID int) ([]Read, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	var out []Read
-	line := 0
-	rec := 0
-	next := func() (string, bool) {
-		for sc.Scan() {
-			line++
-			t := strings.TrimSpace(sc.Text())
-			if t != "" {
-				return t, true
-			}
-		}
-		return "", false
-	}
-	for {
-		if count >= 0 && rec >= skip+count {
-			return out, nil
-		}
-		hdr, ok := next()
-		if !ok {
-			break
-		}
-		if !strings.HasPrefix(hdr, "@") {
-			return nil, fmt.Errorf("fastq: line %d: expected @header, got %q", line, hdr)
-		}
-		body, ok := next()
-		if !ok {
-			return nil, fmt.Errorf("fastq: line %d: truncated record (missing sequence)", line)
-		}
-		plus, ok := next()
-		if !ok || !strings.HasPrefix(plus, "+") {
-			return nil, fmt.Errorf("fastq: line %d: expected + separator", line)
-		}
-		qual, ok := next()
-		if !ok {
-			return nil, fmt.Errorf("fastq: line %d: truncated record (missing quality)", line)
-		}
-		if len(qual) != len(body) {
-			return nil, fmt.Errorf("fastq: line %d: quality length %d != sequence length %d", line, len(qual), len(body))
-		}
-		s, err := FromString(body)
-		if err != nil {
-			return nil, fmt.Errorf("fastq: line %d: %v", line, err)
-		}
-		if rec >= skip {
-			name := firstField(hdr[1:])
-			if name == "" {
-				name = fmt.Sprintf("read%d", firstID+len(out))
-			}
-			out = append(out, Read{ID: ReadID(firstID + len(out)), Name: name, Seq: s})
-		}
-		rec++
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("fastq: %w", err)
-	}
-	return out, nil
+	return readRecords(newLineReader(r, 0), '@')
 }
 
 // LoadFile reads a FASTA or FASTQ file, transparently gunzipping
@@ -224,35 +103,16 @@ func LoadFile(path string) (*ReadSet, error) {
 }
 
 // LoadReader is LoadFile on an arbitrary stream: gunzip by magic bytes,
-// then dispatch on the first non-blank byte ('>' FASTA vs '@' FASTQ).
+// then dispatch on the first non-blank line ('>' FASTA vs '@' FASTQ).
 func LoadReader(r io.Reader) (*ReadSet, error) {
-	br := bufio.NewReader(r)
-	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
-		gz, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, err
-		}
-		defer gz.Close()
-		br = bufio.NewReader(gz)
+	src, _, err := gunzip(r)
+	if err != nil {
+		return nil, err
 	}
-	for {
-		c, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("empty input")
-		}
-		if c == '\n' || c == '\r' || c == ' ' || c == '\t' {
-			continue
-		}
-		if err := br.UnreadByte(); err != nil {
-			return nil, err
-		}
-		switch c {
-		case '>':
-			return ReadFASTA(br)
-		case '@':
-			return ReadFASTQ(br)
-		default:
-			return nil, fmt.Errorf("unrecognised format (starts with %q)", c)
-		}
+	lr := newLineReader(src, 0)
+	format, err := lr.format()
+	if err != nil {
+		return nil, err
 	}
+	return readRecords(lr, format)
 }

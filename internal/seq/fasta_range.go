@@ -1,13 +1,13 @@
 package seq
 
 import (
-	"bufio"
-	"bytes"
 	"compress/gzip"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"os"
+	"slices"
 )
 
 // FileIndex is the cheap metadata pass over a FASTA/FASTQ file: one entry
@@ -58,164 +58,36 @@ func (ix *FileIndex) Checksum() int64 {
 	return int64(h.Sum64())
 }
 
-// offsetScanner is a line scanner that reports the byte offset at which
-// the current line starts (offsets follow the uncompressed stream).
-type offsetScanner struct {
-	sc       *bufio.Scanner
-	consumed int64 // bytes consumed by completed lines
-	off      int64 // offset of the current line
-	line     int   // 1-based line number of the current line
-}
-
-func newOffsetScanner(r io.Reader) *offsetScanner {
-	s := &offsetScanner{}
-	s.sc = bufio.NewScanner(r)
-	s.sc.Buffer(make([]byte, 1<<20), 1<<26)
-	s.sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
-		adv, tok, err := bufio.ScanLines(data, atEOF)
-		s.consumed += int64(adv)
-		return adv, tok, err
-	})
-	return s
-}
-
-func (s *offsetScanner) Scan() bool {
-	s.off = s.consumed
-	if !s.sc.Scan() {
-		return false
-	}
-	s.line++
-	return true
-}
-
-func (s *offsetScanner) Bytes() []byte { return s.sc.Bytes() }
-func (s *offsetScanner) Err() error    { return s.sc.Err() }
-
 // IndexReader scans one FASTA/FASTQ stream (not gzipped — callers unwrap
 // first; IndexFile does) and builds the metadata index. Validation is as
 // strict as the full parsers: an input IndexReader accepts, the parsers
 // accept, with identical lengths and names.
 func IndexReader(r io.Reader) (*FileIndex, error) {
-	sc := newOffsetScanner(r)
-	// Find the format byte, skipping leading blank lines like LoadReader.
-	for sc.Scan() {
-		text := bytes.TrimSpace(sc.Bytes())
-		if len(text) == 0 {
-			continue
-		}
-		switch text[0] {
-		case '>':
-			return indexFASTA(sc, text)
-		case '@':
-			return indexFASTQ(sc, text)
-		default:
-			return nil, fmt.Errorf("unrecognised format (starts with %q)", text[0])
-		}
-	}
-	if err := sc.Err(); err != nil {
+	lr := newLineReader(r, 0)
+	format, err := lr.format()
+	if err != nil {
 		return nil, err
 	}
-	return nil, fmt.Errorf("empty input")
-}
-
-// indexFASTA indexes from the first header line (already scanned, passed
-// trimmed as first).
-func indexFASTA(sc *offsetScanner, first []byte) (*FileIndex, error) {
-	ix := &FileIndex{Format: '>'}
-	var bodyLen int32
-	open := false
-	flush := func() {
-		if open {
-			ix.Lens = append(ix.Lens, bodyLen)
-			bodyLen = 0
+	ix := &FileIndex{Format: format}
+	n := 0
+	scratch := make(Seq, 4096)
+	err = lr.walk(format, func(text []byte) error {
+		ix.Offsets = append(ix.Offsets, lr.off)
+		ix.Names = append(ix.Names, headerName(text, len(ix.Names)))
+		n = 0
+		return nil
+	}, func(text []byte) error {
+		if j := checkBases(scratch, text); j >= 0 {
+			return fmt.Errorf("%s: line %d: invalid character %q", kindOf(format), lr.line, text[j])
 		}
-	}
-	header := func(text []byte, off int64) {
-		flush()
-		open = true
-		ix.Offsets = append(ix.Offsets, off)
-		name := firstField(string(text[1:]))
-		if name == "" {
-			name = fmt.Sprintf("read%d", len(ix.Names))
-		}
-		ix.Names = append(ix.Names, name)
-	}
-	header(first, sc.off)
-	for sc.Scan() {
-		text := bytes.TrimSpace(sc.Bytes())
-		if len(text) == 0 {
-			continue
-		}
-		if text[0] == '>' {
-			header(text, sc.off)
-			continue
-		}
-		for i := 0; i < len(text); i++ {
-			if _, ok := BaseFromChar(text[i]); !ok {
-				return nil, fmt.Errorf("fasta: line %d: invalid character %q", sc.line, text[i])
-			}
-		}
-		bodyLen += int32(len(text))
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("fasta: %w", err)
-	}
-	flush()
-	return ix, nil
-}
-
-// indexFASTQ indexes 4-line FASTQ records from the first header line.
-func indexFASTQ(sc *offsetScanner, first []byte) (*FileIndex, error) {
-	ix := &FileIndex{Format: '@'}
-	hdr, hdrOff := first, sc.off
-	next := func() ([]byte, bool) {
-		for sc.Scan() {
-			t := bytes.TrimSpace(sc.Bytes())
-			if len(t) != 0 {
-				return t, true
-			}
-		}
-		return nil, false
-	}
-	for {
-		if hdr[0] != '@' {
-			return nil, fmt.Errorf("fastq: line %d: expected @header, got %q", sc.line, hdr)
-		}
-		body, ok := next()
-		if !ok {
-			return nil, fmt.Errorf("fastq: line %d: truncated record (missing sequence)", sc.line)
-		}
-		plus, ok := next()
-		if !ok || plus[0] != '+' {
-			return nil, fmt.Errorf("fastq: line %d: expected + separator", sc.line)
-		}
-		qual, ok := next()
-		if !ok {
-			return nil, fmt.Errorf("fastq: line %d: truncated record (missing quality)", sc.line)
-		}
-		if len(qual) != len(body) {
-			return nil, fmt.Errorf("fastq: line %d: quality length %d != sequence length %d", sc.line, len(qual), len(body))
-		}
-		for i := 0; i < len(body); i++ {
-			if _, ok := BaseFromChar(body[i]); !ok {
-				return nil, fmt.Errorf("fastq: line %d: invalid character %q", sc.line, body[i])
-			}
-		}
-		ix.Offsets = append(ix.Offsets, hdrOff)
-		ix.Lens = append(ix.Lens, int32(len(body)))
-		name := firstField(string(hdr[1:]))
-		if name == "" {
-			name = fmt.Sprintf("read%d", len(ix.Names))
-		}
-		ix.Names = append(ix.Names, name)
-		hdr, ok = next()
-		if !ok {
-			break
-		}
-		hdrOff = sc.off
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("fastq: %w", err)
+		n += len(text)
+		return nil
+	}, func() error {
+		ix.Lens = append(ix.Lens, int32(n))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return ix, nil
 }
@@ -228,30 +100,26 @@ func IndexFile(path string) (*FileIndex, error) {
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	gz := false
-	var src io.Reader = br
-	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
-		zr, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, fmt.Errorf("seq: %s: %w", path, err)
+	src, gz, err := gunzip(f)
+	if err == nil {
+		var ix *FileIndex
+		if ix, err = IndexReader(src); err == nil {
+			ix.Gzip = gz
+			return ix, nil
 		}
-		defer zr.Close()
-		src, gz = zr, true
 	}
-	ix, err := IndexReader(src)
-	if err != nil {
-		return nil, fmt.Errorf("seq: %s: %w", path, err)
-	}
-	ix.Gzip = gz
-	return ix, nil
+	return nil, fmt.Errorf("seq: %s: %w", path, err)
 }
 
 // LoadFileRange parses only records [lo, hi) of an indexed file into an
 // owner-only SliceStore carrying the global length vector. Plain files
 // seek straight to the record boundary (offsets never split a record);
 // gzip streams from the start but materialises bases for the owned range
-// only, so residency holds either way.
+// only, so residency holds either way. Each read is one allocation of the
+// length the index gives it, and its lines decode straight into it. Where
+// the file no longer matches the index — a record is longer or shorter,
+// holds a byte that is no base, or is missing — the load fails naming the
+// record, and writes nothing past any read's buffer.
 func LoadFileRange(path string, ix *FileIndex, lo, hi int) (*SliceStore, error) {
 	if lo < 0 || hi < lo || hi > ix.N() {
 		return nil, fmt.Errorf("seq: %s: record range [%d,%d) outside [0,%d)", path, lo, hi, ix.N())
@@ -261,45 +129,79 @@ func LoadFileRange(path string, ix *FileIndex, lo, hi int) (*SliceStore, error) 
 		return nil, err
 	}
 	defer f.Close()
-	var reads []Read
-	if ix.Gzip {
-		br := bufio.NewReader(f)
-		zr, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, fmt.Errorf("seq: %s: %w", path, err)
-		}
-		defer zr.Close()
-		reads, err = parseRange(bufio.NewReader(zr), ix.Format, lo, hi-lo, lo)
-		if err != nil {
-			return nil, fmt.Errorf("seq: %s: %w", path, err)
-		}
-	} else {
-		off := int64(0)
-		if lo < ix.N() {
-			off = ix.Offsets[lo]
-		}
-		if _, err := f.Seek(off, io.SeekStart); err != nil {
-			return nil, fmt.Errorf("seq: %s: %w", path, err)
-		}
-		reads, err = parseRange(bufio.NewReader(f), ix.Format, 0, hi-lo, lo)
-		if err != nil {
-			return nil, fmt.Errorf("seq: %s: %w", path, err)
-		}
+	reads, err := loadRange(f, ix, lo, hi)
+	if err != nil {
+		return nil, fmt.Errorf("seq: %s: %w", path, err)
 	}
 	return NewSliceStore(lo, reads, ix.Lens)
 }
 
-// parseRange skips `skip` records, then parses `count` records assigning
-// IDs from firstID. Skipped records are scanned but not materialised.
-func parseRange(r io.Reader, format byte, skip, count, firstID int) ([]Read, error) {
-	switch format {
-	case '>':
-		return parseFASTA(r, skip, count, firstID)
-	case '@':
-		return parseFASTQ(r, skip, count, firstID)
-	default:
-		return nil, fmt.Errorf("unrecognised format byte %q", format)
+// loadRange decodes records [lo, hi) of the indexed file f. Records of a
+// gzip stream before lo are decoded into a scratch buffer and dropped, so
+// they are checked against the index too. Every error names the record it
+// met; after a seek, line numbers count from record lo's header.
+func loadRange(f *os.File, ix *FileIndex, lo, hi int) ([]Read, error) {
+	reads := make([]Read, 0, hi-lo)
+	if lo == hi {
+		return reads, nil
 	}
+	var lr *lineReader
+	id := lo
+	if ix.Gzip {
+		zr, err := gzip.NewReader(f)
+		if err != nil {
+			return nil, err
+		}
+		lr, id = newLineReader(zr, 0), 0
+	} else {
+		if _, err := f.Seek(ix.Offsets[lo], io.SeekStart); err != nil {
+			return nil, err
+		}
+		lr = newLineReader(f, ix.Offsets[lo])
+	}
+	var s, scratch Seq
+	n := 0
+	err := lr.walk(ix.Format, func(text []byte) error {
+		if string(firstField(text[1:])) != ix.Names[id] && headerName(text, id) != ix.Names[id] {
+			return fmt.Errorf("the header at offset %d is %q", lr.off, text)
+		}
+		s, n = nil, 0
+		switch l := int(ix.Lens[id]); {
+		case id < lo:
+			scratch = slices.Grow(scratch[:0], l)[:l]
+			s = scratch
+		case l > 0:
+			s = make(Seq, l)
+		}
+		return nil
+	}, func(text []byte) error {
+		if len(text) > len(s)-n {
+			return fmt.Errorf("line at offset %d: more than the %d bases the index gives the record", lr.off, len(s))
+		}
+		if j := decodeBases(s[n:], text); j >= 0 {
+			return fmt.Errorf("line at offset %d: invalid character %q", lr.off, text[j])
+		}
+		n += len(text)
+		return nil
+	}, func() error {
+		if n < len(s) {
+			return fmt.Errorf("%d bases, but the index gives it %d", n, len(s))
+		}
+		if id >= lo {
+			reads = append(reads, Read{ID: ReadID(id), Name: ix.Names[id], Seq: s})
+		}
+		if id++; id == hi {
+			return errStop
+		}
+		return nil
+	})
+	if err == nil && id < hi {
+		err = errors.New("missing: the input ends before it")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: record %d (%s): %w", kindOf(ix.Format), id, ix.Names[id], err)
+	}
+	return reads, nil
 }
 
 // LoadStore is the one-process convenience: load the whole file and wrap

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -337,4 +338,100 @@ func FuzzFASTARange(f *testing.F) {
 			t.Fatalf("cuts %v: union != whole parse", cuts)
 		}
 	})
+}
+
+// TestLoadRangeDisagreesWithIndex rewrites the file between IndexFile and
+// LoadFileRange. Every load that reaches the changed record must fail
+// naming it, never panic, and the lines are long enough (40 and more
+// letters) that the vector decoder would write past a read that had no
+// room left.
+func TestLoadRangeDisagreesWithIndex(t *testing.T) {
+	line := strings.Repeat("ACGTN", 8)
+	fasta := ">r0\n" + line + "\n>r1 grows\n" + line + "\n" + line + "\n>r2\n" + line + "\n>r3\n" + line + "\n"
+	fastq := "@r0\n" + line + "\n+\n" + strings.Repeat("I", 40) + "\n@r1\n" + line + "\n+\n" + strings.Repeat("I", 40) +
+		"\n@r2\n" + line + "\n+\n" + strings.Repeat("I", 40) + "\n@r3\n" + line + "\n+\n" + strings.Repeat("I", 40) + "\n"
+	cases := []struct {
+		name, before, after, record string
+		rec                         int
+	}{
+		{"fasta grows", fasta, strings.Replace(fasta, line+"\n>r2", line+"ACGT\n>r2", 1), "record 1 (r1)", 1},
+		{"fasta shrinks", fasta, strings.Replace(fasta, line+"\n>r2", line[:30]+"\n>r2", 1), "record 1 (r1)", 1},
+		{"fasta invalid byte", fasta, strings.Replace(fasta, ">r2\nACGTNAC", ">r2\nACGTNAX", 1), "record 2 (r2)", 2},
+		{"fasta record gone", fasta, strings.Replace(fasta, ">r2\n"+line+"\n", "", 1), "record 2 (r2)", 2},
+		{"fastq grows", fastq, strings.Replace(fastq, "@r1\n"+line+"\n+\n"+strings.Repeat("I", 40), "@r1\n"+line+"ACGT\n+\n"+strings.Repeat("I", 44), 1), "record 1 (r1)", 1},
+		{"fastq shrinks", fastq, strings.Replace(fastq, "@r1\n"+line+"\n+\n"+strings.Repeat("I", 40), "@r1\n"+line[:33]+"\n+\n"+strings.Repeat("I", 33), 1), "record 1 (r1)", 1},
+		{"fastq invalid byte", fastq, strings.Replace(fastq, "@r2\nACGTNAC", "@r2\nACGTNAX", 1), "record 2 (r2)", 2},
+		{"fastq record gone", fastq, strings.Replace(fastq, "@r2\n"+line+"\n+\n"+strings.Repeat("I", 40)+"\n", "", 1), "record 2 (r2)", 2},
+	}
+	for _, tc := range cases {
+		for _, gz := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s gzip=%v", tc.name, gz), func(t *testing.T) {
+				if tc.before == tc.after {
+					t.Fatal("the rewrite changed nothing")
+				}
+				path := writeTemp(t, "in", tc.before, gz)
+				ix, err := IndexFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := IndexReader(strings.NewReader(tc.after)); err != nil && !strings.Contains(tc.name, "invalid") {
+					t.Fatalf("the rewritten file is no valid input: %v", err)
+				}
+				if err := os.Rename(writeTemp(t, "out", tc.after, gz), path); err != nil {
+					t.Fatal(err)
+				}
+				for _, lo := range []int{0, tc.rec} {
+					_, err := LoadFileRange(path, ix, lo, ix.N())
+					if err == nil || !strings.Contains(err.Error(), tc.record) {
+						t.Errorf("range [%d,%d): error %v, want one naming %s", lo, ix.N(), err, tc.record)
+					}
+					t.Logf("range [%d,%d): %v", lo, ix.N(), err)
+				}
+			})
+		}
+	}
+}
+
+// endlessBases is a FASTA stream of one record whose only line is n bases
+// with no newline, made as it is read.
+type endlessBases struct {
+	header bool
+	n      int
+}
+
+func (e *endlessBases) Read(p []byte) (int, error) {
+	if !e.header {
+		e.header = true
+		return copy(p, ">r\n"), nil
+	}
+	if e.n == 0 {
+		return 0, io.EOF
+	}
+	k := min(len(p), e.n)
+	for i := range p[:k] {
+		p[i] = 'A'
+	}
+	e.n -= k
+	return k, nil
+}
+
+// TestLineLimit: a line past 64 MiB fails with an error, in the index
+// pass and in the whole-stream parser; a line past the first 256 KiB
+// block but under the limit reads whole.
+func TestLineLimit(t *testing.T) {
+	if _, err := IndexReader(&endlessBases{n: maxLine + 1}); err == nil || !strings.Contains(err.Error(), "line 2: longer than") {
+		t.Errorf("IndexReader on a %d-byte line: %v", maxLine+1, err)
+	}
+	if _, err := ReadFASTA(&endlessBases{n: maxLine + 1}); err == nil || !strings.Contains(err.Error(), "line 2: longer than") {
+		t.Errorf("ReadFASTA on a %d-byte line: %v", maxLine+1, err)
+	}
+	n := 3<<18 + 17
+	ix, err := IndexReader(&endlessBases{n: n})
+	if err != nil || ix.N() != 1 || ix.Lens[0] != int32(n) {
+		t.Fatalf("IndexReader on a %d-byte line: %v %+v", n, err, ix)
+	}
+	rs, err := ReadFASTA(&endlessBases{n: n})
+	if err != nil || rs.Len() != 1 || rs.Reads[0].Len() != n {
+		t.Fatalf("ReadFASTA on a %d-byte line: %v", n, err)
+	}
 }

@@ -28,6 +28,16 @@ func unpackAVX2(dst, src []byte)
 //go:noescape
 func indexAtLeastAVX2(b []byte, limit byte) int
 
+// decodeAVX2 is decodeBases on 32 bytes a step; len(src) must be at least
+// 32 and len(dst) = len(src). A short last block is the full block that
+// ends the input, overlapping the one before it. Each step folds case with
+// OR 0x20, looks up the code and the one letter that owns the low nibble
+// in two VPSHUFB tables, and marks every byte unequal to that letter with
+// VPCMPEQB and VPMOVMSKB: the high nibble, too, must be the letter's.
+//
+//go:noescape
+func decodeAVX2(dst []Base, src []byte) (bad int)
+
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax uint32)
 

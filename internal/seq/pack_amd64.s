@@ -172,6 +172,72 @@ scannone:
 	VZEROUPPER
 	RET
 
+// The base decoder's tables, indexed by the low nibble of a case-folded
+// letter: a 1, c 3, t 4, u 5, g 7, n e. foldCase is the lower-case bit,
+// baseCodes the code of each letter, baseLetters the letter itself (0,
+// which no folded byte equals, where no letter owns the nibble).
+DATA foldCase<>+0(SB)/8, $0x2020202020202020
+DATA foldCase<>+8(SB)/8, $0x2020202020202020
+DATA foldCase<>+16(SB)/8, $0x2020202020202020
+DATA foldCase<>+24(SB)/8, $0x2020202020202020
+GLOBL foldCase<>(SB), RODATA|NOPTR, $32
+
+DATA baseCodes<>+0(SB)/8, $0x0200030301000000
+DATA baseCodes<>+8(SB)/8, $0x0004000000000000
+DATA baseCodes<>+16(SB)/8, $0x0200030301000000
+DATA baseCodes<>+24(SB)/8, $0x0004000000000000
+GLOBL baseCodes<>(SB), RODATA|NOPTR, $32
+
+DATA baseLetters<>+0(SB)/8, $0x6700757463006100
+DATA baseLetters<>+8(SB)/8, $0x006e000000000000
+DATA baseLetters<>+16(SB)/8, $0x6700757463006100
+DATA baseLetters<>+24(SB)/8, $0x006e000000000000
+GLOBL baseLetters<>(SB), RODATA|NOPTR, $32
+
+// func decodeAVX2(dst []Base, src []byte) (bad int)
+TEXT ·decodeAVX2(SB), NOSPLIT, $0-56
+	MOVQ    dst_base+0(FP), DI
+	MOVQ    src_base+24(FP), SI
+	MOVQ    src_len+32(FP), CX
+	SUBQ    $32, CX
+	VMOVDQU foldCase<>(SB), Y5
+	VMOVDQU nibble<>(SB), Y6
+	VMOVDQU baseCodes<>(SB), Y7
+	VMOVDQU baseLetters<>(SB), Y8
+	XORQ    DX, DX
+
+decodeloop:
+	VMOVDQU   (SI)(DX*1), Y0
+	VPOR      Y5, Y0, Y0
+	VPAND     Y6, Y0, Y1
+	VPSHUFB   Y1, Y7, Y2
+	VPSHUFB   Y1, Y8, Y3
+	VPCMPEQB  Y3, Y0, Y3
+	VMOVDQU   Y2, (DI)(DX*1)
+	VPMOVMSKB Y3, AX
+	CMPL      AX, $0xffffffff
+	JNE       decodebad
+	CMPQ      DX, CX
+	JEQ       decodeok
+	ADDQ      $32, DX
+	CMPQ      DX, CX
+	JLE       decodeloop
+	MOVQ      CX, DX
+	JMP       decodeloop
+
+decodebad:
+	NOTL      AX
+	BSFL      AX, AX
+	ADDQ      AX, DX
+	MOVQ      DX, bad+48(FP)
+	VZEROUPPER
+	RET
+
+decodeok:
+	MOVQ $-1, bad+48(FP)
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unsafe"
 )
 
 // Base is a single nucleotide code. The canonical encoding is
@@ -83,14 +84,47 @@ type Seq []Base
 // Invalid characters yield an error naming the first offending position.
 func FromString(s string) (Seq, error) {
 	out := make(Seq, len(s))
-	for i := 0; i < len(s); i++ {
-		b, ok := BaseFromChar(s[i])
-		if !ok {
-			return nil, fmt.Errorf("seq: invalid character %q at position %d", s[i], i)
-		}
-		out[i] = b
+	if i := decodeBases(out, unsafe.Slice(unsafe.StringData(s), len(s))); i >= 0 {
+		return nil, fmt.Errorf("seq: invalid character %q at position %d", s[i], i)
 	}
 	return out, nil
+}
+
+// decodeBases writes the codes of the letters in src to dst[:len(src)]
+// and returns the index of the first byte of src that is no base letter,
+// or -1. Past that byte dst holds garbage. Lines of 32 letters or more go
+// to the AVX2 decoder (pack_amd64.s), everything else to the table loop,
+// which is also its oracle.
+func decodeBases(dst []Base, src []byte) int {
+	if useAVX2 && len(src) >= 32 {
+		return decodeAVX2(dst[:len(src)], src)
+	}
+	return decodeTable(dst, src)
+}
+
+// decodeTable is decodeBases one charToBase lookup a byte.
+func decodeTable(dst []Base, src []byte) int {
+	dst = dst[:len(src)]
+	for i, c := range src {
+		b := charToBase[c]
+		if b == 0xFF {
+			return i
+		}
+		dst[i] = Base(b)
+	}
+	return -1
+}
+
+// checkBases is decodeBases into scratch, len(scratch) bytes at a time,
+// with the codes thrown away: the index of the first byte of src that is
+// no base letter, or -1.
+func checkBases(scratch Seq, src []byte) int {
+	for i := 0; i < len(src); i += len(scratch) {
+		if j := decodeBases(scratch, src[i:min(i+len(scratch), len(src))]); j >= 0 {
+			return i + j
+		}
+	}
+	return -1
 }
 
 // MustFromString is FromString for trusted literals; it panics on error.
