@@ -68,7 +68,7 @@
 
 GO      ?= go
 FUZZT   ?= 10s
-LOC_BUDGET = 18672
+LOC_BUDGET = 18338
 
 .PHONY: check vet cross fmtcheck build test bench-smoke bench-build backhalf-rounds allocs kernel-cells loc loc-budget race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke ci
 
@@ -162,7 +162,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzAddrTable$$ -fuzztime $(FUZZT) ./internal/transport/
 	$(GO) test -fuzz=FuzzHierRecord$$ -fuzztime $(FUZZT) ./internal/dist/
 	$(GO) test -fuzz=FuzzCacheEvict -fuzztime $(FUZZT) ./internal/core/
-	$(GO) test -fuzz=FuzzStolenGroups$$ -fuzztime $(FUZZT) ./internal/core/
 	$(GO) test -fuzz=FuzzDecodeHits$$ -fuzztime $(FUZZT) ./internal/core/
 	$(GO) test -fuzz=FuzzJobRequest -fuzztime $(FUZZT) ./internal/serve/
 	$(GO) test -fuzz=FuzzOverlapClassify -fuzztime $(FUZZT) ./internal/graph/

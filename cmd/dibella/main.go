@@ -6,7 +6,6 @@
 //
 //	-mode bsp    bulk-synchronous aggregated exchanges (§3.1)
 //	-mode async  asynchronous pull RPCs with overlap (§3.2)
-//	-mode steal  async with work stealing (§5)
 //
 // Ranks are host goroutines (the real runtime); -procs sets how many.
 // With -dist, ranks are separate OS processes connected by the TCP

@@ -19,9 +19,8 @@ import (
 
 // The fixture is `genreads -genome 8000 -coverage 6 -meanlen 1200 -error
 // 0.08 -both -seed 7`; hits.golden.tsv is the hit TSV the pre-launcher
-// discover→align path wrote for it, byte-identical across bsp / async /
-// steal at 1 and 3 ranks, serial and distributed discovery, and
-// -dist. The staged path must keep reproducing it.
+// discover→align path wrote for it, byte-identical across bsp / async at
+// 1 and 3 ranks, serial and distributed discovery, and -dist. The staged path must keep reproducing it.
 var fixtureArgs = []string{"-in", "testdata/reads.fa", "-k", "15", "-coverage", "6", "-error", "0.08", "-minscore", "60"}
 
 // dibella runs the program in-process.
@@ -74,7 +73,7 @@ func TestHitTSVMatchesGoldenAndSerial(t *testing.T) {
 	// 33 of the fixture's 37 reads carry an N, so most cross the wire with
 	// a run list; -mem 20000 splits the bsp exchange into 14 supersteps at
 	// 3 ranks.
-	for _, mode := range [][]string{{"-mode", "bsp"}, {"-mode", "bsp", "-mem", "20000"}, {"-mode", "async"}, {"-mode", "steal"}} {
+	for _, mode := range [][]string{{"-mode", "bsp"}, {"-mode", "bsp", "-mem", "20000"}, {"-mode", "async"}} {
 		for _, procs := range []string{"1", "3"} {
 			args := append(append(append([]string{}, fixtureArgs...), mode...), "-procs", procs)
 			name := strings.Join(args[len(fixtureArgs):], " ")
@@ -97,15 +96,15 @@ func TestHitTSVMatchesGoldenAndSerial(t *testing.T) {
 // link-table contig stage wrote for the fixture with -fuzz 50 (seven
 // contigs, three of them merging two to four reads) — byte-identical there
 // across its bsp replay walker and its async RPC walker at 1 and 3 ranks.
-// -mode still picks the reduce stage's fetch strategy (steal fetches as
-// async does); neither it nor the rank count may show in an artifact.
+// -mode still picks the reduce stage's fetch strategy; neither it nor the
+// rank count may show in an artifact.
 func TestAssemblyMatchesGolden(t *testing.T) {
 	for stage, file := range map[string]string{"reduce": "testdata/edges.golden.tsv", "contigs": "testdata/contigs.golden.fa"} {
 		want, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []string{"bsp", "async", "steal"} {
+		for _, mode := range []string{"bsp", "async"} {
 			for _, procs := range []string{"1", "3"} {
 				args := append(append([]string{}, fixtureArgs...), "-fuzz", "50", "-stages", stage, "-mode", mode, "-procs", procs)
 				code, stdout, stderr := dibella(args...)
@@ -191,10 +190,11 @@ func TestUsageErrorsExit2(t *testing.T) {
 	for _, tc := range [][]string{
 		{},                           // -in missing
 		{"-distributed"},             // removed: discovery is always the distributed stage
-		{"-steal"},                   // removed: the work-stealing variant is -mode steal
+		{"-steal"},                   // removed, as is the work-stealing driver it chose
 		{"-mode", "async", "-steal"}, // likewise, in its old spelling
 		{"-packed"},                  // removed: every read exchange packs
 		{"-mode", "pull"},
+		{"-mode", "steal"},    // removed: static assignment beat it at every measured scale
 		{"-coverage", "1e10"}, // above pipeline.MaxCoverage
 		{"-coverage", "NaN"},
 		{"-x", "-1"},
@@ -217,6 +217,9 @@ func TestUsageErrorsExit2(t *testing.T) {
 		if code != 2 || stderr == "" || stdout != "" {
 			t.Errorf("%v: exit %d (want 2), stdout %d bytes, stderr %q", tc, code, len(stdout), stderr)
 		}
+	}
+	if _, _, stderr := dibella(append(fixtureArgs, "-mode", "steal")...); !strings.Contains(stderr, "unknown mode") {
+		t.Errorf("-mode steal: stderr %q does not say unknown mode", stderr)
 	}
 }
 

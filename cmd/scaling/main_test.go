@@ -75,10 +75,10 @@ func TestAblationsExportEveryTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 5 {
-		t.Fatalf("got %d CSV files, want 5: %v", len(names), names)
+	if len(names) != 4 {
+		t.Fatalf("got %d CSV files, want 4: %v", len(names), names)
 	}
-	for i, want := range []string{"cap,", "budget,", "workload,", "fetch-batch,", "nodes,mode,"} {
+	for i, want := range []string{"cap,", "budget,", "workload,", "fetch-batch,"} {
 		b, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("ablations-%d.csv", i+1)))
 		if err != nil {
 			t.Fatal(err)

@@ -22,7 +22,7 @@ const negInf32 = int32(-1)<<29 - 1
 // Ownership: one workspace per rank. Every call mutates its buffers, so a
 // workspace must never be shared across goroutines; the drivers obtain one
 // per rank via core's PerRankExecutor hook. Under the progress contract all
-// callbacks of a rank run on that rank's goroutine, so even the stealing
+// callbacks of a rank run on that rank's goroutine, so the asynchronous
 // driver needs no more than the rank's own workspace.
 type Workspace struct {
 	// slab is the DP row, indexed by column 0..blen, followed by the five

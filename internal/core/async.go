@@ -14,13 +14,6 @@ import "gnbody/internal/rt"
 // that many same-owner reads — the knob §5 predicts high-latency networks
 // will need.
 func RunAsync(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
-	return runAsync(r, in, cfg, false)
-}
-
-// runAsync is the one asynchronous driver. With steal set the unissued tail
-// of the queue below is open to other ranks, and a rank that has emptied its
-// own goes looking for theirs (steal.go).
-func runAsync(r rt.Runtime, in *Input, cfg Config, steal bool) (*Result, error) {
 	f, end, err := begin(r, in, &cfg)
 	if err != nil {
 		return nil, err
@@ -33,17 +26,9 @@ func runAsync(r rt.Runtime, in *Input, cfg Config, steal bool) (*Result, error) 
 	out.RemoteTasks = len(in.Tasks) - len(store.local)
 	out.RemoteReads = len(store.order)
 
-	// store.order[q.next..q.tail] is unclaimed: this rank consumes from the
-	// front, steal requests pop from the tail.
-	q := &groupQueue{store: store, tail: len(store.order) - 1}
-
 	// Serve lookups into this rank's partition. The split-phase barrier
 	// below guarantees no request arrives before every rank has registered.
-	serve := readServer(f)
-	if steal {
-		serve = q.serveSteals(f, serve)
-	}
-	r.Serve(serve)
+	r.Serve(readServer(f))
 
 	// Split-phase barrier: compute local-local tasks during the time this
 	// rank would otherwise spend waiting, polling so early requesters are
@@ -52,10 +37,8 @@ func runAsync(r rt.Runtime, in *Input, cfg Config, steal bool) (*Result, error) 
 	f.runGroup(store.local, 0, nil, false)
 	wait()
 
-	// Pull every remote read of the queue once; the fetcher runs its group.
-	for q.next <= q.tail {
-		rid := store.order[q.next]
-		q.next++
+	// Pull every remote read once; the fetcher runs its group.
+	for _, rid := range store.order {
 		f.fetch(waiter{id: rid, tasks: store.byRemote[rid]})
 		if r.Outstanding() > cfg.MaxOutstanding {
 			r.Drain(cfg.MaxOutstanding)
@@ -63,13 +46,9 @@ func runAsync(r rt.Runtime, in *Input, cfg Config, steal bool) (*Result, error) 
 	}
 	f.flush()
 	r.Drain(0)
-	if steal {
-		stealFromPeers(f)
-	}
 
 	// Single exit barrier: partitioned reads remain available to all
-	// parallel processors (and empty steal responses keep peers' sweeps
-	// terminating) until every task is complete.
+	// parallel processors until every task is complete.
 	r.Barrier()
 	out.unreturned = f.scratch.out + f.depth
 	if f.err != nil {

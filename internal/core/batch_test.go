@@ -22,7 +22,7 @@ func TestBatchOrderInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	exec := RealExecutor{Scoring: sc, X: 15}
-	for _, driver := range []string{"bsp", "async", "steal"} {
+	for _, driver := range []string{"bsp", "async"} {
 		for _, p := range []int{1, 3} {
 			batched, _ := runRealMode(t, w, p, driver, exec, Config{MinScore: 40})
 			if !reflect.DeepEqual(batched, plain) {

@@ -32,10 +32,6 @@ type Config struct {
 	// for per-message amortisation (§5's aggregation knob).
 	FetchBatch int
 
-	// StealBatch is how many task groups one work-steal request transfers
-	// in RunAsyncStealing. Default 8.
-	StealBatch int
-
 	// CacheBudget enables the per-rank remote-read cache (DESIGN.md §13):
 	// fetched bases are retained under an LRU bound of this many bytes of
 	// planned wire size, so a read referenced by several tasks — or by a
@@ -64,9 +60,6 @@ func (cfg *Config) defaults() {
 	}
 	if cfg.FetchBatch <= 0 {
 		cfg.FetchBatch = 1
-	}
-	if cfg.StealBatch <= 0 {
-		cfg.StealBatch = 8
 	}
 	if cfg.Cache == nil && cfg.CacheBudget != 0 {
 		// Like the executor binding above: cfg is a per-Run value copy, so

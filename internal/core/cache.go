@@ -82,7 +82,7 @@ func (c *ReadCache) Acquire(id seq.ReadID, pins int) (seq.Seq, bool) {
 }
 
 // NoteCoalescedHit records a fetch decision answered by riding an
-// already-in-flight pull of the same read (the steal driver's request
+// already-in-flight pull of the same read (the async fetcher's request
 // coalescing): no entry is touched yet, but the decision crosses the wire
 // zero additional times, which is what hit/miss accounting measures.
 func (c *ReadCache) NoteCoalescedHit() { c.stats.Hits++ }

@@ -11,8 +11,7 @@ import (
 
 // FuzzCacheEvict is the differential fuzz target for the remote-read cache:
 // random workloads and random (often eviction-heavy) budgets through the
-// async and stealing drivers, compared against the same run with the cache
-// off. Divergent hits, divergent task bases, leaked pins, or broken counter
+// async driver, compared against the same run with the cache off. Divergent hits, divergent task bases, leaked pins, or broken counter
 // invariants all fail.
 func FuzzCacheEvict(f *testing.F) {
 	f.Add(int64(1), int64(128), uint8(4))
@@ -41,32 +40,30 @@ func FuzzCacheEvict(f *testing.F) {
 		}
 		sc := align.DefaultScoring()
 		const p = 3
-		for _, mode := range []string{"async", "steal"} {
-			offExec := newHashExec(RealExecutor{Scoring: sc, X: 15})
-			offHits, _, _, _ := runCached(t, w, p, mode, 0, offExec, 0, false)
-			onExec := newHashExec(RealExecutor{Scoring: sc, X: 15})
-			hits, res, world, caches := runCached(t, w, p, mode, 0, onExec, budget, true)
-			if !reflect.DeepEqual(hits, offHits) {
-				t.Fatalf("%s budget=%d: cached hits (%d) != uncached (%d)",
-					mode, budget, len(hits), len(offHits))
+		offExec := newHashExec(RealExecutor{Scoring: sc, X: 15})
+		offHits, _, _, _ := runCached(t, w, p, "async", 0, offExec, 0, false)
+		onExec := newHashExec(RealExecutor{Scoring: sc, X: 15})
+		hits, res, world, caches := runCached(t, w, p, "async", 0, onExec, budget, true)
+		if !reflect.DeepEqual(hits, offHits) {
+			t.Fatalf("budget=%d: cached hits (%d) != uncached (%d)",
+				budget, len(hits), len(offHits))
+		}
+		if !reflect.DeepEqual(onExec.sums, offExec.sums) {
+			t.Fatalf("budget=%d: cached run fed different bases", budget)
+		}
+		for rk := 0; rk < p; rk++ {
+			m := world.Metrics(rk)
+			if int(m.CacheMisses) != res[rk].WireFetches {
+				t.Fatalf("budget=%d rank %d: misses %d != wire fetches %d",
+					budget, rk, m.CacheMisses, res[rk].WireFetches)
 			}
-			if !reflect.DeepEqual(onExec.sums, offExec.sums) {
-				t.Fatalf("%s budget=%d: cached run fed different bases", mode, budget)
+			if caches[rk].PinnedBytes() != 0 {
+				t.Fatalf("budget=%d rank %d: %d pinned bytes leaked",
+					budget, rk, caches[rk].PinnedBytes())
 			}
-			for rk := 0; rk < p; rk++ {
-				m := world.Metrics(rk)
-				if int(m.CacheMisses) != res[rk].WireFetches {
-					t.Fatalf("%s budget=%d rank %d: misses %d != wire fetches %d",
-						mode, budget, rk, m.CacheMisses, res[rk].WireFetches)
-				}
-				if caches[rk].PinnedBytes() != 0 {
-					t.Fatalf("%s budget=%d rank %d: %d pinned bytes leaked",
-						mode, budget, rk, caches[rk].PinnedBytes())
-				}
-				if m.CurMem != 0 {
-					t.Fatalf("%s budget=%d rank %d: %d tracked bytes leaked",
-						mode, budget, rk, m.CurMem)
-				}
+			if m.CurMem != 0 {
+				t.Fatalf("budget=%d rank %d: %d tracked bytes leaked",
+					budget, rk, m.CurMem)
 			}
 		}
 	})

@@ -286,17 +286,15 @@ func runCached(t *testing.T, w *testWorkload, p int, mode string, fetchBatch int
 // TestCacheCoherenceBattery is the lock-down: for every driver, a cached
 // run (unbounded, and with a tiny eviction-forcing budget) must produce
 // bitwise-identical hits and byte-identical task inputs to the uncached
-// run, never fetch more over the wire (than the uncached run where the
-// schedule is fixed, than its own uncached fetch decisions under stealing),
-// and satisfy the counting invariants that make the hit/miss numbers
-// trustworthy. The asynchronous drivers run it again with four reads to a
-// request; every run, cached or not, must also hand back each scratch
+// run, never fetch more over the wire than the uncached run, and satisfy
+// the counting invariants that make the hit/miss numbers trustworthy. The
+// asynchronous driver runs it again with four reads to a request; every run, cached or not, must also hand back each scratch
 // buffer and batcher it checked out (runCached asserts it).
 func TestCacheCoherenceBattery(t *testing.T) {
 	w := makeWorkload(t, 10000, 6, 47)
 	sc := align.DefaultScoring()
 	const p = 4
-	for _, mode := range []string{"bsp", "async", "steal"} {
+	for _, mode := range []string{"bsp", "async"} {
 		battery := func(t *testing.T, fetchBatch int) {
 			offExec := newHashExec(RealExecutor{Scoring: sc, X: 15})
 			offHits, offRes, _, _ := runCached(t, w, p, mode, fetchBatch, offExec, 0, false)
@@ -321,13 +319,11 @@ func TestCacheCoherenceBattery(t *testing.T) {
 					if !reflect.DeepEqual(onExec.sums, offExec.sums) {
 						t.Error("cached run fed different bases to at least one task")
 					}
-					var wire, chits, decisions, evicts int
+					var wire, evicts int
 					for rk := 0; rk < p; rk++ {
 						m := world.Metrics(rk)
 						r := res[rk]
 						wire += r.WireFetches
-						chits += r.CacheHits
-						decisions += int(m.CacheHits + m.CacheMisses)
 						evicts += int(m.CacheEvicts)
 						// Misses are counted inside the cache, wire fetches at
 						// the call sites: their equality is the coherence of
@@ -340,7 +336,7 @@ func TestCacheCoherenceBattery(t *testing.T) {
 							t.Errorf("rank %d: metrics CacheHits %d != result %d",
 								rk, m.CacheHits, r.CacheHits)
 						}
-						if mode != "steal" && r.CacheHits+r.WireFetches != r.RemoteReads {
+						if r.CacheHits+r.WireFetches != r.RemoteReads {
 							t.Errorf("rank %d: hits %d + wire %d != distinct remote reads %d",
 								rk, r.CacheHits, r.WireFetches, r.RemoteReads)
 						}
@@ -351,16 +347,7 @@ func TestCacheCoherenceBattery(t *testing.T) {
 							t.Errorf("rank %d: %d tracked bytes leaked", rk, m.CurMem)
 						}
 					}
-					if mode == "steal" {
-						// Which groups get stolen — and so how many fetch
-						// decisions a run makes — depends on timing, so two
-						// steal runs are not comparable. The bound that holds
-						// under every schedule is on the run's own counters:
-						// each decision the cache answered saved a fetch.
-						if wire > decisions-chits {
-							t.Errorf("wire fetches %d exceed decisions %d - cache hits %d", wire, decisions, chits)
-						}
-					} else if wire > offWire {
+					if wire > offWire {
 						t.Errorf("cache increased wire fetches: %d > %d", wire, offWire)
 					}
 					if tc.budget < 0 && evicts != 0 {

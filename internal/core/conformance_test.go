@@ -22,9 +22,9 @@ import (
 // The cross-backend conformance battery: one workload, every execution
 // configuration — serial reference, real runtime (par), simulator (sim) and
 // the message-passing backend (dist, over both the loopback and the TCP
-// fabric), each under BSP, Async and Async+steal — must produce
-// byte-identical sorted hit sets; par and sim must agree exactly on message
-// counts for the deterministic drivers, and dist must agree with par. Model
+// fabric), each under BSP and Async — must produce byte-identical
+// sorted hit sets; par and sim must agree exactly on message counts, and
+// dist must agree with par. Model
 // mode (PhantomCodec + ModelExecutor) makes the alignment outcome
 // backend-independent, so any divergence is a coordination bug, not a
 // kernel difference. Tracing is enabled everywhere: the instrumentation
@@ -79,14 +79,7 @@ func runConfPar(t *testing.T, w *testWorkload, mode string, cacheBudget int64) c
 		in := &Input{Part: pt, Lens: lens, Tasks: byRank[r.Rank()], Codec: PhantomCodec{Lens: lens}, Store: st}
 		cfg := Config{Exec: exec, MinScore: confMinScore, MaxOutstanding: 4, PollEvery: 4,
 			CacheBudget: cacheBudget}
-		switch mode {
-		case "async":
-			results[r.Rank()], errs[r.Rank()] = RunAsync(r, in, cfg)
-		case "steal":
-			results[r.Rank()], errs[r.Rank()] = RunAsyncStealing(r, in, cfg)
-		default:
-			results[r.Rank()], errs[r.Rank()] = RunBSP(r, in, cfg)
-		}
+		results[r.Rank()], errs[r.Rank()] = Run(mode, r, in, cfg)
 	})
 	out := confRun{}
 	for rk := 0; rk < confRanks; rk++ {
@@ -134,14 +127,7 @@ func runConfSim(t *testing.T, w *testWorkload, mode string, cacheBudget int64) c
 		in := &Input{Part: pt, Lens: lens, Tasks: byRank[r.Rank()], Codec: PhantomCodec{Lens: lens}, Store: st}
 		cfg := Config{Exec: exec, MinScore: confMinScore, MaxOutstanding: 4, PollEvery: 4,
 			CacheBudget: cacheBudget}
-		switch mode {
-		case "async":
-			results[r.Rank()], errs[r.Rank()] = RunAsync(r, in, cfg)
-		case "steal":
-			results[r.Rank()], errs[r.Rank()] = RunAsyncStealing(r, in, cfg)
-		default:
-			results[r.Rank()], errs[r.Rank()] = RunBSP(r, in, cfg)
-		}
+		results[r.Rank()], errs[r.Rank()] = Run(mode, r, in, cfg)
 	})
 	if err != nil {
 		t.Fatalf("sim %s: %v", mode, err)
@@ -238,14 +224,7 @@ func runConfDist(t *testing.T, w *testWorkload, mode, fabricKind string, cacheBu
 		in := &Input{Part: pt, Lens: lens, Tasks: byRank[r.Rank()], Codec: PhantomCodec{Lens: lens}, Store: st}
 		cfg := Config{Exec: exec, MinScore: confMinScore, MaxOutstanding: 4, PollEvery: 4,
 			CacheBudget: cacheBudget}
-		switch mode {
-		case "async":
-			results[r.Rank()], errs[r.Rank()] = RunAsync(r, in, cfg)
-		case "steal":
-			results[r.Rank()], errs[r.Rank()] = RunAsyncStealing(r, in, cfg)
-		default:
-			results[r.Rank()], errs[r.Rank()] = RunBSP(r, in, cfg)
-		}
+		results[r.Rank()], errs[r.Rank()] = Run(mode, r, in, cfg)
 	}); err != nil {
 		t.Fatalf("dist/%s %s: %v", fabricKind, mode, err)
 	}
@@ -303,7 +282,7 @@ func TestCrossBackendConformance(t *testing.T) {
 	simRuns := map[string]confRun{}
 	distLoop := map[string]confRun{}
 	distTCP := map[string]confRun{}
-	for _, mode := range []string{"bsp", "async", "steal"} {
+	for _, mode := range []string{"bsp", "async"} {
 		parRuns[mode] = runConfPar(t, w, mode, 0)
 		simRuns[mode] = runConfSim(t, w, mode, 0)
 		distLoop[mode] = runConfDist(t, w, mode, "loopback", 0, 0)
@@ -318,7 +297,7 @@ func TestCrossBackendConformance(t *testing.T) {
 	for i := range w.reads.Reads {
 		globalBytes += int64(w.reads.Reads[i].WireSize())
 	}
-	for _, mode := range []string{"bsp", "async", "steal"} {
+	for _, mode := range []string{"bsp", "async"} {
 		for name, got := range map[string]confRun{
 			"par": parRuns[mode], "sim": simRuns[mode],
 			"dist-loopback": distLoop[mode], "dist-tcp": distTCP[mode],
@@ -334,7 +313,7 @@ func TestCrossBackendConformance(t *testing.T) {
 	}
 
 	// Every configuration reproduces the serial reference byte-identically.
-	for _, mode := range []string{"bsp", "async", "steal"} {
+	for _, mode := range []string{"bsp", "async"} {
 		if got := parRuns[mode]; !reflect.DeepEqual(got.hits, want) {
 			t.Errorf("par/%s: %d hits differ from serial reference (%d)", mode, len(got.hits), len(want))
 		}
@@ -349,10 +328,8 @@ func TestCrossBackendConformance(t *testing.T) {
 		}
 	}
 
-	// The deterministic drivers move exactly the same messages on every
-	// back-end: sim and dist (both fabrics) must match par. Steal is
-	// excluded: its probe pattern depends on timing, so only its result set
-	// is pinned above.
+	// Both drivers move exactly the same messages on every back-end: sim
+	// and dist (both fabrics) must match par.
 	for _, mode := range []string{"bsp", "async"} {
 		p := parRuns[mode]
 		for name, got := range map[string]confRun{
@@ -389,7 +366,7 @@ func TestCachedConformance(t *testing.T) {
 	// tinyBudget holds a couple of plan-sized entries at most, so evictions
 	// are guaranteed on this workload.
 	const tinyBudget = 512
-	for _, mode := range []string{"bsp", "async", "steal"} {
+	for _, mode := range []string{"bsp", "async"} {
 		mode := mode
 		t.Run(mode, func(t *testing.T) {
 			base := runConfPar(t, w, mode, 0)
@@ -404,24 +381,15 @@ func TestCachedConformance(t *testing.T) {
 				if !reflect.DeepEqual(got.hits, want) {
 					t.Errorf("%s: %d hits differ from serial reference (%d)", name, len(got.hits), len(want))
 				}
-				// Volume comparisons need a deterministic fetch-decision
-				// count: on the real runtime steal's stolen-group fetches
-				// are timing-dependent, so only the virtual-time backend
-				// pins that mode's volumes.
+				ref := base
 				if name[:3] == "sim" {
-					if got.wire > baseSim.wire {
-						t.Errorf("%s: cache increased wire fetches: %d > %d", name, got.wire, baseSim.wire)
-					}
-					if got.bytes > baseSim.bytes {
-						t.Errorf("%s: cache increased bytes sent: %d > %d", name, got.bytes, baseSim.bytes)
-					}
-				} else if mode != "steal" {
-					if got.wire > base.wire {
-						t.Errorf("%s: cache increased wire fetches: %d > %d", name, got.wire, base.wire)
-					}
-					if got.bytes > base.bytes {
-						t.Errorf("%s: cache increased bytes sent: %d > %d", name, got.bytes, base.bytes)
-					}
+					ref = baseSim
+				}
+				if got.wire > ref.wire {
+					t.Errorf("%s: cache increased wire fetches: %d > %d", name, got.wire, ref.wire)
+				}
+				if got.bytes > ref.bytes {
+					t.Errorf("%s: cache increased bytes sent: %d > %d", name, got.bytes, ref.bytes)
 				}
 			}
 			if tiny := runConfPar(t, w, mode, tinyBudget); tiny.evicts == 0 {
@@ -435,7 +403,7 @@ func TestCachedConformance(t *testing.T) {
 			if !reflect.DeepEqual(hier.hits, want) {
 				t.Errorf("dist-hier: %d hits differ from serial reference (%d)", len(hier.hits), len(want))
 			}
-			if mode != "steal" && hier.wire > baseDist.wire {
+			if hier.wire > baseDist.wire {
 				t.Errorf("dist-hier: cache increased wire fetches: %d > %d", hier.wire, baseDist.wire)
 			}
 		})

@@ -220,14 +220,12 @@ type Result struct {
 	RemoteReads       int   // distinct remote reads fetched
 	Supersteps        int   // BSP: exchange rounds executed (async: 0)
 	ExchangeRecvBytes int64 // BSP: payload bytes received (Figure 6 series)
-	TasksStolen       int   // stealing driver: tasks this rank executed for others
-	TasksShed         int   // stealing driver: tasks handed away by this rank
 
 	// WireFetches counts remote reads actually pulled over the wire, and
 	// CacheHits the fetch decisions the remote-read cache answered instead.
 	// With the cache off WireFetches equals the fetch-decision count
-	// (RemoteReads for bsp/async; per-task for stolen groups) and CacheHits
-	// is zero. The coherence battery pins hits+fetches == decisions.
+	// (RemoteReads) and CacheHits is zero. The coherence battery pins
+	// hits+fetches == decisions.
 	WireFetches int
 	CacheHits   int
 
@@ -257,15 +255,14 @@ func (in *Input) validate(rank int) error {
 }
 
 // Run executes the exchange-and-align phase under the coordination
-// strategy mode names: "bsp" (or "", the default), "async", or "steal"
-// (async with work stealing). It is the one place a mode string becomes a
-// driver.
+// strategy mode names: "bsp" (or "", the default) or "async". It is the one
+// place a mode string becomes a driver.
 func Run(mode string, r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 	switch mode {
 	case "", "bsp":
 		return RunBSP(r, in, cfg)
-	case "async", "steal":
-		return runAsync(r, in, cfg, mode == "steal")
+	case "async":
+		return RunAsync(r, in, cfg)
 	}
-	return nil, fmt.Errorf("core: unknown mode %q (want bsp, async or steal)", mode)
+	return nil, fmt.Errorf("core: unknown mode %q (want bsp or async)", mode)
 }

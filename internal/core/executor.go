@@ -79,7 +79,8 @@ func (e RealExecutor) Align(r rt.Runtime, t overlap.Task, a, b seq.Seq) (align.R
 	r.Timed(rt.CatAlign, c.fn)
 	c.a, c.b = nil, nil
 	if c.err != nil {
-		// Invariant: a peer's tasks passed checkStolen and its reads readDecoder's length check.
+		// Invariant: a rank aligns only its own Input's tasks, and a peer's
+		// reads passed readDecoder's length check.
 		panic("core: invalid task reached the aligner: " + c.err.Error())
 	}
 	// Drain the workspace's kernel counters into the rank's metrics. The

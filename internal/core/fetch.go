@@ -46,17 +46,12 @@ type fetcher struct {
 	spare    [][]waiter // waiter lists of answered requests, for flush to reuse
 }
 
-// waiter is one fetch decision: the read, and who gets it — the task group
-// waiting on it (runGroup) or a callback, for which ok=false means the read
-// could not be had; the fetcher has recorded why.
+// waiter is one fetch decision: the read, and the task group waiting on it
+// (runGroup). The bases are valid during the hand-over only; the fetcher
+// releases them.
 type waiter struct {
-	id seq.ReadID
-	// retain (cb waiters only): the bases outlive the hand-over, and the
-	// waiter calls release(id, bases) after its last use. Otherwise they are
-	// valid during the hand-over only and the fetcher releases them.
-	retain bool
-	tasks  []*overlap.Task
-	cb     func(bases seq.Seq, ok bool)
+	id    seq.ReadID
+	tasks []*overlap.Task
 }
 
 // begin is the drivers' shared prologue: defaults, the owner invariant,
@@ -87,8 +82,6 @@ func (f *fetcher) fail(err error) {
 	}
 }
 
-func (f *fetcher) local(id seq.ReadID) bool { return int(id) >= f.lo && int(id) < f.hi }
-
 // resident is the fetch decision's cache step (cache on only): the bases of
 // remote read id if an earlier pull (this Run's or a previous one's) left
 // them here, pinned once for the caller.
@@ -115,15 +108,13 @@ func (f *fetcher) unpin(id seq.ReadID) {
 	}
 }
 
-// release settles what a hand-over of read id left owing: nothing for a
-// local read (the store owns the bases), the cache pin with the cache on,
-// the scratch decode buffer — the bases themselves — otherwise.
+// release settles what a hand-over of remote read id left owing: the cache
+// pin with the cache on, the scratch decode buffer — the bases themselves —
+// otherwise.
 func (f *fetcher) release(id seq.ReadID, bases seq.Seq) {
-	switch {
-	case f.local(id):
-	case f.cache != nil:
+	if f.cache != nil {
 		f.unpin(id)
-	default:
+	} else {
 		f.scratch.put(bases)
 	}
 }
@@ -142,31 +133,25 @@ func (f *fetcher) runGroup(tasks []*overlap.Task, rid seq.ReadID, rem seq.Seq, h
 	f.depth--
 }
 
-// deliver hands bases to one waiter; ran is the tasks the batcher ran.
+// deliver hands bases to one waiter's task group; ran is the tasks the
+// batcher ran. ok=false means the read could not be had: the fetcher has
+// recorded why, and the group does not run.
 func (f *fetcher) deliver(w *waiter, bases seq.Seq, ok bool) (ran int) {
-	switch {
-	case w.cb != nil:
-		w.cb(bases, ok)
-	case ok:
-		f.runGroup(w.tasks, w.id, bases, true)
-		ran = len(w.tasks)
+	if !ok {
+		return 0
 	}
-	if ok && !w.retain {
-		f.release(w.id, bases)
-	}
-	return ran
+	f.runGroup(w.tasks, w.id, bases, true)
+	f.release(w.id, bases)
+	return len(w.tasks)
 }
 
-// fetch resolves w.id and delivers it — at once for a local or resident
-// read, from a completion callback otherwise. A miss joins the pending
-// request, which goes out when it holds FetchBatch reads, when the next
-// miss has another owner, or on flush: whoever then waits for completions
-// (Drain, a pending-work count) flushes first.
+// fetch resolves remote read w.id (the owner invariant makes every task's
+// other read local, so only its remote read is ever fetched) and delivers
+// it — at once for a resident read, from a completion callback otherwise.
+// A miss joins the pending request, which goes out when it holds
+// FetchBatch reads, when the next miss has another owner, or on flush:
+// whoever then waits for completions (Drain) flushes first.
 func (f *fetcher) fetch(w waiter) {
-	if f.local(w.id) {
-		f.deliver(&w, f.in.localSeq(w.id), true)
-		return
-	}
 	if f.cache != nil {
 		if riders, ok := f.inflight[w.id]; ok {
 			// Ride the pull already decided. No entry exists yet, but the
@@ -255,9 +240,7 @@ func (f *fetcher) arrived(owner int, batch []waiter, est int64, val []byte) {
 		ran += f.settle(w, read.Seq, true)
 	}
 	f.spare = append(f.spare, batch[:0])
-	if ran > 0 { // callback waiters run no task group
-		tb.Span(trace.KindBatch, t0, int64(ran))
-	}
+	tb.Span(trace.KindBatch, t0, int64(ran))
 	if len(val) != 0 {
 		f.fail(&ExchangeError{f.r.Rank(), owner, fmt.Sprintf("%d trailing payload bytes", len(val))})
 	}

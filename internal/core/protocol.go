@@ -17,10 +17,6 @@ const (
 	// batches are the §5 "more aggregation" variant. Built in
 	// fetcher.flush, answered by readServer.
 	reqRead = 0x01
-	// reqSteal asks the victim to hand over up to max pending task
-	// groups: [op][4-byte max] — the response is a stolen-work bundle
-	// (see steal.go), empty when the victim has nothing left.
-	reqSteal = 0x02
 )
 
 // ExchangeError reports bytes from a peer that the read exchange cannot
@@ -69,11 +65,11 @@ func encodeReads(dst []byte, in *Input, lo, hi int, ids []byte) ([]byte, string)
 	return dst, ""
 }
 
-// readServer answers reqRead lookups into this rank's partition; stealing
-// wraps it with its own op (groupQueue.serveSteals). Every response is
-// built in one per-rank buffer: the runtime snapshots a handler's response
-// before the handler can run again (rt.Runtime.Serve). A request this rank
-// cannot answer is reported through f.fail and answered with nothing.
+// readServer answers reqRead lookups into this rank's partition. Every
+// response is built in one per-rank buffer: the runtime snapshots a
+// handler's response before the handler can run again (rt.Runtime.Serve). A
+// request this rank cannot answer is reported through f.fail and answered
+// with nothing.
 func readServer(f *fetcher) func([]byte) []byte {
 	var resp []byte
 	return func(req []byte) []byte {

@@ -115,10 +115,10 @@ func chaosAsync(r rt.Runtime) {
 	r.Barrier()
 }
 
-// chaosSteal mirrors the stealing driver's termination pattern: work
-// whittled down by pull RPCs between allreduce sweeps that decide whether
-// anyone still has tasks.
-func chaosSteal(r rt.Runtime) {
+// chaosAllreducePull is a dynamic-termination pattern: work whittled down
+// by pull RPCs between allreduce sweeps that decide whether anyone still
+// has tasks.
+func chaosAllreducePull(r rt.Runtime) {
 	r.Serve(func(req []byte) []byte { return req })
 	wait := r.SplitBarrier()
 	wait()
@@ -143,7 +143,7 @@ var chaosBodies = []struct {
 }{
 	{"bsp", chaosBSP},
 	{"async", chaosAsync},
-	{"steal", chaosSteal},
+	{"allreduce-pull", chaosAllreducePull},
 }
 
 // firstRankError digs the first *RankError out of a (possibly joined)

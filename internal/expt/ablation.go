@@ -15,7 +15,7 @@ import (
 func Ablations(p Params) (Result, error) {
 	var all Result
 	for _, ablate := range []func(Params) (Result, error){AblationOutstanding,
-		AblationAggregation, AblationNetwork, AblationFetchBatch, AblationDynamicBalance} {
+		AblationAggregation, AblationNetwork, AblationFetchBatch} {
 		r, err := ablate(p)
 		if err != nil {
 			return Result{}, err
@@ -85,32 +85,6 @@ func AblationAggregation(p Params) (Result, error) {
 		t.AddRow(stats.FmtBytes(row.MemBudget), fmt.Sprint(row.Supersteps),
 			stats.FmtDur(row.Cat[rt.CatComm]), stats.FmtDur(row.Cat[rt.CatSync]),
 			stats.FmtDur(row.Runtime))
-	}
-	return Result{Tables: []*stats.Table{t}, Rows: rows}, nil
-}
-
-// AblationDynamicBalance compares the static async driver against the
-// work-stealing variant — §5's open question: "whether the performance
-// improvements can compensate for the overheads of dynamic load balancing
-// in practice".
-func AblationDynamicBalance(p Params) (Result, error) {
-	p = p.defaults()
-	_, rows, err := p.ccs(p.nodesOr([]int{8, 32, 128}), []Mode{Async, AsyncSteal}, false)
-	if err != nil {
-		return Result{}, err
-	}
-	t := &stats.Table{
-		Title:   "Ablation: dynamic load balancing (work stealing) vs static assignment, Human CCS",
-		Headers: []string{"nodes", "mode", "runtime", "sync", "comm", "stolen", "vs-static"},
-	}
-	for i, row := range rows {
-		vs := ""
-		if i%2 == 1 {
-			vs = stats.FmtPct(float64(row.Runtime) / float64(rows[i-1].Runtime))
-		}
-		t.AddRow(fmt.Sprint(row.Nodes), string(row.Mode), stats.FmtDur(row.Runtime),
-			stats.FmtDur(row.Cat[rt.CatSync]), stats.FmtDur(row.Cat[rt.CatComm]),
-			fmt.Sprint(row.TasksStolen), vs)
 	}
 	return Result{Tables: []*stats.Table{t}, Rows: rows}, nil
 }

@@ -385,24 +385,6 @@ func TestAblationFetchBatchShape(t *testing.T) {
 	}
 }
 
-func TestAblationDynamicBalanceRuns(t *testing.T) {
-	res, err := AblationDynamicBalance(quick(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	static, steal := byMode(res.Rows, Async), byMode(res.Rows, AsyncSteal)
-	if len(static) != 1 || len(steal) != 1 {
-		t.Fatalf("rows missing: %v", res.Rows)
-	}
-	a, s := static[0], steal[0]
-	if a.Hits != s.Hits {
-		t.Errorf("stealing changed hit count: %d vs %d", s.Hits, a.Hits)
-	}
-	if s.Runtime <= 0 || a.Runtime <= 0 {
-		t.Error("zero runtimes")
-	}
-}
-
 func TestServeAmortization(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-pipeline experiment")

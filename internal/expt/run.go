@@ -27,12 +27,10 @@ import (
 // Mode selects the coordination strategy.
 type Mode string
 
-// The strategies under study: the paper's two, plus the §5 future-work
-// dynamic-load-balancing variant.
+// The strategies under study: the paper's two.
 const (
-	BSP        Mode = "BSP"
-	Async      Mode = "Async"
-	AsyncSteal Mode = "Async+steal"
+	BSP   Mode = "BSP"
+	Async Mode = "Async"
 )
 
 // Calibration constants for the simulated platform. The cost model is
@@ -107,7 +105,6 @@ type Row struct {
 	WireFetches int64         // remote reads actually pulled over the wire
 	CacheHits   int64         // fetch decisions answered by the remote-read cache
 	Hits        int64
-	TasksStolen int64 // dynamic-balance ablation
 
 	// Trace and TraceRows are set only when SimSpec.NewTracer was given:
 	// the run's event buffers (for the Chrome exporter) and the flattened
@@ -166,7 +163,7 @@ func placementDigest(pl []int) string {
 }
 
 // driverOf maps the figures' display names onto core.Run's mode strings.
-var driverOf = map[Mode]string{BSP: "bsp", Async: "async", AsyncSteal: "steal"}
+var driverOf = map[Mode]string{BSP: "bsp", Async: "async"}
 
 // ownerTasks partitions the reads across ranks by size and assigns every
 // task to the owner of one of its reads — the align-only experiments'
@@ -304,7 +301,6 @@ func RunSim(spec SimSpec) (*Row, error) {
 		row.WireFetches += int64(results[rk].WireFetches)
 		row.CacheHits += int64(results[rk].CacheHits)
 		row.Hits += int64(len(results[rk].Hits))
-		row.TasksStolen += int64(results[rk].TasksStolen)
 	}
 	row.AlignTimes = stats.SummarizeDurations(alignT)
 	row.RecvBytes = stats.SummarizeInt64(recvB)

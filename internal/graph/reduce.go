@@ -31,8 +31,7 @@ type ReduceConfig struct {
 	// (error-free reads); noisy data wants ~overlap-slack magnitude.
 	Fuzz int
 	// Mode selects the neighbour-fetch strategy: "bsp" (default, one
-	// alltoallv round-trip) or "async" (RPC per owner). "steal" fetches
-	// as "async" does: stealing is an align-phase concept.
+	// alltoallv round-trip) or "async" (RPC per owner).
 	Mode string
 	// Model prices the stage on the simulator backend; nil elsewhere.
 	Model *CostModel
@@ -160,7 +159,7 @@ func (g *Graph) fetchNeighbors(r rt.Runtime, mode string, segs [][]Vertex) ([]fe
 		}
 		return got, nil
 
-	case "async", "steal":
+	case "async":
 		// A request this rank cannot answer is answered with nothing; the
 		// first error, served or received, is returned after the exit barrier.
 		var perr error

@@ -43,7 +43,7 @@ func (s BuildStage) Run(r rt.Runtime, pl *pipeline.Plan, _ seq.Store, prev any) 
 // Output: *Graph.
 type ReduceStage struct {
 	Fuzz  int
-	Mode  string // neighbour fetch: "bsp" (default), "async" or "steal" (fetches as async)
+	Mode  string // neighbour fetch: "bsp" (default) or "async"
 	Model *CostModel
 }
 

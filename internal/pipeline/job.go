@@ -33,7 +33,7 @@ type JobSpec struct {
 	ErrRate  float64 `json:"error_rate"`
 	LoFreq   int     `json:"lo_freq"`
 	HiFreq   int     `json:"hi_freq"`
-	Mode     string  `json:"mode"` // "bsp", "async" or "steal"
+	Mode     string  `json:"mode"` // "bsp" or "async"
 }
 
 // DefaultJobSpec is the job every knob left unset describes.
@@ -51,7 +51,7 @@ func (s *JobSpec) Bind(fs *flag.FlagSet) {
 	fs.Float64Var(&s.ErrRate, "error", s.ErrRate, "error rate for the BELLA filter window, in [0, 1)")
 	fs.IntVar(&s.LoFreq, "lofreq", s.LoFreq, "explicit k-mer frequency lower bound (overrides BELLA model)")
 	fs.IntVar(&s.HiFreq, "hifreq", s.HiFreq, "explicit k-mer frequency upper bound (overrides BELLA model)")
-	fs.StringVar(&s.Mode, "mode", s.Mode, "coordination strategy: bsp, async, or steal (async with work stealing)")
+	fs.StringVar(&s.Mode, "mode", s.Mode, "coordination strategy: bsp or async")
 }
 
 // Validate rejects a spec no run can take. The negated range tests also
@@ -70,10 +70,10 @@ func (s JobSpec) Validate() error {
 		return fmt.Errorf("negative frequency bound (lofreq=%d, hifreq=%d)", s.LoFreq, s.HiFreq)
 	}
 	switch s.Mode {
-	case "bsp", "async", "steal":
+	case "bsp", "async":
 		return nil
 	}
-	return fmt.Errorf("unknown mode %q (want bsp, async or steal)", s.Mode)
+	return fmt.Errorf("unknown mode %q (want bsp or async)", s.Mode)
 }
 
 // Discovery is the stage-1/2 spec the job implies, for NewPlan.

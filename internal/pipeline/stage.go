@@ -180,7 +180,7 @@ func (DiscoverStage) Run(r rt.Runtime, pl *Plan, store seq.Store, _ any) (any, e
 // reference path). Output: *core.Result with this rank's hits and driver
 // counters.
 type AlignStage struct {
-	Mode     string // "bsp" (default), "async" or "steal"
+	Mode     string // "bsp" (default) or "async"
 	MinScore int
 	X        int
 

@@ -260,8 +260,8 @@ type Runtime interface {
 	// AsyncCall sends req to owner's handler; cb receives the response on
 	// this rank during a later Progress/Barrier. The injection overhead
 	// accrues to CatComm; round-trip latency is hidden unless the rank
-	// runs dry. Single-read lookups, batched fetches and work-steal
-	// requests all ride this one primitive. cb must not retain resp past
+	// runs dry. Single-read lookups and batched fetches both ride this
+	// one primitive. cb must not retain resp past
 	// its return — the runtime may recycle the response buffer for a later
 	// delivery; a callback that needs the bytes afterwards copies or
 	// decodes them first. req must stay untouched until cb runs.

@@ -31,7 +31,7 @@ func TestDecodeJSON(t *testing.T) {
 // command-line flags to the binding dibella parses with.
 func TestDecodeFASTAWithQuerySpec(t *testing.T) {
 	knobs := [][2]string{{"k", "15"}, {"x", "0"}, {"minscore", "77"}, {"coverage", "30"},
-		{"error", "0.1"}, {"lofreq", "3"}, {"hifreq", "50"}, {"mode", "steal"}}
+		{"error", "0.1"}, {"lofreq", "3"}, {"hifreq", "50"}, {"mode", "async"}}
 	params := url.Values{"chaos_kill_rank": {"2"}, "unknown": {"ignored"}}
 	var args []string
 	for _, kv := range knobs {
@@ -48,7 +48,7 @@ func TestDecodeFASTAWithQuerySpec(t *testing.T) {
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	want := JobSpec{K: 15, X: 0, MinScore: 77, Coverage: 30, ErrRate: 0.1, LoFreq: 3, HiFreq: 50, Mode: "steal"}
+	want := JobSpec{K: 15, X: 0, MinScore: 77, Coverage: 30, ErrRate: 0.1, LoFreq: 3, HiFreq: 50, Mode: "async"}
 	if rq.JobSpec != want || flags != want {
 		t.Errorf("query spec %+v, flag spec %+v, want %+v", rq.JobSpec, flags, want)
 	}
@@ -96,6 +96,8 @@ func TestDecodeRejections(t *testing.T) {
 		{"no reads", "application/json", `{"reads":[]}`, "", ErrBadRequest},
 		{"bad k", "application/json", `{"reads":[{"seq":"A"}],"k":99}`, "", ErrBadRequest},
 		{"bad mode", "application/json", `{"reads":[{"seq":"A"}],"mode":"turbo"}`, "", ErrBadRequest},
+		{"removed mode", "application/json", `{"reads":[{"seq":"A"}],"mode":"steal"}`, "", ErrBadRequest},
+		{"removed query mode", "text/plain", ">r\nACGT\n", "mode=steal", ErrBadRequest},
 		{"malformed json", "application/json", `{"reads":`, "", ErrBadRequest},
 		{"negative x", "application/json", `{"reads":[{"seq":"A"}],"x":-1}`, "", ErrBadRequest},
 		{"huge query x", "text/plain", ">r\nACGT\n", "x=1073741824", ErrBadRequest},
@@ -147,9 +149,9 @@ func TestDecodeInvalidBases(t *testing.T) {
 // as a read set.
 func FuzzJobRequest(f *testing.F) {
 	f.Add("application/json", []byte(`{"reads":[{"name":"a","seq":"ACGT"}],"k":15}`), "")
-	f.Add("application/json", []byte(`{"reads":[{"seq":"A"}],"mode":"steal","coverage":30,"error_rate":0.15}`), "")
+	f.Add("application/json", []byte(`{"reads":[{"seq":"A"}],"mode":"async","coverage":30,"error_rate":0.15}`), "")
 	f.Add("text/plain", []byte(">r0\nACGTACGT\n>r1\nTT\n"), "k=15&chaos_kill_rank=1")
-	f.Add("text/x-fasta", []byte(">r\nNNNN\n"), "mode=steal&coverage=30&error=0.15&x=0")
+	f.Add("text/x-fasta", []byte(">r\nNNNN\n"), "mode=async&coverage=30&error=0.15&x=0")
 	f.Add("application/json", []byte("\x1f\x8b\x08\x00"), "")
 	f.Add("application/octet-stream", []byte{0, 1, 2}, "")
 	f.Add("application/json", []byte(`{"reads":[{"seq":"`+strings.Repeat("A", 100)+`"}]}`), "")

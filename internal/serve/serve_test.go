@@ -279,26 +279,28 @@ func TestServeFASTASubmission(t *testing.T) {
 	for i := range reads.Reads {
 		fmt.Fprintf(&fa, ">%s\n%s\n", reads.Reads[i].Name, reads.Reads[i].Seq.String())
 	}
-	// An x past pipeline.MaxX would make every extension a full DP: the
-	// request is refused before it reaches a world.
-	url := fmt.Sprintf("%s/v1/jobs?x=%d", ts.URL, pipeline.MaxX+1)
+	// An x past pipeline.MaxX would make every extension a full DP, and
+	// the steal mode is gone: each request is refused before it reaches a
+	// world.
+	for _, query := range []string{fmt.Sprintf("x=%d", pipeline.MaxX+1), "mode=steal"} {
+		resp, err := http.Post(ts.URL+"/v1/jobs?"+query, "text/x-fasta", strings.NewReader(fa.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want %d: %s", query, resp.StatusCode, http.StatusBadRequest, raw)
+		}
+	}
+
+	url := fmt.Sprintf("%s/v1/jobs?k=%d&lofreq=%d&hifreq=%d&x=%d&minscore=%d&mode=async",
+		ts.URL, e2eK, e2eLo, e2eHi, e2eX, e2eMinScore)
 	resp, err := http.Post(url, "text/x-fasta", strings.NewReader(fa.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("x=%d: status %d, want %d: %s", pipeline.MaxX+1, resp.StatusCode, http.StatusBadRequest, raw)
-	}
-
-	url = fmt.Sprintf("%s/v1/jobs?k=%d&lofreq=%d&hifreq=%d&x=%d&minscore=%d&mode=async",
-		ts.URL, e2eK, e2eLo, e2eHi, e2eX, e2eMinScore)
-	resp, err = http.Post(url, "text/x-fasta", strings.NewReader(fa.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d: %s", resp.StatusCode, raw)

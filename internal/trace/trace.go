@@ -3,8 +3,8 @@
 // par) stamps wall-clock events, the simulator (package sim) stamps
 // virtual-clock events — so a BSP-vs-Async run can be *seen*, not just
 // summed. Events record spans for supersteps, alltoallv exchanges, RPC
-// issue/complete, barrier and split-phase-barrier waits, alignment
-// batches, and work-steal attempts.
+// issue/complete, barrier and split-phase-barrier waits, and alignment
+// batches.
 //
 // Design constraints, in order:
 //
@@ -31,7 +31,7 @@ import "time"
 
 // Kind identifies what a span covers. Kinds map onto the paper's runtime
 // breakdown: compute kinds (align, overhead) versus coordination kinds
-// (exchange, RPC, barriers) versus the §5 stealing extension.
+// (exchange, RPC, barriers).
 type Kind uint8
 
 const (
@@ -62,9 +62,6 @@ const (
 	// KindBatch spans the alignment batch run by one async fetch
 	// callback (§3.2); Arg is the number of tasks in the batch.
 	KindBatch
-	// KindSteal spans one work-steal probe from request to response
-	// (§5); Arg is the number of task groups obtained (0 = failed probe).
-	KindSteal
 
 	NumKinds
 )
@@ -92,8 +89,6 @@ func (k Kind) String() string {
 		return "overhead"
 	case KindBatch:
 		return "align-batch"
-	case KindSteal:
-		return "steal"
 	}
 	return "unknown"
 }
@@ -107,7 +102,7 @@ func (k Kind) Category() string {
 		return "align"
 	case KindOverhead, KindSuperstep:
 		return "overhead"
-	case KindExchange, KindRPC, KindServe, KindDrain, KindSteal:
+	case KindExchange, KindRPC, KindServe, KindDrain:
 		return "comm"
 	case KindBarrier, KindSplitBarrier:
 		return "sync"

@@ -48,7 +48,7 @@ func skewedWorkload(t testing.TB) *workload.Workload {
 // exactly the re-pull a second pass would otherwise pay: with hub reads of
 // degree >= 8 the hot set dominates, and a warm cache answers the entire
 // second pass locally.
-func runTwoPass(t testing.TB, w *workload.Workload, mode expt.Mode, cached bool) (hits, wire, cacheHits int64) {
+func runTwoPass(t testing.TB, w *workload.Workload, cached bool) (hits, wire, cacheHits int64) {
 	t.Helper()
 	lensInt := make([]int, len(w.Lens))
 	for i, l := range w.Lens {
@@ -76,13 +76,7 @@ func runTwoPass(t testing.TB, w *workload.Workload, mode expt.Mode, cached bool)
 			cfg.Cache = core.NewReadCache(-1) // persists across both passes
 		}
 		run := func() *core.Result {
-			var res *core.Result
-			var rerr error
-			if mode == expt.AsyncSteal {
-				res, rerr = core.RunAsyncStealing(r, in, cfg)
-			} else {
-				res, rerr = core.RunAsync(r, in, cfg)
-			}
+			res, rerr := core.RunAsync(r, in, cfg)
 			if rerr != nil && errs[r.Rank()] == nil {
 				errs[r.Rank()] = rerr
 			}
@@ -103,49 +97,41 @@ func runTwoPass(t testing.TB, w *workload.Workload, mode expt.Mode, cached bool)
 	var hits2 int64
 	for rk := 0; rk < ranks; rk++ {
 		if errs[rk] != nil {
-			t.Fatalf("%s rank %d: %v", mode, rk, errs[rk])
+			t.Fatalf("rank %d: %v", rk, errs[rk])
 		}
 		hits += int64(len(results[rk].Hits))
 		hits2 += int64(len(pass2Results[rk].Hits))
 		wire += int64(results[rk].WireFetches)
 		cacheHits += int64(results[rk].CacheHits)
 	}
-	// Steal moves tasks between ranks, so only the global hit count is
-	// pass-stable — and it must be: the cache warms between the passes.
+	// The cache warms between the passes; the hit total must not move.
 	if hits != hits2 {
-		t.Fatalf("%s: pass hit totals diverged: %d vs %d", mode, hits, hits2)
+		t.Fatalf("pass hit totals diverged: %d vs %d", hits, hits2)
 	}
 	return hits, wire, cacheHits
 }
 
 // TestCacheCommReductionSkewed pins the headline acceptance number: on the
 // degree-skewed workload, the two-phase pipeline's wire fetches must drop
-// at least 2x with the cache on, for both pull drivers, without changing a
+// at least 2x with the cache on, for the pull driver, without changing a
 // single hit.
 func TestCacheCommReductionSkewed(t *testing.T) {
 	w := skewedWorkload(t)
-	for _, mode := range []expt.Mode{expt.Async, expt.AsyncSteal} {
-		offHits, offWire, _ := runTwoPass(t, w, mode, false)
-		onHits, onWire, onCacheHits := runTwoPass(t, w, mode, true)
-		if onHits != offHits {
-			t.Errorf("%s: cache changed hit count: %d vs %d", mode, onHits, offHits)
-		}
-		if offWire == 0 {
-			t.Fatalf("%s: no remote fetches; skew test is vacuous", mode)
-		}
-		if onWire*2 > offWire {
-			t.Errorf("%s: wire fetches only dropped %d -> %d, want >= 2x",
-				mode, offWire, onWire)
-		}
-		// Steal's fetch-decision count is timing-dependent (stolen groups
-		// re-fetch), so exact decision conservation holds only for async.
-		if mode == expt.Async && onCacheHits+onWire != offWire {
-			t.Errorf("%s: cache hits %d + wire %d != uncached decisions %d",
-				mode, onCacheHits, onWire, offWire)
-		}
-		t.Logf("%s: wire fetches %d -> %d (%.1fx)", mode, offWire, onWire,
-			float64(offWire)/float64(onWire))
+	offHits, offWire, _ := runTwoPass(t, w, false)
+	onHits, onWire, onCacheHits := runTwoPass(t, w, true)
+	if onHits != offHits {
+		t.Errorf("cache changed hit count: %d vs %d", onHits, offHits)
 	}
+	if offWire == 0 {
+		t.Fatal("no remote fetches; skew test is vacuous")
+	}
+	if onWire*2 > offWire {
+		t.Errorf("wire fetches only dropped %d -> %d, want >= 2x", offWire, onWire)
+	}
+	if onCacheHits+onWire != offWire {
+		t.Errorf("cache hits %d + wire %d != uncached decisions %d", onCacheHits, onWire, offWire)
+	}
+	t.Logf("wire fetches %d -> %d (%.1fx)", offWire, onWire, float64(offWire)/float64(onWire))
 }
 
 // runDistBSP executes the model-mode BSP driver over a loopback dist world
@@ -374,16 +360,14 @@ func TestHierCommReductionSkewed(t *testing.T) {
 // -cachebudget=-1 to compare cache-off against cache-on by hand.
 func BenchmarkCommExchange(b *testing.B) {
 	w := skewedWorkload(b)
-	for _, mode := range []expt.Mode{expt.Async, expt.AsyncSteal} {
-		b.Run(string(mode), func(b *testing.B) {
-			var wire, cacheHits int64
-			for i := 0; i < b.N; i++ {
-				_, wire, cacheHits = runTwoPass(b, w, mode, *benchCacheBudget != 0)
-			}
-			b.ReportMetric(float64(wire), "wirefetches/op")
-			b.ReportMetric(float64(cacheHits), "cachehits/op")
-		})
-	}
+	b.Run(string(expt.Async), func(b *testing.B) {
+		var wire, cacheHits int64
+		for i := 0; i < b.N; i++ {
+			_, wire, cacheHits = runTwoPass(b, w, *benchCacheBudget != 0)
+		}
+		b.ReportMetric(float64(wire), "wirefetches/op")
+		b.ReportMetric(float64(cacheHits), "cachehits/op")
+	})
 	b.Run("dist-bsp", func(b *testing.B) {
 		noAgg := *benchCacheBudget == 0 // baseline run: flat exchange, no cache
 		var inter, intra int64
