@@ -68,7 +68,7 @@
 
 GO      ?= go
 FUZZT   ?= 10s
-LOC_BUDGET = 18338
+LOC_BUDGET = 18539
 
 .PHONY: check vet cross fmtcheck build test bench-smoke bench-build backhalf-rounds allocs kernel-cells loc loc-budget race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke ci
 

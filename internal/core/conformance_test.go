@@ -152,18 +152,18 @@ func runConfSim(t *testing.T, w *testWorkload, mode string, cacheBudget int64) c
 	return out
 }
 
-// confTCPFabric rendezvouses a confRanks-wide localhost socket mesh.
-func confTCPFabric(t *testing.T) []transport.Transport {
+// confTCPFabric rendezvouses a p-rank localhost socket mesh.
+func confTCPFabric(t testing.TB, p int) []transport.Transport {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := ln.Addr().String()
-	fabric := make([]transport.Transport, confRanks)
-	ferrs := make([]error, confRanks)
+	fabric := make([]transport.Transport, p)
+	ferrs := make([]error, p)
 	var wg sync.WaitGroup
-	for i := 0; i < confRanks; i++ {
+	for i := 0; i < p; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -171,7 +171,7 @@ func confTCPFabric(t *testing.T) []transport.Transport {
 			if i == 0 {
 				cfg.Listener = ln
 			}
-			fabric[i], ferrs[i] = transport.Rendezvous(i, confRanks, cfg)
+			fabric[i], ferrs[i] = transport.Rendezvous(i, p, cfg)
 		}(i)
 	}
 	wg.Wait()
@@ -199,7 +199,7 @@ func runConfDist(t *testing.T, w *testWorkload, mode, fabricKind string, cacheBu
 		Tracer: trace.New(confRanks, trace.Config{})}
 	var world *dist.World
 	if fabricKind == "tcp" {
-		world, err = dist.NewWorldOver(confTCPFabric(t), cfg)
+		world, err = dist.NewWorldOver(confTCPFabric(t, confRanks), cfg)
 	} else {
 		cfg.P = confRanks
 		world, err = dist.NewWorld(cfg)

@@ -27,7 +27,7 @@ import (
 // crossWorkload is nReads random reads of readLen bases over p ranks, with
 // one task per read pairing it with the read half the set away — so every
 // task is remote and every read is fetched exactly once by one other rank.
-func crossWorkload(t *testing.T, nReads, readLen, p int) (*seq.ReadSet, []int32, *partition.Partition, [][]overlap.Task) {
+func crossWorkload(t testing.TB, nReads, readLen, p int) (*seq.ReadSet, []int32, *partition.Partition, [][]overlap.Task) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(41))
 	seqs := make([]seq.Seq, nReads)

@@ -115,6 +115,21 @@ func chaosAsync(r rt.Runtime) {
 	r.Barrier()
 }
 
+// chaosAsyncBurst is the async driver's pull loop: bursts of calls to the
+// next rank, queued on a fabric that queues, then drained.
+func chaosAsyncBurst(r rt.Runtime) {
+	r.Serve(func(req []byte) []byte { return append([]byte{byte(r.Rank())}, req...) })
+	wait := r.SplitBarrier()
+	wait()
+	for round := 0; round < 16; round++ {
+		for k := 0; k < 8; k++ {
+			r.AsyncCall((r.Rank()+1)%chaosP, []byte{byte(round), byte(k)}, func([]byte) {})
+		}
+		r.Drain(0)
+	}
+	r.Barrier()
+}
+
 // chaosAllreducePull is a dynamic-termination pattern: work whittled down
 // by pull RPCs between allreduce sweeps that decide whether anyone still
 // has tasks.
@@ -136,13 +151,14 @@ func chaosAllreducePull(r rt.Runtime) {
 	r.Barrier()
 }
 
-// chaosBodies names the three coordination paths the battery drives.
+// chaosBodies names the coordination paths the battery drives.
 var chaosBodies = []struct {
 	name string
 	body func(rt.Runtime)
 }{
 	{"bsp", chaosBSP},
 	{"async", chaosAsync},
+	{"async-burst", chaosAsyncBurst},
 	{"allreduce-pull", chaosAllreducePull},
 }
 

@@ -22,6 +22,12 @@
 //     frames. Progress/Drain follow the application-level polling
 //     discipline of the paper's UPC++ implementation (§3.2); a rank blocked
 //     with nothing to poll parks on its transport's Ready signal.
+//   - On a fabric that queues (transport.FrameQueuer), RPC request and
+//     response frames wait in their link's outbox, so a burst of pulls or
+//     answers leaves in one write; every other frame goes out at once,
+//     behind its link's outbox. The outboxes are flushed on entry to and
+//     exit from Progress, before a waitLoop first checks its condition (so
+//     no rank parks with a frame queued), and when Run's body returns.
 //
 // Accounting: the application-level counters are Alltoallv payload bytes
 // and non-empty messages, RPC requests and responses — none of the
@@ -183,6 +189,7 @@ type Rank struct {
 	redResult map[uint64]int64
 
 	rec    transport.FrameRecycler // non-nil when the fabric reuses delivered frames
+	q      transport.FrameQueuer   // non-nil when the fabric queues RPC frames
 	rpcHdr [5]byte                 // reused RPC frame-header scratch (SendV snapshots before returning)
 }
 
@@ -212,6 +219,7 @@ func NewRank(tp transport.Transport, cfg Config) *Rank {
 		r.failErr = &RankError{Rank: r.id, Op: "placement", Err: err}
 	}
 	r.rec, _ = tp.(transport.FrameRecycler)
+	r.q, _ = tp.(transport.FrameQueuer)
 	r.eng = transport.NewEngine(transport.EngineConfig{
 		Rank:    r.id,
 		Send:    r.sendRPC,
@@ -233,7 +241,10 @@ func (r *Rank) Run(f func(rt.Runtime)) error {
 		return r.failErr
 	}
 	t0 := time.Now()
-	err := r.protect(f)
+	err := r.protect(func(rt.Runtime) {
+		f(r)
+		r.flush() // the body's last frames may not wait for a later Run
+	})
 	r.met.Elapsed += time.Since(t0)
 	return err
 }
@@ -361,43 +372,69 @@ func (r *Rank) op(fallback string) string {
 
 // sendFrame ships the wire frame hdr‖body — the header this runtime built
 // and the payload it was handed, never joined on a fabric that can send
-// them as they lie (body is nil for frames built whole). Its bytes are
-// classified into the intra/inter tier by destination node (with NodeSize
-// unset every rank is its own node, so all dist traffic is inter — each
-// rank is a separate process). A transport failure fails this rank with
+// them as they lie (body is nil for frames built whole) — at once, behind
+// whatever is queued for dst. A transport failure fails this rank with
 // the operation's name and unwinds.
 func (r *Rank) sendFrame(op string, dst int, hdr, body []byte) {
+	r.tally(dst, hdr, body)
+	if err := transport.SendV(r.tp, dst, hdr, body); err != nil {
+		r.raise(op, err)
+	}
+}
+
+// tally classifies a frame's bytes into the intra/inter tier by destination
+// node (with NodeSize unset every rank is its own node, so all dist traffic
+// is inter — each rank is a separate process).
+func (r *Rank) tally(dst int, hdr, body []byte) {
 	n := int64(len(hdr) + len(body))
 	if r.tm.SameNode(dst, r.id) {
 		r.met.IntraBytes += n
 	} else {
 		r.met.InterBytes += n
 	}
-	if err := transport.SendV(r.tp, dst, hdr, body); err != nil {
-		r.raise(op, err)
-	}
 }
 
 // sendRPC is the engine's conduit: the message's payload goes out behind a
-// five-byte frame header. The header lives in per-rank scratch — the
-// transport snapshots both pieces before returning and never polls, so
-// neither the scratch nor a handler's reused response buffer can be
-// rewritten under it.
+// five-byte frame header, queued on a fabric that queues. The header lives
+// in per-rank scratch — the transport snapshots both pieces before
+// returning and never polls, so neither the scratch nor a handler's reused
+// response buffer can be rewritten under it.
 func (r *Rank) sendRPC(dst int, m transport.Msg) {
 	r.rpcHdr[0] = msgRPCResp
 	if m.Req {
 		r.rpcHdr[0] = msgRPCReq
 	}
 	binary.BigEndian.PutUint32(r.rpcHdr[1:], m.Seq)
-	r.sendFrame(r.op("rpc"), dst, r.rpcHdr[:], m.Val)
+	if r.q == nil {
+		r.sendFrame(r.op("rpc"), dst, r.rpcHdr[:], m.Val)
+		return
+	}
+	r.tally(dst, r.rpcHdr[:], m.Val)
+	if err := r.q.QueueV(dst, r.rpcHdr[:], m.Val); err != nil {
+		r.raise(r.op("rpc"), err)
+	}
+}
+
+// flush puts every queued RPC frame on the wire.
+func (r *Rank) flush() {
+	if r.q == nil {
+		return
+	}
+	if err := r.q.Flush(); err != nil {
+		r.raise(r.op("rpc"), err)
+	}
 }
 
 // Progress drains the transport inbox, dispatching every pending frame:
 // RPC requests are answered through the registered handler, responses run
 // their callbacks, and collective traffic is filed for its waiting
-// primitive. Returns whether any frame was handled. A transport or
-// protocol failure fails this rank and unwinds to Run.
+// primitive. It flushes queued RPC frames first — requests issued since
+// the last poll go out before this rank looks for their answers — and
+// last, so the responses it queued leave together. Returns whether any
+// frame was handled. A transport or protocol failure fails this rank and
+// unwinds to Run.
 func (r *Rank) Progress() bool {
+	r.flush()
 	did := false
 	for {
 		from, frame, ok, err := r.tp.Recv()
@@ -405,6 +442,7 @@ func (r *Rank) Progress() bool {
 			r.raise(r.op("progress"), err)
 		}
 		if !ok {
+			r.flush()
 			return did
 		}
 		did = true
@@ -511,7 +549,11 @@ const spinPolls = 1024
 // waitLoop polls Progress until cond holds, attributing the unserviced
 // waiting time to cat. After spinPolls empty polls the rank parks on its
 // transport's Ready signal, so a blocked rank costs no processor while its
-// peers compute and wakes as soon as a frame (or a failure) lands. op names
+// peers compute and wakes as soon as a frame (or a failure) lands. Nothing
+// is queued whenever cond is checked: the loop flushes before the first
+// check — so a Drain that need not wait still puts the pulls issued so far
+// on the wire — and every later one follows a Progress, which flushes on
+// exit. op names
 // the blocked collective and waiting its missing peers: if no frame at all
 // arrives for the progress deadline while blocked, the rank fails with a
 // DeadlineError instead of hanging on a stalled or dead peer.
@@ -523,6 +565,7 @@ func (r *Rank) waitLoop(cat rt.Category, op string, waiting func() []int, cond f
 	defer func() { r.curOp = prevOp }()
 	lastIn := t0
 	idle := 0
+	r.flush()
 	for !cond() {
 		if r.Progress() {
 			idle = 0

@@ -5,9 +5,10 @@
 // reproduce the same failure bit-for-bit on every run:
 //
 //   - FaultCrash kills the endpoint after its Nth send, like a kill -9 of
-//     the owning process: on TCP the sockets die abruptly (no bye), on
-//     loopback the rank simply goes dark; either way every later Send and
-//     Recv on the wrapped endpoint fails with ErrInjectedFault.
+//     the owning process: on TCP the sockets die abruptly (no bye) and
+//     frames still queued in an outbox are lost, on loopback the rank
+//     simply goes dark; either way every later Send and Recv on the
+//     wrapped endpoint fails with ErrInjectedFault.
 //   - FaultStall freezes the endpoint after its Nth send with no
 //     observable error anywhere: its sends are swallowed, inbound frames
 //     stop being delivered, and peers see pure silence — the failure mode
@@ -50,9 +51,11 @@ type FaultPlan struct {
 	// schedule. Zero is a valid seed.
 	Seed int64
 
-	// Action fires after this endpoint's AfterSends-th successful Send
-	// (the Nth frame still goes out; the endpoint fails afterwards).
-	// AfterSends <= 0 never triggers.
+	// Action fires after this endpoint's AfterSends-th successful Send or
+	// QueueV — a queued frame counts when it is queued. The Nth
+	// frame is still accepted and the endpoint fails afterwards; a crash
+	// drops it with the rest of the outboxes if it was queued, a stall
+	// flushes them first. AfterSends <= 0 never triggers.
 	Action     FaultAction
 	AfterSends int
 
@@ -79,7 +82,7 @@ type FaultTransport struct {
 	plan  FaultPlan
 	rng   *rand.Rand
 
-	sends int // successful Send calls
+	sends int // successful Send and QueueV calls
 	ins   int // frames popped from the wrapped endpoint
 	polls int // Recv calls (the delay clock)
 
@@ -91,6 +94,7 @@ type FaultTransport struct {
 }
 
 var _ Transport = (*FaultTransport)(nil)
+var _ FrameQueuer = (*FaultTransport)(nil)
 
 // NewFault wraps ep with the given plan.
 func NewFault(ep Transport, plan FaultPlan) *FaultTransport {
@@ -124,25 +128,54 @@ func (f *FaultTransport) trigger() {
 			a.Abort()
 		}
 	case FaultStall:
+		// Everything sent so far still reaches the wire; from here on the
+		// endpoint is silent, so a failed write has nobody to tell.
+		_ = f.Flush()
 		f.stalled = true
 	}
 }
 
 // Send forwards the frame unless the endpoint has crashed (error) or
 // stalled (silently swallowed).
-func (f *FaultTransport) Send(dst int, frame []byte) error {
+func (f *FaultTransport) Send(dst int, frame []byte) error { return f.send(dst, frame, nil, false) }
+
+// QueueV queues the frame on the wrapped endpoint when it is a
+// FrameQueuer, and sends it otherwise, under the same rules as Send.
+func (f *FaultTransport) QueueV(dst int, hdr, body []byte) error { return f.send(dst, hdr, body, true) }
+
+// send forwards one frame, queued when asked and the wrapped endpoint can,
+// and fires the planned action when the frame spends the send budget.
+func (f *FaultTransport) send(dst int, hdr, body []byte, queue bool) error {
 	if f.crashed {
 		return f.crashErr()
 	}
 	if f.stalled {
 		return nil // swallowed: the peer never sees it, we never error
 	}
-	if err := f.inner.Send(dst, frame); err != nil {
+	var err error
+	if q, ok := f.inner.(FrameQueuer); ok && queue {
+		err = q.QueueV(dst, hdr, body)
+	} else {
+		err = SendV(f.inner, dst, hdr, body)
+	}
+	if err != nil {
 		return err
 	}
 	f.sends++
 	if f.plan.Action != FaultNone && f.plan.AfterSends > 0 && f.sends == f.plan.AfterSends {
 		f.trigger()
+	}
+	return nil
+}
+
+// Flush flushes the wrapped endpoint's outboxes, unless the endpoint has
+// crashed (error) or stalled (nothing leaves it).
+func (f *FaultTransport) Flush() error {
+	if f.crashed {
+		return f.crashErr()
+	}
+	if q, ok := f.inner.(FrameQueuer); ok && !f.stalled {
+		return q.Flush()
 	}
 	return nil
 }

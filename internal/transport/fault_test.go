@@ -75,6 +75,60 @@ func TestFaultCrashTCP(t *testing.T) {
 	}
 }
 
+// TestFaultQueuedFrames: over TCP a queued frame counts toward AfterSends
+// when it is queued. A crash drops what is still queued, as a kill -9 of
+// the process holding the outbox would: the survivor gets the flushed frame,
+// then the lost link. A stall first flushes everything accepted before it,
+// then goes silent.
+func TestFaultQueuedFrames(t *testing.T) {
+	for _, tc := range []struct {
+		action FaultAction
+		want   []string
+	}{
+		{FaultCrash, []string{"flushed"}},
+		{FaultStall, []string{"flushed", "queued", "last"}},
+	} {
+		eps := tcpFabric(t, 2)
+		f := NewFault(eps[1], FaultPlan{Action: tc.action, AfterSends: 3})
+		for i, name := range []string{"flushed", "queued", "last"} {
+			if err := f.QueueV(0, []byte(name), nil); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				if err := f.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		err := f.Flush()
+		if got := collectOrder(t, eps[0], len(tc.want)); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("action %d: survivor got %q, want %q", tc.action, got, tc.want)
+		}
+		if tc.action == FaultStall {
+			if err != nil || f.QueueV(0, []byte("swallowed"), nil) != nil {
+				t.Errorf("stalled endpoint reported an error: %v", err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrInjectedFault) || !errors.Is(f.QueueV(0, nil, nil), ErrInjectedFault) {
+			t.Errorf("crashed endpoint's Flush and QueueV: %v, want the injected fault", err)
+		}
+		for {
+			_, _, ok, err := eps[0].Recv()
+			if ok {
+				t.Fatal("a dropped frame arrived after the crash")
+			}
+			if err != nil {
+				if !errors.Is(err, ErrPeerLost) || PeerOf(err) != 1 {
+					t.Fatalf("survivor err = %v, want ErrPeerLost from rank 1", err)
+				}
+				break
+			}
+			<-eps[0].Ready()
+		}
+	}
+}
+
 // TestFaultStall pins the silent-stall contract: after the trigger, sends
 // are swallowed without error and Recv reports an eternally empty inbox —
 // neither side of any link sees a failure.

@@ -3,7 +3,9 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"net"
 	"testing"
 	"time"
 )
@@ -99,10 +101,14 @@ func TestOversizeFrameRefused(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			eps := mk()
 			for dst := range eps {
-				for _, err := range []error{
+				errs := []error{
 					eps[0].Send(dst, big),
 					SendV(eps[0], dst, []byte("hdr"), big[:MaxFrame-2]),
-				} {
+				}
+				if q, ok := eps[0].(FrameQueuer); ok {
+					errs = append(errs, q.QueueV(dst, []byte("hdr"), big[:MaxFrame-2]))
+				}
+				for _, err := range errs {
 					var fe *FrameSizeError
 					if !errors.As(err, &fe) || fe.Len != MaxFrame+1 {
 						t.Fatalf("to rank %d: %v, want a FrameSizeError of %d bytes", dst, err, MaxFrame+1)
@@ -138,4 +144,143 @@ func FuzzSendV(f *testing.F) {
 			}
 		}
 	})
+}
+
+// writeCounter is the endpoint counter the TCP fabric keeps for tests.
+type writeCounter interface{ Writes() int64 }
+
+// TestQueuedFramesKeepSendOrder: frames queued for a peer and frames sent
+// to it arrive in the order the calls were made, whichever the call, with
+// the frames that overflow the outbox and the self-sends among them, over
+// TCP and through the fault injector. Queued frames cost no write until a
+// Flush or the next Send to their peer, which carries them in the same
+// one write; a Flush with nothing queued writes nothing.
+func TestQueuedFramesKeepSendOrder(t *testing.T) {
+	fabrics := map[string]func() []Transport{
+		"tcp": func() []Transport { return tcpFabric(t, 2) },
+		"fault-over-tcp": func() []Transport {
+			eps := tcpFabric(t, 2)
+			eps[0] = NewFault(eps[0], FaultPlan{})
+			return eps
+		},
+	}
+	for name, mk := range fabrics {
+		t.Run(name, func(t *testing.T) {
+			eps := mk()
+			q := eps[0].(FrameQueuer)
+			wc := eps[0]
+			if f, ok := wc.(*FaultTransport); ok {
+				wc = f.inner
+			}
+			writes := wc.(writeCounter).Writes
+			rng := rand.New(rand.NewSource(9))
+			for iter := 0; iter < 100; iter++ {
+				dst := 1
+				if iter%10 == 9 {
+					dst = 0 // self-sends bypass the outbox
+				}
+				var want [][]byte
+				w0 := writes()
+				small := true
+				for k := rng.Intn(6); k >= 0; k-- {
+					n := rng.Intn(300)
+					if rng.Intn(8) == 0 {
+						n = rng.Intn(3 * maxOutbox) // may overflow the outbox
+						small = false
+					}
+					frame := make([]byte, n)
+					rng.Read(frame)
+					want = append(want, frame)
+					hdr := append([]byte(nil), frame[:min(n, 5)]...)
+					if err := q.QueueV(dst, hdr, frame[len(hdr):]); err != nil {
+						t.Fatalf("iter %d: QueueV: %v", iter, err)
+					}
+					for i := range hdr {
+						hdr[i] ^= 0xFF // the outbox holds its own copy
+					}
+				}
+				if small && dst == 1 && writes() != w0 {
+					t.Fatalf("iter %d: queuing small frames wrote %d times", iter, writes()-w0)
+				}
+				last := []byte(fmt.Sprintf("sent %d", iter))
+				want = append(want, last)
+				if iter%2 == 0 {
+					if err := eps[0].Send(dst, last); err != nil {
+						t.Fatalf("iter %d: Send: %v", iter, err)
+					}
+				} else {
+					if err := q.QueueV(dst, last, nil); err != nil {
+						t.Fatalf("iter %d: QueueV: %v", iter, err)
+					}
+					if err := q.Flush(); err != nil {
+						t.Fatalf("iter %d: Flush: %v", iter, err)
+					}
+				}
+				if small && dst == 1 && writes() != w0+1 {
+					t.Fatalf("iter %d: %d queued frames and a send or flush took %d writes, want 1",
+						iter, len(want)-1, writes()-w0)
+				}
+				w1 := writes()
+				if err := q.Flush(); err != nil || writes() != w1 {
+					t.Fatalf("iter %d: a Flush with nothing queued: %v, %d writes", iter, err, writes()-w1)
+				}
+				for i, frame := range want {
+					if from, got := drainOne(t, eps[dst], 10*time.Second); from != 0 || !bytes.Equal(got, frame) {
+						t.Fatalf("iter %d: frame %d of %d: got %d bytes from %d, not the frame sent %d-th",
+							iter, i, len(want), len(got), from, i)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestQueuedSendAllocFree: once a link's outbox has grown to its working
+// size, queuing frames and flushing them allocates nothing. The endpoint is
+// rank 0 of a 2-rank mesh wired by hand, its one link a socket drained into
+// a fixed buffer, so the count sees the sender alone.
+func TestQueuedSendAllocFree(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	go func() {
+		buf := make([]byte, 64<<10)
+		for {
+			if _, err := peer.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	tp := &tcpTransport{size: 2, conns: []net.Conn{nil, c}, w: make([]tcpWriter, 2),
+		dirty: make([]int, 0, 2), inbox: newLoopQueue(), departed: make([]bool, 2)}
+	defer tp.Abort()
+	hdr, body := make([]byte, 5), make([]byte, 2500) // an RPC response's shape
+	burst := func() {
+		for i := 0; i < 8; i++ {
+			if err := tp.QueueV(1, hdr, body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tp.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	burst()
+	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
+		t.Errorf("a burst of 8 queued frames and a flush allocated %.1f times", allocs)
+	}
+	if w := tp.Writes(); w != 102 { // AllocsPerRun runs one more burst to warm up
+		t.Errorf("102 bursts took %d writes, want one each", w)
+	}
 }

@@ -17,6 +17,12 @@
 // unbounded inbox, so a Send never waits on the remote application's
 // polling — the same progress guarantee the loopback fabric gives.
 //
+// Each link also has an outbox (FrameQueuer): frames queued for a peer are
+// appended to it, wire-encoded, and leave as the first piece of the link's
+// next vectored write — a Flush, a Send, or the bye — so a burst of small
+// frames costs one write, and the bytes on the wire are exactly those the
+// frames would have made sent one by one.
+//
 // After the handshake, every frame on a data link carries a one-byte tag:
 // tcpData precedes an application payload, tcpBye announces a graceful
 // Close. Ranks of an SPMD job do not finish collectives simultaneously, so
@@ -67,7 +73,8 @@ const (
 type tcpTransport struct {
 	rank, size int
 	conns      []net.Conn  // per peer; nil at self
-	w          []tcpWriter // per-peer write side (RPC replies can be sent from Progress)
+	w          []tcpWriter // per-peer write side (Close may run on another goroutine)
+	dirty      []int       // peers with a queued frame since the last Flush (owner only)
 	inbox      *loopQueue
 	pool       framePool // recycled delivery buffers (readers draw, receiver returns)
 	closed     atomic.Bool
@@ -80,30 +87,63 @@ type tcpTransport struct {
 }
 
 // tcpWriter is the write side of one peer link: the lock that serialises
-// frames onto the socket and, under it, the scratch a vectored write needs,
-// so sending allocates nothing.
+// frames onto the socket and, under it, the link's outbox and the scratch a
+// vectored write needs, so sending and queuing allocate nothing once the
+// outbox has grown to its working size.
 type tcpWriter struct {
-	mu   sync.Mutex
-	pre  [5]byte     // length prefix + tag
-	vec  [3][]byte   // pre, hdr, body
-	bufs net.Buffers // the slice WriteTo consumes; re-pointed at vec per frame
+	mu     sync.Mutex
+	out    []byte      // queued frames, wire-encoded, not yet written
+	pre    [5]byte     // length prefix + tag
+	vec    [4][]byte   // out, pre, hdr, body
+	bufs   net.Buffers // the slice WriteTo consumes; re-pointed at vec per write
+	writes int64       // vectored writes made (tests count syscalls with it)
+	queued bool        // listed in dirty (owner only)
 }
 
-// writeTagged sends one tagged frame, [len+1][tag][hdr][body], as a single
-// vectored write (one writev on a TCP socket): the pieces are never joined,
-// and a small frame costs one syscall. The caller holds w.mu.
+// maxOutbox bounds a link's queued bytes: a frame that would take the
+// outbox past it goes out at once, behind the outbox, with no copy. Past a
+// few frames a larger outbox saves no syscall worth its copying.
+const maxOutbox = 32 << 10
+
+// writeTagged writes the outbox and then one tagged frame,
+// [len+1][tag][hdr][body], as a single vectored write (one writev on a TCP
+// socket): the pieces are never joined, and whatever was queued for the
+// link rides the same syscall. The caller holds w.mu.
 func (w *tcpWriter) writeTagged(c net.Conn, tag byte, hdr, body []byte) error {
 	binary.BigEndian.PutUint32(w.pre[:4], uint32(len(hdr)+len(body))+1)
 	w.pre[4] = tag
-	w.vec = [3][]byte{w.pre[:], hdr, body}
+	return w.writev(c, w.pre[:], hdr, body)
+}
+
+// writev writes the outbox followed by the given pieces (any may be empty;
+// writev skips them) and empties the outbox, written or not — a failed
+// write has lost the link. The caller holds w.mu.
+func (w *tcpWriter) writev(c net.Conn, pre, hdr, body []byte) error {
+	w.vec = [4][]byte{w.out, pre, hdr, body}
 	w.bufs = w.vec[:]
 	_, err := w.bufs.WriteTo(c)
-	w.vec = [3][]byte{} // a failed write must not pin the caller's buffers
+	w.vec = [4][]byte{} // a failed write must not pin the caller's buffers
+	w.out = w.out[:0]
+	w.writes++
 	return err
+}
+
+// queue appends the data frame hdr‖body to the outbox as it would cross
+// the wire, or writes the outbox and the frame now when it would not fit.
+// The caller holds w.mu.
+func (w *tcpWriter) queue(c net.Conn, hdr, body []byte) error {
+	n := len(hdr) + len(body)
+	if len(w.out)+5+n > maxOutbox {
+		return w.writeTagged(c, tcpData, hdr, body)
+	}
+	w.out = binary.BigEndian.AppendUint32(w.out, uint32(n)+1)
+	w.out = append(append(append(w.out, tcpData), hdr...), body...)
+	return nil
 }
 
 var _ Transport = (*tcpTransport)(nil)
 var _ VectorSender = (*tcpTransport)(nil)
+var _ FrameQueuer = (*tcpTransport)(nil)
 
 // Rendezvous joins (or, on rank 0, hosts) the handshake and returns this
 // rank's connected endpoint. It blocks until the full mesh is up or the
@@ -122,6 +162,7 @@ func Rendezvous(rank, size int, cfg TCPConfig) (Transport, error) {
 		size:     size,
 		conns:    make([]net.Conn, size),
 		w:        make([]tcpWriter, size),
+		dirty:    make([]int, 0, size),
 		inbox:    newLoopQueue(),
 		departed: make([]bool, size),
 	}
@@ -410,8 +451,20 @@ func (t *tcpTransport) Size() int { return t.size }
 func (t *tcpTransport) Send(dst int, frame []byte) error { return t.SendV(dst, frame, nil) }
 
 // SendV is Send of the frame hdr‖body, written to the socket from where the
-// two pieces lie.
+// two pieces lie, behind anything queued for dst.
 func (t *tcpTransport) SendV(dst int, hdr, body []byte) error {
+	return t.send(dst, hdr, body, false)
+}
+
+// QueueV is SendV except that the frame may wait in dst's outbox until the
+// next Flush or the next frame sent to dst.
+func (t *tcpTransport) QueueV(dst int, hdr, body []byte) error {
+	return t.send(dst, hdr, body, true)
+}
+
+// send is SendV, or QueueV when queue is set: one set of checks and one
+// writer path for both.
+func (t *tcpTransport) send(dst int, hdr, body []byte, queue bool) error {
 	if t.closed.Load() {
 		return ErrClosed
 	}
@@ -433,22 +486,75 @@ func (t *tcpTransport) SendV(dst int, hdr, body []byte) error {
 		return t.departedErr(dst)
 	}
 	w := &t.w[dst]
+	var err error
 	w.mu.Lock()
-	err := w.writeTagged(t.conns[dst], tcpData, hdr, body)
+	if queue {
+		err = w.queue(t.conns[dst], hdr, body)
+	} else {
+		err = w.writeTagged(t.conns[dst], tcpData, hdr, body)
+	}
+	pending := len(w.out) > 0
 	w.mu.Unlock()
-	if err != nil {
-		// A bye can race the write: the peer closed its end between our
-		// departed check and the syscall. That is still a graceful
-		// departure, scoped to this one link — do not wedge the others.
-		if t.hasDeparted(dst) {
-			return t.departedErr(dst)
+	if pending && !w.queued {
+		w.queued = true
+		t.dirty = append(t.dirty, dst)
+	}
+	return t.linkErr(dst, err)
+}
+
+// Flush writes every outbox a frame was queued in since the last Flush,
+// one write per link.
+func (t *tcpTransport) Flush() error {
+	if len(t.dirty) > 0 && t.closed.Load() {
+		return ErrClosed // Close wrote the outboxes; Abort dropped them
+	}
+	for len(t.dirty) > 0 {
+		dst := t.dirty[len(t.dirty)-1]
+		t.dirty = t.dirty[:len(t.dirty)-1]
+		w := &t.w[dst]
+		w.queued = false
+		var err error
+		w.mu.Lock()
+		if len(w.out) > 0 {
+			err = w.writev(t.conns[dst], nil, nil, nil)
 		}
-		perr := &PeerError{Peer: dst,
-			Err: fmt.Errorf("transport: rank %d send to rank %d: %v: %w", t.rank, dst, err, ErrPeerLost)}
-		t.fail(perr)
-		return perr
+		w.mu.Unlock()
+		if err := t.linkErr(dst, err); err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// linkErr turns a failed write to dst into the typed error Send reports,
+// failing the endpoint when the link is lost; nil stays nil.
+func (t *tcpTransport) linkErr(dst int, err error) error {
+	if err == nil {
+		return nil
+	}
+	// A bye can race the write: the peer closed its end between our
+	// departed check and the syscall. That is still a graceful
+	// departure, scoped to this one link — do not wedge the others.
+	if t.hasDeparted(dst) {
+		return t.departedErr(dst)
+	}
+	perr := &PeerError{Peer: dst,
+		Err: fmt.Errorf("transport: rank %d send to rank %d: %v: %w", t.rank, dst, err, ErrPeerLost)}
+	t.fail(perr)
+	return perr
+}
+
+// Writes returns how many vectored writes this endpoint has made to its
+// peers' sockets, byes included: one syscall each for frames that fit a
+// socket buffer. Tests and benchmarks count writes with it.
+func (t *tcpTransport) Writes() int64 {
+	var n int64
+	for p := range t.w {
+		t.w[p].mu.Lock()
+		n += t.w[p].writes
+		t.w[p].mu.Unlock()
+	}
+	return n
 }
 
 // RecycleFrame returns a delivered (or otherwise dead) frame buffer to the
@@ -478,9 +584,9 @@ func (t *tcpTransport) Recv() (int, []byte, bool, error) {
 }
 
 // Close announces a graceful departure (best-effort bye frame on every
-// link), then tears down the connections and the inbox. Frames written
-// before the bye are still delivered: TCP flushes buffered data ahead of
-// the FIN.
+// link, behind the link's outbox), then tears down the connections and the
+// inbox. Frames written before the bye are still delivered: TCP flushes
+// buffered data ahead of the FIN.
 func (t *tcpTransport) Close() error {
 	if t.closed.Swap(true) {
 		return nil
@@ -497,9 +603,9 @@ func (t *tcpTransport) Close() error {
 	return nil
 }
 
-// Abort tears the endpoint down with no bye — peers see the links die as
-// if the owning process had been killed. Used by the fault injector to
-// simulate crashes.
+// Abort tears the endpoint down with no bye and drops every outbox unwritten
+// — peers see the links die as if the owning process had been killed. Used
+// by the fault injector to simulate crashes.
 func (t *tcpTransport) Abort() {
 	if t.closed.Swap(true) {
 		return

@@ -102,7 +102,9 @@ type Aborter interface {
 //
 // Progress contract: Send must never block waiting for the destination
 // rank's application to poll — frames queue at the receiver — so two ranks
-// sending to each other at full inboxes cannot deadlock. Recv is
+// sending to each other at full inboxes cannot deadlock. A frame Send
+// accepted is on its way when Send returns: nothing holds it back for a
+// later call (only FrameQueuer.QueueV may, until the owner flushes). Recv is
 // non-blocking: ok == false with a nil error means nothing is pending.
 // Ready is how an owner that found nothing waits without spinning: the
 // channel it returns receives a value, or is closed, once a later Recv may
@@ -159,4 +161,21 @@ func SendV(tp Transport, dst int, hdr, body []byte) error {
 	frame := make([]byte, 0, len(hdr)+len(body))
 	frame = append(frame, hdr...)
 	return tp.Send(dst, append(frame, body...))
+}
+
+// FrameQueuer is implemented by fabrics that can hold frames for a peer and
+// put several on the wire in one write. QueueV(dst, hdr, body) delivers
+// exactly the frame SendV(dst, hdr, body) would, under the same ownership
+// contract, but the frame may wait in dst's outbox until the owner calls
+// Flush or sends dst anything through Send or SendV, which writes the
+// outbox ahead of its own frame: frames to one peer arrive in the order
+// they were queued or sent, whichever the call. Outboxes are bounded — a
+// frame that would overfill one goes out at once, behind the outbox —
+// and Close writes them ahead of its goodbye; a crash (Abort) drops them.
+// Like VectorSender it is opt-in: a caller that queues must flush before
+// it waits on a peer, or the peer may be waiting on the queued frame.
+type FrameQueuer interface {
+	QueueV(dst int, hdr, body []byte) error
+	// Flush writes every non-empty outbox.
+	Flush() error
 }
