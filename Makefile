@@ -26,12 +26,17 @@
 #   make allocs  one untraced 5 s run each of three benchmark workloads
 #                on seed 1, each with a ceiling on alloc_mb per rep and no
 #                failed operation: exchange-tcp (the read exchange, a BSP
-#                and an async pass over TCP) at most 48 MB, overlap-noisy
+#                and an async pass over TCP) at most 35 MB, overlap-noisy
 #                (discover and align in-process) at most 25 MB,
 #                assemble-backhalf (graph build, reduce and contigs over
 #                TCP, with no maps on the graph path) at most 9 MB — alloc_mb
 #                repeats to ±0.01 % run to run, so these are counts, not
 #                timings
+#   make fetches  one untraced 5 s run of the benchmark's exchange-tcp
+#                workload on seed 1 and one on held-out seed 2: the read
+#                exchange must put exactly 8.34437 / 8.17781 MB on the wire,
+#                and no operation may fail — the bytes the fetch-aware task
+#                assignment leaves to move, as exact counts
 #   make kernel-cells  one traced 5 s run of the benchmark's
 #                overlap-noisy workload on seed 1 and one on held-out
 #                seed 2: the aligner must see exactly 918 / 921 tasks and
@@ -68,9 +73,9 @@
 
 GO      ?= go
 FUZZT   ?= 10s
-LOC_BUDGET = 18539
+LOC_BUDGET = 19077
 
-.PHONY: check vet cross fmtcheck build test bench-smoke bench-build backhalf-rounds allocs kernel-cells loc loc-budget race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke ci
+.PHONY: check vet cross fmtcheck build test bench-smoke bench-build backhalf-rounds allocs fetches kernel-cells loc loc-budget race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke ci
 
 check: vet cross fmtcheck build test bench-smoke bench-build loc-budget
 
@@ -108,7 +113,7 @@ backhalf-rounds:
 		  printf "backhalf-rounds: OK (graph.contig_rounds %s, failed 0)\n", rounds }'
 
 allocs:
-	@for want in "exchange-tcp 48" "overlap-noisy 25" "assemble-backhalf 9"; do \
+	@for want in "exchange-tcp 35" "overlap-noisy 25" "assemble-backhalf 9"; do \
 		set -- $$want; \
 		out=$$(bash benchmark/run.sh -workload $$1 -seed 1 -seconds 5) || { echo "$$out"; exit 1; }; \
 		echo "$$out" | awk -v w=$$1 -v limit=$$2 ' \
@@ -117,6 +122,18 @@ allocs:
 			END { if (!seen || !ops) { printf "allocs %s: report lacks alloc_mb or the operations line\n", w; exit 1 } \
 			  if (mb > limit || failed != 0) { printf "allocs %s: alloc_mb %s (limit %s), failed %s (limit 0)\n", w, mb, limit, failed; exit 1 } \
 			  printf "allocs %s: OK (alloc_mb %s, limit %s, failed 0)\n", w, mb, limit }' || exit 1; \
+	done
+
+fetches:
+	@for want in "1 8.34437" "2 8.17781"; do \
+		set -- $$want; \
+		out=$$(bash benchmark/run.sh -workload exchange-tcp -seed $$1 -seconds 5) || { echo "$$out"; exit 1; }; \
+		echo "$$out" | awk -v seed=$$1 -v want=$$2 ' \
+			$$1 == "=" && $$2 == "wire_mb" { mb = $$3 } \
+			/operations attempted/ { ops = 1; failed = $$NF } \
+			END { if (mb == "" || !ops) { printf "fetches seed %s: report lacks wire_mb or the operations line\n", seed; exit 1 } \
+			  if (mb != want || failed != 0) { printf "fetches seed %s: wire_mb %s (want %s), failed %s (want 0)\n", seed, mb, want, failed; exit 1 } \
+			  printf "fetches seed %s: OK (wire_mb %s, failed 0)\n", seed, mb }' || exit 1; \
 	done
 
 kernel-cells:
@@ -168,6 +185,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzContigLinks$$ -fuzztime $(FUZZT) ./internal/graph/
 	$(GO) test -fuzz=FuzzGraphWire$$ -fuzztime $(FUZZT) ./internal/graph/
 	$(GO) test -fuzz=FuzzDiscoverWire$$ -fuzztime $(FUZZT) ./internal/pipeline/
+	$(GO) test -fuzz=FuzzAssignTasks$$ -fuzztime $(FUZZT) ./internal/partition/
 
 golden:
 	$(GO) test -run TestGolden ./internal/trace/ -update
@@ -314,4 +332,4 @@ placement-smoke:
 		  printf "placement-smoke tiers: OK (%d intra, %d inter bytes)\n", intra, inter }' \
 		$$(ls $$tmp/met-contigs.csv.rank*) || exit 1
 
-ci: check backhalf-rounds allocs kernel-cells race fuzz chaos dist-smoke serve-smoke assemble-smoke placement-smoke
+ci: check backhalf-rounds allocs fetches kernel-cells race fuzz chaos dist-smoke serve-smoke assemble-smoke placement-smoke

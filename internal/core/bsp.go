@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"gnbody/internal/align"
 	"gnbody/internal/overlap"
@@ -118,10 +120,11 @@ func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 		groups = misses
 	}
 
-	// Dynamically-sized supersteps: request remote reads in chunks that fit
-	// the memory budget, exchange, compute while unpacking, repeat until no
-	// rank has reads left to fetch.
+	// Supersteps: request remote reads in chunks that fit the memory
+	// budget, exchange, compute while unpacking, repeat until no rank has
+	// reads left to fetch. Without a budget one chunk holds every read.
 	next := 0
+	var ends []int // under a budget: each planned chunk's end in groups
 	tb := r.Tracer()
 	budget := r.MemBudget()
 	if budget > 0 {
@@ -132,6 +135,7 @@ func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 			// than silently dropping the limit.
 			budget = 1
 		}
+		groups, ends = planSupersteps(r, in, groups, budget)
 	}
 	// One decode buffer, sized for the longest read this rank will be sent,
 	// serves every superstep's unpack loop. With the cache on each read
@@ -157,26 +161,20 @@ func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 	}
 	for {
 		tStep := tb.Now()
-		end := next
-		var planned int64
-		// Plan the chunk from the replicated length vector, never from the
-		// remote reads themselves — residency forbids sizing a read this
-		// rank does not hold. Exact for real/phantom wire sizes; a safe
-		// overestimate when the sender packs.
-		for end < len(groups) {
-			sz := int64(in.planSize(groups[end].read))
-			if end > next && budget > 0 && planned+sz > budget {
-				break // chunk full; always take at least one read
-			}
-			planned += sz
-			end++
+		end := len(groups)
+		if k := out.Supersteps; k < len(ends) {
+			end = ends[k]
+		}
+		if f.err != nil {
+			end = next
 		}
 		chunk := groups[next:end]
 		out.Supersteps++
 
-		// Round trip 1: request lists (read IDs grouped by owner). Groups
-		// are sorted by read and an owner's partition is one contiguous id
+		// Round trip 1: request lists (read IDs grouped by owner). The chunk
+		// is sorted by read and an owner's partition is one contiguous id
 		// range, so the reads asked of one owner are one run of the chunk.
+		slices.SortFunc(chunk, func(x, y flatGroup) int { return cmp.Compare(x.read, y.read) })
 		reqBytes := int64(4 * len(chunk))
 		sendReq := make([][]byte, r.Size())
 		clear(runs)
@@ -286,4 +284,59 @@ func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 	// snapshots.
 	met.Supersteps += int64(out.Supersteps)
 	return out, nil
+}
+
+// planSupersteps packs this rank's remote reads into memory-limited
+// supersteps from the task table, so that every rank spreads its work
+// evenly over the same rounds. One Allreduce agrees on the superstep
+// count: the most any rank needs to fit its reads' planned bytes in budget
+// (at least one read a round). Then the groups, heaviest first, each join
+// the superstep with the fewest tasks that still has room for the read,
+// opening a round past the agreed count only when none has
+// (longest-processing-time first). A rank whose tasks sit on a few hub
+// reads thus no longer runs them all in the first round while its peers
+// trail theirs into the last. Sizes come from the replicated length
+// vector, never from the remote reads themselves — residency forbids
+// sizing a read this rank does not hold; exact for real/phantom wire
+// sizes, a safe overestimate when the sender packs. It returns the groups
+// in superstep order and each superstep's end in that order.
+func planSupersteps(r rt.Runtime, in *Input, groups []flatGroup, budget int64) (ordered []flatGroup, ends []int) {
+	slices.SortStableFunc(groups, func(x, y flatGroup) int { return cmp.Compare(y.end-y.start, x.end-x.start) })
+	var total int64
+	for _, g := range groups {
+		total += int64(in.planSize(g.read))
+	}
+	steps := max(1, int(r.Allreduce(min(int64(len(groups)), (total+budget-1)/budget), rt.OpMax)))
+	bytes, tasks := make([]int64, steps), make([]int32, steps)
+	stepOf := make([]int, len(groups))
+	for i, g := range groups {
+		sz := int64(in.planSize(g.read))
+		k := -1
+		for j := range bytes {
+			if (bytes[j] == 0 || bytes[j]+sz <= budget) && (k < 0 || tasks[j] < tasks[k]) {
+				k = j
+			}
+		}
+		if k < 0 {
+			k = len(bytes)
+			bytes, tasks = append(bytes, 0), append(tasks, 0)
+		}
+		bytes[k] += sz
+		tasks[k] += g.end - g.start
+		stepOf[i] = k
+	}
+	ends = make([]int, len(bytes))
+	for _, k := range stepOf {
+		ends[k]++
+	}
+	for k := 1; k < len(ends); k++ {
+		ends[k] += ends[k-1]
+	}
+	ordered = make([]flatGroup, len(groups))
+	at := append([]int{0}, ends[:len(ends)-1]...)
+	for i, k := range stepOf {
+		ordered[at[k]] = groups[i]
+		at[k]++
+	}
+	return ordered, ends
 }

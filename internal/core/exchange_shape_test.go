@@ -25,8 +25,11 @@ import (
 // and what a rank does with a peer's bytes it cannot use.
 
 // crossWorkload is nReads random reads of readLen bases over p ranks, with
-// one task per read pairing it with the read half the set away — so every
-// task is remote and every read is fetched exactly once by one other rank.
+// one task per read pairing it with the read half the set away, run by the
+// owner of the task's first read — so every task is remote and every read
+// is fetched exactly once by one other rank. The assignment is spelled out
+// rather than left to partition.AssignTasks, which would run both tasks of
+// a pair on one rank and fetch one read of the two.
 func crossWorkload(t testing.TB, nReads, readLen, p int) (*seq.ReadSet, []int32, *partition.Partition, [][]overlap.Task) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(41))
@@ -59,7 +62,11 @@ func crossWorkload(t testing.TB, nReads, readLen, p int) (*seq.ReadSet, []int32,
 	if len(tasks) < nReads/2 {
 		t.Fatalf("only %d cross-rank tasks over %d reads", len(tasks), nReads)
 	}
-	return reads, lens, pt, partition.AssignTasks(tasks, pt)
+	byRank := make([][]overlap.Task, p)
+	for _, task := range tasks {
+		byRank[pt.Owner(task.A)] = append(byRank[pt.Owner(task.A)], task)
+	}
+	return reads, lens, pt, byRank
 }
 
 // TestExchangeAllocationGuard: on dist over the loopback fabric with a

@@ -191,9 +191,14 @@ func TestFig8Shapes(t *testing.T) {
 
 // Figure 9/11 regime: with paper-equivalent budgets the CCS exchange
 // exceeds per-rank memory at small node counts (multi-round) and fits at
-// larger ones, while async's footprint stays below BSP's.
+// larger ones, while async's footprint stays below BSP's. The paper's
+// regime spans 8 to 32 nodes, and this test's reached 8 until the
+// fetch-aware task assignment halved the exchange: at 8 nodes it now fits
+// one round, so the regime ends between 4 and 8 nodes. The 8-node run
+// stays, pinned to that deviation (EXPERIMENTS.md, "Fetch-aware task
+// assignment").
 func TestFig9MemoryRegime(t *testing.T) {
-	p := quick(8, 64)
+	p := quick(4, 8, 64)
 	p.ScaleHumanCCS = 512
 	p.RanksPerNode = 4
 	res, err := Fig9(p)
@@ -201,15 +206,20 @@ func TestFig9MemoryRegime(t *testing.T) {
 		t.Fatal(err)
 	}
 	bsp, async := byMode(res.Rows, BSP), byMode(res.Rows, Async)
-	small, large := bsp[0], bsp[1]
+	small, eight, large := bsp[0], bsp[1], bsp[2]
 	if small.Supersteps < 2 {
-		t.Errorf("8-node CCS ran %d supersteps, want multi-round", small.Supersteps)
+		t.Errorf("4-node CCS ran %d supersteps, want multi-round", small.Supersteps)
+	}
+	if eight.Supersteps != 1 {
+		t.Errorf("8-node CCS ran %d supersteps; EXPERIMENTS.md records 1", eight.Supersteps)
 	}
 	if large.Supersteps != 1 {
 		t.Errorf("64-node CCS ran %d supersteps, want 1", large.Supersteps)
 	}
-	if a := async[0]; a.MaxMem >= small.MaxMem {
-		t.Errorf("async footprint %d not below BSP %d at 8 nodes", a.MaxMem, small.MaxMem)
+	for i, b := range bsp[:2] {
+		if a := async[i]; a.MaxMem >= b.MaxMem {
+			t.Errorf("async footprint %d not below BSP %d at %d nodes", a.MaxMem, b.MaxMem, b.Nodes)
+		}
 	}
 	// §4.4: async is more efficient in the memory-limited regime.
 	if async[0].Runtime >= small.Runtime {
@@ -367,21 +377,27 @@ func TestBudgetFor(t *testing.T) {
 	}
 }
 
+// §5: on a high-latency network, aggregation must help. It cuts RPCs at
+// 8 and 16 nodes. It cuts runtime only at 16: at 8 the fetch-aware task
+// assignment leaves about six reads per owner to a rank and one rank
+// serving the most bytes, and 16-read batches lose to unbatched pulls
+// there (EXPERIMENTS.md, "Fetch-aware task assignment").
 func TestAblationFetchBatchShape(t *testing.T) {
-	res, err := AblationFetchBatch(quick(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := res.Rows // batches 1, 4, 16, 64
-	if len(rows) != 4 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	if rows[2].RPCsSent >= rows[0].RPCsSent {
-		t.Errorf("batching did not reduce RPCs: %d -> %d", rows[0].RPCsSent, rows[2].RPCsSent)
-	}
-	// §5: on a high-latency network, aggregation must help.
-	if rows[2].Runtime >= rows[0].Runtime {
-		t.Errorf("batch=16 (%v) not faster than batch=1 (%v) at 30us latency", rows[2].Runtime, rows[0].Runtime)
+	for _, nodes := range []int{8, 16} {
+		res, err := AblationFetchBatch(quick(nodes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := res.Rows // batches 1, 4, 16, 64
+		if len(rows) != 4 {
+			t.Fatalf("got %d rows", len(rows))
+		}
+		if rows[2].RPCsSent >= rows[0].RPCsSent {
+			t.Errorf("%d nodes: batching did not reduce RPCs: %d -> %d", nodes, rows[0].RPCsSent, rows[2].RPCsSent)
+		}
+		if nodes == 16 && rows[2].Runtime >= rows[0].Runtime {
+			t.Errorf("%d nodes: batch=16 (%v) not faster than batch=1 (%v) at 30us latency", nodes, rows[2].Runtime, rows[0].Runtime)
+		}
 	}
 }
 

@@ -1,27 +1,29 @@
-// Package partition implements DiBELLA's data-independent ("blind")
-// distribution of reads and alignment tasks across ranks (paper §3).
+// Package partition distributes reads and alignment tasks across ranks
+// (paper §3).
 //
-// Stage 1 partitions the input reads uniformly by size in memory —
-// contiguous blocks with roughly equal total bytes, no other characteristic
-// considered. After candidate discovery, tasks are redistributed preserving
-// the invariant that each task is assigned to the owner of one or both of
-// its reads, with task *counts* roughly balanced across ranks; an assignee
-// owning only one read must fetch the other remotely, which is precisely
-// the irregular communication the BSP and Async drivers coordinate.
+// Reads stay blind: stage 1 partitions the input reads uniformly by size
+// in memory — contiguous blocks with roughly equal total bytes, no other
+// characteristic considered (DiBELLA's data-independent strategy). Tasks
+// are fetch-aware: after candidate discovery every task goes to the owner
+// of one or both of its reads, with task *counts* balanced across ranks,
+// and an assignee owning only one read must fetch the other remotely —
+// precisely the irregular communication the BSP and Async drivers
+// coordinate. The pair list is known before the first byte moves, so
+// AssignTasks picks each task's side to keep those fetches few.
 package partition
 
 import (
 	"fmt"
 	"sort"
 
-	"gnbody/internal/overlap"
 	"gnbody/internal/seq"
 )
 
 // Partition maps every read to an owning rank via contiguous blocks.
 type Partition struct {
 	P      int
-	starts []int // starts[r] = first read ID owned by rank r; len P+1
+	starts []int   // starts[r] = first read ID owned by rank r; len P+1
+	wire   []int32 // planned wire size of every read, what AssignTasks levels
 }
 
 // BySize splits reads into P contiguous blocks of roughly equal total
@@ -31,21 +33,22 @@ func BySize(lens []int, p int) (*Partition, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("partition: p=%d must be positive", p)
 	}
+	pt := &Partition{P: p, starts: make([]int, p+1), wire: make([]int32, len(lens))}
 	var total int64
-	for _, l := range lens {
-		total += int64(seq.WireSizeOf(l))
+	for i, l := range lens {
+		pt.wire[i] = int32(seq.WireSizeOf(l))
+		total += int64(pt.wire[i])
 	}
-	pt := &Partition{P: p, starts: make([]int, p+1)}
 	pt.starts[p] = len(lens)
 	var acc int64
 	r := 1
-	for i, l := range lens {
+	for i, w := range pt.wire {
 		// Rank r starts once the running weight crosses r/P of the total.
 		for r < p && acc*int64(p) >= int64(r)*total {
 			pt.starts[r] = i
 			r++
 		}
-		acc += int64(seq.WireSizeOf(l))
+		acc += int64(w)
 	}
 	for ; r < p; r++ {
 		pt.starts[r] = len(lens)
@@ -76,79 +79,6 @@ func (pt *Partition) Loads(lens []int) []int64 {
 		}
 	}
 	return out
-}
-
-// AssignTasks distributes tasks to ranks under the owner invariant:
-// every task lands on Owner(task.A) or Owner(task.B), with task counts
-// roughly balanced — DiBELLA's stage-2 redistribution.
-//
-// Each task has at most two eligible ranks, so this is a constrained
-// scheduling problem. A greedy pass in stored task order starves low
-// ranks (their entire eligibility arrives in a prefix, since A < B),
-// so tasks are visited in a deterministic hash order, then a few
-// refinement passes move tasks from the heavier to the lighter of their
-// two owners. Output order within each rank follows input order.
-func AssignTasks(tasks []overlap.Task, pt *Partition) [][]overlap.Task {
-	n := len(tasks)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		return splitmix64(tasks[order[i]].Key()) < splitmix64(tasks[order[j]].Key())
-	})
-
-	assign := make([]int32, n)
-	counts := make([]int, pt.P)
-	for _, i := range order {
-		t := tasks[i]
-		ra, rb := pt.Owner(t.A), pt.Owner(t.B)
-		r := ra
-		if rb != ra && (counts[rb] < counts[ra] || (counts[rb] == counts[ra] && rb < ra)) {
-			r = rb
-		}
-		assign[i] = int32(r)
-		counts[r]++
-	}
-	// Refinement: shed load to the other eligible owner while it helps.
-	for pass := 0; pass < 3; pass++ {
-		moved := false
-		for _, i := range order {
-			t := tasks[i]
-			ra, rb := pt.Owner(t.A), pt.Owner(t.B)
-			if ra == rb {
-				continue
-			}
-			cur := int(assign[i])
-			alt := ra
-			if cur == ra {
-				alt = rb
-			}
-			if counts[cur] > counts[alt]+1 {
-				counts[cur]--
-				counts[alt]++
-				assign[i] = int32(alt)
-				moved = true
-			}
-		}
-		if !moved {
-			break
-		}
-	}
-	out := make([][]overlap.Task, pt.P)
-	for i, t := range tasks {
-		out[assign[i]] = append(out[assign[i]], t)
-	}
-	return out
-}
-
-// splitmix64 scrambles task keys into a visit order that spreads every
-// rank's eligibility across the whole stream.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // Imbalance returns max/mean of the per-rank values (1.0 = perfectly
