@@ -1,7 +1,8 @@
 // Package pipeline implements DiBELLA's stages 1-2 as a distributed SPMD
 // program on the rt.Runtime interface (paper §3), as a sort over flat
-// fixed-width records: each rank turns every k-mer instance of its own
-// reads into one 16-byte occurrence record routed to the canonical code's
+// records packed at field widths the plan fixes (wire.go): each rank turns
+// every k-mer instance of its own reads into one occurrence record (7 bytes
+// at k = 17 for up to 128 reads of up to 16 kb) routed to the canonical code's
 // hash owner in an irregular all-to-all; the owner radix-sorts what it
 // received by code, less the k-mers a count table proves it saw once, and
 // scans the runs — a run's length is the k-mer's
@@ -41,22 +42,13 @@ type Output struct {
 	PairsOwned     int64 // deduplicated pairs this rank arbitrated
 }
 
-// occRec is one k-mer instance, in memory and (little-endian, in field
-// order) on the wire: 8B canonical code + 4B read + 4B pos<<1|rc.
+// occRec is one k-mer instance in memory; on the wire it is packed at the
+// plan's layout (wire.go).
 type occRec struct {
 	code  uint64
 	read  uint32
 	posRC uint32
 }
-
-const (
-	occWire = 16
-	// taskWire is one task record: 4B a + 4B b + 4B posA + 4B posB<<1|rc
-	// (k is the plan's). candWire is a candidate: the 8B code that seeded
-	// it, then the task record.
-	taskWire = 16
-	candWire = 8 + taskWire
-)
 
 // candRec is a candidate pair and the canonical code that produced it
 // (dedup keeps the smallest code's seed).
@@ -65,148 +57,72 @@ type candRec struct {
 	task overlap.Task
 }
 
-// WireError reports a discover frame from a peer that cannot be used: a
-// ragged length, or a record that no scan of the plan's reads produces.
-type WireError struct {
-	Record string // "occurrence", "candidate", "task" or "count"
-	From   int    // the sending rank
-	Reason string
-}
-
-func (e *WireError) Error() string {
-	return fmt.Sprintf("pipeline: %s list from rank %d: %s", e.Record, e.From, e.Reason)
-}
-
-// scanFrames runs ok over each size-byte record of each rank's frame, in
-// rank order. A frame that is not whole records, or a record ok rejects, is
-// a *WireError naming the rank that sent it.
-func scanFrames(record string, frames [][]byte, size int, ok func([]byte) bool) error {
-	for from, buf := range frames {
-		if len(buf)%size != 0 {
-			return &WireError{record, from, fmt.Sprintf("ragged: %d bytes, %d per record", len(buf), size)}
-		}
-		for ; len(buf) > 0; buf = buf[size:] {
-			if !ok(buf[:size]) {
-				return &WireError{record, from, fmt.Sprintf("bad record % x", buf[:size])}
-			}
-		}
-	}
-	return nil
-}
-
-// decodeFrames decodes every record of a round with rec, under
-// scanFrames's checks.
-func decodeFrames[T any](record string, frames [][]byte, size int, rec func([]byte) (T, bool)) ([]T, error) {
-	n := 0
-	for _, buf := range frames {
-		n += len(buf) / size
-	}
-	out := make([]T, 0, n)
-	err := scanFrames(record, frames, size, func(b []byte) bool {
-		v, ok := rec(b)
-		out = append(out, v)
-		return ok
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // occSlots sizes the owner's count table: occSlots to 2·occSlots one-byte
 // slots per received occurrence record, a power of two.
 const occSlots = 4
 
 // repeatedOccs decodes a round of occurrence frames, keeping only the
 // records that can seed a pair. Pass 1 checks every record for what the run
-// scan relies on — codes within 2k bits, windows inside their reads, and
-// (read, pos) strictly ascending throughout, the ordering contract that
-// lets a stable sort by code stand in for a sort by (code, read, pos):
-// ranks own contiguous ascending read ranges (Partition.Range), scan them
-// in order, and their frames are decoded in rank order. It also counts each
-// code into a saturating 0/1/2 table of about slots per record, indexed by
-// the high bits of splitmix(code). Pass 2 keeps, in frame order, the
-// records whose slot reached 2.
+// scan relies on — no bit above the layout's fields, windows inside their
+// reads, and (read, pos) strictly ascending throughout, the ordering
+// contract that lets a stable sort by code stand in for a sort by (code,
+// read, pos): ranks own contiguous ascending read ranges (Partition.Range),
+// scan them in order, and their frames are decoded in rank order. It also
+// counts each code into a saturating 0/1/2 table of about slots per record,
+// indexed by the high bits of splitmix(code). Pass 2 keeps, in frame order,
+// the records whose slot reached 2.
 //
 // Every record of a code shares its slot, so a code seen twice or more is
 // kept whole and its run is still its global instance count. A dropped
 // record is alone in its slot: a distinct k-mer seen once, counted in
 // singles. A singleton kept through a collision is a run of one, which the
 // run scan's floor of 2 drops.
-func repeatedOccs(frames [][]byte, lens []int32, k, slots int) (kept []occRec, singles int64, err error) {
+func repeatedOccs(frames [][]byte, lens []int32, l *layout, slots int) (kept []occRec, singles int64, err error) {
 	n := 0
 	for _, buf := range frames {
-		n += len(buf) / occWire
+		n += len(buf) / l.occ
 	}
 	tableBits := bits.Len(uint(slots * n))
 	seen := make([]uint8, 1<<tableBits)
 	shift := 64 - tableBits
+	f, size, top := l.occFields(), l.occ, padTop(l.occ, l.code()+l.read+l.pos)
 	keep := 0
 	next := uint64(0) // the smallest (read, pos) the next record may carry
-	err = scanFrames("occurrence", frames, occWire, func(b []byte) bool {
-		code, read, posRC := binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint32(b[8:]), binary.LittleEndian.Uint32(b[12:])
-		at := uint64(read)<<32 | uint64(posRC>>1)
-		ok := code>>(2*uint(k)) == 0 && int(read) < len(lens) && int(posRC>>1)+k <= int(lens[read]) && at >= next
-		next = at + 1
-		h := splitmix(code) >> shift
-		s := seen[h]
-		seen[h] = s + 1 - s>>1
-		keep += int(s&1<<1 | s>>1) // the second record of a slot keeps itself and the first
-		return ok
-	})
-	if err != nil {
-		return nil, 0, err
+	var tail [2 * wordPad]byte
+	for from, buf := range frames {
+		if err := ragged("occurrence", from, buf, size); err != nil {
+			return nil, 0, err
+		}
+		for _, seg := range segments(buf, size, &tail) {
+			for ; len(seg) > 0; seg = seg[size:] {
+				b := seg[:wordPad]
+				o := f.get(load(b))
+				h := splitmix(o.code) >> shift // the table access first: its miss overlaps the checks
+				s := seen[h]
+				seen[h] = s + 1 - s>>1
+				keep += int(s&1<<1 | s>>1) // the second record of a slot keeps itself and the first
+				at := uint64(o.read)<<32 | uint64(o.posRC>>1)
+				if b[size-1]>>top != 0 || int(o.read) >= len(lens) || int(o.posRC>>1)+l.k > int(lens[o.read]) || at < next {
+					return nil, 0, badRecord("occurrence", from, b[:size])
+				}
+				next = at + 1
+			}
+		}
 	}
 	// Branch-free: every record is written, and the index moves past it only
 	// if its slot reached 2 (hence the one spare element).
 	kept = make([]occRec, keep+1)
 	j := 0
 	for _, buf := range frames {
-		for ; len(buf) > 0; buf = buf[occWire:] {
-			o := occRec{binary.LittleEndian.Uint64(buf), binary.LittleEndian.Uint32(buf[8:]), binary.LittleEndian.Uint32(buf[12:])}
-			kept[j] = o
-			j += int(seen[splitmix(o.code)>>shift] >> 1)
+		for _, seg := range segments(buf, size, &tail) {
+			for ; len(seg) > 0; seg = seg[size:] {
+				o := f.get(load(seg[:wordPad]))
+				kept[j] = o
+				j += int(seen[splitmix(o.code)>>shift] >> 1)
+			}
 		}
 	}
 	return kept[:keep], int64(n - keep), nil
-}
-
-// putTask appends t's task record to buf.
-func putTask(buf []byte, t overlap.Task) []byte {
-	posRC := uint32(t.Seed.PosB) << 1
-	if t.Seed.RC {
-		posRC |= 1
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.A))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.B))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.Seed.PosA))
-	return binary.LittleEndian.AppendUint32(buf, posRC)
-}
-
-// getTask decodes a task record and reports whether it is one discovery
-// can emit: A < B, both seed windows inside their reads.
-func getTask(b []byte, lens []int32, k int) (overlap.Task, bool) {
-	posRC := binary.LittleEndian.Uint32(b[12:])
-	t := overlap.Task{
-		A:    seq.ReadID(binary.LittleEndian.Uint32(b)),
-		B:    seq.ReadID(binary.LittleEndian.Uint32(b[4:])),
-		Seed: overlap.Seed{PosA: int32(binary.LittleEndian.Uint32(b[8:])), PosB: int32(posRC >> 1), K: int16(k), RC: posRC&1 == 1},
-	}
-	return t, t.A < t.B && int(t.B) < len(lens) && t.Seed.PosA >= 0 &&
-		int(t.Seed.PosA)+k <= int(lens[t.A]) && int(t.Seed.PosB)+k <= int(lens[t.B])
-}
-
-// decodeCands decodes a round of candidate frames.
-func decodeCands(frames [][]byte, lens []int32, k int) ([]candRec, error) {
-	return decodeFrames("candidate", frames, candWire, func(b []byte) (candRec, bool) {
-		t, ok := getTask(b[8:], lens, k)
-		return candRec{binary.LittleEndian.Uint64(b), t}, ok
-	})
-}
-
-// decodeTasks decodes a round of redistributed task frames.
-func decodeTasks(frames [][]byte, lens []int32, k int) ([]overlap.Task, error) {
-	return decodeFrames("task", frames, taskWire, func(b []byte) (overlap.Task, bool) { return getTask(b, lens, k) })
 }
 
 // hashOwner routes a 64-bit key to a rank.
@@ -233,6 +149,8 @@ func (pl *Plan) Run(r rt.Runtime, store seq.Store) (*Output, error) {
 	p := r.Size()
 	var fail error
 
+	lay := pl.layout()
+
 	// --- Stage: local k-mer extraction, routed by canonical-code hash. ---
 	sendOcc := make([][]byte, p)
 	r.Timed(rt.CatOverhead, func() {
@@ -242,8 +160,9 @@ func (pl *Plan) Run(r rt.Runtime, store seq.Store) (*Output, error) {
 			bases += int(l)
 		}
 		for dst := range sendOcc { // an even share plus an eighth: growth is the exception
-			sendOcc[dst] = make([]byte, 0, occWire*(bases/p+bases/(8*p)+8))
+			sendOcc[dst] = make([]byte, 0, lay.occ*(bases/p+bases/(8*p)+8)+wordPad)
 		}
+		occ := lay.occFields()
 		for i := lo; i < hi && fail == nil; i++ {
 			fail = kmer.Scan(store.Get(seq.ReadID(i)), pl.K, func(pos int, c kmer.Code, rc bool) {
 				out.KmersExtracted++
@@ -252,9 +171,8 @@ func (pl *Plan) Run(r rt.Runtime, store seq.Store) (*Output, error) {
 					posRC |= 1
 				}
 				dst := hashOwner(uint64(c), p)
-				buf := binary.LittleEndian.AppendUint64(sendOcc[dst], uint64(c))
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(i))
-				sendOcc[dst] = binary.LittleEndian.AppendUint32(buf, posRC)
+				w0, w1 := occ.put(uint64(c), uint32(i), posRC)
+				sendOcc[dst] = appendRec(sendOcc[dst], lay.occ, w0, w1, 0)
 			})
 		}
 	})
@@ -263,19 +181,19 @@ func (pl *Plan) Run(r rt.Runtime, store seq.Store) (*Output, error) {
 	// --- Stage: drop singletons, sort by code, scan the runs. ---
 	sendTask := make([][]byte, p)
 	r.Timed(rt.CatOverhead, func() {
-		recs, singles, err := repeatedOccs(recvOcc, pl.Lens, pl.K, occSlots)
+		recs, singles, err := repeatedOccs(recvOcc, pl.Lens, &lay, occSlots)
 		if fail = errors.Join(fail, err); fail != nil {
 			return
 		}
 		out.KmersOwned += singles
-		pl.scanRuns(sortByCode(recs, make([]occRec, len(recs)), 2*pl.K), sendTask, out)
+		pl.scanRuns(sortByCode(recs, make([]occRec, len(recs)), 2*pl.K), &lay, sendTask, out)
 	})
 	recvTask := r.Alltoallv(sendTask)
 
 	// --- Stage: pair dedup (min-code seed wins, as in the serial path). ---
 	var deduped []overlap.Task
 	r.Timed(rt.CatOverhead, func() {
-		cands, err := decodeCands(recvTask, pl.Lens, pl.K)
+		cands, err := lay.decodeCands(recvTask, pl.Lens)
 		if fail = errors.Join(fail, err); fail != nil {
 			return
 		}
@@ -304,7 +222,7 @@ func (pl *Plan) Run(r rt.Runtime, store seq.Store) (*Output, error) {
 	})
 
 	// --- Stage: task redistribution to read owners, count-balanced. ---
-	tasks, err := redistribute(r, pl, deduped)
+	tasks, err := redistribute(r, pl, &lay, deduped)
 	if err = errors.Join(fail, err); err != nil {
 		return nil, err
 	}
@@ -315,7 +233,7 @@ func (pl *Plan) Run(r rt.Runtime, store seq.Store) (*Output, error) {
 // scanRuns is the owner's pass over recs sorted by code: a run is a k-mer,
 // its length the global count. It counts the runs into out and appends each
 // retained run's candidates to send, by the pair's hash owner.
-func (pl *Plan) scanRuns(recs []occRec, send [][]byte, out *Output) {
+func (pl *Plan) scanRuns(recs []occRec, lay *layout, send [][]byte, out *Output) {
 	lo := max(pl.Lo, 2) // a k-mer must occur twice to pair anything
 	for len(recs) > 0 {
 		count := 1
@@ -348,7 +266,7 @@ func (pl *Plan) scanRuns(recs []occRec, send [][]byte, out *Output) {
 				}
 				out.PairsEmitted++
 				dst := hashOwner(t.Key(), len(send))
-				send[dst] = putTask(binary.LittleEndian.AppendUint64(send[dst], a.code), t)
+				send[dst] = lay.putCand(send[dst], a.code, t)
 			}
 		}
 	}
@@ -388,7 +306,7 @@ func sortByCode(recs, tmp []occRec, width int) []occRec {
 // one global refinement round moves surplus tasks from overloaded ranks
 // toward their alternative owner in proportion to the measured imbalance.
 // Like Run, it enters all three rounds whatever it decodes on the way.
-func redistribute(r rt.Runtime, pl *Plan, deduped []overlap.Task) ([]overlap.Task, error) {
+func redistribute(r rt.Runtime, pl *Plan, lay *layout, deduped []overlap.Task) ([]overlap.Task, error) {
 	p := r.Size()
 
 	// Initial split: hash parity chooses owner(A) vs owner(B).
@@ -398,9 +316,9 @@ func redistribute(r rt.Runtime, pl *Plan, deduped []overlap.Task) ([]overlap.Tas
 		if alt := pl.Part.Owner(t.B); alt != owner && splitmix(t.Key())&1 == 1 {
 			owner = alt
 		}
-		send[owner] = putTask(send[owner], t)
+		send[owner] = lay.putTask(send[owner], t)
 	}
-	mine, err1 := decodeTasks(r.Alltoallv(send), pl.Lens, pl.K)
+	mine, err1 := lay.decodeTasks(r.Alltoallv(send), pl.Lens)
 
 	// Refinement: learn everyone's counts (an allgather via alltoallv),
 	// then overloaded ranks push surplus toward underloaded alternates.
@@ -421,14 +339,14 @@ func redistribute(r rt.Runtime, pl *Plan, deduped []overlap.Task) ([]overlap.Tas
 				alt = rb
 			}
 			if surplus > 0 && alt != r.Rank() && counts[alt] < mean {
-				moved[alt] = putTask(moved[alt], t)
+				moved[alt] = lay.putTask(moved[alt], t)
 				surplus--
 				continue
 			}
 			kept = append(kept, t)
 		}
 	}
-	incoming, err3 := decodeTasks(r.Alltoallv(moved), pl.Lens, pl.K)
+	incoming, err3 := lay.decodeTasks(r.Alltoallv(moved), pl.Lens)
 	kept = append(kept, incoming...)
 	overlap.SortTasks(kept)
 	return kept, errors.Join(err1, err2, err3)

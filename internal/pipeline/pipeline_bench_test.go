@@ -8,6 +8,9 @@ import (
 	"gnbody/internal/workload"
 )
 
+// BenchmarkDistributedStages runs discover on four in-process ranks and
+// reports, besides tasks, the bytes its frames put on the wire a run and the
+// time a k-mer instance costs (world set-up excluded).
 func BenchmarkDistributedStages(b *testing.B) {
 	reads, _, _, err := workload.Pipeline(workload.EColi30x, 400, 1)
 	if err != nil {
@@ -16,12 +19,15 @@ func BenchmarkDistributedStages(b *testing.B) {
 	lens := workload.LensOf(reads)
 	const p = 4
 	pt := sizePartition(b, lens, p)
+	var wire, kmers int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
 		world, err := par.NewWorld(par.Config{P: p})
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.StartTimer()
 		var total int64
 		outs := make([]*Output, p)
 		world.Run(func(r rt.Runtime) {
@@ -32,9 +38,14 @@ func BenchmarkDistributedStages(b *testing.B) {
 			}
 			outs[r.Rank()] = out
 		})
-		for _, out := range outs {
+		for rk, out := range outs {
 			total += int64(len(out.Tasks))
+			kmers += out.KmersExtracted
+			m := world.Metrics(rk)
+			wire += m.IntraBytes + m.InterBytes
 		}
 		b.ReportMetric(float64(total), "tasks")
 	}
+	b.ReportMetric(float64(wire)/float64(b.N), "wire-B/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(kmers), "ns/kmer")
 }

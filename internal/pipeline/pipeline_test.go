@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -356,14 +355,21 @@ func TestDistributedUnderSimulator(t *testing.T) {
 }
 
 // occFrame encodes occurrence records the way the scan does.
-func occFrame(recs ...occRec) []byte {
+func occFrame(l *layout, recs ...occRec) []byte {
 	var buf []byte
 	for _, o := range recs {
-		buf = binary.LittleEndian.AppendUint64(buf, o.code)
-		buf = binary.LittleEndian.AppendUint32(buf, o.read)
-		buf = binary.LittleEndian.AppendUint32(buf, o.posRC)
+		lo, hi := l.occFields().put(o.code, o.read, o.posRC)
+		buf = appendRec(buf, l.occ, lo, hi, 0)
 	}
 	return buf
+}
+
+// padBit returns a copy of frame with the top bit of its last byte set: a
+// padding bit of its last record, where the layout leaves one.
+func padBit(frame []byte) []byte {
+	bad := append([]byte(nil), frame...)
+	bad[len(bad)-1] |= 0x80
+	return bad
 }
 
 // The run scan takes a run's (read, pos) order from a stable sort, which
@@ -396,12 +402,17 @@ func TestOccurrenceOrderContract(t *testing.T) {
 	}
 
 	const k = 5
-	lens := []int32{30, 30, 30, 30}
+	lens := []int32{30, 30, 30, 30, 30}
+	lay := newLayout(k, len(lens), 30) // 10 + 3 + 6 bits: three bytes, five of them padding
+	occFrame := func(recs ...occRec) []byte { return occFrame(&lay, recs...) }
 	rank0 := occFrame(occRec{7, 0, 3 << 1}, occRec{9, 0, 8<<1 | 1}, occRec{7, 1, 0})
 	rank1 := occFrame(occRec{9, 2, 4 << 1}, occRec{7, 3, 25<<1 | 1})
 	decode := func(frames ...[]byte) ([]occRec, error) {
-		recs, _, err := repeatedOccs(frames, lens, k, occSlots)
+		recs, _, err := repeatedOccs(frames, lens, &lay, occSlots)
 		return recs, err
+	}
+	if lay.occ != 3 {
+		t.Fatalf("fixture: %d-byte occurrences, want 3", lay.occ)
 	}
 	recs, err := decode(rank0, nil, rank1)
 	if err != nil || len(recs) != 5 {
@@ -423,9 +434,11 @@ func TestOccurrenceOrderContract(t *testing.T) {
 		{"records swapped", [][]byte{occFrame(occRec{7, 1, 0}, occRec{7, 0, 3 << 1})}, 0},
 		{"a position twice", [][]byte{occFrame(occRec{7, 0, 3 << 1}, occRec{9, 0, 3<<1 | 1})}, 0},
 		{"ragged", [][]byte{rank0, rank1[:len(rank1)-1]}, 1},
-		{"read out of range", [][]byte{occFrame(occRec{7, 4, 0})}, 0},
+		{"read out of range", [][]byte{occFrame(occRec{7, 5, 0})}, 0},
 		{"window past the read", [][]byte{occFrame(occRec{7, 0, 26 << 1})}, 0},
-		{"code wider than 2k bits", [][]byte{occFrame(occRec{1 << (2 * k), 0, 0})}, 0},
+		// A code wider than 2k bits would run into the read field; what a
+		// packed record can carry past its fields is a padding bit.
+		{"a padding bit", [][]byte{rank0, padBit(rank1)}, 1},
 	} {
 		_, err := decode(tc.frames...)
 		var we *WireError
@@ -456,6 +469,7 @@ func TestRepeatedOccsExact(t *testing.T) {
 			lens[i] = int32(rng.Intn(80))
 		}
 		pl := &Plan{Lens: lens, K: k, Lo: 1 + trial%3, Hi: 2 + rng.Intn(10)}
+		lay := pl.layout()
 		p := 1 + rng.Intn(5)
 
 		// Windows in (read, pos) order, split into p consecutive frames; a
@@ -479,7 +493,7 @@ func TestRepeatedOccsExact(t *testing.T) {
 		}
 		frames := make([][]byte, p)
 		for i, o := range all {
-			frames[i*p/len(all)] = append(frames[i*p/len(all)], occFrame(o)...)
+			frames[i*p/len(all)] = append(frames[i*p/len(all)], occFrame(&lay, o)...)
 		}
 		freq := map[uint64]int{}
 		for _, o := range all {
@@ -489,16 +503,16 @@ func TestRepeatedOccsExact(t *testing.T) {
 		want := &Output{}
 		wantSend := make([][]byte, p)
 		ref := append([]occRec(nil), all...)
-		pl.scanRuns(sortByCode(ref, make([]occRec, len(ref)), 2*k), wantSend, want)
+		pl.scanRuns(sortByCode(ref, make([]occRec, len(ref)), 2*k), &lay, wantSend, want)
 		for _, slots := range []int{0, 1, occSlots} {
 			label := fmt.Sprintf("trial %d k=%d Lo=%d Hi=%d, %d slots per record", trial, k, pl.Lo, pl.Hi, slots)
-			kept, singles, err := repeatedOccs(frames, lens, k, slots)
+			kept, singles, err := repeatedOccs(frames, lens, &lay, slots)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			got := &Output{KmersOwned: singles}
 			send := make([][]byte, p)
-			pl.scanRuns(sortByCode(kept, make([]occRec, len(kept)), 2*k), send, got)
+			pl.scanRuns(sortByCode(kept, make([]occRec, len(kept)), 2*k), &lay, send, got)
 			if got.KmersOwned != want.KmersOwned || got.KmersRetained != want.KmersRetained || got.PairsEmitted != want.PairsEmitted {
 				t.Fatalf("%s: kept %d of %d records; stats %+v, every record %+v", label, len(kept), len(all), *got, *want)
 			}
@@ -507,9 +521,13 @@ func TestRepeatedOccsExact(t *testing.T) {
 				if string(send[dst]) != string(wantSend[dst]) {
 					t.Fatalf("%s: candidates for rank %d differ", label, dst)
 				}
-				for b := send[dst]; len(b) > 0; b = b[candWire:] {
-					if code := binary.LittleEndian.Uint64(b); freq[code] < 2 {
-						t.Fatalf("%s: code %d, seen %d times, seeded a candidate", label, code, freq[code])
+				cands, err := lay.decodeCands(send[dst:dst+1], lens)
+				if err != nil {
+					t.Fatalf("%s: candidates for rank %d: %v", label, dst, err)
+				}
+				for _, c := range cands {
+					if freq[c.code] < 2 {
+						t.Fatalf("%s: code %d, seen %d times, seeded a candidate", label, c.code, freq[c.code])
 					}
 				}
 			}
@@ -541,7 +559,15 @@ func (l *lyingRuntime) Alltoallv(send [][]byte) [][]byte {
 func TestDiscoverRejectsCorruptPeer(t *testing.T) {
 	const p, k = 3, 15
 	reads := mixedReads(t, 1)
+	// One more read, shorter than k: a read index then has a value past the
+	// last read to forge.
+	reads.Reads = append(reads.Reads, seq.Read{ID: seq.ReadID(reads.Len()), Seq: seq.Seq{0, 1, 2}})
 	lens := workload.LensOf(reads)
+	lay := (&Plan{Lens: lens, K: k}).layout()
+	if 1<<lay.read == len(lens) || lay.occ*8 == int(lay.code()+lay.read+lay.pos) || lay.cand*8 == int(lay.code()+lay.taskBits()) {
+		t.Fatalf("fixture: %d reads in %d bits, %d-byte occurrences, %d-byte candidates: no bad read index or padding bit to set",
+			len(lens), lay.read, lay.occ, lay.cand)
+	}
 	chop := func(sent []byte) []byte { return sent[:len(sent)-1] }
 	for _, tc := range []struct {
 		name, record string
@@ -550,14 +576,20 @@ func TestDiscoverRejectsCorruptPeer(t *testing.T) {
 	}{
 		{"ragged occurrences", "occurrence", 0, chop},
 		{"occurrences out of order", "occurrence", 0, func(sent []byte) []byte {
-			return append(append([]byte(nil), sent[occWire:2*occWire]...), sent[:occWire]...)
+			return append(append([]byte(nil), sent[lay.occ:2*lay.occ]...), sent[:lay.occ]...)
 		}},
+		{"occurrence padding", "occurrence", 0, padBit},
 		{"ragged candidates", "candidate", 1, chop},
 		{"candidate for an unknown read", "candidate", 1, func(sent []byte) []byte {
-			bad := append([]byte(nil), sent...)
-			binary.LittleEndian.PutUint32(bad[12:], uint32(len(lens)))
-			return bad
+			cands, err := lay.decodeCands([][]byte{sent}, lens)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := cands[0]
+			c.task.B = 1<<lay.read - 1 // the widest read index, past the last read
+			return append(lay.putCand(nil, c.code, c.task)[:lay.cand], sent[lay.cand:]...)
 		}},
+		{"candidate padding", "candidate", 1, padBit},
 		{"ragged tasks", "task", 2, func(sent []byte) []byte { return append(sent, 0) }},
 		{"ragged moved tasks", "task", 4, func(sent []byte) []byte { return append(sent, 0) }},
 	} {
@@ -673,9 +705,9 @@ func TestAlignRejectsShortOrRepeatedPayload(t *testing.T) {
 // Allocation guard: discovery allocates per rank and per buffer doubling,
 // never per k-mer. Tripling the distinct k-mers adds a few doublings. And
 // it allocates few bytes per k-mer instance: the sender's buffers and the
-// received frames (16 B each), plus the owner's count table and its kept
-// records — not a decoded copy and a sort scratch of every instance (32 B
-// more).
+// received frames (one occurrence record each, 7 B at this input's layout),
+// plus the owner's count table and its kept records — not a decoded copy
+// and a sort scratch of every instance (32 B more).
 func TestDiscoverAllocsIndependentOfKmers(t *testing.T) {
 	perRank := func(genomeLen, p int) (allocs, extracted, bytes float64) {
 		smp, err := genome.NewSampler(genome.Generate(genome.Config{Length: genomeLen, Seed: 1}), genome.ReadConfig{
@@ -718,33 +750,50 @@ func TestDiscoverAllocsIndependentOfKmers(t *testing.T) {
 			t.Errorf("P=%d: %.0f allocations per rank for %.0f k-mers, %.0f for %.0f (limit %.0f and 1.25x)",
 				p, small, nSmall, large, nLarge, limit)
 		}
-		// About 82 B on this input at either P; 100 B when the owner decoded
-		// and sorted every instance.
-		if perKmer > 90 {
-			t.Errorf("P=%d: %.1f bytes allocated per k-mer instance (limit 90)", p, perKmer)
+		// About 51.6 B on this input at either P; 82 B with 16-byte
+		// occurrence records, 100 B when the owner decoded and sorted every
+		// instance.
+		t.Logf("P=%d: %.1f bytes allocated per k-mer instance", p, perKmer)
+		if perKmer > 57 {
+			t.Errorf("P=%d: %.1f bytes allocated per k-mer instance (limit 57)", p, perKmer)
 		}
 	}
 }
 
-// FuzzDiscoverWire feeds arbitrary bytes to the three decoders a peer's
-// frame reaches. None may panic or index out of range; a ragged frame is a
-// *WireError naming the sender; whatever is accepted satisfies what the
-// later stages index by (reads in range, windows inside their reads).
-// Accepted candidates and tasks re-encode to the bytes they came from; the
-// occurrences kept, at the full table size and with every code in one slot,
-// are a subsequence of the frame that holds every repeated code whole, and
-// the singletons dropped make up the rest of the frame's distinct codes.
-func FuzzDiscoverWire(f *testing.F) {
-	const k, from = 5, 2
-	lens := []int32{30, 8, 30, 5, 64}
-	f.Add(occFrame(occRec{7, 0, 3 << 1}, occRec{9, 2, 8<<1 | 1}))
-	f.Add(putTask(binary.LittleEndian.AppendUint64(nil, 99), overlap.Task{A: 0, B: 2, Seed: overlap.Seed{PosA: 1, PosB: 20, K: k, RC: true}}))
-	f.Add(putTask(nil, overlap.Task{A: 1, B: 4, Seed: overlap.Seed{PosA: 3, PosB: 59, K: k}}))
-	f.Add([]byte{1, 2, 3})
-	windowOK := func(t overlap.Task) bool {
-		return t.A < t.B && int(t.B) < len(lens) && t.Seed.PosA >= 0 && t.Seed.PosB >= 0 &&
-			int(t.Seed.PosA)+k <= int(lens[t.A]) && int(t.Seed.PosB)+k <= int(lens[t.B])
+// fuzzPlan maps fuzzed plan inputs to a layout and its read lengths: k 1
+// to 31, 1 to 4096 reads, the longest up to 2^31-1 bases.
+func fuzzPlan(k uint8, reads uint16, longest uint32) (layout, []int32) {
+	lens := make([]int32, 1+int(reads)%4096)
+	for i := range lens {
+		lens[i] = int32(longest&math.MaxInt32) >> (i % 4)
 	}
+	return (&Plan{Lens: lens, K: 1 + int(k)%kmer.MaxK}).layout(), lens
+}
+
+// FuzzDiscoverWire feeds arbitrary bytes to the three decoders a peer's
+// frame reaches, under a fuzzed layout (the seeds hold one of exactly 64
+// bits an occurrence and one of more). None may panic or index out of
+// range; a ragged frame is a *WireError naming the sender; whatever is
+// accepted satisfies what the later stages index by (reads in range,
+// windows inside their reads) and re-encodes to the bytes it came from, so
+// no accepted record has a padding bit set. The occurrences kept, at the
+// full table size and with every code in one slot, are a subsequence of the
+// frame that holds every repeated code whole, and the singletons dropped
+// make up the rest of the frame's distinct codes.
+func FuzzDiscoverWire(f *testing.F) {
+	const from = 2
+	for _, pl := range []struct {
+		k       uint8
+		reads   uint16
+		longest uint32
+	}{{5, 4, 64}, {17, 1023, 300000}, {31, 4095, math.MaxInt32}} { // occurrences of 21, 64 and 106 bits
+		l, _ := fuzzPlan(pl.k, pl.reads, pl.longest)
+		k := int16(l.k)
+		f.Add(occFrame(&l, occRec{7, 0, 3 << 1}, occRec{9, 2, 1<<1 | 1}), pl.k, pl.reads, pl.longest)
+		f.Add(l.putCand(nil, 99, overlap.Task{A: 0, B: 2, Seed: overlap.Seed{PosA: 1, PosB: 5, K: k, RC: true}}), pl.k, pl.reads, pl.longest)
+		f.Add(l.putTask(nil, overlap.Task{A: 1, B: 4, Seed: overlap.Seed{PosA: 3, PosB: 20, K: k}}), pl.k, pl.reads, pl.longest)
+	}
+	f.Add([]byte{1, 2, 3}, uint8(5), uint16(4), uint32(64))
 	// check vets one decoder's verdict and reports whether it accepted.
 	check := func(t *testing.T, record string, size int, data []byte, err error, accepted int) bool {
 		var we *WireError
@@ -756,35 +805,49 @@ func FuzzDiscoverWire(f *testing.F) {
 		}
 		return err == nil
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, kIn uint8, reads uint16, longest uint32) {
+		l, lens := fuzzPlan(kIn, reads, longest)
+		k := l.k
+		windowOK := func(t overlap.Task) bool {
+			return t.A < t.B && int(t.B) < len(lens) && t.Seed.PosA >= 0 && t.Seed.PosB >= 0 &&
+				int(t.Seed.PosA)+k <= int(lens[t.A]) && int(t.Seed.PosB)+k <= int(lens[t.B])
+		}
 		frames := make([][]byte, from+1)
 		frames[from] = data
 		var again []byte
 		for _, slots := range []int{occSlots, 0} {
-			kept, singles, err := repeatedOccs(frames, lens, k, slots)
-			if !check(t, "occurrence", occWire, data, err, len(data)/occWire) {
+			kept, singles, err := repeatedOccs(frames, lens, &l, slots)
+			if !check(t, "occurrence", l.occ, data, err, len(data)/l.occ) {
 				break
 			}
 			freq := map[uint64]int{}
-			for b := data; len(b) > 0; b = b[occWire:] {
-				freq[binary.LittleEndian.Uint64(b)]++
+			again = nil
+			for b := data; len(b) > 0; b = b[l.occ:] {
+				var rec [wordPad]byte // the record's own bytes, zeros after
+				copy(rec[:], b[:l.occ])
+				o := l.occFields().get(load(rec[:]))
+				freq[o.code]++
+				again = append(again, occFrame(&l, o)...)
+			}
+			if string(again) != string(data) {
+				t.Fatal("occurrences do not re-encode to their frame")
 			}
 			rest, keptFreq := data, map[uint64]int{}
 			for _, o := range kept {
 				if int(o.read) >= len(lens) || int(o.posRC>>1)+k > int(lens[o.read]) || o.code >= 1<<(2*k) {
 					t.Fatalf("accepted occurrence %+v", o)
 				}
-				rec := occFrame(o)
-				for len(rest) > 0 && string(rest[:occWire]) != string(rec) {
-					rest = rest[occWire:]
+				rec := occFrame(&l, o)
+				for len(rest) > 0 && string(rest[:l.occ]) != string(rec) {
+					rest = rest[l.occ:]
 				}
 				if len(rest) == 0 {
 					t.Fatalf("%d slots per record: kept %+v is not a subsequence of the frame", slots, o)
 				}
-				rest = rest[occWire:]
+				rest = rest[l.occ:]
 				keptFreq[o.code]++
 			}
-			all := slots == 0 && len(data) > occWire // one slot: every code collides
+			all := slots == 0 && len(data) > l.occ // one slot: every code collides
 			for code, n := range freq {
 				if got := keptFreq[code]; got != n && (n > 1 || all || got != 0) {
 					t.Fatalf("%d slots per record: code %d seen %d times, %d kept", slots, code, n, got)
@@ -794,25 +857,25 @@ func FuzzDiscoverWire(f *testing.F) {
 				t.Fatalf("%d slots per record: %d singles + %d kept codes, %d codes in the frame", slots, singles, len(keptFreq), len(freq))
 			}
 		}
-		cands, err := decodeCands(frames, lens, k)
-		if check(t, "candidate", candWire, data, err, len(cands)) {
+		cands, err := l.decodeCands(frames, lens)
+		if again = nil; check(t, "candidate", l.cand, data, err, len(cands)) {
 			for _, c := range cands {
 				if !windowOK(c.task) {
 					t.Fatalf("accepted candidate %+v", c)
 				}
-				again = putTask(binary.LittleEndian.AppendUint64(again, c.code), c.task)
+				again = l.putCand(again, c.code, c.task)
 			}
 			if string(again) != string(data) {
 				t.Fatal("candidates do not re-encode to their frame")
 			}
 		}
-		tasks, err := decodeTasks(frames, lens, k)
-		if again = nil; check(t, "task", taskWire, data, err, len(tasks)) {
+		tasks, err := l.decodeTasks(frames, lens)
+		if again = nil; check(t, "task", l.task, data, err, len(tasks)) {
 			for _, task := range tasks {
 				if !windowOK(task) {
 					t.Fatalf("accepted task %+v", task)
 				}
-				again = putTask(again, task)
+				again = l.putTask(again, task)
 			}
 			if string(again) != string(data) {
 				t.Fatal("tasks do not re-encode to their frame")
