@@ -74,7 +74,7 @@
 
 GO      ?= go
 FUZZT   ?= 10s
-LOC_BUDGET = 19238
+LOC_BUDGET = 19132
 
 .PHONY: check vet cross fmtcheck build test bench-smoke bench-build backhalf-rounds allocs fetches kernel-cells loc loc-budget race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke ci
 
@@ -243,7 +243,7 @@ serve-smoke:
 	@tmp=$$(mktemp -d); srv=; trap 'kill $$srv 2>/dev/null; rm -rf "$$tmp"' EXIT; \
 	$(GO) build -race -o $$tmp/dibserve ./cmd/dibserve && \
 	$(GO) build -o $$tmp/genreads ./cmd/genreads && \
-	$$tmp/genreads -genome 60000 -coverage 8 -meanlen 3000 -seed 3 -out $$tmp/reads.fa && \
+	$$tmp/genreads -genome 60000 -coverage 8 -meanlen 3000 -seed 3 -out $$tmp/reads.fa || exit 1; \
 	$$tmp/dibserve -addr 127.0.0.1:0 -backend dist -procs 3 -worlds 2 -chaos \
 		-progress-deadline 2s -max-retries 1 -ready-file $$tmp/addr \
 		-metrics $$tmp/jobs.csv 2>$$tmp/serve.log & srv=$$!; \

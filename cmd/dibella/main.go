@@ -82,7 +82,7 @@ type options struct {
 
 	procs, slack, minOv, fuzz, sample, nodeSize int
 	rank, peers                                 int
-	mem, cacheB                                 int64
+	mem                                         int64
 	paf, dist                                   bool
 	deadline                                    time.Duration
 
@@ -99,7 +99,6 @@ func parseOptions(args []string, stderr io.Writer) (*options, int) {
 	fs.StringVar(&o.in, "in", "", "input FASTA/FASTQ (required)")
 	fs.IntVar(&o.procs, "procs", 4, "number of ranks (goroutines)")
 	fs.Int64Var(&o.mem, "mem", 0, "per-rank exchange memory budget in bytes (0 = unlimited)")
-	fs.Int64Var(&o.cacheB, "cache-budget", 0, "per-rank remote-read cache budget in bytes (0 disables, negative = unbounded)")
 	fs.IntVar(&o.nodeSize, "node-size", 0, "-dist: group this many consecutive ranks per node and aggregate collectives hierarchically (0/1 = flat)")
 	fs.StringVar(&o.placementFlag, "placement", "", "-dist: rank→slot placement permutation: identity (default), reverse, or an explicit comma-separated slot list — regroups which ranks share a -node-size node (results are identical under any placement)")
 	fs.StringVar(&o.outPath, "out", "", "output path (default stdout)")

@@ -79,11 +79,9 @@ func (a *artifact) gather(r rt.Runtime, run *pipeline.StageRun) (err error) {
 // process) owns the artifact; every -dist worker writes its own
 // rank-suffixed metrics slice.
 func (s *session) runPipeline() error {
-	alignStage := s.job.AlignStage()
-	alignStage.CacheBudget = s.cacheB
 	// The reduce stage's neighbour fetches follow the align phase's
 	// coordination strategy.
-	s.plan.Stages = append([]pipeline.Stage{pipeline.DiscoverStage{}, alignStage},
+	s.plan.Stages = append([]pipeline.Stage{pipeline.DiscoverStage{}, s.job.AlignStage()},
 		graph.AssemblyStages(s.slack, s.minOv, s.fuzz, s.job.Mode, nil)[:stageChainIndex(s.stages)]...)
 
 	t0 := time.Now()

@@ -49,7 +49,6 @@ func main() {
 		procs      = flag.Int("procs", 4, "ranks per resident world")
 		worlds     = flag.Int("worlds", 2, "resident worlds in the pool (= concurrently running jobs)")
 		mem        = flag.Int64("mem", 0, "per-rank exchange memory budget in bytes (0 = unlimited)")
-		cacheB     = flag.Int64("cache-budget", 0, "per-rank remote-read cache budget in bytes (0 disables)")
 		admit      = flag.Int64("admit-budget", 0, "admission budget: max wire bytes of all admitted read sets (0 = unlimited)")
 		maxQueue   = flag.Int("max-queue", 64, "max queued (not yet running) jobs")
 		maxRetries = flag.Int("max-retries", 1, "reschedules of a job lost to a rank failure before it fails for good")
@@ -68,8 +67,7 @@ func main() {
 	srv, err := serve.New(serve.Config{
 		PoolConfig: serve.PoolConfig{
 			Backend: *backend, Ranks: *procs, Worlds: *worlds,
-			MemBudget: *mem, CacheBudget: *cacheB,
-			AdmitBudget: *admit, MaxQueue: *maxQueue, MaxRetries: *maxRetries,
+			MemBudget: *mem, AdmitBudget: *admit, MaxQueue: *maxQueue, MaxRetries: *maxRetries,
 			ProgressDeadline: *deadline, Chaos: *chaos,
 			Logf: logf,
 		},

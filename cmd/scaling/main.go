@@ -66,7 +66,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&p.RanksPerNode, "rpn", 0, "simulated ranks per node (default 4)")
 	nodesFlag := fs.String("nodes", "", "comma-separated node counts (default per experiment)")
 	fs.Int64Var(&p.Seed, "seed", 1, "workload and noise seed")
-	fs.Int64Var(&p.CacheBudget, "cache-budget", 0, "per-rank remote-read cache budget in bytes (0 disables, negative = unbounded)")
 	fs.IntVar(&p.NodeSize, "node-size", 0, "ranks per node for hierarchical collectives: dist experiment grouping, and node-aggregated alltoallv pricing in simulated runs (0/1 = flat)")
 	fs.IntVar(&p.IntraScale, "intrascale", 0, "intranode pipeline scale divisor (default 150)")
 	fs.IntVar(&p.DistScale, "distscale", 0, "dist experiment pipeline scale divisor (default 300)")

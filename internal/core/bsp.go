@@ -34,17 +34,12 @@ type Config struct {
 	// for per-message amortisation (§5's aggregation knob).
 	FetchBatch int
 
-	// CacheBudget enables the per-rank remote-read cache (DESIGN.md §13):
-	// fetched bases are retained under an LRU bound of this many bytes of
-	// planned wire size, so a read referenced by several tasks — or by a
-	// later Run over the same world — crosses the wire once. 0 disables
-	// the cache; negative means retain without bound.
-	CacheBudget int64
-
-	// Cache supplies a caller-owned cache instead of the fresh per-Run one
-	// CacheBudget builds, letting retained reads survive across Runs on
-	// the same rank. Takes precedence over CacheBudget. A cache must only
-	// ever be used by a single rank (it is unlocked by design).
+	// Cache is an optional caller-owned remote-read cache (DESIGN.md §13)
+	// that lets fetched bases survive across Runs on the same rank: a read
+	// an earlier Run left resident does not cross the wire again. Within
+	// one Run each remote read is pulled once, so nil loses nothing there.
+	// A cache must only ever be used by a single rank (it is unlocked by
+	// design).
 	Cache *ReadCache
 }
 
@@ -62,11 +57,6 @@ func (cfg *Config) defaults() {
 	}
 	if cfg.FetchBatch <= 0 {
 		cfg.FetchBatch = 1
-	}
-	if cfg.Cache == nil && cfg.CacheBudget != 0 {
-		// Like the executor binding above: cfg is a per-Run value copy, so
-		// this cache is private to the calling rank.
-		cfg.Cache = NewReadCache(cfg.CacheBudget)
 	}
 }
 

@@ -5,16 +5,16 @@ import (
 	"gnbody/internal/seq"
 )
 
-// ReadCache is the bounded, refcount-aware per-rank cache of remote read
-// bases that sits in front of every driver pull path (DESIGN.md §13). The
-// communication-avoiding N-body argument is simple: a degree-k read is
-// referenced by up to k tasks on this rank (and by later Runs over the same
-// world), but its bases never change — so it should cross the wire once,
-// not k times. The cache keys fetched bases by read id, pins an entry while
-// outstanding tasks still reference it, and bounds unpinned retention by an
-// LRU byte budget tied to the same memory accounting the exchange buffers
-// use (rt.Metrics Alloc/Free), so cached bytes show up in MaxMem exactly
-// like any other retained remote data.
+// ReadCache is the bounded, refcount-aware, caller-owned cache of remote
+// read bases that one rank carries from Run to Run (Config.Cache, DESIGN.md
+// §13). Within one Run both drivers already pull each distinct remote read
+// once and run every task waiting on it, so the cache pays only when a
+// later Run over the same world needs a read an earlier one fetched. It
+// keys fetched bases by read id, pins an entry while outstanding tasks
+// still reference it, and bounds unpinned retention by an LRU byte budget
+// tied to the same memory accounting the exchange buffers use (rt.Runtime
+// Alloc/Free), so cached bytes show up in MaxMem exactly like any other
+// retained remote data.
 //
 // Entry costs are planned wire sizes (Input.planSize), never physical base
 // lengths: the phantom codec carries no bases yet must exert identical
@@ -44,14 +44,12 @@ type cacheEntry struct {
 	prev, next *cacheEntry
 }
 
-// CacheStats is the cache's cumulative accounting, exported through
-// rt.Metrics into the trace CSV/JSON schemas.
+// CacheStats is the cache's cumulative accounting over its lifetime, all
+// Runs it served included.
 type CacheStats struct {
-	Hits       int64 // Acquire calls served from the cache (incl. coalesced)
-	Misses     int64 // Acquire calls that found nothing
-	Evictions  int64 // entries dropped by the LRU bound
-	PeakBytes  int64 // high-water total cached bytes
-	PeakPinned int64 // high-water pinned bytes
+	Hits      int64 // Acquire calls served from the cache
+	Misses    int64 // Acquire calls that found nothing
+	Evictions int64 // entries dropped by the LRU bound
 }
 
 // NewReadCache returns an empty cache. budget <= 0 means unbounded; a
@@ -81,12 +79,6 @@ func (c *ReadCache) Acquire(id seq.ReadID, pins int) (seq.Seq, bool) {
 	return e.bases, true
 }
 
-// NoteCoalescedHit records a fetch decision answered by riding an
-// already-in-flight pull of the same read (the async fetcher's request
-// coalescing): no entry is touched yet, but the decision crosses the wire
-// zero additional times, which is what hit/miss accounting measures.
-func (c *ReadCache) NoteCoalescedHit() { c.stats.Hits++ }
-
 // Insert adds freshly fetched bases under id with the given planned cost,
 // already holding pins references for the caller's in-flight tasks. The
 // cache takes ownership of bases (callers must pass an owned slice, not a
@@ -104,9 +96,6 @@ func (c *ReadCache) Insert(id seq.ReadID, bases seq.Seq, cost int64, pins int) {
 	c.bytes += cost
 	if c.mem != nil {
 		c.mem(cost)
-	}
-	if c.bytes > c.stats.PeakBytes {
-		c.stats.PeakBytes = c.bytes
 	}
 	if pins > 0 {
 		c.pin(e, pins)
@@ -154,9 +143,6 @@ func (c *ReadCache) pin(e *cacheEntry, n int) {
 	if e.pins == 0 {
 		c.unlink(e)
 		c.pinned += e.cost
-		if c.pinned > c.stats.PeakPinned {
-			c.stats.PeakPinned = c.pinned
-		}
 	}
 	e.pins += n
 }
@@ -208,11 +194,9 @@ func (c *ReadCache) Stats() CacheStats { return c.stats }
 // bind attaches the cache to one driver run: current residency is charged
 // to the runtime's memory accounting and every insert/evict tracks the
 // delta live (so MaxMem sees cache growth). The returned unbind — which
-// drivers defer, so it also runs on fault-unwind — force-releases all pins,
-// un-charges the residency, and folds the run's counter deltas into
-// rt.Metrics for the trace exporters.
+// drivers defer, so it also runs on fault-unwind — force-releases all pins
+// and un-charges the residency.
 func (c *ReadCache) bind(r rt.Runtime) (unbind func()) {
-	start := c.stats
 	r.Alloc(c.bytes)
 	c.mem = func(d int64) {
 		if d >= 0 {
@@ -225,12 +209,5 @@ func (c *ReadCache) bind(r rt.Runtime) (unbind func()) {
 		c.ReleaseAll()
 		c.mem = nil
 		r.Free(c.bytes)
-		m := r.Metrics()
-		m.CacheHits += c.stats.Hits - start.Hits
-		m.CacheMisses += c.stats.Misses - start.Misses
-		m.CacheEvicts += c.stats.Evictions - start.Evictions
-		if c.stats.PeakPinned > m.CachePinnedPeak {
-			m.CachePinnedPeak = c.stats.PeakPinned
-		}
 	}
 }

@@ -10,8 +10,9 @@ import (
 )
 
 // FuzzCacheEvict is the differential fuzz target for the remote-read cache:
-// random workloads and random (often eviction-heavy) budgets through the
-// async driver, compared against the same run with the cache off. Divergent hits, divergent task bases, leaked pins, or broken counter
+// random workloads and random (often eviction-heavy) budgets on a
+// caller-owned cache per rank, through the async driver, compared against
+// the same run with the cache off. Divergent hits, divergent task bases, leaked pins, or broken counter
 // invariants all fail.
 func FuzzCacheEvict(f *testing.F) {
 	f.Add(int64(1), int64(128), uint8(4))
@@ -35,9 +36,6 @@ func FuzzCacheEvict(f *testing.F) {
 			t.Skip("sparse workload")
 		}
 		w := &testWorkload{reads: reads, tasks: tasks, truth: truth}
-		if budget == 0 {
-			budget = -1 // 0 would disable the cache: nothing to test
-		}
 		sc := align.DefaultScoring()
 		const p = 3
 		offExec := newHashExec(RealExecutor{Scoring: sc, X: 15})
@@ -53,9 +51,9 @@ func FuzzCacheEvict(f *testing.F) {
 		}
 		for rk := 0; rk < p; rk++ {
 			m := world.Metrics(rk)
-			if int(m.CacheMisses) != res[rk].WireFetches {
+			if misses := caches[rk].Stats().Misses; int(misses) != res[rk].WireFetches {
 				t.Fatalf("budget=%d rank %d: misses %d != wire fetches %d",
-					budget, rk, m.CacheMisses, res[rk].WireFetches)
+					budget, rk, misses, res[rk].WireFetches)
 			}
 			if caches[rk].PinnedBytes() != 0 {
 				t.Fatalf("budget=%d rank %d: %d pinned bytes leaked",

@@ -231,7 +231,7 @@ func (h *hashExec) Align(r rt.Runtime, task overlap.Task, a, b seq.Seq) (align.R
 }
 
 // runCached executes one driver over the par backend with per-rank caches
-// the test retains for post-run inspection (nil budget pointer → cache off).
+// the test retains for post-run inspection (cacheOn false: no cache).
 func runCached(t *testing.T, w *testWorkload, p int, mode string, fetchBatch int, exec Executor,
 	budget int64, cacheOn bool) ([]Hit, []*Result, *par.World, []*ReadCache) {
 	t.Helper()
@@ -322,19 +322,20 @@ func TestCacheCoherenceBattery(t *testing.T) {
 					var wire, evicts int
 					for rk := 0; rk < p; rk++ {
 						m := world.Metrics(rk)
+						st := caches[rk].Stats()
 						r := res[rk]
 						wire += r.WireFetches
-						evicts += int(m.CacheEvicts)
+						evicts += int(st.Evictions)
 						// Misses are counted inside the cache, wire fetches at
 						// the call sites: their equality is the coherence of
 						// the whole decision path.
-						if int(m.CacheMisses) != r.WireFetches {
-							t.Errorf("rank %d: CacheMisses %d != WireFetches %d",
-								rk, m.CacheMisses, r.WireFetches)
+						if int(st.Misses) != r.WireFetches {
+							t.Errorf("rank %d: cache misses %d != WireFetches %d",
+								rk, st.Misses, r.WireFetches)
 						}
-						if int(m.CacheHits) != r.CacheHits {
-							t.Errorf("rank %d: metrics CacheHits %d != result %d",
-								rk, m.CacheHits, r.CacheHits)
+						if int(st.Hits) != r.CacheHits {
+							t.Errorf("rank %d: cache hits %d != result %d",
+								rk, st.Hits, r.CacheHits)
 						}
 						if r.CacheHits+r.WireFetches != r.RemoteReads {
 							t.Errorf("rank %d: hits %d + wire %d != distinct remote reads %d",

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"reflect"
 	"sync"
@@ -49,9 +50,47 @@ type confRun struct {
 	evicts   int64 // cache evictions summed over ranks
 }
 
-// cacheBudget threads the remote-read cache through each backend runner:
-// 0 leaves the cache off (the original battery), anything else enables it.
-func runConfPar(t *testing.T, w *testWorkload, mode string, cacheBudget int64) confRun {
+// confOpts is what a battery row varies besides backend and mode: caches
+// holds one caller-owned cache per rank (nil: the original, uncached
+// battery), fetchBatch the async reads per request.
+type confOpts struct {
+	caches     []*ReadCache
+	fetchBatch int
+}
+
+func (o confOpts) config(exec Executor, rank int) Config {
+	cfg := Config{Exec: exec, MinScore: confMinScore, MaxOutstanding: 4, PollEvery: 4,
+		FetchBatch: o.fetchBatch}
+	if o.caches != nil {
+		cfg.Cache = o.caches[rank]
+	}
+	return cfg
+}
+
+// confCaches builds one fresh cache per rank under budget.
+func confCaches(budget int64) confOpts {
+	caches := make([]*ReadCache, confRanks)
+	for i := range caches {
+		caches[i] = NewReadCache(budget)
+	}
+	return confOpts{caches: caches}
+}
+
+// collect sums rank rk's result into the row. Without a cache it also pins
+// the invariant the drivers rest on: each distinct remote read crosses the
+// wire exactly once in a Run.
+func (o confOpts) collect(t *testing.T, name string, out *confRun, rk int, res *Result) {
+	t.Helper()
+	out.hits = append(out.hits, res.Hits...)
+	out.wire += res.WireFetches
+	if o.caches != nil {
+		out.evicts += o.caches[rk].Stats().Evictions
+	} else if res.WireFetches != res.RemoteReads {
+		t.Errorf("%s rank %d: %d wire fetches for %d distinct remote reads", name, rk, res.WireFetches, res.RemoteReads)
+	}
+}
+
+func runConfPar(t *testing.T, w *testWorkload, mode string, o confOpts) confRun {
 	t.Helper()
 	lens := w.lens()
 	lensInt := make([]int, len(lens))
@@ -77,22 +116,18 @@ func runConfPar(t *testing.T, w *testWorkload, mode string, cacheBudget int64) c
 		lo, hi := pt.Range(r.Rank())
 		st := seq.ScopeCounting(w.reads, lo, hi, lens, &r.Metrics().OOPGets)
 		in := &Input{Part: pt, Lens: lens, Tasks: byRank[r.Rank()], Codec: PhantomCodec{Lens: lens}, Store: st}
-		cfg := Config{Exec: exec, MinScore: confMinScore, MaxOutstanding: 4, PollEvery: 4,
-			CacheBudget: cacheBudget}
-		results[r.Rank()], errs[r.Rank()] = Run(mode, r, in, cfg)
+		results[r.Rank()], errs[r.Rank()] = Run(mode, r, in, o.config(exec, r.Rank()))
 	})
 	out := confRun{}
 	for rk := 0; rk < confRanks; rk++ {
 		if errs[rk] != nil {
 			t.Fatalf("par %s rank %d: %v", mode, rk, errs[rk])
 		}
-		out.hits = append(out.hits, results[rk].Hits...)
+		o.collect(t, "par/"+mode, &out, rk, results[rk])
 		out.msgs += world.Metrics(rk).Msgs
 		out.rpcsSent += world.Metrics(rk).RPCsSent
 		out.oopGets += world.Metrics(rk).OOPGets
 		out.bytes += world.Metrics(rk).BytesSent
-		out.wire += results[rk].WireFetches
-		out.evicts += world.Metrics(rk).CacheEvicts
 		if sb := world.Metrics(rk).StoreBytes; sb > out.maxStore {
 			out.maxStore = sb
 		}
@@ -101,7 +136,7 @@ func runConfPar(t *testing.T, w *testWorkload, mode string, cacheBudget int64) c
 	return out
 }
 
-func runConfSim(t *testing.T, w *testWorkload, mode string, cacheBudget int64) confRun {
+func runConfSim(t *testing.T, w *testWorkload, mode string, o confOpts) confRun {
 	t.Helper()
 	lens := w.lens()
 	lensInt := make([]int, len(lens))
@@ -125,9 +160,7 @@ func runConfSim(t *testing.T, w *testWorkload, mode string, cacheBudget int64) c
 		lo, hi := pt.Range(r.Rank())
 		st := seq.ScopeCounting(w.reads, lo, hi, lens, &r.Metrics().OOPGets)
 		in := &Input{Part: pt, Lens: lens, Tasks: byRank[r.Rank()], Codec: PhantomCodec{Lens: lens}, Store: st}
-		cfg := Config{Exec: exec, MinScore: confMinScore, MaxOutstanding: 4, PollEvery: 4,
-			CacheBudget: cacheBudget}
-		results[r.Rank()], errs[r.Rank()] = Run(mode, r, in, cfg)
+		results[r.Rank()], errs[r.Rank()] = Run(mode, r, in, o.config(exec, r.Rank()))
 	})
 	if err != nil {
 		t.Fatalf("sim %s: %v", mode, err)
@@ -137,13 +170,11 @@ func runConfSim(t *testing.T, w *testWorkload, mode string, cacheBudget int64) c
 		if errs[rk] != nil {
 			t.Fatalf("sim %s rank %d: %v", mode, rk, errs[rk])
 		}
-		out.hits = append(out.hits, results[rk].Hits...)
+		o.collect(t, "sim/"+mode, &out, rk, results[rk])
 		out.msgs += eng.Metrics(rk).Msgs
 		out.rpcsSent += eng.Metrics(rk).RPCsSent
 		out.oopGets += eng.Metrics(rk).OOPGets
 		out.bytes += eng.Metrics(rk).BytesSent
-		out.wire += results[rk].WireFetches
-		out.evicts += eng.Metrics(rk).CacheEvicts
 		if sb := eng.Metrics(rk).StoreBytes; sb > out.maxStore {
 			out.maxStore = sb
 		}
@@ -183,7 +214,7 @@ func confTCPFabric(t testing.TB, p int) []transport.Transport {
 	return fabric
 }
 
-func runConfDist(t *testing.T, w *testWorkload, mode, fabricKind string, cacheBudget int64, nodeSize int) confRun {
+func runConfDist(t *testing.T, w *testWorkload, mode, fabricKind string, o confOpts, nodeSize int) confRun {
 	t.Helper()
 	lens := w.lens()
 	lensInt := make([]int, len(lens))
@@ -222,9 +253,7 @@ func runConfDist(t *testing.T, w *testWorkload, mode, fabricKind string, cacheBu
 			panic(serr)
 		}
 		in := &Input{Part: pt, Lens: lens, Tasks: byRank[r.Rank()], Codec: PhantomCodec{Lens: lens}, Store: st}
-		cfg := Config{Exec: exec, MinScore: confMinScore, MaxOutstanding: 4, PollEvery: 4,
-			CacheBudget: cacheBudget}
-		results[r.Rank()], errs[r.Rank()] = Run(mode, r, in, cfg)
+		results[r.Rank()], errs[r.Rank()] = Run(mode, r, in, o.config(exec, r.Rank()))
 	}); err != nil {
 		t.Fatalf("dist/%s %s: %v", fabricKind, mode, err)
 	}
@@ -233,13 +262,11 @@ func runConfDist(t *testing.T, w *testWorkload, mode, fabricKind string, cacheBu
 		if errs[rk] != nil {
 			t.Fatalf("dist/%s %s rank %d: %v", fabricKind, mode, rk, errs[rk])
 		}
-		out.hits = append(out.hits, results[rk].Hits...)
+		o.collect(t, "dist-"+fabricKind+"/"+mode, &out, rk, results[rk])
 		out.msgs += world.Metrics(rk).Msgs
 		out.rpcsSent += world.Metrics(rk).RPCsSent
 		out.oopGets += world.Metrics(rk).OOPGets
 		out.bytes += world.Metrics(rk).BytesSent
-		out.wire += results[rk].WireFetches
-		out.evicts += world.Metrics(rk).CacheEvicts
 		if sb := world.Metrics(rk).StoreBytes; sb > out.maxStore {
 			out.maxStore = sb
 		}
@@ -271,22 +298,32 @@ func runConfDist(t *testing.T, w *testWorkload, mode, fabricKind string, cacheBu
 	return out
 }
 
+// TestCrossBackendConformance runs the uncached battery at one and at four
+// reads to an async request (BSP ignores FetchBatch); every row also pins
+// one wire fetch per distinct remote read on every rank (confOpts.collect).
 func TestCrossBackendConformance(t *testing.T) {
 	w := makeWorkload(t, 10000, 6, 53)
 	want := SerialModelHits(w.tasks, taskMetaFromTruth(w), confMinScore)
 	if len(want) == 0 {
 		t.Fatal("serial model reference is empty; workload broken")
 	}
+	for _, fb := range []int{1, 4} {
+		t.Run(fmt.Sprintf("batch%d", fb), func(t *testing.T) {
+			crossBackendBattery(t, w, want, confOpts{fetchBatch: fb})
+		})
+	}
+}
 
+func crossBackendBattery(t *testing.T, w *testWorkload, want []Hit, o confOpts) {
 	parRuns := map[string]confRun{}
 	simRuns := map[string]confRun{}
 	distLoop := map[string]confRun{}
 	distTCP := map[string]confRun{}
 	for _, mode := range []string{"bsp", "async"} {
-		parRuns[mode] = runConfPar(t, w, mode, 0)
-		simRuns[mode] = runConfSim(t, w, mode, 0)
-		distLoop[mode] = runConfDist(t, w, mode, "loopback", 0, 0)
-		distTCP[mode] = runConfDist(t, w, mode, "tcp", 0, 0)
+		parRuns[mode] = runConfPar(t, w, mode, o)
+		simRuns[mode] = runConfSim(t, w, mode, o)
+		distLoop[mode] = runConfDist(t, w, mode, "loopback", o, 0)
+		distTCP[mode] = runConfDist(t, w, mode, "tcp", o, 0)
 	}
 
 	// Owner-only residency holds in every configuration: no rank performed
@@ -351,10 +388,10 @@ func TestCrossBackendConformance(t *testing.T) {
 	}
 }
 
-// TestCachedConformance re-runs the battery's configurations with the
-// remote-read cache enabled — unbounded, under a tiny eviction-forcing
-// budget, and over the hierarchical dist fabric — and requires the exact
-// hit set of the uncached runs while moving no more (and usually less)
+// TestCachedConformance re-runs the battery's configurations with a fresh
+// caller-owned cache on every rank — unbounded, under a tiny
+// eviction-forcing budget, and over the hierarchical dist fabric — and
+// requires the exact hit set of the uncached runs while moving no more
 // data. The cache is an optimization layer: any result difference at any
 // budget on any backend is a coherence bug.
 func TestCachedConformance(t *testing.T) {
@@ -369,15 +406,16 @@ func TestCachedConformance(t *testing.T) {
 	for _, mode := range []string{"bsp", "async"} {
 		mode := mode
 		t.Run(mode, func(t *testing.T) {
-			base := runConfPar(t, w, mode, 0)
-			baseSim := runConfSim(t, w, mode, 0)
-			baseDist := runConfDist(t, w, mode, "loopback", 0, 0)
-			for name, got := range map[string]confRun{
-				"par-unbounded": runConfPar(t, w, mode, -1),
-				"par-tiny":      runConfPar(t, w, mode, tinyBudget),
-				"sim-unbounded": runConfSim(t, w, mode, -1),
-				"sim-tiny":      runConfSim(t, w, mode, tinyBudget),
-			} {
+			base := runConfPar(t, w, mode, confOpts{})
+			baseSim := runConfSim(t, w, mode, confOpts{})
+			baseDist := runConfDist(t, w, mode, "loopback", confOpts{}, 0)
+			runs := map[string]confRun{
+				"par-unbounded": runConfPar(t, w, mode, confCaches(-1)),
+				"par-tiny":      runConfPar(t, w, mode, confCaches(tinyBudget)),
+				"sim-unbounded": runConfSim(t, w, mode, confCaches(-1)),
+				"sim-tiny":      runConfSim(t, w, mode, confCaches(tinyBudget)),
+			}
+			for name, got := range runs {
 				if !reflect.DeepEqual(got.hits, want) {
 					t.Errorf("%s: %d hits differ from serial reference (%d)", name, len(got.hits), len(want))
 				}
@@ -392,14 +430,14 @@ func TestCachedConformance(t *testing.T) {
 					t.Errorf("%s: cache increased bytes sent: %d > %d", name, got.bytes, ref.bytes)
 				}
 			}
-			if tiny := runConfPar(t, w, mode, tinyBudget); tiny.evicts == 0 {
+			if tiny := runs["par-tiny"]; tiny.evicts == 0 {
 				t.Errorf("par-tiny: %d-byte budget forced no evictions", tinyBudget)
 			}
 			// Hierarchical dist (2 ranks per node) with the cache on: the
 			// aggregation layer must be invisible to results, and the cached
 			// hierarchical run must not move more payload than the flat
 			// uncached one.
-			hier := runConfDist(t, w, mode, "loopback", -1, 2)
+			hier := runConfDist(t, w, mode, "loopback", confCaches(-1), 2)
 			if !reflect.DeepEqual(hier.hits, want) {
 				t.Errorf("dist-hier: %d hits differ from serial reference (%d)", len(hier.hits), len(want))
 			}

@@ -222,10 +222,10 @@ type Result struct {
 	ExchangeRecvBytes int64 // BSP: payload bytes received (Figure 6 series)
 
 	// WireFetches counts remote reads actually pulled over the wire, and
-	// CacheHits the fetch decisions the remote-read cache answered instead.
-	// With the cache off WireFetches equals the fetch-decision count
-	// (RemoteReads) and CacheHits is zero. The coherence battery pins
-	// hits+fetches == decisions.
+	// CacheHits the fetch decisions a caller-owned cache (Config.Cache)
+	// answered instead, from an earlier Run. Without a cache WireFetches
+	// equals RemoteReads and CacheHits is zero: each read is pulled once.
+	// The coherence battery pins hits+fetches == decisions.
 	WireFetches int
 	CacheHits   int
 

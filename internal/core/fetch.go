@@ -11,19 +11,20 @@ import (
 )
 
 // fetcher is one rank's per-Run state and the single answer to "where does
-// a remote read come from" (DESIGN.md §4): the local store, the remote-read
-// cache, a pull of the same read that is not back yet (coalesced, when the
-// cache is on), or — only then — the wire, up to FetchBatch same-owner
-// reads to a request. The asynchronous driver pulls through fetch; the BSP
-// driver, whose supersteps are its own wire path, takes the shared
-// prologue and the cache steps (resident, admit, unpin). Everything runs on
+// a remote read come from" (DESIGN.md §4): the local store, a caller-owned
+// cache an earlier Run left it in, or the wire, up to FetchBatch same-owner
+// reads to a request. A Run decides each distinct remote read once, so a
+// read is never asked for while its own pull is in flight. The
+// asynchronous driver pulls through fetch; the BSP driver, whose
+// supersteps are its own wire path, takes the shared prologue and the
+// cache steps (resident, admit, unpin). Everything runs on
 // the rank's own goroutine (progress contract), so nothing is locked.
 type fetcher struct {
 	r      rt.Runtime
 	in     *Input
 	cfg    *Config
 	out    *Result
-	cache  *ReadCache // nil: cache off
+	cache  *ReadCache // caller-owned, kept across Runs; nil: cache off
 	lo, hi int        // this rank's partition range
 	base   int64      // wire size of this rank's partition, charged for the Run
 	err    error      // the Run's first ExchangeError
@@ -39,9 +40,6 @@ type fetcher struct {
 	// them in use: callbacks nest strictly, so the pool is a stack.
 	batchers []*batcher
 	depth    int
-	// inflight: per read decided for the wire and not back yet, the waiters
-	// that asked meanwhile. Cache on only: each rider is paid with a pin.
-	inflight map[seq.ReadID][]waiter
 	pend     []waiter   // same-owner misses not yet on the wire
 	spare    [][]waiter // waiter lists of answered requests, for flush to reuse
 }
@@ -69,7 +67,6 @@ func begin(r rt.Runtime, in *Input, cfg *Config) (f *fetcher, end func(), err er
 	r.Metrics().StoreBytes = in.storeBytes(r.Rank())
 	unbind := func() {}
 	if f.cache != nil {
-		f.inflight = make(map[seq.ReadID][]waiter)
 		unbind = f.cache.bind(r)
 	}
 	return f, func() { unbind(); r.Free(f.base) }, nil
@@ -83,8 +80,8 @@ func (f *fetcher) fail(err error) {
 }
 
 // resident is the fetch decision's cache step (cache on only): the bases of
-// remote read id if an earlier pull (this Run's or a previous one's) left
-// them here, pinned once for the caller.
+// remote read id if a previous Run's pull left them here, pinned once for
+// the caller.
 func (f *fetcher) resident(id seq.ReadID) (seq.Seq, bool) {
 	bases, ok := f.cache.Acquire(id, 1)
 	if ok {
@@ -134,12 +131,8 @@ func (f *fetcher) runGroup(tasks []*overlap.Task, rid seq.ReadID, rem seq.Seq, h
 }
 
 // deliver hands bases to one waiter's task group; ran is the tasks the
-// batcher ran. ok=false means the read could not be had: the fetcher has
-// recorded why, and the group does not run.
-func (f *fetcher) deliver(w *waiter, bases seq.Seq, ok bool) (ran int) {
-	if !ok {
-		return 0
-	}
+// batcher ran.
+func (f *fetcher) deliver(w *waiter, bases seq.Seq) (ran int) {
 	f.runGroup(w.tasks, w.id, bases, true)
 	f.release(w.id, bases)
 	return len(w.tasks)
@@ -153,19 +146,10 @@ func (f *fetcher) deliver(w *waiter, bases seq.Seq, ok bool) (ran int) {
 // whoever then waits for completions (Drain) flushes first.
 func (f *fetcher) fetch(w waiter) {
 	if f.cache != nil {
-		if riders, ok := f.inflight[w.id]; ok {
-			// Ride the pull already decided. No entry exists yet, but the
-			// decision crosses the wire zero more times: a hit.
-			f.cache.NoteCoalescedHit()
-			f.out.CacheHits++
-			f.inflight[w.id] = append(riders, w)
-			return
-		}
 		if bases, ok := f.resident(w.id); ok {
-			f.deliver(&w, bases, true)
+			f.deliver(&w, bases)
 			return
 		}
-		f.inflight[w.id] = nil
 	}
 	// A loop, not an if: sending can run completion callbacks (a full inbox
 	// is serviced while sending), and those may have queued other misses.
@@ -227,36 +211,20 @@ func (f *fetcher) arrived(owner int, batch []waiter, est int64, val []byte) {
 		read, used, err := f.dec.decode(dbuf, val)
 		if err != nil || read.ID != w.id {
 			f.scratch.put(dbuf)
+			// This read and the rest of the batch run no group.
 			f.fail(&ExchangeError{f.r.Rank(), owner, fmt.Sprintf("bad payload for read %d: %v", w.id, err)})
-			for ; i < len(batch); i++ {
-				f.settle(&batch[i], nil, false)
-			}
 			return
 		}
 		val = val[used:]
 		if read.Seq == nil {
 			f.scratch.put(dbuf) // phantom codec: nothing landed in it
 		}
-		ran += f.settle(w, read.Seq, true)
+		f.admit(w.id, read.Seq, 1)
+		ran += f.deliver(w, read.Seq)
 	}
 	f.spare = append(f.spare, batch[:0])
 	tb.Span(trace.KindBatch, t0, int64(ran))
 	if len(val) != 0 {
 		f.fail(&ExchangeError{f.r.Rank(), owner, fmt.Sprintf("%d trailing payload bytes", len(val))})
 	}
-}
-
-// settle hands a read that came off the wire (or did not) to the waiter
-// that sent for it and to every rider, one cache pin each.
-func (f *fetcher) settle(w *waiter, bases seq.Seq, ok bool) int {
-	riders := f.inflight[w.id]
-	delete(f.inflight, w.id)
-	if ok {
-		f.admit(w.id, bases, 1+len(riders))
-	}
-	ran := f.deliver(w, bases, ok)
-	for i := range riders {
-		ran += f.deliver(&riders[i], bases, ok)
-	}
-	return ran
 }

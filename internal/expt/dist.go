@@ -80,7 +80,7 @@ func Dist(p Params) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	cfg := core.Config{Exec: core.RealExecutor{Scoring: sc, X: 15}, MinScore: 100, CacheBudget: p.CacheBudget}
+	cfg := core.Config{Exec: core.RealExecutor{Scoring: sc, X: 15}, MinScore: 100}
 
 	t := &stats.Table{
 		Title: fmt.Sprintf("Distributed backend (real pipeline, E. coli 30x ÷ %d, %d ranks, wall clock)",

@@ -23,12 +23,9 @@ type Params struct {
 	Nodes          []int // node counts for strong-scaling sweeps
 	Seed           int64
 
-	// CacheBudget enables the per-rank remote-read cache in every driver
-	// run (bytes; 0 disables, negative unbounded). NodeSize > 1 prices the
-	// simulated alltoallv as the node-aggregated hierarchical plan and
-	// groups the dist experiment's ranks into nodes.
-	CacheBudget int64
-	NodeSize    int
+	// NodeSize > 1 prices the simulated alltoallv as the node-aggregated
+	// hierarchical plan and groups the dist experiment's ranks into nodes.
+	NodeSize int
 
 	// The wall-clock side studies run the real pipeline on E. coli 30x ÷
 	// their own divisor: intranode (default 150) on 1..MaxCores ranks
@@ -82,10 +79,10 @@ func (p Params) synth(preset workload.Preset) (*workload.Workload, error) {
 }
 
 // spec is the SimSpec every simulated experiment starts from: w on m at
-// p's ranks per node, seed, tracer, cache budget and node grouping.
+// p's ranks per node, seed, tracer and node grouping.
 func (p Params) spec(w *workload.Workload, m sim.Machine) SimSpec {
 	return SimSpec{Workload: w, Machine: m, RanksPerNode: p.RanksPerNode, Seed: p.Seed,
-		NewTracer: p.NewTracer, CacheBudget: p.CacheBudget, Hierarchical: p.NodeSize > 1}
+		NewTracer: p.NewTracer, Hierarchical: p.NodeSize > 1}
 }
 
 // sweep runs base at every node count in every mode, node-major: the rows

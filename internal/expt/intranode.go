@@ -23,8 +23,7 @@ func Intranode(p Params) (Result, error) {
 		return Result{}, err
 	}
 	lens := workload.LensOf(reads)
-	cfg := core.Config{Exec: core.RealExecutor{Scoring: align.DefaultScoring(), X: 15},
-		MinScore: 100, CacheBudget: p.CacheBudget}
+	cfg := core.Config{Exec: core.RealExecutor{Scoring: align.DefaultScoring(), X: 15}, MinScore: 100}
 
 	t := &stats.Table{
 		Title:   fmt.Sprintf("Intranode strong scaling (real runtime, E. coli 30x ÷ %d, wall clock)", p.IntraScale),

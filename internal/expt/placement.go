@@ -53,7 +53,7 @@ func PlacementWorkload(preset workload.Preset, scale int, seed int64, p int) (*w
 
 // runPlacedBSP runs the model-mode BSP overlap pass on the loopback dist
 // backend under a placement and reduces the tier byte counters.
-func runPlacedBSP(w *workload.Workload, ranks, nodeSize int, pl []int, cacheBudget int64) (hits []core.Hit, intra, inter int64, err error) {
+func runPlacedBSP(w *workload.Workload, ranks, nodeSize int, pl []int) (hits []core.Hit, intra, inter int64, err error) {
 	pt, byRank, err := ownerTasks(w.Lens, w.Tasks, ranks)
 	if err != nil {
 		return nil, 0, 0, err
@@ -65,7 +65,7 @@ func runPlacedBSP(w *workload.Workload, ranks, nodeSize int, pl []int, cacheBudg
 	defer world.Close()
 	results, err := alignPass(world, BSP, len(byRank), phantomInputs(pt, w.Lens, byRank), core.Config{
 		Exec:     core.ModelExecutor{Model: align.DefaultCostModel(), Meta: w.Meta()},
-		MinScore: 1, CacheBudget: cacheBudget})
+		MinScore: 1})
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -150,11 +150,11 @@ func PlacementSweep(p Params) (Result, error) {
 		return Result{}, err
 	}
 	pl := partition.PlaceByTraffic(partition.TrafficMatrix(byRank, pt, wm.Lens), mRanks, mNS)
-	idHits, idIntra, idInter, err := runPlacedBSP(wm, mRanks, mNS, nil, p.CacheBudget)
+	idHits, idIntra, idInter, err := runPlacedBSP(wm, mRanks, mNS, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	trHits, trIntra, trInter, err := runPlacedBSP(wm, mRanks, mNS, pl, p.CacheBudget)
+	trHits, trIntra, trInter, err := runPlacedBSP(wm, mRanks, mNS, pl)
 	if err != nil {
 		return Result{}, err
 	}

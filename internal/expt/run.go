@@ -70,7 +70,6 @@ type SimSpec struct {
 	SkipCompute    bool // §4.3 communication-only mode
 	MaxOutstanding int
 	FetchBatch     int   // async reads per RPC (§5 aggregation knob)
-	CacheBudget    int64 // per-rank remote-read cache bytes (0 off, <0 unbounded)
 	Hierarchical   bool  // price the alltoallv as the node-aggregated plan
 	Placement      []int // rank→slot permutation (nil = identity); see partition.PlaceByTraffic
 	Seed           int64
@@ -96,15 +95,13 @@ type Row struct {
 	Cat    [rt.NumCategories]time.Duration
 	CatMax [rt.NumCategories]time.Duration
 
-	AlignTimes  stats.Summary // per-rank cumulative alignment seconds (Figure 5)
-	RecvBytes   stats.Summary // per-rank received exchange bytes (Figure 6)
-	MaxMem      int64         // max per-rank footprint in bytes (Figure 11)
-	MemBudget   int64         // configured per-rank budget
-	Supersteps  int64         // BSP rounds (Figure 9 commentary)
-	RPCsSent    int64         // total RPCs issued (async)
-	WireFetches int64         // remote reads actually pulled over the wire
-	CacheHits   int64         // fetch decisions answered by the remote-read cache
-	Hits        int64
+	AlignTimes stats.Summary // per-rank cumulative alignment seconds (Figure 5)
+	RecvBytes  stats.Summary // per-rank received exchange bytes (Figure 6)
+	MaxMem     int64         // max per-rank footprint in bytes (Figure 11)
+	MemBudget  int64         // configured per-rank budget
+	Supersteps int64         // BSP rounds (Figure 9 commentary)
+	RPCsSent   int64         // total RPCs issued (async)
+	Hits       int64
 
 	// Trace and TraceRows are set only when SimSpec.NewTracer was given:
 	// the run's event buffers (for the Chrome exporter) and the flattened
@@ -141,11 +138,11 @@ var rowCache sync.Map
 
 func cacheKey(spec SimSpec) string {
 	w := spec.Workload
-	return fmt.Sprintf("%s|%d|%d|%s|%d|%d|%d|%s|%v|%d|%d|%d|%d|%v|%s",
+	return fmt.Sprintf("%s|%d|%d|%s|%d|%d|%d|%s|%v|%d|%d|%d|%v|%s",
 		w.Preset.Name, w.Scale, len(w.Tasks), spec.Machine.Name,
 		spec.Machine.AppMemPerCore, spec.Nodes, spec.RanksPerNode,
 		spec.Mode, spec.SkipCompute, spec.MaxOutstanding, spec.FetchBatch, spec.Seed,
-		spec.CacheBudget, spec.Hierarchical, placementDigest(spec.Placement))
+		spec.Hierarchical, placementDigest(spec.Placement))
 }
 
 // placementDigest folds a placement permutation into a short cache-key
@@ -272,7 +269,7 @@ func RunSim(spec SimSpec) (*Row, error) {
 
 	results, err := alignPass(eng, spec.Mode, ranks, phantomInputs(pt, w.Lens, byRank),
 		core.Config{Exec: exec, MinScore: 1, MaxOutstanding: spec.MaxOutstanding,
-			FetchBatch: spec.FetchBatch, CacheBudget: spec.CacheBudget})
+			FetchBatch: spec.FetchBatch})
 	if err != nil {
 		return nil, err
 	}
@@ -298,8 +295,6 @@ func RunSim(spec SimSpec) (*Row, error) {
 			row.Supersteps = s
 		}
 		row.RPCsSent += m.RPCsSent
-		row.WireFetches += int64(results[rk].WireFetches)
-		row.CacheHits += int64(results[rk].CacheHits)
 		row.Hits += int64(len(results[rk].Hits))
 	}
 	row.AlignTimes = stats.SummarizeDurations(alignT)

@@ -184,8 +184,6 @@ type AlignStage struct {
 	MinScore int
 	X        int
 
-	CacheBudget int64 // per-rank remote-read cache budget (0 off, <0 unbounded)
-
 	// Exec overrides the executor (default: RealExecutor with the default
 	// scoring and X). ExecFor, when set, wins over Exec and binds a
 	// per-rank executor — the hook resident worker pools use to reuse warm
@@ -216,6 +214,6 @@ func (s AlignStage) Run(r rt.Runtime, pl *Plan, store seq.Store, prev any) (any,
 		exec = core.RealExecutor{Scoring: align.DefaultScoring(), X: s.X}
 	}
 	in := &core.Input{Part: pl.Part, Lens: pl.Lens, Tasks: tasks, Codec: core.RealCodec{Store: store}, Store: store}
-	cfg := core.Config{Exec: exec, MinScore: s.MinScore, CacheBudget: s.CacheBudget}
+	cfg := core.Config{Exec: exec, MinScore: s.MinScore}
 	return core.Run(s.Mode, r, in, cfg)
 }

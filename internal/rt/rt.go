@@ -107,15 +107,6 @@ type Metrics struct {
 	PeakRPCBytes int64
 	OOPGets      int64
 
-	// Remote-read cache accounting (DESIGN.md §13). Hits/misses count
-	// fetch decisions (one per remote read a driver is about to pull);
-	// evicts count entries dropped by the LRU bound; CachePinnedPeak is the
-	// high-water mark of bytes pinned by in-flight tasks.
-	CacheHits       int64
-	CacheMisses     int64
-	CacheEvicts     int64
-	CachePinnedPeak int64
-
 	// Per-tier wire bytes: IntraBytes crossed only cheap intra-node links,
 	// InterBytes crossed a node boundary. Backends classify the frames they
 	// actually send, headers included, by destination node (dist: whole
@@ -160,11 +151,11 @@ func (m *Metrics) Snapshot() Metrics { return *m }
 // Sub returns the job-scoped delta between two snapshots of the same
 // rank's accounting: cur taken after the job, prev before it. Monotonic
 // counters (category times, Elapsed, byte/message/RPC counts, Supersteps,
-// cache and tier counters, OOPGets) subtract; CurMem becomes the job's net
-// live-byte delta. Gauges and high-water marks (MaxMem, StoreBytes,
-// PeakExchange, PeakRPCBytes, CachePinnedPeak) are carried from cur
-// unchanged — a per-job watermark is not recoverable from cumulative
-// accounting, so those fields read as world-lifetime values.
+// tier, graph and kernel counters, OOPGets) subtract; CurMem becomes the
+// job's net live-byte delta. Gauges and high-water marks (MaxMem,
+// StoreBytes, PeakExchange, PeakRPCBytes) are carried from cur unchanged —
+// a per-job watermark is not recoverable from cumulative accounting, so
+// those fields read as world-lifetime values.
 //
 // This is how a resident multi-tenant world reports per-job metrics
 // without the global ResetMetrics, which cannot be used once jobs share a
@@ -183,9 +174,6 @@ func Sub(cur, prev Metrics) Metrics {
 	d.RPCserved -= prev.RPCserved
 	d.Supersteps -= prev.Supersteps
 	d.OOPGets -= prev.OOPGets
-	d.CacheHits -= prev.CacheHits
-	d.CacheMisses -= prev.CacheMisses
-	d.CacheEvicts -= prev.CacheEvicts
 	d.IntraBytes -= prev.IntraBytes
 	d.InterBytes -= prev.InterBytes
 	d.GraphFetches -= prev.GraphFetches
@@ -350,10 +338,6 @@ func TraceRow(rank int, m *Metrics, b *trace.Buf) trace.RankMetrics {
 		RPCPeak:     b.RPCHighWater(),
 		Events:      int64(b.Len()) + b.Dropped(),
 		Dropped:     b.Dropped(),
-		CacheHits:   m.CacheHits,
-		CacheMisses: m.CacheMisses,
-		CacheEvicts: m.CacheEvicts,
-		CachePinned: m.CachePinnedPeak,
 		IntraBytes:  m.IntraBytes,
 		InterBytes:  m.InterBytes,
 

@@ -12,7 +12,7 @@ func TestSubSemantics(t *testing.T) {
 	prev := Metrics{
 		Elapsed: time.Second, CurMem: 100, BytesSent: 1000, BytesRecv: 900,
 		Msgs: 10, RPCsSent: 4, RPCserved: 3, Supersteps: 2, OOPGets: 1,
-		CacheHits: 7, CacheMisses: 5, CacheEvicts: 2,
+		GraphFetches: 7, GraphCoalesced: 5, SWARTasks: 2,
 		IntraBytes: 300, InterBytes: 700,
 		MaxMem: 5000, StoreBytes: 4000,
 	}
@@ -29,9 +29,9 @@ func TestSubSemantics(t *testing.T) {
 	cur.RPCserved += 2
 	cur.Supersteps += 4
 	cur.OOPGets += 1
-	cur.CacheHits += 3
-	cur.CacheMisses += 1
-	cur.CacheEvicts += 1
+	cur.GraphFetches += 3
+	cur.GraphCoalesced += 1
+	cur.SWARTasks += 1
 	cur.IntraBytes += 30
 	cur.InterBytes += 70
 	cur.Time[CatAlign] += 5 * time.Second
@@ -47,8 +47,8 @@ func TestSubSemantics(t *testing.T) {
 	if d.RPCsSent != 2 || d.RPCserved != 2 || d.Supersteps != 4 || d.OOPGets != 1 {
 		t.Errorf("counters did not subtract: %+v", d)
 	}
-	if d.CacheHits != 3 || d.CacheMisses != 1 || d.CacheEvicts != 1 {
-		t.Errorf("cache counters did not subtract: %+v", d)
+	if d.GraphFetches != 3 || d.GraphCoalesced != 1 || d.SWARTasks != 1 {
+		t.Errorf("graph and kernel counters did not subtract: %+v", d)
 	}
 	if d.IntraBytes != 30 || d.InterBytes != 70 {
 		t.Errorf("tier counters did not subtract: %+v", d)

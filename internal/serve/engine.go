@@ -61,11 +61,10 @@ func (k *killableTP) Recv() (int, []byte, bool, error) {
 // once and re-entered job after job. An engine is owned by a single pool
 // worker goroutine; jobs on it are strictly serial.
 type engine struct {
-	backend     string // "par" or "dist"
-	ranks       int
-	memBudget   int64
-	cacheBudget int64
-	deadline    time.Duration
+	backend   string // "par" or "dist"
+	ranks     int
+	memBudget int64
+	deadline  time.Duration
 
 	resident *core.Resident // survives world rebuilds: workspaces are plain memory
 
@@ -78,10 +77,10 @@ type engine struct {
 // par's world (one node, no deadline, no chaos); "dist" wraps every
 // endpoint with a kill switch and runs under the configured progress
 // deadline, with the full typed-failure model live.
-func newEngine(backend string, ranks int, memBudget, cacheBudget int64, deadline time.Duration) (*engine, error) {
+func newEngine(backend string, ranks int, memBudget int64, deadline time.Duration) (*engine, error) {
 	e := &engine{
 		backend: backend, ranks: ranks,
-		memBudget: memBudget, cacheBudget: cacheBudget, deadline: deadline,
+		memBudget: memBudget, deadline: deadline,
 		resident: core.NewResident(ranks),
 	}
 	if err := e.build(); err != nil {
@@ -155,7 +154,6 @@ func (e *engine) run(j *Job, kill int) (hits []core.Hit, tasks int64, rows []tra
 	}
 	exec := core.RealExecutor{Scoring: align.DefaultScoring(), X: j.Spec.X}
 	alignStage := j.Spec.AlignStage()
-	alignStage.CacheBudget = e.cacheBudget
 	alignStage.ExecFor = func(rank int) core.Executor { return e.resident.Bind(rank, exec) }
 	plan.Stages = []pipeline.Stage{pipeline.DiscoverStage{}, alignStage}
 	plan.OnStage = func(r rt.Runtime, stage string, _ any) {

@@ -25,11 +25,10 @@ var (
 
 // PoolConfig parameterises the resident-world pool.
 type PoolConfig struct {
-	Backend     string // "par" or "dist"
-	Ranks       int    // ranks per world
-	Worlds      int    // resident worlds (= concurrent jobs)
-	MemBudget   int64  // per-rank exchange budget, forwarded to the backend
-	CacheBudget int64  // per-rank remote-read cache budget
+	Backend   string // "par" or "dist"
+	Ranks     int    // ranks per world
+	Worlds    int    // resident worlds (= concurrent jobs)
+	MemBudget int64  // per-rank exchange budget, forwarded to the backend
 
 	// AdmitBudget bounds the wire bytes of all admitted (queued + running)
 	// read sets — the rt-style memory accounting turned into an admission
@@ -103,7 +102,7 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	p := &Pool{cfg: cfg}
 	p.cond = sync.NewCond(&p.mu)
 	for i := 0; i < cfg.Worlds; i++ {
-		e, err := newEngine(cfg.Backend, cfg.Ranks, cfg.MemBudget, cfg.CacheBudget, cfg.ProgressDeadline)
+		e, err := newEngine(cfg.Backend, cfg.Ranks, cfg.MemBudget, cfg.ProgressDeadline)
 		if err != nil {
 			for _, prev := range p.engines {
 				prev.close()

@@ -122,7 +122,7 @@ func TestChaosKillExhausted(t *testing.T) {
 // goroutine while its rank is parked on an empty inbox, and the rank must
 // fail at once with the kill, not wait out the progress deadline.
 func TestKillWakesParkedRank(t *testing.T) {
-	e, err := newEngine("dist", 2, 0, 0, dist.DefaultProgressDeadline)
+	e, err := newEngine("dist", 2, 0, dist.DefaultProgressDeadline)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,10 +36,6 @@ type RankMetrics struct {
 	RPCPeak     int     `json:"rpc_outstanding_peak"`
 	Events      int64   `json:"trace_events"`
 	Dropped     int64   `json:"trace_events_dropped"`
-	CacheHits   int64   `json:"cache_hits"`
-	CacheMisses int64   `json:"cache_misses"`
-	CacheEvicts int64   `json:"cache_evictions"`
-	CachePinned int64   `json:"cache_pinned_peak_bytes"`
 	IntraBytes  int64   `json:"intra_bytes"`
 	InterBytes  int64   `json:"inter_bytes"`
 
@@ -69,8 +65,6 @@ type MetricsSummary struct {
 	MaxPeakExch      int64   `json:"max_peak_exchange_bytes"`
 	TotalOOPGets     int64   `json:"total_oop_gets"`
 	RPCPeak          int     `json:"rpc_outstanding_peak"`
-	TotalCacheHits   int64   `json:"total_cache_hits"`
-	TotalCacheMisses int64   `json:"total_cache_misses"`
 	TotalIntraBytes  int64   `json:"total_intra_bytes"`
 	TotalInterBytes  int64   `json:"total_inter_bytes"`
 	TotalGraphFetch  int64   `json:"total_graph_fetches"`
@@ -119,8 +113,6 @@ func Summarize(rows []RankMetrics) MetricsSummary {
 		if r.RPCPeak > s.RPCPeak {
 			s.RPCPeak = r.RPCPeak
 		}
-		s.TotalCacheHits += r.CacheHits
-		s.TotalCacheMisses += r.CacheMisses
 		s.TotalIntraBytes += r.IntraBytes
 		s.TotalInterBytes += r.InterBytes
 		s.TotalGraphFetch += r.GraphFetches
@@ -147,7 +139,6 @@ var metricsHeader = []string{
 	"supersteps", "max_mem_bytes", "store_bytes", "peak_exchange_bytes",
 	"peak_rpc_bytes", "oop_gets", "rpc_outstanding_peak",
 	"trace_events", "trace_events_dropped",
-	"cache_hits", "cache_misses", "cache_evictions", "cache_pinned_peak_bytes",
 	"intra_bytes", "inter_bytes",
 	"graph_fetches", "graph_coalesced",
 	"swar_tasks", "fallback_tasks", "lane_cells", "lane_slots",
@@ -167,8 +158,6 @@ func (r RankMetrics) record() []string {
 		strconv.FormatInt(r.PeakExch, 10), strconv.FormatInt(r.PeakRPC, 10),
 		strconv.FormatInt(r.OOPGets, 10), strconv.Itoa(r.RPCPeak),
 		strconv.FormatInt(r.Events, 10), strconv.FormatInt(r.Dropped, 10),
-		strconv.FormatInt(r.CacheHits, 10), strconv.FormatInt(r.CacheMisses, 10),
-		strconv.FormatInt(r.CacheEvicts, 10), strconv.FormatInt(r.CachePinned, 10),
 		strconv.FormatInt(r.IntraBytes, 10), strconv.FormatInt(r.InterBytes, 10),
 		strconv.FormatInt(r.GraphFetches, 10), strconv.FormatInt(r.GraphCoalesced, 10),
 		strconv.FormatInt(r.SWARTasks, 10), strconv.FormatInt(r.FallbackTasks, 10),

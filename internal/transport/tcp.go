@@ -568,7 +568,10 @@ func (t *tcpTransport) departedErr(dst int) error {
 }
 
 // Recv pops the next pending frame; a broken link surfaces as an error
-// once the inbox runs dry.
+// once the inbox runs dry. A link's reader pushes the last frame it read
+// before it fails the endpoint, so after seeing the failure Recv pops once
+// more: a frame pushed between the first pop and the failure check is
+// still delivered ahead of the error.
 func (t *tcpTransport) Recv() (int, []byte, bool, error) {
 	it, ok, err := t.inbox.pop()
 	if err != nil {
@@ -577,8 +580,11 @@ func (t *tcpTransport) Recv() (int, []byte, bool, error) {
 	if ok {
 		return it.from, it.frame, true, nil
 	}
-	if err := t.failed(); err != nil {
-		return 0, nil, false, err
+	if ferr := t.failed(); ferr != nil {
+		if it, ok, err := t.inbox.pop(); err == nil && ok {
+			return it.from, it.frame, true, nil
+		}
+		return 0, nil, false, ferr
 	}
 	return 0, nil, false, nil
 }

@@ -25,7 +25,7 @@ import (
 	"gnbody/internal/workload"
 )
 
-var benchCacheBudget = flag.Int64("cachebudget", -1, "cache budget for BenchmarkCommExchange (0 off, <0 unbounded)")
+var benchCached = flag.Bool("cached", true, "BenchmarkCommExchange: run the async passes over a persistent cache and the BSP exchanges aggregated per node")
 
 func skewedWorkload(t testing.TB) *workload.Workload {
 	t.Helper()
@@ -176,10 +176,11 @@ func runDistBSP(t testing.TB, w *workload.Workload, p, nodeSize int, noAgg bool)
 }
 
 // runPlacedTwoPass executes the paper-style two-pass BSP pipeline (candidate
-// pass + re-extension pass, optional persistent cache) over a loopback dist
-// world under a rank→slot placement, and reduces the tier byte counters.
+// pass + re-extension pass, optionally over an unbounded persistent cache)
+// on a loopback dist world under a rank→slot placement, and reduces the
+// tier byte counters.
 func runPlacedTwoPass(t testing.TB, w *workload.Workload, p, nodeSize int, pl []int,
-	cacheBudget int64, noAgg bool) (hits []core.Hit, intra, inter int64) {
+	cached, noAgg bool) (hits []core.Hit, intra, inter int64) {
 	t.Helper()
 	lensInt := make([]int, len(w.Lens))
 	for i, l := range w.Lens {
@@ -203,8 +204,8 @@ func runPlacedTwoPass(t testing.TB, w *workload.Workload, p, nodeSize int, pl []
 		in := &core.Input{Part: pt, Lens: w.Lens, Tasks: byRank[r.Rank()],
 			Codec: core.PhantomCodec{Lens: w.Lens}}
 		cfg := core.Config{Exec: exec, MinScore: 1}
-		if cacheBudget != 0 {
-			cfg.Cache = core.NewReadCache(cacheBudget) // persists across both passes
+		if cached {
+			cfg.Cache = core.NewReadCache(-1) // persists across both passes
 		}
 		pass1, err1 := core.RunBSP(r, in, cfg)
 		pass2, err2 := core.RunBSP(r, in, cfg)
@@ -274,8 +275,8 @@ func TestPlacementCommReductionSkewed(t *testing.T) {
 		t.Fatal("traffic-aware placement degenerated to identity; acceptance is vacuous")
 	}
 
-	idHits, idIntra, idInter := runPlacedTwoPass(t, w, p, ns, nil, 0, false)
-	trHits, trIntra, trInter := runPlacedTwoPass(t, w, p, ns, pl, 0, false)
+	idHits, idIntra, idInter := runPlacedTwoPass(t, w, p, ns, nil, false, false)
+	trHits, trIntra, trInter := runPlacedTwoPass(t, w, p, ns, pl, false, false)
 	if !reflect.DeepEqual(idHits, trHits) {
 		t.Errorf("placement changed hits: %d vs %d", len(trHits), len(idHits))
 	}
@@ -314,9 +315,9 @@ func TestPlacementCacheCompose(t *testing.T) {
 		reversed[q] = p - 1 - q
 	}
 
-	idHits, idIntra, idInter := runPlacedTwoPass(t, w, p, ns, nil, -1, true)
+	idHits, idIntra, idInter := runPlacedTwoPass(t, w, p, ns, nil, true, true)
 	for name, perm := range map[string][]int{"traffic": pl, "reversed": reversed} {
-		hits, intra, inter := runPlacedTwoPass(t, w, p, ns, perm, -1, true)
+		hits, intra, inter := runPlacedTwoPass(t, w, p, ns, perm, true, true)
 		if !reflect.DeepEqual(idHits, hits) {
 			t.Errorf("%s: placement changed hits under cache: %d vs %d", name, len(hits), len(idHits))
 		}
@@ -327,7 +328,7 @@ func TestPlacementCacheCompose(t *testing.T) {
 	}
 	// The traffic-aware split must actually move (reversed keeps the same
 	// groups at p=8/ns=4: {7..4}{3..0} is the identity grouping).
-	_, trIntra, _ := runPlacedTwoPass(t, w, p, ns, pl, -1, true)
+	_, trIntra, _ := runPlacedTwoPass(t, w, p, ns, pl, true, true)
 	if trIntra == idIntra {
 		t.Errorf("traffic placement did not shift the tier split (intra stayed %d)", idIntra)
 	}
@@ -356,20 +357,20 @@ func TestHierCommReductionSkewed(t *testing.T) {
 }
 
 // BenchmarkCommExchange reports communication volume on the skewed
-// workload as benchmark metrics: run it with -args -cachebudget=0 and
-// -cachebudget=-1 to compare cache-off against cache-on by hand.
+// workload as benchmark metrics: run it with -args -cached=false and
+// -cached=true to compare cache-off against cache-on by hand.
 func BenchmarkCommExchange(b *testing.B) {
 	w := skewedWorkload(b)
 	b.Run(string(expt.Async), func(b *testing.B) {
 		var wire, cacheHits int64
 		for i := 0; i < b.N; i++ {
-			_, wire, cacheHits = runTwoPass(b, w, *benchCacheBudget != 0)
+			_, wire, cacheHits = runTwoPass(b, w, *benchCached)
 		}
 		b.ReportMetric(float64(wire), "wirefetches/op")
 		b.ReportMetric(float64(cacheHits), "cachehits/op")
 	})
 	b.Run("dist-bsp", func(b *testing.B) {
-		noAgg := *benchCacheBudget == 0 // baseline run: flat exchange, no cache
+		noAgg := !*benchCached // baseline run: flat exchange, no cache
 		var inter, intra int64
 		for i := 0; i < b.N; i++ {
 			_, intra, inter = runDistBSP(b, w, 8, 4, noAgg)
@@ -378,7 +379,7 @@ func BenchmarkCommExchange(b *testing.B) {
 		b.ReportMetric(float64(intra), "intrabytes/op")
 	})
 	b.Run("dist-assembly", func(b *testing.B) {
-		noAgg := *benchCacheBudget == 0 // baseline run: flat exchange
+		noAgg := !*benchCached // baseline run: flat exchange
 		var intra, inter, fetches, coal int64
 		for i := 0; i < b.N; i++ {
 			intra, inter, fetches, coal = runDistAssembly(b, noAgg)
