@@ -1,18 +1,21 @@
 // Package pipeline implements DiBELLA's stages 1-2 as a distributed SPMD
 // program on the rt.Runtime interface (paper §3), as a sort over flat
-// records packed at field widths the plan fixes (wire.go): each rank turns
-// every k-mer instance of its own reads into one occurrence record (7 bytes
-// at k = 17 for up to 128 reads of up to 16 kb) routed to the canonical code's
-// hash owner in an irregular all-to-all; the owner radix-sorts what it
-// received by code, less the k-mers a count table proves it saw once, and
-// scans the runs — a run's length is the k-mer's
-// global count, tested once against the reliable-frequency window, and a
-// retained run's first occurrence per read turns into candidate pairs;
-// pairs are deduplicated at hash owners by sorting on the pair and keeping
-// each run's smallest-code seed (matching the serial reference exactly,
-// and yielding pair order); finally the tasks are redistributed to read
-// owners under the owner invariant with count balancing ("the tasks are
-// roughly balanced across the processors").
+// records packed at field widths the plan fixes (wire.go). A census comes
+// first: each rank sends, for every k-mer instance of its own reads, only
+// the T-bit count-table slot of its canonical code (3 bytes on the
+// benchmark's input) to the code's hash owner in an irregular all-to-all;
+// the owner counts the slots and answers each sender with one bit a census
+// record, set where the slot was seen twice; the sender then sends the full
+// occurrence record (7 bytes at k = 17 for up to 128 reads of up to 16 kb)
+// only for the instances kept. The owner radix-sorts those by code and
+// scans the runs — a run's length is the k-mer's global count, tested once
+// against the reliable-frequency window, and a retained run's first
+// occurrence per read turns into candidate pairs; pairs are deduplicated at
+// hash owners by sorting on the pair and keeping each run's smallest-code
+// seed (matching the serial reference exactly, and yielding pair order);
+// finally the tasks are redistributed to read owners under the owner
+// invariant with count balancing ("the tasks are roughly balanced across
+// the processors").
 //
 // The union of every rank's output tasks equals overlap.FromReadSet's
 // serial result — seed for seed — which the tests enforce.
@@ -37,6 +40,7 @@ type Output struct {
 	// Stage statistics (this rank's share).
 	KmersExtracted int64 // k-mer instances scanned from local reads
 	KmersOwned     int64 // distinct canonical k-mers this rank arbitrates
+	OccsKept       int64 // occurrence records this rank received after the census
 	KmersRetained  int64 // owned k-mers inside the reliable window
 	PairsEmitted   int64 // candidate pairs generated before dedup
 	PairsOwned     int64 // deduplicated pairs this rank arbitrated
@@ -57,76 +61,152 @@ type candRec struct {
 	task overlap.Task
 }
 
-// occSlots sizes the owner's count table: occSlots to 2·occSlots one-byte
-// slots per received occurrence record, a power of two.
-const occSlots = 4
+// occSlots sizes the owner's count table: 2^T two-bit slots, T =
+// bits.Len(occSlots · windows / p), so 16 to 32 slots (4 to 8 bytes) per
+// census record a rank receives on average. The plan fixes T, because a
+// sender needs it before anything is received.
+const occSlots = 16
 
-// repeatedOccs decodes a round of occurrence frames, keeping only the
-// records that can seed a pair. Pass 1 checks every record for what the run
-// scan relies on — no bit above the layout's fields, windows inside their
-// reads, and (read, pos) strictly ascending throughout, the ordering
-// contract that lets a stable sort by code stand in for a sort by (code,
-// read, pos): ranks own contiguous ascending read ranges (Partition.Range),
-// scan them in order, and their frames are decoded in rank order. It also
-// counts each code into a saturating 0/1/2 table of about slots per record,
-// indexed by the high bits of splitmix(code). Pass 2 keeps, in frame order,
-// the records whose slot reached 2.
+// keepBitmaps is the owner's count pass over a round of census frames. It
+// counts every record's slot into a saturating 0/1/2 table of 2^T two-bit
+// slots, then answers each sender with its keep bitmap: bit i set if the
+// slot of the sender's census record i reached 2. singles is how many
+// records that leaves unset. A census frame that is not whole records, or a
+// record with a bit set at or above T, is a *WireError naming the sender;
+// every bitmap then keeps nothing, but still has one bit a record received,
+// so that no honest sender finds fault with it.
 //
-// Every record of a code shares its slot, so a code seen twice or more is
-// kept whole and its run is still its global instance count. A dropped
-// record is alone in its slot: a distinct k-mer seen once, counted in
-// singles. A singleton kept through a collision is a run of one, which the
-// run scan's floor of 2 drops.
-func repeatedOccs(frames [][]byte, lens []int32, l *layout, slots int) (kept []occRec, singles int64, err error) {
+// Every instance of a code reaches its one owner with the same slot, so a
+// code seen twice or more is kept whole and its run is still its global
+// instance count. An unset record is alone in its slot: a distinct k-mer
+// seen once, counted in singles. A singleton kept through a collision is a
+// run of one, which the run scan's floor of 2 drops.
+func keepBitmaps(frames [][]byte, l *layout) (bitmaps [][]byte, singles int64, err error) {
+	size, mask, top := l.census, low(l.slot), padTop(l.census, l.slot)
+	bitBytes := func(buf []byte) int { return ((len(buf)+size-1)/size + 7) / 8 } // a ragged tail counts as a record
+	total := 0
+	for _, buf := range frames {
+		total += bitBytes(buf)
+	}
+	all := make([]byte, total)
+	bitmaps = make([][]byte, len(frames))
+	for from, buf := range frames {
+		m := bitBytes(buf)
+		bitmaps[from], all = all[:m:m], all[m:]
+	}
+	seen := make([]uint8, (1<<l.slot+3)/4) // four 2-bit counters a byte
+	var tail [2 * wordPad]byte
+	n := 0 // census records received
+	for from, buf := range frames {
+		if err := ragged("census", from, buf, size); err != nil {
+			return bitmaps, 0, err
+		}
+		n += len(buf) / size
+		for _, seg := range segments(buf, size, &tail) {
+			for ; len(seg) > 0; seg = seg[size:] {
+				h := binary.LittleEndian.Uint64(seg[:8]) & mask
+				sh := h & 3 * 2
+				s := seen[h>>2] >> sh & 3
+				seen[h>>2] += (1 - s>>1) << sh
+				if seg[size-1]>>top != 0 {
+					return bitmaps, 0, badRecord("census", from, seg[:size])
+				}
+			}
+		}
+	}
+	kept := 0
+	for from, buf := range frames {
+		bm, i, acc := bitmaps[from], 0, byte(0)
+		for _, seg := range segments(buf, size, &tail) {
+			for ; len(seg) > 0; seg = seg[size:] {
+				h := binary.LittleEndian.Uint64(seg[:8]) & mask
+				bit := seen[h>>2] >> (h & 3 * 2) >> 1 & 1
+				acc |= bit << (i & 7)
+				kept += int(bit)
+				if i++; i&7 == 0 {
+					bm[i>>3-1], acc = acc, 0
+				}
+			}
+		}
+		if i&7 != 0 {
+			bm[i>>3] = acc
+		}
+	}
+	return bitmaps, int64(n - kept), nil
+}
+
+// keptOccs decodes rank me's round of kept occurrence frames, each the
+// answer to the census frame and the keep bitmap of the same sender. It
+// checks every record for what the run scan relies on: no bit above the
+// layout's fields, a window inside its read, and (read, pos) strictly
+// ascending throughout, the ordering contract that lets a stable sort by
+// code stand in for a sort by (code, read, pos): ranks own contiguous
+// ascending read ranges (Partition.Range), scan them in order, keep a
+// subsequence of that order, and their frames are decoded in rank order.
+// And it checks that a frame answers its census: one record for each bit
+// set, each with a code whose hash owner is me and whose slot is that of
+// the census record it answers.
+func keptOccs(frames, census, bitmaps [][]byte, lens []int32, l *layout, me int) ([]occRec, error) {
 	n := 0
 	for _, buf := range frames {
 		n += len(buf) / l.occ
 	}
-	tableBits := bits.Len(uint(slots * n))
-	seen := make([]uint8, 1<<tableBits)
-	shift := 64 - tableBits
+	kept := make([]occRec, 0, n)
 	f, size, top := l.occFields(), l.occ, padTop(l.occ, l.code()+l.read+l.pos)
-	keep := 0
+	p, shift := len(frames), 64-l.slot
 	next := uint64(0) // the smallest (read, pos) the next record may carry
 	var tail [2 * wordPad]byte
 	for from, buf := range frames {
 		if err := ragged("occurrence", from, buf, size); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
+		bm := bitmaps[from]
+		if set := ones(bm); len(buf)/size != set {
+			return nil, &WireError{"occurrence", from, fmt.Sprintf("%d records for %d kept census records", len(buf)/size, set)}
+		}
+		i := 0 // the census record the next occurrence answers
 		for _, seg := range segments(buf, size, &tail) {
 			for ; len(seg) > 0; seg = seg[size:] {
 				b := seg[:wordPad]
 				o := f.get(load(b))
-				h := splitmix(o.code) >> shift // the table access first: its miss overlaps the checks
-				s := seen[h]
-				seen[h] = s + 1 - s>>1
-				keep += int(s&1<<1 | s>>1) // the second record of a slot keeps itself and the first
-				at := uint64(o.read)<<32 | uint64(o.posRC>>1)
-				if b[size-1]>>top != 0 || int(o.read) >= len(lens) || int(o.posRC>>1)+l.k > int(lens[o.read]) || at < next {
-					return nil, 0, badRecord("occurrence", from, b[:size])
+				h := splitmix(o.code)
+				for bm[i>>3]>>(i&7) == 0 {
+					i = (i | 7) + 1
 				}
-				next = at + 1
+				i += bits.TrailingZeros8(bm[i>>3] >> (i & 7))
+				at := uint64(o.read)<<32 | uint64(o.posRC>>1)
+				if b[size-1]>>top != 0 || int(o.read) >= len(lens) || int(o.posRC>>1)+l.k > int(lens[o.read]) || at < next ||
+					owner(h, p) != me || h>>shift != l.censusSlot(census[from], i) {
+					return nil, badRecord("occurrence", from, b[:size])
+				}
+				kept = append(kept, o)
+				next, i = at+1, i+1
 			}
 		}
 	}
-	// Branch-free: every record is written, and the index moves past it only
-	// if its slot reached 2 (hence the one spare element).
-	kept = make([]occRec, keep+1)
-	j := 0
-	for _, buf := range frames {
-		for _, seg := range segments(buf, size, &tail) {
-			for ; len(seg) > 0; seg = seg[size:] {
-				o := f.get(load(seg[:wordPad]))
-				kept[j] = o
-				j += int(seen[splitmix(o.code)>>shift] >> 1)
-			}
-		}
+	return kept, nil
+}
+
+// ones is the number of bits set in bm.
+func ones(bm []byte) int {
+	n := 0
+	for _, b := range bm {
+		n += bits.OnesCount8(b)
 	}
-	return kept[:keep], int64(n - keep), nil
+	return n
 }
 
 // hashOwner routes a 64-bit key to a rank.
-func hashOwner(key uint64, p int) int { return int(splitmix(key) % uint64(p)) }
+func hashOwner(key uint64, p int) int { return owner(splitmix(key), p) }
+
+// owner is the rank of a key whose splitmix is h: h mod p, taken with a
+// mask when p is a power of two, which saves a division.
+func owner(h uint64, p int) int {
+	if p&(p-1) == 0 {
+		return int(h & uint64(p-1))
+	}
+	return int(h % uint64(p))
+}
 
 func splitmix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
@@ -139,53 +219,91 @@ func splitmix(x uint64) uint64 {
 // all ranks call it, each with its own owner-only store; a plan may run on
 // a world that has already run others, with no reset in between. A bad
 // frame from a peer is remembered, not returned at once: the rank still
-// enters every remaining round, with nothing to send, so that no peer is
-// left waiting in a collective, and reports its errors last.
+// enters every remaining round, sending what its peers can check, so that
+// no peer is left waiting in a collective, and reports its errors last.
 func (pl *Plan) Run(r rt.Runtime, store seq.Store) (*Output, error) {
 	if pl.K <= 0 || pl.K > kmer.MaxK {
 		return nil, fmt.Errorf("pipeline: k=%d out of range", pl.K)
 	}
 	out := &Output{}
-	p := r.Size()
+	p, me := r.Size(), r.Rank()
 	var fail error
 
-	lay := pl.layout()
+	lay := pl.layout(p)
+	lo, hi := pl.Part.Range(me)
 
-	// --- Stage: local k-mer extraction, routed by canonical-code hash. ---
-	sendOcc := make([][]byte, p)
+	// --- Stage: local k-mer extraction; each instance's census slot goes
+	// to the canonical code's hash owner. ---
+	sendCen := make([][]byte, p)
 	r.Timed(rt.CatOverhead, func() {
-		lo, hi := pl.Part.Range(r.Rank())
 		bases := 0
 		for _, l := range pl.Lens[lo:hi] {
 			bases += int(l)
 		}
-		for dst := range sendOcc { // an even share plus an eighth: growth is the exception
-			sendOcc[dst] = make([]byte, 0, lay.occ*(bases/p+bases/(8*p)+8)+wordPad)
+		for dst := range sendCen { // an even share plus an eighth: growth is the exception
+			sendCen[dst] = make([]byte, 0, lay.census*(bases/p+bases/(8*p)+8)+wordPad)
 		}
-		occ := lay.occFields()
-		for i := lo; i < hi && fail == nil; i++ {
-			fail = kmer.Scan(store.Get(seq.ReadID(i)), pl.K, func(pos int, c kmer.Code, rc bool) {
+		shift := 64 - lay.slot
+		for i := lo; i < hi; i++ {
+			fail = errors.Join(fail, kmer.Scan(store.Get(seq.ReadID(i)), pl.K, func(_ int, c kmer.Code, _ bool) {
 				out.KmersExtracted++
+				h := splitmix(uint64(c))
+				dst := owner(h, p)
+				sendCen[dst] = appendRec(sendCen[dst], lay.census, h>>shift, 0, 0)
+			}))
+		}
+	})
+	recvCen := r.Alltoallv(sendCen)
+
+	// --- Stage: count the census, answer each sender with its keep bitmap. ---
+	var keep [][]byte
+	var singles int64
+	r.Timed(rt.CatOverhead, func() {
+		var err error
+		keep, singles, err = keepBitmaps(recvCen, &lay)
+		fail = errors.Join(fail, err)
+	})
+	answers := r.Alltoallv(keep)
+
+	// --- Stage: the occurrence record of every kept instance, to the same
+	// owner. A rescan of the reads gives the census order back. ---
+	sendOcc := make([][]byte, p)
+	r.Timed(rt.CatOverhead, func() {
+		occ := lay.occFields()
+		next := make([]int, p) // per owner, the census record the next instance answers
+		for dst, bm := range answers {
+			bm, err := checkBitmap(dst, bm, len(sendCen[dst])/lay.census)
+			fail = errors.Join(fail, err)
+			answers[dst] = bm
+			sendOcc[dst] = make([]byte, 0, lay.occ*ones(bm)+wordPad)
+		}
+		for i := lo; i < hi; i++ {
+			fail = errors.Join(fail, kmer.Scan(store.Get(seq.ReadID(i)), pl.K, func(pos int, c kmer.Code, rc bool) {
 				posRC := uint32(pos) << 1
 				if rc {
 					posRC |= 1
 				}
 				dst := hashOwner(uint64(c), p)
-				w0, w1 := occ.put(uint64(c), uint32(i), posRC)
-				sendOcc[dst] = appendRec(sendOcc[dst], lay.occ, w0, w1, 0)
-			})
+				j := next[dst]
+				next[dst] = j + 1
+				if answers[dst][j>>3]>>(j&7)&1 != 0 {
+					w0, w1 := occ.put(uint64(c), uint32(i), posRC)
+					sendOcc[dst] = appendRec(sendOcc[dst], lay.occ, w0, w1, 0)
+				}
+			}))
 		}
 	})
 	recvOcc := r.Alltoallv(sendOcc)
 
-	// --- Stage: drop singletons, sort by code, scan the runs. ---
+	// --- Stage: sort the kept records by code, scan the runs. ---
 	sendTask := make([][]byte, p)
 	r.Timed(rt.CatOverhead, func() {
-		recs, singles, err := repeatedOccs(recvOcc, pl.Lens, &lay, occSlots)
+		recs, err := keptOccs(recvOcc, recvCen, keep, pl.Lens, &lay, me)
 		if fail = errors.Join(fail, err); fail != nil {
 			return
 		}
 		out.KmersOwned += singles
+		out.OccsKept = int64(len(recs))
 		pl.scanRuns(sortByCode(recs, make([]occRec, len(recs)), 2*pl.K), &lay, sendTask, out)
 	})
 	recvTask := r.Alltoallv(sendTask)
@@ -193,7 +311,7 @@ func (pl *Plan) Run(r rt.Runtime, store seq.Store) (*Output, error) {
 	// --- Stage: pair dedup (min-code seed wins, as in the serial path). ---
 	var deduped []overlap.Task
 	r.Timed(rt.CatOverhead, func() {
-		cands, err := lay.decodeCands(recvTask, pl.Lens)
+		cands, err := lay.decodeCands(recvTask, pl.Lens, me, p)
 		if fail = errors.Join(fail, err); fail != nil {
 			return
 		}
@@ -318,7 +436,8 @@ func redistribute(r rt.Runtime, pl *Plan, lay *layout, deduped []overlap.Task) (
 		}
 		send[owner] = lay.putTask(send[owner], t)
 	}
-	mine, err1 := lay.decodeTasks(r.Alltoallv(send), pl.Lens)
+	lo, hi := pl.Part.Range(r.Rank())
+	mine, err1 := lay.decodeTasks(r.Alltoallv(send), pl.Lens, lo, hi)
 
 	// Refinement: learn everyone's counts (an allgather via alltoallv),
 	// then overloaded ranks push surplus toward underloaded alternates.
@@ -346,7 +465,7 @@ func redistribute(r rt.Runtime, pl *Plan, lay *layout, deduped []overlap.Task) (
 			kept = append(kept, t)
 		}
 	}
-	incoming, err3 := lay.decodeTasks(r.Alltoallv(moved), pl.Lens)
+	incoming, err3 := lay.decodeTasks(r.Alltoallv(moved), pl.Lens, lo, hi)
 	kept = append(kept, incoming...)
 	overlap.SortTasks(kept)
 	return kept, errors.Join(err1, err2, err3)

@@ -9,8 +9,9 @@ import (
 )
 
 // BenchmarkDistributedStages runs discover on four in-process ranks and
-// reports, besides tasks, the bytes its frames put on the wire a run and the
-// time a k-mer instance costs (world set-up excluded).
+// reports, besides tasks, the bytes its frames put on the wire a run, the
+// share of k-mer instances whose occurrence record crosses after the census
+// and the time a k-mer instance costs (world set-up excluded).
 func BenchmarkDistributedStages(b *testing.B) {
 	reads, _, _, err := workload.Pipeline(workload.EColi30x, 400, 1)
 	if err != nil {
@@ -19,7 +20,7 @@ func BenchmarkDistributedStages(b *testing.B) {
 	lens := workload.LensOf(reads)
 	const p = 4
 	pt := sizePartition(b, lens, p)
-	var wire, kmers int64
+	var wire, kmers, kept int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -41,11 +42,13 @@ func BenchmarkDistributedStages(b *testing.B) {
 		for rk, out := range outs {
 			total += int64(len(out.Tasks))
 			kmers += out.KmersExtracted
+			kept += out.OccsKept
 			m := world.Metrics(rk)
 			wire += m.IntraBytes + m.InterBytes
 		}
 		b.ReportMetric(float64(total), "tasks")
 	}
 	b.ReportMetric(float64(wire)/float64(b.N), "wire-B/op")
+	b.ReportMetric(float64(kept)/float64(kmers), "kept/inst")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(kmers), "ns/kmer")
 }

@@ -364,6 +364,51 @@ func occFrame(l *layout, recs ...occRec) []byte {
 	return buf
 }
 
+// censusFrame encodes the census record of each occurrence the way the scan
+// does.
+func censusFrame(l *layout, recs ...occRec) []byte {
+	var buf []byte
+	for _, o := range recs {
+		buf = appendRec(buf, l.census, splitmix(o.code)>>(64-l.slot), 0, 0)
+	}
+	return buf
+}
+
+// censusRound runs discover's census and record rounds for the owner of the
+// occurrences each sender scanned, in its scan order, as honest peers would:
+// it returns the census frames, the keep bitmaps the owner answers them
+// with, the singletons they leave out, and each sender's kept records.
+func censusRound(t testing.TB, l *layout, senders ...[]occRec) (census, keep, occs [][]byte, singles int64) {
+	t.Helper()
+	census = make([][]byte, len(senders))
+	for from, recs := range senders {
+		census[from] = censusFrame(l, recs...)
+	}
+	keep, singles, err := keepBitmaps(census, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	occs = make([][]byte, len(senders))
+	for from, recs := range senders {
+		for i, o := range recs {
+			if keep[from][i>>3]>>(i&7)&1 == 1 {
+				occs[from] = append(occs[from], occFrame(l, o)...)
+			}
+		}
+	}
+	return census, keep, occs, singles
+}
+
+// ownedCode draws 2k-bit codes from rng until one's hash owner is rank me of
+// p.
+func ownedCode(rng *rand.Rand, k, me, p int) uint64 {
+	for {
+		if c := rng.Uint64() >> (64 - 2*k); hashOwner(c, p) == me {
+			return c
+		}
+	}
+}
+
 // padBit returns a copy of frame with the top bit of its last byte set: a
 // padding bit of its last record, where the layout leaves one.
 func padBit(frame []byte) []byte {
@@ -375,10 +420,11 @@ func padBit(frame []byte) []byte {
 // The run scan takes a run's (read, pos) order from a stable sort, which
 // rests on two things, both pinned here. Ranks own contiguous ascending
 // read ranges, empty ones included, so frames decoded in rank order are in
-// (read, pos) order; and repeatedOccs refuses frames that are not — swapped
+// (read, pos) order; and keptOccs refuses frames that are not — swapped
 // sources, or records out of order within one — naming the sender, so a
 // partition or transport that broke the contract could not silently move
-// a seed.
+// a seed. Each case's census is the one its records answer, so only the
+// check it names can refuse it.
 func TestOccurrenceOrderContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 50; trial++ {
@@ -401,46 +447,56 @@ func TestOccurrenceOrderContract(t *testing.T) {
 		}
 	}
 
-	const k = 5
+	const k, p = 5, 3
 	lens := []int32{30, 30, 30, 30, 30}
-	lay := newLayout(k, len(lens), 30) // 10 + 3 + 6 bits: three bytes, five of them padding
-	occFrame := func(recs ...occRec) []byte { return occFrame(&lay, recs...) }
-	rank0 := occFrame(occRec{7, 0, 3 << 1}, occRec{9, 0, 8<<1 | 1}, occRec{7, 1, 0})
-	rank1 := occFrame(occRec{9, 2, 4 << 1}, occRec{7, 3, 25<<1 | 1})
-	decode := func(frames ...[]byte) ([]occRec, error) {
-		recs, _, err := repeatedOccs(frames, lens, &lay, occSlots)
-		return recs, err
+	lay := newLayout(k, len(lens), 30, 8) // 10 + 3 + 6 bits: three bytes, five of them padding
+	// Two codes rank 0 owns, x < y.
+	var x, y uint64
+	for x = 0; hashOwner(x, p) != 0; x++ {
 	}
-	if lay.occ != 3 {
-		t.Fatalf("fixture: %d-byte occurrences, want 3", lay.occ)
+	for y = x + 1; hashOwner(y, p) != 0; y++ {
 	}
-	recs, err := decode(rank0, nil, rank1)
+	rank0 := []occRec{{x, 0, 3 << 1}, {y, 0, 8<<1 | 1}, {x, 1, 0}}
+	rank1 := []occRec{{y, 2, 4 << 1}, {x, 3, 25<<1 | 1}}
+	decode := func(mutate func(occs [][]byte), senders ...[]occRec) ([]occRec, error) {
+		senders = append(senders, make([][]occRec, p-len(senders))...) // one frame a rank
+		census, keep, occs, _ := censusRound(t, &lay, senders...)
+		if mutate != nil {
+			mutate(occs)
+		}
+		return keptOccs(occs, census, keep, lens, &lay, 0)
+	}
+	if lay.occ != 3 || lay.census != 1 {
+		t.Fatalf("fixture: %d-byte occurrences, %d-byte census records; want 3 and 1", lay.occ, lay.census)
+	}
+	recs, err := decode(nil, rank0, nil, rank1)
 	if err != nil || len(recs) != 5 {
 		t.Fatalf("honest frames: %d records kept, %v", len(recs), err)
 	}
 	sorted := sortByCode(recs, make([]occRec, len(recs)), 2*k)
-	want := []occRec{{7, 0, 3 << 1}, {7, 1, 0}, {7, 3, 25<<1 | 1}, {9, 0, 8<<1 | 1}, {9, 2, 4 << 1}}
+	want := []occRec{{x, 0, 3 << 1}, {x, 1, 0}, {x, 3, 25<<1 | 1}, {y, 0, 8<<1 | 1}, {y, 2, 4 << 1}}
 	for i, o := range sorted {
 		if o != want[i] {
 			t.Fatalf("sorted record %d = %+v, want %+v", i, o, want[i])
 		}
 	}
 	for _, tc := range []struct {
-		name   string
-		frames [][]byte
-		from   int
+		name    string
+		senders [][]occRec
+		mutate  func(occs [][]byte)
+		from    int
 	}{
-		{"sources swapped", [][]byte{rank1, rank0}, 1},
-		{"records swapped", [][]byte{occFrame(occRec{7, 1, 0}, occRec{7, 0, 3 << 1})}, 0},
-		{"a position twice", [][]byte{occFrame(occRec{7, 0, 3 << 1}, occRec{9, 0, 3<<1 | 1})}, 0},
-		{"ragged", [][]byte{rank0, rank1[:len(rank1)-1]}, 1},
-		{"read out of range", [][]byte{occFrame(occRec{7, 5, 0})}, 0},
-		{"window past the read", [][]byte{occFrame(occRec{7, 0, 26 << 1})}, 0},
+		{"sources swapped", [][]occRec{rank1, rank0}, nil, 1},
+		{"records swapped", [][]occRec{{{x, 1, 0}, {x, 0, 3 << 1}}}, nil, 0},
+		{"a position twice", [][]occRec{{{x, 0, 3 << 1}, {x, 0, 3<<1 | 1}}}, nil, 0},
+		{"ragged", [][]occRec{rank0, rank1}, func(occs [][]byte) { occs[1] = occs[1][:len(occs[1])-1] }, 1},
+		{"read out of range", [][]occRec{{{x, 0, 0}, {x, 5, 0}}}, nil, 0},
+		{"window past the read", [][]occRec{{{x, 0, 1 << 1}, {x, 0, 26 << 1}}}, nil, 0},
 		// A code wider than 2k bits would run into the read field; what a
 		// packed record can carry past its fields is a padding bit.
-		{"a padding bit", [][]byte{rank0, padBit(rank1)}, 1},
+		{"a padding bit", [][]occRec{rank0, rank1}, func(occs [][]byte) { occs[1] = padBit(occs[1]) }, 1},
 	} {
-		_, err := decode(tc.frames...)
+		_, err := decode(tc.mutate, tc.senders...)
 		var we *WireError
 		if !errors.As(err, &we) || we.From != tc.from || we.Record != "occurrence" {
 			t.Errorf("%s: got %v, want an occurrence WireError from rank %d", tc.name, err, tc.from)
@@ -448,12 +504,12 @@ func TestOccurrenceOrderContract(t *testing.T) {
 	}
 }
 
-// Dropping singletons changes nothing the owner sends or counts: over random
-// honest frames, with the count table shrunk until every code shares one
-// slot and at its full size, the kept records sorted and run-scanned give
-// the same candidate frames, KmersOwned, KmersRetained and PairsEmitted as
-// every record sorted and run-scanned. No candidate is seeded by a k-mer
-// seen once, whatever Lo is.
+// The census changes nothing the owner sends or counts: over random honest
+// rounds, with the count table shrunk until every code shares one slot, at
+// a few slots and at the plan's size, the kept records sorted and
+// run-scanned give the same candidate frames, KmersOwned, KmersRetained
+// and PairsEmitted as every record sorted and run-scanned. No candidate is
+// seeded by a k-mer seen once, whatever Lo is.
 func TestRepeatedOccsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var pairs, dropped int64
@@ -469,14 +525,16 @@ func TestRepeatedOccsExact(t *testing.T) {
 			lens[i] = int32(rng.Intn(80))
 		}
 		pl := &Plan{Lens: lens, K: k, Lo: 1 + trial%3, Hi: 2 + rng.Intn(10)}
-		lay := pl.layout()
 		p := 1 + rng.Intn(5)
+		me := rng.Intn(p)
+		lay := pl.layout(p)
 
-		// Windows in (read, pos) order, split into p consecutive frames; a
-		// code is fresh (most likely a singleton) or from a small pool.
+		// Windows in (read, pos) order, split into p consecutive senders; a
+		// code is fresh (most likely a singleton) or from a small pool, and
+		// always one rank me owns.
 		pool := make([]uint64, 1+rng.Intn(40))
 		for i := range pool {
-			pool[i] = rng.Uint64() >> (64 - 2*k)
+			pool[i] = ownedCode(rng, k, me, p)
 		}
 		var all []occRec
 		for read, l := range lens {
@@ -484,16 +542,16 @@ func TestRepeatedOccsExact(t *testing.T) {
 				if rng.Intn(3) == 0 {
 					continue
 				}
-				code := rng.Uint64() >> (64 - 2*k)
+				code := ownedCode(rng, k, me, p)
 				if rng.Intn(4) == 0 {
 					code = pool[rng.Intn(len(pool))]
 				}
 				all = append(all, occRec{code, uint32(read), uint32(pos)<<1 | uint32(rng.Intn(2))})
 			}
 		}
-		frames := make([][]byte, p)
+		senders := make([][]occRec, p)
 		for i, o := range all {
-			frames[i*p/len(all)] = append(frames[i*p/len(all)], occFrame(&lay, o)...)
+			senders[i*p/len(all)] = append(senders[i*p/len(all)], o)
 		}
 		freq := map[uint64]int{}
 		for _, o := range all {
@@ -504,9 +562,12 @@ func TestRepeatedOccsExact(t *testing.T) {
 		wantSend := make([][]byte, p)
 		ref := append([]occRec(nil), all...)
 		pl.scanRuns(sortByCode(ref, make([]occRec, len(ref)), 2*k), &lay, wantSend, want)
-		for _, slots := range []int{0, 1, occSlots} {
-			label := fmt.Sprintf("trial %d k=%d Lo=%d Hi=%d, %d slots per record", trial, k, pl.Lo, pl.Hi, slots)
-			kept, singles, err := repeatedOccs(frames, lens, &lay, slots)
+		for _, slot := range []uint{0, 2, lay.slot} {
+			label := fmt.Sprintf("trial %d k=%d Lo=%d Hi=%d, T=%d", trial, k, pl.Lo, pl.Hi, slot)
+			l := lay
+			l.slot = slot
+			census, keep, occs, singles := censusRound(t, &l, senders...)
+			kept, err := keptOccs(occs, census, keep, lens, &l, me)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -521,7 +582,7 @@ func TestRepeatedOccsExact(t *testing.T) {
 				if string(send[dst]) != string(wantSend[dst]) {
 					t.Fatalf("%s: candidates for rank %d differ", label, dst)
 				}
-				cands, err := lay.decodeCands(send[dst:dst+1], lens)
+				cands, err := lay.decodeCands(send[dst:dst+1], lens, 0, 1)
 				if err != nil {
 					t.Fatalf("%s: candidates for rank %d: %v", label, dst, err)
 				}
@@ -552,10 +613,13 @@ func (l *lyingRuntime) Alltoallv(send [][]byte) [][]byte {
 	return l.Runtime.Alltoallv(send)
 }
 
-// A malformed frame in any of discover's record rounds — ragged, or
-// holding a record no scan produces — ends the stage with a *StageError on
-// every rank; the one that decoded it carries the *WireError naming the
-// sender, and nobody hangs in a later round.
+// A malformed frame in any of discover's rounds — ragged, holding a record
+// no scan produces, addressed to another rank, or not answering the census
+// it belongs to — ends the stage with a *StageError on every rank; the one
+// that decoded it carries the *WireError naming the sender, and nobody
+// hangs in a later round. The rounds are, by Alltoallv call: 0 census, 1
+// keep bitmaps, 2 kept occurrences, 3 candidates, 4 tasks, 5 task counts,
+// 6 moved tasks.
 func TestDiscoverRejectsCorruptPeer(t *testing.T) {
 	const p, k = 3, 15
 	reads := mixedReads(t, 1)
@@ -563,10 +627,38 @@ func TestDiscoverRejectsCorruptPeer(t *testing.T) {
 	// last read to forge.
 	reads.Reads = append(reads.Reads, seq.Read{ID: seq.ReadID(reads.Len()), Seq: seq.Seq{0, 1, 2}})
 	lens := workload.LensOf(reads)
-	lay := (&Plan{Lens: lens, K: k}).layout()
-	if 1<<lay.read == len(lens) || lay.occ*8 == int(lay.code()+lay.read+lay.pos) || lay.cand*8 == int(lay.code()+lay.taskBits()) {
-		t.Fatalf("fixture: %d reads in %d bits, %d-byte occurrences, %d-byte candidates: no bad read index or padding bit to set",
-			len(lens), lay.read, lay.occ, lay.cand)
+	pt := sizePartition(t, lens, p)
+	lay := (&Plan{Lens: lens, K: k}).layout(p)
+	if 1<<lay.read == len(lens) || lay.occ*8 == int(lay.code()+lay.read+lay.pos) || lay.cand*8 == int(lay.code()+lay.taskBits()) ||
+		lay.census*8 == int(lay.slot) {
+		t.Fatalf("fixture: %d reads in %d bits, %d-byte occurrences, %d-byte candidates, %d-byte census records: no bad read index or padding bit to set",
+			len(lens), lay.read, lay.occ, lay.cand, lay.census)
+	}
+	// Rank 1's keep bitmap for rank 0 answers this many census records.
+	census0 := 0
+	lo0, hi0 := pt.Range(0)
+	for i := lo0; i < hi0; i++ {
+		if err := kmer.Scan(&reads.Reads[i], k, func(_ int, c kmer.Code, _ bool) {
+			if hashOwner(uint64(c), p) == 1 {
+				census0++
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if census0%8 == 0 {
+		t.Fatalf("fixture: rank 0 sends rank 1 %d census records, a bitmap with no padding bit", census0)
+	}
+	// Two reads rank 2 owns, each holding a k-mer window.
+	var far []seq.ReadID
+	lo2, hi2 := pt.Range(2)
+	for i := lo2; i < hi2 && len(far) < 2; i++ {
+		if int(lens[i]) >= k {
+			far = append(far, seq.ReadID(i))
+		}
+	}
+	if len(far) < 2 {
+		t.Fatalf("fixture: rank 2 owns %d reads of k bases or more, want 2", len(far))
 	}
 	chop := func(sent []byte) []byte { return sent[:len(sent)-1] }
 	for _, tc := range []struct {
@@ -574,14 +666,34 @@ func TestDiscoverRejectsCorruptPeer(t *testing.T) {
 		call         int
 		mutate       func([]byte) []byte
 	}{
-		{"ragged occurrences", "occurrence", 0, chop},
-		{"occurrences out of order", "occurrence", 0, func(sent []byte) []byte {
-			return append(append([]byte(nil), sent[lay.occ:2*lay.occ]...), sent[:lay.occ]...)
+		{"ragged census", "census", 0, chop},
+		{"census padding", "census", 0, padBit},
+		{"bitmap padding", "bitmap", 1, func(sent []byte) []byte {
+			bad := append([]byte(nil), sent...)
+			bad[len(bad)-1] |= 1 << (census0 % 8)
+			return bad
 		}},
-		{"occurrence padding", "occurrence", 0, padBit},
-		{"ragged candidates", "candidate", 1, chop},
-		{"candidate for an unknown read", "candidate", 1, func(sent []byte) []byte {
-			cands, err := lay.decodeCands([][]byte{sent}, lens)
+		{"bitmap one byte long", "bitmap", 1, func(sent []byte) []byte { return append(sent, 0xff) }},
+		{"ragged occurrences", "occurrence", 2, chop},
+		{"occurrences out of order", "occurrence", 2, func(sent []byte) []byte {
+			return append(append(append([]byte(nil), sent[lay.occ:2*lay.occ]...), sent[:lay.occ]...), sent[2*lay.occ:]...)
+		}},
+		{"occurrence padding", "occurrence", 2, padBit},
+		{"occurrence for another owner", "occurrence", 2, func(sent []byte) []byte {
+			var rec [wordPad]byte
+			copy(rec[:], sent[:lay.occ])
+			o := lay.occFields().get(load(rec[:]))
+			// A code with the census slot the record answers, owned by
+			// another rank: only the routing check can refuse it.
+			slot := splitmix(o.code) >> (64 - lay.slot)
+			c := uint64(0)
+			for ; splitmix(c)>>(64-lay.slot) != slot || hashOwner(c, p) == 0; c++ {
+			}
+			return append(occFrame(&lay, occRec{c, o.read, o.posRC}), sent[lay.occ:]...)
+		}},
+		{"ragged candidates", "candidate", 3, chop},
+		{"candidate for an unknown read", "candidate", 3, func(sent []byte) []byte {
+			cands, err := lay.decodeCands([][]byte{sent}, lens, 0, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -589,9 +701,27 @@ func TestDiscoverRejectsCorruptPeer(t *testing.T) {
 			c.task.B = 1<<lay.read - 1 // the widest read index, past the last read
 			return append(lay.putCand(nil, c.code, c.task)[:lay.cand], sent[lay.cand:]...)
 		}},
-		{"candidate padding", "candidate", 1, padBit},
-		{"ragged tasks", "task", 2, func(sent []byte) []byte { return append(sent, 0) }},
-		{"ragged moved tasks", "task", 4, func(sent []byte) []byte { return append(sent, 0) }},
+		{"candidate padding", "candidate", 3, padBit},
+		{"candidate for another pair owner", "candidate", 3, func(sent []byte) []byte {
+			cands, err := lay.decodeCands([][]byte{sent}, lens, 0, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := cands[0]
+			for b := c.task.A + 1; int(b) < len(lens); b++ { // a valid pair that hashes to another rank
+				if c.task.B = b; int(c.task.Seed.PosB)+k <= int(lens[b]) && hashOwner(c.task.Key(), p) != 0 {
+					return append(lay.putCand(nil, c.code, c.task)[:lay.cand], sent[lay.cand:]...)
+				}
+			}
+			t.Fatalf("fixture: no pair of read %d hashes past rank 0", c.task.A)
+			return nil
+		}},
+		{"ragged tasks", "task", 4, func(sent []byte) []byte { return append(sent, 0) }},
+		{"task for neither read's owner", "task", 4, func(sent []byte) []byte {
+			task := overlap.Task{A: far[0], B: far[1], Seed: overlap.Seed{K: k}}
+			return append(lay.putTask(nil, task)[:lay.task], sent...)
+		}},
+		{"ragged moved tasks", "task", 6, func(sent []byte) []byte { return append(sent, 0) }},
 	} {
 		plan, err := NewPlan(lens, p, Spec{K: k, Lo: 2, Hi: 12})
 		if err != nil {
@@ -705,9 +835,10 @@ func TestAlignRejectsShortOrRepeatedPayload(t *testing.T) {
 // Allocation guard: discovery allocates per rank and per buffer doubling,
 // never per k-mer. Tripling the distinct k-mers adds a few doublings. And
 // it allocates few bytes per k-mer instance: the sender's buffers and the
-// received frames (one occurrence record each, 7 B at this input's layout),
-// plus the owner's count table and its kept records — not a decoded copy
-// and a sort scratch of every instance (32 B more).
+// received frames (one 3 B census record each at this input's layout, and
+// a 7 B occurrence record for the instances kept), plus the owner's count
+// table and its kept records — not a decoded copy and a sort scratch of
+// every instance (32 B more).
 func TestDiscoverAllocsIndependentOfKmers(t *testing.T) {
 	perRank := func(genomeLen, p int) (allocs, extracted, bytes float64) {
 		smp, err := genome.NewSampler(genome.Generate(genome.Config{Length: genomeLen, Seed: 1}), genome.ReadConfig{
@@ -750,118 +881,168 @@ func TestDiscoverAllocsIndependentOfKmers(t *testing.T) {
 			t.Errorf("P=%d: %.0f allocations per rank for %.0f k-mers, %.0f for %.0f (limit %.0f and 1.25x)",
 				p, small, nSmall, large, nLarge, limit)
 		}
-		// About 51.6 B on this input at either P; 82 B with 16-byte
-		// occurrence records, 100 B when the owner decoded and sorted every
-		// instance.
+		// About 42.5 B on this input at either P; 51.6 B when every
+		// instance crossed as a 7-byte occurrence record, 82 B with 16-byte
+		// records, 100 B when the owner decoded and sorted every instance.
 		t.Logf("P=%d: %.1f bytes allocated per k-mer instance", p, perKmer)
-		if perKmer > 57 {
-			t.Errorf("P=%d: %.1f bytes allocated per k-mer instance (limit 57)", p, perKmer)
+		if perKmer > 48 {
+			t.Errorf("P=%d: %.1f bytes allocated per k-mer instance (limit 48)", p, perKmer)
 		}
 	}
 }
 
 // fuzzPlan maps fuzzed plan inputs to a layout and its read lengths: k 1
-// to 31, 1 to 4096 reads, the longest up to 2^31-1 bases.
-func fuzzPlan(k uint8, reads uint16, longest uint32) (layout, []int32) {
+// to 31, 1 to 4096 reads, the longest up to 2^31-1 bases, a census slot of
+// 0 to 20 bits.
+func fuzzPlan(k uint8, reads uint16, longest uint32, slot uint8) (layout, []int32) {
 	lens := make([]int32, 1+int(reads)%4096)
 	for i := range lens {
 		lens[i] = int32(longest&math.MaxInt32) >> (i % 4)
 	}
-	return (&Plan{Lens: lens, K: 1 + int(k)%kmer.MaxK}).layout(), lens
+	return newLayout(1+int(k)%kmer.MaxK, len(lens), int(lens[0]), uint(slot)%21), lens
 }
 
-// FuzzDiscoverWire feeds arbitrary bytes to the three decoders a peer's
-// frame reaches, under a fuzzed layout (the seeds hold one of exactly 64
-// bits an occurrence and one of more). None may panic or index out of
-// range; a ragged frame is a *WireError naming the sender; whatever is
-// accepted satisfies what the later stages index by (reads in range,
-// windows inside their reads) and re-encodes to the bytes it came from, so
-// no accepted record has a padding bit set. The occurrences kept, at the
-// full table size and with every code in one slot, are a subsequence of the
-// frame that holds every repeated code whole, and the singletons dropped
-// make up the rest of the frame's distinct codes.
+// FuzzDiscoverWire feeds arbitrary bytes to every decoder a peer's frame
+// reaches, under a fuzzed layout (the seeds hold one of exactly 64 bits an
+// occurrence and one of more). None may panic or index out of range; a
+// ragged frame is a *WireError naming the sender; whatever is accepted
+// satisfies what the later stages index by (reads in range, windows inside
+// their reads, records at the rank that owns them) and re-encodes to the
+// bytes it came from, so no accepted record has a padding bit set. An
+// accepted census is answered with a bitmap that keeps exactly the records
+// whose slot it holds twice or more, and counts the rest as singles. A
+// keep bitmap is accepted only at one bit a census record with no bit past
+// the last, and comes back at that length with its readable bits. A frame
+// of kept occurrences is accepted only if it answers its census record for
+// record.
 func FuzzDiscoverWire(f *testing.F) {
-	const from = 2
+	const from, p = 2, 3
 	for _, pl := range []struct {
 		k       uint8
 		reads   uint16
 		longest uint32
-	}{{5, 4, 64}, {17, 1023, 300000}, {31, 4095, math.MaxInt32}} { // occurrences of 21, 64 and 106 bits
-		l, _ := fuzzPlan(pl.k, pl.reads, pl.longest)
+		slot    uint8
+	}{{5, 4, 64, 4}, {17, 1023, 300000, 20}, {31, 4095, math.MaxInt32, 9}} { // occurrences of 21, 64 and 106 bits
+		l, _ := fuzzPlan(pl.k, pl.reads, pl.longest, pl.slot)
 		k := int16(l.k)
-		f.Add(occFrame(&l, occRec{7, 0, 3 << 1}, occRec{9, 2, 1<<1 | 1}), pl.k, pl.reads, pl.longest)
-		f.Add(l.putCand(nil, 99, overlap.Task{A: 0, B: 2, Seed: overlap.Seed{PosA: 1, PosB: 5, K: k, RC: true}}), pl.k, pl.reads, pl.longest)
-		f.Add(l.putTask(nil, overlap.Task{A: 1, B: 4, Seed: overlap.Seed{PosA: 3, PosB: 20, K: k}}), pl.k, pl.reads, pl.longest)
+		occs := []occRec{{7, 0, 3 << 1}, {7, 2, 1<<1 | 1}}
+		f.Add(occFrame(&l, occs...), pl.k, pl.reads, pl.longest, pl.slot)
+		f.Add(l.putCand(nil, 99, overlap.Task{A: 0, B: 2, Seed: overlap.Seed{PosA: 1, PosB: 5, K: k, RC: true}}), pl.k, pl.reads, pl.longest, pl.slot)
+		f.Add(l.putTask(nil, overlap.Task{A: 1, B: 4, Seed: overlap.Seed{PosA: 3, PosB: 20, K: k}}), pl.k, pl.reads, pl.longest, pl.slot)
 	}
-	f.Add([]byte{1, 2, 3}, uint8(5), uint16(4), uint32(64))
+	f.Add([]byte{1, 2, 3}, uint8(5), uint16(4), uint32(64), uint8(0))
+	for _, slot := range []uint8{0, 11, 20} {
+		l, _ := fuzzPlan(17, 1023, 300000, slot)
+		f.Add(censusFrame(&l, occRec{code: 7}, occRec{code: 9}, occRec{code: 7}), uint8(17), uint16(1023), uint32(300000), slot)
+	}
+	f.Add(allKept(13), uint8(5), uint16(13), uint32(64), uint8(0))
 	// check vets one decoder's verdict and reports whether it accepted.
 	check := func(t *testing.T, record string, size int, data []byte, err error, accepted int) bool {
-		var we *WireError
 		switch {
 		case err == nil && accepted*size != len(data):
 			t.Fatalf("%s: %d bytes accepted as %d records", record, len(data), accepted)
-		case err != nil && (!errors.As(err, &we) || we.From != from || we.Record != record):
+		case err != nil && !isWireError(err, record, from):
 			t.Fatalf("%s: error %v is not a WireError from rank %d", record, err, from)
 		}
 		return err == nil
 	}
-	f.Fuzz(func(t *testing.T, data []byte, kIn uint8, reads uint16, longest uint32) {
-		l, lens := fuzzPlan(kIn, reads, longest)
+	f.Fuzz(func(t *testing.T, data []byte, kIn uint8, reads uint16, longest uint32, slot uint8) {
+		l, lens := fuzzPlan(kIn, reads, longest, slot)
 		k := l.k
 		windowOK := func(t overlap.Task) bool {
 			return t.A < t.B && int(t.B) < len(lens) && t.Seed.PosA >= 0 && t.Seed.PosB >= 0 &&
 				int(t.Seed.PosA)+k <= int(lens[t.A]) && int(t.Seed.PosB)+k <= int(lens[t.B])
 		}
-		frames := make([][]byte, from+1)
+		frames := make([][]byte, p)
 		frames[from] = data
-		var again []byte
-		for _, slots := range []int{occSlots, 0} {
-			kept, singles, err := repeatedOccs(frames, lens, &l, slots)
-			if !check(t, "occurrence", l.occ, data, err, len(data)/l.occ) {
-				break
+
+		// The census, counted at its owner.
+		keep, singles, err := keepBitmaps(frames, &l)
+		if n := (len(data) + l.census - 1) / l.census; len(keep[from]) != (n+7)/8 {
+			t.Fatalf("census: %d bytes answered with a %d-byte bitmap", len(data), len(keep[from]))
+		}
+		if check(t, "census", l.census, data, err, len(data)/l.census) {
+			n, freq := len(data)/l.census, map[uint64]int{}
+			var again []byte
+			for i := range n {
+				s := l.censusSlot(data, i)
+				freq[s]++
+				again = appendRec(again, l.census, s, 0, 0)
 			}
-			freq := map[uint64]int{}
-			again = nil
-			for b := data; len(b) > 0; b = b[l.occ:] {
-				var rec [wordPad]byte // the record's own bytes, zeros after
-				copy(rec[:], b[:l.occ])
-				o := l.occFields().get(load(rec[:]))
-				freq[o.code]++
+			if string(again) != string(data) {
+				t.Fatal("census records do not re-encode to their frame")
+			}
+			unset := 0
+			for i := range n {
+				bit := keep[from][i>>3] >> (i & 7) & 1
+				if (bit == 1) != (freq[l.censusSlot(data, i)] > 1) {
+					t.Fatalf("census record %d: slot seen %d times, kept %d", i, freq[l.censusSlot(data, i)], bit)
+				}
+				unset += int(1 - bit)
+			}
+			if int(singles) != unset || ones(keep[from]) != n-unset {
+				t.Fatalf("census: %d singles, %d bits set, for %d records %d unset", singles, ones(keep[from]), n, unset)
+			}
+		}
+
+		// The same bytes as a keep bitmap answering n census records.
+		n := int(reads) % (8*len(data) + 9)
+		fixed, err := checkBitmap(from, data, n)
+		ok := len(data) == (n+7)/8 && (n%8 == 0 || data[len(data)-1]>>(n%8) == 0)
+		if ok != (err == nil) || err != nil && !isWireError(err, "bitmap", from) || len(fixed) != (n+7)/8 {
+			t.Fatalf("bitmap of %d bytes for %d records: %v, %d bytes back", len(data), n, err, len(fixed))
+		}
+		for i := range 8 * len(fixed) {
+			want := byte(0)
+			if i < n && i>>3 < len(data) {
+				want = data[i>>3] >> (i & 7) & 1
+			}
+			if got := fixed[i>>3] >> (i & 7) & 1; got != want {
+				t.Fatalf("bitmap for %d records: bit %d is %d back, %d sent", n, i, got, want)
+			}
+		}
+
+		// Kept occurrences answering a census of their own slots, all kept,
+		// at the rank that owns the first record's code.
+		var recs []occRec
+		for b := data; len(b) >= l.occ; b = b[l.occ:] {
+			var rec [wordPad]byte // the record's own bytes, zeros after
+			copy(rec[:], b[:l.occ])
+			recs = append(recs, l.occFields().get(load(rec[:])))
+		}
+		me := 0
+		if len(recs) > 0 {
+			me = hashOwner(recs[0].code, p)
+		}
+		census, bitmaps := make([][]byte, p), make([][]byte, p)
+		census[from], bitmaps[from] = censusFrame(&l, recs...), allKept(len(recs))
+		kept, err := keptOccs(frames, census, bitmaps, lens, &l, me)
+		if again := []byte(nil); check(t, "occurrence", l.occ, data, err, len(kept)) {
+			for _, o := range kept {
+				if int(o.read) >= len(lens) || int(o.posRC>>1)+k > int(lens[o.read]) || o.code >= 1<<(2*k) || hashOwner(o.code, p) != me {
+					t.Fatalf("accepted occurrence %+v at rank %d", o, me)
+				}
 				again = append(again, occFrame(&l, o)...)
 			}
 			if string(again) != string(data) {
 				t.Fatal("occurrences do not re-encode to their frame")
 			}
-			rest, keptFreq := data, map[uint64]int{}
-			for _, o := range kept {
-				if int(o.read) >= len(lens) || int(o.posRC>>1)+k > int(lens[o.read]) || o.code >= 1<<(2*k) {
-					t.Fatalf("accepted occurrence %+v", o)
+			if len(recs) > 0 { // one record more than the bitmap keeps
+				bitmaps[from] = allKept(len(recs) - 1)
+				if _, err := keptOccs(frames, census, bitmaps, lens, &l, me); !isWireError(err, "occurrence", from) {
+					t.Fatalf("%d occurrences answering %d kept census records: %v", len(recs), len(recs)-1, err)
 				}
-				rec := occFrame(&l, o)
-				for len(rest) > 0 && string(rest[:l.occ]) != string(rec) {
-					rest = rest[l.occ:]
-				}
-				if len(rest) == 0 {
-					t.Fatalf("%d slots per record: kept %+v is not a subsequence of the frame", slots, o)
-				}
-				rest = rest[l.occ:]
-				keptFreq[o.code]++
-			}
-			all := slots == 0 && len(data) > l.occ // one slot: every code collides
-			for code, n := range freq {
-				if got := keptFreq[code]; got != n && (n > 1 || all || got != 0) {
-					t.Fatalf("%d slots per record: code %d seen %d times, %d kept", slots, code, n, got)
-				}
-			}
-			if int(singles)+len(keptFreq) != len(freq) {
-				t.Fatalf("%d slots per record: %d singles + %d kept codes, %d codes in the frame", slots, singles, len(keptFreq), len(freq))
 			}
 		}
-		cands, err := l.decodeCands(frames, lens)
-		if again = nil; check(t, "candidate", l.cand, data, err, len(cands)) {
+
+		// Candidates at rank kIn mod p; tasks at the owner of the last half
+		// of the reads or of all of them.
+		cme := int(kIn) % p
+		cands, err := l.decodeCands(frames, lens, cme, p)
+		if again := []byte(nil); check(t, "candidate", l.cand, data, err, len(cands)) {
 			for _, c := range cands {
-				if !windowOK(c.task) {
-					t.Fatalf("accepted candidate %+v", c)
+				if !windowOK(c.task) || hashOwner(c.task.Key(), p) != cme {
+					t.Fatalf("accepted candidate %+v at rank %d", c, cme)
 				}
 				again = l.putCand(again, c.code, c.task)
 			}
@@ -869,11 +1050,12 @@ func FuzzDiscoverWire(f *testing.F) {
 				t.Fatal("candidates do not re-encode to their frame")
 			}
 		}
-		tasks, err := l.decodeTasks(frames, lens)
-		if again = nil; check(t, "task", l.task, data, err, len(tasks)) {
+		lo := len(lens) / 2 * int(slot&1)
+		tasks, err := l.decodeTasks(frames, lens, lo, len(lens))
+		if again := []byte(nil); check(t, "task", l.task, data, err, len(tasks)) {
 			for _, task := range tasks {
-				if !windowOK(task) {
-					t.Fatalf("accepted task %+v", task)
+				if !windowOK(task) || int(task.B) < lo {
+					t.Fatalf("accepted task %+v at the owner of reads from %d", task, lo)
 				}
 				again = l.putTask(again, task)
 			}

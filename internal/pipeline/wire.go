@@ -9,24 +9,31 @@ import (
 	"gnbody/internal/seq"
 )
 
-// layout is the bit width of every field of discover's three records, a
-// pure function of the plan (k, the read count, the longest read), so every
-// rank derives the same one. A record is its fields packed low bits first,
-// written little-endian in the fewest whole bytes; a bit set above the
-// fields is a bad record.
+// layout is the bit width of every field of discover's records, a pure
+// function of the plan (k, the read count, the longest read, the windows a
+// rank scans on average), so every rank derives the same one. A record is
+// its fields packed low bits first, written little-endian in the fewest
+// whole bytes; a bit set above the fields is a bad record.
 //
+//	census      slot T
 //	occurrence  code 2k, then read, pos<<1|rc
 //	task        posA, posB<<1|rc, then A, B
 //	candidate   code 2k, then a task
 //
-// read is bits.Len(reads-1) and pos bits.Len(longest-k)+1, the strand bit
-// included; posA, always on the forward strand, takes pos-1. Each record is
-// a head of 1 to 63 bits and a rest of at most 64 above it (join), so an
-// occurrence or a task is two words and a candidate three.
+// slot is T = bits.Len(occSlots · windows / p), the index width of the
+// owner's count table; read is bits.Len(reads-1) and pos
+// bits.Len(longest-k)+1, the strand bit included; posA, always on the
+// forward strand, takes pos-1. Each record but the census is a head of 1
+// to 63 bits and a rest of at most 64 above it (join), so an occurrence
+// or a task is two words and a candidate three. The keep bitmap that
+// answers a census frame is one bit a census record, in its order, low
+// bits first, in ceil(n/8) bytes.
 type layout struct {
 	k         int
 	read, pos uint // bits of a read index and of pos<<1|rc
-	occ       int  // bytes of an occurrence record,
+	slot      uint // T, bits of a census record
+	census    int  // bytes of a census record (at least one),
+	occ       int  // of an occurrence record,
 	task      int  // of a task record,
 	cand      int  // and of a candidate record
 }
@@ -35,21 +42,23 @@ type layout struct {
 // 8-byte words), and how much headroom its encoder stores into.
 const wordPad = 24
 
-func newLayout(k, reads, longest int) layout {
-	l := layout{k: k, read: uint(bits.Len(uint(max(reads-1, 0)))), pos: uint(bits.Len(uint(max(longest-k, 0)))) + 1}
+func newLayout(k, reads, longest int, slot uint) layout {
+	l := layout{k: k, read: uint(bits.Len(uint(max(reads-1, 0)))), pos: uint(bits.Len(uint(max(longest-k, 0)))) + 1, slot: slot}
+	l.census = max(bytesOf(slot), 1)
 	l.occ = bytesOf(l.code() + l.read + l.pos)
 	l.task = bytesOf(l.taskBits())
 	l.cand = bytesOf(l.code() + l.taskBits())
 	return l
 }
 
-// layout is the plan's record layout.
-func (pl *Plan) layout() layout {
-	longest := int32(0)
+// layout is the plan's record layout on p ranks.
+func (pl *Plan) layout(p int) layout {
+	longest, windows := int32(0), 0
 	for _, n := range pl.Lens {
 		longest = max(longest, n)
+		windows += max(int(n)-pl.K+1, 0)
 	}
-	return newLayout(pl.K, len(pl.Lens), int(longest))
+	return newLayout(pl.K, len(pl.Lens), int(longest), uint(bits.Len(uint(occSlots*windows/p))))
 }
 
 func bytesOf(width uint) int { return int(width+7) / 8 }
@@ -152,9 +161,11 @@ func appendRec(buf []byte, size int, w0, w1, w2 uint64) []byte {
 }
 
 // WireError reports a discover frame from a peer that cannot be used: a
-// ragged length, or a record that no scan of the plan's reads produces.
+// ragged length, a record that no scan of the plan's reads produces or that
+// is addressed to another rank, or a keep bitmap or kept-record frame that
+// does not answer the census it belongs to.
 type WireError struct {
-	Record string // "occurrence", "candidate", "task" or "count"
+	Record string // "census", "bitmap", "occurrence", "candidate", "task" or "count"
 	From   int    // the sending rank
 	Reason string
 }
@@ -223,21 +234,49 @@ func decodeFrames[T any](record string, frames [][]byte, size int, width uint, r
 	return out, nil
 }
 
-// decodeCands decodes a round of candidate frames.
-func (l *layout) decodeCands(frames [][]byte, lens []int32) ([]candRec, error) {
+// decodeCands decodes a round of candidate frames sent to rank me of p: a
+// candidate whose pair hashes to another rank is a bad record.
+func (l *layout) decodeCands(frames [][]byte, lens []int32, me, p int) ([]candRec, error) {
 	return decodeFrames("candidate", frames, l.cand, l.code()+l.taskBits(), func(b []byte) (candRec, bool) {
 		w0, w1 := load(b)
 		code, lo := split(w0, w1, l.code())
 		_, hi := split(w1, binary.LittleEndian.Uint64(b[16:]), l.code())
 		t, ok := l.getTask(lo, hi, lens)
-		return candRec{code, t}, ok
+		return candRec{code, t}, ok && hashOwner(t.Key(), p) == me
 	})
 }
 
-// decodeTasks decodes a round of redistributed task frames.
-func (l *layout) decodeTasks(frames [][]byte, lens []int32) ([]overlap.Task, error) {
+// decodeTasks decodes a round of redistributed task frames sent to the rank
+// that owns reads [lo, hi): a task with neither read in it is a bad record.
+func (l *layout) decodeTasks(frames [][]byte, lens []int32, lo, hi int) ([]overlap.Task, error) {
 	return decodeFrames("task", frames, l.task, l.taskBits(), func(b []byte) (overlap.Task, bool) {
-		lo, hi := load(b)
-		return l.getTask(lo, hi, lens)
+		w0, w1 := load(b)
+		t, ok := l.getTask(w0, w1, lens)
+		return t, ok && (lo <= int(t.A) && int(t.A) < hi || lo <= int(t.B) && int(t.B) < hi)
 	})
+}
+
+// censusSlot is the slot of census record i of buf, which holds it whole.
+func (l *layout) censusSlot(buf []byte, i int) uint64 {
+	var w [8]byte
+	copy(w[:], buf[i*l.census:(i+1)*l.census])
+	return binary.LittleEndian.Uint64(w[:])
+}
+
+// checkBitmap vets the keep bitmap rank from sent in answer to n census
+// records: ceil(n/8) bytes with no bit set past the nth. A bad one is a
+// *WireError naming that rank, returned with the bitmap of the right length
+// that keeps what the bad one's first n bits keep, so that the sender still
+// answers what that rank can read of it.
+func checkBitmap(from int, bm []byte, n int) ([]byte, error) {
+	want := (n + 7) / 8
+	if len(bm) == want && (n%8 == 0 || bm[want-1]>>(n%8) == 0) {
+		return bm, nil
+	}
+	fixed := make([]byte, want)
+	copy(fixed, bm)
+	if n%8 != 0 {
+		fixed[want-1] &= byte(low(uint(n % 8)))
+	}
+	return fixed, &WireError{"bitmap", from, fmt.Sprintf("%d bytes answering %d census records", len(bm), n)}
 }
