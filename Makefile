@@ -36,15 +36,17 @@
 #                seed 1 and on held-out seed 2, with exact wire_mb and no
 #                failed operation: exchange-tcp must put 8.34437 / 8.17781 MB
 #                on the wire — the bytes the fetch-aware task assignment
-#                leaves to move — and overlap-noisy 0.831865 / 0.843464 MB —
-#                discover's census, keep bitmaps and kept records, and the
-#                read exchange
+#                leaves to move — and overlap-noisy 0.806573 / 0.816572 MB —
+#                discover's census, keep bitmaps, kept records and task
+#                placement, and the read exchange
 #   make kernel-cells  one traced 5 s run of the benchmark's
 #                overlap-noisy workload on seed 1 and one on held-out
 #                seed 2: the aligner must see exactly 918 / 921 tasks and
-#                sweep exactly 69 296 131 / 66 789 819 DP cells, and no
-#                operation may fail — the work measure a kernel change
-#                must leave alone, as exact counts
+#                sweep exactly 69 296 131 / 66 789 819 DP cells, the ranks
+#                must fetch exactly 58 / 56 remote reads (core.remote_reads,
+#                set by discover's task placement), and no operation may
+#                fail — the work measure a kernel change must leave alone,
+#                as exact counts
 #   make race    full suite under the race detector (what CI runs)
 #   make fuzz    10s smoke per fuzz target (go fuzzing allows one -fuzz
 #                target per invocation, hence one run per target)
@@ -75,7 +77,7 @@
 
 GO      ?= go
 FUZZT   ?= 10s
-LOC_BUDGET = 19290
+LOC_BUDGET = 19494
 
 .PHONY: check vet cross fmtcheck build test bench-smoke bench-build backhalf-rounds allocs fetches kernel-cells loc loc-budget race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke ci
 
@@ -127,7 +129,7 @@ allocs:
 	done
 
 fetches:
-	@for want in "exchange-tcp 1 8.34437" "exchange-tcp 2 8.17781" "overlap-noisy 1 0.831865" "overlap-noisy 2 0.843464"; do \
+	@for want in "exchange-tcp 1 8.34437" "exchange-tcp 2 8.17781" "overlap-noisy 1 0.806573" "overlap-noisy 2 0.816572"; do \
 		set -- $$want; \
 		out=$$(bash benchmark/run.sh -workload $$1 -seed $$2 -seconds 5) || { echo "$$out"; exit 1; }; \
 		echo "$$out" | awk -v w=$$1 -v seed=$$2 -v want=$$3 ' \
@@ -139,16 +141,17 @@ fetches:
 	done
 
 kernel-cells:
-	@for want in "1 918 69296131" "2 921 66789819"; do \
+	@for want in "1 918 69296131 58" "2 921 66789819 56"; do \
 		set -- $$want; \
 		out=$$(bash benchmark/run.sh -workload overlap-noisy -seed $$1 -seconds 5 -trace 1) || { echo "$$out"; exit 1; }; \
-		echo "$$out" | awk -v seed=$$1 -v wtasks=$$2 -v wcells=$$3 ' \
+		echo "$$out" | awk -v seed=$$1 -v wtasks=$$2 -v wcells=$$3 -v wremote=$$4 ' \
 			$$1 == "=" && $$2 == "overlap.tasks" { tasks = $$3 } \
+			$$1 == "=" && $$2 == "core.remote_reads" { remote = $$3 } \
 			$$1 == "align.lane_occupancy:" { cells = $$2 } \
 			/operations attempted/ { ops = 1; failed = $$NF } \
-			END { if (tasks == "" || cells == "" || !ops) { printf "kernel-cells seed %s: report lacks overlap.tasks, the live-cell count or the operations line\n", seed; exit 1 } \
-			  if (tasks != wtasks || cells != wcells || failed != 0) { printf "kernel-cells seed %s: overlap.tasks %s (want %s), live cells %s (want %s), failed %s (want 0)\n", seed, tasks, wtasks, cells, wcells, failed; exit 1 } \
-			  printf "kernel-cells seed %s: OK (overlap.tasks %s, %s cells, failed 0)\n", seed, tasks, cells }' || exit 1; \
+			END { if (tasks == "" || cells == "" || remote == "" || !ops) { printf "kernel-cells seed %s: report lacks overlap.tasks, the live-cell count, core.remote_reads or the operations line\n", seed; exit 1 } \
+			  if (tasks != wtasks || cells != wcells || remote != wremote || failed != 0) { printf "kernel-cells seed %s: overlap.tasks %s (want %s), live cells %s (want %s), remote reads %s (want %s), failed %s (want 0)\n", seed, tasks, wtasks, cells, wcells, remote, wremote, failed; exit 1 } \
+			  printf "kernel-cells seed %s: OK (overlap.tasks %s, %s cells, %s remote reads, failed 0)\n", seed, tasks, cells, remote }' || exit 1; \
 	done
 
 loc:

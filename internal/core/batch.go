@@ -27,13 +27,16 @@ import (
 // counting sort over ≤34 buckets: deterministic, stable within a bucket,
 // and allocation-free against the batcher's reusable buffers.
 
-// expectedExtension estimates how many columns the X-drop kernel will
-// sweep for task t: the right extension is bounded by the shorter suffix
-// past the seed, the left extension by the shorter prefix before it. An
-// estimate only — X-drop may stop far earlier — but extension bounds are
-// what separate the short-regime tasks from the long ones.
-func expectedExtension(in *Input, t overlap.Task) int {
-	la, lb := int(in.Lens[t.A]), int(in.Lens[t.B])
+// ExpectedExtension estimates how many columns the X-drop kernel will
+// sweep for task t over reads of lengths lens: the right extension is
+// bounded by the shorter suffix past the seed, the left extension by the
+// shorter prefix before it. An estimate only — X-drop may stop far earlier
+// — but extension bounds are what separate the short-regime tasks from the
+// long ones, and on true overlaps the kernel's cells follow it (about 31
+// cells a column at x = 15): the batcher buckets by it, and the pipeline's
+// task placement balances ranks on it.
+func ExpectedExtension(lens []int32, t overlap.Task) int {
+	la, lb := int(lens[t.A]), int(lens[t.B])
 	k := int(t.Seed.K)
 	pa, pb := int(t.Seed.PosA), int(t.Seed.PosB)
 	right := min(la-pa-k, lb-pb-k)
@@ -101,7 +104,7 @@ func (bt *batcher) plan(in *Input) {
 		bt.cnt[i] = 0
 	}
 	for i, t := range bt.tasks {
-		k := bits.Len(uint(expectedExtension(in, t)))
+		k := bits.Len(uint(ExpectedExtension(in.Lens, t)))
 		if k >= len(bt.cnt) {
 			k = len(bt.cnt) - 1
 		}

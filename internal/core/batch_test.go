@@ -60,7 +60,7 @@ func TestBatchPlanDeterministic(t *testing.T) {
 			t.Fatalf("order is not a permutation: index %d", oi)
 		}
 		seen[oi] = true
-		k := bits.Len(uint(expectedExtension(in, w.tasks[oi])))
+		k := bits.Len(uint(ExpectedExtension(in.Lens, w.tasks[oi])))
 		if k < prevKey {
 			t.Fatalf("bucket order violated: key %d after %d", k, prevKey)
 		}

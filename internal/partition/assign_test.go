@@ -304,3 +304,18 @@ func BenchmarkAssignTasks(b *testing.B) {
 		})
 	}
 }
+
+// Transfers routes as a max-flow, not first come first served: ranks 0
+// and 2 are 10 over the mean, 1 and 3 are 10 under, 0 may move to 1 or 3
+// and 2 only to 3, so 0 must leave 3 to 2. Free moves go before the rest:
+// 0 has 10 free toward 1 and 10 not free toward 3.
+func TestTransfersMaxFlow(t *testing.T) {
+	cost := []int64{30, 10, 30, 10}
+	free := [][]int64{{0, 10, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}}
+	rest := [][]int64{{0, 0, 0, 10}, {0, 0, 0, 0}, {0, 0, 0, 15}, {0, 0, 0, 0}}
+	plan := partition.Transfers(cost, free, rest)
+	want := [][]int64{{0, 10, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 10}, {0, 0, 0, 0}}
+	if fmt.Sprint(plan) != fmt.Sprint(want) {
+		t.Errorf("plan %v, want %v", plan, want)
+	}
+}

@@ -14,12 +14,12 @@ import (
 
 // TestDiscoverFaults runs discover on four dist ranks over the loopback
 // fabric, one of them behind a fault injector. A crash or a stall of that
-// rank in the census, bitmap, kept-record or candidate round must end with
-// every rank returning an error within the progress deadline, never a
-// hang; duplicated and delayed frames must change nothing, so the union of
-// tasks is still the serial reference's. Each of the first four rounds is
-// one Alltoallv, three frames a rank at four ranks, so a fault after send
-// 3·round+1 fires inside that round. The runs that must succeed get a
+// rank in any of discover's seven rounds (DESIGN §18) must end with every
+// rank returning an error within the progress deadline, never a hang;
+// duplicated and delayed frames must change nothing, so the union of tasks
+// is still the serial reference's. Each round is one Alltoallv, three
+// frames a rank at four ranks, so a fault after send 3·round+1 fires
+// inside that round. The runs that must succeed get a
 // longer deadline, so that a rank slowed by the race detector on a busy
 // machine is not taken for a dead one.
 func TestDiscoverFaults(t *testing.T) {
@@ -59,7 +59,7 @@ func TestDiscoverFaults(t *testing.T) {
 		}
 	}
 
-	for round, name := range []string{"census", "bitmap", "record", "candidate"} {
+	for round, name := range []string{"census", "bitmap", "record", "candidate", "task", "cost", "moved task"} {
 		for _, fault := range []struct {
 			name   string
 			action transport.FaultAction

@@ -13,9 +13,10 @@
 // occurrence per read turns into candidate pairs; pairs are deduplicated at
 // hash owners by sorting on the pair and keeping each run's smallest-code
 // seed (matching the serial reference exactly, and yielding pair order);
-// finally the tasks are redistributed to read owners under the owner
-// invariant with count balancing ("the tasks are roughly balanced across
-// the processors").
+// finally each task is placed on the owner of one of its reads (place.go):
+// one side of each rank pair's reads crosses, and a repair balances the
+// kernel work the tasks are estimated to cost ("the tasks are roughly
+// balanced across the processors").
 //
 // The union of every rank's output tasks equals overlap.FromReadSet's
 // serial result — seed for seed — which the tests enforce.
@@ -145,7 +146,9 @@ func keepBitmaps(frames [][]byte, l *layout) (bitmaps [][]byte, singles int64, e
 // subsequence of that order, and their frames are decoded in rank order.
 // And it checks that a frame answers its census: one record for each bit
 // set, each with a code whose hash owner is me and whose slot is that of
-// the census record it answers.
+// the census record it answers. A refusal (layout.refusal) is a
+// *WireError naming me: its sender found fault with the keep bitmap me
+// sent it, and so the stage fails and blames me alone.
 func keptOccs(frames, census, bitmaps [][]byte, lens []int32, l *layout, me int) ([]occRec, error) {
 	n := 0
 	for _, buf := range frames {
@@ -157,6 +160,9 @@ func keptOccs(frames, census, bitmaps [][]byte, lens []int32, l *layout, me int)
 	next := uint64(0) // the smallest (read, pos) the next record may carry
 	var tail [2 * wordPad]byte
 	for from, buf := range frames {
+		if l.refused(buf) {
+			return nil, &WireError{"bitmap", me, fmt.Sprintf("refused by rank %d", from)}
+		}
 		if err := ragged("occurrence", from, buf, size); err != nil {
 			return nil, err
 		}
@@ -272,9 +278,14 @@ func (pl *Plan) Run(r rt.Runtime, store seq.Store) (*Output, error) {
 		occ := lay.occFields()
 		next := make([]int, p) // per owner, the census record the next instance answers
 		for dst, bm := range answers {
-			bm, err := checkBitmap(dst, bm, len(sendCen[dst])/lay.census)
-			fail = errors.Join(fail, err)
-			answers[dst] = bm
+			n := len(sendCen[dst]) / lay.census
+			if err := checkBitmap(dst, bm, n); err != nil {
+				// Keep nothing for dst, and tell it so: dst, not this
+				// rank, sent what cannot be read.
+				fail = errors.Join(fail, err)
+				answers[dst], sendOcc[dst] = make([]byte, (n+7)/8), lay.refusal()
+				continue
+			}
 			sendOcc[dst] = make([]byte, 0, lay.occ*ones(bm)+wordPad)
 		}
 		for i := lo; i < hi; i++ {
@@ -339,8 +350,8 @@ func (pl *Plan) Run(r rt.Runtime, store seq.Store) (*Output, error) {
 		out.PairsOwned = int64(len(deduped))
 	})
 
-	// --- Stage: task redistribution to read owners, count-balanced. ---
-	tasks, err := redistribute(r, pl, &lay, deduped)
+	// --- Stage: task placement on read owners, cost-balanced. ---
+	tasks, err := place(r, pl, &lay, deduped)
 	if err = errors.Join(fail, err); err != nil {
 		return nil, err
 	}
@@ -416,74 +427,4 @@ func sortByCode(recs, tmp []occRec, width int) []occRec {
 		recs, tmp = tmp, recs
 	}
 	return recs
-}
-
-// redistribute sends each deduplicated task (in pair-key order) to the
-// owner of one of its reads, balancing counts: a hash parity picks the
-// initial owner (an unbiased even split of every rank's eligibility), then
-// one global refinement round moves surplus tasks from overloaded ranks
-// toward their alternative owner in proportion to the measured imbalance.
-// Like Run, it enters all three rounds whatever it decodes on the way.
-func redistribute(r rt.Runtime, pl *Plan, lay *layout, deduped []overlap.Task) ([]overlap.Task, error) {
-	p := r.Size()
-
-	// Initial split: hash parity chooses owner(A) vs owner(B).
-	send := make([][]byte, p)
-	for _, t := range deduped {
-		owner := pl.Part.Owner(t.A)
-		if alt := pl.Part.Owner(t.B); alt != owner && splitmix(t.Key())&1 == 1 {
-			owner = alt
-		}
-		send[owner] = lay.putTask(send[owner], t)
-	}
-	lo, hi := pl.Part.Range(r.Rank())
-	mine, err1 := lay.decodeTasks(r.Alltoallv(send), pl.Lens, lo, hi)
-
-	// Refinement: learn everyone's counts (an allgather via alltoallv),
-	// then overloaded ranks push surplus toward underloaded alternates.
-	counts, err2 := allgatherCounts(r, int64(len(mine)))
-	moved := make([][]byte, p)
-	var kept []overlap.Task
-	if err1 == nil && err2 == nil {
-		var total int64
-		for _, c := range counts {
-			total += c
-		}
-		mean := total / int64(p)
-		surplus := int64(len(mine)) - mean
-		for _, t := range mine {
-			ra, rb := pl.Part.Owner(t.A), pl.Part.Owner(t.B)
-			alt := ra
-			if ra == r.Rank() {
-				alt = rb
-			}
-			if surplus > 0 && alt != r.Rank() && counts[alt] < mean {
-				moved[alt] = lay.putTask(moved[alt], t)
-				surplus--
-				continue
-			}
-			kept = append(kept, t)
-		}
-	}
-	incoming, err3 := lay.decodeTasks(r.Alltoallv(moved), pl.Lens, lo, hi)
-	kept = append(kept, incoming...)
-	overlap.SortTasks(kept)
-	return kept, errors.Join(err1, err2, err3)
-}
-
-// allgatherCounts shares every rank's task count via a tiny alltoallv.
-func allgatherCounts(r rt.Runtime, mine int64) ([]int64, error) {
-	send := make([][]byte, r.Size())
-	rec := binary.LittleEndian.AppendUint64(nil, uint64(mine))
-	for dst := range send {
-		send[dst] = rec
-	}
-	counts := make([]int64, len(send))
-	for src, buf := range r.Alltoallv(send) {
-		if len(buf) != len(rec) {
-			return nil, &WireError{"count", src, fmt.Sprintf("%d bytes", len(buf))}
-		}
-		counts[src] = int64(binary.LittleEndian.Uint64(buf))
-	}
-	return counts, nil
 }

@@ -616,10 +616,14 @@ func (l *lyingRuntime) Alltoallv(send [][]byte) [][]byte {
 // A malformed frame in any of discover's rounds — ragged, holding a record
 // no scan produces, addressed to another rank, or not answering the census
 // it belongs to — ends the stage with a *StageError on every rank; the one
-// that decoded it carries the *WireError naming the sender, and nobody
-// hangs in a later round. The rounds are, by Alltoallv call: 0 census, 1
-// keep bitmaps, 2 kept occurrences, 3 candidates, 4 tasks, 5 task counts,
-// 6 moved tasks.
+// that decoded it carries the *WireError naming the sender, no other rank
+// blames anyone, RunOn's folded error names the sender too, and nobody
+// hangs in a later round. A bad keep bitmap is refused back to its sender,
+// which then carries a *WireError naming itself; a refusal of a good one
+// fails the stage too, blaming the bitmap's sender, since no rank can tell
+// it from one that answers a bitmap spoilt on the way. The rounds are, by
+// Alltoallv call: 0 census, 1 keep bitmaps, 2 kept occurrences, 3
+// candidates, 4 tasks, 5 costs, 6 moved tasks.
 func TestDiscoverRejectsCorruptPeer(t *testing.T) {
 	const p, k = 3, 15
 	reads := mixedReads(t, 1)
@@ -674,7 +678,9 @@ func TestDiscoverRejectsCorruptPeer(t *testing.T) {
 			return bad
 		}},
 		{"bitmap one byte long", "bitmap", 1, func(sent []byte) []byte { return append(sent, 0xff) }},
+		{"bitmap one byte short", "bitmap", 1, chop},
 		{"ragged occurrences", "occurrence", 2, chop},
+		{"a refusal of a good bitmap", "bitmap", 2, func([]byte) []byte { return lay.refusal() }},
 		{"occurrences out of order", "occurrence", 2, func(sent []byte) []byte {
 			return append(append(append([]byte(nil), sent[lay.occ:2*lay.occ]...), sent[:lay.occ]...), sent[2*lay.occ:]...)
 		}},
@@ -721,6 +727,12 @@ func TestDiscoverRejectsCorruptPeer(t *testing.T) {
 			task := overlap.Task{A: far[0], B: far[1], Seed: overlap.Seed{K: k}}
 			return append(lay.putTask(nil, task)[:lay.task], sent...)
 		}},
+		{"ragged costs", "cost", 5, chop},
+		{"cost toward the sender", "cost", 5, func(sent []byte) []byte {
+			bad := append([]byte(nil), sent...)
+			bad[8*(1+1)] = 1 // rank 1's free cost toward rank 1
+			return bad
+		}},
 		{"ragged moved tasks", "task", 6, func(sent []byte) []byte { return append(sent, 0) }},
 	} {
 		plan, err := NewPlan(lens, p, Spec{K: k, Lo: 2, Hi: 12})
@@ -742,17 +754,50 @@ func TestDiscoverRejectsCorruptPeer(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+		// A bitmap fault found in the kept-record round is a refusal rank 1
+		// forged: rank 0, whose bitmap it refuses, is blamed.
+		forged, blamed := tc.record == "bitmap" && tc.call == 2, 1
+		if forged {
+			blamed = 0
+		}
 		var we *WireError
-		if !errors.As(errs[0], &we) || we.From != 1 || we.Record != tc.record {
-			t.Errorf("%s: rank 0 returned %v, want a %s WireError from rank 1", tc.name, errs[0], tc.record)
+		if !errors.As(errs[0], &we) || we.From != blamed || we.Record != tc.record {
+			t.Errorf("%s: rank 0 returned %v, want a %s WireError from rank %d", tc.name, errs[0], tc.record, blamed)
+		}
+		// The sender of a refused bitmap learns it, and blames itself.
+		refused := tc.record == "bitmap" && !forged
+		if refused && (!errors.As(errs[1], &we) || we.From != 1 || we.Record != "bitmap") {
+			t.Errorf("%s: rank 1 returned %v, want a bitmap WireError from rank 1", tc.name, errs[1])
 		}
 		for rk, err := range errs {
 			var se *StageError
-			if !errors.As(err, &se) || se.Stage != "discover" || (rk != 0) != (se.Err == nil) {
+			if !errors.As(err, &se) || se.Stage != "discover" || (rk == 0 || rk == 1 && refused) != (se.Err != nil) {
 				t.Errorf("%s: rank %d returned %v", tc.name, rk, err)
 			}
 		}
+		_, err = plan.RunOn(lyingWorld{world, tc.call, tc.mutate}, func(r rt.Runtime) seq.Store {
+			return scopeRank(r, plan.Part, reads, lens)
+		}, nil)
+		if !errors.As(err, &we) || we.From != blamed || we.Record != tc.record {
+			t.Errorf("%s: RunOn returned %v, want a %s WireError from rank %d", tc.name, err, tc.record, blamed)
+		}
 	}
+}
+
+// lyingWorld runs its world with rank 1's runtime a lyingRuntime.
+type lyingWorld struct {
+	World
+	call   int
+	mutate func(sent []byte) []byte
+}
+
+func (w lyingWorld) Run(body func(rt.Runtime)) error {
+	return w.World.Run(func(r rt.Runtime) {
+		if r.Rank() == 1 {
+			r = &lyingRuntime{Runtime: r, call: w.call, mutate: w.mutate}
+		}
+		body(r)
+	})
 }
 
 // shortAnswerAlign is a BSP align stage whose rank 1 answers the first read
@@ -902,19 +947,22 @@ func fuzzPlan(k uint8, reads uint16, longest uint32, slot uint8) (layout, []int3
 	return newLayout(1+int(k)%kmer.MaxK, len(lens), int(lens[0]), uint(slot)%21), lens
 }
 
+// maxFuzzFrame is the longest frame FuzzDiscoverWire decodes.
+const maxFuzzFrame = 256
+
 // FuzzDiscoverWire feeds arbitrary bytes to every decoder a peer's frame
 // reaches, under a fuzzed layout (the seeds hold one of exactly 64 bits an
-// occurrence and one of more). None may panic or index out of range; a
-// ragged frame is a *WireError naming the sender; whatever is accepted
+// occurrence and one of more), the placement's cost rows included. None may
+// panic or index out of range; a ragged frame is a *WireError naming the
+// sender; whatever is accepted
 // satisfies what the later stages index by (reads in range, windows inside
 // their reads, records at the rank that owns them) and re-encodes to the
 // bytes it came from, so no accepted record has a padding bit set. An
 // accepted census is answered with a bitmap that keeps exactly the records
 // whose slot it holds twice or more, and counts the rest as singles. A
 // keep bitmap is accepted only at one bit a census record with no bit past
-// the last, and comes back at that length with its readable bits. A frame
-// of kept occurrences is accepted only if it answers its census record for
-// record.
+// the last. A frame of kept occurrences is accepted only if it answers its
+// census record for record; a refusal is a *WireError naming its receiver.
 func FuzzDiscoverWire(f *testing.F) {
 	const from, p = 2, 3
 	for _, pl := range []struct {
@@ -936,6 +984,9 @@ func FuzzDiscoverWire(f *testing.F) {
 		f.Add(censusFrame(&l, occRec{code: 7}, occRec{code: 9}, occRec{code: 7}), uint8(17), uint16(1023), uint32(300000), slot)
 	}
 	f.Add(allKept(13), uint8(5), uint16(13), uint32(64), uint8(0))
+	l, _ := fuzzPlan(5, 4, 64, 4)
+	f.Add(l.refusal(), uint8(5), uint16(4), uint32(64), uint8(4))
+	f.Add(putCosts([]int64{10, 3, 0, 0, 0, 4, 0}), uint8(5), uint16(4), uint32(64), uint8(4))
 	// check vets one decoder's verdict and reports whether it accepted.
 	check := func(t *testing.T, record string, size int, data []byte, err error, accepted int) bool {
 		switch {
@@ -947,6 +998,13 @@ func FuzzDiscoverWire(f *testing.F) {
 		return err == nil
 	}
 	f.Fuzz(func(t *testing.T, data []byte, kIn uint8, reads uint16, longest uint32, slot uint8) {
+		// A longer frame only repeats records (24 bytes at most each), and
+		// the engine minimizes a new input in time quadratic in its length,
+		// each try a pass over it: one of a few kilobytes held the only
+		// worker for the whole -fuzztime, at 0 execs a second.
+		if len(data) > maxFuzzFrame {
+			return
+		}
 		l, lens := fuzzPlan(kIn, reads, longest, slot)
 		k := l.k
 		windowOK := func(t overlap.Task) bool {
@@ -987,19 +1045,10 @@ func FuzzDiscoverWire(f *testing.F) {
 
 		// The same bytes as a keep bitmap answering n census records.
 		n := int(reads) % (8*len(data) + 9)
-		fixed, err := checkBitmap(from, data, n)
+		err = checkBitmap(from, data, n)
 		ok := len(data) == (n+7)/8 && (n%8 == 0 || data[len(data)-1]>>(n%8) == 0)
-		if ok != (err == nil) || err != nil && !isWireError(err, "bitmap", from) || len(fixed) != (n+7)/8 {
-			t.Fatalf("bitmap of %d bytes for %d records: %v, %d bytes back", len(data), n, err, len(fixed))
-		}
-		for i := range 8 * len(fixed) {
-			want := byte(0)
-			if i < n && i>>3 < len(data) {
-				want = data[i>>3] >> (i & 7) & 1
-			}
-			if got := fixed[i>>3] >> (i & 7) & 1; got != want {
-				t.Fatalf("bitmap for %d records: bit %d is %d back, %d sent", n, i, got, want)
-			}
+		if ok != (err == nil) || err != nil && !isWireError(err, "bitmap", from) {
+			t.Fatalf("bitmap of %d bytes for %d records: %v", len(data), n, err)
 		}
 
 		// Kept occurrences answering a census of their own slots, all kept,
@@ -1017,7 +1066,11 @@ func FuzzDiscoverWire(f *testing.F) {
 		census, bitmaps := make([][]byte, p), make([][]byte, p)
 		census[from], bitmaps[from] = censusFrame(&l, recs...), allKept(len(recs))
 		kept, err := keptOccs(frames, census, bitmaps, lens, &l, me)
-		if again := []byte(nil); check(t, "occurrence", l.occ, data, err, len(kept)) {
+		if l.refused(data) {
+			if !isWireError(err, "bitmap", me) {
+				t.Fatalf("a refusal at rank %d: %v", me, err)
+			}
+		} else if again := []byte(nil); check(t, "occurrence", l.occ, data, err, len(kept)) {
 			for _, o := range kept {
 				if int(o.read) >= len(lens) || int(o.posRC>>1)+k > int(lens[o.read]) || o.code >= 1<<(2*k) || hashOwner(o.code, p) != me {
 					t.Fatalf("accepted occurrence %+v at rank %d", o, me)
@@ -1061,6 +1114,27 @@ func FuzzDiscoverWire(f *testing.F) {
 			}
 			if string(again) != string(data) {
 				t.Fatal("tasks do not re-encode to their frame")
+			}
+		}
+
+		// The same bytes as the sender's cost row, beside two rows of zero.
+		costs := make([][]byte, p)
+		for r := range costs {
+			costs[r] = putCosts(make([]int64, 1+2*p))
+		}
+		costs[from] = data
+		cost, free, rest, err := decodeCosts(costs)
+		if check(t, "cost", len(data), data, err, min(len(cost), 1)) {
+			row := append(append([]int64{cost[from]}, free[from]...), rest[from]...)
+			var movable int64
+			for _, v := range row[1:] {
+				movable += v
+			}
+			if free[from][from] != 0 || rest[from][from] != 0 || movable > row[0] || row[0] > math.MaxInt64/p {
+				t.Fatalf("accepted cost row %v from rank %d", row, from)
+			}
+			if string(putCosts(row)) != string(data) {
+				t.Fatal("the cost row does not re-encode to its frame")
 			}
 		}
 	})

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"gnbody/internal/overlap"
@@ -162,10 +163,11 @@ func appendRec(buf []byte, size int, w0, w1, w2 uint64) []byte {
 
 // WireError reports a discover frame from a peer that cannot be used: a
 // ragged length, a record that no scan of the plan's reads produces or that
-// is addressed to another rank, or a keep bitmap or kept-record frame that
-// does not answer the census it belongs to.
+// is addressed to another rank, a keep bitmap or kept-record frame that
+// does not answer the census it belongs to, or a cost row that no
+// placement produces.
 type WireError struct {
-	Record string // "census", "bitmap", "occurrence", "candidate", "task" or "count"
+	Record string // "census", "bitmap", "occurrence", "candidate", "task" or "cost"
 	From   int    // the sending rank
 	Reason string
 }
@@ -265,18 +267,73 @@ func (l *layout) censusSlot(buf []byte, i int) uint64 {
 
 // checkBitmap vets the keep bitmap rank from sent in answer to n census
 // records: ceil(n/8) bytes with no bit set past the nth. A bad one is a
-// *WireError naming that rank, returned with the bitmap of the right length
-// that keeps what the bad one's first n bits keep, so that the sender still
-// answers what that rank can read of it.
-func checkBitmap(from int, bm []byte, n int) ([]byte, error) {
+// *WireError naming that rank; the sender then answers it with a refusal.
+func checkBitmap(from int, bm []byte, n int) error {
 	want := (n + 7) / 8
 	if len(bm) == want && (n%8 == 0 || bm[want-1]>>(n%8) == 0) {
-		return bm, nil
+		return nil
 	}
-	fixed := make([]byte, want)
-	copy(fixed, bm)
-	if n%8 != 0 {
-		fixed[want-1] &= byte(low(uint(n % 8)))
+	return &WireError{"bitmap", from, fmt.Sprintf("%d bytes answering %d census records", len(bm), n)}
+}
+
+// refusal is the kept-record frame that answers a keep bitmap its sender
+// refused: two all-zero occurrences, which no scan sends (its records
+// strictly ascend), so that the owner (keptOccs) blames itself for the
+// fault, not the sender for a frame that answers nothing it sent.
+func (l *layout) refusal() []byte { return make([]byte, 2*l.occ) }
+
+// refused reports whether buf is a refusal.
+func (l *layout) refused(buf []byte) bool {
+	if len(buf) != 2*l.occ {
+		return false
 	}
-	return fixed, &WireError{"bitmap", from, fmt.Sprintf("%d bytes answering %d census records", len(bm), n)}
+	for _, b := range buf {
+		if b != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// putCosts encodes a rank's line of the cost allgather: 8-byte words, its
+// estimated kernel cost, then per rank s the cost of its tasks that may
+// move to s in two parts, the moves that free one of its fetches
+// (row[1+s]) and the rest (row[1+p+s]).
+func putCosts(row []int64) []byte {
+	buf := make([]byte, 0, 8*len(row))
+	for _, v := range row {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+	}
+	return buf
+}
+
+// decodeCosts decodes the cost allgather of p ranks into each rank's cost
+// and its free and rest rows. A row of another length, a word past
+// MaxInt64/p (so that no sum over the ranks overflows), a movable cost
+// toward the sender itself, or movable costs summing past the sender's own
+// cost is a *WireError naming the sender.
+func decodeCosts(frames [][]byte) (cost []int64, free, rest [][]int64, err error) {
+	p := len(frames)
+	cost, free, rest = make([]int64, p), make([][]int64, p), make([][]int64, p)
+	for from, buf := range frames {
+		if len(buf) != 8*(1+2*p) {
+			return nil, nil, nil, &WireError{"cost", from, fmt.Sprintf("%d bytes, want %d", len(buf), 8*(1+2*p))}
+		}
+		row, movable := make([]int64, 1+2*p), uint64(0)
+		for i := range row {
+			w := binary.LittleEndian.Uint64(buf[8*i:])
+			if w > math.MaxInt64/uint64(p) {
+				return nil, nil, nil, &WireError{"cost", from, fmt.Sprintf("word %d is %d", i, w)}
+			}
+			row[i] = int64(w)
+			if i > 0 {
+				movable += w
+			}
+		}
+		if row[1+from] != 0 || row[1+p+from] != 0 || movable > uint64(row[0]) {
+			return nil, nil, nil, &WireError{"cost", from, fmt.Sprintf("%d movable, %d toward itself, of %d", movable, row[1+from]+row[1+p+from], row[0])}
+		}
+		cost[from], free[from], rest[from] = row[0], row[1:1+p], row[1+p:]
+	}
+	return cost, free, rest, nil
 }

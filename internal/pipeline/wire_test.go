@@ -189,22 +189,24 @@ func TestLayoutCodec(t *testing.T) {
 		}
 
 		// A keep bitmap is one bit a census record: ceil(n/8) bytes and no
-		// bit past the nth. A refused one comes back at the right length,
-		// keeping what its first n bits keep.
-		for _, bad := range [][]byte{keep[1][:len(keep[1])-1], append(append([]byte(nil), keep[1]...), 0)} {
-			if fixed, err := checkBitmap(from, bad, n); !isWireError(err, "bitmap", from) || len(fixed) != len(keep[1]) {
-				t.Fatalf("%s: a %d-byte bitmap for %d records: %v, %d bytes back", label, len(bad), n, err, len(fixed))
-			}
-		}
+		// bit past the nth.
+		bad := [][]byte{keep[1][:len(keep[1])-1], append(append([]byte(nil), keep[1]...), 0)}
 		if n%8 != 0 {
-			bad := append([]byte(nil), keep[1]...)
-			bad[len(bad)-1] |= 0x80
-			if fixed, err := checkBitmap(from, bad, n); !isWireError(err, "bitmap", from) || string(fixed) != string(keep[1]) {
-				t.Fatalf("%s: a bitmap padding bit: %v, % x back", label, err, fixed)
+			bad = append(bad, append([]byte(nil), keep[1]...))
+			bad[2][len(keep[1])-1] |= 0x80
+		}
+		for _, bm := range bad {
+			if err := checkBitmap(from, bm, n); !isWireError(err, "bitmap", from) {
+				t.Fatalf("%s: bitmap % x for %d records: %v", label, bm, n, err)
 			}
 		}
-		if fixed, err := checkBitmap(from, keep[1], n); err != nil || &fixed[0] != &keep[1][0] {
+		if err := checkBitmap(from, keep[1], n); err != nil {
 			t.Fatalf("%s: the bitmap for %d records refused: %v", label, n, err)
+		}
+		// A refusal from rank 1 is a fault of the keep bitmap rank 0 sent
+		// it: a *WireError naming rank 0.
+		if _, err := keptOccs([][]byte{occFrames[0], l.refusal()}, census, keep, lens, &l, 0); !isWireError(err, "bitmap", 0) {
+			t.Fatalf("%s: a refusal: %v", label, err)
 		}
 	}
 	if !occ64 || !occWide || !candWide || !short {
