@@ -77,7 +77,7 @@
 
 GO      ?= go
 FUZZT   ?= 10s
-LOC_BUDGET = 19494
+LOC_BUDGET = 18935
 
 .PHONY: check vet cross fmtcheck build test bench-smoke bench-build backhalf-rounds allocs fetches kernel-cells loc loc-budget race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke ci
 

@@ -183,7 +183,51 @@ func TestPAFOneRecordPerRawHit(t *testing.T) {
 		if !strings.HasPrefix(f[12], "AS:i:") || !strings.HasPrefix(f[13], "cg:Z:") || len(f[13]) == len("cg:Z:") {
 			t.Errorf("record %d: tags %q %q", i, f[12], f[13])
 		}
+		// The transcript consumes exactly the query and target spans.
+		aLen, bLen, _, _ := parseCigar(t, strings.TrimPrefix(f[13], "cg:Z:")).Counts()
+		if aLen != num(3)-num(2) || bLen != num(8)-num(7) {
+			t.Errorf("record %d: cg:Z consumes (%d,%d), spans are (%d,%d)", i, aLen, bLen, num(3)-num(2), num(8)-num(7))
+		}
 	}
+}
+
+// TestPAFRejectsDisagreeingHit forges a hit whose span the seed replay
+// does not reproduce: writePAF must refuse it, naming the read pair.
+func TestPAFRejectsDisagreeingHit(t *testing.T) {
+	reads, err := seq.LoadReader(strings.NewReader(">r0\nACGTTGCAACGTAGCTAGCATCGATCGATCGGATC\n>r1\nACGTTGCAACGTAGCTAGCATCGATCGTTCGGATC\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := overlap.Task{A: 0, B: 1, Seed: overlap.Seed{PosA: 5, PosB: 5, K: 10}}
+	res, err := align.SeedExtend(reads.Get(0).Seq, reads.Get(1).Seq, 5, 5, 10, align.DefaultScoring(), 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := core.Hit{A: 0, B: 1, Score: int32(res.Score), AStart: int32(res.AStart), AEnd: int32(res.AEnd),
+		BStart: int32(res.BStart), BEnd: int32(res.BEnd)}
+	var out strings.Builder
+	if err := writePAF(&out, reads, task, h, 15); err != nil {
+		t.Fatalf("honest hit refused: %v", err)
+	}
+	h.BEnd--
+	if err := writePAF(&out, reads, task, h, 15); err == nil || !strings.Contains(err.Error(), "r0/r1") {
+		t.Fatalf("forged hit: err %v, want one naming r0/r1", err)
+	}
+}
+
+// parseCigar reads a rendered transcript ("120=1X30=2D8=") back.
+func parseCigar(t *testing.T, s string) align.Cigar {
+	t.Helper()
+	var c align.Cigar
+	for n := 0; s != ""; s = s[n+1:] {
+		n = strings.IndexAny(s, "=XID")
+		l, err := strconv.Atoi(s[:max(n, 0)])
+		if n < 0 || err != nil || l <= 0 {
+			t.Fatalf("malformed cigar at %q", s)
+		}
+		c = append(c, align.CigarOp{Op: s[n], Len: l})
+	}
+	return c
 }
 
 func TestUsageErrorsExit2(t *testing.T) {

@@ -209,7 +209,8 @@ func (s *session) writeArtifact(w io.Writer, art *artifact, runs []*pipeline.Sta
 
 // writePAF renders one saved alignment as a PAF record (the de-facto
 // interchange format for long-read overlaps), recomputing the edit
-// transcript for the residue-match and cg:Z fields. Coordinates follow the
+// transcript for the residue-match and cg:Z fields; a replay that does not
+// reproduce the hit's score and spans is an error. Coordinates follow the
 // PAF convention: for '-' strand hits, target coordinates are reported on
 // the original strand.
 func writePAF(w io.Writer, reads *seq.ReadSet, t overlap.Task, h core.Hit, x int) error {
@@ -218,10 +219,16 @@ func writePAF(w io.Writer, reads *seq.ReadSet, t overlap.Task, h core.Hit, x int
 	if h.RC {
 		b = b.ReverseComplement()
 	}
-	_, cigar, err := align.SeedExtendTrace(ra.Seq, b, int(t.Seed.PosA), int(t.Seed.PosB),
+	res, cigar, err := align.SeedExtendTrace(ra.Seq, b, int(t.Seed.PosA), int(t.Seed.PosB),
 		int(t.Seed.K), align.DefaultScoring(), x)
 	if err != nil {
 		return err
+	}
+	if res.Score != int(h.Score) || res.AStart != int(h.AStart) || res.AEnd != int(h.AEnd) ||
+		res.BStart != int(h.BStart) || res.BEnd != int(h.BEnd) {
+		return fmt.Errorf("paf: %s/%s: traced alignment (score %d, a [%d,%d), b [%d,%d)) disagrees with the hit (score %d, a [%d,%d), b [%d,%d))",
+			ra.Name, rb.Name, res.Score, res.AStart, res.AEnd, res.BStart, res.BEnd,
+			h.Score, h.AStart, h.AEnd, h.BStart, h.BEnd)
 	}
 	_, _, matches, alnLen := cigar.Counts()
 	strand := "+"

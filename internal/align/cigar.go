@@ -35,13 +35,21 @@ func (c Cigar) String() string {
 	return sb.String()
 }
 
-// append adds one base-level op, merging with the tail run.
-func (c Cigar) push(op byte) Cigar {
-	if n := len(c); n > 0 && c[n-1].Op == op {
-		c[n-1].Len++
+// add appends n of op, merging with the tail run.
+func (c Cigar) add(op byte, n int) Cigar {
+	if last := len(c) - 1; last >= 0 && c[last].Op == op {
+		c[last].Len += n
 		return c
 	}
-	return append(c, CigarOp{Op: op, Len: 1})
+	return append(c, CigarOp{Op: op, Len: n})
+}
+
+// column is the op that aligns base x against base y: N never matches.
+func column(x, y seq.Base) byte {
+	if x == y && x < seq.N {
+		return OpMatch
+	}
+	return OpMismatch
 }
 
 // reverse flips the transcript in place (traceback emits ops backward).
@@ -73,15 +81,6 @@ func (c Cigar) Counts() (aLen, bLen, matches, alnLen int) {
 	return
 }
 
-// Identity is matches / alignment columns (0 for an empty transcript).
-func (c Cigar) Identity() float64 {
-	_, _, m, n := c.Counts()
-	if n == 0 {
-		return 0
-	}
-	return float64(m) / float64(n)
-}
-
 // Validate checks internal consistency against the sequences it claims to
 // align: op lengths positive, consumed lengths matching, ops legal.
 func (c Cigar) Validate(a, b seq.Seq) error {
@@ -96,8 +95,7 @@ func (c Cigar) Validate(a, b seq.Seq) error {
 				if ai >= len(a) || bi >= len(b) {
 					return fmt.Errorf("align: cigar overruns sequences at op %d", k)
 				}
-				isMatch := a[ai] == b[bi] && a[ai] < seq.N
-				if isMatch != (op.Op == OpMatch) {
+				if column(a[ai], b[bi]) != op.Op {
 					return fmt.Errorf("align: cigar op %d claims %c at a[%d],b[%d]", k, op.Op, ai, bi)
 				}
 				ai++
@@ -131,51 +129,4 @@ func (c Cigar) Score(sc Scoring) int {
 		}
 	}
 	return s
-}
-
-// NWAlign is Needleman-Wunsch with full traceback: the optimal global
-// score and its edit transcript.
-func NWAlign(a, b seq.Seq, sc Scoring) (int, Cigar) {
-	rows := len(a) + 1
-	cols := len(b) + 1
-	score := make([]int, rows*cols)
-	for j := 1; j < cols; j++ {
-		score[j] = j * sc.Gap
-	}
-	for i := 1; i < rows; i++ {
-		score[i*cols] = i * sc.Gap
-		for j := 1; j < cols; j++ {
-			v := score[(i-1)*cols+j-1] + sub(sc, a[i-1], b[j-1])
-			if w := score[(i-1)*cols+j] + sc.Gap; w > v {
-				v = w
-			}
-			if w := score[i*cols+j-1] + sc.Gap; w > v {
-				v = w
-			}
-			score[i*cols+j] = v
-		}
-	}
-	// Traceback from (len(a), len(b)).
-	var c Cigar
-	i, j := len(a), len(b)
-	for i > 0 || j > 0 {
-		cur := score[i*cols+j]
-		switch {
-		case i > 0 && j > 0 && cur == score[(i-1)*cols+j-1]+sub(sc, a[i-1], b[j-1]):
-			if a[i-1] == b[j-1] && a[i-1] < seq.N {
-				c = c.push(OpMatch)
-			} else {
-				c = c.push(OpMismatch)
-			}
-			i--
-			j--
-		case i > 0 && cur == score[(i-1)*cols+j]+sc.Gap:
-			c = c.push(OpIns)
-			i--
-		default:
-			c = c.push(OpDel)
-			j--
-		}
-	}
-	return score[len(a)*cols+len(b)], c.reverse()
 }

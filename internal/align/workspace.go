@@ -1,10 +1,6 @@
 package align
 
-import (
-	"fmt"
-
-	"gnbody/internal/seq"
-)
+import "gnbody/internal/seq"
 
 // negInf32 mirrors negInf for the int32 row representation: far enough
 // below any reachable score to act as -infinity without overflowing when a
@@ -20,10 +16,10 @@ const negInf32 = int32(-1)<<29 - 1
 // per-task overhead).
 //
 // Ownership: one workspace per rank. Every call mutates its buffers, so a
-// workspace must never be shared across goroutines; the drivers obtain one
-// per rank via core's PerRankExecutor hook. Under the progress contract all
-// callbacks of a rank run on that rank's goroutine, so the asynchronous
-// driver needs no more than the rank's own workspace.
+// workspace must never be shared across goroutines; core binds one to each
+// rank's RealExecutor. Under the progress contract all callbacks of a rank
+// run on that rank's goroutine, so the asynchronous driver needs no more
+// than the rank's own workspace.
 type Workspace struct {
 	// slab is the DP row, indexed by column 0..blen, followed by the five
 	// rows of the query profile, all of one length (stride): each DP row
@@ -216,9 +212,9 @@ func (w *Workspace) extend(a, b seq.Seq, sc Scoring, x int, rev bool) Extension 
 	if sc.Gap >= 0 || !fitsInt32(alen, blen, sc, x) {
 		w.stats.RefExts++
 		if rev {
-			return extendRightRef(reverse(a), reverse(b), sc, x)
+			return extendRightRef(reverse(a), reverse(b), sc, x, nil)
 		}
-		return extendRightRef(a, b, sc, x)
+		return extendRightRef(a, b, sc, x, nil)
 	}
 	w.stats.RowExts++
 	w.ensure(sc, blen)
@@ -384,25 +380,11 @@ func extendRow(row, sub []int32, gap, best, x int32) (rowBest int32, top int) {
 // place of the reference's reversed copies, and zero allocations once the
 // workspace is warm.
 func (w *Workspace) SeedExtend(a, b seq.Seq, posA, posB, k int, sc Scoring, x int) (Result, error) {
-	if err := sc.Validate(); err != nil {
+	seed, err := seedScore(a, b, posA, posB, k, sc)
+	if err != nil {
 		return Result{}, err
-	}
-	if posA < 0 || posB < 0 || posA+k > len(a) || posB+k > len(b) || k <= 0 {
-		return Result{}, fmt.Errorf("align: seed [%d,%d)+%d out of range for lengths %d,%d",
-			posA, posB, k, len(a), len(b))
-	}
-	seedScore := 0
-	for j := 0; j < k; j++ {
-		seedScore += sub(sc, a[posA+j], b[posB+j])
 	}
 	right := w.extend(a[posA+k:], b[posB+k:], sc, x, false)
 	left := w.extend(a[:posA], b[:posB], sc, x, true)
-	return Result{
-		Score:  seedScore + right.Score + left.Score,
-		AStart: posA - left.AExt,
-		AEnd:   posA + k + right.AExt,
-		BStart: posB - left.BExt,
-		BEnd:   posB + k + right.BExt,
-		Cells:  right.Cells + left.Cells,
-	}, nil
+	return seeded(posA, posB, k, seed, left, right), nil
 }

@@ -1,6 +1,8 @@
 package align
 
 import (
+	"fmt"
+
 	"gnbody/internal/seq"
 )
 
@@ -53,4 +55,36 @@ type Result struct {
 func SeedExtend(a, b seq.Seq, posA, posB, k int, sc Scoring, x int) (Result, error) {
 	var w Workspace
 	return w.SeedExtend(a, b, posA, posB, k, sc, x)
+}
+
+// seedScore is the seed frame every SeedExtend shares: it checks the
+// scheme and the seed's range and scores the seed's k columns by direct
+// comparison. The caller runs the two extensions and joins them with
+// seeded.
+func seedScore(a, b seq.Seq, posA, posB, k int, sc Scoring) (int, error) {
+	if err := sc.Validate(); err != nil {
+		return 0, err
+	}
+	if posA < 0 || posB < 0 || posA+k > len(a) || posB+k > len(b) || k <= 0 {
+		return 0, fmt.Errorf("align: seed [%d,%d)+%d out of range for lengths %d,%d",
+			posA, posB, k, len(a), len(b))
+	}
+	s := 0
+	for j := 0; j < k; j++ {
+		s += sub(sc, a[posA+j], b[posB+j])
+	}
+	return s, nil
+}
+
+// seeded joins a seed of score seed with the extensions left and right of
+// it into the aligned regions.
+func seeded(posA, posB, k, seed int, left, right Extension) Result {
+	return Result{
+		Score:  seed + right.Score + left.Score,
+		AStart: posA - left.AExt,
+		AEnd:   posA + k + right.AExt,
+		BStart: posB - left.BExt,
+		BEnd:   posB + k + right.BExt,
+		Cells:  right.Cells + left.Cells,
+	}
 }

@@ -114,29 +114,49 @@ func forLeaves(f func(l rowLeaf)) {
 }
 
 // diffCase runs the row kernel on every leaf and the reference kernel on
-// one extension input, forward and over reversed indices, and compares.
+// one extension input, forward and over reversed indices, and compares;
+// the traced kernel must report the reference's extension, with a
+// transcript that covers the extended prefixes and rescores to its score.
 func diffCase(t *testing.T, w *Workspace, a, b seq.Seq, sc Scoring, x int) {
 	t.Helper()
-	forLeaves(func(l rowLeaf) {
-		for _, rev := range []bool{false, true} {
-			ra, rb := a, b
-			if rev {
-				ra, rb = reverse(a), reverse(b)
-			}
-			want := extendRightRef(ra, rb, sc, x)
+	for _, rev := range []bool{false, true} {
+		ra, rb := a, b
+		if rev {
+			ra, rb = reverse(a), reverse(b)
+		}
+		want := extendRightRef(ra, rb, sc, x, nil)
+		traced, cigar := ExtendRightTrace(ra, rb, sc, x)
+		if traced != want {
+			t.Fatalf("ExtendRightTrace(a=%s,b=%s,%+v,x=%d,rev=%v):\n traced    %+v\n reference %+v",
+				a, b, sc, x, rev, traced, want)
+		}
+		checkCigar(t, cigar, ra[:want.AExt], rb[:want.BExt], sc, want.Score)
+		forLeaves(func(l rowLeaf) {
 			got := w.extend(a, b, sc, x, rev)
 			if got != want {
 				t.Fatalf("%s leaf: extend(a=%s,b=%s,%+v,x=%d,rev=%v):\n workspace %+v\n reference %+v",
 					l.name, a, b, sc, x, rev, got, want)
 			}
-		}
-	})
+		})
+	}
 }
 
-// seedDiffCase compares SeedExtend on every leaf with the reference.
+// seedDiffCase compares SeedExtend on every leaf, and SeedExtendTrace,
+// with the reference.
 func seedDiffCase(t *testing.T, w *Workspace, a, b seq.Seq, posA, posB, k int, sc Scoring, x int) {
 	t.Helper()
 	want, errW := seedExtendRef(a, b, posA, posB, k, sc, x)
+	traced, cigar, errT := SeedExtendTrace(a, b, posA, posB, k, sc, x)
+	if (errW == nil) != (errT == nil) {
+		t.Fatalf("error mismatch: ref %v, traced %v", errW, errT)
+	}
+	if errW == nil {
+		if traced != want {
+			t.Fatalf("SeedExtendTrace(|a|=%d,|b|=%d,posA=%d,posB=%d,k=%d,%+v,x=%d):\n traced    %+v\n reference %+v",
+				len(a), len(b), posA, posB, k, sc, x, traced, want)
+		}
+		checkCigar(t, cigar, a[want.AStart:want.AEnd], b[want.BStart:want.BEnd], sc, want.Score)
+	}
 	forLeaves(func(l rowLeaf) {
 		got, errG := w.SeedExtend(a, b, posA, posB, k, sc, x)
 		if (errW == nil) != (errG == nil) {
@@ -147,6 +167,18 @@ func seedDiffCase(t *testing.T, w *Workspace, a, b seq.Seq, posA, posB, k int, s
 				l.name, len(a), len(b), posA, posB, k, sc, x, got, want)
 		}
 	})
+}
+
+// checkCigar holds a transcript to the regions it aligns and the score
+// reported for them.
+func checkCigar(t *testing.T, c Cigar, a, b seq.Seq, sc Scoring, score int) {
+	t.Helper()
+	if err := c.Validate(a, b); err != nil {
+		t.Fatalf("transcript %s: %v", c, err)
+	}
+	if got := c.Score(sc); got != score {
+		t.Fatalf("transcript %s rescores to %d, reported %d", c, got, score)
+	}
 }
 
 func randSeq(rng *rand.Rand, n int) seq.Seq {
@@ -606,7 +638,7 @@ func TestRowLoopCallBoundaries(t *testing.T) {
 		for j := range long {
 			long[j] %= seq.N
 		}
-		want := extendRightRef(long, long, unit, 1000)
+		want := extendRightRef(long, long, unit, 1000, nil)
 		forLeaves(func(l rowLeaf) {
 			for _, rev := range []bool{false, true} {
 				if got := w.extend(long, long, unit, 1000, rev); got != want {

@@ -1,7 +1,7 @@
 package align
 
 import (
-	"fmt"
+	"slices"
 
 	"gnbody/internal/seq"
 )
@@ -12,13 +12,15 @@ import (
 // cell — naive, and obviously faithful to the recurrence. The differential
 // property test and fuzz target pin the optimised kernel to it bit for bit
 // (Score, AExt, BExt, Cells); it also serves as the fallback for scoring
-// magnitudes that could overflow the workspace's int32 rows.
+// magnitudes that could overflow the workspace's int32 rows, and, with
+// row capture, as the traced kernel behind ExtendRightTrace.
 
 // extendRightRef performs gapped X-drop extension aligning prefixes of a
 // and b outward from offset 0 (Zhang et al. [25]): standard banded DP where
 // any cell scoring more than x below the best seen so far is pruned, and
-// the extension terminates when a whole row has been pruned.
-func extendRightRef(a, b seq.Seq, sc Scoring, x int) Extension {
+// the extension terminates when a whole row has been pruned. When rows is
+// not nil, each computed row's window is appended to it for traceback.
+func extendRightRef(a, b seq.Seq, sc Scoring, x int, rows *[]traceRow) Extension {
 	if x < 0 {
 		x = 0
 	}
@@ -36,6 +38,9 @@ func extendRightRef(a, b seq.Seq, sc Scoring, x int) Extension {
 		}
 		prev[j] = s
 		hi = j
+	}
+	if rows != nil {
+		*rows = append(*rows, traceRow{lo: 0, vals: slices.Clone(prev[:hi+1])})
 	}
 	cur := make([]int, len(b)+1)
 
@@ -80,6 +85,9 @@ func extendRightRef(a, b seq.Seq, sc Scoring, x int) Extension {
 		if rowBest == negInf {
 			break // X-drop termination: every live cell pruned
 		}
+		if rows != nil {
+			*rows = append(*rows, traceRow{lo: lo, vals: slices.Clone(cur[lo : hi+1])})
+		}
 		// Shrink the window to live cells.
 		for lo <= hi && cur[lo] == negInf {
 			lo++
@@ -106,25 +114,11 @@ func reverse(s seq.Seq) seq.Seq {
 // seedExtendRef is SeedExtend built on the reference kernel, materialising
 // reversed prefixes for the left extension.
 func seedExtendRef(a, b seq.Seq, posA, posB, k int, sc Scoring, x int) (Result, error) {
-	if err := sc.Validate(); err != nil {
+	seed, err := seedScore(a, b, posA, posB, k, sc)
+	if err != nil {
 		return Result{}, err
 	}
-	if posA < 0 || posB < 0 || posA+k > len(a) || posB+k > len(b) || k <= 0 {
-		return Result{}, fmt.Errorf("align: seed [%d,%d)+%d out of range for lengths %d,%d",
-			posA, posB, k, len(a), len(b))
-	}
-	seedScore := 0
-	for j := 0; j < k; j++ {
-		seedScore += sub(sc, a[posA+j], b[posB+j])
-	}
-	right := extendRightRef(a[posA+k:], b[posB+k:], sc, x)
-	left := extendRightRef(reverse(a[:posA]), reverse(b[:posB]), sc, x)
-	return Result{
-		Score:  seedScore + right.Score + left.Score,
-		AStart: posA - left.AExt,
-		AEnd:   posA + k + right.AExt,
-		BStart: posB - left.BExt,
-		BEnd:   posB + k + right.BExt,
-		Cells:  right.Cells + left.Cells,
-	}, nil
+	right := extendRightRef(a[posA+k:], b[posB+k:], sc, x, nil)
+	left := extendRightRef(reverse(a[:posA]), reverse(b[:posB]), sc, x, nil)
+	return seeded(posA, posB, k, seed, left, right), nil
 }

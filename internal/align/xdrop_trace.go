@@ -6,7 +6,7 @@ import (
 	"gnbody/internal/seq"
 )
 
-// traceRow snapshots one DP row's live window for traceback.
+// traceRow snapshots one DP row's window for traceback.
 type traceRow struct {
 	lo   int
 	vals []int // vals[j-lo] = score at column j (negInf = pruned)
@@ -20,173 +20,57 @@ func (tr traceRow) at(j int) int {
 }
 
 // ExtendRightTrace is ExtendRight plus the edit transcript of the best
-// extension. It retains every live DP cell (memory proportional to the
-// work, still pruning-bounded), so use it for reporting, not in the hot
-// path.
+// extension: the reference kernel run with row capture. It retains every
+// live DP cell (memory proportional to the work, still pruning-bounded),
+// so use it for reporting, not in the hot path.
 func ExtendRightTrace(a, b seq.Seq, sc Scoring, x int) (Extension, Cigar) {
-	if x < 0 {
-		x = 0
-	}
-	best, bestI, bestJ := 0, 0, 0
-	cells := 0
-	rows := make([]traceRow, 1, len(a)+1)
-
-	// Row 0.
-	lo, hi := 0, 0
-	prev := make([]int, len(b)+1)
-	prev[0] = 0
-	for j := 1; j <= len(b); j++ {
-		s := j * sc.Gap
-		if s < best-x {
-			break
-		}
-		prev[j] = s
-		hi = j
-	}
-	rows[0] = traceRow{lo: 0, vals: append([]int(nil), prev[:hi+1]...)}
-	cur := make([]int, len(b)+1)
-
-	plo, phi := lo, hi
-	for i := 1; i <= len(a); i++ {
-		lo = plo
-		hi = phi + 1
-		if hi > len(b) {
-			hi = len(b)
-		}
-		rowBest := negInf
-		for j := lo; j <= hi; j++ {
-			v := negInf
-			if j >= plo && j <= phi {
-				if w := prev[j] + sc.Gap; w > v {
-					v = w
-				}
-			}
-			if j-1 >= plo && j-1 <= phi {
-				if w := prev[j-1] + sub(sc, a[i-1], b[j-1]); w > v {
-					v = w
-				}
-			}
-			if j > lo {
-				if w := cur[j-1] + sc.Gap; w > v {
-					v = w
-				}
-			}
-			cells++
-			if v < best-x {
-				v = negInf
-			}
-			cur[j] = v
-			if v > rowBest {
-				rowBest = v
-			}
-			if v > best {
-				best, bestI, bestJ = v, i, j
-			}
-		}
-		if rowBest == negInf {
-			break
-		}
-		rows = append(rows, traceRow{lo: lo, vals: append([]int(nil), cur[lo:hi+1]...)})
-		for lo <= hi && cur[lo] == negInf {
-			lo++
-		}
-		for hi >= lo && cur[hi] == negInf {
-			hi--
-		}
-		prev, cur = cur, prev
-		plo, phi = lo, hi
-	}
-
-	ext := Extension{Score: best, AExt: bestI, BExt: bestJ, Cells: cells}
-
+	var rows []traceRow
+	ext := extendRightRef(a, b, sc, x, &rows)
 	// Traceback from the best cell to (0,0).
 	var c Cigar
-	i, j := bestI, bestJ
+	i, j := ext.AExt, ext.BExt
 	for i > 0 || j > 0 {
 		v := rows[i].at(j)
 		switch {
 		case i > 0 && j > 0 && rows[i-1].at(j-1) != negInf &&
 			v == rows[i-1].at(j-1)+sub(sc, a[i-1], b[j-1]):
-			if a[i-1] == b[j-1] && a[i-1] < seq.N {
-				c = c.push(OpMatch)
-			} else {
-				c = c.push(OpMismatch)
-			}
+			c = c.add(column(a[i-1], b[j-1]), 1)
 			i--
 			j--
 		case i > 0 && rows[i-1].at(j) != negInf && v == rows[i-1].at(j)+sc.Gap:
-			c = c.push(OpIns)
+			c = c.add(OpIns, 1)
 			i--
 		case j > 0 && rows[i].at(j-1) != negInf && v == rows[i].at(j-1)+sc.Gap:
-			c = c.push(OpDel)
+			c = c.add(OpDel, 1)
 			j--
 		default:
+			// Invariant: a live cell holds the max of its live moves, and each is tried above.
 			panic(fmt.Sprintf("align: broken traceback at (%d,%d)", i, j))
 		}
 	}
 	return ext, c.reverse()
 }
 
-// reverseCigar mirrors a transcript for the leftward extension (which ran
-// on reversed prefixes).
-func reverseCigarOps(c Cigar) Cigar {
-	out := make(Cigar, len(c))
-	for i, op := range c {
-		out[len(c)-1-i] = op
-	}
-	// Merge adjacent equal ops after reversal.
-	merged := out[:0]
-	for _, op := range out {
-		if n := len(merged); n > 0 && merged[n-1].Op == op.Op {
-			merged[n-1].Len += op.Len
-			continue
-		}
-		merged = append(merged, op)
-	}
-	return merged
-}
-
 // SeedExtendTrace is SeedExtend plus the full edit transcript of the
 // reported alignment (left extension + seed columns + right extension).
 func SeedExtendTrace(a, b seq.Seq, posA, posB, k int, sc Scoring, x int) (Result, Cigar, error) {
-	if err := sc.Validate(); err != nil {
+	seed, err := seedScore(a, b, posA, posB, k, sc)
+	if err != nil {
 		return Result{}, nil, err
 	}
-	if posA < 0 || posB < 0 || posA+k > len(a) || posB+k > len(b) || k <= 0 {
-		return Result{}, nil, fmt.Errorf("align: seed [%d,%d)+%d out of range for lengths %d,%d",
-			posA, posB, k, len(a), len(b))
+	right, rc := ExtendRightTrace(a[posA+k:], b[posB+k:], sc, x)
+	left, lc := ExtendRightTrace(reverse(a[:posA]), reverse(b[:posB]), sc, x)
+	// The left extension ran on reversed prefixes: its transcript reads
+	// backward.
+	var c Cigar
+	for i := len(lc) - 1; i >= 0; i-- {
+		c = c.add(lc[i].Op, lc[i].Len)
 	}
-	seedScore := 0
-	var seedCigar Cigar
 	for j := 0; j < k; j++ {
-		seedScore += sub(sc, a[posA+j], b[posB+j])
-		if a[posA+j] == b[posB+j] && a[posA+j] < seq.N {
-			seedCigar = seedCigar.push(OpMatch)
-		} else {
-			seedCigar = seedCigar.push(OpMismatch)
-		}
+		c = c.add(column(a[posA+j], b[posB+j]), 1)
 	}
-	right, rightCigar := ExtendRightTrace(a[posA+k:], b[posB+k:], sc, x)
-	left, leftCigarRev := ExtendRightTrace(reverse(a[:posA]), reverse(b[:posB]), sc, x)
-	leftCigar := reverseCigarOps(leftCigarRev)
-
-	full := append(append(leftCigar, seedCigar...), rightCigar...)
-	// Re-merge at the joins.
-	merged := Cigar{}
-	for _, op := range full {
-		if n := len(merged); n > 0 && merged[n-1].Op == op.Op {
-			merged[n-1].Len += op.Len
-			continue
-		}
-		merged = append(merged, op)
+	for _, op := range rc {
+		c = c.add(op.Op, op.Len)
 	}
-	res := Result{
-		Score:  seedScore + right.Score + left.Score,
-		AStart: posA - left.AExt,
-		AEnd:   posA + k + right.AExt,
-		BStart: posB - left.BExt,
-		BEnd:   posB + k + right.BExt,
-		Cells:  right.Cells + left.Cells,
-	}
-	return res, merged, nil
+	return seeded(posA, posB, k, seed, left, right), c, nil
 }

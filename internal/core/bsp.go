@@ -44,10 +44,10 @@ type Config struct {
 }
 
 func (cfg *Config) defaults() {
-	// cfg is a per-Run value copy, so binding per-rank executor state here
-	// gives each rank its own instance (one alignment workspace per rank).
-	if pr, ok := cfg.Exec.(PerRankExecutor); ok {
-		cfg.Exec = pr.ForRank()
+	// cfg is a per-Run value copy, so binding a workspace here gives each
+	// rank its own.
+	if re, ok := cfg.Exec.(RealExecutor); ok && re.call == nil {
+		cfg.Exec = re.WithWorkspace(align.NewWorkspace())
 	}
 	if cfg.MaxOutstanding <= 0 {
 		cfg.MaxOutstanding = 64

@@ -20,27 +20,18 @@ type Executor interface {
 	Align(r rt.Runtime, t overlap.Task, a, b seq.Seq) (res align.Result, ok bool)
 }
 
-// PerRankExecutor is implemented by executors that want per-rank mutable
-// state (the alignment workspace, for the real executor). The drivers call
-// ForRank once per run, before the first task, and route every task on that
-// rank through the returned instance. The progress contract guarantees all
-// of a rank's callbacks run on the rank's own goroutine, so the instance —
-// and the workspace inside it — needs no synchronisation, but it must never
-// leak to another goroutine.
-type PerRankExecutor interface {
-	Executor
-	ForRank() Executor
-}
-
 // RealExecutor runs the X-drop seed-and-extend kernel under wall-clock
-// timing (rt.CatAlign). A zero RealExecutor works but allocates a transient
-// workspace per task; the drivers call ForRank so every task on a rank runs
-// on one warm workspace, allocation-free.
+// timing (rt.CatAlign). Its per-rank scratch is an alignment workspace:
+// Config.defaults binds an unbound RealExecutor to a fresh one per Run, and
+// WithWorkspace binds one the caller keeps warm across Runs. A bound copy
+// belongs to one rank: the progress contract runs all of a rank's tasks on
+// its own goroutine, so the workspace needs no synchronisation, but it must
+// never reach another rank.
 type RealExecutor struct {
 	Scoring align.Scoring
 	X       int
 
-	call *alignCall // per-rank scratch; nil until ForRank or WithWorkspace
+	call *alignCall // per-rank scratch; nil until bound
 }
 
 // alignCall is one rank's alignment scratch: the workspace, a task's inputs
@@ -56,8 +47,9 @@ type alignCall struct {
 	fn   func()
 }
 
-// bind returns a copy of e running on ws.
-func (e RealExecutor) bind(ws *align.Workspace) RealExecutor {
+// WithWorkspace returns a copy of e bound to ws, which it runs every task
+// on. Config.defaults leaves a bound executor as it is.
+func (e RealExecutor) WithWorkspace(ws *align.Workspace) RealExecutor {
 	c := &alignCall{ws: ws}
 	sc, x := e.Scoring, e.X
 	c.fn = func() { c.res, c.err = overlap.AlignTaskWS(c.ws, c.a, c.b, c.t, sc, x) }
@@ -65,15 +57,12 @@ func (e RealExecutor) bind(ws *align.Workspace) RealExecutor {
 	return e
 }
 
-// ForRank returns a copy bound to a fresh alignment workspace.
-func (e RealExecutor) ForRank() Executor { return e.bind(align.NewWorkspace()) }
-
 // Align runs the kernel. Seeds are validated at candidate construction, so
 // a kernel error here is a programming error and panics.
 func (e RealExecutor) Align(r rt.Runtime, t overlap.Task, a, b seq.Seq) (align.Result, bool) {
 	c := e.call
 	if c == nil {
-		c = e.bind(align.NewWorkspace()).call
+		c = e.WithWorkspace(align.NewWorkspace()).call
 	}
 	c.t, c.a, c.b = t, a, b
 	r.Timed(rt.CatAlign, c.fn)

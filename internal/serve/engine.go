@@ -66,7 +66,11 @@ type engine struct {
 	memBudget int64
 	deadline  time.Duration
 
-	resident *core.Resident // survives world rebuilds: workspaces are plain memory
+	// ws is each rank's alignment workspace. It survives world rebuilds
+	// (workspaces are plain memory) and serves job after job: the DP rows
+	// grow to the longest extension seen and then run allocation-free.
+	// Read caches are not kept: ReadIDs are job-local.
+	ws []*align.Workspace
 
 	w    *dist.World
 	taps []*killableTP // dist only: per-rank kill switches
@@ -81,7 +85,10 @@ func newEngine(backend string, ranks int, memBudget int64, deadline time.Duratio
 	e := &engine{
 		backend: backend, ranks: ranks,
 		memBudget: memBudget, deadline: deadline,
-		resident: core.NewResident(ranks),
+		ws: make([]*align.Workspace, ranks),
+	}
+	for i := range e.ws {
+		e.ws[i] = align.NewWorkspace()
 	}
 	if err := e.build(); err != nil {
 		return nil, err
@@ -154,7 +161,7 @@ func (e *engine) run(j *Job, kill int) (hits []core.Hit, tasks int64, rows []tra
 	}
 	exec := core.RealExecutor{Scoring: align.DefaultScoring(), X: j.Spec.X}
 	alignStage := j.Spec.AlignStage()
-	alignStage.ExecFor = func(rank int) core.Executor { return e.resident.Bind(rank, exec) }
+	alignStage.ExecFor = func(rank int) core.Executor { return exec.WithWorkspace(e.ws[rank]) }
 	plan.Stages = []pipeline.Stage{pipeline.DiscoverStage{}, alignStage}
 	plan.OnStage = func(r rt.Runtime, stage string, _ any) {
 		if stage == "discover" && r.Rank() == kill {
