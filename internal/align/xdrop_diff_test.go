@@ -529,7 +529,7 @@ func TestRevCompWarmAllocFree(t *testing.T) {
 }
 
 // FuzzXDropDiff is the differential fuzz target: arbitrary sequences (up
-// to two row caps long), seeds, X parameters and scoring magnitudes —
+// to maxFuzzSeq long), seeds, X parameters and scoring magnitudes —
 // across the fitsInt32 gate — through the reference and the row kernel on
 // every leaf, forward and reversed, on a package-shared dirty workspace.
 // Any divergence in Score/AExt/BExt/Cells fails.
@@ -539,38 +539,57 @@ func FuzzXDropDiff(f *testing.F) {
 	f.Add([]byte(""), []byte(""), 0, 0, 1, 0, 1, 16000, 19999)
 	f.Add([]byte("\x00\x01"), []byte("\x00\x01"), 0, 0, 1, 2000, 1<<27, 1<<27, 1<<27)
 	// Lengths at the row loop's call boundaries: b ending 63–65 columns past
-	// row 0's band of 15 (the profile chunk's edge), and a of rowCap ±1 rows
-	// against a short b with an x the window never drops below.
-	pattern := func(n int) []byte {
-		p := make([]byte, n)
-		for i := range p {
-			p[i] = byte(i*7 + i/5)
-		}
-		return p
-	}
+	// row 0's band of 15 (the profile chunk's edge). The row cap's seeds are
+	// longer than the fuzz cap: TestXDropDiffLongSeeds runs them.
 	for _, past := range []int{profChunk - 1, profChunk, profChunk + 1} {
-		f.Add(pattern(15+past+30), pattern(15+past), 10, 10, 5, 15, 0, 0, 0)
-	}
-	for _, alen := range []int{rowCap - 1, rowCap, rowCap + 1} {
-		f.Add(pattern(alen), pattern(40), 0, 0, 1, 3*rowCap, 0, 0, 0)
+		f.Add(diffPattern(15+past+30), diffPattern(15+past), 10, 10, 5, 15, 0, 0, 0)
 	}
 	w := NewWorkspace()
-	// mag folds any int into [0, 2^28) with a log-uniform spread (28 value
-	// bits shifted right by the next five), so short inputs land on both
-	// sides of the fitsInt32 gate and small scores stay common.
-	mag := func(v int) int { return v & (1<<28 - 1) >> (v >> 28 & 31) }
 	f.Fuzz(func(t *testing.T, ab, bb []byte, posA, posB, k, x, match, mism, gap int) {
-		a := fuzzSeq(ab, 2*rowCap+64)
-		b := fuzzSeq(bb, 2*rowCap+64)
-		sc := Scoring{Match: 1 + mag(match), Mismatch: -1 - mag(mism), Gap: -1 - mag(gap)}
-		if x < 0 {
-			x = -1 // clamped to 0 by both kernels
+		if len(ab) > maxFuzzSeq || len(bb) > maxFuzzSeq {
+			return
 		}
-		x %= 1 << 29
-
-		diffCase(t, w, a, b, sc, x)
-		seedDiffCase(t, w, a, b, posA, posB, k, sc, x)
+		xdropDiffInput(t, w, ab, bb, posA, posB, k, x, match, mism, gap)
 	})
+}
+
+// TestXDropDiffLongSeeds runs FuzzXDropDiff's checks on the inputs longer
+// than its cap: a of rowCap ±1 rows against a short b with an x the window
+// never drops below.
+func TestXDropDiffLongSeeds(t *testing.T) {
+	w := NewWorkspace()
+	for _, alen := range []int{rowCap - 1, rowCap, rowCap + 1} {
+		t.Run(fmt.Sprintf("alen-%d", alen), func(t *testing.T) {
+			xdropDiffInput(t, w, diffPattern(alen), diffPattern(40), 0, 0, 1, 3*rowCap, 0, 0, 0)
+		})
+	}
+}
+
+// diffPattern is n bytes of a fixed, aperiodic-looking base pattern.
+func diffPattern(n int) []byte {
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = byte(i*7 + i/5)
+	}
+	return p
+}
+
+// xdropDiffInput is one FuzzXDropDiff input: the fuzzed scoring
+// magnitudes fold into [0, 2^28) with a log-uniform spread (28 value bits
+// shifted right by the next five), so short inputs land on both sides of
+// the fitsInt32 gate and small scores stay common.
+func xdropDiffInput(t *testing.T, w *Workspace, ab, bb []byte, posA, posB, k, x, match, mism, gap int) {
+	t.Helper()
+	mag := func(v int) int { return v & (1<<28 - 1) >> (v >> 28 & 31) }
+	a, b := fuzzSeq(ab), fuzzSeq(bb)
+	sc := Scoring{Match: 1 + mag(match), Mismatch: -1 - mag(mism), Gap: -1 - mag(gap)}
+	if x < 0 {
+		x = -1 // clamped to 0 by both kernels
+	}
+	x %= 1 << 29
+
+	diffCase(t, w, a, b, sc, x)
+	seedDiffCase(t, w, a, b, posA, posB, k, sc, x)
 }
 
 // TestRowLoopCallBoundaries crosses every point where the row loop returns

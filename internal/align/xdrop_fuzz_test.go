@@ -6,13 +6,19 @@ import (
 	"gnbody/internal/seq"
 )
 
-// fuzzSeq builds a bounded sequence from arbitrary fuzz bytes (2 bits per
-// byte, so any input is valid — the fuzzer explores structure, not the
-// alphabet validator).
-func fuzzSeq(data []byte, cap int) seq.Seq {
-	if len(data) > cap {
-		data = data[:cap]
-	}
+// maxFuzzSeq is the longest sequence the X-drop fuzz targets align: three
+// profile chunks, so the row loop's returns at both chunk edges are in
+// reach. The engine minimizes each new input in time quadratic in its
+// length, each try an alignment; at 2 112 bases one minimization held both
+// workers at 0 execs a second. Longer inputs are skipped, not cut, so no
+// input is a slow copy of a shorter one; TestXDropDiffLongSeeds keeps the
+// long seeds, TestRowLoopCallBoundaries the row cap.
+const maxFuzzSeq = 3 * profChunk
+
+// fuzzSeq builds a sequence from arbitrary fuzz bytes (2 bits per byte, so
+// any input is valid — the fuzzer explores structure, not the alphabet
+// validator).
+func fuzzSeq(data []byte) seq.Seq {
 	s := make(seq.Seq, len(data))
 	for i, b := range data {
 		s[i] = seq.Base(b & 3)
@@ -29,8 +35,10 @@ func FuzzXDrop(f *testing.F) {
 	f.Add([]byte("\x00\x00\x00\x00\x01\x01"), []byte("\x01\x01\x00\x00"), 2, 2, 2, 3)
 	f.Add([]byte(""), []byte(""), 0, 0, 1, 0)
 	f.Fuzz(func(t *testing.T, ab, bb []byte, posA, posB, k, x int) {
-		a := fuzzSeq(ab, 300)
-		b := fuzzSeq(bb, 300)
+		if len(ab) > maxFuzzSeq || len(bb) > maxFuzzSeq {
+			return
+		}
+		a, b := fuzzSeq(ab), fuzzSeq(bb)
 		sc := DefaultScoring()
 		if x < -1000 || x > 1000 {
 			x %= 1000

@@ -50,9 +50,5 @@ func RunAsync(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 	// Single exit barrier: partitioned reads remain available to all
 	// parallel processors until every task is complete.
 	r.Barrier()
-	out.unreturned = f.scratch.out + f.depth
-	if f.err != nil {
-		return nil, f.err
-	}
-	return out, nil
+	return f.finish()
 }

@@ -123,13 +123,14 @@ func (bt *batcher) plan(in *Input) {
 }
 
 // run executes the staged group in bucketed order, storing each result at
-// the task's original index, then emits hits in original order. rem is the
-// group's remote payload and rid the read it stands for; haveRem distinguishes a remote group under the
-// phantom codec (rem == nil, but the remote side must stay nil) from a
-// local-local group, where both sides resolve from the store. pollEvery
-// > 0 answers inbound requests between alignments (the asynchronous
-// drivers' application-level polling); BSP passes 0.
-func (bt *batcher) run(r rt.Runtime, in *Input, cfg *Config, rid seq.ReadID, rem seq.Seq, haveRem bool, out *Result, pollEvery int) {
+// the task's original index, then appends its hits to *hits in original
+// order. rem is the group's remote payload and rid the read it stands for;
+// haveRem distinguishes a remote group under the phantom codec (rem ==
+// nil, but the remote side must stay nil) from a local-local group, where
+// both sides resolve from the store. pollEvery > 0 answers inbound
+// requests between alignments (the asynchronous drivers' application-level
+// polling); BSP passes 0.
+func (bt *batcher) run(r rt.Runtime, in *Input, cfg *Config, rid seq.ReadID, rem seq.Seq, haveRem bool, hits *[]Hit, pollEvery int) {
 	n := len(bt.tasks)
 	bt.plan(in)
 	done := 0
@@ -156,7 +157,7 @@ func (bt *batcher) run(r rt.Runtime, in *Input, cfg *Config, rid seq.ReadID, rem
 	}
 	for i := 0; i < n; i++ {
 		if bt.hit[i] {
-			out.Hits = append(out.Hits, mkHit(bt.tasks[i], bt.res[i]))
+			*hits = append(*hits, mkHit(bt.tasks[i], bt.res[i]))
 		}
 	}
 }

@@ -44,11 +44,6 @@ type Config struct {
 }
 
 func (cfg *Config) defaults() {
-	// cfg is a per-Run value copy, so binding a workspace here gives each
-	// rank its own.
-	if re, ok := cfg.Exec.(RealExecutor); ok && re.call == nil {
-		cfg.Exec = re.WithWorkspace(align.NewWorkspace())
-	}
 	if cfg.MaxOutstanding <= 0 {
 		cfg.MaxOutstanding = 64
 	}
@@ -73,11 +68,11 @@ func mkHit(t overlap.Task, res align.Result) Hit {
 // every alignment waiting on a received read runs as the read is unpacked
 // from the receive buffer. Collective: all ranks must call it.
 func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
-	f, done, err := begin(r, in, &cfg)
+	f, end, err := begin(r, in, &cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer done()
+	defer end()
 	out, base, met := f.out, f.base, r.Metrics()
 	var store *flatStore
 	r.Timed(rt.CatOverhead, func() { store = buildFlatStore(in, r.Rank()) })
@@ -87,9 +82,9 @@ func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 
 	// Tasks with both reads local need no exchange. BSP never nests task
 	// loops (no completion callbacks), so one batcher serves the whole Run.
-	var bt batcher
+	bt, hits := f.s.level(0), &f.s.hits
 	bt.loadFlat(store.local)
-	bt.run(r, in, &cfg, 0, nil, false, out, 0)
+	bt.run(r, in, &cfg, 0, nil, false, hits, 0)
 
 	// Cache pre-pass: any remote read already resident (retained by an
 	// earlier Run over the same world) runs its tasks now and drops out of
@@ -101,7 +96,7 @@ func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 		for _, g := range groups {
 			if bases, ok := f.resident(g.read); ok {
 				bt.loadFlat(store.tasksOf(g))
-				bt.run(r, in, &cfg, g.read, bases, true, out, 0)
+				bt.run(r, in, &cfg, g.read, bases, true, hits, 0)
 				f.unpin(g.read)
 				continue
 			}
@@ -136,7 +131,10 @@ func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 		for _, g := range groups {
 			longest = max(longest, int(in.Lens[g.read]))
 		}
-		dbuf = make(seq.Seq, 0, longest)
+		if cap(f.s.dbuf) < longest {
+			f.s.dbuf = make(seq.Seq, 0, longest)
+		}
+		dbuf = f.s.dbuf
 	}
 	runs := make([][2]int, r.Size()) // per owner: its reads' index range in the chunk
 	// f.err is this rank's first ExchangeError. A rank that has one stops
@@ -187,20 +185,28 @@ func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 		recvReq := r.Alltoallv(sendReq)
 
 		// Round trip 2: aggregated read payloads back to requesters, each
-		// packed into a buffer allocated once at its planned size.
+		// packed into one of the scratch's buffers, grown at most once to
+		// its exact size. They are in flight until this superstep's closing
+		// Allreduce (runScratch).
 		var payBytes int64
-		var sendPay [][]byte
+		sendPay := make([][]byte, r.Size())
+		f.s.sending = true
 		r.Timed(rt.CatOverhead, func() {
-			sendPay = make([][]byte, r.Size())
+			k := 0
 			for src, ids := range recvReq {
 				if len(ids) == 0 {
 					continue
 				}
+				if k == len(f.s.pay) {
+					f.s.pay = append(f.s.pay, nil)
+				}
 				var bad string
-				if sendPay[src], bad = encodeReads(nil, in, f.lo, f.hi, ids); bad != "" {
+				if f.s.pay[k], bad = encodeReads(f.s.pay[k], in, f.lo, f.hi, ids); bad != "" {
 					fail(src, bad)
 				}
+				sendPay[src] = f.s.pay[k]
 				payBytes += int64(len(sendPay[src]))
+				k++
 			}
 		})
 		r.Alloc(payBytes)
@@ -243,7 +249,7 @@ func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 				// still reference the read.
 				f.admit(read.ID, read.Seq, 1)
 				bt.loadFlat(store.tasksOf(want[k]))
-				bt.run(r, in, &cfg, read.ID, read.Seq, true, out, 0)
+				bt.run(r, in, &cfg, read.ID, read.Seq, true, hits, 0)
 				f.unpin(read.ID)
 				k++
 			}
@@ -261,19 +267,19 @@ func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 			next = end
 		}
 		remaining := r.Allreduce(int64(len(groups)-next), rt.OpSum)
+		f.s.sending = false // every peer has unpacked this superstep
 		tb.Span(trace.KindSuperstep, tStep, int64(len(chunk)))
 		if remaining == 0 {
 			break
 		}
 	}
-	if f.err != nil {
-		return nil, f.err
-	}
 	// Accumulate (not assign): metrics on a resident world add up across
 	// Runs, and job-scoped reporting recovers per-Run counts by Sub-ing
 	// snapshots.
-	met.Supersteps += int64(out.Supersteps)
-	return out, nil
+	if f.err == nil {
+		met.Supersteps += int64(out.Supersteps)
+	}
+	return f.finish()
 }
 
 // planSupersteps packs this rank's remote reads into memory-limited

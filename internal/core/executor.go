@@ -21,12 +21,12 @@ type Executor interface {
 }
 
 // RealExecutor runs the X-drop seed-and-extend kernel under wall-clock
-// timing (rt.CatAlign). Its per-rank scratch is an alignment workspace:
-// Config.defaults binds an unbound RealExecutor to a fresh one per Run, and
-// WithWorkspace binds one the caller keeps warm across Runs. A bound copy
-// belongs to one rank: the progress contract runs all of a rank's tasks on
-// its own goroutine, so the workspace needs no synchronisation, but it must
-// never reach another rank.
+// timing (rt.CatAlign). Its per-rank scratch is an alignment workspace: a
+// Run binds an unbound RealExecutor to the workspace of its runScratch, so
+// a resident world's Runs align on warm DP rows. A bound copy belongs to
+// one rank: the progress contract runs all of a rank's tasks on its own
+// goroutine, so the workspace needs no synchronisation, but it must never
+// reach another rank.
 type RealExecutor struct {
 	Scoring align.Scoring
 	X       int
@@ -47,9 +47,8 @@ type alignCall struct {
 	fn   func()
 }
 
-// WithWorkspace returns a copy of e bound to ws, which it runs every task
-// on. Config.defaults leaves a bound executor as it is.
-func (e RealExecutor) WithWorkspace(ws *align.Workspace) RealExecutor {
+// bind returns a copy of e bound to ws, which it runs every task on.
+func (e RealExecutor) bind(ws *align.Workspace) RealExecutor {
 	c := &alignCall{ws: ws}
 	sc, x := e.Scoring, e.X
 	c.fn = func() { c.res, c.err = overlap.AlignTaskWS(c.ws, c.a, c.b, c.t, sc, x) }
@@ -62,7 +61,7 @@ func (e RealExecutor) WithWorkspace(ws *align.Workspace) RealExecutor {
 func (e RealExecutor) Align(r rt.Runtime, t overlap.Task, a, b seq.Seq) (align.Result, bool) {
 	c := e.call
 	if c == nil {
-		c = e.WithWorkspace(align.NewWorkspace()).call
+		c = e.bind(align.NewWorkspace()).call
 	}
 	c.t, c.a, c.b = t, a, b
 	r.Timed(rt.CatAlign, c.fn)

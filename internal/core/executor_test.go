@@ -22,7 +22,7 @@ func TestRealExecutorWarmAllocFree(t *testing.T) {
 		b[i] = (b[i] + 1) % 4
 	}
 	task := overlap.Task{A: 0, B: 1, Seed: overlap.Seed{PosA: 1500, PosB: 1500, K: 17}}
-	exec := RealExecutor{Scoring: align.DefaultScoring(), X: 15}.WithWorkspace(align.NewWorkspace())
+	exec := RealExecutor{Scoring: align.DefaultScoring(), X: 15}.bind(align.NewWorkspace())
 	r := &loopRT{}
 	if _, ok := exec.Align(r, task, a, b); !ok {
 		t.Fatal("warm-up task produced no result")

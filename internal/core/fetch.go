@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"gnbody/internal/align"
 	"gnbody/internal/overlap"
 	"gnbody/internal/rt"
 	"gnbody/internal/seq"
@@ -33,15 +34,8 @@ type fetcher struct {
 	// Metrics.PeakRPCBytes, is the async counterpart of BSP's PeakExchange.
 	flying int64
 	dec    *readDecoder
-	// scratch pools decode buffers for cache-off pulls; with the cache on a
-	// pull decodes into fresh bases, which the cache then owns.
-	scratch seqScratch
-	// One batcher per nesting level of runGroup (DESIGN.md §16), depth of
-	// them in use: callbacks nest strictly, so the pool is a stack.
-	batchers []*batcher
-	depth    int
-	pend     []waiter   // same-owner misses not yet on the wire
-	spare    [][]waiter // waiter lists of answered requests, for flush to reuse
+	s      *runScratch // the Run's buffers, hits and batchers
+	pend   pull        // same-owner misses not yet on the wire
 }
 
 // waiter is one fetch decision: the read, and the task group waiting on it
@@ -52,9 +46,19 @@ type waiter struct {
 	tasks []*overlap.Task
 }
 
+// pull is one reqRead request: the waiters it answers and its encoded
+// bytes. Both are recycled together once its response has been handled —
+// by then the runtime has long sent the request.
+type pull struct {
+	ws  []waiter
+	req []byte
+}
+
 // begin is the drivers' shared prologue: defaults, the owner invariant,
-// the partition's memory charge, the cache binding. The caller defers end,
-// so a fault unwind too drops every pin and both charges.
+// the partition's memory charge, the cache binding and the Run's scratch,
+// whose workspace an unbound RealExecutor is bound to. The caller defers
+// end, so a fault unwind too drops every pin and both charges; end pools
+// the scratch only if the Run left nothing of it out (runScratch.idle).
 func begin(r rt.Runtime, in *Input, cfg *Config) (f *fetcher, end func(), err error) {
 	cfg.defaults()
 	if err := in.validate(r.Rank()); err != nil {
@@ -62,6 +66,15 @@ func begin(r rt.Runtime, in *Input, cfg *Config) (f *fetcher, end func(), err er
 	}
 	f = &fetcher{r: r, in: in, cfg: cfg, out: &Result{}, cache: cfg.Cache,
 		base: in.PartitionBytes(r.Rank()), dec: newReadDecoder(r, in)}
+	if f.s, _ = scratchPool.Get().(*runScratch); f.s == nil {
+		f.s = new(runScratch)
+	}
+	if re, ok := cfg.Exec.(RealExecutor); ok && re.call == nil {
+		if f.s.ws == nil {
+			f.s.ws = align.NewWorkspace()
+		}
+		cfg.Exec = re.bind(f.s.ws)
+	}
 	f.lo, f.hi = in.Part.Range(r.Rank())
 	r.Alloc(f.base)
 	r.Metrics().StoreBytes = in.storeBytes(r.Rank())
@@ -69,7 +82,28 @@ func begin(r rt.Runtime, in *Input, cfg *Config) (f *fetcher, end func(), err er
 	if f.cache != nil {
 		unbind = f.cache.bind(r)
 	}
-	return f, func() { unbind(); r.Free(f.base) }, nil
+	return f, func() {
+		unbind()
+		r.Free(f.base)
+		if cap(f.pend.ws) > 0 {
+			f.s.spare = append(f.s.spare, pull{f.pend.ws[:0], f.pend.req[:0]})
+		}
+		f.s.release()
+	}, nil
+}
+
+// finish ends a Run that got through its last collective. The hits are
+// copied out of the scratch at their exact size: a kept Result carries no
+// spare capacity and shares nothing with the scratch.
+func (f *fetcher) finish() (*Result, error) {
+	f.out.unreturned = f.s.seqs.out + f.s.depth
+	if f.err != nil {
+		return nil, f.err
+	}
+	if len(f.s.hits) > 0 {
+		f.out.Hits = append(make([]Hit, 0, len(f.s.hits)), f.s.hits...)
+	}
+	return f.out, nil
 }
 
 // fail keeps the Run's first error, returned after the last collective.
@@ -112,7 +146,7 @@ func (f *fetcher) release(id seq.ReadID, bases seq.Seq) {
 	if f.cache != nil {
 		f.unpin(id)
 	} else {
-		f.scratch.put(bases)
+		f.s.seqs.put(bases)
 	}
 }
 
@@ -120,14 +154,11 @@ func (f *fetcher) release(id seq.ReadID, bases seq.Seq) {
 // (batcher.run has the argument contract), polling between alignments
 // (§3.2) so peers are not starved while this rank chews a long group.
 func (f *fetcher) runGroup(tasks []*overlap.Task, rid seq.ReadID, rem seq.Seq, haveRem bool) {
-	if f.depth == len(f.batchers) {
-		f.batchers = append(f.batchers, new(batcher))
-	}
-	bt := f.batchers[f.depth]
-	f.depth++
+	bt := f.s.level(f.s.depth)
+	f.s.depth++
 	bt.loadPtr(tasks)
-	bt.run(f.r, f.in, f.cfg, rid, rem, haveRem, f.out, f.cfg.PollEvery)
-	f.depth--
+	bt.run(f.r, f.in, f.cfg, rid, rem, haveRem, &f.s.hits, f.cfg.PollEvery)
+	f.s.depth--
 }
 
 // deliver hands bases to one waiter's task group; ran is the tasks the
@@ -154,11 +185,11 @@ func (f *fetcher) fetch(w waiter) {
 	// A loop, not an if: sending can run completion callbacks (a full inbox
 	// is serviced while sending), and those may have queued other misses.
 	owner := f.in.Part.Owner(w.id)
-	for len(f.pend) > 0 && f.in.Part.Owner(f.pend[0].id) != owner {
+	for len(f.pend.ws) > 0 && f.in.Part.Owner(f.pend.ws[0].id) != owner {
 		f.flush()
 	}
-	f.pend = append(f.pend, w)
-	if len(f.pend) >= f.cfg.FetchBatch {
+	f.pend.ws = append(f.pend.ws, w)
+	if len(f.pend.ws) >= f.cfg.FetchBatch {
 		f.flush()
 	}
 }
@@ -167,26 +198,26 @@ func (f *fetcher) fetch(w waiter) {
 // "pull" direction keeps peak memory at MaxOutstanding batches: no
 // unsolicited pushes can pile up (§3.2).
 func (f *fetcher) flush() {
-	if len(f.pend) == 0 {
+	if len(f.pend.ws) == 0 {
 		return
 	}
-	batch := f.pend
-	f.pend = nil
-	if n := len(f.spare); n > 0 {
-		f.pend, f.spare = f.spare[n-1], f.spare[:n-1]
+	p := f.pend
+	f.pend = pull{}
+	if n := len(f.s.spare); n > 0 {
+		f.pend, f.s.spare = f.s.spare[n-1], f.s.spare[:n-1]
 	}
-	req := append(make([]byte, 0, 1+4*len(batch)), reqRead)
+	p.req = append(p.req[:0], reqRead)
 	var est int64 // the response's size, planned from the length vector
-	for _, w := range batch {
-		req = binary.LittleEndian.AppendUint32(req, uint32(w.id))
+	for _, w := range p.ws {
+		p.req = binary.LittleEndian.AppendUint32(p.req, uint32(w.id))
 		est += int64(f.in.planSize(w.id))
 	}
-	f.out.WireFetches += len(batch)
+	f.out.WireFetches += len(p.ws)
 	f.flying += est
 	met := f.r.Metrics()
 	met.PeakRPCBytes = max(met.PeakRPCBytes, f.flying)
-	owner := f.in.Part.Owner(batch[0].id)
-	f.r.AsyncCall(owner, req, func(val []byte) { f.arrived(owner, batch, est, val) })
+	owner := f.in.Part.Owner(p.ws[0].id)
+	f.r.AsyncCall(owner, p.req, func(val []byte) { f.arrived(owner, p, est, val) })
 }
 
 // arrived unpacks the response to one request: exactly the reads asked for,
@@ -194,7 +225,7 @@ func (f *fetcher) flush() {
 // buffer checked out for it alone — the Progress calls under deliver can
 // run other completions before this one returns — sized from the length
 // vector, so no decode regrows it.
-func (f *fetcher) arrived(owner int, batch []waiter, est int64, val []byte) {
+func (f *fetcher) arrived(owner int, p pull, est int64, val []byte) {
 	f.flying -= est
 	n := int64(len(val))
 	f.r.Alloc(n)
@@ -202,27 +233,27 @@ func (f *fetcher) arrived(owner int, batch []waiter, est int64, val []byte) {
 	tb := f.r.Tracer()
 	t0 := tb.Now()
 	ran := 0
-	for i := range batch {
-		w := &batch[i]
+	for i := range p.ws {
+		w := &p.ws[i]
 		var dbuf seq.Seq
 		if f.cache == nil {
-			dbuf = f.scratch.get(int(f.in.Lens[w.id]))
+			dbuf = f.s.seqs.get(int(f.in.Lens[w.id]))
 		}
 		read, used, err := f.dec.decode(dbuf, val)
 		if err != nil || read.ID != w.id {
-			f.scratch.put(dbuf)
+			f.s.seqs.put(dbuf)
 			// This read and the rest of the batch run no group.
 			f.fail(&ExchangeError{f.r.Rank(), owner, fmt.Sprintf("bad payload for read %d: %v", w.id, err)})
 			return
 		}
 		val = val[used:]
 		if read.Seq == nil {
-			f.scratch.put(dbuf) // phantom codec: nothing landed in it
+			f.s.seqs.put(dbuf) // phantom codec: nothing landed in it
 		}
 		f.admit(w.id, read.Seq, 1)
 		ran += f.deliver(w, read.Seq)
 	}
-	f.spare = append(f.spare, batch[:0])
+	f.s.spare = append(f.s.spare, pull{p.ws[:0], p.req[:0]})
 	tb.Span(trace.KindBatch, t0, int64(ran))
 	if len(val) != 0 {
 		f.fail(&ExchangeError{f.r.Rank(), owner, fmt.Sprintf("%d trailing payload bytes", len(val))})

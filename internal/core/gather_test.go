@@ -88,6 +88,12 @@ func TestGatherHitsRaggedFrame(t *testing.T) {
 	}
 }
 
+// maxFuzzHitFrame is the longest frame FuzzDecodeHits decodes: eight hits
+// and a ragged tail. A longer frame only repeats records, and the engine
+// minimizes a new input in time quadratic in its length — unbounded, one
+// minimization held both workers at 0 execs a second.
+const maxFuzzHitFrame = 256
+
 // FuzzDecodeHits feeds arbitrary bytes to the decoder of GatherHits frames:
 // it must not panic, must reject a length that is no whole number of hits,
 // and whatever it accepts must re-encode to exactly its bytes.
@@ -99,6 +105,9 @@ func FuzzDecodeHits(f *testing.F) {
 	bad[28] = 2
 	f.Add(bad)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > maxFuzzHitFrame {
+			return
+		}
 		hs, err := DecodeHits(data)
 		if len(data)%hitWire != 0 && err == nil {
 			t.Fatalf("%d bytes decode as %d hits", len(data), len(hs))

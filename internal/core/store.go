@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"slices"
 
 	"gnbody/internal/overlap"
@@ -15,12 +14,13 @@ import (
 // readable, slower). Both stores are implemented faithfully so the real
 // back-end reproduces the difference and the ablation bench can swap them.
 
-// splitTask returns the remote read of t for this rank, or ok=false when
-// both reads are local. For a task whose reads are both remote the owner
-// invariant is violated upstream; validate() catches that case.
-func splitTask(t overlap.Task, in *Input, rank int) (remote seq.ReadID, ok bool) {
-	aLocal := in.Part.Owner(t.A) == rank
-	bLocal := in.Part.Owner(t.B) == rank
+// splitTask returns the remote read of t for a rank owning [lo, hi), or
+// ok=false when both reads are local. For a task whose reads are both
+// remote the owner invariant is violated upstream; validate() catches that
+// case.
+func splitTask(t overlap.Task, lo, hi int) (remote seq.ReadID, ok bool) {
+	aLocal := lo <= int(t.A) && int(t.A) < hi
+	bLocal := lo <= int(t.B) && int(t.B) < hi
 	switch {
 	case aLocal && bLocal:
 		return 0, false
@@ -29,6 +29,26 @@ func splitTask(t overlap.Task, in *Input, rank int) (remote seq.ReadID, ok bool)
 	default:
 		return t.A, true
 	}
+}
+
+// remoteKeys lists the remote tasks of the rank owning [lo, hi) as remote
+// read<<32 | task index, sorted: grouped by remote read, in task order
+// within a group. nLocal counts the local-local tasks and groups the
+// remote reads, so both stores size every slice exactly.
+func remoteKeys(in *Input, lo, hi int) (keys []uint64, nLocal, groups int) {
+	keys = make([]uint64, 0, len(in.Tasks))
+	for i, t := range in.Tasks {
+		if rid, ok := splitTask(t, lo, hi); ok {
+			keys = append(keys, uint64(rid)<<32|uint64(i))
+		}
+	}
+	slices.Sort(keys)
+	for i, k := range keys {
+		if i == 0 || keys[i-1]>>32 != k>>32 {
+			groups++
+		}
+	}
+	return keys, len(in.Tasks) - len(keys), groups
 }
 
 // flatGroup indexes the tasks waiting on one remote read inside flatStore.
@@ -46,25 +66,19 @@ type flatStore struct {
 }
 
 func buildFlatStore(in *Input, rank int) *flatStore {
-	st := &flatStore{}
-	type keyed struct {
-		rid seq.ReadID
-		t   overlap.Task
-	}
-	var rem []keyed
+	lo, hi := in.Part.Range(rank)
+	keys, nLocal, groups := remoteKeys(in, lo, hi)
+	st := &flatStore{local: make([]overlap.Task, 0, nLocal),
+		remote: make([]overlap.Task, len(keys)), groups: make([]flatGroup, 0, groups)}
 	for _, t := range in.Tasks {
-		if rid, ok := splitTask(t, in, rank); ok {
-			rem = append(rem, keyed{rid, t})
-		} else {
+		if _, remote := splitTask(t, lo, hi); !remote {
 			st.local = append(st.local, t)
 		}
 	}
-	slices.SortStableFunc(rem, func(a, b keyed) int { return cmp.Compare(a.rid, b.rid) })
-	st.remote = make([]overlap.Task, len(rem))
-	for i, kt := range rem {
-		st.remote[i] = kt.t
-		if i == 0 || rem[i-1].rid != kt.rid {
-			st.groups = append(st.groups, flatGroup{read: kt.rid, start: int32(i), end: int32(i + 1)})
+	for i, k := range keys {
+		st.remote[i] = in.Tasks[uint32(k)]
+		if rid := seq.ReadID(k >> 32); i == 0 || st.groups[len(st.groups)-1].read != rid {
+			st.groups = append(st.groups, flatGroup{read: rid, start: int32(i), end: int32(i + 1)})
 		} else {
 			st.groups[len(st.groups)-1].end = int32(i + 1)
 		}
@@ -86,18 +100,25 @@ type ptrStore struct {
 }
 
 func buildPtrStore(in *Input, rank int) *ptrStore {
-	st := &ptrStore{byRemote: make(map[seq.ReadID][]*overlap.Task)}
+	lo, hi := in.Part.Range(rank)
+	keys, nLocal, groups := remoteKeys(in, lo, hi)
+	st := &ptrStore{local: make([]*overlap.Task, 0, nLocal),
+		byRemote: make(map[seq.ReadID][]*overlap.Task, groups), order: make([]seq.ReadID, 0, groups)}
 	for i := range in.Tasks {
-		t := &in.Tasks[i]
-		if rid, ok := splitTask(*t, in, rank); ok {
-			if _, seen := st.byRemote[rid]; !seen {
-				st.order = append(st.order, rid)
-			}
-			st.byRemote[rid] = append(st.byRemote[rid], t)
-		} else {
-			st.local = append(st.local, t)
+		if _, remote := splitTask(in.Tasks[i], lo, hi); !remote {
+			st.local = append(st.local, &in.Tasks[i])
 		}
 	}
-	slices.Sort(st.order)
+	ptrs := make([]*overlap.Task, len(keys))
+	start := 0
+	for i, k := range keys {
+		ptrs[i] = &in.Tasks[uint32(k)]
+		if i+1 == len(keys) || keys[i+1]>>32 != k>>32 {
+			rid := seq.ReadID(k >> 32)
+			st.order = append(st.order, rid)
+			st.byRemote[rid] = ptrs[start : i+1 : i+1]
+			start = i + 1
+		}
+	}
 	return st
 }

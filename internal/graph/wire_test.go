@@ -142,20 +142,29 @@ func (c collectivesOnly) AsyncCall(owner int, req []byte, cb func([]byte)) {
 	c.Runtime.AsyncCall(owner, req, cb)
 }
 
-// FuzzGraphWire feeds arbitrary bytes to the graph stages' peer decoders:
-// as edge records (decodeEdges), as an adjacency request answered by one
-// rank and parsed back by the requester (answerAdjReq → parseAdjResp), as an
-// adjacency response, as a twin-mark payload, and as a gathered contig
-// frame (decodeContigs). None may panic; input whose length is no whole
-// number of records must be rejected, and contig bases that are no base
-// codes with a BadBasesError naming the sender; and whatever a decoder
-// accepts must re-encode to exactly its bytes.
-func FuzzGraphWire(f *testing.F) {
+// maxFuzzGraphFrame is the longest frame FuzzGraphWire decodes: a few
+// records of every kind. A longer frame only repeats records, and the
+// engine minimizes a new input in time quadratic in its length;
+// unbounded, one minimization held both workers at 0 execs a second.
+// TestGraphWireSeeds runs every seed, the longer ones included.
+const maxFuzzGraphFrame = 256
+
+// graphWireSeed is one named FuzzGraphWire seed.
+type graphWireSeed struct {
+	name string
+	data []byte
+}
+
+// graphWireSeeds builds rank 1's graph of a small random twin graph, its
+// own vertices (the request the response seeds answer), and the seeds:
+// its edge records, that request, the answer and the answer cut by a
+// byte, twin marks, and a contig frame.
+func graphWireSeeds(tb testing.TB) (*Graph, []Vertex, []graphWireSeed) {
 	edges, lens := randomTwinGraph(rand.New(rand.NewSource(5)), 12, 40)
-	pt := sizePartition(f, lens, 2)
+	pt := sizePartition(tb, lens, 2)
 	g := ownGraph(pt, 1, lens, make([]bool, len(lens)), edges)
 	lo, hi := pt.Range(1)
-	var own []Vertex // rank 1's vertices: the request the response seeds answer
+	var own []Vertex
 	var req []byte
 	for v := Vertex(2 * lo); v < Vertex(2*hi); v++ {
 		own = append(own, v)
@@ -163,85 +172,123 @@ func FuzzGraphWire(f *testing.F) {
 	}
 	resp, err := g.answerAdjReq(req)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	var recs []byte
 	for _, e := range g.edges {
 		recs = appendEdge(recs, e)
 	}
-	f.Add(recs)
-	f.Add(req)
-	f.Add(resp)
-	f.Add(appendMark(appendMark(nil, V(1, true), V(2, false)), forgedVertices(len(lens))[0], 0))
-	f.Add(resp[:len(resp)-1])
-	f.Add(encodeContigs([]Contig{{Start: 3, Reads: 2, Circular: true, Seq: seq.MustFromString("ACGTN")}, {Start: 8, Reads: 1}}))
+	return g, own, []graphWireSeed{
+		{"edges", recs},
+		{"request", req},
+		{"response", resp},
+		{"marks", appendMark(appendMark(nil, V(1, true), V(2, false)), forgedVertices(len(lens))[0], 0)},
+		{"response-cut", resp[:len(resp)-1]},
+		{"contigs", encodeContigs([]Contig{{Start: 3, Reads: 2, Circular: true, Seq: seq.MustFromString("ACGTN")}, {Start: 8, Reads: 1}})},
+	}
+}
 
+// FuzzGraphWire feeds arbitrary bytes to the graph stages' peer decoders
+// (graphWireInput) up to maxFuzzGraphFrame bytes.
+func FuzzGraphWire(f *testing.F) {
+	g, own, seeds := graphWireSeeds(f)
+	for _, s := range seeds {
+		f.Add(s.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		es, err := decodeEdges(data)
-		if len(data)%edgeWire != 0 && err == nil {
-			t.Fatalf("%d bytes decode as %d edges", len(data), len(es))
+		if len(data) > maxFuzzGraphFrame {
+			return
 		}
-		if err == nil {
-			var again []byte
-			for _, e := range es {
-				again = appendEdge(again, e)
-			}
-			if !bytes.Equal(again, data) {
-				t.Fatal("edges re-encode to different bytes")
-			}
-		}
-
-		out, err := g.answerAdjReq(data)
-		if len(data)%8 != 0 && err == nil {
-			t.Fatalf("%d-byte request answered", len(data))
-		}
-		if err == nil {
-			ids := make([]Vertex, len(data)/8)
-			for i := range ids {
-				ids[i] = Vertex(binary.LittleEndian.Uint64(data[8*i:]))
-			}
-			back, err := parseAdjResp(ids, out)
-			if err != nil {
-				t.Fatalf("the requester rejects the answer: %v", err)
-			}
-			for i, v := range ids {
-				if got := back.edges[back.off[i]:back.off[i+1]]; !slices.Equal(got, g.Out(v)) {
-					t.Fatalf("vertex %v: answered %v, owner holds %v", v, got, g.Out(v))
-				}
-			}
-		}
-
-		if back, err := parseAdjResp(own, data); err == nil {
-			var again []byte
-			for i := range own {
-				again = appendAdj(again, back.edges[back.off[i]:back.off[i+1]])
-			}
-			if !bytes.Equal(again, data) {
-				t.Fatal("adjacency response re-encodes to different bytes")
-			}
-		}
-
-		marks, err := decodeMarks(data)
-		if len(data)%markWire != 0 && err == nil {
-			t.Fatalf("%d bytes decode as %d twin marks", len(data), len(marks))
-		}
-		if err == nil {
-			var again []byte
-			for _, m := range marks {
-				again = appendMark(again, m[0], m[1])
-			}
-			if !bytes.Equal(again, data) {
-				t.Fatal("twin marks re-encode to different bytes")
-			}
-		}
-
-		cs, err := decodeContigs(1, data)
-		var be *BadBasesError
-		switch {
-		case err == nil && !bytes.Equal(encodeContigs(cs), data):
-			t.Fatal("contigs re-encode to different bytes")
-		case errors.As(err, &be) && (be.From != 1 || be.Code < seq.NumBases || data[be.Offset] != be.Code):
-			t.Fatalf("bad-bases error %+v on % x", be, data)
-		}
+		graphWireInput(t, g, own, data)
 	})
+}
+
+// TestGraphWireSeeds runs FuzzGraphWire's checks on every seed, whatever
+// its length: the edge records and the answers are longer than the fuzz
+// cap, and they are what shows that a real answer parses and re-encodes
+// byte for byte, a cut one is rejected, and a multi-record edge frame
+// round-trips.
+func TestGraphWireSeeds(t *testing.T) {
+	g, own, seeds := graphWireSeeds(t)
+	for _, s := range seeds {
+		t.Run(s.name, func(t *testing.T) { graphWireInput(t, g, own, s.data) })
+	}
+}
+
+// graphWireInput feeds data to the graph stages' peer decoders: as edge
+// records (decodeEdges), as an adjacency request answered by g and parsed
+// back by the requester (answerAdjReq → parseAdjResp), as an adjacency
+// response to a request for own, as a twin-mark payload, and as a
+// gathered contig frame (decodeContigs). None may panic; input whose
+// length is no whole number of records must be rejected, and contig bases
+// that are no base codes with a BadBasesError naming the sender; and
+// whatever a decoder accepts must re-encode to exactly its bytes.
+func graphWireInput(t *testing.T, g *Graph, own []Vertex, data []byte) {
+	t.Helper()
+	es, err := decodeEdges(data)
+	if len(data)%edgeWire != 0 && err == nil {
+		t.Fatalf("%d bytes decode as %d edges", len(data), len(es))
+	}
+	if err == nil {
+		var again []byte
+		for _, e := range es {
+			again = appendEdge(again, e)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatal("edges re-encode to different bytes")
+		}
+	}
+
+	out, err := g.answerAdjReq(data)
+	if len(data)%8 != 0 && err == nil {
+		t.Fatalf("%d-byte request answered", len(data))
+	}
+	if err == nil {
+		ids := make([]Vertex, len(data)/8)
+		for i := range ids {
+			ids[i] = Vertex(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		back, err := parseAdjResp(ids, out)
+		if err != nil {
+			t.Fatalf("the requester rejects the answer: %v", err)
+		}
+		for i, v := range ids {
+			if got := back.edges[back.off[i]:back.off[i+1]]; !slices.Equal(got, g.Out(v)) {
+				t.Fatalf("vertex %v: answered %v, owner holds %v", v, got, g.Out(v))
+			}
+		}
+	}
+
+	if back, err := parseAdjResp(own, data); err == nil {
+		var again []byte
+		for i := range own {
+			again = appendAdj(again, back.edges[back.off[i]:back.off[i+1]])
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatal("adjacency response re-encodes to different bytes")
+		}
+	}
+
+	marks, err := decodeMarks(data)
+	if len(data)%markWire != 0 && err == nil {
+		t.Fatalf("%d bytes decode as %d twin marks", len(data), len(marks))
+	}
+	if err == nil {
+		var again []byte
+		for _, m := range marks {
+			again = appendMark(again, m[0], m[1])
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatal("twin marks re-encode to different bytes")
+		}
+	}
+
+	cs, err := decodeContigs(1, data)
+	var be *BadBasesError
+	switch {
+	case err == nil && !bytes.Equal(encodeContigs(cs), data):
+		t.Fatal("contigs re-encode to different bytes")
+	case errors.As(err, &be) && (be.From != 1 || be.Code < seq.NumBases || data[be.Offset] != be.Code):
+		t.Fatalf("bad-bases error %+v on % x", be, data)
+	}
 }

@@ -220,6 +220,12 @@ func TestAssignTasksNearOptimum(t *testing.T) {
 	}
 }
 
+// maxFuzzPairs is the longest pair list FuzzAssignTasks assigns: 64 tasks
+// over at most 65 reads. The engine minimizes a new input in time
+// quadratic in its length, each try a full assignment; unbounded, one
+// minimization held both workers at 0 execs a second.
+const maxFuzzPairs = 128
+
 // FuzzAssignTasks checks the assignment's contract on arbitrary task
 // lists: every task lands on an owner of one of its reads, exactly once,
 // each rank's tasks keep their input order, and the result is a pure
@@ -229,6 +235,9 @@ func FuzzAssignTasks(f *testing.F) {
 	f.Add(uint8(5), uint8(30), []byte{0, 9, 0, 10, 0, 11, 0, 12, 0, 13, 1, 2, 29, 3})
 	f.Add(uint8(1), uint8(3), []byte{0, 1, 1, 2})
 	f.Fuzz(func(t *testing.T, praw, nraw uint8, pairs []byte) {
+		if len(pairs) > maxFuzzPairs {
+			return
+		}
 		p, n := int(praw%9)+1, int(nraw%64)+2
 		lens := make([]int, n)
 		for i := range lens {

@@ -81,8 +81,8 @@ func (s JobSpec) Discovery() Spec {
 	return Spec{K: s.K, Lo: s.LoFreq, Hi: s.HiFreq, Coverage: s.Coverage, ErrRate: s.ErrRate}
 }
 
-// AlignStage is the align stage the job implies; callers set the executor
-// (Exec, ExecFor) on top.
+// AlignStage is the align stage the job implies; callers may set the
+// executor (Exec) on top.
 func (s JobSpec) AlignStage() AlignStage {
 	return AlignStage{Mode: s.Mode, MinScore: s.MinScore, X: s.X}
 }

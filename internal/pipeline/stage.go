@@ -185,11 +185,8 @@ type AlignStage struct {
 	X        int
 
 	// Exec overrides the executor (default: RealExecutor with the default
-	// scoring and X). ExecFor, when set, wins over Exec and binds a
-	// per-rank executor — the hook resident worker pools use to reuse warm
-	// alignment workspaces across jobs.
-	Exec    core.Executor
-	ExecFor func(rank int) core.Executor
+	// scoring and X).
+	Exec core.Executor
 }
 
 // Name is the stage's -stages/metrics label.
@@ -207,9 +204,6 @@ func (s AlignStage) Run(r rt.Runtime, pl *Plan, store seq.Store, prev any) (any,
 		return nil, fmt.Errorf("align stage wants *pipeline.Output or []overlap.Task, got %T", prev)
 	}
 	exec := s.Exec
-	if s.ExecFor != nil {
-		exec = s.ExecFor(r.Rank())
-	}
 	if exec == nil {
 		exec = core.RealExecutor{Scoring: align.DefaultScoring(), X: s.X}
 	}

@@ -142,6 +142,13 @@ func TestDecodeInvalidBases(t *testing.T) {
 	}
 }
 
+// maxFuzzRequest is the most bytes FuzzJobRequest decodes, content type,
+// body and query together: a few reads and every spec field. The engine
+// minimizes each new input in time quadratic in its length; unbounded,
+// one minimization held both workers at 0 execs a second. The decoder's
+// own limits are covered by the table tests.
+const maxFuzzRequest = 256
+
 // FuzzJobRequest pins the hardening contract: whatever bytes arrive under
 // whatever content type and query string, the decoder returns a typed
 // error or a valid request — it never panics, an accepted spec passes
@@ -157,6 +164,9 @@ func FuzzJobRequest(f *testing.F) {
 	f.Add("application/json", []byte(`{"reads":[{"seq":"`+strings.Repeat("A", 100)+`"}]}`), "")
 	f.Add("text/plain", []byte(">r\nACGT\n"), "coverage=NaN&k=&lofreq=-1&hifreq=1e3&minscore=%zz")
 	f.Fuzz(func(t *testing.T, ct string, body []byte, query string) {
+		if len(ct)+len(body)+len(query) > maxFuzzRequest {
+			return
+		}
 		params, _ := url.ParseQuery(query) // what parses reaches the decoder
 		rq, err := DecodeJobRequest(ct, params, body, Limits{MaxReads: 1 << 10, MaxBases: 1 << 16})
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gnbody/internal/align"
 	"gnbody/internal/core"
 	"gnbody/internal/dist"
 	"gnbody/internal/par"
@@ -56,21 +55,16 @@ func (k *killableTP) Recv() (int, []byte, bool, error) {
 	return k.Loopback.Recv()
 }
 
-// engine is one resident world and its reusable per-rank state: the
-// expensive half of a job (world construction, workspace warm-up) built
-// once and re-entered job after job. An engine is owned by a single pool
-// worker goroutine; jobs on it are strictly serial.
+// engine is one resident world: the expensive half of a job, built once
+// and re-entered job after job. Each rank's alignment workspace and
+// exchange buffers are not the engine's but the drivers' pooled run
+// scratch (internal/core). An engine is owned by a single pool worker
+// goroutine; jobs on it are strictly serial.
 type engine struct {
 	backend   string // "par" or "dist"
 	ranks     int
 	memBudget int64
 	deadline  time.Duration
-
-	// ws is each rank's alignment workspace. It survives world rebuilds
-	// (workspaces are plain memory) and serves job after job: the DP rows
-	// grow to the longest extension seen and then run allocation-free.
-	// Read caches are not kept: ReadIDs are job-local.
-	ws []*align.Workspace
 
 	w    *dist.World
 	taps []*killableTP // dist only: per-rank kill switches
@@ -85,10 +79,6 @@ func newEngine(backend string, ranks int, memBudget int64, deadline time.Duratio
 	e := &engine{
 		backend: backend, ranks: ranks,
 		memBudget: memBudget, deadline: deadline,
-		ws: make([]*align.Workspace, ranks),
-	}
-	for i := range e.ws {
-		e.ws[i] = align.NewWorkspace()
 	}
 	if err := e.build(); err != nil {
 		return nil, err
@@ -125,8 +115,8 @@ func (e *engine) build() error {
 
 // rebuild replaces a failed world. A rank's failure is sticky (the world
 // is poisoned once any rank raised), so retrying a job means a fresh
-// fabric — but the resident workspaces carry over: rebuild only re-creates
-// the cheap queues, not the warm DP state.
+// fabric; the drivers' pooled scratch, workspaces included, is not the
+// world's and carries over.
 func (e *engine) rebuild() error {
 	e.close() // best-effort; the failed world is already dead
 	return e.build()
@@ -150,19 +140,16 @@ func (e *engine) close() {
 // region.
 //
 // Job isolation: everything per-job — stores, partition, tasks, caches —
-// is built inside the region from the job's own read set; only the
-// alignment workspaces (resident, rank-private) and the world itself carry
-// over between jobs.
+// is built inside the region from the job's own read set; only the world
+// itself and the drivers' pooled scratch (plain buffers, owned by one rank
+// for the length of a Run) carry over between jobs.
 func (e *engine) run(j *Job, kill int) (hits []core.Hit, tasks int64, rows []trace.JobRow, err error) {
 	lens := workload.LensOf(j.reads)
 	plan, err := pipeline.NewPlan(lens, e.ranks, j.Spec.Discovery())
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	exec := core.RealExecutor{Scoring: align.DefaultScoring(), X: j.Spec.X}
-	alignStage := j.Spec.AlignStage()
-	alignStage.ExecFor = func(rank int) core.Executor { return exec.WithWorkspace(e.ws[rank]) }
-	plan.Stages = []pipeline.Stage{pipeline.DiscoverStage{}, alignStage}
+	plan.Stages = []pipeline.Stage{pipeline.DiscoverStage{}, j.Spec.AlignStage()}
 	plan.OnStage = func(r rt.Runtime, stage string, _ any) {
 		if stage == "discover" && r.Rank() == kill {
 			e.taps[kill].Kill() // the align phase's first collective now fails

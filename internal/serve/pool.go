@@ -92,8 +92,8 @@ type Pool struct {
 }
 
 // NewPool builds the resident worlds and starts their workers. Expensive:
-// world construction and workspace allocation happen here, once, not per
-// job — that is the service's reason to exist.
+// world construction happens here, once, not per job — that is the
+// service's reason to exist.
 func NewPool(cfg PoolConfig) (*Pool, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Chaos && cfg.Backend != "dist" {
