@@ -1,7 +1,7 @@
 # gnbody — build, test, and fuzz gates. Pure Go, no external tools.
 #
 #   make check   fast gate: vet + gofmt + build + full test suite, plus
-#                cross, bench-smoke, bench-build and loc-budget
+#                cross, bench-smoke, bench-build, loc-budget and docs-budget
 #   make cross   vet the whole tree for arm64, where no assembly is built:
 #                align's pure-Go row leaf and seq's SWAR pack kernels must
 #                compile on their own
@@ -18,6 +18,8 @@
 #                LOC_BUDGET below. A PR that shrinks the tree lowers the
 #                budget to its own result; one that must grow it raises the
 #                number in the same diff, where a reviewer sees it
+#   make docs-budget  the same ratchet on DESIGN.md's size in bytes
+#                (DOCS_BUDGET): it only goes down
 #   make backhalf-rounds  one traced 5 s run of the benchmark's
 #                assemble-backhalf workload: the contig stage must make at
 #                most 4 blocking runtime calls per rank, whatever the chain
@@ -50,7 +52,9 @@
 #                as exact counts
 #   make race    full suite under the race detector (what CI runs)
 #   make fuzz    10s smoke per fuzz target (go fuzzing allows one -fuzz
-#                target per invocation, hence one run per target)
+#                target per invocation, hence one run per target); a
+#                target fails when, 3 s or more into its run, it reports a
+#                window of 0 execs/s — a stalled target tests nothing
 #   make golden  regenerate the golden fixtures after an intentional
 #                change: the trace/metrics exporter schemas, and the
 #                experiment tables internal/expt prints at small sizes
@@ -78,11 +82,12 @@
 
 GO      ?= go
 FUZZT   ?= 10s
-LOC_BUDGET = 19038
+LOC_BUDGET = 18928
+DOCS_BUDGET = 136694
 
-.PHONY: check vet cross fmtcheck build test bench-smoke bench-build backhalf-rounds allocs fetches kernel-cells loc loc-budget race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke ci
+.PHONY: check vet cross fmtcheck build test bench-smoke bench-build backhalf-rounds allocs fetches kernel-cells loc loc-budget docs-budget race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke ci
 
-check: vet cross fmtcheck build test bench-smoke bench-build loc-budget
+check: vet cross fmtcheck build test bench-smoke bench-build loc-budget docs-budget
 
 vet:
 	$(GO) vet ./...
@@ -165,33 +170,52 @@ loc-budget:
 	fi; \
 	echo "loc-budget: OK ($$n of $(LOC_BUDGET))"
 
+docs-budget:
+	@n=$$(wc -c < DESIGN.md); \
+	if [ "$$n" -gt $(DOCS_BUDGET) ]; then \
+		echo "docs-budget: DESIGN.md is $$n bytes, budget $(DOCS_BUDGET)"; exit 1; \
+	fi; \
+	echo "docs-budget: OK ($$n of $(DOCS_BUDGET))"
+
 # The wall-clock experiments in internal/expt run ~10x slower under the
 # race detector; the default 10m per-package test timeout is not enough.
 race:
 	$(GO) test -race -timeout 45m ./...
 
 fuzz:
-	$(GO) test -fuzz=FuzzFASTA$$ -fuzztime $(FUZZT) ./internal/seq/
-	$(GO) test -fuzz=FuzzFASTARange$$ -fuzztime $(FUZZT) ./internal/seq/
-	$(GO) test -fuzz=FuzzFASTQ$$ -fuzztime $(FUZZT) ./internal/seq/
-	$(GO) test -fuzz=FuzzWire$$ -fuzztime $(FUZZT) ./internal/seq/
-	$(GO) test -fuzz=FuzzPackDiff$$ -fuzztime $(FUZZT) ./internal/seq/
-	$(GO) test -fuzz=FuzzBasesDiff$$ -fuzztime $(FUZZT) ./internal/seq/
-	$(GO) test -fuzz=FuzzLoadDiff$$ -fuzztime $(FUZZT) ./internal/seq/
-	$(GO) test -fuzz=FuzzXDrop$$ -fuzztime $(FUZZT) ./internal/align/
-	$(GO) test -fuzz=FuzzXDropDiff$$ -fuzztime $(FUZZT) ./internal/align/
-	$(GO) test -fuzz=FuzzFrame -fuzztime $(FUZZT) ./internal/transport/
-	$(GO) test -fuzz=FuzzSendV$$ -fuzztime $(FUZZT) ./internal/transport/
-	$(GO) test -fuzz=FuzzAddrTable$$ -fuzztime $(FUZZT) ./internal/transport/
-	$(GO) test -fuzz=FuzzHierRecord$$ -fuzztime $(FUZZT) ./internal/dist/
-	$(GO) test -fuzz=FuzzCacheEvict -fuzztime $(FUZZT) ./internal/core/
-	$(GO) test -fuzz=FuzzDecodeHits$$ -fuzztime $(FUZZT) ./internal/core/
-	$(GO) test -fuzz=FuzzJobRequest -fuzztime $(FUZZT) ./internal/serve/
-	$(GO) test -fuzz=FuzzOverlapClassify -fuzztime $(FUZZT) ./internal/graph/
-	$(GO) test -fuzz=FuzzContigLinks$$ -fuzztime $(FUZZT) ./internal/graph/
-	$(GO) test -fuzz=FuzzGraphWire$$ -fuzztime $(FUZZT) ./internal/graph/
-	$(GO) test -fuzz=FuzzDiscoverWire$$ -fuzztime $(FUZZT) ./internal/pipeline/
-	$(GO) test -fuzz=FuzzAssignTasks$$ -fuzztime $(FUZZT) ./internal/partition/
+	@for t in \
+		'FuzzFASTA$$ ./internal/seq/' \
+		'FuzzFASTARange$$ ./internal/seq/' \
+		'FuzzFASTQ$$ ./internal/seq/' \
+		'FuzzWire$$ ./internal/seq/' \
+		'FuzzPackDiff$$ ./internal/seq/' \
+		'FuzzBasesDiff$$ ./internal/seq/' \
+		'FuzzLoadDiff$$ ./internal/seq/' \
+		'FuzzXDrop$$ ./internal/align/' \
+		'FuzzXDropDiff$$ ./internal/align/' \
+		'FuzzFrame ./internal/transport/' \
+		'FuzzSendV$$ ./internal/transport/' \
+		'FuzzAddrTable$$ ./internal/transport/' \
+		'FuzzHierRecord$$ ./internal/dist/' \
+		'FuzzCacheEvict ./internal/core/' \
+		'FuzzDecodeHits$$ ./internal/core/' \
+		'FuzzJobRequest ./internal/serve/' \
+		'FuzzOverlapClassify ./internal/graph/' \
+		'FuzzContigLinks$$ ./internal/graph/' \
+		'FuzzGraphWire$$ ./internal/graph/' \
+		'FuzzDiscoverWire$$ ./internal/pipeline/' \
+		'FuzzAssignTasks$$ ./internal/partition/' \
+	; do \
+		set -- $$t; \
+		echo "$(GO) test -fuzz=$$1 -fuzztime $(FUZZT) $$2"; \
+		out=$$($(GO) test -fuzz=$$1 -fuzztime $(FUZZT) $$2 2>&1); rc=$$?; printf '%s\n' "$$out"; \
+		[ $$rc = 0 ] || exit $$rc; \
+		printf '%s\n' "$$out" | awk -v t="$$1" ' \
+			$$1 == "fuzz:" && $$2 == "elapsed:" && / execs: [0-9]+ [(]0[/]sec[)]/ { \
+				e = $$3; sub(/s,$$/, "", e); \
+				if (e ~ /[mh]/ || e + 0 >= 3) { printf "fuzz %s: stalled at 0 execs/s: %s\n", t, $$0; bad = 1 } } \
+			END { exit bad }' || exit 1; \
+	done
 
 golden:
 	$(GO) test -run TestGolden ./internal/trace/ -update

@@ -376,11 +376,7 @@ func (s *session) joinDist() (*dist.Rank, error) {
 	go func() {
 		sig := <-sigc
 		fmt.Fprintf(s.stderr, "dibella: rank %d: %v — draining (aborting transport)\n", s.myRank, sig)
-		if ab, ok := tp.(transport.Aborter); ok {
-			ab.Abort()
-		} else {
-			tp.Close()
-		}
+		tp.Abort()
 	}()
 
 	sum := s.ix.Checksum()

@@ -155,11 +155,7 @@ func (p poisonTP) RecycleFrame(frame []byte) {
 	for i := range frame {
 		frame[i] = 0xDB
 	}
-	p.Transport.(transport.FrameRecycler).RecycleFrame(frame)
-}
-
-func (p poisonTP) SendV(dst int, hdr, body []byte) error {
-	return p.Transport.(transport.VectorSender).SendV(dst, hdr, body)
+	p.Transport.RecycleFrame(frame)
 }
 
 // TestCallbackMustNotRetainResponse pins the AsyncCall ownership rule from

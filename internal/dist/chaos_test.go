@@ -261,7 +261,7 @@ func TestChaosByeMidCollective(t *testing.T) {
 			}
 			// Wait until the bye registers, then run a collective that owes
 			// the departed rank traffic.
-			for len(rk.departedPeers()) == 0 {
+			for len(rk.tp.DepartedPeers()) == 0 {
 				time.Sleep(time.Millisecond)
 			}
 			chaosBSP(r)

@@ -22,12 +22,12 @@
 //     frames. Progress/Drain follow the application-level polling
 //     discipline of the paper's UPC++ implementation (§3.2); a rank blocked
 //     with nothing to poll parks on its transport's Ready signal.
-//   - On a fabric that queues (transport.FrameQueuer), RPC request and
-//     response frames wait in their link's outbox, so a burst of pulls or
-//     answers leaves in one write; every other frame goes out at once,
-//     behind its link's outbox. The outboxes are flushed on entry to and
-//     exit from Progress, before a waitLoop first checks its condition (so
-//     no rank parks with a frame queued), and when Run's body returns.
+//   - RPC request and response frames are queued (Transport.QueueV): on
+//     TCP they wait in their link's outbox, so a burst of pulls or answers
+//     leaves in one write; every other frame goes out at once, behind its
+//     link's outbox. The outboxes are flushed on entry to and exit from
+//     Progress, before a waitLoop first checks its condition (so no rank
+//     parks with a frame queued), and when Run's body returns.
 //
 // Accounting: the application-level counters are Alltoallv payload bytes
 // and non-empty messages, RPC requests and responses — none of the
@@ -188,9 +188,7 @@ type Rank struct {
 	redGot    map[srcKey]int64
 	redResult map[uint64]int64
 
-	rec    transport.FrameRecycler // non-nil when the fabric reuses delivered frames
-	q      transport.FrameQueuer   // non-nil when the fabric queues RPC frames
-	rpcHdr [5]byte                 // reused RPC frame-header scratch (SendV snapshots before returning)
+	rpcHdr [5]byte // reused RPC frame-header scratch (QueueV snapshots before returning)
 }
 
 var _ rt.Runtime = (*Rank)(nil)
@@ -218,8 +216,6 @@ func NewRank(tp transport.Transport, cfg Config) *Rank {
 		// first Run reports why instead of running the body.
 		r.failErr = &RankError{Rank: r.id, Op: "placement", Err: err}
 	}
-	r.rec, _ = tp.(transport.FrameRecycler)
-	r.q, _ = tp.(transport.FrameQueuer)
 	r.eng = transport.NewEngine(transport.EngineConfig{
 		Rank:    r.id,
 		Send:    r.sendRPC,
@@ -371,13 +367,12 @@ func (r *Rank) op(fallback string) string {
 }
 
 // sendFrame ships the wire frame hdr‖body — the header this runtime built
-// and the payload it was handed, never joined on a fabric that can send
-// them as they lie (body is nil for frames built whole) — at once, behind
-// whatever is queued for dst. A transport failure fails this rank with
-// the operation's name and unwinds.
+// and the payload it was handed, never joined (body is nil for frames
+// built whole) — at once, behind whatever is queued for dst. A transport
+// failure fails this rank with the operation's name and unwinds.
 func (r *Rank) sendFrame(op string, dst int, hdr, body []byte) {
 	r.tally(dst, hdr, body)
-	if err := transport.SendV(r.tp, dst, hdr, body); err != nil {
+	if err := r.tp.SendV(dst, hdr, body); err != nil {
 		r.raise(op, err)
 	}
 }
@@ -394,33 +389,26 @@ func (r *Rank) tally(dst int, hdr, body []byte) {
 	}
 }
 
-// sendRPC is the engine's conduit: the message's payload goes out behind a
-// five-byte frame header, queued on a fabric that queues. The header lives
-// in per-rank scratch — the transport snapshots both pieces before
-// returning and never polls, so neither the scratch nor a handler's reused
-// response buffer can be rewritten under it.
+// sendRPC is the engine's conduit: the message's payload is queued behind
+// a five-byte frame header. The header lives in per-rank scratch — the
+// transport snapshots both pieces before returning and never polls, so
+// neither the scratch nor a handler's reused response buffer can be
+// rewritten under it.
 func (r *Rank) sendRPC(dst int, m transport.Msg) {
 	r.rpcHdr[0] = msgRPCResp
 	if m.Req {
 		r.rpcHdr[0] = msgRPCReq
 	}
 	binary.BigEndian.PutUint32(r.rpcHdr[1:], m.Seq)
-	if r.q == nil {
-		r.sendFrame(r.op("rpc"), dst, r.rpcHdr[:], m.Val)
-		return
-	}
 	r.tally(dst, r.rpcHdr[:], m.Val)
-	if err := r.q.QueueV(dst, r.rpcHdr[:], m.Val); err != nil {
+	if err := r.tp.QueueV(dst, r.rpcHdr[:], m.Val); err != nil {
 		r.raise(r.op("rpc"), err)
 	}
 }
 
 // flush puts every queued RPC frame on the wire.
 func (r *Rank) flush() {
-	if r.q == nil {
-		return
-	}
-	if err := r.q.Flush(); err != nil {
+	if err := r.tp.Flush(); err != nil {
 		r.raise(r.op("rpc"), err)
 	}
 }
@@ -472,7 +460,7 @@ func (r *Rank) dispatch(from int, frame []byte) {
 		}
 		k := barKey{kind: body[0], epoch: binary.BigEndian.Uint64(body[1:9]), round: body[9]}
 		r.barGot[k] = struct{}{}
-		r.recycle(frame)
+		r.tp.RecycleFrame(frame)
 	case msgA2A:
 		if len(body) < 8 {
 			r.raise(r.op("progress"), fmt.Errorf("malformed alltoallv frame from rank %d", from))
@@ -505,7 +493,7 @@ func (r *Rank) dispatch(from int, frame []byte) {
 		} else {
 			r.redResult[epoch] = val
 		}
-		r.recycle(frame)
+		r.tp.RecycleFrame(frame)
 	case msgRPCReq, msgRPCResp:
 		if len(body) < 4 {
 			r.raise(r.op("progress"), fmt.Errorf("malformed rpc frame from rank %d", from))
@@ -518,27 +506,10 @@ func (r *Rank) dispatch(from int, frame []byte) {
 		}); err != nil {
 			r.raise(r.op("rpc"), err)
 		}
-		r.recycle(frame)
+		r.tp.RecycleFrame(frame)
 	default:
 		r.raise(r.op("progress"), fmt.Errorf("unknown frame type %d from rank %d", typ, from))
 	}
-}
-
-// recycle hands a dead frame back to the transport's buffer pool, when the
-// fabric supports that.
-func (r *Rank) recycle(frame []byte) {
-	if r.rec != nil {
-		r.rec.RecycleFrame(frame)
-	}
-}
-
-// departedPeers asks the transport which peers gracefully left, when it
-// tracks that (deadline diagnostics).
-func (r *Rank) departedPeers() []int {
-	if d, ok := r.tp.(transport.DepartedTracker); ok {
-		return d.DepartedPeers()
-	}
-	return nil
 }
 
 // spinPolls is how many empty polls a blocked rank makes, yielding the
@@ -600,7 +571,7 @@ func (r *Rank) park(op string, lastIn time.Time, waiting func() []int) {
 			Op:       op,
 			Stalled:  stalled,
 			Waiting:  waiting(),
-			Departed: r.departedPeers(),
+			Departed: r.tp.DepartedPeers(),
 		})
 	}
 	if left := r.deadline - stalled + time.Microsecond; r.timer == nil {

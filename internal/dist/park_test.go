@@ -69,9 +69,9 @@ func parkedUntil(t *testing.T, w *World, breakIt func()) (time.Duration, error) 
 }
 
 // TestParkedRankWakes: each way a transport can fail a parked rank — its
-// loopback endpoint closed from outside, its TCP link to a peer lost —
-// signals Ready, so the rank fails at once with the cause, long before the
-// progress deadline would have diagnosed the silence.
+// loopback endpoint closed or aborted from outside, its TCP link to a peer
+// lost — signals Ready, so the rank fails at once with the cause, long
+// before the progress deadline would have diagnosed the silence.
 func TestParkedRankWakes(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -81,8 +81,10 @@ func TestParkedRankWakes(t *testing.T) {
 	}{
 		{"loopback-close", func() []transport.Transport { return transport.NewLoopback(2) },
 			func(w *World) { w.Rank(0).Close() }, transport.ErrClosed},
+		{"loopback-abort", func() []transport.Transport { return transport.NewLoopback(2) },
+			func(w *World) { w.Rank(0).Transport().Abort() }, transport.ErrClosed},
 		{"tcp-link-loss", func() []transport.Transport { return tcpMesh(t, 2) },
-			func(w *World) { w.Rank(1).Transport().(transport.Aborter).Abort() }, transport.ErrPeerLost},
+			func(w *World) { w.Rank(1).Transport().Abort() }, transport.ErrPeerLost},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w, err := NewWorldOver(tc.fabric(), Config{ProgressDeadline: DefaultProgressDeadline})

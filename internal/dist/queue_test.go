@@ -38,7 +38,7 @@ func (s *queueSpy) pending() int {
 }
 
 func (s *queueSpy) QueueV(dst int, hdr, body []byte) error {
-	err := s.Transport.(transport.FrameQueuer).QueueV(dst, hdr, body)
+	err := s.Transport.QueueV(dst, hdr, body)
 	if err == nil && dst != s.Rank() {
 		s.queued[dst] = true
 		s.total++
@@ -48,7 +48,7 @@ func (s *queueSpy) QueueV(dst int, hdr, body []byte) error {
 
 func (s *queueSpy) Flush() error {
 	clear(s.queued)
-	return s.Transport.(transport.FrameQueuer).Flush()
+	return s.Transport.Flush()
 }
 
 func (s *queueSpy) Send(dst int, frame []byte) error {
@@ -58,7 +58,7 @@ func (s *queueSpy) Send(dst int, frame []byte) error {
 
 func (s *queueSpy) SendV(dst int, hdr, body []byte) error {
 	s.queued[dst] = false
-	return transport.SendV(s.Transport, dst, hdr, body)
+	return s.Transport.SendV(dst, hdr, body)
 }
 
 func (s *queueSpy) Ready() <-chan struct{} {
@@ -75,7 +75,7 @@ func (s *queueSpy) Close() error {
 
 func (s *queueSpy) Abort() {
 	s.atAbort = s.pending()
-	s.Transport.(transport.Aborter).Abort()
+	s.Transport.Abort()
 }
 
 // TestNothingStaysQueued: on a 2-rank TCP world under a 300 ms progress

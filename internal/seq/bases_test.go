@@ -72,30 +72,66 @@ func TestCheckBasesLongLine(t *testing.T) {
 	}
 }
 
-// FuzzBasesDiff checks the AVX2 decoder against the table loop on
-// arbitrary bytes, and on the same bytes mapped mostly into the alphabet,
-// at every length 0-96 from every start offset of the input: the same
-// first bad byte, the same codes before it, and no byte written past the
-// line.
-func FuzzBasesDiff(f *testing.F) {
-	f.Add([]byte("ACGTNUacgtnuACGTNUacgtnuACGTNUacgtnuACGTNUacgtnu"))
-	f.Add(bytes.Repeat([]byte{0x41, 0x61, 0xC1, 0xE1, 0x01, 0x21}, 20))
-	f.Add([]byte(">r1 x\r\nACGT\xc2\x85\n"))
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		raw = raw[:min(len(raw), 128)]
-		letters := []byte("ACGTNUacgtnu")
-		mapped := make([]byte, len(raw))
-		for i, c := range raw {
-			mapped[i] = c
-			if c < 0xF0 {
-				mapped[i] = letters[int(c)%len(letters)]
-			}
+// basesDiffSeeds are FuzzBasesDiff's seeds. TestBasesDiffSeeds sweeps
+// every window of each, so the 120-byte one, over the fuzz cap, still
+// counts.
+var basesDiffSeeds = [][]byte{
+	[]byte("ACGTNUacgtnuACGTNUacgtnuACGTNUacgtnuACGTNUacgtnu"),
+	bytes.Repeat([]byte{0x41, 0x61, 0xC1, 0xE1, 0x01, 0x21}, 20),
+	[]byte(">r1 x\r\nACGT\xc2\x85\n"),
+}
+
+// rawAndMapped returns raw and a copy with every byte below 0xF0 mapped
+// into the alphabet, so both bad bytes and long valid runs are met.
+func rawAndMapped(raw []byte) [][]byte {
+	letters := []byte("ACGTNUacgtnu")
+	mapped := make([]byte, len(raw))
+	for i, c := range raw {
+		mapped[i] = c
+		if c < 0xF0 {
+			mapped[i] = letters[int(c)%len(letters)]
 		}
-		for _, src := range [][]byte{raw, mapped} {
+	}
+	return [][]byte{raw, mapped}
+}
+
+// TestBasesDiffSeeds decodes every window of each seed, raw and mapped,
+// at every length 0-96 from every start offset.
+func TestBasesDiffSeeds(t *testing.T) {
+	for _, seed := range basesDiffSeeds {
+		for _, src := range rawAndMapped(seed) {
 			for off := 0; off <= len(src); off++ {
 				for n := 0; n <= 96 && off+n <= len(src); n++ {
 					decodeBoth(t, src[off:off+n])
 				}
+			}
+		}
+	}
+}
+
+// maxFuzzLine caps FuzzBasesDiff's input at the longest line
+// TestDecodeBasesEveryByte sweeps: three AVX2 blocks and one byte. The
+// engine minimizes a new input in time quadratic in its length, so longer
+// inputs stalled the run at 0 execs/s.
+const maxFuzzLine = 97
+
+// FuzzBasesDiff checks the AVX2 decoder against the table loop on
+// arbitrary bytes, and on the same bytes mapped mostly into the alphabet:
+// every prefix and every suffix of the input, so each length and each
+// position of the last block is met, with the same first bad byte, the
+// same codes before it, and no byte written past the line.
+func FuzzBasesDiff(f *testing.F) {
+	for _, seed := range basesDiffSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) > maxFuzzLine {
+			return
+		}
+		for _, src := range rawAndMapped(raw) {
+			for n := 0; n <= len(src); n++ {
+				decodeBoth(t, src[:n])
+				decodeBoth(t, src[len(src)-n:])
 			}
 		}
 	})

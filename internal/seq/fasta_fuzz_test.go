@@ -6,6 +6,12 @@ import (
 	"testing"
 )
 
+// maxFuzzText caps the input of the FASTA and FASTQ parser targets, enough
+// for a few records and a wrapped line: the engine minimizes a new input
+// in time quadratic in its length, and each run parses, writes and reloads
+// its input, so longer inputs stalled the run at 0 execs/s.
+const maxFuzzText = 128
+
 // FuzzFASTA: any input either parses or errors — never panics — and every
 // successfully parsed set survives a write→parse round trip byte-exactly,
 // both plain and through the gzip path cmd/dibella uses.
@@ -16,6 +22,9 @@ func FuzzFASTA(f *testing.F) {
 	f.Add([]byte("ACGT\n"))      // data before header
 	f.Add([]byte(">x\nACGT!\n")) // invalid character
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > maxFuzzText {
+			return
+		}
 		rs, err := ReadFASTA(bytes.NewReader(data))
 		if err != nil {
 			return
@@ -58,6 +67,9 @@ func FuzzFASTQ(f *testing.F) {
 	f.Add([]byte("@r1\nACGT\n+\nIII\n")) // quality length mismatch
 	f.Add([]byte("@r1\nACGT\n"))         // truncated
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > maxFuzzText {
+			return
+		}
 		rs, err := ReadFASTQ(bytes.NewReader(data))
 		if err != nil {
 			return

@@ -53,7 +53,7 @@ func oracleLoad(data []byte) ([]Read, error) {
 
 func oracleFASTA(r io.Reader) ([]Read, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
+	sc.Buffer(make([]byte, 4<<10), 1<<26) // grown as a line needs, up to the same limit
 	var out []Read
 	var name string
 	var body []Base
@@ -97,7 +97,7 @@ func oracleFASTA(r io.Reader) ([]Read, error) {
 
 func oracleFASTQ(r io.Reader) ([]Read, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
+	sc.Buffer(make([]byte, 4<<10), 1<<26) // grown as a line needs, up to the same limit
 	var out []Read
 	line := 0
 	next := func() (string, bool) {
@@ -168,7 +168,11 @@ func FuzzLoadDiff(f *testing.F) {
 	f.Add([]byte("\v>r\nAC\n"), false, uint8(0), uint8(0))
 	f.Add([]byte("@q\r\nACGT\r\n+\r\n@@@@\r\n@\nA\n+\n!\n"), true, uint8(1), uint8(2))
 	f.Add([]byte(">r\nAC\u0085GT\n"), false, uint8(0), uint8(1))
+	path := filepath.Join(f.TempDir(), "in") // rewritten by every run: a fresh directory each costs more than the run
 	f.Fuzz(func(t *testing.T, data []byte, gz bool, c1, c2 uint8) {
+		if len(data) > maxFuzzText {
+			return
+		}
 		want, werr := oracleLoad(data)
 		if rs, err := LoadReader(bytes.NewReader(data)); (err == nil) != (werr == nil) {
 			t.Fatalf("LoadReader error %v, oracle %v", err, werr)
@@ -189,7 +193,6 @@ func FuzzLoadDiff(f *testing.F) {
 			}
 			data = buf.Bytes()
 		}
-		path := filepath.Join(t.TempDir(), "in")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -299,7 +299,11 @@ func FuzzFASTARange(f *testing.F) {
 	f.Add([]byte(rangeFASTQ), uint8(0), uint8(3))
 	f.Add([]byte(">a\nACGT\n>b\nGG\n"), uint8(1), uint8(1))
 	f.Add([]byte("@a\nAC\n+\nII\n"), uint8(0), uint8(0))
+	path := filepath.Join(f.TempDir(), "f.in") // rewritten by every run: a fresh directory each costs more than the run
 	f.Fuzz(func(t *testing.T, data []byte, c1, c2 uint8) {
+		if len(data) > maxFuzzText {
+			return
+		}
 		whole, perr := LoadReader(bytes.NewReader(data))
 		ix, ierr := IndexReader(bytes.NewReader(data))
 		if perr != nil {
@@ -320,7 +324,6 @@ func FuzzFASTARange(f *testing.F) {
 			}
 		}
 		// Split [0,N) at two fuzz-chosen cut points and reload via a file.
-		path := filepath.Join(t.TempDir(), "f.in")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}

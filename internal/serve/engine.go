@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"gnbody/internal/core"
@@ -17,44 +15,6 @@ import (
 	"gnbody/internal/workload"
 )
 
-// errChaosKill is what a killed rank's endpoint returns: an abrupt local
-// death, as if the owning process took a SIGKILL mid-collective.
-var errChaosKill = errors.New("serve: chaos-killed endpoint")
-
-// killableTP wraps one rank's loopback endpoint with a kill switch that
-// any goroutine may flip mid-run. Once dead, every Send/Recv fails — the
-// owning rank unwinds with a *dist.RankError naming itself, and peers
-// blocked on it fail via the progress deadline. The loopback fabric has no
-// Abort (in-process queues cannot crash), so the service grows its own
-// fault surface here rather than in the transport.
-type killableTP struct {
-	*transport.Loopback
-	dead atomic.Bool
-}
-
-// Kill flips the endpoint dead and wakes its owner, should it be parked on
-// an empty inbox, to find out. Safe from any goroutine; idempotent.
-func (k *killableTP) Kill() {
-	k.dead.Store(true)
-	k.Wake()
-}
-
-func (k *killableTP) Send(dst int, frame []byte) error { return k.SendV(dst, frame, nil) }
-
-func (k *killableTP) SendV(dst int, hdr, body []byte) error {
-	if k.dead.Load() {
-		return errChaosKill
-	}
-	return k.Loopback.SendV(dst, hdr, body)
-}
-
-func (k *killableTP) Recv() (int, []byte, bool, error) {
-	if k.dead.Load() {
-		return 0, nil, false, errChaosKill
-	}
-	return k.Loopback.Recv()
-}
-
 // engine is one resident world: the expensive half of a job, built once
 // and re-entered job after job. Each rank's alignment workspace and
 // exchange buffers are not the engine's but the drivers' pooled run
@@ -66,15 +26,14 @@ type engine struct {
 	memBudget int64
 	deadline  time.Duration
 
-	w    *dist.World
-	taps []*killableTP // dist only: per-rank kill switches
+	w *dist.World
 }
 
 // newEngine builds a resident world. Both backends are goroutine ranks of
 // the message-passing runtime over the in-process loopback fabric: "par" is
-// par's world (one node, no deadline, no chaos); "dist" wraps every
-// endpoint with a kill switch and runs under the configured progress
-// deadline, with the full typed-failure model live.
+// par's world (one node, no deadline, no chaos); "dist" runs under the
+// configured progress deadline, with the full typed-failure model live,
+// and a rank is killed by aborting its endpoint (kill).
 func newEngine(backend string, ranks int, memBudget int64, deadline time.Duration) (*engine, error) {
 	e := &engine{
 		backend: backend, ranks: ranks,
@@ -94,17 +53,11 @@ func (e *engine) build() error {
 		e.w = w
 		return err
 	case "dist":
-		e.taps = make([]*killableTP, e.ranks)
-		fabric := make([]transport.Transport, e.ranks)
-		for i, ep := range transport.NewLoopback(e.ranks) {
-			e.taps[i] = &killableTP{Loopback: ep.(*transport.Loopback)}
-			fabric[i] = e.taps[i]
-		}
 		pd := e.deadline
 		if pd == 0 {
 			pd = -1 // serve default is "no deadline" unless configured
 		}
-		w, err := dist.NewWorldOver(fabric, dist.Config{
+		w, err := dist.NewWorldOver(transport.NewLoopback(e.ranks), dist.Config{
 			MemBudget: e.memBudget, ProgressDeadline: pd})
 		e.w = w
 		return err
@@ -121,6 +74,12 @@ func (e *engine) rebuild() error {
 	e.close() // best-effort; the failed world is already dead
 	return e.build()
 }
+
+// kill makes rank i's endpoint go dark, as if its process took a SIGKILL
+// mid-collective: the rank's next Send or Recv fails, so it unwinds with a
+// *dist.RankError naming itself, and peers blocked on it fail via the
+// progress deadline. Safe from any goroutine; a parked rank is woken.
+func (e *engine) kill(i int) { e.w.Rank(i).Transport().Abort() }
 
 func (e *engine) close() {
 	if e.w != nil {
@@ -152,7 +111,7 @@ func (e *engine) run(j *Job, kill int) (hits []core.Hit, tasks int64, rows []tra
 	plan.Stages = []pipeline.Stage{pipeline.DiscoverStage{}, j.Spec.AlignStage()}
 	plan.OnStage = func(r rt.Runtime, stage string, _ any) {
 		if stage == "discover" && r.Rank() == kill {
-			e.taps[kill].Kill() // the align phase's first collective now fails
+			e.kill(kill) // the align phase's first collective now fails
 		}
 	}
 	before := make([]rt.Metrics, e.ranks)

@@ -10,6 +10,7 @@ import (
 
 	"gnbody/internal/dist"
 	"gnbody/internal/rt"
+	"gnbody/internal/transport"
 )
 
 func e2eSpec(mode string) JobSpec {
@@ -134,10 +135,10 @@ func TestKillWakesParkedRank(t *testing.T) {
 			return
 		}
 		time.Sleep(100 * time.Millisecond) // rank 0 spins out and parks
-		e.taps[0].Kill()
+		e.kill(0)
 	})
 	var re *dist.RankError
-	if !errors.As(err, &re) || re.Rank != 0 || !errors.Is(err, errChaosKill) {
+	if !errors.As(err, &re) || re.Rank != 0 || !errors.Is(err, transport.ErrClosed) {
 		t.Errorf("Run returned %v, want rank 0 failing with the chaos kill", err)
 	}
 	if took := time.Since(t0); took > 5*time.Second {

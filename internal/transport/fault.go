@@ -94,7 +94,6 @@ type FaultTransport struct {
 }
 
 var _ Transport = (*FaultTransport)(nil)
-var _ FrameQueuer = (*FaultTransport)(nil)
 
 // NewFault wraps ep with the given plan.
 func NewFault(ep Transport, plan FaultPlan) *FaultTransport {
@@ -121,12 +120,10 @@ func (f *FaultTransport) trigger() {
 	switch f.plan.Action {
 	case FaultCrash:
 		f.crashed = true
-		// Die like a killed process: abrupt socket teardown when the
-		// fabric supports it (TCP), plain silence when it does not
-		// (loopback) — peers then only notice via their own deadlines.
-		if a, ok := f.inner.(Aborter); ok {
-			a.Abort()
-		}
+		// Die like a killed process: abrupt socket teardown on TCP, plain
+		// silence on loopback, where peers notice only via their own
+		// deadlines.
+		f.inner.Abort()
 	case FaultStall:
 		// Everything sent so far still reaches the wire; from here on the
 		// endpoint is silent, so a failed write has nobody to tell.
@@ -139,12 +136,15 @@ func (f *FaultTransport) trigger() {
 // stalled (silently swallowed).
 func (f *FaultTransport) Send(dst int, frame []byte) error { return f.send(dst, frame, nil, false) }
 
-// QueueV queues the frame on the wrapped endpoint when it is a
-// FrameQueuer, and sends it otherwise, under the same rules as Send.
+// SendV forwards the frame hdr‖body under the same rules as Send.
+func (f *FaultTransport) SendV(dst int, hdr, body []byte) error { return f.send(dst, hdr, body, false) }
+
+// QueueV queues the frame on the wrapped endpoint under the same rules as
+// Send.
 func (f *FaultTransport) QueueV(dst int, hdr, body []byte) error { return f.send(dst, hdr, body, true) }
 
-// send forwards one frame, queued when asked and the wrapped endpoint can,
-// and fires the planned action when the frame spends the send budget.
+// send forwards one frame, queued when asked, and fires the planned action
+// when the frame spends the send budget.
 func (f *FaultTransport) send(dst int, hdr, body []byte, queue bool) error {
 	if f.crashed {
 		return f.crashErr()
@@ -153,10 +153,10 @@ func (f *FaultTransport) send(dst int, hdr, body []byte, queue bool) error {
 		return nil // swallowed: the peer never sees it, we never error
 	}
 	var err error
-	if q, ok := f.inner.(FrameQueuer); ok && queue {
-		err = q.QueueV(dst, hdr, body)
+	if queue {
+		err = f.inner.QueueV(dst, hdr, body)
 	} else {
-		err = SendV(f.inner, dst, hdr, body)
+		err = f.inner.SendV(dst, hdr, body)
 	}
 	if err != nil {
 		return err
@@ -174,10 +174,10 @@ func (f *FaultTransport) Flush() error {
 	if f.crashed {
 		return f.crashErr()
 	}
-	if q, ok := f.inner.(FrameQueuer); ok && !f.stalled {
-		return q.Flush()
+	if f.stalled {
+		return nil
 	}
-	return nil
+	return f.inner.Flush()
 }
 
 // Recv pops the next frame, applying the inbound delay/dup rules. A
@@ -247,11 +247,14 @@ var closedReady = func() chan struct{} {
 // has already aborted it).
 func (f *FaultTransport) Close() error { return f.inner.Close() }
 
-// DepartedPeers delegates to the wrapped endpoint when it tracks
-// departures.
-func (f *FaultTransport) DepartedPeers() []int {
-	if d, ok := f.inner.(DepartedTracker); ok {
-		return d.DepartedPeers()
-	}
-	return nil
-}
+// Abort kills the wrapped endpoint; a fired plan still decides the rest.
+func (f *FaultTransport) Abort() { f.inner.Abort() }
+
+// RecycleFrame hands a dead frame to the wrapped endpoint's pool. Every
+// frame Recv returns is one the wrapped endpoint delivered once — a
+// delayed frame is delivered only when released, and a duplicate is a
+// copy of its own — so no recycled buffer is ever delivered again.
+func (f *FaultTransport) RecycleFrame(frame []byte) { f.inner.RecycleFrame(frame) }
+
+// DepartedPeers delegates to the wrapped endpoint.
+func (f *FaultTransport) DepartedPeers() []int { return f.inner.DepartedPeers() }

@@ -237,6 +237,59 @@ func TestFaultDup(t *testing.T) {
 	}
 }
 
+// poisonOnRecycle overwrites every frame handed back to it before the
+// frame returns to the pool: a buffer delivered again after it was
+// recycled arrives as 0xDB bytes, not the ones that were sent.
+type poisonOnRecycle struct{ Transport }
+
+func (p poisonOnRecycle) RecycleFrame(frame []byte) {
+	for i := range frame {
+		frame[i] = 0xDB
+	}
+	p.Transport.RecycleFrame(frame)
+}
+
+// TestFaultRecycling: the fault injector forwards RecycleFrame because it
+// never delivers a buffer twice — a duplicate is a copy of its own, and a
+// delayed frame is delivered once, when released. With every second frame
+// duplicated and every third delayed, a receiver that recycles each frame
+// the moment it has checked it still gets every frame intact, the
+// duplicates and the delayed frames arriving after earlier deliveries were
+// poisoned and their buffers drawn again by later sends.
+func TestFaultRecycling(t *testing.T) {
+	eps := NewLoopback(2)
+	f := NewFault(poisonOnRecycle{eps[0]}, FaultPlan{Seed: 3, DupEvery: 2, DelayEvery: 3})
+	const rounds, perRound = 20, 5
+	counts := map[string]int{}
+	sent, delivered := 0, 0
+	for round := 0; round < rounds; round++ {
+		for k := 0; k < perRound; k++ {
+			if err := eps[1].Send(0, []byte(fmt.Sprintf("frame %03d", sent))); err != nil {
+				t.Fatal(err)
+			}
+			sent++
+		}
+		for ; delivered < sent+sent/2; delivered++ {
+			_, frame := drainOne(t, f, 10*time.Second)
+			var i int
+			if _, err := fmt.Sscanf(string(frame), "frame %03d", &i); err != nil || i >= sent {
+				t.Fatalf("round %d: delivery %d is %q, not a frame that was sent", round, delivered, frame)
+			}
+			counts[string(frame)]++
+			f.RecycleFrame(frame)
+		}
+	}
+	for i := 0; i < sent; i++ {
+		key, want := fmt.Sprintf("frame %03d", i), 1
+		if (i+1)%2 == 0 {
+			want = 2
+		}
+		if counts[key] != want {
+			t.Errorf("%s delivered %d times, want %d", key, counts[key], want)
+		}
+	}
+}
+
 // TestTCPSendAfterBye pins the departed-peer semantics: once a peer says
 // bye, sending to it fails with ErrPeerDeparted naming the rank — and the
 // fabric is NOT poisoned: links to the remaining peers keep working.
@@ -245,7 +298,7 @@ func TestTCPSendAfterBye(t *testing.T) {
 	eps[2].Close()
 	// The bye is asynchronous; wait for rank 0 to notice the departure.
 	deadline := time.Now().Add(10 * time.Second)
-	for len(eps[0].(*tcpTransport).DepartedPeers()) == 0 {
+	for len(eps[0].DepartedPeers()) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("bye never registered")
 		}
@@ -258,7 +311,7 @@ func TestTCPSendAfterBye(t *testing.T) {
 	if got := PeerOf(err); got != 2 {
 		t.Fatalf("PeerOf = %d, want 2", got)
 	}
-	if got := eps[0].(*tcpTransport).DepartedPeers(); len(got) != 1 || got[0] != 2 {
+	if got := eps[0].DepartedPeers(); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("DepartedPeers = %v, want [2]", got)
 	}
 	// The surviving link must be untouched by the departed-peer error.

@@ -12,6 +12,7 @@ package transport
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // loopItem is one queued frame.
@@ -86,11 +87,10 @@ type Loopback struct {
 	rank   int
 	queues []*loopQueue // shared across the fabric; queues[i] is rank i's inbox
 	pool   *framePool   // shared across the fabric: receivers recycle what senders draw
+	dead   atomic.Bool  // set by Abort: this endpoint has gone dark
 }
 
 var _ Transport = (*Loopback)(nil)
-var _ FrameRecycler = (*Loopback)(nil)
-var _ VectorSender = (*Loopback)(nil)
 
 // NewLoopback builds an n-rank in-memory fabric and returns the per-rank
 // endpoints. Endpoint i must only be used by rank i's goroutine.
@@ -125,6 +125,9 @@ func (l *Loopback) Send(dst int, frame []byte) error { return l.SendV(dst, frame
 // SendV is Send of the frame hdr‖body: both pieces are copied straight into
 // the one buffer dst's inbox receives.
 func (l *Loopback) SendV(dst int, hdr, body []byte) error {
+	if l.dead.Load() {
+		return ErrClosed
+	}
 	if dst < 0 || dst >= len(l.queues) {
 		return fmt.Errorf("transport: loopback send to rank %d of %d", dst, len(l.queues))
 	}
@@ -147,8 +150,18 @@ func (l *Loopback) SendV(dst int, hdr, body []byte) error {
 	return nil
 }
 
+// QueueV is SendV: the loopback has no outbox, so the frame is in dst's
+// inbox when the call returns.
+func (l *Loopback) QueueV(dst int, hdr, body []byte) error { return l.SendV(dst, hdr, body) }
+
+// Flush has nothing to write: nothing is ever queued.
+func (l *Loopback) Flush() error { return nil }
+
 // Recv pops the next pending frame, if any.
 func (l *Loopback) Recv() (int, []byte, bool, error) {
+	if l.dead.Load() {
+		return 0, nil, false, ErrClosed
+	}
 	it, ok, err := l.queues[l.rank].pop()
 	if err != nil || !ok {
 		return 0, nil, false, err
@@ -156,20 +169,25 @@ func (l *Loopback) Recv() (int, []byte, bool, error) {
 	return it.from, it.frame, true, nil
 }
 
-// Ready signals when this rank's inbox has had a frame pushed or was closed.
+// Ready signals when this rank's inbox has had a frame pushed or was
+// closed, or the endpoint was aborted.
 func (l *Loopback) Ready() <-chan struct{} { return l.queues[l.rank].ready }
-
-// Wake leaves this endpoint's Ready signalled, rousing an owner parked on
-// it. It is safe from any goroutine: it is how a switch thrown from outside
-// the rank — serve's kill switch — gets a parked owner to poll again and
-// find it.
-func (l *Loopback) Wake() { l.queues[l.rank].signal() }
 
 // Close shuts this rank's inbox down; this rank's own Recv gets ErrClosed
 // and peers sending to it get ErrPeerDeparted from then on.
 func (l *Loopback) Close() error {
 	l.queues[l.rank].close()
 	return nil
+}
+
+// Abort makes this endpoint go dark, as a killed process would: its own
+// Send and Recv fail with ErrClosed from then on, and an owner parked on
+// Ready is woken to find out. Its inbox stays open, so peers' sends still
+// succeed and they notice only through their progress deadline. Safe from
+// any goroutine.
+func (l *Loopback) Abort() {
+	l.dead.Store(true)
+	l.queues[l.rank].signal()
 }
 
 // RecycleFrame returns a delivered (or otherwise dead) frame buffer to the

@@ -5,17 +5,6 @@ import (
 	"sync"
 )
 
-// FrameRecycler is implemented by fabrics that can reuse delivered frame
-// buffers. A receiver that has fully consumed a Recv frame — decoded it and
-// retained no reference into it — may hand the buffer back through
-// RecycleFrame; the transport is then free to fill it for a future
-// delivery. Recycling is strictly opt-in and per-frame: a caller that
-// cannot prove a frame is dead simply drops it, and the ownership contract
-// on Transport is unchanged for frames that are never recycled.
-type FrameRecycler interface {
-	RecycleFrame(frame []byte)
-}
-
 // Pooled buffers come in power-of-two capacities from 64 B to 1 MiB, one
 // sync.Pool per capacity, so a request only ever meets buffers that fit it:
 // a 10 kB RPC response and an 11-byte barrier token recycle side by side

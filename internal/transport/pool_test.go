@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// exerciseRecycling stresses the FrameRecycler contract on a live fabric:
+// exerciseRecycling stresses the RecycleFrame contract on a live fabric:
 // every rank ping-pongs distinct payloads with every peer while recycling
 // each frame the moment it is verified. A recycled buffer that the fabric
 // hands to another in-flight delivery too early shows up as payload
@@ -23,11 +23,6 @@ func exerciseRecycling(t *testing.T, eps []Transport) {
 		go func(i int) {
 			defer wg.Done()
 			ep := eps[i]
-			rec, ok := ep.(FrameRecycler)
-			if !ok {
-				errs <- fmt.Errorf("rank %d: fabric does not implement FrameRecycler", i)
-				return
-			}
 			// Variable-length payloads: [src][dst][round] then round filler
 			// bytes, so pooled buffers are constantly re-sliced to new sizes.
 			buf := make([]byte, 3+rounds)
@@ -55,7 +50,7 @@ func exerciseRecycling(t *testing.T, eps []Transport) {
 							return
 						}
 					}
-					rec.RecycleFrame(frame)
+					ep.RecycleFrame(frame)
 				}
 			}
 			errs <- nil

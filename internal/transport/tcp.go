@@ -17,7 +17,7 @@
 // unbounded inbox, so a Send never waits on the remote application's
 // polling — the same progress guarantee the loopback fabric gives.
 //
-// Each link also has an outbox (FrameQueuer): frames queued for a peer are
+// Each link also has an outbox (QueueV): frames queued for a peer are
 // appended to it, wire-encoded, and leave as the first piece of the link's
 // next vectored write — a Flush, a Send, or the bye — so a burst of small
 // frames costs one write, and the bytes on the wire are exactly those the
@@ -142,8 +142,6 @@ func (w *tcpWriter) queue(c net.Conn, hdr, body []byte) error {
 }
 
 var _ Transport = (*tcpTransport)(nil)
-var _ VectorSender = (*tcpTransport)(nil)
-var _ FrameQueuer = (*tcpTransport)(nil)
 
 // Rendezvous joins (or, on rank 0, hosts) the handshake and returns this
 // rank's connected endpoint. It blocks until the full mesh is up or the
@@ -610,8 +608,9 @@ func (t *tcpTransport) Close() error {
 }
 
 // Abort tears the endpoint down with no bye and drops every outbox unwritten
-// — peers see the links die as if the owning process had been killed. Used
-// by the fault injector to simulate crashes.
+// — peers see the links die as if the owning process had been killed. The
+// fault injector simulates crashes with it, and a draining dibella worker
+// calls it from its signal handler.
 func (t *tcpTransport) Abort() {
 	if t.closed.Swap(true) {
 		return

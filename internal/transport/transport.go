@@ -75,45 +75,26 @@ func PeerOf(err error) int {
 	return -1
 }
 
-// DepartedTracker is implemented by fabrics that remember which peers have
-// gracefully departed (said bye / closed their inbox). Diagnostics use it
-// to distinguish "still expected" from "already gone" peers.
-type DepartedTracker interface {
-	// DepartedPeers returns the ranks that have gracefully departed, in
-	// ascending order.
-	DepartedPeers() []int
-}
-
-// Aborter is implemented by endpoints that can die abruptly: Abort tears
-// the endpoint down with no goodbye handshake, exactly like a kill -9 of
-// the owning process. The fault injector uses it to simulate crashes; real
-// code should call Close.
-type Aborter interface {
-	Abort()
-}
-
 // Transport is one rank's endpoint of a point-to-point message fabric.
+// Every fabric and every wrapper implements all of it.
 //
-// Ownership contract: Send takes its own snapshot of frame before
-// returning (implementations copy it or fully serialise it onto the wire),
-// so the caller may immediately reuse the backing array. Frames returned by
-// Recv are owned by the caller: the transport never touches them again, and
-// the receiver may mutate or retain them freely.
+// Ownership contract: Send, SendV and QueueV snapshot the frame before
+// returning, so the caller may reuse its backing arrays at once. A frame
+// Recv returns is the caller's: the transport never touches it again
+// unless the caller hands it back through RecycleFrame.
 //
 // Progress contract: Send must never block waiting for the destination
 // rank's application to poll — frames queue at the receiver — so two ranks
-// sending to each other at full inboxes cannot deadlock. A frame Send
-// accepted is on its way when Send returns: nothing holds it back for a
-// later call (only FrameQueuer.QueueV may, until the owner flushes). Recv is
-// non-blocking: ok == false with a nil error means nothing is pending.
-// Ready is how an owner that found nothing waits without spinning: the
-// channel it returns receives a value, or is closed, once a later Recv may
-// report a frame or an error. A wakeup may be spurious — the owner polls
-// again and parks again — but none is ever lost: a frame or failure that
-// arrives after a Recv came up empty always leaves Ready signalled.
+// sending to each other cannot deadlock. A frame Send or SendV accepted is
+// on its way when the call returns; only QueueV may hold one back, until
+// the owner flushes. Recv is non-blocking: ok == false with a nil error
+// means nothing is pending. Ready is how an owner that found nothing waits
+// without spinning: its channel receives a value, or is closed, once a
+// later Recv may report a frame or an error. A wakeup may be spurious, but
+// none is ever lost.
 //
-// A Transport endpoint is owned by a single rank; calls are not safe for
-// concurrent use by multiple goroutines.
+// An endpoint is owned by a single rank goroutine; only Abort is safe from
+// any other.
 type Transport interface {
 	// Rank returns this endpoint's rank id in [0, Size()).
 	Rank() int
@@ -121,6 +102,16 @@ type Transport interface {
 	Size() int
 	// Send delivers frame to rank dst (dst == Rank() self-delivers).
 	Send(dst int, frame []byte) error
+	// SendV is Send of the frame hdr‖body, never joined in a fresh buffer.
+	SendV(dst int, hdr, body []byte) error
+	// QueueV is SendV, except that the frame may wait in dst's bounded
+	// outbox until Flush or the next Send or SendV to dst, which writes the
+	// outbox ahead of its own frame: frames to one peer arrive in call
+	// order. Close writes the outboxes ahead of its goodbye; Abort drops
+	// them. An owner must flush before it waits on a peer.
+	QueueV(dst int, hdr, body []byte) error
+	// Flush writes every non-empty outbox.
+	Flush() error
 	// Recv returns the next pending frame and its source rank.
 	// ok == false with err == nil means the inbox is empty.
 	Recv() (from int, frame []byte, ok bool, err error)
@@ -128,54 +119,18 @@ type Transport interface {
 	// or an error. A nil channel means the endpoint will never become
 	// ready (only a deadline ends the wait).
 	Ready() <-chan struct{}
+	// RecycleFrame hands back a Recv frame the caller has fully consumed,
+	// keeping no reference into it, for the fabric to fill again.
+	RecycleFrame(frame []byte)
+	// DepartedPeers returns the ranks that have gracefully departed (said
+	// bye or closed their inbox), in ascending order.
+	DepartedPeers() []int
 	// Close tears the endpoint down. Subsequent Sends and Recvs return
 	// ErrClosed (pending frames are discarded).
 	Close() error
-}
-
-// VectorSender is implemented by fabrics that can send a frame handed over
-// in two pieces — a small header the runtime built and a body it was given
-// — without first joining them in a fresh buffer. SendV(dst, hdr, body)
-// delivers exactly the frame Send(dst, hdr‖body) would, under the same
-// ownership contract: both pieces are snapshotted before it returns. Like
-// FrameRecycler it is opt-in; callers go through the SendV function, which
-// joins the pieces for endpoints (wrappers, mostly) that do not implement
-// it.
-type VectorSender interface {
-	SendV(dst int, hdr, body []byte) error
-}
-
-// SendV sends the frame hdr‖body to dst over tp: as two pieces when the
-// endpoint is a VectorSender, as one joined copy through Send otherwise (a
-// frame built whole, with no body, needs no joining).
-func SendV(tp Transport, dst int, hdr, body []byte) error {
-	if v, ok := tp.(VectorSender); ok {
-		return v.SendV(dst, hdr, body)
-	}
-	if len(body) == 0 {
-		return tp.Send(dst, hdr)
-	}
-	if n := len(hdr) + len(body); n > MaxFrame {
-		return &FrameSizeError{n} // refused before joining a copy of it
-	}
-	frame := make([]byte, 0, len(hdr)+len(body))
-	frame = append(frame, hdr...)
-	return tp.Send(dst, append(frame, body...))
-}
-
-// FrameQueuer is implemented by fabrics that can hold frames for a peer and
-// put several on the wire in one write. QueueV(dst, hdr, body) delivers
-// exactly the frame SendV(dst, hdr, body) would, under the same ownership
-// contract, but the frame may wait in dst's outbox until the owner calls
-// Flush or sends dst anything through Send or SendV, which writes the
-// outbox ahead of its own frame: frames to one peer arrive in the order
-// they were queued or sent, whichever the call. Outboxes are bounded — a
-// frame that would overfill one goes out at once, behind the outbox —
-// and Close writes them ahead of its goodbye; a crash (Abort) drops them.
-// Like VectorSender it is opt-in: a caller that queues must flush before
-// it waits on a peer, or the peer may be waiting on the queued frame.
-type FrameQueuer interface {
-	QueueV(dst int, hdr, body []byte) error
-	// Flush writes every non-empty outbox.
-	Flush() error
+	// Abort kills the endpoint as a kill -9 would: no goodbye, the owner's
+	// later Sends and Recvs fail with ErrClosed (a fired FaultTransport plan
+	// keeps its crash or stall) and an owner parked on Ready wakes. TCP
+	// peers see the links die; loopback peers notice only by deadline.
+	Abort()
 }

@@ -112,7 +112,7 @@ func TestLoopbackClose(t *testing.T) {
 	if err := eps[0].Send(0, []byte("y")); err != nil {
 		t.Errorf("self-send on open rank: %v", err)
 	}
-	if got := eps[0].(*Loopback).DepartedPeers(); len(got) != 1 || got[0] != 1 {
+	if got := eps[0].DepartedPeers(); len(got) != 1 || got[0] != 1 {
 		t.Errorf("DepartedPeers = %v, want [1]", got)
 	}
 }
