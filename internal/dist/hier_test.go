@@ -254,6 +254,12 @@ func TestNewRankBadPlacement(t *testing.T) {
 	}
 }
 
+// maxFuzzRecord caps FuzzHierRecord's payload and tail together: a few
+// records' worth. A longer input only lengthens the bytes the codec copies,
+// and the engine minimizes a new input in time quadratic in its length; an
+// uncapped target can sit at 0 execs a second. Every seed is under it.
+const maxFuzzRecord = 256
+
 // FuzzHierRecord fuzzes the relay record codec the leaders re-pack frames
 // with, in its 1-id (up, down) and 2-id (cross) forms: a record built by
 // appendRecord decodes to the same ids and payload with the tail intact,
@@ -264,6 +270,9 @@ func FuzzHierRecord(f *testing.F) {
 	f.Add([]byte{}, uint16(0), uint16(65535), []byte{0, 1})
 	f.Add([]byte{1}, uint16(7), uint16(7), []byte{0, 0, 0, 0, 0, 9})
 	f.Fuzz(func(t *testing.T, payload []byte, a, b uint16, tail []byte) {
+		if len(payload)+len(tail) > maxFuzzRecord {
+			return
+		}
 		for _, ids := range [][]int{{int(a)}, {int(a), int(b)}} {
 			nIDs := len(ids)
 			enc := appendRecord(nil, payload, ids...)

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -17,11 +18,13 @@ import (
 // rank in any of discover's seven rounds (DESIGN §18) must end with every
 // rank returning an error within the progress deadline, never a hang;
 // duplicated and delayed frames must change nothing, so the union of tasks
-// is still the serial reference's. Each round is one Alltoallv, three
-// frames a rank at four ranks, so a fault after send 3·round+1 fires
-// inside that round. The runs that must succeed get a
-// longer deadline, so that a rank slowed by the race detector on a busy
-// machine is not taken for a dead one.
+// is still the serial reference's. A faulted run must also leave no
+// goroutine behind and pool no scratch a Run still held: every rank
+// unwinds out of a raised collective, and release drops such a scratch
+// (rule 2 of scratch). Each round is one Alltoallv, three frames a rank
+// at four ranks, so a fault after send 3·round+1 fires inside that round.
+// The runs that must succeed get a longer deadline, so that a rank slowed
+// by the race detector on a busy machine is not taken for a dead one.
 func TestDiscoverFaults(t *testing.T) {
 	const p, victim, k, lo, hi = 4, 2, 15, 2, 12
 	reads := mixedReads(t, 1)
@@ -66,7 +69,19 @@ func TestDiscoverFaults(t *testing.T) {
 		}{{"crash", transport.FaultCrash}, {"stall", transport.FaultStall}} {
 			action := fault.action
 			t.Run(name+" round, "+fault.name, func(t *testing.T) {
+				drainScratch()
+				goroutines := runtime.NumGoroutine()
 				_, err := run(t, transport.FaultPlan{Action: action, AfterSends: 3*round + 1}, 250*time.Millisecond)
+				for _, s := range drainScratch() {
+					if s.busy {
+						t.Error("a faulted Run pooled the scratch it held")
+					}
+				}
+				for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(10 * time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("%d goroutines after the faulted run, %d before", runtime.NumGoroutine(), goroutines)
+					}
+				}
 				if err == nil {
 					t.Fatal("discover over a faulted rank returned nil")
 				}

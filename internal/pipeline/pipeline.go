@@ -75,27 +75,27 @@ const occSlots = 16
 // records that leaves unset. A census frame that is not whole records, or a
 // record with a bit set at or above T, is a *WireError naming the sender;
 // every bitmap then keeps nothing, but still has one bit a record received,
-// so that no honest sender finds fault with it.
+// so that no honest sender finds fault with it. The bitmaps and the table
+// are s's.
 //
 // Every instance of a code reaches its one owner with the same slot, so a
 // code seen twice or more is kept whole and its run is still its global
 // instance count. An unset record is alone in its slot: a distinct k-mer
 // seen once, counted in singles. A singleton kept through a collision is a
 // run of one, which the run scan's floor of 2 drops.
-func keepBitmaps(frames [][]byte, l *layout) (bitmaps [][]byte, singles int64, err error) {
+func (s *scratch) keepBitmaps(frames [][]byte, l *layout) (bitmaps [][]byte, singles int64, err error) {
 	size, mask, top := l.census, low(l.slot), padTop(l.census, l.slot)
 	bitBytes := func(buf []byte) int { return ((len(buf)+size-1)/size + 7) / 8 } // a ragged tail counts as a record
 	total := 0
 	for _, buf := range frames {
 		total += bitBytes(buf)
 	}
-	all := make([]byte, total)
-	bitmaps = make([][]byte, len(frames))
+	all, bitmaps := zeroed(&s.bits, total), zeroed(&s.keep, len(frames))
 	for from, buf := range frames {
 		m := bitBytes(buf)
 		bitmaps[from], all = all[:m:m], all[m:]
 	}
-	seen := make([]uint8, (1<<l.slot+3)/4) // four 2-bit counters a byte
+	seen := zeroed(&s.seen, (1<<l.slot+3)/4) // four 2-bit counters a byte
 	var tail [2 * wordPad]byte
 	n := 0 // census records received
 	for from, buf := range frames {
@@ -148,13 +148,13 @@ func keepBitmaps(frames [][]byte, l *layout) (bitmaps [][]byte, singles int64, e
 // set, each with a code whose hash owner is me and whose slot is that of
 // the census record it answers. A refusal (layout.refusal) is a
 // *WireError naming me: its sender found fault with the keep bitmap me
-// sent it, and so the stage fails and blames me alone.
-func keptOccs(frames, census, bitmaps [][]byte, lens []int32, l *layout, me int) ([]occRec, error) {
+// sent it, and so the stage fails and blames me alone. Records go to dst.
+func keptOccs(dst []occRec, frames, census, bitmaps [][]byte, lens []int32, l *layout, me int) ([]occRec, error) {
 	n := 0
 	for _, buf := range frames {
 		n += len(buf) / l.occ
 	}
-	kept := make([]occRec, 0, n)
+	kept := grow(dst, n)
 	f, size, top := l.occFields(), l.occ, padTop(l.occ, l.code()+l.read+l.pos)
 	p, shift := len(frames), 64-l.slot
 	next := uint64(0) // the smallest (read, pos) the next record may carry
@@ -234,20 +234,22 @@ func (pl *Plan) Run(r rt.Runtime, store seq.Store) (*Output, error) {
 	out := &Output{}
 	p, me := r.Size(), r.Rank()
 	var fail error
+	s := takeScratch()
+	defer s.release()
 
 	lay := pl.layout(p)
 	lo, hi := pl.Part.Range(me)
 
 	// --- Stage: local k-mer extraction; each instance's census slot goes
 	// to the canonical code's hash owner. ---
-	sendCen := make([][]byte, p)
+	sendCen := sends(&s.cen, p)
 	r.Timed(rt.CatOverhead, func() {
 		bases := 0
 		for _, l := range pl.Lens[lo:hi] {
 			bases += int(l)
 		}
 		for dst := range sendCen { // an even share plus an eighth: growth is the exception
-			sendCen[dst] = make([]byte, 0, lay.census*(bases/p+bases/(8*p)+8)+wordPad)
+			sendCen[dst] = sized(sendCen[dst], lay.census*(bases/p+bases/(8*p)+8)+wordPad)
 		}
 		shift := 64 - lay.slot
 		for i := lo; i < hi; i++ {
@@ -266,17 +268,17 @@ func (pl *Plan) Run(r rt.Runtime, store seq.Store) (*Output, error) {
 	var singles int64
 	r.Timed(rt.CatOverhead, func() {
 		var err error
-		keep, singles, err = keepBitmaps(recvCen, &lay)
+		keep, singles, err = s.keepBitmaps(recvCen, &lay)
 		fail = errors.Join(fail, err)
 	})
 	answers := r.Alltoallv(keep)
 
 	// --- Stage: the occurrence record of every kept instance, to the same
 	// owner. A rescan of the reads gives the census order back. ---
-	sendOcc := make([][]byte, p)
+	sendOcc := sends(&s.occ, p)
 	r.Timed(rt.CatOverhead, func() {
 		occ := lay.occFields()
-		next := make([]int, p) // per owner, the census record the next instance answers
+		next := zeroed(&s.next, p) // per owner, the census record the next instance answers
 		for dst, bm := range answers {
 			n := len(sendCen[dst]) / lay.census
 			if err := checkBitmap(dst, bm, n); err != nil {
@@ -286,7 +288,7 @@ func (pl *Plan) Run(r rt.Runtime, store seq.Store) (*Output, error) {
 				answers[dst], sendOcc[dst] = make([]byte, (n+7)/8), lay.refusal()
 				continue
 			}
-			sendOcc[dst] = make([]byte, 0, lay.occ*ones(bm)+wordPad)
+			sendOcc[dst] = sized(sendOcc[dst], lay.occ*ones(bm)+wordPad)
 		}
 		for i := lo; i < hi; i++ {
 			fail = errors.Join(fail, kmer.Scan(store.Get(seq.ReadID(i)), pl.K, func(pos int, c kmer.Code, rc bool) {
@@ -307,35 +309,38 @@ func (pl *Plan) Run(r rt.Runtime, store seq.Store) (*Output, error) {
 	recvOcc := r.Alltoallv(sendOcc)
 
 	// --- Stage: sort the kept records by code, scan the runs. ---
-	sendTask := make([][]byte, p)
+	sendTask := sends(&s.cand, p)
 	r.Timed(rt.CatOverhead, func() {
-		recs, err := keptOccs(recvOcc, recvCen, keep, pl.Lens, &lay, me)
+		recs, err := keptOccs(s.recs[:0], recvOcc, recvCen, keep, pl.Lens, &lay, me)
 		if fail = errors.Join(fail, err); fail != nil {
 			return
 		}
 		out.KmersOwned += singles
 		out.OccsKept = int64(len(recs))
-		pl.scanRuns(sortByCode(recs, make([]occRec, len(recs)), 2*pl.K), &lay, sendTask, out)
+		s.recs = recs
+		pl.scanRuns(sortByCode(recs, zeroed(&s.tmp, len(recs)), 2*pl.K), &lay, sendTask, out)
 	})
 	recvTask := r.Alltoallv(sendTask)
 
 	// --- Stage: pair dedup (min-code seed wins, as in the serial path). ---
 	var deduped []overlap.Task
 	r.Timed(rt.CatOverhead, func() {
-		cands, err := lay.decodeCands(recvTask, pl.Lens, me, p)
+		cands, err := lay.decodeCands(s.cands[:0], recvTask, pl.Lens, me, p)
 		if fail = errors.Join(fail, err); fail != nil {
 			return
 		}
-		// The occurrence sort again, on 16-byte handles: code holds the pair
-		// as the dense key A·reads+B, read the candidate's index. A run is
-		// one pair; its smallest-code candidate wins.
+		// The occurrence sort again, on 16-byte handles in the same two
+		// arrays: code holds the pair as the dense key A·reads+B, read the
+		// candidate's index. A run is one pair; its smallest-code candidate
+		// wins.
 		nreads := uint64(len(pl.Lens))
-		handles := make([]occRec, len(cands))
+		s.cands = cands
+		handles := zeroed(&s.recs, len(cands))
 		for i, c := range cands {
 			handles[i] = occRec{code: uint64(c.task.A)*nreads + uint64(c.task.B), read: uint32(i)}
 		}
-		handles = sortByCode(handles, make([]occRec, len(cands)), 2*bits.Len64(nreads))
-		deduped = make([]overlap.Task, 0, len(cands))
+		handles = sortByCode(handles, zeroed(&s.tmp, len(cands)), 2*bits.Len64(nreads))
+		deduped = sized(s.deduped, len(cands))
 		var best uint64 // the current pair's smallest code so far
 		for i, h := range handles {
 			c := cands[h.read]
@@ -347,11 +352,13 @@ func (pl *Plan) Run(r rt.Runtime, store seq.Store) (*Output, error) {
 			}
 			deduped, best = append(deduped, c.task), c.code
 		}
+		s.deduped = deduped
 		out.PairsOwned = int64(len(deduped))
 	})
 
 	// --- Stage: task placement on read owners, cost-balanced. ---
-	tasks, err := place(r, pl, &lay, deduped)
+	tasks, err := place(r, pl, &lay, s, deduped)
+	s.busy = false // every round has returned
 	if err = errors.Join(fail, err); err != nil {
 		return nil, err
 	}

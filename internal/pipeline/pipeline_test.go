@@ -384,7 +384,7 @@ func censusRound(t testing.TB, l *layout, senders ...[]occRec) (census, keep, oc
 	for from, recs := range senders {
 		census[from] = censusFrame(l, recs...)
 	}
-	keep, singles, err := keepBitmaps(census, l)
+	keep, singles, err := new(scratch).keepBitmaps(census, l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +464,7 @@ func TestOccurrenceOrderContract(t *testing.T) {
 		if mutate != nil {
 			mutate(occs)
 		}
-		return keptOccs(occs, census, keep, lens, &lay, 0)
+		return keptOccs(nil, occs, census, keep, lens, &lay, 0)
 	}
 	if lay.occ != 3 || lay.census != 1 {
 		t.Fatalf("fixture: %d-byte occurrences, %d-byte census records; want 3 and 1", lay.occ, lay.census)
@@ -567,7 +567,7 @@ func TestRepeatedOccsExact(t *testing.T) {
 			l := lay
 			l.slot = slot
 			census, keep, occs, singles := censusRound(t, &l, senders...)
-			kept, err := keptOccs(occs, census, keep, lens, &l, me)
+			kept, err := keptOccs(nil, occs, census, keep, lens, &l, me)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -582,7 +582,7 @@ func TestRepeatedOccsExact(t *testing.T) {
 				if string(send[dst]) != string(wantSend[dst]) {
 					t.Fatalf("%s: candidates for rank %d differ", label, dst)
 				}
-				cands, err := lay.decodeCands(send[dst:dst+1], lens, 0, 1)
+				cands, err := lay.decodeCands(nil, send[dst:dst+1], lens, 0, 1)
 				if err != nil {
 					t.Fatalf("%s: candidates for rank %d: %v", label, dst, err)
 				}
@@ -699,7 +699,7 @@ func TestDiscoverRejectsCorruptPeer(t *testing.T) {
 		}},
 		{"ragged candidates", "candidate", 3, chop},
 		{"candidate for an unknown read", "candidate", 3, func(sent []byte) []byte {
-			cands, err := lay.decodeCands([][]byte{sent}, lens, 0, p)
+			cands, err := lay.decodeCands(nil, [][]byte{sent}, lens, 0, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -709,7 +709,7 @@ func TestDiscoverRejectsCorruptPeer(t *testing.T) {
 		}},
 		{"candidate padding", "candidate", 3, padBit},
 		{"candidate for another pair owner", "candidate", 3, func(sent []byte) []byte {
-			cands, err := lay.decodeCands([][]byte{sent}, lens, 0, p)
+			cands, err := lay.decodeCands(nil, [][]byte{sent}, lens, 0, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -883,7 +883,10 @@ func TestAlignRejectsShortOrRepeatedPayload(t *testing.T) {
 // received frames (one 3 B census record each at this input's layout, and
 // a 7 B occurrence record for the instances kept), plus the owner's count
 // table and its kept records — not a decoded copy and a sort scratch of
-// every instance (32 B more).
+// every instance (32 B more). Every Run here starts without a pooled
+// scratch: which one a rank would draw is up to sync.Pool, and the race
+// detector drops a quarter of its puts, so only a cold Run's count
+// repeats. TestWarmDiscoverAllocates measures a warm one.
 func TestDiscoverAllocsIndependentOfKmers(t *testing.T) {
 	perRank := func(genomeLen, p int) (allocs, extracted, bytes float64) {
 		smp, err := genome.NewSampler(genome.Generate(genome.Config{Length: genomeLen, Seed: 1}), genome.ReadConfig{
@@ -902,6 +905,8 @@ func TestDiscoverAllocsIndependentOfKmers(t *testing.T) {
 		}
 		outs := make([]*Output, p)
 		run := func() {
+			for scratchPool.Get() != nil {
+			}
 			world.Run(func(r rt.Runtime) {
 				outs[r.Rank()], _ = (&Plan{Part: pt, Lens: lens, K: 15, Lo: 2, Hi: 60}).Run(r, scopeRank(r, pt, reads, lens))
 			})
@@ -926,7 +931,8 @@ func TestDiscoverAllocsIndependentOfKmers(t *testing.T) {
 			t.Errorf("P=%d: %.0f allocations per rank for %.0f k-mers, %.0f for %.0f (limit %.0f and 1.25x)",
 				p, small, nSmall, large, nLarge, limit)
 		}
-		// About 42.5 B on this input at either P; 51.6 B when every
+		// About 38 B on this input at either P; 42.5 B before the dedup
+		// handles reused the kept records' arrays, 51.6 B when every
 		// instance crossed as a 7-byte occurrence record, 82 B with 16-byte
 		// records, 100 B when the owner decoded and sorted every instance.
 		t.Logf("P=%d: %.1f bytes allocated per k-mer instance", p, perKmer)
@@ -986,7 +992,7 @@ func FuzzDiscoverWire(f *testing.F) {
 	f.Add(allKept(13), uint8(5), uint16(13), uint32(64), uint8(0))
 	l, _ := fuzzPlan(5, 4, 64, 4)
 	f.Add(l.refusal(), uint8(5), uint16(4), uint32(64), uint8(4))
-	f.Add(putCosts([]int64{10, 3, 0, 0, 0, 4, 0}), uint8(5), uint16(4), uint32(64), uint8(4))
+	f.Add(putCosts(nil, []int64{10, 3, 0, 0, 0, 4, 0}), uint8(5), uint16(4), uint32(64), uint8(4))
 	// check vets one decoder's verdict and reports whether it accepted.
 	check := func(t *testing.T, record string, size int, data []byte, err error, accepted int) bool {
 		switch {
@@ -1015,7 +1021,7 @@ func FuzzDiscoverWire(f *testing.F) {
 		frames[from] = data
 
 		// The census, counted at its owner.
-		keep, singles, err := keepBitmaps(frames, &l)
+		keep, singles, err := new(scratch).keepBitmaps(frames, &l)
 		if n := (len(data) + l.census - 1) / l.census; len(keep[from]) != (n+7)/8 {
 			t.Fatalf("census: %d bytes answered with a %d-byte bitmap", len(data), len(keep[from]))
 		}
@@ -1065,7 +1071,7 @@ func FuzzDiscoverWire(f *testing.F) {
 		}
 		census, bitmaps := make([][]byte, p), make([][]byte, p)
 		census[from], bitmaps[from] = censusFrame(&l, recs...), allKept(len(recs))
-		kept, err := keptOccs(frames, census, bitmaps, lens, &l, me)
+		kept, err := keptOccs(nil, frames, census, bitmaps, lens, &l, me)
 		if l.refused(data) {
 			if !isWireError(err, "bitmap", me) {
 				t.Fatalf("a refusal at rank %d: %v", me, err)
@@ -1082,7 +1088,7 @@ func FuzzDiscoverWire(f *testing.F) {
 			}
 			if len(recs) > 0 { // one record more than the bitmap keeps
 				bitmaps[from] = allKept(len(recs) - 1)
-				if _, err := keptOccs(frames, census, bitmaps, lens, &l, me); !isWireError(err, "occurrence", from) {
+				if _, err := keptOccs(nil, frames, census, bitmaps, lens, &l, me); !isWireError(err, "occurrence", from) {
 					t.Fatalf("%d occurrences answering %d kept census records: %v", len(recs), len(recs)-1, err)
 				}
 			}
@@ -1091,7 +1097,7 @@ func FuzzDiscoverWire(f *testing.F) {
 		// Candidates at rank kIn mod p; tasks at the owner of the last half
 		// of the reads or of all of them.
 		cme := int(kIn) % p
-		cands, err := l.decodeCands(frames, lens, cme, p)
+		cands, err := l.decodeCands(nil, frames, lens, cme, p)
 		if again := []byte(nil); check(t, "candidate", l.cand, data, err, len(cands)) {
 			for _, c := range cands {
 				if !windowOK(c.task) || hashOwner(c.task.Key(), p) != cme {
@@ -1104,7 +1110,7 @@ func FuzzDiscoverWire(f *testing.F) {
 			}
 		}
 		lo := len(lens) / 2 * int(slot&1)
-		tasks, err := l.decodeTasks(frames, lens, lo, len(lens))
+		tasks, err := l.decodeTasks(nil, frames, lens, lo, len(lens))
 		if again := []byte(nil); check(t, "task", l.task, data, err, len(tasks)) {
 			for _, task := range tasks {
 				if !windowOK(task) || int(task.B) < lo {
@@ -1120,7 +1126,7 @@ func FuzzDiscoverWire(f *testing.F) {
 		// The same bytes as the sender's cost row, beside two rows of zero.
 		costs := make([][]byte, p)
 		for r := range costs {
-			costs[r] = putCosts(make([]int64, 1+2*p))
+			costs[r] = putCosts(nil, make([]int64, 1+2*p))
 		}
 		costs[from] = data
 		cost, free, rest, err := decodeCosts(costs)
@@ -1133,7 +1139,7 @@ func FuzzDiscoverWire(f *testing.F) {
 			if free[from][from] != 0 || rest[from][from] != 0 || movable > row[0] || row[0] > math.MaxInt64/p {
 				t.Fatalf("accepted cost row %v from rank %d", row, from)
 			}
-			if string(putCosts(row)) != string(data) {
+			if string(putCosts(nil, row)) != string(data) {
 				t.Fatal("the cost row does not re-encode to its frame")
 			}
 		}

@@ -24,17 +24,18 @@ import (
 //     rows (partition.Transfers) and sends its share (pick).
 //
 // Like Run, it enters every round whatever it decodes on the way, and
-// sends what its peers can check.
-func place(r rt.Runtime, pl *Plan, lay *layout, deduped []overlap.Task) ([]overlap.Task, error) {
+// sends what its peers can check. Its buffers are s's.
+func place(r rt.Runtime, pl *Plan, lay *layout, s *scratch, deduped []overlap.Task) ([]overlap.Task, error) {
 	p, me := r.Size(), r.Rank()
 	lo, hi := pl.Part.Range(me)
 
-	send := make([][]byte, p)
+	send := sends(&s.task, p)
 	for _, t := range deduped {
 		dst := side(pl.Part.Owner(t.A), pl.Part.Owner(t.B))
 		send[dst] = lay.putTask(send[dst], t)
 	}
-	mine, err1 := lay.decodeTasks(r.Alltoallv(send), pl.Lens, lo, hi)
+	mine, err1 := lay.decodeTasks(s.mine[:0], r.Alltoallv(send), pl.Lens, lo, hi)
+	s.mine = mine
 
 	// far is a cross-rank task's read owned elsewhere, and alt its owner;
 	// alt is me for a task whose reads are both here.
@@ -44,13 +45,13 @@ func place(r rt.Runtime, pl *Plan, lay *layout, deduped []overlap.Task) ([]overl
 		}
 		return int(t.B), pl.Part.Owner(t.B)
 	}
-	users := make([]int32, len(pl.Lens)) // per remote read: the tasks here that fetch it
+	users := zeroed(&s.users, len(pl.Lens)) // per remote read: the tasks here that fetch it
 	for _, t := range mine {
 		if id, alt := far(t); alt != me {
 			users[id]++
 		}
 	}
-	opts, row := make([]option, len(mine)), make([]int64, 1+2*p)
+	opts, row := zeroed(&s.opts, len(mine)), zeroed(&s.row, 1+2*p)
 	for i, t := range mine {
 		o := &opts[i]
 		var id int
@@ -62,16 +63,19 @@ func place(r rt.Runtime, pl *Plan, lay *layout, deduped []overlap.Task) ([]overl
 			row[1+o.dst+p*o.class] += o.cost
 		}
 	}
-	rowBuf, rowsOut := putCosts(row), make([][]byte, p)
-	for dst := range rowsOut {
-		rowsOut[dst] = rowBuf
+	s.rowBuf = putCosts(s.rowBuf[:0], row)
+	rows := zeroed(&s.rows, p)
+	for dst := range rows {
+		rows[dst] = s.rowBuf
 	}
-	cost, free, rest, err2 := decodeCosts(r.Alltoallv(rowsOut))
+	cost, free, rest, err2 := decodeCosts(r.Alltoallv(rows))
 
+	// The last round's sends stay out of the scratch: no later collective
+	// fences their readers (rule 1 of scratch).
 	moved := make([][]byte, p)
 	kept := mine
 	if err1 == nil && err2 == nil {
-		kept = make([]overlap.Task, 0, len(mine))
+		kept = sized(s.kept, len(mine))
 		for i, dst := range pick(opts, partition.Transfers(cost, free, rest)[me], me) {
 			if dst == me {
 				kept = append(kept, mine[i])
@@ -80,10 +84,13 @@ func place(r rt.Runtime, pl *Plan, lay *layout, deduped []overlap.Task) ([]overl
 			}
 		}
 	}
-	incoming, err3 := lay.decodeTasks(r.Alltoallv(moved), pl.Lens, lo, hi)
-	kept = append(kept, incoming...)
+	kept, err3 := lay.decodeTasks(kept, r.Alltoallv(moved), pl.Lens, lo, hi)
+	if err := errors.Join(err1, err2, err3); err != nil {
+		return nil, err
+	}
+	s.kept = kept
 	overlap.SortTasks(kept)
-	return kept, errors.Join(err1, err2, err3)
+	return append(make([]overlap.Task, 0, len(kept)), kept...), nil // an exact-size copy, shares nothing with s
 }
 
 // side is the rank a task between reads owned by ranks ra and rb runs on

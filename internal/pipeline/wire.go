@@ -207,15 +207,15 @@ func segments(buf []byte, size int, tail *[2 * wordPad]byte) [2][]byte {
 
 // decodeFrames decodes each size-byte, width-bit record of each rank's
 // frame, in rank order, with rec, which gets wordPad bytes from the
-// record's start (segments). A frame that is not whole records, a record
-// with a bit set at or above width, or one rec rejects is a *WireError
-// naming the rank that sent it.
-func decodeFrames[T any](record string, frames [][]byte, size int, width uint, rec func([]byte) (T, bool)) ([]T, error) {
+// record's start (segments), and appends the values to dst. A frame that
+// is not whole records, a record with a bit set at or above width, or one
+// rec rejects is a *WireError naming the rank that sent it.
+func decodeFrames[T any](dst []T, record string, frames [][]byte, size int, width uint, rec func([]byte) (T, bool)) ([]T, error) {
 	n := 0
 	for _, buf := range frames {
 		n += len(buf) / size
 	}
-	out := make([]T, 0, n)
+	out := grow(dst, n)
 	top := padTop(size, width)
 	var tail [2 * wordPad]byte
 	for from, buf := range frames {
@@ -236,10 +236,10 @@ func decodeFrames[T any](record string, frames [][]byte, size int, width uint, r
 	return out, nil
 }
 
-// decodeCands decodes a round of candidate frames sent to rank me of p: a
-// candidate whose pair hashes to another rank is a bad record.
-func (l *layout) decodeCands(frames [][]byte, lens []int32, me, p int) ([]candRec, error) {
-	return decodeFrames("candidate", frames, l.cand, l.code()+l.taskBits(), func(b []byte) (candRec, bool) {
+// decodeCands appends to dst a round of candidate frames sent to rank me
+// of p: a candidate whose pair hashes to another rank is a bad record.
+func (l *layout) decodeCands(dst []candRec, frames [][]byte, lens []int32, me, p int) ([]candRec, error) {
+	return decodeFrames(dst, "candidate", frames, l.cand, l.code()+l.taskBits(), func(b []byte) (candRec, bool) {
 		w0, w1 := load(b)
 		code, lo := split(w0, w1, l.code())
 		_, hi := split(w1, binary.LittleEndian.Uint64(b[16:]), l.code())
@@ -248,10 +248,11 @@ func (l *layout) decodeCands(frames [][]byte, lens []int32, me, p int) ([]candRe
 	})
 }
 
-// decodeTasks decodes a round of redistributed task frames sent to the rank
-// that owns reads [lo, hi): a task with neither read in it is a bad record.
-func (l *layout) decodeTasks(frames [][]byte, lens []int32, lo, hi int) ([]overlap.Task, error) {
-	return decodeFrames("task", frames, l.task, l.taskBits(), func(b []byte) (overlap.Task, bool) {
+// decodeTasks appends to dst a round of redistributed task frames sent to
+// the rank that owns reads [lo, hi): a task with neither read in it is a
+// bad record.
+func (l *layout) decodeTasks(dst []overlap.Task, frames [][]byte, lens []int32, lo, hi int) ([]overlap.Task, error) {
+	return decodeFrames(dst, "task", frames, l.task, l.taskBits(), func(b []byte) (overlap.Task, bool) {
 		w0, w1 := load(b)
 		t, ok := l.getTask(w0, w1, lens)
 		return t, ok && (lo <= int(t.A) && int(t.A) < hi || lo <= int(t.B) && int(t.B) < hi)
@@ -295,12 +296,11 @@ func (l *layout) refused(buf []byte) bool {
 	return true
 }
 
-// putCosts encodes a rank's line of the cost allgather: 8-byte words, its
-// estimated kernel cost, then per rank s the cost of its tasks that may
-// move to s in two parts, the moves that free one of its fetches
+// putCosts appends to buf a rank's line of the cost allgather: 8-byte
+// words, its estimated kernel cost, then per rank s the cost of its tasks
+// that may move to s in two parts, the moves that free one of its fetches
 // (row[1+s]) and the rest (row[1+p+s]).
-func putCosts(row []int64) []byte {
-	buf := make([]byte, 0, 8*len(row))
+func putCosts(buf []byte, row []int64) []byte {
 	for _, v := range row {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}

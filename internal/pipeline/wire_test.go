@@ -91,15 +91,15 @@ func TestLayoutCodec(t *testing.T) {
 				t.Fatalf("%s: census record %d decodes to slot %d", label, i, s)
 			}
 		}
-		kept, err := keptOccs(occFrames, census, keep, lens, &l, 0)
+		kept, err := keptOccs(nil, occFrames, census, keep, lens, &l, 0)
 		if err != nil || fmt.Sprint(kept) != fmt.Sprint(occs) {
 			t.Fatalf("%s: occurrences decode to %v, %v; want %v", label, kept, err, occs)
 		}
-		gotCands, err := l.decodeCands([][]byte{nil, candFrame}, lens, 0, 1)
+		gotCands, err := l.decodeCands(nil, [][]byte{nil, candFrame}, lens, 0, 1)
 		if err != nil || fmt.Sprint(gotCands) != fmt.Sprint(cands) {
 			t.Fatalf("%s: candidates decode to %v, %v", label, gotCands, err)
 		}
-		gotTasks, err := l.decodeTasks([][]byte{nil, taskFrame}, lens, 0, len(lens))
+		gotTasks, err := l.decodeTasks(nil, [][]byte{nil, taskFrame}, lens, 0, len(lens))
 		for i := range gotTasks {
 			if gotTasks[i] != cands[i].task {
 				t.Fatalf("%s: task %d decodes to %+v, want %+v", label, i, gotTasks[i], cands[i].task)
@@ -120,7 +120,7 @@ func TestLayoutCodec(t *testing.T) {
 			decode func(frame []byte) error
 		}{
 			{"census", census[1], l.census, l.slot, func(frame []byte) error {
-				_, _, err := keepBitmaps([][]byte{nil, frame}, &l)
+				_, _, err := new(scratch).keepBitmaps([][]byte{nil, frame}, &l)
 				return err
 			}},
 			{"occurrence", occFrames[1], l.occ, occBits, func(frame []byte) error {
@@ -130,16 +130,16 @@ func TestLayoutCodec(t *testing.T) {
 					copy(rec[:], b[:l.occ])
 					recs = append(recs, l.occFields().get(load(rec[:])))
 				}
-				_, err := keptOccs([][]byte{occFrames[0], frame}, [][]byte{census[0], censusFrame(&l, recs...)},
+				_, err := keptOccs(nil, [][]byte{occFrames[0], frame}, [][]byte{census[0], censusFrame(&l, recs...)},
 					[][]byte{keep[0], allKept(len(recs))}, lens, &l, 0)
 				return err
 			}},
 			{"candidate", candFrame, l.cand, candBits, func(frame []byte) error {
-				_, err := l.decodeCands([][]byte{nil, frame}, lens, 0, 1)
+				_, err := l.decodeCands(nil, [][]byte{nil, frame}, lens, 0, 1)
 				return err
 			}},
 			{"task", taskFrame, l.task, l.taskBits(), func(frame []byte) error {
-				_, err := l.decodeTasks([][]byte{nil, frame}, lens, 0, len(lens))
+				_, err := l.decodeTasks(nil, [][]byte{nil, frame}, lens, 0, len(lens))
 				return err
 			}},
 		}
@@ -171,7 +171,7 @@ func TestLayoutCodec(t *testing.T) {
 		// census record it answers, is refused.
 		n := len(occs) - cut
 		refusedOcc := func(what string, census1, keep1 []byte) {
-			_, err := keptOccs(occFrames, [][]byte{census[0], census1}, [][]byte{keep[0], keep1}, lens, &l, 0)
+			_, err := keptOccs(nil, occFrames, [][]byte{census[0], census1}, [][]byte{keep[0], keep1}, lens, &l, 0)
 			if !isWireError(err, "occurrence", from) {
 				t.Fatalf("%s: %s: got %v, want an occurrence WireError from rank %d", label, what, err, from)
 			}
@@ -205,7 +205,7 @@ func TestLayoutCodec(t *testing.T) {
 		}
 		// A refusal from rank 1 is a fault of the keep bitmap rank 0 sent
 		// it: a *WireError naming rank 0.
-		if _, err := keptOccs([][]byte{occFrames[0], l.refusal()}, census, keep, lens, &l, 0); !isWireError(err, "bitmap", 0) {
+		if _, err := keptOccs(nil, [][]byte{occFrames[0], l.refusal()}, census, keep, lens, &l, 0); !isWireError(err, "bitmap", 0) {
 			t.Fatalf("%s: a refusal: %v", label, err)
 		}
 	}

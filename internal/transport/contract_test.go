@@ -107,12 +107,15 @@ func TestOversizeFrameRefused(t *testing.T) {
 }
 
 // FuzzSendV: any header and body through SendV over the loopback fabric
-// arrive as their concatenation.
+// arrive as their concatenation, up to maxFuzzInput bytes of the two.
 func FuzzSendV(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0, 9}, []byte("payload"))
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte("h"), []byte{})
 	f.Fuzz(func(t *testing.T, hdr, body []byte) {
+		if len(hdr)+len(body) > maxFuzzInput {
+			return
+		}
 		eps := NewLoopback(2)
 		if err := eps[0].SendV(1, hdr, body); err != nil {
 			t.Fatal(err)

@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// maxFuzzInput caps the bytes FuzzFrame, FuzzSendV and FuzzAddrTable take
+// in: a few frames or a few addresses. A longer input only repeats what
+// these hold, and the engine minimizes a new input in time quadratic in its
+// length; an uncapped target can sit at 0 execs a second. Every seed is
+// under it.
+const maxFuzzInput = 256
+
 // FuzzFrame feeds arbitrary byte streams to the frame decoder. The codec
 // invariants: never panic, never over-read (n <= len(buf)), report
 // incomplete input as (0, nil) and oversized lengths as errors, and
@@ -18,6 +25,9 @@ func FuzzFrame(f *testing.F) {
 	f.Add(AppendFrame(AppendFrame(nil, []byte("a")), []byte("bb")))
 	f.Add([]byte{0, 0, 0, 5, 'x'}) // truncated body
 	f.Fuzz(func(t *testing.T, buf []byte) {
+		if len(buf) > maxFuzzInput {
+			return
+		}
 		rest := buf
 		for {
 			payload, n, err := DecodeFrame(rest)
@@ -69,6 +79,9 @@ func FuzzAddrTable(f *testing.F) {
 	f.Add(append(append([]byte(nil), good...), 0))
 	f.Add(encodeTable([]string{"a", "b"}))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > maxFuzzInput {
+			return
+		}
 		addrs, err := decodeTable(data, size)
 		if err != nil {
 			return
