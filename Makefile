@@ -70,11 +70,9 @@
 #   make assemble-smoke  end-to-end assembly check: error-free synthetic
 #                reads must assemble into one contig spanning the genome,
 #                byte-identical (edges and contigs) between the serial run
-#                and a race-built 4-process TCP run
-#   make placement-smoke  topology-aware placement check: a race-built
-#                4-process TCP run in nodes of 2 under a non-identity
-#                rank→slot placement must byte-match the serial artifacts
-#                at every stage, with nonzero bytes on both tiers
+#                and a race-built 4-process TCP run; a second 4-process
+#                run in nodes of 2 (-node-size 2) must byte-match the serial
+#                artifacts at every stage, with nonzero bytes on both tiers
 #   make serve-smoke  resident-service check under the race detector: a
 #                race-built dibserve takes two concurrent jobs, one of
 #                which chaos-kills a worker rank mid-run; the victim job
@@ -84,10 +82,10 @@
 
 GO      ?= go
 FUZZT   ?= 10s
-LOC_BUDGET = 19058
-DOCS_BUDGET = 136684
+LOC_BUDGET = 18746
+DOCS_BUDGET = 136037
 
-.PHONY: check vet cross fmtcheck build test bench-smoke bench-build backhalf-rounds allocs fetches kernel-cells loc loc-budget docs-budget race fuzz golden chaos dist-smoke serve-smoke assemble-smoke placement-smoke ci
+.PHONY: check vet cross fmtcheck build test bench-smoke bench-build backhalf-rounds allocs fetches kernel-cells loc loc-budget docs-budget race fuzz golden chaos dist-smoke serve-smoke assemble-smoke ci
 
 check: vet cross fmtcheck build test bench-smoke bench-build loc-budget docs-budget
 
@@ -313,7 +311,10 @@ serve-smoke:
 # genome must assemble back into one contig spanning it, and both the
 # reduced string graph's edge TSV and the contig FASTA must be
 # byte-identical between the 1-process serial run and a race-built
-# 4-process TCP run.
+# 4-process TCP run. The same 4 processes in nodes of 2 (the leader-relay
+# collectives) must byte-match the serial hits, edges and contigs, and the
+# per-rank metrics must show traffic on both tiers (nonzero intra AND
+# inter bytes): the relay ran rather than the flat path.
 assemble-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -race -o $$tmp/dibella ./cmd/dibella && \
@@ -329,39 +330,22 @@ assemble-smoke:
 		cmp $$tmp/$$st.serial $$tmp/$$st.dist && \
 		echo "assemble-smoke $$st: OK (serial == 4-rank dist)" || exit 1; \
 	done; \
+	$$tmp/dibella $$args -procs 1 -stages overlap -out $$tmp/overlap.serial 2>/dev/null || exit 1; \
+	for st in overlap reduce contigs; do \
+		$$tmp/dibella $$args -dist -procs 4 -node-size 2 -stages $$st \
+			-metrics $$tmp/met-$$st.csv -out $$tmp/$$st.nodes 2>/dev/null && \
+		cmp $$tmp/$$st.serial $$tmp/$$st.nodes || exit 1; \
+		awk -F, -v st=$$st ' \
+			FNR==1 { for (i = 1; i <= NF; i++) col[$$i] = i; next } \
+			{ intra += $$col["intra_bytes"]; inter += $$col["inter_bytes"] } \
+			END { if (intra <= 0 || inter <= 0) { \
+				printf "assemble-smoke %s nodes of 2: tier split broken (intra %d, inter %d)\n", st, intra, inter; exit 1 } \
+			  printf "assemble-smoke %s nodes of 2: OK (serial == 4-rank dist; %d intra, %d inter bytes)\n", st, intra, inter }' \
+			$$tmp/met-$$st.csv.rank* || exit 1; \
+	done; \
 	[ "$$(grep -c '^>' $$tmp/contigs.serial)" = 1 ] || { echo "assemble-smoke: expected one contig"; exit 1; }; \
 	len=$$(sed -n '1s/.*len=\([0-9]*\).*/\1/p' $$tmp/contigs.serial); \
 	[ "$$len" -ge 29000 ] || { echo "assemble-smoke: contig $$len bp does not span the 30000 bp genome"; exit 1; }; \
 	echo "assemble-smoke: OK (one contig, $$len of 30000 bp)"
 
-# Placement smoke: a race-built 4-process TCP run in nodes of 2 under a
-# non-identity placement must stay byte-identical to the serial reference
-# for every artifact (hits, reduced graph, contigs). Placement 0,2,1,3
-# regroups the nodes to {0,2} and {1,3} — a genuinely different grouping
-# from identity's {0,1},{2,3} — and the per-rank metrics must show the
-# traffic actually split across both tiers (nonzero intra AND inter
-# bytes), proving the leader relay ran rather than falling back to the
-# flat path.
-placement-smoke:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -race -o $$tmp/dibella ./cmd/dibella && \
-	$(GO) build -o $$tmp/genreads ./cmd/genreads && \
-	$$tmp/genreads -genome 30000 -coverage 8 -meanlen 600 -sigma 0.1 -error 0 -both -seed 5 \
-		-out $$tmp/reads.fa && \
-	args="-in $$tmp/reads.fa -k 15 -lofreq 2 -hifreq 60 -minscore 100 -x 20"; \
-	for st in overlap reduce contigs; do \
-		$$tmp/dibella $$args -procs 1 -stages $$st -out $$tmp/$$st.serial 2>/dev/null && \
-		$$tmp/dibella $$args -dist -procs 4 -node-size 2 -placement 0,2,1,3 \
-			-stages $$st -metrics $$tmp/met-$$st.csv -out $$tmp/$$st.placed 2>/dev/null && \
-		cmp $$tmp/$$st.serial $$tmp/$$st.placed && \
-		echo "placement-smoke $$st: OK (serial == placed 4-rank dist)" || exit 1; \
-	done; \
-	awk -F, ' \
-		NR==1 { for (i = 1; i <= NF; i++) col[$$i] = i; next } \
-		{ intra += $$col["intra_bytes"]; inter += $$col["inter_bytes"] } \
-		END { if (intra <= 0 || inter <= 0) { \
-			printf "placement-smoke: tier split broken (intra %d, inter %d)\n", intra, inter; exit 1 } \
-		  printf "placement-smoke tiers: OK (%d intra, %d inter bytes)\n", intra, inter }' \
-		$$(ls $$tmp/met-contigs.csv.rank*) || exit 1
-
-ci: check backhalf-rounds allocs fetches kernel-cells race fuzz chaos dist-smoke serve-smoke assemble-smoke placement-smoke
+ci: check backhalf-rounds allocs fetches kernel-cells race fuzz chaos dist-smoke serve-smoke assemble-smoke

@@ -37,8 +37,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -50,7 +48,6 @@ import (
 	"gnbody/internal/rt"
 	"gnbody/internal/seq"
 	"gnbody/internal/stats"
-	"gnbody/internal/topo"
 	"gnbody/internal/trace"
 	"gnbody/internal/transport"
 	"gnbody/internal/workload"
@@ -76,17 +73,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 type options struct {
 	job pipeline.JobSpec // -k -x -minscore -coverage -error -lofreq -hifreq -mode
 
-	in, stages, outPath                   string
-	stageMetrics, traceOut, metrics       string
-	cpuProf, memProf, addr, placementFlag string
+	in, stages, outPath             string
+	stageMetrics, traceOut, metrics string
+	cpuProf, memProf, addr          string
 
 	procs, slack, minOv, fuzz, sample, nodeSize int
 	rank, peers                                 int
 	mem                                         int64
 	paf, dist                                   bool
 	deadline                                    time.Duration
-
-	placement []int // -placement resolved to a rank→slot permutation (nil = identity)
 }
 
 // parseOptions parses and validates args. On a usage error (or -h) it has
@@ -100,7 +95,6 @@ func parseOptions(args []string, stderr io.Writer) (*options, int) {
 	fs.IntVar(&o.procs, "procs", 4, "number of ranks (goroutines)")
 	fs.Int64Var(&o.mem, "mem", 0, "per-rank exchange memory budget in bytes (0 = unlimited)")
 	fs.IntVar(&o.nodeSize, "node-size", 0, "-dist: group this many consecutive ranks per node and aggregate collectives hierarchically (0/1 = flat)")
-	fs.StringVar(&o.placementFlag, "placement", "", "-dist: rank→slot placement permutation: identity (default), reverse, or an explicit comma-separated slot list — regroups which ranks share a -node-size node (results are identical under any placement)")
 	fs.StringVar(&o.outPath, "out", "", "output path (default stdout)")
 	fs.StringVar(&o.stages, "stages", "overlap", "run the pipeline through this stage: overlap (hit TSV), graph (string-graph edge TSV), reduce (transitively reduced edge TSV) or contigs (FASTA); each includes all earlier stages")
 	fs.IntVar(&o.slack, "slack", 50, "assembly stages: tolerated unaligned overhang at read ends when classifying overlaps")
@@ -138,7 +132,7 @@ func parseOptions(args []string, stderr io.Writer) (*options, int) {
 }
 
 // validate rejects flag combinations that cannot run and resolves the
-// -dist rank count and -placement.
+// -dist rank count.
 func (o *options) validate() error {
 	if err := o.job.Validate(); err != nil {
 		return err
@@ -150,8 +144,6 @@ func (o *options) validate() error {
 		return fmt.Errorf("-paf emits overlap records and needs -stages overlap")
 	case o.paf && o.dist:
 		return fmt.Errorf("-paf needs every rank's task table and is not supported with -dist")
-	case o.placementFlag != "" && !o.dist:
-		return fmt.Errorf("-placement needs -dist (in-process ranks have no node topology)")
 	}
 	if o.dist {
 		if o.peers <= 0 {
@@ -167,11 +159,6 @@ func (o *options) validate() error {
 	}
 	if o.procs < 1 {
 		return fmt.Errorf("-procs %d: need at least one rank", o.procs)
-	}
-	// Placement is parsed once -peers has fixed the final rank count.
-	var err error
-	if o.placement, err = parsePlacement(o.placementFlag, o.procs); err != nil {
-		return fmt.Errorf("-placement: %w", err)
 	}
 	return nil
 }
@@ -365,7 +352,7 @@ func (s *session) joinDist() (*dist.Rank, error) {
 	}
 	distRank := dist.NewRank(tp, dist.Config{
 		MemBudget: s.mem, Tracer: s.tracer, ProgressDeadline: pd,
-		NodeSize: s.nodeSize, Placement: s.placement})
+		NodeSize: s.nodeSize})
 	s.world = distRankWorld{distRank}
 	// Graceful drain: a signal aborts the transport, so the collective this
 	// rank is blocked in fails with a typed RankError instead of the process
@@ -432,38 +419,4 @@ func (s *session) writeRunArtifacts() error {
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// parsePlacement resolves the -placement flag into a rank→slot permutation
-// for p ranks: "" or "identity" → nil (identity), "reverse" → the reversed
-// order, otherwise an explicit comma-separated slot list. Everything but
-// identity is validated as a permutation.
-func parsePlacement(s string, p int) ([]int, error) {
-	var pl []int
-	switch s {
-	case "", "identity":
-		return nil, nil
-	case "reverse":
-		pl = make([]int, p)
-		for q := range pl {
-			pl[q] = p - 1 - q
-		}
-	default:
-		parts := strings.Split(s, ",")
-		if len(parts) != p {
-			return nil, fmt.Errorf("placement lists %d slots for %d ranks", len(parts), p)
-		}
-		pl = make([]int, p)
-		for i, part := range parts {
-			v, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil {
-				return nil, fmt.Errorf("slot %d: %w", i, err)
-			}
-			pl[i] = v
-		}
-	}
-	if _, err := topo.New(p, 0, pl); err != nil {
-		return nil, err
-	}
-	return pl, nil
 }

@@ -249,7 +249,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"-stages", "polish"},
 		{"-stages", "graph", "-paf"},
 		{"-paf", "-dist"},
-		{"-placement", "reverse"}, // needs -dist
+		{"-placement", "reverse"}, // removed: ranks share nodes in rank order
 		{"-dist", "-rank", "2", "-peers", "2", "-addr", "127.0.0.1:1"},
 		{"-dist", "-rank", "0", "-peers", "2"}, // a worker needs -addr
 	} {

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	scaling -experiment table1|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|intranode|dist|serve|assembly|placement|ablations|all
+//	scaling -experiment table1|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|intranode|dist|serve|assembly|ablations|all
 //	        [-scale30 N] [-scale100 N] [-scaleccs N]   workload scale divisors
 //	        [-rpn N]                                   simulated ranks per node
 //	        [-nodes 8,16,32]                           node counts for sweeps
@@ -59,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var p expt.Params
 	fs := flag.NewFlagSet("scaling", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	experiment := fs.String("experiment", "all", "experiment id (table1, fig3..fig13, intranode, dist, serve, assembly, placement, ablations, all)")
+	experiment := fs.String("experiment", "all", "experiment id (table1, fig3..fig13, intranode, dist, serve, assembly, ablations, all)")
 	fs.IntVar(&p.ScaleEColi30x, "scale30", 0, "E. coli 30x scale divisor (default 8)")
 	fs.IntVar(&p.ScaleEColi100x, "scale100", 0, "E. coli 100x scale divisor (default 64)")
 	fs.IntVar(&p.ScaleHumanCCS, "scaleccs", 0, "Human CCS scale divisor (default 256)")

@@ -152,8 +152,7 @@ var Experiments = []Experiment{
 	{"table1", Table1}, {"fig3", Fig3}, {"fig4", Fig4}, {"fig5", Fig5}, {"fig6", Fig6},
 	{"fig7", Fig7}, {"fig8", Fig8}, {"fig9", Fig9}, {"fig10", Fig10}, {"fig11", Fig11},
 	{"fig12", Fig12}, {"fig13", Fig13}, {"intranode", Intranode}, {"dist", Dist},
-	{"serve", Serve}, {"assembly", Assembly}, {"placement", PlacementSweep},
-	{"ablations", Ablations},
+	{"serve", Serve}, {"assembly", Assembly}, {"ablations", Ablations},
 }
 
 // Table1 reproduces Table 1: the workload inventory, paper counts beside

@@ -69,9 +69,8 @@ type SimSpec struct {
 	Mode           Mode
 	SkipCompute    bool // §4.3 communication-only mode
 	MaxOutstanding int
-	FetchBatch     int   // async reads per RPC (§5 aggregation knob)
-	Hierarchical   bool  // price the alltoallv as the node-aggregated plan
-	Placement      []int // rank→slot permutation (nil = identity); see partition.PlaceByTraffic
+	FetchBatch     int  // async reads per RPC (§5 aggregation knob)
+	Hierarchical   bool // price the alltoallv as the node-aggregated plan
 	Seed           int64
 
 	// NewTracer, when set, builds the structured-event tracer for the run
@@ -138,25 +137,11 @@ var rowCache sync.Map
 
 func cacheKey(spec SimSpec) string {
 	w := spec.Workload
-	return fmt.Sprintf("%s|%d|%d|%s|%d|%d|%d|%s|%v|%d|%d|%d|%v|%s",
+	return fmt.Sprintf("%s|%d|%d|%s|%d|%d|%d|%s|%v|%d|%d|%d|%v",
 		w.Preset.Name, w.Scale, len(w.Tasks), spec.Machine.Name,
 		spec.Machine.AppMemPerCore, spec.Nodes, spec.RanksPerNode,
 		spec.Mode, spec.SkipCompute, spec.MaxOutstanding, spec.FetchBatch, spec.Seed,
-		spec.Hierarchical, placementDigest(spec.Placement))
-}
-
-// placementDigest folds a placement permutation into a short cache-key
-// component (FNV-1a), so 32K-rank placements don't balloon the key.
-func placementDigest(pl []int) string {
-	if pl == nil {
-		return "id"
-	}
-	h := uint64(14695981039346656037)
-	for _, s := range pl {
-		h ^= uint64(s)
-		h *= 1099511628211
-	}
-	return fmt.Sprintf("p%d-%016x", len(pl), h)
+		spec.Hierarchical)
 }
 
 // driverOf maps the figures' display names onto core.Run's mode strings.
@@ -249,7 +234,6 @@ func RunSim(spec SimSpec) (*Row, error) {
 		Seed:         spec.Seed,
 		Tracer:       tracer,
 		Hierarchical: spec.Hierarchical,
-		Placement:    spec.Placement,
 	})
 	if err != nil {
 		return nil, err

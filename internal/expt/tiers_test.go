@@ -15,11 +15,11 @@ import (
 // TestTiersAgree is the "planned = simulated = measured" check: one lone
 // alltoallv of a seeded sparse matrix (some rows empty, a few self cells)
 // must put exactly the same bytes on each tier whether dist really sends
-// it over loopback, the sim engine models it, sim.PriceExchange prices it,
-// or topo routes it — and partition.TrafficSplit's planned inter bytes are
-// that inter total less the header overhead topo reports. sim worlds are
-// Nodes × RanksPerNode ranks, so the layout with a short tail node (7 ranks
-// in nodes of 3) has no sim leg.
+// it over loopback, the sim engine models it or topo routes it — and
+// partition.TrafficSplit's planned inter bytes are that inter total less
+// the header overhead topo reports. sim worlds are Nodes × RanksPerNode
+// ranks, so the layout with a short tail node (7 ranks in nodes of 3) has
+// no sim leg.
 func TestTiersAgree(t *testing.T) {
 	for _, layout := range []struct{ p, ns int }{{8, 4}, {7, 3}} {
 		p, ns := layout.p, layout.ns
@@ -110,11 +110,6 @@ func TestTiersAgree(t *testing.T) {
 						inter += eng.Metrics(q).InterBytes
 					}
 					check("sim engine", intra, inter)
-					_, intra, inter, err = sim.PriceExchange(sim.CoriKNL(), p/ns, ns, pl, cells, relay)
-					if err != nil {
-						t.Fatal(err)
-					}
-					check("sim.PriceExchange", intra, inter)
 				})
 			}
 		}

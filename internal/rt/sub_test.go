@@ -1,60 +1,78 @@
 package rt
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
 
-// TestSubSemantics pins which Metrics fields subtract (monotonic counters)
-// and which carry from the later snapshot (gauges and watermarks) — the
-// contract job-scoped accounting on resident worlds depends on.
-func TestSubSemantics(t *testing.T) {
-	prev := Metrics{
-		Elapsed: time.Second, CurMem: 100, BytesSent: 1000, BytesRecv: 900,
-		Msgs: 10, RPCsSent: 4, RPCserved: 3, Supersteps: 2, OOPGets: 1,
-		GraphFetches: 7, GraphCoalesced: 5, SWARTasks: 2,
-		IntraBytes: 300, InterBytes: 700,
-		MaxMem: 5000, StoreBytes: 4000,
-	}
-	prev.Time[CatAlign] = 2 * time.Second
-	prev.Time[CatComm] = time.Second
+// subRules states, for every Metrics field, what Sub does with it: true
+// subtracts (a monotonic counter; CurMem becomes the net delta), false
+// carries cur's value unchanged (a gauge or high-water mark).
+var subRules = map[string]bool{
+	"Time": true, "Elapsed": true, "CurMem": true, "MaxMem": false,
+	"BytesSent": true, "BytesRecv": true, "Msgs": true, "RPCsSent": true,
+	"RPCserved": true, "Supersteps": true,
+	"StoreBytes": false, "PeakExchange": false, "PeakRPCBytes": false,
+	"OOPGets": true, "IntraBytes": true, "InterBytes": true,
+	"GraphFetches": true, "GraphCoalesced": true,
+	"SWARTasks": true, "FallbackTasks": true, "LaneCells": true, "LaneSlots": true,
+}
 
-	cur := prev
-	cur.Elapsed += 3 * time.Second
-	cur.CurMem += 50
-	cur.BytesSent += 111
-	cur.BytesRecv += 222
-	cur.Msgs += 6
-	cur.RPCsSent += 2
-	cur.RPCserved += 2
-	cur.Supersteps += 4
-	cur.OOPGets += 1
-	cur.GraphFetches += 3
-	cur.GraphCoalesced += 1
-	cur.SWARTasks += 1
-	cur.IntraBytes += 30
-	cur.InterBytes += 70
-	cur.Time[CatAlign] += 5 * time.Second
-	cur.MaxMem = 9000 // watermark moved during the job
+// TestSubSemantics pins which Metrics fields subtract and which carry from
+// the later snapshot — the contract job-scoped accounting on resident
+// worlds depends on. Every integer it sets (array elements included) gets
+// its own before value and its own delta, so a line Sub drops or a field
+// it subtracts into the wrong place shows; a field with no rule fails.
+func TestSubSemantics(t *testing.T) {
+	var prev, cur Metrics
+	pv, cv := reflect.ValueOf(&prev).Elem(), reflect.ValueOf(&cur).Elem()
+	typ := pv.Type()
+	// leaves lists a field's integers: the field itself, or its elements.
+	leaves := func(v reflect.Value) []reflect.Value {
+		if v.Kind() != reflect.Array {
+			return []reflect.Value{v}
+		}
+		out := make([]reflect.Value, v.Len())
+		for e := range out {
+			out[e] = v.Index(e)
+		}
+		return out
+	}
+	n := int64(0)
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		if _, ok := subRules[name]; !ok {
+			t.Fatalf("Metrics.%s has no rule in subRules: state whether Sub subtracts or carries it", name)
+		}
+		cl := leaves(cv.Field(i))
+		for e, pl := range leaves(pv.Field(i)) {
+			if pl.Kind() != reflect.Int64 {
+				t.Fatalf("Metrics.%s is a %v, not an int64 counter", name, pl.Type())
+			}
+			n++
+			pl.SetInt(1000 * n)
+			cl[e].SetInt(1000*n + n)
+		}
+	}
+	if len(subRules) != typ.NumField() {
+		t.Errorf("subRules names %d fields, Metrics has %d", len(subRules), typ.NumField())
+	}
 
 	d := Sub(cur.Snapshot(), prev.Snapshot())
-	if d.Elapsed != 3*time.Second || d.Time[CatAlign] != 5*time.Second || d.Time[CatComm] != 0 {
-		t.Errorf("time fields did not subtract: elapsed=%v align=%v comm=%v", d.Elapsed, d.Time[CatAlign], d.Time[CatComm])
-	}
-	if d.CurMem != 50 || d.BytesSent != 111 || d.BytesRecv != 222 || d.Msgs != 6 {
-		t.Errorf("counters did not subtract: %+v", d)
-	}
-	if d.RPCsSent != 2 || d.RPCserved != 2 || d.Supersteps != 4 || d.OOPGets != 1 {
-		t.Errorf("counters did not subtract: %+v", d)
-	}
-	if d.GraphFetches != 3 || d.GraphCoalesced != 1 || d.SWARTasks != 1 {
-		t.Errorf("graph and kernel counters did not subtract: %+v", d)
-	}
-	if d.IntraBytes != 30 || d.InterBytes != 70 {
-		t.Errorf("tier counters did not subtract: %+v", d)
-	}
-	if d.MaxMem != 9000 || d.StoreBytes != 4000 {
-		t.Errorf("watermarks not carried from cur: MaxMem=%d StoreBytes=%d", d.MaxMem, d.StoreBytes)
+	dv := reflect.ValueOf(d)
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		pl, cl := leaves(pv.Field(i)), leaves(cv.Field(i))
+		for e, got := range leaves(dv.Field(i)) {
+			want := cl[e].Int()
+			if subRules[name] {
+				want -= pl[e].Int()
+			}
+			if got.Int() != want {
+				t.Errorf("Sub: %s[%d] = %d, want %d (subtract=%v)", name, e, got.Int(), want, subRules[name])
+			}
+		}
 	}
 }
 

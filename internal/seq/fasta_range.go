@@ -203,13 +203,3 @@ func loadRange(f *os.File, ix *FileIndex, lo, hi int) ([]Read, error) {
 	}
 	return reads, nil
 }
-
-// LoadStore is the one-process convenience: load the whole file and wrap
-// it as a Store owning everything.
-func LoadStore(path string) (Store, error) {
-	rs, err := LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return FullStore(rs), nil
-}

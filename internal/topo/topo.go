@@ -1,9 +1,9 @@
 // Package topo is the one model of the two-tier machine: which rank sits on
 // which node, who relays for a node, and what an alltoallv frame weighs on
 // the wire. The dist runtime routes by it (measured bytes), the sim engine
-// and sim.PriceExchange price by it (modelled bytes and time), and
-// partition.TrafficSplit plans by it, so the three classify a byte the same
-// way by construction. It imports nothing.
+// prices by it (modelled bytes and time), and partition.TrafficSplit plans
+// by it, so the three classify a byte the same way by construction. It
+// imports nothing.
 //
 // Ranks are placed on node *slots*: node k owns slots [k*nodeSize,
 // (k+1)*nodeSize), the last node is short when the rank count is not

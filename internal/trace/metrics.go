@@ -9,12 +9,14 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"gnbody/internal/stats"
 )
 
 // RankMetrics is the flat per-rank accounting row the metrics exporters
 // emit — the machine-readable form of the figures' stacked bars. Package
 // rt converts its Metrics into this shape (TraceRow), keeping this
-// package dependency-free so both back-ends can import it.
+// package free of the runtime packages so both back-ends can import it.
 type RankMetrics struct {
 	Rank        int     `json:"rank"`
 	AlignSec    float64 `json:"align_sec"`
@@ -74,21 +76,6 @@ type MetricsSummary struct {
 	LaneOccupancy    float64 `json:"lane_occupancy"`
 }
 
-// imbalance is max/mean (1.0 = perfect balance, 0-mean series report 1).
-func imbalance(vals []float64) float64 {
-	var max, sum float64
-	for _, v := range vals {
-		if v > max {
-			max = v
-		}
-		sum += v
-	}
-	if len(vals) == 0 || sum == 0 {
-		return 1
-	}
-	return max / (sum / float64(len(vals)))
-}
-
 // Summarize reduces rows to a MetricsSummary.
 func Summarize(rows []RankMetrics) MetricsSummary {
 	s := MetricsSummary{Ranks: len(rows)}
@@ -125,9 +112,9 @@ func Summarize(rows []RankMetrics) MetricsSummary {
 	if laneSlots > 0 {
 		s.LaneOccupancy = float64(laneCells) / float64(laneSlots)
 	}
-	s.AlignImbalance = imbalance(align)
-	s.ElapsedImbalance = imbalance(elapsed)
-	s.RecvImbalance = imbalance(recv)
+	s.AlignImbalance = stats.Summarize(align).Imbalance()
+	s.ElapsedImbalance = stats.Summarize(elapsed).Imbalance()
+	s.RecvImbalance = stats.Summarize(recv).Imbalance()
 	return s
 }
 

@@ -251,15 +251,6 @@ func (b *Buf) Span(k Kind, start, arg int64) {
 	b.Event(k, start, b.now(), arg)
 }
 
-// Instant records a zero-duration event at the current time.
-func (b *Buf) Instant(k Kind, arg int64) {
-	if b == nil {
-		return
-	}
-	t := b.now()
-	b.Event(k, t, t, arg)
-}
-
 // Outstanding updates the outstanding-RPC high-water mark.
 func (b *Buf) Outstanding(n int) {
 	if b == nil {

@@ -24,7 +24,6 @@ func TestNilSafety(t *testing.T) {
 	b.SetClock(func() int64 { return 1 })
 	b.Event(KindAlign, 0, 1, 0)
 	b.Span(KindBarrier, 0, 0)
-	b.Instant(KindBatch, 0)
 	b.Outstanding(7)
 	if b.Now() != 0 || b.Len() != 0 || b.Dropped() != 0 || b.RPCHighWater() != 0 {
 		t.Fatal("nil buf must read as empty")

@@ -238,10 +238,13 @@ func runPlacedTwoPass(t testing.TB, w *workload.Workload, p, nodeSize int, pl []
 // scattered so consecutive-rank grouping is pessimal, still Zipf-skewed.
 func placementStudyWorkload(t testing.TB, p int) *workload.Workload {
 	t.Helper()
-	w, err := expt.PlacementWorkload(workload.EColi30x, 40, 3, p)
+	preset := workload.EColi30x
+	preset.PaperTasks = int64(preset.PaperReads) * 30 // 30 candidates a read
+	w, err := workload.Synthesize(preset, 40, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	w = workload.ScatterGenomeBlocks(w, p)
 	if counts := workload.SortedTaskCounts(w); counts[0] < 8 {
 		t.Fatalf("placement workload not skewed enough: max read degree %d, want >= 8", counts[0])
 	}
