@@ -1,7 +1,8 @@
 # gnbody — build, test, and fuzz gates. Pure Go, no external tools.
 #
 #   make check   fast gate: vet + gofmt + build + full test suite, plus
-#                cross, bench-smoke, bench-build, loc-budget and docs-budget
+#                cross, bench-smoke, bench-build, docs-refs, loc-budget and
+#                docs-budget
 #   make cross   vet the whole tree for arm64, where no assembly is built:
 #                align's pure-Go row leaf and seq's SWAR pack kernels must
 #                compile on their own
@@ -20,6 +21,11 @@
 #                number in the same diff, where a reviewer sees it
 #   make docs-budget  the same ratchet on DESIGN.md's size in bytes
 #                (DOCS_BUDGET): it only goes down
+#   make docs-refs  DESIGN.md against the tree: every "DESIGN §N" cited in a
+#                tracked Go file, README.md, ROADMAP.md, this Makefile or the
+#                verify notes names a "## N." heading; every Test, Fuzz or
+#                Benchmark name in DESIGN.md is a func in a _test.go; every
+#                backticked .go path in DESIGN.md is a tracked file (by suffix)
 #   make backhalf-rounds  one traced 5 s run of the benchmark's
 #                assemble-backhalf workload: the contig stage must make at
 #                most 4 blocking runtime calls per rank, whatever the chain
@@ -82,12 +88,12 @@
 
 GO      ?= go
 FUZZT   ?= 10s
-LOC_BUDGET = 18746
-DOCS_BUDGET = 136037
+LOC_BUDGET = 18641
+DOCS_BUDGET = 55150
 
-.PHONY: check vet cross fmtcheck build test bench-smoke bench-build backhalf-rounds allocs fetches kernel-cells loc loc-budget docs-budget race fuzz golden chaos dist-smoke serve-smoke assemble-smoke ci
+.PHONY: check vet cross fmtcheck build test bench-smoke bench-build backhalf-rounds allocs fetches kernel-cells loc loc-budget docs-budget docs-refs race fuzz golden chaos dist-smoke serve-smoke assemble-smoke ci
 
-check: vet cross fmtcheck build test bench-smoke bench-build loc-budget docs-budget
+check: vet cross fmtcheck build test bench-smoke bench-build docs-refs loc-budget docs-budget
 
 vet:
 	$(GO) vet ./...
@@ -176,6 +182,22 @@ docs-budget:
 		echo "docs-budget: DESIGN.md is $$n bytes, budget $(DOCS_BUDGET)"; exit 1; \
 	fi; \
 	echo "docs-budget: OK ($$n of $(DOCS_BUDGET))"
+
+docs-refs:
+	@heads="$$(sed -n 's/^## \([0-9][0-9]*\)\. .*/\1/p' DESIGN.md | tr '\n' ' ')"; fail=0; \
+	{ git ls-files '*.go'; ls README.md ROADMAP.md Makefile .claude/skills/verify/SKILL.md 2>/dev/null; } | \
+		xargs grep -HnoE 'DESIGN(\.md)?`? §[0-9]+' | \
+		awk -v heads="$$heads" 'BEGIN { n = split(heads, h, " "); for (i = 1; i <= n; i++) ok[h[i]] = 1 } \
+			{ num = $$0; sub(/.*§/, "", num); if (!(num in ok)) { print "docs-refs: " $$0 ": DESIGN.md has no section " num; bad = 1 } } \
+			END { exit bad }' || fail=1; \
+	for t in $$(grep -oE '\b(Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0-9_]*' DESIGN.md | sort -u); do \
+		git grep -qE "^func $$t\(" -- '*_test.go' || { echo "docs-refs: DESIGN.md names $$t, which no _test.go defines"; fail=1; }; \
+	done; \
+	for p in $$(grep -oE '`[^` ]+\.go`' DESIGN.md | tr -d '`' | sort -u); do \
+		git ls-files | awk -v p="$$p" '$$0 == p || (length($$0) > length(p) && substr($$0, length($$0) - length(p)) == "/" p) { f = 1 } END { exit !f }' || \
+			{ echo "docs-refs: DESIGN.md names $$p, which matches no tracked file"; fail=1; }; \
+	done; \
+	[ $$fail = 0 ] && echo "docs-refs: OK (sections:$$heads)"
 
 # The wall-clock experiments in internal/expt run ~10x slower under the
 # race detector; the default 10m per-package test timeout is not enough.

@@ -3,7 +3,7 @@ package align
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
+	"time"
 
 	"gnbody/internal/seq"
 )
@@ -33,48 +33,23 @@ func TestScoringValidate(t *testing.T) {
 	}
 }
 
-func TestNWKnown(t *testing.T) {
-	sc := DefaultScoring()
-	cases := []struct {
-		a, b string
-		want int
-	}{
-		{"ACGT", "ACGT", 4},
-		{"ACGT", "ACGA", 2}, // 3 matches 1 mismatch
-		{"ACGT", "ACG", 2},  // 3 matches 1 gap
-		{"", "", 0},
-		{"", "ACG", -3},
-		{"A", "T", -1},
-		{"GATTACA", "GCATGCU", 0}, // classic example: m=1,mm=-1,g=-1 → 0
-	}
-	for _, tc := range cases {
-		if got := NW(s(t, tc.a), s(t, tc.b), sc); got != tc.want {
-			t.Errorf("NW(%q,%q) = %d, want %d", tc.a, tc.b, got, tc.want)
+// sw is the Smith-Waterman local alignment score of a and b (exact
+// O(len(a)·len(b)) dynamic programming, paper §2 [19]): the optimum no
+// seed-and-extend alignment may beat. It is 0 when no positive-scoring
+// local alignment exists.
+func sw(a, b seq.Seq, sc Scoring) int {
+	prev := make([]int, len(b)+1)
+	cur := make([]int, len(b)+1)
+	best := 0
+	for i := 1; i <= len(a); i++ {
+		for j := 1; j <= len(b); j++ {
+			v := max(prev[j-1]+sub(sc, a[i-1], b[j-1]), prev[j]+sc.Gap, cur[j-1]+sc.Gap, 0)
+			cur[j] = v
+			best = max(best, v)
 		}
+		prev, cur = cur, prev
 	}
-}
-
-func TestNWSymmetric(t *testing.T) {
-	f := func(ra, rb []byte) bool {
-		a := basesFrom(ra)
-		b := basesFrom(rb)
-		sc := DefaultScoring()
-		return NW(a, b, sc) == NW(b, a, sc)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func basesFrom(raw []byte) seq.Seq {
-	out := make(seq.Seq, 0, len(raw))
-	for _, r := range raw {
-		out = append(out, seq.Base(r%5))
-	}
-	if len(out) > 64 {
-		out = out[:64]
-	}
-	return out
+	return best
 }
 
 func TestSWKnown(t *testing.T) {
@@ -89,30 +64,15 @@ func TestSWKnown(t *testing.T) {
 		{"", "ACG", 0},
 	}
 	for _, tc := range cases {
-		if got := SW(s(t, tc.a), s(t, tc.b), sc); got != tc.want {
+		if got := sw(s(t, tc.a), s(t, tc.b), sc); got != tc.want {
 			t.Errorf("SW(%q,%q) = %d, want %d", tc.a, tc.b, got, tc.want)
 		}
 	}
 }
 
-func TestSWAtLeastNW(t *testing.T) {
-	// Local optimum is never below the global score when global > 0,
-	// and never below 0.
-	f := func(ra, rb []byte) bool {
-		a, b := basesFrom(ra), basesFrom(rb)
-		sc := DefaultScoring()
-		sw := SW(a, b, sc)
-		nw := NW(a, b, sc)
-		return sw >= 0 && sw >= nw
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestNNeverMatches(t *testing.T) {
 	sc := DefaultScoring()
-	if got := SW(s(t, "NNNN"), s(t, "NNNN"), sc); got != 0 {
+	if got := sw(s(t, "NNNN"), s(t, "NNNN"), sc); got != 0 {
 		t.Errorf("SW(NNNN,NNNN) = %d, want 0 (N must not match N)", got)
 	}
 }
@@ -251,9 +211,8 @@ func TestSeedExtendBoundedBySW(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sw := SW(a, b, sc)
-		if res.Score > sw {
-			t.Fatalf("trial %d: xdrop score %d exceeds SW optimum %d", trial, res.Score, sw)
+		if opt := sw(a, b, sc); res.Score > opt {
+			t.Fatalf("trial %d: xdrop score %d exceeds SW optimum %d", trial, res.Score, opt)
 		}
 	}
 }
@@ -283,28 +242,25 @@ func TestSeedExtendIdenticalAchievesMax(t *testing.T) {
 }
 
 func TestCostModel(t *testing.T) {
-	m := DefaultCostModel()
+	m := CostModel{PerTask: 2 * time.Microsecond, PerCell: 2 * time.Nanosecond, Band: 31, FPCells: 1500}
 	// A repeat-seeded false positive (short extension) is far cheaper than
 	// a long true overlap.
-	fp := m.TaskCost(400, true)
-	tp := m.TaskCost(10000, false)
+	fp := m.TaskCost(400)
+	tp := m.TaskCost(10000)
 	if fp >= tp {
 		t.Errorf("short FP cost %v should be below long true-overlap cost %v", fp, tp)
 	}
-	if m.TaskCells(0, false) != m.FPCells {
+	if m.TaskCells(0) != m.FPCells {
 		t.Errorf("zero-extent task should cost the FP floor")
 	}
-	if m.TaskCells(10, true) != m.FPCells {
-		t.Errorf("tiny FP cells = %d, want floor %d", m.TaskCells(10, true), m.FPCells)
+	if m.TaskCells(10) != m.FPCells {
+		t.Errorf("tiny FP cells = %d, want floor %d", m.TaskCells(10), m.FPCells)
 	}
-	if m.TaskCells(400, true) != 400*m.Band {
-		t.Errorf("repeat FP cells = %d, want %d", m.TaskCells(400, true), 400*m.Band)
-	}
-	if m.CellsCost(0) != m.PerTask {
-		t.Errorf("CellsCost(0) = %v, want PerTask %v", m.CellsCost(0), m.PerTask)
+	if m.TaskCells(400) != 400*m.Band {
+		t.Errorf("repeat FP cells = %d, want %d", m.TaskCells(400), 400*m.Band)
 	}
 	// Monotone in extension extent.
-	if m.TaskCost(1000, false) >= m.TaskCost(2000, false) {
+	if m.TaskCost(1000) >= m.TaskCost(2000) {
 		t.Error("cost not monotone in overlap length")
 	}
 }
@@ -413,19 +369,5 @@ func benchExtendRow(b *testing.B, x int32) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cells), "ns/cell")
 			b.ReportMetric(float64(cells)/float64(ran), "cells/row")
 		})
-	}
-}
-
-func BenchmarkSW1k(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := make(seq.Seq, 1000)
-	for i := range a {
-		a[i] = seq.Base(rng.Intn(4))
-	}
-	bb := a.Clone()
-	sc := DefaultScoring()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SW(a, bb, sc)
 	}
 }

@@ -12,27 +12,11 @@ import "time"
 //   - a per-DP-cell cost for the extension work. True overlaps extend
 //     across the overlap region (cells ≈ overlap × band); false positives
 //     terminate early (cells ≈ FPCells, a small constant set by X).
-//
-// PerCell is calibrated against the real kernel by CalibrateCost (run in
-// benchmarks) or left at the package default, which was measured on a
-// commodity x86-64 core.
 type CostModel struct {
 	PerTask time.Duration // fixed invocation overhead per task
 	PerCell time.Duration // DP cell evaluation cost
 	Band    int           // effective antidiagonal band width of the kernel
 	FPCells int           // cells evaluated before a false positive dies
-}
-
-// DefaultCostModel returns constants calibrated with BenchmarkSeedExtend on
-// a contemporary x86-64 core (≈1-2 ns per DP cell; band ≈ 2X+1 with the
-// BELLA X=7... we use the library default X below).
-func DefaultCostModel() CostModel {
-	return CostModel{
-		PerTask: 2 * time.Microsecond,
-		PerCell: 2 * time.Nanosecond,
-		Band:    31,
-		FPCells: 1500,
-	}
 }
 
 // TaskCells estimates DP cells for one seed-and-extend task. overlapLen is
@@ -41,7 +25,7 @@ func DefaultCostModel() CostModel {
 // alignment extends through the repeat before X-drop terminates — §4.2's
 // "speed of false positive detection" variability). FPCells floors the
 // cost at the minimum X-drop shutdown work.
-func (m CostModel) TaskCells(overlapLen int, falsePositive bool) int {
+func (m CostModel) TaskCells(overlapLen int) int {
 	c := overlapLen * m.Band
 	if c < m.FPCells {
 		c = m.FPCells
@@ -50,12 +34,6 @@ func (m CostModel) TaskCells(overlapLen int, falsePositive bool) int {
 }
 
 // TaskCost converts a task into modeled compute time.
-func (m CostModel) TaskCost(overlapLen int, falsePositive bool) time.Duration {
-	return m.PerTask + time.Duration(m.TaskCells(overlapLen, falsePositive))*m.PerCell
-}
-
-// CellsCost converts a measured cell count (from the real kernel's
-// Result.Cells) into modeled time; used when calibrating model-vs-real.
-func (m CostModel) CellsCost(cells int) time.Duration {
-	return m.PerTask + time.Duration(cells)*m.PerCell
+func (m CostModel) TaskCost(overlapLen int) time.Duration {
+	return m.PerTask + time.Duration(m.TaskCells(overlapLen))*m.PerCell
 }

@@ -1,12 +1,15 @@
 // Package align implements pairwise sequence alignment: the X-drop
 // seed-and-extend kernel the paper uses for every task (SeqAn's X-drop
 // [25], reimplemented from the Zhang-Schwartz-Wagner-Miller algorithm),
-// plus full Needleman-Wunsch and Smith-Waterman dynamic programming as
-// testing baselines, and a calibrated cost model used by the performance
-// simulator in place of running the kernel at 32K-core scale.
+// and a cost model used by the performance simulator in place of running
+// the kernel at 32K-core scale.
 package align
 
-import "fmt"
+import (
+	"fmt"
+
+	"gnbody/internal/seq"
+)
 
 // Scoring is a linear-gap scoring scheme. Defaults follow BELLA
 // (match +1, mismatch -1, gap -1). The ambiguous base N never matches
@@ -19,6 +22,15 @@ type Scoring struct {
 
 // DefaultScoring returns the BELLA defaults.
 func DefaultScoring() Scoring { return Scoring{Match: 1, Mismatch: -1, Gap: -1} }
+
+// sub returns the substitution score for aligning bases x and y.
+// N is always a mismatch: a low-confidence call carries no evidence.
+func sub(sc Scoring, x, y seq.Base) int {
+	if x == y && x < seq.N {
+		return sc.Match
+	}
+	return sc.Mismatch
+}
 
 // Validate rejects schemes the DP recurrences do not support.
 func (s Scoring) Validate() error {

@@ -9,7 +9,7 @@ import (
 	"gnbody/internal/seq"
 )
 
-// Length-bucketed batch scheduling (DESIGN.md §16). A task group — the
+// Length-bucketed batch scheduling (DESIGN.md §3). A task group — the
 // alignments waiting on one fetched read, or a rank's whole local-local
 // set — mixes seeds whose extensions span orders of magnitude: a seed near
 // a read end terminates in a handful of DP rows, a mid-read seed on two
@@ -127,13 +127,14 @@ func (bt *batcher) plan(in *Input) {
 // order. rem is the group's remote payload and rid the read it stands for;
 // haveRem distinguishes a remote group under the phantom codec (rem ==
 // nil, but the remote side must stay nil) from a local-local group, where
-// both sides resolve from the store. pollEvery > 0 answers inbound
-// requests between alignments (the asynchronous drivers' application-level
-// polling); BSP passes 0.
-func (bt *batcher) run(r rt.Runtime, in *Input, cfg *Config, rid seq.ReadID, rem seq.Seq, haveRem bool, hits *[]Hit, pollEvery int) {
+// both sides resolve from the store. poll answers inbound requests after
+// every alignment (the asynchronous driver's application-level polling:
+// UPC++ engages progress on essentially every runtime call, and coarser
+// polling starves peers whose requests land on a computing rank); BSP
+// does not poll.
+func (bt *batcher) run(r rt.Runtime, in *Input, cfg *Config, rid seq.ReadID, rem seq.Seq, haveRem bool, hits *[]Hit, poll bool) {
 	n := len(bt.tasks)
 	bt.plan(in)
-	done := 0
 	for _, oi := range bt.order[:n] {
 		t := bt.tasks[oi]
 		var a, b seq.Seq
@@ -150,8 +151,7 @@ func (bt *batcher) run(r rt.Runtime, in *Input, cfg *Config, rid seq.ReadID, rem
 		res, ok := cfg.Exec.Align(r, t, a, b)
 		bt.res[oi] = res
 		bt.hit[oi] = ok && res.Score >= cfg.MinScore
-		done++
-		if pollEvery > 0 && done%pollEvery == 0 {
+		if poll {
 			r.Progress()
 		}
 	}

@@ -8,7 +8,7 @@ import (
 	"gnbody/internal/align"
 )
 
-// TestBatchOrderInvariance is the batching property test (DESIGN.md §16):
+// TestBatchOrderInvariance is the batching property test (DESIGN.md §3):
 // length-bucketed execution must produce the identical hit set — same
 // alignments, same scores, same extents after the canonical SortHits — as
 // SerialHits, which runs every task in discovery order with no batcher,

@@ -22,19 +22,12 @@ type Config struct {
 	// ("varying limits on outgoing requests", §4.3). Default 64.
 	MaxOutstanding int
 
-	// PollEvery is how many tasks the asynchronous driver computes
-	// between Progress calls. Default 1: UPC++ engages internal progress
-	// on essentially every runtime call, and coarser polling starves
-	// peers whose requests land on a computing rank (the poll-interval
-	// ablation quantifies this).
-	PollEvery int
-
 	// FetchBatch is how many same-owner remote reads one async RPC pulls.
 	// Default 1 (the paper's per-read pull); larger values trade memory
 	// for per-message amortisation (§5's aggregation knob).
 	FetchBatch int
 
-	// Cache is an optional caller-owned remote-read cache (DESIGN.md §13)
+	// Cache is an optional caller-owned remote-read cache (DESIGN.md §3)
 	// that lets fetched bases survive across Runs on the same rank: a read
 	// an earlier Run left resident does not cross the wire again. Within
 	// one Run each remote read is pulled once, so nil loses nothing there.
@@ -46,9 +39,6 @@ type Config struct {
 func (cfg *Config) defaults() {
 	if cfg.MaxOutstanding <= 0 {
 		cfg.MaxOutstanding = 64
-	}
-	if cfg.PollEvery <= 0 {
-		cfg.PollEvery = 1
 	}
 	if cfg.FetchBatch <= 0 {
 		cfg.FetchBatch = 1
@@ -84,7 +74,7 @@ func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 	// loops (no completion callbacks), so one batcher serves the whole Run.
 	bt, hits := f.s.level(0), &f.s.hits
 	bt.loadFlat(store.local)
-	bt.run(r, in, &cfg, 0, nil, false, hits, 0)
+	bt.run(r, in, &cfg, 0, nil, false, hits, false)
 
 	// Cache pre-pass: any remote read already resident (retained by an
 	// earlier Run over the same world) runs its tasks now and drops out of
@@ -96,7 +86,7 @@ func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 		for _, g := range groups {
 			if bases, ok := f.resident(g.read); ok {
 				bt.loadFlat(store.tasksOf(g))
-				bt.run(r, in, &cfg, g.read, bases, true, hits, 0)
+				bt.run(r, in, &cfg, g.read, bases, true, hits, false)
 				f.unpin(g.read)
 				continue
 			}
@@ -249,7 +239,7 @@ func RunBSP(r rt.Runtime, in *Input, cfg Config) (*Result, error) {
 				// still reference the read.
 				f.admit(read.ID, read.Seq, 1)
 				bt.loadFlat(store.tasksOf(want[k]))
-				bt.run(r, in, &cfg, read.ID, read.Seq, true, hits, 0)
+				bt.run(r, in, &cfg, read.ID, read.Seq, true, hits, false)
 				f.unpin(read.ID)
 				k++
 			}

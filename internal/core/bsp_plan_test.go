@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"gnbody/internal/align"
 	"gnbody/internal/dist"
 	"gnbody/internal/par"
 	"gnbody/internal/partition"
@@ -110,7 +109,7 @@ func TestBSPSuperstepPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	byRank := partition.AssignTasks(w.tasks, pt)
-	exec := ModelExecutor{Model: align.DefaultCostModel(), Meta: meta}
+	exec := ModelExecutor{Model: testCostModel, Meta: meta}
 	for _, backend := range []string{"par", "sim", "dist"} {
 		results := make([]*Result, planRanks)
 		errs := make([]error, planRanks)

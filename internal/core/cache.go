@@ -6,15 +6,15 @@ import (
 )
 
 // ReadCache is the bounded, refcount-aware, caller-owned cache of remote
-// read bases that one rank carries from Run to Run (Config.Cache, DESIGN.md
-// §13). Within one Run both drivers already pull each distinct remote read
-// once and run every task waiting on it, so the cache pays only when a
-// later Run over the same world needs a read an earlier one fetched. It
-// keys fetched bases by read id, pins an entry while outstanding tasks
-// still reference it, and bounds unpinned retention by an LRU byte budget
-// tied to the same memory accounting the exchange buffers use (rt.Runtime
-// Alloc/Free), so cached bytes show up in MaxMem exactly like any other
-// retained remote data.
+// read bases that one rank carries from Run to Run (Config.Cache,
+// DESIGN.md §3). Within one Run both drivers already pull each distinct
+// remote read once and run every task waiting on it, so the cache pays
+// only when a later Run over the same world needs a read an earlier one
+// fetched. It keys fetched bases by read id, pins an entry while
+// outstanding tasks still reference it, and bounds unpinned retention by
+// an LRU byte budget tied to the same memory accounting the exchange
+// buffers use (rt.Runtime Alloc/Free), so cached bytes show up in MaxMem
+// exactly like any other retained remote data.
 //
 // Entry costs are planned wire sizes (Input.planSize), never physical base
 // lengths: the phantom codec carries no bases yet must exert identical

@@ -63,7 +63,7 @@ func TestCacheChaosFault(t *testing.T) {
 					in := &Input{Part: pt, Lens: lens, Tasks: byRank[r.Rank()],
 						Codec: RealCodec{Store: st}, Store: st}
 					cfg := Config{Exec: RealExecutor{Scoring: sc, X: 15}, MinScore: 50,
-						MaxOutstanding: 8, PollEvery: 4, Cache: caches[r.Rank()]}
+						MaxOutstanding: 8, Cache: caches[r.Rank()]}
 					if _, err := RunAsync(r, in, cfg); err != nil {
 						panic(err) // surfaces as a rank error; must not reach here on fault unwind
 					}

@@ -263,7 +263,7 @@ func runCached(t *testing.T, w *testWorkload, p int, mode string, fetchBatch int
 		st := seq.Scope(w.reads, lo, hi, lens)
 		in := &Input{Part: pt, Lens: lens, Tasks: byRank[r.Rank()],
 			Codec: RealCodec{Store: st}, Store: st}
-		cfg := Config{Exec: exec, MinScore: 50, MaxOutstanding: 8, PollEvery: 4, FetchBatch: fetchBatch}
+		cfg := Config{Exec: exec, MinScore: 50, MaxOutstanding: 8, FetchBatch: fetchBatch}
 		if cacheOn {
 			cfg.Cache = caches[r.Rank()]
 		}
@@ -403,7 +403,7 @@ func TestCacheCrossRunReuse(t *testing.T) {
 			in := &Input{Part: pt, Lens: lens, Tasks: byRank[r.Rank()],
 				Codec: RealCodec{Store: st}, Store: st}
 			cfg := Config{Exec: RealExecutor{Scoring: sc, X: 15}, MinScore: 50,
-				MaxOutstanding: 8, PollEvery: 4, Cache: caches[r.Rank()]}
+				MaxOutstanding: 8, Cache: caches[r.Rank()]}
 			results[r.Rank()], errs[r.Rank()] = RunAsync(r, in, cfg)
 		})
 		var hits []Hit

@@ -37,8 +37,8 @@ func codecsUnderTest(t *testing.T) (*seq.ReadSet, map[string]Codec) {
 }
 
 // TestDecodeIntoMatchesDecode: for every codec, DecodeInto with a reused
-// dirty buffer returns exactly what Decode returns — the property the
-// drivers' unpack loops rely on.
+// dirty buffer returns exactly what it returns into a fresh (nil) one —
+// the property the drivers' unpack loops rely on.
 func TestDecodeIntoMatchesDecode(t *testing.T) {
 	rs, codecs := codecsUnderTest(t)
 	for name, c := range codecs {
@@ -50,13 +50,13 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 		plain := buf
 		reuse := buf
 		for i := 0; i < rs.Len(); i++ {
-			want, wn, werr := c.Decode(plain)
+			want, wn, werr := c.DecodeInto(nil, plain)
 			got, gn, gerr := c.DecodeInto(dst, reuse)
 			if (werr == nil) != (gerr == nil) || wn != gn {
-				t.Fatalf("%s read %d: Decode=(%d,%v) DecodeInto=(%d,%v)", name, i, wn, werr, gn, gerr)
+				t.Fatalf("%s read %d: fresh=(%d,%v) reused=(%d,%v)", name, i, wn, werr, gn, gerr)
 			}
 			if got.ID != want.ID || len(got.Seq) != len(want.Seq) {
-				t.Fatalf("%s read %d: DecodeInto %+v, Decode %+v", name, i, got, want)
+				t.Fatalf("%s read %d: reused %+v, fresh %+v", name, i, got, want)
 			}
 			for j := range got.Seq {
 				if got.Seq[j] != want.Seq[j] {

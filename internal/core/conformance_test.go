@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"gnbody/internal/align"
 	"gnbody/internal/dist"
 	"gnbody/internal/par"
 	"gnbody/internal/partition"
@@ -59,7 +58,7 @@ type confOpts struct {
 }
 
 func (o confOpts) config(exec Executor, rank int) Config {
-	cfg := Config{Exec: exec, MinScore: confMinScore, MaxOutstanding: 4, PollEvery: 4,
+	cfg := Config{Exec: exec, MinScore: confMinScore, MaxOutstanding: 4,
 		FetchBatch: o.fetchBatch}
 	if o.caches != nil {
 		cfg.Cache = o.caches[rank]
@@ -107,7 +106,7 @@ func runConfPar(t *testing.T, w *testWorkload, mode string, o confOpts) confRun 
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec := ModelExecutor{Model: align.DefaultCostModel(), Meta: taskMetaFromTruth(w)}
+	exec := ModelExecutor{Model: testCostModel, Meta: taskMetaFromTruth(w)}
 	results := make([]*Result, confRanks)
 	errs := make([]error, confRanks)
 	world.Run(func(r rt.Runtime) {
@@ -153,7 +152,7 @@ func runConfSim(t *testing.T, w *testWorkload, mode string, o confOpts) confRun 
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec := ModelExecutor{Model: align.DefaultCostModel(), Meta: taskMetaFromTruth(w)}
+	exec := ModelExecutor{Model: testCostModel, Meta: taskMetaFromTruth(w)}
 	results := make([]*Result, confRanks)
 	errs := make([]error, confRanks)
 	err = eng.Run(func(r rt.Runtime) {
@@ -239,7 +238,7 @@ func runConfDist(t *testing.T, w *testWorkload, mode, fabricKind string, o confO
 		t.Fatal(err)
 	}
 	defer world.Close()
-	exec := ModelExecutor{Model: align.DefaultCostModel(), Meta: taskMetaFromTruth(w)}
+	exec := ModelExecutor{Model: testCostModel, Meta: taskMetaFromTruth(w)}
 	results := make([]*Result, confRanks)
 	errs := make([]error, confRanks)
 	gathered := make([][]Hit, confRanks)

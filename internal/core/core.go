@@ -90,12 +90,11 @@ type Codec interface {
 	// WireSize returns the exact wire size of read id, which this rank
 	// must own; it is at most seq.WireSizeOf of the read's length.
 	WireSize(id seq.ReadID) int
-	// Decode parses one read from buf, returning the read (Seq may be nil
-	// under the phantom codec) and bytes consumed.
-	Decode(buf []byte) (seq.Read, int, error)
-	// DecodeInto is Decode reusing dst (grown as needed) for the bases, so
-	// unpack loops stop allocating per read. The returned Seq may alias dst;
-	// it is valid until dst's next reuse and must be Cloned if retained.
+	// DecodeInto parses one read from buf, returning the read (Seq may be
+	// nil under the phantom codec) and bytes consumed. It reuses dst (grown
+	// as needed; nil allocates) for the bases, so unpack loops stop
+	// allocating per read. The returned Seq may alias dst; it is valid until
+	// dst's next reuse and must be Cloned if retained.
 	DecodeInto(dst seq.Seq, buf []byte) (seq.Read, int, error)
 }
 
@@ -115,9 +114,6 @@ func (c RealCodec) Encode(dst []byte, id seq.ReadID) []byte {
 // the read's Ns are, so it needs the bases and only the owner may ask;
 // planning on every other rank uses Input.planSize.
 func (c RealCodec) WireSize(id seq.ReadID) int { return c.Store.Get(id).EncodedSize() }
-
-// Decode parses one wire-encoded read.
-func (c RealCodec) Decode(buf []byte) (seq.Read, int, error) { return seq.DecodeWire(buf) }
 
 // DecodeInto parses one wire-encoded read into dst.
 func (c RealCodec) DecodeInto(dst seq.Seq, buf []byte) (seq.Read, int, error) {
@@ -142,9 +138,9 @@ func (c PhantomCodec) Encode(dst []byte, id seq.ReadID) []byte {
 // WireSize returns the modeled wire size.
 func (c PhantomCodec) WireSize(id seq.ReadID) int { return seq.WireSizeOf(int(c.Lens[id])) }
 
-// Decode parses the header and skips the body (Seq nil): phantom payloads
-// carry no bases worth copying or validating.
-func (c PhantomCodec) Decode(buf []byte) (seq.Read, int, error) {
+// DecodeInto parses the header and skips the body (Seq nil): phantom
+// payloads carry no bases worth copying or validating, so dst is unused.
+func (c PhantomCodec) DecodeInto(_ seq.Seq, buf []byte) (seq.Read, int, error) {
 	id, n, err := seq.WireHeader(buf)
 	if err != nil {
 		return seq.Read{}, 0, err
@@ -153,11 +149,6 @@ func (c PhantomCodec) Decode(buf []byte) (seq.Read, int, error) {
 		return seq.Read{}, 0, fmt.Errorf("core: phantom wire: short body: need %d bytes, have %d", 8+n, len(buf))
 	}
 	return seq.Read{ID: id}, 8 + n, nil
-}
-
-// DecodeInto is Decode; there is no body to land in dst.
-func (c PhantomCodec) DecodeInto(_ seq.Seq, buf []byte) (seq.Read, int, error) {
-	return c.Decode(buf)
 }
 
 // Input is one rank's share of the problem, as produced by the earlier

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"gnbody/internal/align"
 	"gnbody/internal/genome"
@@ -22,6 +23,10 @@ type testWorkload struct {
 	tasks []overlap.Task
 	truth []genome.SampledRead
 }
+
+// testCostModel prices model-executor tasks in the tests: about 2 ns a DP
+// cell on a contemporary x86-64 core, band 2X+1 at X = 15.
+var testCostModel = align.CostModel{PerTask: 2 * time.Microsecond, PerCell: 2 * time.Nanosecond, Band: 31, FPCells: 1500}
 
 func makeWorkload(t *testing.T, genomeLen int, coverage float64, seed int64) *testWorkload {
 	t.Helper()
@@ -84,7 +89,7 @@ func runReal(t *testing.T, w *testWorkload, p int, memBudget int64, useAsync boo
 			Codec: RealCodec{Store: st},
 			Store: st,
 		}
-		cfg := Config{Exec: exec, MinScore: minScore, MaxOutstanding: 8, PollEvery: 4}
+		cfg := Config{Exec: exec, MinScore: minScore, MaxOutstanding: 8}
 		if useAsync {
 			results[r.Rank()], errs[r.Rank()] = RunAsync(r, in, cfg)
 		} else {
@@ -273,10 +278,10 @@ func TestSimBackendEquivalence(t *testing.T) {
 		}
 		results := make([]*Result, eng.Ranks())
 		errs := make([]error, eng.Ranks())
-		exec := ModelExecutor{Model: align.DefaultCostModel(), Meta: meta}
+		exec := ModelExecutor{Model: testCostModel, Meta: meta}
 		err = eng.Run(func(r rt.Runtime) {
 			in := &Input{Part: pt, Lens: lens, Tasks: byRank[r.Rank()], Codec: PhantomCodec{Lens: lens}}
-			cfg := Config{Exec: exec, MinScore: 100, MaxOutstanding: 4, PollEvery: 4}
+			cfg := Config{Exec: exec, MinScore: 100, MaxOutstanding: 4}
 			if mode == "async" {
 				results[r.Rank()], errs[r.Rank()] = RunAsync(r, in, cfg)
 			} else {
@@ -392,7 +397,7 @@ func TestPhantomCodecShapes(t *testing.T) {
 		if len(buf) != c.WireSize(seq.ReadID(id)) || len(buf) != seq.WireSizeOf(int(l)) {
 			t.Errorf("read %d: encoded %d bytes, want %d", id, len(buf), c.WireSize(seq.ReadID(id)))
 		}
-		r, n, err := c.Decode(buf)
+		r, n, err := c.DecodeInto(nil, buf)
 		if err != nil || n != len(buf) || r.ID != seq.ReadID(id) || r.Seq != nil {
 			t.Errorf("read %d: decode = (%v, %d, %v)", id, r, n, err)
 		}

@@ -108,7 +108,7 @@ func (e ModelExecutor) Align(r rt.Runtime, t overlap.Task, _, _ seq.Seq) (align.
 	if e.Overhead > 0 {
 		r.Charge(rt.CatOverhead, e.Overhead)
 	}
-	r.Charge(rt.CatAlign, e.Model.TaskCost(ov, fp))
+	r.Charge(rt.CatAlign, e.Model.TaskCost(ov))
 	score := ov
 	if fp {
 		score = 0

@@ -12,7 +12,7 @@ import (
 )
 
 // fetcher is one rank's per-Run state and the single answer to "where does
-// a remote read come from" (DESIGN.md §4): the local store, a caller-owned
+// a remote read come from" (DESIGN.md §3): the local store, a caller-owned
 // cache an earlier Run left it in, or the wire, up to FetchBatch same-owner
 // reads to a request. A Run decides each distinct remote read once, so a
 // read is never asked for while its own pull is in flight. The
@@ -157,7 +157,7 @@ func (f *fetcher) runGroup(tasks []*overlap.Task, rid seq.ReadID, rem seq.Seq, h
 	bt := f.s.level(f.s.depth)
 	f.s.depth++
 	bt.loadPtr(tasks)
-	bt.run(f.r, f.in, f.cfg, rid, rem, haveRem, &f.s.hits, f.cfg.PollEvery)
+	bt.run(f.r, f.in, f.cfg, rid, rem, haveRem, &f.s.hits, true)
 	f.s.depth--
 }
 

@@ -76,7 +76,7 @@ func TestFetchBatchEquivalence(t *testing.T) {
 func TestFetchBatchReducesRPCs(t *testing.T) {
 	w := makeWorkload(t, 9000, 6, 109)
 	meta := taskMetaFromTruth(w)
-	exec := ModelExecutor{Model: align.DefaultCostModel(), Meta: meta}
+	exec := ModelExecutor{Model: testCostModel, Meta: meta}
 	rpcs := func(batch int) int64 {
 		lens := w.lens()
 		lensInt := make([]int, len(lens))

@@ -7,8 +7,8 @@ import (
 	"gnbody/internal/seq"
 )
 
-// runScratch is one Run's working memory (DESIGN.md §4, "Buffers sized
-// from the plan"): every buffer a driver would otherwise grow afresh on
+// runScratch is one Run's working memory (DESIGN.md §6, "Buffer
+// ownership"): every buffer a driver would otherwise grow afresh on
 // each Run. begin takes one from scratchPool and the end func it returns
 // hands it back, so a resident world running Run after Run — dibserve's
 // jobs, a benchmark's reps, the stages of one region — re-enters warm

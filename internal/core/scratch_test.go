@@ -79,7 +79,7 @@ func TestWarmRunAllocatesOnlyHits(t *testing.T) {
 				lo, hi := pt.Range(r.Rank())
 				st := seq.Scope(w.reads, lo, hi, lens)
 				in := &Input{Part: pt, Lens: lens, Tasks: byRank[r.Rank()], Codec: RealCodec{Store: st}, Store: st}
-				cfg := Config{Exec: RealExecutor{Scoring: sc, X: 15}, MinScore: 50, MaxOutstanding: 8, PollEvery: 4}
+				cfg := Config{Exec: RealExecutor{Scoring: sc, X: 15}, MinScore: 50, MaxOutstanding: 8}
 				results[r.Rank()], errs[r.Rank()] = Run(mode, r, in, cfg)
 			})
 		}
@@ -225,7 +225,7 @@ func TestFaultedRunPoolsNoBusyScratch(t *testing.T) {
 			st := seq.Scope(w.reads, lo, hi, lens)
 			in := &Input{Part: pt, Lens: lens, Tasks: byRank[r.Rank()], Codec: RealCodec{Store: st}, Store: st}
 			if _, err := RunAsync(r, in, Config{Exec: RealExecutor{Scoring: sc, X: 15}, MinScore: 50,
-				MaxOutstanding: 8, PollEvery: 4}); err != nil {
+				MaxOutstanding: 8}); err != nil {
 				panic(err)
 			}
 		})

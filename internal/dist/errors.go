@@ -1,4 +1,4 @@
-// The distributed backend's failure model (DESIGN.md §11): a transport
+// The distributed backend's failure model (DESIGN.md §7): a transport
 // fault or a progress-deadline expiry is a per-rank error, never a process
 // crash and never a hang.
 //

@@ -8,7 +8,7 @@ import (
 	"gnbody/internal/topo"
 )
 
-// Hierarchical collectives: the relay plan of DESIGN.md §13 over this rank's
+// Hierarchical collectives: the relay plan of DESIGN.md §4 over this rank's
 // topo.Map, which says who shares a node, who leads it and when the plan is
 // active at all. Alltoallv runs in three stages — members ship cross-node
 // rows up to their leader, leaders exchange one frame per peer node, leaders

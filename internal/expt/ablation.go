@@ -9,7 +9,7 @@ import (
 	"gnbody/internal/workload"
 )
 
-// Ablations for the design choices the paper calls out (DESIGN.md §7).
+// Ablations for the design choices the paper calls out (DESIGN.md §1).
 
 // Ablations runs every ablation, one table each.
 func Ablations(p Params) (Result, error) {

@@ -65,7 +65,7 @@ type SimSpec struct {
 	Workload       *workload.Workload
 	Machine        sim.Machine
 	Nodes          int
-	RanksPerNode   int // default 4 (see DESIGN.md on rank scaling)
+	RanksPerNode   int // default 4
 	Mode           Mode
 	SkipCompute    bool // §4.3 communication-only mode
 	MaxOutstanding int

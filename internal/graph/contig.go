@@ -8,7 +8,7 @@
 // emits. Perfect cycles (every vertex mergeable) get a second pass that
 // elects the minimum vertex of the cycle as the emitter.
 //
-// Distribution (DESIGN.md §15, §13): three bulk collectives, whatever the
+// Distribution (DESIGN.md §5): three bulk collectives, whatever the
 // chain lengths. Every rank encodes one fixed-width link row per oriented
 // live read it owns — out-degree class and, when that is 1, the successor
 // and the bases it appends — and replicates its rows to every rank in one

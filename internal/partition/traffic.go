@@ -1,4 +1,4 @@
-// Topology-aware placement (DESIGN.md §17). The task assignment fixes who
+// Topology-aware placement (DESIGN.md §4). The task assignment fixes who
 // must fetch which remote reads; what remains free is which ranks share a
 // physical node. TrafficMatrix prices the planned fetches into a rank→rank
 // byte matrix — the same planned wire sizes the exchange planners and the

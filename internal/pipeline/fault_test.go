@@ -15,7 +15,7 @@ import (
 
 // TestDiscoverFaults runs discover on four dist ranks over the loopback
 // fabric, one of them behind a fault injector. A crash or a stall of that
-// rank in any of discover's seven rounds (DESIGN §18) must end with every
+// rank in any of discover's seven rounds (DESIGN §3) must end with every
 // rank returning an error within the progress deadline, never a hang;
 // duplicated and delayed frames must change nothing, so the union of tasks
 // is still the serial reference's. A faulted run must also leave no

@@ -7,8 +7,8 @@ import (
 	"gnbody/internal/overlap"
 )
 
-// scratch is one rank's working memory for a discover Run (DESIGN.md §4,
-// "Buffers sized from the plan"): every buffer Run and place would
+// scratch is one rank's working memory for a discover Run (DESIGN.md §6,
+// "Buffer ownership"): every buffer Run and place would
 // otherwise build afresh. Run takes one from scratchPool and hands it back
 // when it returns, so a resident world running Run after Run — dibserve's
 // jobs, a benchmark's reps — re-enters warm buffers; the count table is

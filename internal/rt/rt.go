@@ -95,7 +95,7 @@ type Metrics struct {
 	RPCserved  int64
 	Supersteps int64 // BSP exchange rounds executed
 
-	// Residency accounting (DESIGN.md §10). StoreBytes is the rank's
+	// Residency accounting (DESIGN.md §2). StoreBytes is the rank's
 	// resident read-store footprint (Store.LocalBytes); PeakExchange the
 	// largest superstep exchange (request + payload + receive buffers) the
 	// BSP driver held at once; PeakRPCBytes the async driver's high-water
@@ -118,7 +118,7 @@ type Metrics struct {
 	IntraBytes int64
 	InterBytes int64
 
-	// Graph-round fetch accounting (DESIGN.md §13). GraphFetches counts
+	// Graph-round fetch accounting (DESIGN.md §5). GraphFetches counts
 	// the distinct remote records this rank pulled over the wire in the
 	// assembly stages' request/response rounds — adjacency lists in
 	// Reduce's neighbour fetch, base suffixes in Contigs' suffix round;
@@ -128,7 +128,7 @@ type Metrics struct {
 	GraphFetches   int64
 	GraphCoalesced int64
 
-	// Alignment-kernel accounting (DESIGN.md §12). The names date from a
+	// Alignment-kernel accounting (DESIGN.md §8). The names date from a
 	// packed int16 kernel that no longer exists; the benchmark module
 	// compiles against them, so the rename waits for a benchmark PR.
 	// SWARTasks counts alignment tasks whose extensions all ran on the

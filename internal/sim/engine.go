@@ -30,12 +30,6 @@ type Config struct {
 	// Where topo.Map.Relay says the plan cannot run (one node, one rank
 	// per node), or with Hierarchical false, the flat plan is priced.
 	Hierarchical bool
-
-	// Placement is the rank→slot permutation of topo.New, as in
-	// dist.Config.Placement (nil = identity). It changes only which pairs
-	// are priced and classified as intra- vs inter-node and who relays;
-	// the exchanged payloads are untouched.
-	Placement []int
 }
 
 // Ranks returns the total simulated rank count.
@@ -139,7 +133,7 @@ type Engine struct {
 	back  chan struct{}
 	stamp int64
 
-	tm *topo.Map // Config.Placement over nodes of RanksPerNode
+	tm *topo.Map // consecutive ranks in nodes of RanksPerNode
 
 	bar, split, a2a, red collective
 
@@ -161,7 +155,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg.MemBudget = cfg.Machine.AppMemPerCore
 	}
 	p := cfg.Nodes * cfg.RanksPerNode
-	tm, err := topo.New(p, cfg.RanksPerNode, cfg.Placement)
+	tm, err := topo.New(p, cfg.RanksPerNode, nil)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}

@@ -200,8 +200,7 @@ func (p *proc) serve(ev *event) {
 	p.eng.post(ev.from, &event{arrival: arr, kind: evResponse, from: p.id, seq: ev.seq, val: val})
 }
 
-// sameNode reports whether rank q shares this rank's node (under the
-// configured placement).
+// sameNode reports whether rank q shares this rank's node.
 func (p *proc) sameNode(q int) bool {
 	return p.eng.tm.SameNode(p.id, q)
 }

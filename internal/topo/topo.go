@@ -11,7 +11,7 @@
 // placement is a rank→slot permutation (nil = identity, rank q on slot q);
 // it regroups ranks into nodes and never changes what they exchange.
 //
-// Two alltoallv plans run over a Map (DESIGN.md §13):
+// Two alltoallv plans run over a Map (DESIGN.md §4):
 //
 //   - flat: every rank sends every other rank one frame, empty or not;
 //   - relay: rows inside a node move flat among its members, members ship

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"gnbody/internal/align"
 	"gnbody/internal/core"
@@ -26,6 +27,10 @@ import (
 )
 
 var benchCached = flag.Bool("cached", true, "BenchmarkCommExchange: run the async passes over a persistent cache and the BSP exchanges aggregated per node")
+
+// testCostModel prices model-executor tasks: about 2 ns a DP cell, band
+// 2X+1 at X = 15.
+var testCostModel = align.CostModel{PerTask: 2 * time.Microsecond, PerCell: 2 * time.Nanosecond, Band: 31, FPCells: 1500}
 
 func skewedWorkload(t testing.TB) *workload.Workload {
 	t.Helper()
@@ -64,14 +69,14 @@ func runTwoPass(t testing.TB, w *workload.Workload, cached bool) (hits, wire, ca
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec := core.ModelExecutor{Model: align.DefaultCostModel(), Meta: w.Meta()}
+	exec := core.ModelExecutor{Model: testCostModel, Meta: w.Meta()}
 	results := make([]*core.Result, ranks)
 	pass2Results := make([]*core.Result, ranks)
 	errs := make([]error, ranks)
 	err = eng.Run(func(r rt.Runtime) {
 		in := &core.Input{Part: pt, Lens: w.Lens, Tasks: byRank[r.Rank()],
 			Codec: core.PhantomCodec{Lens: w.Lens}}
-		cfg := core.Config{Exec: exec, MinScore: 1, MaxOutstanding: 8, PollEvery: 4}
+		cfg := core.Config{Exec: exec, MinScore: 1, MaxOutstanding: 8}
 		if cached {
 			cfg.Cache = core.NewReadCache(-1) // persists across both passes
 		}
@@ -152,7 +157,7 @@ func runDistBSP(t testing.TB, w *workload.Workload, p, nodeSize int, noAgg bool)
 		t.Fatal(err)
 	}
 	defer world.Close()
-	exec := core.ModelExecutor{Model: align.DefaultCostModel(), Meta: w.Meta()}
+	exec := core.ModelExecutor{Model: testCostModel, Meta: w.Meta()}
 	results := make([]*core.Result, p)
 	errs := make([]error, p)
 	if err := world.Run(func(r rt.Runtime) {
@@ -197,7 +202,7 @@ func runPlacedTwoPass(t testing.TB, w *workload.Workload, p, nodeSize int, pl []
 		t.Fatal(err)
 	}
 	defer world.Close()
-	exec := core.ModelExecutor{Model: align.DefaultCostModel(), Meta: w.Meta()}
+	exec := core.ModelExecutor{Model: testCostModel, Meta: w.Meta()}
 	results := make([]*core.Result, p)
 	errs := make([]error, p)
 	if err := world.Run(func(r rt.Runtime) {
@@ -234,7 +239,7 @@ func runPlacedTwoPass(t testing.TB, w *workload.Workload, p, nodeSize int, pl []
 }
 
 // placementStudyWorkload builds the frozen placement acceptance workload
-// (DESIGN.md §17): E. coli 30x at the reduced study density, genome-block
+// (DESIGN.md §4): E. coli 30x at the reduced study density, genome-block
 // scattered so consecutive-rank grouping is pessimal, still Zipf-skewed.
 func placementStudyWorkload(t testing.TB, p int) *workload.Workload {
 	t.Helper()

@@ -303,7 +303,7 @@ func LensOf(rs *seq.ReadSet) []int32 {
 // genome segment with exactly one far-away partner rank, so the overlap
 // traffic clusters on ⌊p/2⌋ heavy rank pairs that a consecutive node
 // grouping always splits — the regime topology-aware placement
-// (partition.PlaceByTraffic, DESIGN.md §17) is built for. It models
+// (partition.PlaceByTraffic, DESIGN.md §4) is built for. It models
 // inputs with genomic locality whose load order scatters neighbourhoods
 // across rank labels (interleaved lanes, merged runs). Deterministic;
 // task semantics are untouched (labels permute, overlaps don't).
